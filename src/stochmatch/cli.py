@@ -39,7 +39,7 @@ from .matching import (
     prophet_matcher,
     solve_prophet_lp,
 )
-from .simulate import SimConfig, simulate
+from .simulate import SimConfig, simulate, thread_count
 from .stars import (
     Policy,
     build_arbitrary_patience_lp,
@@ -67,10 +67,7 @@ def f6(x) -> str:
 
 
 def _threads() -> int:
-    env = os.environ.get("STOCHMATCH_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return thread_count(default=os.cpu_count() or 1)
 
 
 def _csv_row(**fields) -> str:

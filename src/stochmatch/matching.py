@@ -63,6 +63,7 @@ from .stars import (
 PRICING_TOL = 1e-7
 COLUMN_CAP = 10_000
 BIG_PATIENCE = 10 ** 9
+TAPE_BLOCK = 192  # uniforms per RandomTape refill
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ class RandomTape:
 
     __slots__ = ("gen", "buf", "pos")
 
-    def __init__(self, gen, block: int = 192):
+    def __init__(self, gen, block: int = TAPE_BLOCK):
         self.gen = gen
         self.buf = gen.random(block)
         self.pos = 0
@@ -193,10 +194,13 @@ def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
 # ---------------------------------------------------------------------------
 
 class _Tables:
-    """Plain-list views of one instance, built once per matcher run series
-    (numpy scalar indexing is too slow for the per-probe hot loop)."""
+    """Views of one instance, built once per matcher run series: plain lists
+    for the per-probe scalar loop (numpy scalar indexing is too slow there)
+    and per-type arrays for the lockstep walk."""
 
-    __slots__ = ("m", "patience", "prob_cols", "weight_cols", "rate_cols", "neighbors")
+    __slots__ = ("m", "patience", "prob_cols", "weight_cols", "rate_cols", "neighbors",
+                 "neighbor_arrays", "probs", "weights", "theta", "survival", "curves", "hazard",
+                 "rates")
 
     def __init__(self, instance: MatchingInstance):
         self.m = instance.m
@@ -210,6 +214,102 @@ class _Tables:
             for pat in instance.patience]
         self.neighbors = [[u for u in range(instance.m) if cols[v][u] > 0.0]
                           for v in range(instance.n_types)]
+        # lockstep arrays, one row per type: a deterministic budget (survival
+        # budgets are drawn, hazard walks have none), survival curves padded
+        # with -1 so that a draw always stops inside the row, and hazard rates
+        pats = instance.patience
+        self.neighbor_arrays = [np.array(nb, dtype=np.intp) for nb in self.neighbors]
+        self.probs = instance.probs
+        self.weights = wmat
+        self.theta = np.array([p.theta if p.is_deterministic else BIG_PATIENCE
+                               for p in pats], dtype=np.int64)
+        self.survival = np.array([p.is_survival for p in pats])
+        self.hazard = np.array([p.is_hazard for p in pats])
+        width = max((len(p.q) for p in pats if p.is_survival), default=0)
+        self.curves = np.full((len(pats), width + 1), -1.0)
+        self.rates = np.zeros((len(pats), instance.m))
+        for v, p in enumerate(pats):
+            if p.is_survival:
+                self.curves[v, :len(p.q)] = p.q
+            elif p.is_hazard:
+                self.rates[v] = self.rate_cols[v]
+
+    def probe_cap(self, v: int) -> int:
+        """Most probes one arrival of type ``v`` can make."""
+        pat = self.patience[v]
+        if pat.is_deterministic:
+            return max(pat.theta, 0)
+        if pat.is_survival:
+            return len(pat.q)
+        return self.m
+
+    def walk_draws(self, v: int, probes: int) -> int:
+        """Most uniforms one walk of type ``v`` reads when it can make at
+        most ``probes`` probes: a survival budget, then a success draw and
+        (hazard patience) a balk coin per probe."""
+        pat = self.patience[v]
+        return int(pat.is_survival) + probes * (2 if pat.is_hazard else 1)
+
+
+class _Lockstep:
+    """A batch of trials walked in lockstep on numpy state.
+
+    Row ``i`` of ``uniforms`` is trial ``i``'s stream, read from ``pos[i]``
+    on; ``free`` marks the offline vertices each trial has not matched, and
+    ``weight`` sums each trial's matched weight in match order, as
+    ``MatcherState.match`` does.  Reading past the end of a row raises
+    ``IndexError``: a block is never silently truncated.
+    """
+
+    __slots__ = ("uniforms", "pos", "free", "weight", "every")
+
+    def __init__(self, uniforms: np.ndarray, m: int):
+        trials = uniforms.shape[0]
+        self.uniforms = uniforms
+        self.pos = np.zeros(trials, dtype=np.intp)
+        self.free = np.ones((trials, m), dtype=bool)
+        self.weight = np.zeros(trials)
+        self.every = np.arange(trials)
+
+    def draw(self, rows: np.ndarray) -> np.ndarray:
+        pos = self.pos[rows]
+        self.pos[rows] = pos + 1
+        return self.uniforms[rows, pos]
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-trial weights and per-vertex match counts."""
+        return self.weight, np.count_nonzero(~self.free, axis=0).astype(float)
+
+    def walk(self, tables: _Tables, rows, v, items, length):
+        """One arrival per trial in ``rows``, of types ``v``, probing the
+        first ``length`` entries of its row of ``items`` as ``_walk_policy``
+        does (entries to skip already removed): matched vertices are probed
+        in simulation, and any success ends the arrival."""
+        budget = tables.theta[v]
+        surv = tables.survival[v]
+        if surv.any():
+            u = self.draw(rows[surv])
+            budget[surv] = np.argmin(tables.curves[v[surv]] > u[:, None], axis=1)
+        limit = np.minimum(length, budget)
+        live = np.flatnonzero(limit > 0)
+        k = 0
+        while live.size:
+            r, vk, u = rows[live], v[live], items[live, k]
+            success = self.draw(r) < tables.probs[u, vk]
+            won = success & self.free[r, u]
+            if won.any():
+                r, u = r[won], u[won]
+                self.free[r, u] = False
+                self.weight[r] += tables.weights[u, vk[won]]
+            live = live[~success]
+            hz = tables.hazard[v[live]]
+            if hz.any():
+                h = live[hz]
+                stay = np.ones(live.size, dtype=bool)
+                stay[hz] = self.draw(rows[h]) >= tables.rates[v[h], items[h, k]]
+                live = live[stay]
+            k += 1
+            live = live[limit[live] > k]
 
 
 def _walk_policy(tables: _Tables, state, step, v, order, tape, skip_half_of=None):
@@ -397,7 +497,10 @@ class AdvGreedyMatcher(_TableCache):
             memo[key] = total
             return total
 
-        return go(0, (1 << instance.m) - 1)
+        try:
+            return go(0, (1 << instance.m) - 1)
+        finally:
+            del go  # break the closure's cycle through itself and its memo
 
 
 class SimpleGreedyMatcher(_TableCache):
@@ -442,6 +545,48 @@ class SimpleGreedyMatcher(_TableCache):
                 _walk_policy(tables, state, step, v, order, tape)
         return state
 
+    def draw_bound(self, instance: MatchingInstance) -> int:
+        """Most uniforms one trial can read."""
+        if instance.arrivals.kind != ADVERSARIAL:
+            raise CapabilityError("greedy matcher needs adversarial arrivals")
+        tables = self._tables(instance)
+        return sum(tables.walk_draws(v, min(len(tables.neighbors[v]), tables.probe_cap(v)))
+                   for v in instance.arrivals.order if tables.neighbors[v])
+
+    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
+        """All trials of a batch at once, trial ``i`` reading row ``i`` of
+        ``uniforms``; returns per-trial weights and per-vertex match counts,
+        exactly as the scalar walk over the same streams."""
+        if instance.arrivals.kind != ADVERSARIAL:
+            raise CapabilityError("greedy matcher needs adversarial arrivals")
+        tables = self._tables(instance)
+        state = _Lockstep(uniforms, instance.m)
+        every = state.every
+        for v in instance.arrivals.order:
+            neigh = tables.neighbor_arrays[v]
+            if not neigh.size:
+                continue
+            if self.rule == "last":
+                neigh = neigh[::-1]
+            avail = state.free[:, neigh]
+            width = min(neigh.size, tables.probe_cap(v))
+            if width == 1 and tables.patience[v].is_deterministic:
+                # hot path: one probe at the first available neighbor
+                first = avail.argmax(axis=1)
+                rows = np.flatnonzero(avail[every, first])
+                items = neigh[first[rows]]
+                won = state.draw(rows) < tables.probs[items, v]
+                rows, items = rows[won], items[won]
+                state.free[rows, items] = False
+                state.weight[rows] += tables.weights[items, v]
+                continue
+            length = np.count_nonzero(avail, axis=1)
+            rows = np.flatnonzero(length)
+            if rows.size:
+                ranked = np.argsort(~avail[rows], axis=1, kind="stable")[:, :width]
+                state.walk(tables, rows, np.full(rows.size, v), neigh[ranked], length[rows])
+        return state.result()
+
     def exact_value(self, instance: MatchingInstance) -> float:
         if instance.arrivals.kind != ADVERSARIAL:
             raise CapabilityError("greedy matcher needs adversarial arrivals")
@@ -480,7 +625,10 @@ class SimpleGreedyMatcher(_TableCache):
             memo[key] = total
             return total
 
-        return go(0, (1 << instance.m) - 1)
+        try:
+            return go(0, (1 << instance.m) - 1)
+        finally:
+            del go  # break the closure's cycle through itself and its memo
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +863,49 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance,
 # Policy-LP driven online matchers (prophet / IID arrivals)
 # ---------------------------------------------------------------------------
 
+class _PolicyArrays:
+    """A ``PolicyLpMatcher``'s tables on one instance for the lockstep walk:
+    per step the arriving type's CDF, per type a padded alias table, and
+    per sampleable policy (flat index ``base[v] + k``) its probing order
+    with the entries the matcher skips removed."""
+
+    def __init__(self, matcher: "PolicyLpMatcher", instance: MatchingInstance):
+        tables = matcher._tables(instance)
+        samplers = matcher._samplers
+        n = instance.n_types
+        skip_of = matcher.lp_result.w_star if matcher.skip else None
+        self.step_cum = np.array(matcher._step_cum(instance))
+        self.sampled = np.array([s is not None for s in samplers])
+        width = max((s[1].n for s in samplers if s is not None), default=1)
+        self.alias_n = np.ones(n, dtype=np.intp)
+        self.alias_prob = np.zeros((n, width))
+        self.alias = np.zeros((n, width), dtype=np.intp)
+        self.base = np.zeros(n, dtype=np.intp)
+        orders, walks = [], []
+        draws = 0  # most uniforms an arrival reads after the arrival draw
+        for v, sampler in enumerate(samplers):
+            self.base[v] = len(orders)
+            if sampler is None:
+                continue
+            policies, alias = sampler
+            self.alias_n[v] = alias.n
+            self.alias_prob[v, :alias.n] = alias.prob
+            self.alias[v, :alias.n] = alias.alias
+            weights = tables.weight_cols[v]
+            for order in policies:
+                walks.append(bool(order))
+                orders.append([u for u in order
+                               if skip_of is None or not weights[u] < 0.5 * skip_of[u]])
+            longest = max(len(o) for o in orders[self.base[v]:])
+            draws = max(draws, 2 + tables.walk_draws(v, min(longest, tables.probe_cap(v))))
+        self.draws_per_step = 1 + draws
+        self.walks = np.array(walks, dtype=bool)
+        self.length = np.array([len(o) for o in orders], dtype=np.intp)
+        self.items = np.zeros((len(orders), self.length.max(initial=0)), dtype=np.intp)
+        for g, order in enumerate(orders):
+            self.items[g, :len(order)] = order
+
+
 class PolicyLpMatcher(_TableCache):
     """Sample a policy per arrival from the LP mixture and walk it.
 
@@ -730,6 +921,7 @@ class PolicyLpMatcher(_TableCache):
         self.lp_result = lp_result
         self.skip = skip
         self._step_cum_pair = None
+        self._arrays_pair = None
         self._samplers: list[tuple[list[tuple[int, ...]], AliasSampler] | None] = []
         for v, entries in enumerate(lp_result.mixture.per_type):
             q = lp_result.mixture.q_v[v]
@@ -782,6 +974,49 @@ class PolicyLpMatcher(_TableCache):
             if order:
                 _walk_policy(tables, state, t, v, order, tape, skip_half_of=skip_of)
         return state
+
+    # -- lockstep batch walk -----------------------------------------------
+
+    def _lockstep_tables(self, instance) -> _PolicyArrays:
+        pair = self._arrays_pair
+        if pair is None or pair[0] is not instance:
+            pair = (instance, _PolicyArrays(self, instance))
+            self._arrays_pair = pair
+        return pair[1]
+
+    def draw_bound(self, instance: MatchingInstance) -> int:
+        """Most uniforms one trial can read."""
+        if instance.arrivals.kind not in (PROPHET, IID):
+            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
+        return self._lockstep_tables(instance).draws_per_step * instance.arrivals.n_steps
+
+    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
+        """All trials of a batch at once, trial ``i`` reading row ``i`` of
+        ``uniforms``; returns per-trial weights and per-vertex match counts,
+        exactly as the scalar walk over the same streams."""
+        arr = instance.arrivals
+        if arr.kind not in (PROPHET, IID):
+            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
+        tables = self._tables(instance)
+        pa = self._lockstep_tables(instance)
+        state = _Lockstep(uniforms, instance.m)
+        for t in range(arr.n_steps):
+            u = state.draw(state.every)
+            cum = pa.step_cum[t]
+            v = np.argmax(cum > u[:, None], axis=1)
+            rows = np.flatnonzero((u < cum[-1]) & pa.sampled[v])
+            if not rows.size:
+                continue
+            v = v[rows]
+            n = pa.alias_n[v]
+            i = np.minimum((state.draw(rows) * n).astype(np.intp), n - 1)
+            kept = state.draw(rows) < pa.alias_prob[v, i]
+            g = pa.base[v] + np.where(kept, i, pa.alias[v, i])
+            walks = pa.walks[g]
+            rows, v, g = rows[walks], v[walks], g[walks]
+            if rows.size:
+                state.walk(tables, rows, v, pa.items[g], pa.length[g])
+        return state.result()
 
     # -- exact expansion ---------------------------------------------------
 
@@ -865,7 +1100,10 @@ class PolicyLpMatcher(_TableCache):
             memo[key] = total
             return total
 
-        return go(0, 0)
+        try:
+            return go(0, 0)
+        finally:
+            del go  # break the closure's cycle through itself and its memo
 
 
 def prophet_matcher(lp_result: ProphetLpResult) -> PolicyLpMatcher:

@@ -5,6 +5,17 @@ stream keyed by ``(master seed, i)``, so every trial is a pure function of
 the config and trials may run in any order or in parallel without changing
 results.  Means use numpy's pairwise summation, which is order-independent
 for a fixed trial array.
+
+One generator serves a whole run: its state is reset to counter 0 under
+key ``(seed, i)`` for trial ``i``, which gives the stream that
+``trial_generator(seed, i)`` would.  Matchers with a lockstep walk
+(``PolicyLpMatcher`` for IID and prophet arrivals, ``SimpleGreedyMatcher``)
+run a batch of trials at once: each trial's uniforms are one row of a
+block whose width bounds the draws of any trial, rounded up to whole
+``RandomTape`` refills, and the matcher walks every row on numpy state.
+Streams and reports are the same as the scalar walk's.  ``AdvGreedyMatcher``
+and other matcher callables walk one trial at a time on a ``RandomTape``,
+as do traced calls (``trace=True``), which never go through ``simulate``.
 """
 
 from __future__ import annotations
@@ -25,10 +36,17 @@ from .instances import (
     StarInstance,
     StochmatchError,
 )
-from .matching import RandomTape
+from .matching import TAPE_BLOCK, RandomTape
 from .stars import RandomizedStarPolicy, eval_policy_exact, eval_randomized_exact
 
 LOW_TRIAL_WARNING = 1000
+CHUNK_TRIALS = 4096        # trials per chunk: the unit of parallel work
+BLOCK_FLOATS = 1 << 22     # most uniforms held at once by a lockstep batch
+# Batches of fewer trials walk one trial at a time: a lockstep step pays
+# 10-20 microseconds of numpy calls, a scalar step about one per trial, and
+# the two broke even at 20-40 trials on the benchmark's instances.
+LOCKSTEP_MIN_TRIALS = 32
+THREADS_ENV = "STOCHMATCH_THREADS"
 _MASK64 = (1 << 64) - 1
 
 
@@ -64,42 +82,119 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+class _TrialStreams:
+    """``trial_generator(seed, i)`` for any ``i`` from one reused generator:
+    resetting a Philox state to counter 0 under key ``(seed, i)`` costs a
+    fraction of building a new generator, and yields the same stream."""
+
+    def __init__(self, seed: int):
+        self.bitgen = np.random.Philox(key=0)
+        self.gen = np.random.Generator(self.bitgen)
+        self.state = self.bitgen.state
+        self.key = self.state["state"]["key"]
+        self.key[0] = seed & _MASK64
+
+    def __call__(self, trial: int) -> np.random.Generator:
+        self.key[1] = trial & _MASK64
+        self.bitgen.state = self.state
+        return self.gen
+
+    def fill(self, block: np.ndarray, start: int) -> np.ndarray:
+        """Row ``j`` of ``block`` becomes the first draws of trial ``start + j``."""
+        for j, row in enumerate(block):
+            self(start + j).random(out=row)
+        return block
+
+
+def block_width(instance, matcher) -> int | None:
+    """Uniforms per trial in a lockstep block: the matcher's bound on the
+    draws of one trial, rounded up to whole ``RandomTape`` refills, or
+    ``None`` when the matcher has no lockstep walk."""
+    if not hasattr(matcher, "run_lockstep"):
+        return None
+    return max(1, -(-matcher.draw_bound(instance) // TAPE_BLOCK)) * TAPE_BLOCK
+
+
 def _run_range(instance, matcher, seed, start, stop, m):
+    """Per-trial weights and per-vertex match counts of trials [start, stop)."""
+    streams = _TrialStreams(seed)
+    width = block_width(instance, matcher)
+    rows = CHUNK_TRIALS if width is None else max(1, min(CHUNK_TRIALS, BLOCK_FLOATS // width))
     weights = np.empty(stop - start)
     counts = np.zeros(m)
-    for i in range(start, stop):
-        tape = RandomTape(trial_generator(seed, i))
+    for a in range(start, stop, rows):
+        b = min(a + rows, stop)
+        if width is None or b - a < LOCKSTEP_MIN_TRIALS:
+            for i in range(a, b):
+                try:
+                    state = matcher(instance, RandomTape(streams(i)))
+                except Exception as e:
+                    raise StochmatchError(f"matcher failed at trial {i}: {e}") from e
+                weights[i - start] = state.total_weight
+                for u in state.matched:
+                    counts[u] += 1.0
+            continue
+        block = streams.fill(np.empty((b - a, width)), a)
         try:
-            state = matcher(instance, tape)
-        except Exception as e:
-            raise StochmatchError(f"matcher failed at trial {i}: {e}") from e
-        weights[i - start] = state.total_weight
-        for u in state.matched:
-            counts[u] += 1.0
+            weights[a - start:b - start], batch_counts = matcher.run_lockstep(instance, block)
+        except IndexError as e:
+            raise StochmatchError(
+                f"a trial in [{a}, {b}) read more than its {width} uniforms") from e
+        counts += batch_counts
     return weights, counts
+
+
+def _run_worker(instance, matcher, seed, start, stop, m):
+    """``_run_range`` in a worker process, returning also the AdvGreedy
+    plans it solved so that the caller's plan cache keeps them."""
+    plans = getattr(matcher, "_plans", {})
+    known = set(plans)
+    weights, counts = _run_range(instance, matcher, seed, start, stop, m)
+    return weights, counts, {k: p for k, p in plans.items() if k not in known}
+
+
+def thread_count(threads=None, chunks: int | None = None, default: int = 1) -> int:
+    """Worker processes for a simulation.
+
+    ``threads`` is a count or its text; ``None`` reads ``STOCHMATCH_THREADS``
+    and falls back to ``default`` when that is unset.  A non-integer or a
+    value below 1 raises ``StochmatchError``.  The count is clamped to the
+    machine's cores and, when given, to the number of trial chunks.
+    """
+    if threads is None:
+        threads = os.environ.get(THREADS_ENV, default)
+    try:
+        value = int(threads)
+    except (TypeError, ValueError):
+        raise StochmatchError(f"{THREADS_ENV} must be an integer, got {threads!r}") from None
+    if value < 1:
+        raise StochmatchError(f"{THREADS_ENV} must be at least 1, got {value}")
+    return min(value, os.cpu_count() or 1, chunks or value)
 
 
 def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -> SimReport:
     """Seeded Monte Carlo estimate of the matcher's expected matched weight.
 
-    ``threads`` > 1 splits the trial range over worker processes; the
-    report is bit-identical to a serial run because each trial's stream
-    depends only on (seed, trial index).  A value of ``None`` reads the
-    ``STOCHMATCH_THREADS`` variable, defaulting to 1.
+    Trials run in chunks of ``CHUNK_TRIALS``.  ``threads`` > 1 spreads the
+    chunks over worker processes; the report is bit-identical to a serial
+    run because each trial's stream depends only on (seed, trial index).
+    A value of ``None`` reads the ``STOCHMATCH_THREADS`` variable,
+    defaulting to 1 (see ``thread_count``).
     """
-    if threads is None:
-        threads = int(os.environ.get("STOCHMATCH_THREADS", "1"))
     m = instance.m if isinstance(instance, MatchingInstance) else getattr(instance, "n", 0)
     trials = config.trials
-    if threads > 1 and trials >= 4 * threads:
-        bounds = np.linspace(0, trials, threads + 1, dtype=int)
-        chunks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    chunks = [(a, min(a + CHUNK_TRIALS, trials)) for a in range(0, trials, CHUNK_TRIALS)]
+    threads = thread_count(threads, chunks=len(chunks))
+    if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_range,
+            parts = list(pool.map(_run_worker,
                                   *zip(*[(instance, matcher, config.seed, a, b, m)
                                          for a, b in chunks])))
         weights = np.concatenate([p[0] for p in parts])
         counts = np.sum([p[1] for p in parts], axis=0)
+        plans = getattr(matcher, "_plans", {})
+        for part in parts:
+            plans.update(part[2])
     else:
         weights, counts = _run_range(instance, matcher, config.seed, 0, trials, m)
     mean = float(np.mean(weights))
@@ -192,7 +287,10 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
         return best
 
     start = tuple((thetas[v], 0) for v in range(n))
-    return go((1 << m) - 1, start)
+    try:
+        return go((1 << m) - 1, start)
+    finally:
+        del go  # break the closure's cycle through itself and its memo
 
 
 # ---------------------------------------------------------------------------

@@ -140,3 +140,11 @@ def test_repro_targets_pass_and_are_deterministic(tmp_path, capsys, target):
     assert code1 == 0 and code2 == 0
     assert out1.endswith("PASS\n")
     assert c1.read_bytes() == c2.read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_thread_count_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("STOCHMATCH_THREADS", value)
+    code, _, err = run(capsys, "repro", "simplegreedy", "--trials", "50")
+    assert code == 2
+    assert "STOCHMATCH_THREADS" in err

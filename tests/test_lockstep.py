@@ -1,0 +1,186 @@
+"""The lockstep batch walk against the scalar walk it replaces.
+
+``simulate`` runs ``PolicyLpMatcher`` and ``SimpleGreedyMatcher`` trials in
+lockstep over one block of uniforms per batch; the reference here is the
+scalar loop ``matcher(instance, RandomTape(trial_generator(seed, i)))``.
+Reports must be equal, not approximately equal.
+"""
+
+import importlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochmatch import hard_instances as hard
+from stochmatch.instances import (
+    ArrivalModel,
+    CapabilityError,
+    MatchingInstance,
+    PatienceModel,
+    Policy,
+    PolicyMixture,
+    StochmatchError,
+)
+from stochmatch.matching import (
+    TAPE_BLOCK,
+    PolicyLpMatcher,
+    ProphetLpResult,
+    RandomTape,
+    SimpleGreedyMatcher,
+)
+from stochmatch.simulate import SimConfig, simulate, trial_generator
+
+sim = importlib.import_module("stochmatch.simulate")  # the package exports a same-named function
+PATIENCE = ("deterministic", "survival", "global-hazard", "item-hazard")
+
+
+def _patience(rng, kind, m):
+    if kind == "deterministic":
+        return PatienceModel.deterministic(int(rng.integers(-1, m + 2)))
+    if kind == "survival":
+        q = np.sort(rng.random(int(rng.integers(1, m + 2))))[::-1]
+        q[0] = 1.0
+        q[rng.random(q.size) < 0.2] = 0.0
+        return PatienceModel.survival(np.minimum.accumulate(q))
+    if kind == "global-hazard":
+        return PatienceModel.constant_hazard(rate=float(rng.choice([0.0, rng.random(), 1.0])))
+    return PatienceModel.constant_hazard(rates=rng.random(m))
+
+
+def _instance(seed, kinds, arrivals):
+    """A small random instance: some edges absent, some certain."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 6)), len(kinds)
+    probs = rng.random((m, n)) * (rng.random((m, n)) < 0.8)
+    probs[rng.random((m, n)) < 0.1] = 1.0
+    patience = [_patience(rng, kind, m) for kind in kinds]
+    if arrivals == "adversarial":
+        model = ArrivalModel.adversarial(rng.permutation(n))
+    elif arrivals == "iid":
+        horizon = int(rng.integers(1, 7))
+        q_v = rng.random(n) * (rng.random(n) < 0.85)
+        model = ArrivalModel.iid(q_v / max(q_v.sum(), 1e-9) * horizon * rng.uniform(0.3, 1.0),
+                                 horizon)
+    else:
+        q_tv = rng.random((int(rng.integers(1, 7)), n))
+        model = ArrivalModel.prophet(q_tv / q_tv.sum(axis=1, keepdims=True)
+                                     * rng.uniform(0.3, 1.0, (q_tv.shape[0], 1)))
+    return MatchingInstance.make(probs, patience, model, edge_weights=rng.random((m, n))), rng
+
+
+def _policy_matcher(instance, rng, skip):
+    """A random policy mixture: policies may list non-neighbors and share
+    vertices, and leave residual mass to the empty policy."""
+    m, n = instance.m, instance.n_types
+    q_v = instance.arrivals.expected_arrivals(n)
+    per_type = []
+    for v in range(n):
+        k = int(rng.integers(0, 4))
+        masses = rng.dirichlet(np.ones(k + 1))[:k] * q_v[v] if k else []
+        per_type.append(tuple(
+            (Policy(tuple(int(u) for u in rng.permutation(m)[:rng.integers(0, m + 1)])),
+             float(mass)) for mass in masses))
+    lp_result = ProphetLpResult(mixture=PolicyMixture(tuple(per_type), tuple(map(float, q_v))),
+                                objective=0.0, w_star=rng.random(m) * 2.0)
+    return PolicyLpMatcher(lp_result, skip=skip)
+
+
+def _scalar_report(instance, matcher, config):
+    weights = np.empty(config.trials)
+    counts = np.zeros(instance.m)
+    for i in range(config.trials):
+        state = matcher(instance, RandomTape(trial_generator(config.seed, i)))
+        weights[i] = state.total_weight
+        for u in state.matched:
+            counts[u] += 1.0
+    stddev = float(np.std(weights, ddof=1)) if config.trials > 1 else 0.0
+    return float(np.mean(weights)), stddev, counts / config.trials
+
+
+def _assert_same(instance, matcher, config):
+    mean, stddev, freq = _scalar_report(instance, matcher, config)
+    report = simulate(instance, matcher, config, threads=1)
+    assert report.mean == mean
+    assert report.stddev == stddev
+    assert np.array_equal(report.match_freq, freq)
+
+
+kinds = st.lists(st.sampled_from(PATIENCE), min_size=1, max_size=4)
+seeds = st.integers(0, 2 ** 32 - 1)
+trials = st.integers(sim.LOCKSTEP_MIN_TRIALS, 160)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, kinds, st.sampled_from(("iid", "prophet")), st.booleans(), seeds, trials)
+def test_policy_matcher_batch_equals_scalar_walk(seed, kinds, arrivals, skip, sim_seed, n):
+    instance, rng = _instance(seed, kinds, arrivals)
+    matcher = _policy_matcher(instance, rng, skip)
+    _assert_same(instance, matcher, SimConfig(sim_seed, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seeds, kinds, st.sampled_from(("first", "last")), seeds, trials)
+def test_simple_greedy_batch_equals_scalar_walk(seed, kinds, rule, sim_seed, n):
+    instance, _ = _instance(seed, kinds, "adversarial")
+    _assert_same(instance, SimpleGreedyMatcher(rule), SimConfig(sim_seed, n))
+
+
+@pytest.mark.parametrize("rule", ["first", "last"])
+def test_simple_greedy_batch_with_patience_above_one(rule):
+    # later arrivals find earlier ones' matches and probe past them
+    inst = hard.gen_random_matching(21, 6, 12, "adversarial", max_theta=3)
+    assert max(p.theta for p in inst.patience) > 1
+    _assert_same(inst, SimpleGreedyMatcher(rule), SimConfig(5, 400))
+
+
+def test_hard_family_crosses_a_tape_refill():
+    # 500 arrivals read up to 500 uniforms: past two RandomTape refills
+    inst = hard.gen_simple_greedy_hard(4, 100, v0_cap=400)
+    matcher = SimpleGreedyMatcher("first")
+    assert sim.block_width(inst, matcher) == 3 * TAPE_BLOCK
+    _assert_same(inst, matcher, SimConfig(3, 60))
+
+
+def test_small_batches_give_the_same_report(monkeypatch):
+    inst = hard.gen_random_matching(7, 4, 6, "adversarial", max_theta=3)
+    matcher = SimpleGreedyMatcher("last")
+    config = SimConfig(8, 1010)
+    whole = simulate(inst, matcher, config, threads=1)
+    assert sim.block_width(inst, matcher) == TAPE_BLOCK
+    # batches of 40 trials, the last 10 of them walked one at a time
+    monkeypatch.setattr(sim, "BLOCK_FLOATS", 40 * TAPE_BLOCK)
+    split = simulate(inst, matcher, config, threads=1)
+    assert whole.mean == split.mean and whole.stddev == split.stddev
+    assert np.array_equal(whole.match_freq, split.match_freq)
+
+
+def test_block_rows_are_successive_tape_refills():
+    streams = sim._TrialStreams(11)
+    block = streams.fill(np.empty((3, 3 * TAPE_BLOCK)), 40)
+    for j in range(3):
+        tape = RandomTape(trial_generator(11, 40 + j))
+        drawn = [tape.u() for _ in range(3 * TAPE_BLOCK)]
+        assert np.array_equal(block[j], drawn)
+        assert np.array_equal(trial_generator(11, 40 + j).random(3 * TAPE_BLOCK), block[j])
+
+
+def test_understated_draw_bound_raises():
+    class Understated(SimpleGreedyMatcher):
+        def draw_bound(self, instance):
+            return 1
+
+    inst = hard.gen_simple_greedy_hard(4, 100, v0_cap=400)
+    with pytest.raises(StochmatchError, match="uniforms"):
+        simulate(inst, Understated("first"), SimConfig(0, 50), threads=1)
+
+
+def test_wrong_arrival_model_is_a_capability_error():
+    iid = hard.gen_random_matching(1, 3, 2, "iid", horizon=3)
+    adv = hard.gen_random_matching(1, 3, 2, "adversarial")
+    matcher = _policy_matcher(iid, np.random.default_rng(0), skip=False)
+    with pytest.raises(CapabilityError):
+        simulate(iid, SimpleGreedyMatcher(), SimConfig(0, 100), threads=1)
+    with pytest.raises(CapabilityError):
+        simulate(adv, matcher, SimConfig(0, 100), threads=1)

@@ -1,3 +1,6 @@
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -19,12 +22,14 @@ from stochmatch.matching import (
     solve_prophet_lp,
 )
 from stochmatch.simulate import (
+    CHUNK_TRIALS,
     RatioReport,
     SimConfig,
     brute_force_offline_opt,
     empirical_ratio,
     exact_expected_value,
     simulate,
+    thread_count,
     trial_generator,
 )
 from stochmatch.stars import solver_by_name
@@ -60,13 +65,43 @@ def test_reports_are_reproducible():
 
 
 def test_parallel_equals_serial():
+    # two chunks, so that two workers start
     inst = hard.gen_random_matching(3, m=3, n_types=3, arrival_kind="adversarial")
-    cfg = SimConfig(seed=9, trials=1200)
+    cfg = SimConfig(seed=9, trials=CHUNK_TRIALS + 1200)
     serial = simulate(inst, AdvGreedyMatcher(solver_by_name("dp")), cfg, threads=1)
     parallel = simulate(inst, AdvGreedyMatcher(solver_by_name("dp")), cfg, threads=2)
     assert serial.mean == parallel.mean
     assert serial.stddev == parallel.stddev
     assert np.array_equal(serial.match_freq, parallel.match_freq)
+
+
+def test_parallel_run_keeps_the_workers_plans():
+    inst = hard.gen_random_matching(123, 10, 60, "adversarial")
+    cfg = SimConfig(seed=4, trials=CHUNK_TRIALS + 500)
+    serial, parallel = AdvGreedyMatcher(), AdvGreedyMatcher()
+    simulate(inst, serial, cfg, threads=1)
+    simulate(inst, parallel, cfg, threads=2)
+    assert len(serial._plans) > 1000
+    assert parallel._plans.keys() == serial._plans.keys()
+
+
+def test_thread_count_parses_and_clamps():
+    for bad in ("abc", "1.5", "0", "-3", 0):
+        with pytest.raises(StochmatchError):
+            thread_count(bad)
+    cores = os.cpu_count() or 1
+    assert thread_count("1000000") == cores
+    assert thread_count("1000000", chunks=1) == 1
+    assert thread_count(" 2 ", chunks=5) == min(2, cores)
+    assert thread_count(None, default=1) >= 1
+
+
+def test_thread_count_reads_the_environment(monkeypatch):
+    monkeypatch.setenv("STOCHMATCH_THREADS", "abc")
+    with pytest.raises(StochmatchError):
+        thread_count()
+    monkeypatch.delenv("STOCHMATCH_THREADS")
+    assert thread_count(default=1) == 1
 
 
 def test_trial_streams_are_pure_functions_of_seed_and_index():
@@ -151,6 +186,29 @@ def test_no_matcher_beats_offline_opt(seed):
     assert opt <= lp2 + 1e-7 <= lp6 + 2e-7
     for matcher in (AdvGreedyMatcher(solver_by_name("dp")), SimpleGreedyMatcher()):
         assert exact_expected_value(inst, matcher) <= opt + 1e-9
+
+
+def _garbage_after(call):
+    """Objects that only the cycle collector frees after ``call()``."""
+    call()  # warm imports and caches
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_exact_dps_leave_no_reference_cycles():
+    adv = hard.gen_random_matching(4, 6, 8, "adversarial")
+    iid = hard.gen_random_matching(5, 4, 3, "iid", horizon=5)
+    policy = iid_matcher(solve_prophet_lp(iid))
+    tiny = hard.gen_random_matching(9, 4, 3, "adversarial")
+    assert _garbage_after(lambda: AdvGreedyMatcher().exact_value(adv)) == 0
+    assert _garbage_after(lambda: SimpleGreedyMatcher().exact_value(adv)) == 0
+    assert _garbage_after(lambda: policy.exact_value(iid)) == 0
+    assert _garbage_after(lambda: brute_force_offline_opt(tiny)) == 0
 
 
 # ---------------------------------------------------------------------------
