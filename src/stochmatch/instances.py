@@ -459,6 +459,12 @@ class ValidationReport:
         return self.ok
 
 
+def _check_finite(values, what: str, out: list[str], label: str = "") -> None:
+    # a NaN makes every comparison false, so the range checks let it through
+    if not np.isfinite(np.asarray(values, dtype=float)).all():
+        out.append(f"{label}non-finite {what}")
+
+
 def _check_patience(p: PatienceModel, out: list[str], label: str = "") -> None:
     if p.kind == DETERMINISTIC:
         if p.theta is None or p.theta < 0:
@@ -468,6 +474,7 @@ def _check_patience(p: PatienceModel, out: list[str], label: str = "") -> None:
         if len(q) == 0:
             out.append(f"{label}survival curve is empty")
             return
+        _check_finite(q, "survival value", out, label)
         if abs(q[0] - 1.0) > ABS_TOL:
             out.append(f"{label}survival curve must start at q_1 = 1, got {q[0]}")
         for i in range(1, len(q)):
@@ -490,6 +497,8 @@ def validate(instance) -> ValidationReport:
     if isinstance(instance, StarInstance):
         if len(instance.weights) != len(instance.probs):
             out.append("weights and probs have different lengths")
+        _check_finite(instance.probs, "probability", out)
+        _check_finite(instance.weights, "weight", out)
         for i, p in enumerate(instance.probs):
             if not (0.0 - ABS_TOL <= p <= 1.0 + ABS_TOL):
                 out.append(f"probability out of range at item {i + 1}: {p}")
@@ -506,10 +515,12 @@ def validate(instance) -> ValidationReport:
             out.append("edge_weights shape does not match probs")
         if instance.vertex_weights is not None and len(instance.vertex_weights) != m:
             out.append("vertex_weights length does not match offline count")
+        wmat = instance.weights_matrix()
+        _check_finite(instance.probs, "probability", out)
+        _check_finite(wmat, "weight", out)
         bad = np.argwhere((instance.probs < -ABS_TOL) | (instance.probs > 1 + ABS_TOL))
         for u, v in bad:
             out.append(f"probability out of range at edge ({u + 1},{v + 1})")
-        wmat = instance.weights_matrix()
         if np.any(wmat < -ABS_TOL):
             out.append("negative edge weight")
         if len(instance.patience) != n:
@@ -521,6 +532,7 @@ def validate(instance) -> ValidationReport:
             if sorted(arr.order) != list(range(n)):
                 out.append("adversarial order is not a permutation of the online vertices")
         elif arr.kind == PROPHET:
+            _check_finite(arr.q_tv, "arrival probability", out)
             if arr.q_tv.shape[1] != n:
                 out.append("q_tv column count does not match online type count")
             if np.any(arr.q_tv < -ABS_TOL):
@@ -531,6 +543,7 @@ def validate(instance) -> ValidationReport:
         elif arr.kind == IID:
             if len(arr.q_v) != n:
                 out.append("q_v length does not match online type count")
+            _check_finite(arr.q_v, "arrival rate", out)
             if any(q < -ABS_TOL for q in arr.q_v):
                 out.append("negative arrival rate")
             if sum(arr.q_v) > arr.horizon * (1 + MASS_TOL):

@@ -3,9 +3,26 @@
 All linear programs in this package are small and dense (hundreds of rows),
 and the probing algorithms consume both primal values and row duals, so a
 self-contained revised simplex is used: Dantzig pricing with a Bland's-rule
-anti-cycling fallback, two-phase start, and an explicit dense basis inverse
-that is refactorized periodically.  Pivoting is deterministic, so repeated
-solves of the same problem return bit-identical solutions.
+anti-cycling fallback, and a two-phase start from the identity basis of
+slacks and artificials.  The dense basis inverse is kept by in-place rank-1
+updates, carried from phase 1 into phase 2, and refactorized periodically.
+
+The ratio test is Harris's two-pass test (Harris 1973, as practised in
+HiGHS, Huangfu & Hall 2018): a basic variable may fall ``HARRIS_TOL``
+(relative to the right-hand sides) below zero in exchange for the largest
+pivot among the rows that block within that slack, and the step is never
+negative.  A variable that leaves the basis below zero keeps that value as
+a nonbasic, so basic values always equal the inverse times the right-hand
+side and no tolerance is silently clipped away.  In Bland mode a pivot
+below ``REL_PIVOT_TOL`` times the largest candidate is taken only when no
+other row blocks.
+
+Every ``optimal`` answer carries a certificate: x and the duals come from
+two LU solves with the final basis, and ``solve`` raises
+``LpNumericalError`` unless the primal residual of ``solution_residuals``
+is at most ``CERT_TOL * (1 + max|b|)`` and no dual has the wrong sign by
+more than ``DUAL_TOL * (1 + max|c|)``.  Pivoting is deterministic, so
+repeated solves of the same problem return bit-identical solutions.
 
 Problems are stated as maximization; rows may be ``<=``, ``=`` or ``>=`` and
 variables carry individual bounds.  Reported duals refer to the rows as
@@ -21,9 +38,15 @@ import numpy as np
 
 from .instances import CapacityError, LpNumericalError
 
-FEAS_TOL = 1e-8    # primal feasibility
-OPT_TOL = 1e-9     # reduced-cost optimality
-PIVOT_TOL = 1e-10  # smallest acceptable pivot element
+FEAS_TOL = 1e-8       # phase-1 feasibility and degenerate steps
+OPT_TOL = 1e-9        # reduced-cost optimality
+PIVOT_TOL = 1e-10     # smallest acceptable pivot element
+REL_PIVOT_TOL = 1e-7  # Bland mode: smallest pivot relative to the largest candidate
+# Right-hand-side tolerances scale with 1 + max|b| over the standard form's
+# rows (shifted by finite bounds) and bound ranges.
+HARRIS_TOL = 1e-10    # infeasibility the ratio test may trade for a larger pivot
+CERT_TOL = 1e-9       # largest certified primal residual
+DUAL_TOL = 1e-7       # largest certified wrong-signed dual, relative to 1 + max|c|
 REFACTOR_EVERY = 100
 MAX_DENSE_ENTRIES = 30_000_000  # desk scale; protects the dense representation
 
@@ -60,6 +83,10 @@ class LpProblem:
             raise ValueError("row senses must be one of <=, =, >=")
         lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
         ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
+        if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("c, A and b must be finite")
+        if np.isnan(lb).any() or np.isnan(ub).any():
+            raise ValueError("bounds must not be NaN")
         if np.any(lb > ub):
             raise ValueError("lower bound exceeds upper bound")
         return LpProblem(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub)
@@ -89,6 +116,10 @@ def add_column(problem: LpProblem, obj_coeff: float, column,
     column = np.asarray(column, dtype=float)
     if column.shape != (problem.n_rows,):
         raise ValueError(f"column has length {column.shape}, expected {problem.n_rows}")
+    if not (np.isfinite(column).all() and np.isfinite(obj_coeff)):
+        raise ValueError("column and objective coefficient must be finite")
+    if np.isnan(lb) or np.isnan(ub) or lb > ub:
+        raise ValueError("bounds must not be NaN, nor the lower exceed the upper")
     return LpProblem(
         c=np.append(problem.c, float(obj_coeff)),
         A=np.hstack([problem.A, column[:, None]]) if problem.n_rows else
@@ -105,131 +136,161 @@ def add_column(problem: LpProblem, obj_coeff: float, column,
 # ---------------------------------------------------------------------------
 
 class _Standardized:
-    """max c.x, A x = b, x >= 0, b >= 0, plus bookkeeping to map back."""
+    """max c.x, A x = b, x >= 0, b >= 0, plus bookkeeping to map back.
+
+    Columns: structural (a variable with a finite lower bound is shifted to
+    it, one with only a finite upper bound is reflected, a free one is split
+    in two), then one slack per inequality row, then one artificial per row.
+    A variable with both bounds finite gets an extra ``<=`` row.  The slack
+    or artificial chosen per row by ``basis_start`` is a unit column, so the
+    starting basis matrix is the identity.
+    """
 
     def __init__(self, p: LpProblem):
         m0, n0 = p.n_rows, p.n_vars
-        cols, c_int, recover = [], [], []
-        base = np.zeros(n0)
-        ub_rows = []  # (internal structural col, residual bound)
-        for j in range(n0):
-            l, u = p.lb[j], p.ub[j]
-            a = p.A[:, j] if m0 else np.zeros(0)
-            if np.isfinite(l):
-                base[j] = l
-                cols.append(a)
-                c_int.append(p.c[j])
-                recover.append((j, 1.0))
-                if np.isfinite(u):
-                    ub_rows.append((len(cols) - 1, u - l))
-            elif np.isfinite(u):
-                base[j] = u  # reflect: x = u - x'
-                cols.append(-a)
-                c_int.append(-p.c[j])
-                recover.append((j, -1.0))
-            else:
-                cols.append(a)
-                c_int.append(p.c[j])
-                recover.append((j, 1.0))
-                cols.append(-a)
-                c_int.append(-p.c[j])
-                recover.append((j, -1.0))
-        n_struct = len(cols)
-        A_struct = np.column_stack(cols) if cols else np.zeros((m0, 0))
-        shift = (p.A @ base) if m0 else np.zeros(0)
-        rows, rhs, is_eq, row_sign = [], [], [], []
-        for i in range(m0):
-            s = -1.0 if p.senses[i] == GE else 1.0
-            rows.append(s * A_struct[i])
-            rhs.append(s * (p.b[i] - shift[i]))
-            is_eq.append(p.senses[i] == EQ)
-            row_sign.append(s)
-        for col, bound in ub_rows:
-            row = np.zeros(n_struct)
-            row[col] = 1.0
-            rows.append(row)
-            rhs.append(bound)
-            is_eq.append(False)
-            row_sign.append(1.0)
-        m = len(rows)
-        A_rows = np.vstack(rows) if rows else np.zeros((0, n_struct))
-        rhs = np.asarray(rhs)
-        n_slack = sum(1 for e in is_eq if not e)
-        A_full = np.zeros((m, n_struct + n_slack + m))
-        A_full[:, :n_struct] = A_rows
-        slack_of_row = np.full(m, -1, dtype=int)
-        k = n_struct
-        for i in range(m):
-            if not is_eq[i]:
-                A_full[i, k] = 1.0
-                slack_of_row[i] = k
-                k += 1
-        art0 = n_struct + n_slack
-        row_scale = np.ones(m)
-        for i in range(m):
-            if rhs[i] < 0:
-                rhs[i] = -rhs[i]
-                A_full[i, :art0] = -A_full[i, :art0]
-                row_scale[i] = -1.0
-            A_full[i, art0 + i] = 1.0
+        has_lb, has_ub = np.isfinite(p.lb), np.isfinite(p.ub)
+        free = ~has_lb & ~has_ub
+        width = np.where(free, 2, 1)
+        # internal structural column k stands for sign[k] * (x[orig[k]] - base)
+        orig = np.repeat(np.arange(n0), width)
+        first = np.cumsum(width) - width
+        sign = np.where(has_lb | free, 1.0, -1.0)[orig]
+        sign[first[free] + 1] = -1.0
+        base = np.where(has_lb, p.lb, np.where(has_ub, p.ub, 0.0))
+        boxed = has_lb & has_ub
+        n_struct, m = len(orig), m0 + int(np.count_nonzero(boxed))
+        senses = np.array(p.senses, dtype="U2")
+
+        # a >= row is negated, then any row with a negative right-hand side
+        row_sign = np.ones(m)
+        row_sign[:m0][senses == GE] = -1.0
+        rhs = np.concatenate([p.b - p.A @ base, (p.ub - p.lb)[boxed]]) * row_sign
+        row_scale = np.where(rhs < 0, -1.0, 1.0)
+        flip = row_sign * row_scale
+        slack_rows = np.concatenate([(senses != EQ).nonzero()[0], np.arange(m0, m)])
+        art0 = n_struct + len(slack_rows)
+
+        A = np.zeros((m, art0 + m))
+        np.multiply(p.A[:, orig] * sign, flip[:m0, None], out=A[:m0, :n_struct])
+        A[np.arange(m0, m), first[boxed]] = 1.0
+        A[slack_rows, n_struct + np.arange(len(slack_rows))] = row_scale[slack_rows]
+        A[np.arange(m), art0 + np.arange(m)] = 1.0
 
         self.n0, self.m0 = n0, m0
-        self.base, self.recover = base, recover
-        self.row_sign = np.asarray(row_sign)
-        self.row_scale = row_scale
-        self.A = A_full
-        self.b = rhs
+        self.base, self.orig, self.sign = base, orig, sign
+        self.row_sign, self.row_scale = row_sign, row_scale
+        self.A, self.b = A, rhs * row_scale
         self.n_struct, self.art0 = n_struct, art0
-        self.slack_of_row = slack_of_row
-        self.c = np.zeros(A_full.shape[1])
-        self.c[:n_struct] = c_int
+        self.slack_of_row = np.full(m, -1)
+        self.slack_of_row[slack_rows] = n_struct + np.arange(len(slack_rows))
+        self.c = np.zeros(A.shape[1])
+        self.c[:n_struct] = p.c[orig] * sign
         self.const = float(np.dot(p.c, base))
 
-    def basis_start(self) -> list[int]:
-        basis = []
-        for i in range(len(self.b)):
-            s = self.slack_of_row[i]
-            if s >= 0 and self.row_scale[i] > 0:
-                basis.append(s)
-            else:
-                basis.append(self.art0 + i)
-        return basis
+    def basis_start(self) -> np.ndarray:
+        slack_ok = (self.slack_of_row >= 0) & (self.row_scale > 0)
+        return np.where(slack_ok, self.slack_of_row, self.art0 + np.arange(len(self.b)))
 
     def x_original(self, x_int: np.ndarray) -> np.ndarray:
-        x = self.base.copy()
-        for k, (j, sgn) in enumerate(self.recover):
-            x[j] += sgn * x_int[k]
-        return x
+        return self.base + np.bincount(self.orig, weights=self.sign * x_int,
+                                       minlength=self.n0)
 
     def duals_original(self, y: np.ndarray) -> np.ndarray:
-        return (self.row_sign[: self.m0] * self.row_scale[: self.m0] * y[: self.m0]
-                if self.m0 else np.zeros(0))
+        return self.row_sign[: self.m0] * self.row_scale[: self.m0] * y[: self.m0]
 
 
 # ---------------------------------------------------------------------------
 # Revised simplex core
 # ---------------------------------------------------------------------------
 
-def _refactor(A, basis, b):
-    B = A[:, basis]
-    try:
-        Binv = np.linalg.inv(B)
-    except np.linalg.LinAlgError as e:
-        raise LpNumericalError(f"singular basis during refactorization: {e}") from e
-    return Binv, Binv @ b
+class _Basis:
+    """Simplex state shared by both phases.
 
-
-def _simplex_phase(A, b, c, basis, allowed, max_iter):
-    """Run primal simplex until optimality for cost ``c``.
-
-    Returns (basis, Binv, xB, status, iters); status is OPTIMAL or UNBOUNDED.
+    ``cols`` are the basic columns, ``inv`` the explicit basis inverse and
+    ``xB`` the basic values.  A nonbasic variable normally sits at zero, but
+    one that left the basis slightly below zero (which the Harris ratio test
+    allows) keeps that value in ``xN``; ``rhs = b - A xN`` then keeps
+    ``inv @ rhs == xB``, so the tolerance never turns into an inconsistency
+    that later pivots could amplify.
     """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, cols: np.ndarray):
+        m, N = A.shape
+        self.A, self.b, self.cols = A, b, cols
+        self.inv = np.eye(m)  # the starting basis is unit columns
+        self.xB = b.copy()
+        self.xN = np.zeros(N)
+        self.rhs = b.copy()
+        self.is_basic = np.zeros(N, dtype=bool)
+        self.is_basic[cols] = True
+        # rank-1 update factors, padded to rank 2: numpy hands an (m, 2) @
+        # (2, m) product to BLAS but runs an inner dimension of 1 in a loop
+        # that is 2-3x slower at m in the hundreds
+        self._u, self._v = np.zeros((m, 2)), np.zeros((2, m))
+        self._outer = np.empty((m, m))
+
+    def refactor(self) -> None:
+        try:
+            self.inv[...] = np.linalg.inv(self.A[:, self.cols])
+        except np.linalg.LinAlgError as e:
+            raise LpNumericalError(f"singular basis during refactorization: {e}") from e
+        self.rhs = self.b - self.A @ self.xN
+        np.dot(self.inv, self.rhs, out=self.xB)
+
+    def pivot(self, j: int, d: np.ndarray, r: int, t: float) -> None:
+        """Column ``j`` (with ``d = inv @ A[:, j]``) enters, raised by ``t``;
+        the variable of row ``r`` leaves at whatever value the step leaves
+        it, which is zero up to rounding unless the step is zero."""
+        A, xB, xN = self.A, self.xB, self.xN
+        k = int(self.cols[r])
+        leave = float(xB[r] - t * d[r])
+        xB -= t * d
+        xB[r] = xN[j] + t
+        if xN[j]:
+            self.rhs += xN[j] * A[:, j]
+            xN[j] = 0.0
+        if leave:
+            xN[k] = leave
+            self.rhs -= leave * A[:, k]
+        np.divide(self.inv[r], d[r], out=self._v[0])
+        self._u[:, 0] = d
+        np.matmul(self._u, self._v, out=self._outer)
+        self.inv -= self._outer
+        self.inv[r] = self._v[0]
+        self.is_basic[k] = False
+        self.is_basic[j] = True
+        self.cols[r] = j
+
+
+def _ratio_test(xB, d, cols, bland, tol):
+    """Harris two-pass ratio test; returns the leaving row or -1 (unbounded).
+
+    Pass 1 finds the largest step that keeps every basic variable with a
+    positive entry above ``-tol``.  Pass 2 takes, among the rows whose own
+    ratio fits in that step, the largest pivot.  In Bland mode it takes the
+    smallest basic column instead, passing over rows whose pivot is below
+    ``REL_PIVOT_TOL`` times the largest one while another row fits.
+    """
+    rows = (d > PIVOT_TOL).nonzero()[0]
+    if rows.size == 0:
+        return -1
+    dr, xr = d[rows], xB[rows]
+    fits = xr <= ((xr + tol) / dr).min() * dr
+    if not bland:
+        return int(rows[np.where(fits, dr, 0.0).argmax()])
+    big = fits & (dr >= REL_PIVOT_TOL * dr.max())
+    cand = rows[big if big.any() else fits]
+    return int(cand[cols[cand].argmin()])
+
+
+def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
+    """Run primal simplex for cost ``c`` until optimality, pricing only the
+    first ``n_price`` columns.  Returns (status, iterations); status is
+    OPTIMAL or UNBOUNDED."""
+    A = st.A
     m, N = A.shape
-    if m == 0:
-        return basis, np.zeros((0, 0)), np.zeros(0), OPTIMAL, 0
-    Binv, xB = _refactor(A, basis, b)
-    in_basis = np.zeros(N, dtype=bool)
-    in_basis[basis] = True
+    A_price, c_price = A[:, :n_price], c[:n_price]
+    cB = c[st.cols]
     bland = False
     degenerate = 0
     bland_after = 10 * (m + N)
@@ -238,72 +299,53 @@ def _simplex_phase(A, b, c, basis, allowed, max_iter):
         if it >= max_iter:
             raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
         if it and it % REFACTOR_EVERY == 0:
-            Binv, xB = _refactor(A, basis, b)
-        y = c[basis] @ Binv
-        z = c - y @ A
-        z[in_basis] = -np.inf
-        z[~allowed] = -np.inf
+            st.refactor()
+        z = c_price - (cB @ st.inv) @ A_price
+        z[st.is_basic[:n_price]] = -np.inf
         if bland:
-            pos = np.nonzero(z > OPT_TOL)[0]
+            pos = np.flatnonzero(z > OPT_TOL)
             if pos.size == 0:
-                return basis, Binv, xB, OPTIMAL, it
+                return OPTIMAL, it
             j = int(pos[0])
         else:
             j = int(np.argmax(z))
             if z[j] <= OPT_TOL:
-                return basis, Binv, xB, OPTIMAL, it
-        d = Binv @ A[:, j]
-        cand = np.nonzero(d > PIVOT_TOL)[0]
-        if cand.size == 0:
-            return basis, Binv, xB, UNBOUNDED, it
-        ratios = xB[cand] / d[cand]
-        rmin = float(np.min(ratios))
-        ties = cand[ratios <= rmin + FEAS_TOL]
-        if bland:
-            # leave the tied basic variable with the smallest index
-            r = int(ties[np.argmin(np.asarray(basis)[ties])])
-        else:
-            r = int(ties[np.argmax(d[ties])])
-        if rmin <= FEAS_TOL:
+                return OPTIMAL, it
+        d = st.inv @ A[:, j]
+        r = _ratio_test(st.xB, d, st.cols, bland, tol)
+        if r < 0:
+            return UNBOUNDED, it
+        # a leaving value just below zero stays there: the step is never negative
+        t = max(float(st.xB[r]), 0.0) / d[r]
+        if t <= FEAS_TOL:
             degenerate += 1
             if degenerate > bland_after:
                 bland = True
-        t = xB[r] / d[r]
-        xB = xB - d * t
-        xB[r] = t
-        np.clip(xB, 0.0, None, out=xB)
-        br = Binv[r] / d[r]
-        Binv = Binv - np.outer(d, br)
-        Binv[r] = br
-        in_basis[basis[r]] = False
-        in_basis[j] = True
-        basis[r] = j
+        st.pivot(j, d, r, t)
+        cB[r] = c[j]
         it += 1
 
 
-def _drive_out_artificials(std, basis, Binv):
-    m = len(std.b)
-    for r in range(m):
-        if basis[r] < std.art0:
+def _drive_out_artificials(st: _Basis, art0: int) -> None:
+    """Pivot each basic artificial out on its row's largest structural or
+    slack entry, by a zero step that moves no value; one whose row has no
+    usable entry (a redundant row) stays basic at its phase-1 value."""
+    for r in np.flatnonzero(st.cols >= art0):
+        row = np.abs(st.inv[r] @ st.A[:, :art0])
+        j = int(np.argmax(row))
+        if row[j] <= PIVOT_TOL:
             continue
-        row = Binv[r] @ std.A[:, : std.art0]
-        cand = np.nonzero(np.abs(row) > PIVOT_TOL)[0]
-        if cand.size == 0:
-            continue  # redundant row; artificial stays basic at value 0
-        j = int(cand[0])
-        d = Binv @ std.A[:, j]
-        br = Binv[r] / d[r]
-        Binv = Binv - np.outer(d, br)
-        Binv[r] = br
-        basis[r] = j
-    return basis, Binv
+        d = st.inv @ st.A[:, j]
+        st.pivot(j, d, r, 0.0)
 
 
 def solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
     """Solve to optimality; returns primal values, row duals, and objective.
 
-    Raises ``LpNumericalError`` if the pivot tolerance cannot make progress
-    within the iteration budget even after the Bland's-rule fallback.
+    An ``optimal`` answer is certified (see the module docstring).  Raises
+    ``LpNumericalError`` when the certificate fails, when a basis is
+    singular, or when the pivot tolerance cannot make progress within the
+    iteration budget even after the Bland's-rule fallback.
     """
     n_bounded = int(np.count_nonzero(np.isfinite(problem.ub)))
     est_rows = problem.n_rows + n_bounded
@@ -324,33 +366,36 @@ def solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
         return LpSolution(status=OPTIMAL, x=x, duals=np.zeros(0), objective=obj,
                           dual_objective=obj)
 
-    basis = std.basis_start()
-    allowed = np.ones(N, dtype=bool)
+    b_scale = 1.0 + float(np.abs(std.b).max())
+    tol = HARRIS_TOL * b_scale
+    st = _Basis(std.A, std.b, std.basis_start())
     c1 = np.zeros(N)
     c1[std.art0:] = -1.0
-    basis, Binv, xB, status, it1 = _simplex_phase(std.A, std.b, c1, basis, allowed, max_iter)
+    status, it1 = _simplex_phase(st, c1, N, tol, max_iter)
     if status != OPTIMAL:
         raise LpNumericalError("phase 1 did not terminate at an optimum")
-    art_values = sum(xB[r] for r in range(m) if basis[r] >= std.art0)
-    if art_values > FEAS_TOL * (1.0 + float(np.abs(std.b).max(initial=0.0))):
+    if float(c1[st.cols] @ st.xB + c1 @ st.xN) < -FEAS_TOL * b_scale:
         return LpSolution(status=INFEASIBLE, iterations=it1)
-    basis, Binv = _drive_out_artificials(std, basis, Binv)
-    allowed[std.art0:] = False
-
-    basis, Binv, xB, status, it2 = _simplex_phase(std.A, std.b, std.c, basis, allowed, max_iter)
+    _drive_out_artificials(st, std.art0)
+    status, it2 = _simplex_phase(st, std.c, std.art0, tol, max_iter)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
 
-    Binv, xB = _refactor(std.A, basis, std.b)
-    np.clip(xB, 0.0, None, out=xB)
-    x_int = np.zeros(N)
-    x_int[basis] = xB
-    y = std.c[basis] @ Binv
-    x = std.x_original(x_int[: std.n_struct])
-    obj = float(std.c @ x_int) + std.const
-    dual_obj = float(y @ std.b) + std.const
-    return LpSolution(status=OPTIMAL, x=x, duals=std.duals_original(y),
-                      objective=obj, dual_objective=dual_obj, iterations=it1 + it2)
+    B = std.A[:, st.cols]
+    try:
+        xB = np.linalg.solve(B, std.b - std.A @ st.xN)
+        y = np.linalg.solve(B.T, std.c[st.cols])
+    except np.linalg.LinAlgError as e:
+        raise LpNumericalError(f"singular final basis: {e}") from e
+    x_int = st.xN.copy()
+    x_int[st.cols] = xB
+    sol = LpSolution(status=OPTIMAL, x=std.x_original(x_int[: std.n_struct]),
+                     duals=std.duals_original(y),
+                     objective=float(std.c @ x_int) + std.const,
+                     dual_objective=float(y @ std.b) + std.const,
+                     iterations=it1 + it2)
+    _certify(problem, sol, b_scale)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -366,37 +411,30 @@ def solution_residuals(problem: LpProblem, sol: LpSolution) -> dict:
     test-suite invariants).
     """
     x, y = sol.x, sol.duals
-    Ax = problem.A @ x if problem.n_rows else np.zeros(0)
-    primal = 0.0
-    cs = 0.0
-    for i, s in enumerate(problem.senses):
-        slack = problem.b[i] - Ax[i]
-        if s == LE:
-            primal = max(primal, -slack)
-        elif s == GE:
-            primal = max(primal, slack)
-        else:
-            primal = max(primal, abs(slack))
-        cs = max(cs, abs(y[i] * slack))
-    primal = max(primal, float(np.max(problem.lb - x, initial=0.0)))
-    primal = max(primal, float(np.max(x - problem.ub, initial=0.0)))
-    dual = 0.0
-    for i, s in enumerate(problem.senses):
-        if s == LE:
-            dual = max(dual, -y[i])
-        elif s == GE:
-            dual = max(dual, y[i])
-    rc = problem.c - (y @ problem.A if problem.n_rows else 0.0)
-    for j in range(problem.n_vars):
-        at_lb = x[j] <= problem.lb[j] + FEAS_TOL
-        at_ub = x[j] >= problem.ub[j] - FEAS_TOL
-        if at_lb and not at_ub:
-            dual = max(dual, rc[j])     # at lower bound: rc must be <= 0
-        elif at_ub and not at_lb:
-            dual = max(dual, -rc[j])    # at upper bound: rc must be >= 0
-        elif not at_lb and not at_ub:
-            cs = max(cs, abs(rc[j]))    # strictly interior: rc must vanish
+    senses = np.array(problem.senses, dtype="U2")
+    le, ge = senses == LE, senses == GE
+    slack = problem.b - problem.A @ x
+    viol = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
+    primal = max(0.0, float(np.max(viol, initial=0.0)),
+                 float(np.max(problem.lb - x, initial=0.0)),
+                 float(np.max(x - problem.ub, initial=0.0)))
+    rc = problem.c - y @ problem.A
+    at_lb = x <= problem.lb + FEAS_TOL
+    at_ub = x >= problem.ub - FEAS_TOL
+    dual = max(0.0, float(np.max(np.where(le, -y, np.where(ge, y, 0.0)), initial=0.0)),
+               float(np.max(rc[at_lb & ~at_ub], initial=0.0)),     # at lower bound: rc <= 0
+               float(np.max(-rc[at_ub & ~at_lb], initial=0.0)))    # at upper bound: rc >= 0
+    cs = max(float(np.max(np.abs(y * slack), initial=0.0)),
+             float(np.max(np.abs(rc[~at_lb & ~at_ub]), initial=0.0)))  # interior: rc = 0
     return {"primal": primal, "dual": dual, "cs": cs}
+
+
+def _certify(problem: LpProblem, sol: LpSolution, b_scale: float) -> None:
+    res = solution_residuals(problem, sol)
+    if res["primal"] > CERT_TOL * b_scale:
+        raise LpNumericalError(f"solution fails its certificate: primal residual {res['primal']:.3g}")
+    if res["dual"] > DUAL_TOL * (1.0 + float(np.abs(problem.c).max(initial=0.0))):
+        raise LpNumericalError(f"solution fails its certificate: wrong-signed dual {res['dual']:.3g}")
 
 
 def dumps_lp(problem: LpProblem) -> str:

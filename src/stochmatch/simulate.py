@@ -11,8 +11,8 @@ key ``(seed, i)`` for trial ``i``, which gives the stream that
 ``trial_generator(seed, i)`` would.  Matchers with a lockstep walk
 (``PolicyLpMatcher`` for IID and prophet arrivals, ``SimpleGreedyMatcher``)
 run a batch of trials at once: each trial's uniforms are one row of a
-block whose width bounds the draws of any trial, rounded up to whole
-``RandomTape`` refills, and the matcher walks every row on numpy state.
+block whose width bounds the draws of any trial, and the matcher walks
+every row on numpy state.
 Streams and reports are the same as the scalar walk's.  ``AdvGreedyMatcher``
 and other matcher callables walk one trial at a time on a ``RandomTape``,
 as do traced calls (``trace=True``), which never go through ``simulate``.
@@ -36,7 +36,7 @@ from .instances import (
     StarInstance,
     StochmatchError,
 )
-from .matching import TAPE_BLOCK, RandomTape
+from .matching import RandomTape
 from .stars import RandomizedStarPolicy, eval_policy_exact, eval_randomized_exact
 
 LOW_TRIAL_WARNING = 1000
@@ -108,11 +108,13 @@ class _TrialStreams:
 
 def block_width(instance, matcher) -> int | None:
     """Uniforms per trial in a lockstep block: the matcher's bound on the
-    draws of one trial, rounded up to whole ``RandomTape`` refills, or
-    ``None`` when the matcher has no lockstep walk."""
+    draws of one trial (at least 1), or ``None`` when the matcher has no
+    lockstep walk.  A row of any width is a prefix of the trial's stream:
+    the first ``k`` doubles of a Philox stream do not depend on how many are
+    drawn, so no row needs rounding up to whole ``RandomTape`` refills."""
     if not hasattr(matcher, "run_lockstep"):
         return None
-    return max(1, -(-matcher.draw_bound(instance) // TAPE_BLOCK)) * TAPE_BLOCK
+    return max(1, matcher.draw_bound(instance))
 
 
 def _run_range(instance, matcher, seed, start, stop, m):

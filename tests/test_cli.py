@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stochmatch import lp
 from stochmatch.cli import main
 from stochmatch.instances import load_instance
 
@@ -42,6 +43,26 @@ def test_star_solve_on_tight_example(tmp_path, capsys):
     code, out, _ = run(capsys, "star-solve", str(path), "--solver", "dp")
     assert code == 0
     assert "expected value" in out
+
+
+def test_star_solve_lp_bound_on_random_star(tmp_path, capsys):
+    # the LP bound here was once reported as 1.17018 from an infeasible x
+    path = tmp_path / "star.json"
+    run(capsys, "gen", "random-star", "--seed", "17", "-n", "8",
+        "--patience", "survival", "-o", str(path))
+    code, out, _ = run(capsys, "star-solve", str(path), "--solver", "lp")
+    assert code == 0
+    assert "benchmark:      0.69419\n" in out
+
+
+def test_failed_lp_certificate_exits_4(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "star.json"
+    run(capsys, "gen", "random-star", "--seed", "17", "-n", "8",
+        "--patience", "survival", "-o", str(path))
+    monkeypatch.setattr(lp, "HARRIS_TOL", 0.05)  # leaves the final basis infeasible
+    code, _, err = run(capsys, "star-solve", str(path), "--solver", "lp")
+    assert code == 4
+    assert "certificate" in err
 
 
 def test_star_solve_variant_mismatch_exits_3(tmp_path, capsys):
@@ -106,6 +127,17 @@ def test_match_run_wrong_arrivals_exits_3(tmp_path, capsys):
     run(capsys, "gen", "single-offline", "-n", "3", "-o", str(path))
     code, _, err = run(capsys, "match-run", str(path), "--algorithm", "iid")
     assert code == 3
+
+
+def test_match_run_nan_probability_exits_2(tmp_path, capsys):
+    path = tmp_path / "adv.json"
+    run(capsys, "gen", "single-offline", "-n", "3", "-o", str(path))
+    data = json.loads(path.read_text())
+    data["probs"][0][0] = float("nan")
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "match-run", str(path), "--algorithm", "adv-greedy")
+    assert code == 2
+    assert "non-finite probability" in err
 
 
 def test_match_run_csv_is_deterministic(tmp_path, capsys):

@@ -53,6 +53,29 @@ def test_validate_rejects_bad_hazard_rate_and_bad_order():
     assert not validate(bad).ok
 
 
+def test_validate_rejects_non_finite_values():
+    nan, inf = float("nan"), float("inf")
+    stars = [StarInstance.make([1.0], [nan], PatienceModel.deterministic(1)),
+             StarInstance.make([inf], [0.5], PatienceModel.deterministic(1)),
+             StarInstance.make([1.0, 1.0], [0.5, 0.5], PatienceModel.survival([1.0, nan])),
+             StarInstance.make([1.0], [0.5], PatienceModel.constant_hazard(rate=nan))]
+    for star in stars:
+        assert not validate(star).ok
+    adv = ArrivalModel.adversarial([0])
+    det = PatienceModel.deterministic(1)
+    matchings = [MatchingInstance.make([[nan]], det, adv, vertex_weights=[1.0]),
+                 MatchingInstance.make([[0.5]], det, adv, vertex_weights=[inf]),
+                 MatchingInstance.make([[0.5]], det, adv, edge_weights=[[nan]]),
+                 MatchingInstance.make([[0.5]], det, ArrivalModel.iid([nan], 2),
+                                       vertex_weights=[1.0]),
+                 MatchingInstance.make([[0.5]], det, ArrivalModel.prophet([[nan]]),
+                                       vertex_weights=[1.0])]
+    for inst in matchings:
+        report = validate(inst)
+        assert not report.ok
+        assert any("non-finite" in v for v in report.violations)
+
+
 def test_roundtrip_star(tmp_path):
     star = StarInstance.make([1.5, 2.0], [0.25, 1.0],
                              PatienceModel.survival([1.0, 0.5]))

@@ -139,7 +139,7 @@ def test_hard_family_crosses_a_tape_refill():
     # 500 arrivals read up to 500 uniforms: past two RandomTape refills
     inst = hard.gen_simple_greedy_hard(4, 100, v0_cap=400)
     matcher = SimpleGreedyMatcher("first")
-    assert sim.block_width(inst, matcher) == 3 * TAPE_BLOCK
+    assert sim.block_width(inst, matcher) == matcher.draw_bound(inst) > 2 * TAPE_BLOCK
     _assert_same(inst, matcher, SimConfig(3, 60))
 
 
@@ -148,22 +148,26 @@ def test_small_batches_give_the_same_report(monkeypatch):
     matcher = SimpleGreedyMatcher("last")
     config = SimConfig(8, 1010)
     whole = simulate(inst, matcher, config, threads=1)
-    assert sim.block_width(inst, matcher) == TAPE_BLOCK
+    width = sim.block_width(inst, matcher)
+    assert width == matcher.draw_bound(inst) < TAPE_BLOCK
     # batches of 40 trials, the last 10 of them walked one at a time
-    monkeypatch.setattr(sim, "BLOCK_FLOATS", 40 * TAPE_BLOCK)
+    monkeypatch.setattr(sim, "BLOCK_FLOATS", 40 * width)
     split = simulate(inst, matcher, config, threads=1)
     assert whole.mean == split.mean and whole.stddev == split.stddev
     assert np.array_equal(whole.match_freq, split.match_freq)
 
 
 def test_block_rows_are_successive_tape_refills():
+    # a row of any width is a prefix of the tape: within the first refill
+    # (24, 1), exactly one refill, and across refills (2 * 192 + 24)
     streams = sim._TrialStreams(11)
-    block = streams.fill(np.empty((3, 3 * TAPE_BLOCK)), 40)
-    for j in range(3):
-        tape = RandomTape(trial_generator(11, 40 + j))
-        drawn = [tape.u() for _ in range(3 * TAPE_BLOCK)]
-        assert np.array_equal(block[j], drawn)
-        assert np.array_equal(trial_generator(11, 40 + j).random(3 * TAPE_BLOCK), block[j])
+    for width in (1, 24, TAPE_BLOCK, 2 * TAPE_BLOCK + 24):
+        block = streams.fill(np.empty((3, width)), 40)
+        for j in range(3):
+            tape = RandomTape(trial_generator(11, 40 + j))
+            drawn = [tape.u() for _ in range(width)]
+            assert np.array_equal(block[j], drawn)
+            assert np.array_equal(trial_generator(11, 40 + j).random(width), block[j])
 
 
 def test_understated_draw_bound_raises():

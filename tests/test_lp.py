@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import stochmatch
 from stochmatch import hard_instances as hard
+from stochmatch import lp
+from stochmatch.instances import LpNumericalError
 from stochmatch.lp import (
     LpProblem,
     OPTIMAL,
@@ -147,3 +154,62 @@ def test_dump_has_one_row_per_constraint():
     lines = text.strip().splitlines()
     assert lines[0].startswith("max ")
     assert sum(1 for ln in lines if ln.startswith("r")) == 2
+
+
+def _lp1(seed, n):
+    return build_arbitrary_patience_lp(hard.gen_random_star(seed, n, "survival"))
+
+
+@pytest.mark.parametrize("n", [8, 12, 15])
+def test_lp1_of_random_survival_stars_is_feasible_and_optimal(n):
+    # degenerate LPs on which the engine used to stop at "optimal" with a
+    # primal-infeasible x (3, 12 and 20 of these 40 seeds)
+    for seed in range(40):
+        p = _lp1(seed, n)
+        sol = solve(p)
+        assert solution_residuals(p, sol)["primal"] <= 1e-9, seed
+        assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7), seed
+
+
+def test_lp1_seed_17_n_8_value():
+    # reported 1.170, with a primal residual of 0.85, before the Harris ratio test
+    assert solve(_lp1(17, 8)).objective == pytest.approx(0.694190, abs=1e-6)
+
+
+def test_lp1_does_not_depend_on_blas_threads():
+    code = ("from stochmatch import hard_instances as hard, lp, stars\n"
+            "star = hard.gen_random_star(34, 12, 'survival')\n"
+            "print(repr(lp.solve(stars.build_arbitrary_patience_lp(star)).objective))\n")
+    src = os.path.dirname(os.path.dirname(stochmatch.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    here = solve(_lp1(34, 12)).objective
+    assert float(out.stdout) == pytest.approx(here, abs=1e-7)
+    assert here == pytest.approx(0.886961, abs=1e-6)
+
+
+def test_failed_certificate_raises(monkeypatch):
+    # a Harris tolerance this loose leaves the final basis primal infeasible
+    monkeypatch.setattr(lp, "HARRIS_TOL", 0.05)
+    with pytest.raises(LpNumericalError, match="primal residual"):
+        solve(_lp1(17, 8))
+    monkeypatch.undo()
+    # stopping phase 2 at once leaves a reduced cost of the wrong sign
+    monkeypatch.setattr(lp, "OPT_TOL", 10.0)
+    with pytest.raises(LpNumericalError, match="wrong-signed dual"):
+        solve(LpProblem.make([1.0], [[1.0]], ["<="], [1.0]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("c", np.nan), ("c", np.inf), ("A", np.nan), ("A", -np.inf), ("b", np.nan),
+    ("b", np.inf), ("lb", np.nan), ("ub", np.nan)])
+def test_make_rejects_non_finite_input(field, value):
+    args = {"c": [1.0, 1.0], "A": [[1.0, 2.0]], "b": [1.0], "lb": [0.0, 0.0],
+            "ub": [1.0, np.inf]}
+    arr = np.array(args[field], dtype=float)
+    arr.flat[0] = value
+    args[field] = arr
+    with pytest.raises(ValueError):
+        LpProblem.make(args["c"], args["A"], ["<="], args["b"], args["lb"], args["ub"])
