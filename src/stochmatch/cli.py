@@ -474,8 +474,8 @@ def main(argv=None) -> int:
     except StochmatchError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as e:
-        print(f"input error: {e}", file=sys.stderr)
+    except OSError as e:  # an output path (-o, --csv, --policy-out); inputs raise above
+        print(f"output error: {e}", file=sys.stderr)
         return EXIT_INPUT
 
 

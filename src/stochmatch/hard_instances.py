@@ -25,7 +25,7 @@ from .instances import (
     StarInstance,
     StochmatchError,
 )
-from .stars import RandomizedStarPolicy
+from .stars import RandomizedStarPolicy, build_arbitrary_patience_lp
 
 UNKNOWN_PATIENCE_ITEM_CAP = 100_000
 
@@ -252,56 +252,17 @@ def clairvoyant_value(m: int, k: int) -> float:
 def unknown_patience_lp_value(m: int, k: int) -> float:
     """Exact attempt-indexed LP value of the clairvoyance-gap star.
 
-    Items inside a class are interchangeable, so the LP collapses exactly
-    to class-aggregated variables ``X_{i,t} = sum_{j in class i} x_{j,t}``
-    with the per-item suffix constraint scaled by the class size (averaging
-    any feasible item-level solution over within-class permutations
-    preserves feasibility and the objective, and splitting an aggregated
-    solution evenly inverts the map).  This keeps the LP solvable for
-    attempt horizons where the item-level LP would be enormous; equality
-    with the item-level LP is asserted in the test-suite at small sizes.
+    Items inside a class are interchangeable, so the LP is built over one
+    item per class with the class size as its multiplicity.  This keeps
+    the LP solvable for attempt horizons where the item-level LP would be
+    enormous; equality with the item-level LP is asserted in the
+    test-suite at small sizes.
     """
     classes = unknown_patience_classes(m, k)
-    q = [float(v) for v in unknown_patience_survival(m, k)]
-    T = len(q)
-    nk = len(classes)
-    nx = nk * T
-    nv = nx + T
-    c = np.zeros(nv)
-    for i, (count, p, w) in enumerate(classes):
-        c[i * T: (i + 1) * T] = w * p
-    rows, senses, rhs = [], [], []
-    for i, (count, p, w) in enumerate(classes):
-        for t0 in range(T):
-            row = np.zeros(nv)
-            row[i * T + t0: (i + 1) * T] = 1.0
-            row[nx + t0] = -float(count)
-            rows.append(row)
-            senses.append(lp.LE)
-            rhs.append(0.0)
-    for t in range(T):
-        row = np.zeros(nv)
-        row[t: nx: T] = 1.0
-        row[nx + t] = -1.0
-        rows.append(row)
-        senses.append(lp.LE)
-        rhs.append(0.0)
-    row = np.zeros(nv)
-    row[nx] = 1.0
-    rows.append(row)
-    senses.append(lp.EQ)
-    rhs.append(1.0)
-    for t in range(1, T):
-        ratio = q[t] / q[t - 1] if q[t - 1] > 0.0 else 0.0
-        row = np.zeros(nv)
-        row[nx + t] = 1.0
-        row[nx + t - 1] = -ratio
-        for i, (count, p, w) in enumerate(classes):
-            row[i * T + t - 1] = ratio * p
-        rows.append(row)
-        senses.append(lp.EQ)
-        rhs.append(0.0)
-    sol = lp.solve(lp.LpProblem.make(c, np.vstack(rows), senses, rhs))
+    star = StarInstance.make([w for _, _, w in classes], [p for _, p, _ in classes],
+                             PatienceModel.survival(unknown_patience_survival(m, k)))
+    problem = build_arbitrary_patience_lp(star, multiplicity=[c for c, _, _ in classes])
+    sol = lp.solve(problem)
     if sol.status != lp.OPTIMAL:
         raise StochmatchError(f"aggregated LP came back {sol.status}")
     return sol.objective
@@ -408,11 +369,3 @@ def gen_random_matching(seed: int, m: int, n_types: int, arrival_kind: str,
     return MatchingInstance.make(probs, patience, arrivals,
                                  vertex_weights=rng.random(m))
 
-
-def gen_random(kind: str, seed: int, **params):
-    """Named entry point used by the command-line generator."""
-    if kind == "star":
-        return gen_random_star(seed, **params)
-    if kind == "matching":
-        return gen_random_matching(seed, **params)
-    raise StochmatchError(f"unknown random instance kind {kind!r}")

@@ -257,9 +257,6 @@ class PolicyMixture:
     per_type: tuple[tuple[tuple[Policy, float], ...], ...]
     q_v: tuple[float, ...]
 
-    def entries(self, v: int):
-        return self.per_type[v]
-
 
 # ---------------------------------------------------------------------------
 # Arrival models and matching instances
@@ -397,10 +394,6 @@ class MatchingInstance:
     def n_types(self) -> int:
         return self.probs.shape[1]
 
-    @property
-    def is_vertex_weighted(self) -> bool:
-        return self.vertex_weights is not None
-
     def weight(self, u: int, v: int) -> float:
         if self.vertex_weights is not None:
             return self.vertex_weights[u]
@@ -418,7 +411,7 @@ class MatchingInstance:
         idx = [u for u in available if self.probs[u, v] > 0.0]
         star = StarInstance(tuple(self.weight(u, v) for u in idx),
                             tuple(float(self.probs[u, v]) for u in idx),
-                            self.patience[v])
+                            self.patience[v].subset(idx))
         return star, idx
 
     def __eq__(self, other):
@@ -622,11 +615,15 @@ def loads_instance(text: str):
 
 
 def load_instance(path):
-    """Load a star or matching instance from a JSON file."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    instance = loads_instance(text)
-    report = validate(instance)
+    """Load a star or matching instance from a JSON file.  A file that
+    cannot be read or decoded, or whose values have the wrong type or
+    shape, raises ``InstanceFormatError`` like any other bad input."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            instance = loads_instance(f.read())
+        report = validate(instance)
+    except (OSError, ValueError, TypeError) as e:  # UnicodeDecodeError is a ValueError
+        raise InstanceFormatError(f"cannot load {path}: {e}") from e
     if not report.ok:
         raise InstanceFormatError("invalid instance: " + "; ".join(report.violations))
     return instance

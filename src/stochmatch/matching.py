@@ -20,6 +20,14 @@ patience, weight-skips consume none.  A survival-curve patience is realized
 once per arrival (hidden from the matcher); hazard patience flips a balk
 coin after each failed probe.
 
+Each matcher's ``exact_value`` is one call to ``exact_expansion``, a
+memoised expansion over (arrival step, bitmask of free offline vertices):
+the matcher supplies, per state, the probability and expected reward of
+matching each free vertex.  A simulated probe ends an arrival with the
+same probability as a real one, so a policy-LP arrival's match
+probabilities are those of its policy with every vertex free, masked by
+the free set.
+
 Also here: the offline benchmark LP over edge-probe variables (optionally
 tightened with per-subset star-optimum rows), and the policy LP over probing
 policies solved by column generation against its pricing problem.
@@ -396,6 +404,46 @@ def _walk_randomized(tables: _Tables, state, step, v, rsp: RandomizedStarPolicy,
 
 
 # ---------------------------------------------------------------------------
+# Exact outcome expansion
+# ---------------------------------------------------------------------------
+
+def exact_expansion(n_steps: int, m: int, outcomes, max_offline: int) -> float:
+    """Exact expected matched weight of a matcher, expanding every outcome.
+
+    The state is the arrival step and the bitmask of still-free offline
+    vertices.  ``outcomes(step, free)`` lists, for the arrival at ``step``,
+    one ``(u, p, pw)`` per vertex ``u`` it can match: the probability ``p``
+    of matching ``u`` and the expected reward ``p * w``; the remaining mass
+    matches nothing.  States are memoised, so the cost is the number of
+    reachable (step, free set) pairs times the cost of ``outcomes``.
+    """
+    if m > max_offline:
+        raise CapacityError(f"exact expansion capped at {max_offline} offline vertices")
+    memo: dict[tuple[int, int], float] = {}
+
+    def go(step: int, free: int) -> float:
+        if step == n_steps:
+            return 0.0
+        key = (step, free)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        total = 0.0
+        none = 1.0
+        for u, p, pw in outcomes(step, free):
+            none -= p
+            total += pw + p * go(step + 1, free & ~(1 << u))
+        total += max(none, 0.0) * go(step + 1, free)
+        memo[key] = total
+        return total
+
+    try:
+        return go(0, (1 << m) - 1)
+    finally:
+        del go  # break the closure's cycle through itself and its memo
+
+
+# ---------------------------------------------------------------------------
 # Greedy matchers for adversarial arrivals
 # ---------------------------------------------------------------------------
 
@@ -410,7 +458,38 @@ class _TableCache:
         return pair[1]
 
 
-class AdvGreedyMatcher(_TableCache):
+class _GreedyMatcher(_TableCache):
+    """What the matchers for a fixed adversarial arrival order share: each
+    arrival probes a star over its still-unmatched neighbors."""
+
+    def _adversarial_tables(self, instance) -> _Tables:
+        if instance.arrivals.kind != ADVERSARIAL:
+            raise CapabilityError("greedy matcher needs adversarial arrivals")
+        return self._tables(instance)
+
+    def _match_probabilities(self, instance, v, avail) -> tuple[list[int], np.ndarray]:
+        """The star items of an arrival of type ``v`` that finds the
+        neighbors ``avail`` unmatched, and its probability of matching each."""
+        raise NotImplementedError
+
+    def exact_value(self, instance: MatchingInstance) -> float:
+        """Exact expected matched weight by expanding every probe outcome."""
+        tables = self._adversarial_tables(instance)
+        order = instance.arrivals.order
+
+        def outcomes(step, free):
+            v = order[step]
+            avail = [u for u in tables.neighbors[v] if free >> u & 1]
+            if not avail:
+                return ()
+            items, match_p = self._match_probabilities(instance, v, avail)
+            w = tables.weight_cols[v]
+            return [(u, p, p * w[u]) for u, p in zip(items, match_p.tolist()) if p > 0.0]
+
+        return exact_expansion(len(order), instance.m, outcomes, max_offline=20)
+
+
+class AdvGreedyMatcher(_GreedyMatcher):
     """Greedy star-black-box matcher for a fixed adversarial arrival order.
 
     Per arrival, builds the star over the currently unmatched neighbors,
@@ -423,11 +502,11 @@ class AdvGreedyMatcher(_TableCache):
         self.solver = solver
         self._plans: dict = {}
 
-    def _plan(self, instance, v, avail_key):
+    def _plan(self, instance, v, avail_key, star_items=None):
         key = (v, avail_key)
         plan = self._plans.get(key)
         if plan is None:
-            star, items = instance.star_for(v, avail_key)
+            star, items = star_items or instance.star_for(v, avail_key)
             solver = self.solver or auto_solver(star)
             result = solver.solve(star)
             if isinstance(result.policy, Policy):
@@ -438,9 +517,7 @@ class AdvGreedyMatcher(_TableCache):
         return plan
 
     def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
-        if instance.arrivals.kind != ADVERSARIAL:
-            raise CapabilityError("greedy matcher needs adversarial arrivals")
-        tables = self._tables(instance)
+        tables = self._adversarial_tables(instance)
         tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
         state = MatcherState(trace=[] if trace else None)
         for step, v in enumerate(instance.arrivals.order):
@@ -455,55 +532,16 @@ class AdvGreedyMatcher(_TableCache):
                 _walk_randomized(tables, state, step, v, plan[1], plan[2], tape)
         return state
 
-    def exact_value(self, instance: MatchingInstance) -> float:
-        """Exact expected matched weight by expanding every probe outcome."""
-        if instance.arrivals.kind != ADVERSARIAL:
-            raise CapabilityError("greedy matcher needs adversarial arrivals")
-        if instance.m > 20:
-            raise CapacityError("exact expansion capped at 20 offline vertices")
-        order = instance.arrivals.order
-        memo: dict[tuple[int, int], float] = {}
-
-        def go(step: int, avail_mask: int) -> float:
-            if step == len(order):
-                return 0.0
-            key = (step, avail_mask)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            v = order[step]
-            avail = tuple(u for u in range(instance.m)
-                          if avail_mask >> u & 1 and instance.probs[u, v] > 0.0)
-            if not avail:
-                out = go(step + 1, avail_mask)
-                memo[key] = out
-                return out
-            plan = self._plan(instance, v, avail)
-            star, items = instance.star_for(v, avail)
-            if plan[0] == "policy":
-                local = Policy(tuple(items.index(u) for u in plan[1]))
-                match_p = policy_match_probabilities(star, local)
-            else:
-                match_p = randomized_match_probabilities(star, plan[1])
-            total = 0.0
-            none = 1.0
-            for j, u in enumerate(items):
-                pj = float(match_p[j])
-                if pj <= 0.0:
-                    continue
-                none -= pj
-                total += pj * (instance.weight(u, v) + go(step + 1, avail_mask & ~(1 << u)))
-            total += max(none, 0.0) * go(step + 1, avail_mask)
-            memo[key] = total
-            return total
-
-        try:
-            return go(0, (1 << instance.m) - 1)
-        finally:
-            del go  # break the closure's cycle through itself and its memo
+    def _match_probabilities(self, instance, v, avail):
+        star, items = star_items = instance.star_for(v, avail)
+        plan = self._plan(instance, v, tuple(avail), star_items)
+        if plan[0] == "randomized":
+            return items, randomized_match_probabilities(star, plan[1])
+        local = Policy(tuple(items.index(u) for u in plan[1]))
+        return items, policy_match_probabilities(star, local)
 
 
-class SimpleGreedyMatcher(_TableCache):
+class SimpleGreedyMatcher(_GreedyMatcher):
     """Opportunistic baseline: probe an arbitrary available neighbor.
 
     ``rule`` picks which neighbor: ``first`` (lowest index) or ``last``.
@@ -517,9 +555,7 @@ class SimpleGreedyMatcher(_TableCache):
         self.rule = rule
 
     def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
-        if instance.arrivals.kind != ADVERSARIAL:
-            raise CapabilityError("greedy matcher needs adversarial arrivals")
-        tables = self._tables(instance)
+        tables = self._adversarial_tables(instance)
         tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
         state = MatcherState(trace=[] if trace else None)
         reverse = self.rule == "last"
@@ -547,9 +583,7 @@ class SimpleGreedyMatcher(_TableCache):
 
     def draw_bound(self, instance: MatchingInstance) -> int:
         """Most uniforms one trial can read."""
-        if instance.arrivals.kind != ADVERSARIAL:
-            raise CapabilityError("greedy matcher needs adversarial arrivals")
-        tables = self._tables(instance)
+        tables = self._adversarial_tables(instance)
         return sum(tables.walk_draws(v, min(len(tables.neighbors[v]), tables.probe_cap(v)))
                    for v in instance.arrivals.order if tables.neighbors[v])
 
@@ -557,9 +591,7 @@ class SimpleGreedyMatcher(_TableCache):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts,
         exactly as the scalar walk over the same streams."""
-        if instance.arrivals.kind != ADVERSARIAL:
-            raise CapabilityError("greedy matcher needs adversarial arrivals")
-        tables = self._tables(instance)
+        tables = self._adversarial_tables(instance)
         state = _Lockstep(uniforms, instance.m)
         every = state.every
         for v in instance.arrivals.order:
@@ -587,48 +619,9 @@ class SimpleGreedyMatcher(_TableCache):
                 state.walk(tables, rows, np.full(rows.size, v), neigh[ranked], length[rows])
         return state.result()
 
-    def exact_value(self, instance: MatchingInstance) -> float:
-        if instance.arrivals.kind != ADVERSARIAL:
-            raise CapabilityError("greedy matcher needs adversarial arrivals")
-        if instance.m > 20:
-            raise CapacityError("exact expansion capped at 20 offline vertices")
-        order_v = instance.arrivals.order
-        memo: dict[tuple[int, int], float] = {}
-
-        def go(step: int, avail_mask: int) -> float:
-            if step == len(order_v):
-                return 0.0
-            key = (step, avail_mask)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            v = order_v[step]
-            items = [u for u in range(instance.m)
-                     if avail_mask >> u & 1 and instance.probs[u, v] > 0.0]
-            if self.rule == "last":
-                items = items[::-1]
-            if not items:
-                out = go(step + 1, avail_mask)
-                memo[key] = out
-                return out
-            star = StarInstance(tuple(instance.weight(u, v) for u in items),
-                                tuple(float(instance.probs[u, v]) for u in items),
-                                instance.patience[v].subset(items))
-            match_p = policy_match_probabilities(star, Policy(tuple(range(len(items)))))
-            total = 0.0
-            none = 1.0
-            for j, u in enumerate(items):
-                pj = float(match_p[j])
-                none -= pj
-                total += pj * (instance.weight(u, v) + go(step + 1, avail_mask & ~(1 << u)))
-            total += max(none, 0.0) * go(step + 1, avail_mask)
-            memo[key] = total
-            return total
-
-        try:
-            return go(0, (1 << instance.m) - 1)
-        finally:
-            del go  # break the closure's cycle through itself and its memo
+    def _match_probabilities(self, instance, v, avail):
+        star, items = instance.star_for(v, avail[::-1] if self.rule == "last" else avail)
+        return items, policy_match_probabilities(star, Policy(tuple(range(len(items)))))
 
 
 # ---------------------------------------------------------------------------
@@ -639,11 +632,9 @@ STAR_CONSTRAINT_MAX_OFFLINE = 12
 
 
 def _exact_solver_for(patience: PatienceModel) -> StarSolver:
-    if patience.is_deterministic:
-        return solver_by_name("dp")
-    if patience.is_hazard:
-        return solver_by_name("hazard")
-    return solver_by_name("brute")
+    """``auto_solver``, with brute force where it would pick the LP policy."""
+    solver = auto_solver(patience)
+    return solver_by_name("brute") if solver.name == "lp" else solver
 
 
 def build_benchmark_lp(instance: MatchingInstance,
@@ -744,13 +735,12 @@ def _assemble_result(instance, columns, x, objective, status, kappa) -> ProphetL
     n = instance.n_types
     q_v = instance.arrivals.expected_arrivals(n)
     per_type: list[list[tuple[Policy, float]]] = [[] for _ in range(n)]
+    wmat = instance.weights_matrix()
     w_star = np.zeros(instance.m)
     for k, (v, policy, pvec) in enumerate(columns):
         mass = float(x[k])
         per_type[v].append((policy, mass))
-        for u in range(instance.m):
-            if pvec[u] > 0.0:
-                w_star[u] += instance.weight(u, v) * pvec[u] * mass
+        w_star += wmat[:, v] * pvec * mass
     mixture = PolicyMixture(tuple(tuple(e) for e in per_type),
                             tuple(float(q) for q in q_v))
     return ProphetLpResult(mixture=mixture, objective=objective, w_star=w_star,
@@ -829,11 +819,11 @@ def solve_prophet_lp(instance: MatchingInstance,
                 seen.add((v, policy.order))
                 added = True
         if not added:
-            break
+            break  # the master is unchanged since ``sol``
         if len(columns) > column_cap:
             status = "column_cap"
+            sol = _solve_master(master)
             break
-    sol = _solve_master(master)
     return _assemble_result(instance, columns, sol.x, sol.objective, status, kappa)
 
 
@@ -872,11 +862,11 @@ class _PolicyArrays:
     def __init__(self, matcher: "PolicyLpMatcher", instance: MatchingInstance):
         tables = matcher._tables(instance)
         samplers = matcher._samplers
+        kept = matcher._kept_orders(instance)
         n = instance.n_types
-        skip_of = matcher.lp_result.w_star if matcher.skip else None
         self.step_cum = np.array(matcher._step_cum(instance))
         self.sampled = np.array([s is not None for s in samplers])
-        width = max((s[1].n for s in samplers if s is not None), default=1)
+        width = max((s[2].n for s in samplers if s is not None), default=1)
         self.alias_n = np.ones(n, dtype=np.intp)
         self.alias_prob = np.zeros((n, width))
         self.alias = np.zeros((n, width), dtype=np.intp)
@@ -887,15 +877,12 @@ class _PolicyArrays:
             self.base[v] = len(orders)
             if sampler is None:
                 continue
-            policies, alias = sampler
+            policies, _, alias = sampler
             self.alias_n[v] = alias.n
             self.alias_prob[v, :alias.n] = alias.prob
             self.alias[v, :alias.n] = alias.alias
-            weights = tables.weight_cols[v]
-            for order in policies:
-                walks.append(bool(order))
-                orders.append([u for u in order
-                               if skip_of is None or not weights[u] < 0.5 * skip_of[u]])
+            walks.extend(bool(order) for order in policies)
+            orders.extend(kept[v])
             longest = max(len(o) for o in orders[self.base[v]:])
             draws = max(draws, 2 + tables.walk_draws(v, min(longest, tables.probe_cap(v))))
         self.draws_per_step = 1 + draws
@@ -922,7 +909,8 @@ class PolicyLpMatcher(_TableCache):
         self.skip = skip
         self._step_cum_pair = None
         self._arrays_pair = None
-        self._samplers: list[tuple[list[tuple[int, ...]], AliasSampler] | None] = []
+        # per type: policy orders, their masses and an alias table over them
+        self._samplers: list[tuple[list[tuple[int, ...]], list[float], AliasSampler] | None] = []
         for v, entries in enumerate(lp_result.mixture.per_type):
             q = lp_result.mixture.q_v[v]
             policies = [pol.order for pol, _ in entries]
@@ -934,7 +922,22 @@ class PolicyLpMatcher(_TableCache):
             if q <= 0.0 or sum(masses) <= 0.0:
                 self._samplers.append(None)
             else:
-                self._samplers.append((policies, AliasSampler(masses)))
+                self._samplers.append((policies, masses, AliasSampler(masses)))
+
+    def _policy_tables(self, instance) -> _Tables:
+        if instance.arrivals.kind not in (PROPHET, IID):
+            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
+        return self._tables(instance)
+
+    def _kept_orders(self, instance) -> list[list[tuple[int, ...]]]:
+        """Per type, each sampleable policy's probing order without the
+        entries the matcher skips (weight below half the vertex's LP reward)."""
+        weights = self._tables(instance).weight_cols
+        skip_of = self.lp_result.w_star if self.skip else None
+        return [[tuple(u for u in order
+                       if skip_of is None or not weights[v][u] < 0.5 * skip_of[u])
+                 for order in sampler[0]] if sampler else []
+                for v, sampler in enumerate(self._samplers)]
 
     def _step_cum(self, instance):
         pair = self._step_cum_pair
@@ -949,16 +952,13 @@ class PolicyLpMatcher(_TableCache):
         return cums
 
     def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
-        arr = instance.arrivals
-        if arr.kind not in (PROPHET, IID):
-            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
-        tables = self._tables(instance)
+        tables = self._policy_tables(instance)
         tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
         state = MatcherState(trace=[] if trace else None)
         step_cum = self._step_cum(instance)
         skip_of = self.lp_result.w_star if self.skip else None
         samplers = self._samplers
-        for t in range(arr.n_steps):
+        for t in range(instance.arrivals.n_steps):
             cum = step_cum[t]
             u_draw = tape.u()
             if u_draw >= cum[-1]:
@@ -969,7 +969,7 @@ class PolicyLpMatcher(_TableCache):
             sampler = samplers[v]
             if sampler is None:
                 continue
-            policies, alias = sampler
+            policies, _, alias = sampler
             order = policies[alias.sample(tape)]
             if order:
                 _walk_policy(tables, state, t, v, order, tape, skip_half_of=skip_of)
@@ -986,21 +986,17 @@ class PolicyLpMatcher(_TableCache):
 
     def draw_bound(self, instance: MatchingInstance) -> int:
         """Most uniforms one trial can read."""
-        if instance.arrivals.kind not in (PROPHET, IID):
-            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
+        self._policy_tables(instance)
         return self._lockstep_tables(instance).draws_per_step * instance.arrivals.n_steps
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts,
         exactly as the scalar walk over the same streams."""
-        arr = instance.arrivals
-        if arr.kind not in (PROPHET, IID):
-            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
-        tables = self._tables(instance)
+        tables = self._policy_tables(instance)
         pa = self._lockstep_tables(instance)
         state = _Lockstep(uniforms, instance.m)
-        for t in range(arr.n_steps):
+        for t in range(instance.arrivals.n_steps):
             u = state.draw(state.every)
             cum = pa.step_cum[t]
             v = np.argmax(cum > u[:, None], axis=1)
@@ -1020,90 +1016,31 @@ class PolicyLpMatcher(_TableCache):
 
     # -- exact expansion ---------------------------------------------------
 
-    def _walk_outcomes(self, instance, v, policy: Policy, matched_mask: int):
-        """Distribution of one arrival's outcome: {u: match prob}, rest is
-        no-match (exhaust, balk, abandon, or empty policy)."""
-        pat = instance.patience[v]
-        skip_of = self.lp_result.w_star if self.skip else None
-        match_p: dict[int, float] = {}
-        if pat.is_hazard:
-            rates = pat.hazard_rates(instance.m)
-            reach = 1.0
-            for u in policy.order:
-                if skip_of is not None and instance.weight(u, v) < 0.5 * skip_of[u]:
-                    continue
-                p = float(instance.probs[u, v])
-                if not (matched_mask >> u & 1):
-                    match_p[u] = match_p.get(u, 0.0) + reach * p
-                reach *= (1.0 - p) * (1.0 - rates[u])
-        else:
-            curve = pat.survival_curve(max(len(policy), 1))
-            fail = 1.0
-            k = 0
-            for u in policy.order:
-                if skip_of is not None and instance.weight(u, v) < 0.5 * skip_of[u]:
-                    continue
-                p = float(instance.probs[u, v])
-                if not (matched_mask >> u & 1):
-                    match_p[u] = match_p.get(u, 0.0) + curve[k] * fail * p
-                fail *= 1.0 - p
-                k += 1
-        return match_p
-
     def exact_value(self, instance: MatchingInstance) -> float:
-        arr = instance.arrivals
-        if arr.kind not in (PROPHET, IID):
-            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
-        m = instance.m
-        if m > 16:
-            raise CapacityError("exact expansion capped at 16 offline vertices")
-        T = arr.n_steps
-        memo: dict[tuple[int, int], float] = {}
-
-        def go(t: int, matched_mask: int) -> float:
-            if t == T:
-                return 0.0
-            key = (t, matched_mask)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            probs_v = arr.step_probs(t)
-            total = 0.0
-            stay = 1.0
-            for v in range(instance.n_types):
-                qv_t = float(probs_v[v])
-                if qv_t <= 0.0:
-                    continue
-                sampler = self._samplers[v]
-                if sampler is None:
-                    continue
-                stay -= qv_t
-                policies, alias = sampler
+        """Exact expected matched weight.  A simulated probe ends the
+        arrival with the same probability as a real one, so an arrival of
+        type ``v`` matches a free ``u`` with the probability it would with
+        every vertex free: one match vector per type, mixed over its
+        policies and masked by the free set."""
+        self._policy_tables(instance)
+        stars = _type_stars(instance)
+        match = np.zeros((instance.n_types, instance.m))
+        for v, (sampler, kept) in enumerate(zip(self._samplers, self._kept_orders(instance))):
+            if sampler is not None:
                 q = self.lp_result.mixture.q_v[v]
-                entries = list(self.lp_result.mixture.per_type[v])
-                resid = q - sum(mass for _, mass in entries)
-                if resid > 0.0:
-                    entries.append((EMPTY_POLICY, resid))
-                for policy, mass in entries:
-                    pr_pol = mass / q
-                    if pr_pol <= 0.0:
-                        continue
-                    match_p = self._walk_outcomes(instance, v, policy, matched_mask)
-                    none = 1.0
-                    sub = 0.0
-                    for u, pu in match_p.items():
-                        none -= pu
-                        sub += pu * (instance.weight(u, v) + go(t + 1, matched_mask | (1 << u)))
-                    sub += max(none, 0.0) * go(t + 1, matched_mask)
-                    total += qv_t * pr_pol * sub
-            total += max(stay, 0.0) * go(t + 1, matched_mask)
-            memo[key] = total
-            return total
+                for order, mass in zip(kept, sampler[1]):
+                    match[v] += mass / q * policy_match_probabilities(stars[v], Policy(order))
+        arr = instance.arrivals
+        steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])
+        probs = (steps @ match).tolist()
+        rewards = (steps @ (match * instance.weights_matrix().T)).tolist()
+        m = instance.m
 
-        try:
-            return go(0, 0)
-        finally:
-            del go  # break the closure's cycle through itself and its memo
+        def outcomes(t, free):
+            p, pw = probs[t], rewards[t]
+            return [(u, p[u], pw[u]) for u in range(m) if free >> u & 1 and p[u] > 0.0]
+
+        return exact_expansion(arr.n_steps, m, outcomes, max_offline=16)
 
 
 def prophet_matcher(lp_result: ProphetLpResult) -> PolicyLpMatcher:

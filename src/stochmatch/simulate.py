@@ -71,10 +71,6 @@ class SimReport:
     confidence: float
     low_trial_count: bool
 
-    def csv_fields(self):
-        return {"trials": self.trials, "mean": repr(self.mean),
-                "stddev": repr(self.stddev), "ci": repr(self.half_width)}
-
 
 def trial_generator(seed: int, trial: int) -> np.random.Generator:
     """The deterministic stream for one trial: Philox keyed by (seed, trial)."""

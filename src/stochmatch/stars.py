@@ -82,8 +82,8 @@ def termination_probs(star: StarInstance) -> np.ndarray:
     return p + (1.0 - p) * r
 
 
-def eval_policy_exact(star: StarInstance, policy: Policy) -> float:
-    """Exact expected reward of probing in the given order.
+def _order_match_probabilities(star: StarInstance, policy: Policy) -> list[float]:
+    """Per entry of ``policy``, the probability that probing it matches.
 
     Survival-curve and deterministic patience: the k-th probe happens iff
     the patience is at least ``k`` and the first ``k-1`` probes failed.
@@ -91,41 +91,37 @@ def eval_policy_exact(star: StarInstance, policy: Policy) -> float:
     with probability ``r_i``.
     """
     check_policy(policy, star.n)
-    w, p = star.weights, star.probs
-    total = 0.0
+    p = star.probs
+    out = []
     if star.patience.kind == HAZARD:
-        q = termination_probs(star)
+        q = termination_probs(star).tolist()
         alive = 1.0
         for i in policy.order:
-            total += alive * p[i] * w[i]
+            out.append(alive * p[i])
             alive *= 1.0 - q[i]
     else:
-        curve = star.patience.survival_curve(star.n)
+        curve = star.patience.survival_curve(star.n).tolist()
         fail = 1.0
         for k, i in enumerate(policy.order):
-            total += curve[k] * fail * p[i] * w[i]
+            out.append(curve[k] * fail * p[i])
             fail *= 1.0 - p[i]
+    return out
+
+
+def eval_policy_exact(star: StarInstance, policy: Policy) -> float:
+    """Exact expected reward of probing in the given order."""
+    w = star.weights
+    total = 0.0
+    for i, pr in zip(policy.order, _order_match_probabilities(star, policy)):
+        total += pr * w[i]
     return total
 
 
 def policy_match_probabilities(star: StarInstance, policy: Policy) -> np.ndarray:
     """Probability that the arrival is matched to each item when following
     ``policy`` with every item available; zero for items not probed."""
-    check_policy(policy, star.n)
     out = np.zeros(star.n)
-    p = star.probs
-    if star.patience.kind == HAZARD:
-        q = termination_probs(star)
-        alive = 1.0
-        for i in policy.order:
-            out[i] = alive * p[i]
-            alive *= 1.0 - q[i]
-    else:
-        curve = star.patience.survival_curve(star.n)
-        fail = 1.0
-        for k, i in enumerate(policy.order):
-            out[i] = curve[k] * fail * p[i]
-            fail *= 1.0 - p[i]
+    out[list(policy.order)] = _order_match_probabilities(star, policy)
     return out
 
 
@@ -240,13 +236,13 @@ def brute_force_optimal(star: StarInstance) -> StarResult:
 # Attempt-indexed LP for arbitrary patience distributions
 # ---------------------------------------------------------------------------
 
-def _lp_attempt_count(star: StarInstance) -> int:
-    curve = star.patience.survival_curve(star.n)
-    support = int(np.nonzero(curve > 0.0)[0][-1] + 1) if np.any(curve > 0.0) else 0
-    return support
+def _lp_attempt_count(star: StarInstance, items: int) -> int:
+    """Attempts of the LP: the survival support, capped at the item count."""
+    curve = star.patience.survival_curve(items)
+    return int(np.nonzero(curve > 0.0)[0][-1] + 1) if np.any(curve > 0.0) else 0
 
 
-def build_arbitrary_patience_lp(star: StarInstance) -> lp.LpProblem:
+def build_arbitrary_patience_lp(star: StarInstance, multiplicity=None) -> lp.LpProblem:
     """LP relaxation over probe variables ``x_{j,t}`` (probability of
     probing item ``j`` on attempt ``t``) and survival variables ``s_t``.
 
@@ -260,14 +256,22 @@ def build_arbitrary_patience_lp(star: StarInstance) -> lp.LpProblem:
     trimmed past the survival support, both of which leave the optimum
     unchanged.
 
+    ``multiplicity[j]`` makes item ``j`` stand for that many identical
+    items: ``x_{j,t}`` is then their total probe mass and the suffix rows
+    allow ``multiplicity[j] * s_{t'}``.  Averaging a solution of the
+    item-level LP over permutations within each class and splitting an
+    aggregated one evenly map feasible solutions onto each other with the
+    same objective, so the optimum is that of the item-level LP.
+
     Variable layout: ``x_{j,t}`` at ``j * T + t``, then ``s_t`` at
     ``n * T + t``, with ``T`` the attempt count.
     """
     n = star.n
-    T = _lp_attempt_count(star)
+    copies = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=float)
+    T = _lp_attempt_count(star, int(copies.sum()))
     if n == 0 or T == 0:
         return lp.LpProblem.make(np.zeros(0), np.zeros((0, 0)), (), np.zeros(0))
-    curve = star.patience.survival_curve(n)
+    curve = star.patience.survival_curve(T)
     p = np.asarray(star.probs)
     w = np.asarray(star.weights)
     nx = n * T
@@ -281,7 +285,7 @@ def build_arbitrary_patience_lp(star: StarInstance) -> lp.LpProblem:
         for t0 in range(T):
             row = np.zeros(nv)
             row[j * T + t0: (j + 1) * T] = 1.0
-            row[nx + t0] = -1.0
+            row[nx + t0] = -copies[j]
             rows.append(row)
             senses.append(lp.LE)
             rhs.append(0.0)
@@ -330,7 +334,7 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
         raise PatienceVariantError(
             "the LP policy needs a policy-independent patience distribution")
     n = star.n
-    T = _lp_attempt_count(star)
+    T = _lp_attempt_count(star, n)
     if n == 0 or T == 0:
         rsp = RandomizedStarPolicy(np.zeros((n, n)), np.zeros(n), 0.0)
         return StarResult(rsp, 0.0, 0.0)
@@ -359,16 +363,17 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
     return StarResult(rsp, value, sol.objective)
 
 
-def eval_randomized_exact(star: StarInstance, rsp: RandomizedStarPolicy) -> float:
-    """Exact expected reward of executing a randomized attempt policy.
+def _randomized_walk(star: StarInstance, rsp: RandomizedStarPolicy, gains):
+    """Expected total gain of executing a randomized attempt policy, where a
+    real success on item ``j`` gains ``gains[j]``: its weight for the
+    expected reward, a unit vector for the per-item match probabilities.
 
     State: the set of items already really probed, and the attempt index.
     On each attempt an item is drawn from that attempt's row (leftover row
-    mass makes no probe but the attempt still elapses).  Probing a fresh
-    item pays ``w_j`` with probability ``p_j``; re-drawing an already
-    probed item simulates the probe and a simulated success terminates
-    with no reward.  Only real successes accrue reward.  Surviving into
-    the next attempt multiplies by the patience ratio ``q_{t+1}/q_t``.
+    mass makes no probe but the attempt still elapses).  Re-drawing an
+    already probed item simulates the probe, and a simulated success
+    terminates with no gain.  Surviving into the next attempt multiplies by
+    the patience ratio ``q_{t+1}/q_t``.
     """
     n = star.n
     if n > RANDOMIZED_EVAL_MAX_ITEMS:
@@ -376,97 +381,58 @@ def eval_randomized_exact(star: StarInstance, rsp: RandomizedStarPolicy) -> floa
             f"exact randomized evaluation capped at {RANDOMIZED_EVAL_MAX_ITEMS} items")
     if n == 0:
         return 0.0
-    curve = star.patience.survival_curve(n)
-    p = np.asarray(star.probs)
-    w = np.asarray(star.weights)
-    rows = rsp.attempt_probs
-    T = rows.shape[0]
-    row_has_mass = rows.sum(axis=1) > 0.0
-    memo: dict[tuple[int, int], float] = {}
+    curve = star.patience.survival_curve(n).tolist()
+    p = star.probs
+    rows = rsp.attempt_probs.tolist()
+    T = len(rows)
+    mass = rsp.attempt_probs.sum(axis=1)
+    idle = (1.0 - mass).tolist()
+    live = (np.cumsum((mass > 0.0)[::-1])[::-1] > 0).tolist()  # some row from t on has mass
+    memo: dict[tuple[int, int], object] = {}
 
-    def go(t: int, probed: int) -> float:
-        if t >= T or curve[t] <= 0.0 or not row_has_mass[t:].any():
+    def go(t: int, probed: int):
+        if t >= T or curve[t] <= 0.0 or not live[t]:
             return 0.0
         key = (t, probed)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        ratio_next = (curve[t + 1] / curve[t]) if t + 1 < T and curve[t] > 0.0 else 0.0
-        row = rows[t]
-        idle = 1.0 - row.sum()
-        nxt_same = None
+        ratio_next = curve[t + 1] / curve[t] if t + 1 < T else 0.0
+        same = None  # gain of surviving into the next attempt with nothing new probed
         total = 0.0
-        for j in range(n):
-            pr = row[j]
+        for j, pr in enumerate(rows[t]):
             if pr <= 0.0:
                 continue
             if probed >> j & 1:
-                # simulated probe: success terminates with no reward
-                if nxt_same is None:
-                    nxt_same = ratio_next * go(t + 1, probed) if ratio_next > 0.0 else 0.0
-                total += pr * (1.0 - p[j]) * nxt_same
+                if same is None:
+                    same = ratio_next * go(t + 1, probed) if ratio_next > 0.0 else 0.0
+                total += pr * (1.0 - p[j]) * same
             else:
-                cont = ratio_next * go(t + 1, probed | (1 << j)) if ratio_next > 0.0 else 0.0
-                total += pr * (p[j] * w[j] + (1.0 - p[j]) * cont)
-        if idle > 1e-15:
-            if nxt_same is None:
-                nxt_same = ratio_next * go(t + 1, probed) if ratio_next > 0.0 else 0.0
-            total += idle * nxt_same
+                total += pr * p[j] * gains[j]
+                if ratio_next > 0.0:
+                    total += pr * (1.0 - p[j]) * ratio_next * go(t + 1, probed | (1 << j))
+        if idle[t] > 1e-15:
+            if same is None:
+                same = ratio_next * go(t + 1, probed) if ratio_next > 0.0 else 0.0
+            total += idle[t] * same
         memo[key] = total
         return total
 
-    return go(0, 0)
+    try:
+        return go(0, 0)
+    finally:
+        del go  # break the closure's cycle through itself and its memo
+
+
+def eval_randomized_exact(star: StarInstance, rsp: RandomizedStarPolicy) -> float:
+    """Exact expected reward of executing a randomized attempt policy."""
+    return _randomized_walk(star, rsp, star.weights)
 
 
 def randomized_match_probabilities(star: StarInstance,
                                    rsp: RandomizedStarPolicy) -> np.ndarray:
-    """Per-item probabilities of a real match when executing ``rsp``;
-    same process as ``eval_randomized_exact`` but resolved per item."""
-    n = star.n
-    if n > RANDOMIZED_EVAL_MAX_ITEMS:
-        raise CapacityError(
-            f"exact randomized evaluation capped at {RANDOMIZED_EVAL_MAX_ITEMS} items")
-    if n == 0:
-        return np.zeros(0)
-    curve = star.patience.survival_curve(n)
-    p = np.asarray(star.probs)
-    rows = rsp.attempt_probs
-    T = rows.shape[0]
-    zero = np.zeros(n)
-    memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def go(t: int, probed: int) -> np.ndarray:
-        if t >= T or curve[t] <= 0.0 or not rows[t:].any():
-            return zero
-        key = (t, probed)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        ratio_next = (curve[t + 1] / curve[t]) if t + 1 < T else 0.0
-        row = rows[t]
-        idle = 1.0 - row.sum()
-        nxt_same = None
-        total = np.zeros(n)
-        for j in range(n):
-            pr = row[j]
-            if pr <= 0.0:
-                continue
-            if probed >> j & 1:
-                if nxt_same is None:
-                    nxt_same = ratio_next * go(t + 1, probed) if ratio_next > 0.0 else zero
-                total += pr * (1.0 - p[j]) * nxt_same
-            else:
-                total[j] += pr * p[j]
-                if ratio_next > 0.0:
-                    total += pr * (1.0 - p[j]) * ratio_next * go(t + 1, probed | (1 << j))
-        if idle > 1e-15:
-            if nxt_same is None:
-                nxt_same = ratio_next * go(t + 1, probed) if ratio_next > 0.0 else zero
-            total += idle * nxt_same
-        memo[key] = total
-        return total
-
-    return go(0, 0)
+    """Per-item probabilities of a real match when executing ``rsp``."""
+    return np.zeros(star.n) + _randomized_walk(star, rsp, np.eye(star.n))
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,44 @@ def test_match_run_nan_probability_exits_2(tmp_path, capsys):
     assert "non-finite probability" in err
 
 
+def _set(key, value):
+    def mutate(data):
+        data[key] = value
+    return mutate
+
+
+def _set_theta(data):
+    data["patience"][0]["theta"] = "x"
+
+
+@pytest.mark.parametrize("mutate", [
+    _set("probs", "abc"),
+    _set("probs", [[0.5, 0.5], [0.5]]),
+    _set_theta,
+    _set("patience", 5),
+    None,  # bytes that are not UTF-8
+], ids=["probs-string", "ragged-probs", "theta-string", "patience-number", "not-utf8"])
+def test_match_run_malformed_values_exit_2(tmp_path, capsys, mutate):
+    path = tmp_path / "adv.json"
+    run(capsys, "gen", "single-offline", "-n", "3", "-o", str(path))
+    if mutate is None:
+        path.write_bytes(b'{"kind": "matching", "probs": "\xff\xfe"}')
+    else:
+        data = json.loads(path.read_text())
+        mutate(data)
+        path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "match-run", str(path), "--algorithm", "adv-greedy")
+    assert code == 2
+    assert "input error" in err
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "so.json"
+    code, _, err = run(capsys, "gen", "single-offline", "-n", "3", "-o", str(out))
+    assert code == 2
+    assert "output error" in err
+
+
 def test_match_run_csv_is_deterministic(tmp_path, capsys):
     path = tmp_path / "adv.json"
     run(capsys, "gen", "single-offline", "-n", "5", "-o", str(path))

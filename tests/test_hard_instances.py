@@ -135,7 +135,6 @@ def test_random_generators_are_reproducible_and_sized():
     assert c.probs.shape == (4, 3)
     assert c.arrivals.q_tv.shape == (5, 3)
     assert validate(c).ok
-    assert hard.gen_random("star", 1, n=3).n == 3
 
 
 def test_random_survival_curves_always_valid():
