@@ -20,6 +20,12 @@ patience, weight-skips consume none.  A survival-curve patience is realized
 once per arrival (hidden from the matcher); hazard patience flips a balk
 coin after each failed probe.
 
+Every matcher walks a batch of trials in lockstep (``run_lockstep``), each
+trial reading one row of a block of uniforms; ``simulate`` runs trials only
+this way.  Calling a matcher walks one trial on a ``RandomTape``: that
+scalar walk serves traces (``trace=True``) and is the tests' reference for
+the lockstep walks, which read every trial's stream exactly as it does.
+
 Each matcher's ``exact_value`` is one call to ``exact_expansion``, a
 memoised expansion over (arrival step, bitmask of free offline vertices):
 the matcher supplies, per state, the probability and expected reward of
@@ -190,7 +196,7 @@ def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
         r = patience.rate
         if r >= 1.0:
             return 1
-        if r <= 0.0:
+        if 1.0 - r >= 1.0:  # no rate, or one too small to change 1 - r
             return BIG_PATIENCE
         u = tape.u()
         return 1 + int(np.log(max(u, 1e-300)) / np.log(1.0 - r))
@@ -203,30 +209,23 @@ def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
 
 class _Tables:
     """Views of one instance, built once per matcher run series: plain lists
-    for the per-probe scalar loop (numpy scalar indexing is too slow there)
-    and per-type arrays for the lockstep walk."""
+    for the exact expansions (numpy scalar indexing is slow there) and
+    per-type arrays for the walks."""
 
-    __slots__ = ("m", "patience", "prob_cols", "weight_cols", "rate_cols", "neighbors",
-                 "neighbor_arrays", "probs", "weights", "theta", "survival", "curves", "hazard",
-                 "rates")
+    __slots__ = ("m", "patience", "weight_cols", "neighbors", "neighbor_arrays", "probs",
+                 "weights", "theta", "survival", "curves", "hazard", "rates")
 
     def __init__(self, instance: MatchingInstance):
         self.m = instance.m
         self.patience = instance.patience
-        cols = np.asarray(instance.probs).T.tolist()
-        self.prob_cols = cols
         wmat = instance.weights_matrix()
         self.weight_cols = wmat.T.tolist()
-        self.rate_cols = [
-            pat.hazard_rates(instance.m).tolist() if pat.is_hazard else None
-            for pat in instance.patience]
-        self.neighbors = [[u for u in range(instance.m) if cols[v][u] > 0.0]
-                          for v in range(instance.n_types)]
-        # lockstep arrays, one row per type: a deterministic budget (survival
-        # budgets are drawn, hazard walks have none), survival curves padded
-        # with -1 so that a draw always stops inside the row, and hazard rates
+        self.neighbor_arrays = [np.flatnonzero(col > 0.0) for col in instance.probs.T]
+        self.neighbors = [nb.tolist() for nb in self.neighbor_arrays]
+        # one row per type: a deterministic budget (survival budgets are
+        # drawn, hazard walks have none), survival curves padded with -1 so
+        # that a draw always stops inside the row, and hazard rates
         pats = instance.patience
-        self.neighbor_arrays = [np.array(nb, dtype=np.intp) for nb in self.neighbors]
         self.probs = instance.probs
         self.weights = wmat
         self.theta = np.array([p.theta if p.is_deterministic else BIG_PATIENCE
@@ -240,7 +239,7 @@ class _Tables:
             if p.is_survival:
                 self.curves[v, :len(p.q)] = p.q
             elif p.is_hazard:
-                self.rates[v] = self.rate_cols[v]
+                self.rates[v] = p.hazard_rates(instance.m)
 
     def probe_cap(self, v: int) -> int:
         """Most probes one arrival of type ``v`` can make."""
@@ -252,8 +251,8 @@ class _Tables:
         return self.m
 
     def walk_draws(self, v: int, probes: int) -> int:
-        """Most uniforms one walk of type ``v`` reads when it can make at
-        most ``probes`` probes: a survival budget, then a success draw and
+        """Most uniforms one policy walk of type ``v`` reads when it can make
+        at most ``probes`` probes: a survival budget, then a success draw and
         (hazard patience) a balk coin per probe."""
         pat = self.patience[v]
         return int(pat.is_survival) + probes * (2 if pat.is_hazard else 1)
@@ -266,7 +265,7 @@ class _Lockstep:
     on; ``free`` marks the offline vertices each trial has not matched, and
     ``weight`` sums each trial's matched weight in match order, as
     ``MatcherState.match`` does.  Reading past the end of a row raises
-    ``IndexError``: a block is never silently truncated.
+    ``StochmatchError``: a block is never silently truncated.
     """
 
     __slots__ = ("uniforms", "pos", "free", "weight", "every")
@@ -282,7 +281,11 @@ class _Lockstep:
     def draw(self, rows: np.ndarray) -> np.ndarray:
         pos = self.pos[rows]
         self.pos[rows] = pos + 1
-        return self.uniforms[rows, pos]
+        try:
+            return self.uniforms[rows, pos]
+        except IndexError as e:
+            raise StochmatchError(
+                f"a trial read more than its {self.uniforms.shape[1]} uniforms") from e
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-trial weights and per-vertex match counts."""
@@ -319,6 +322,40 @@ class _Lockstep:
             k += 1
             live = live[limit[live] > k]
 
+    def walk_randomized(self, tables: _Tables, rows, v, cum, items, group):
+        """One arrival of type ``v`` per trial in ``rows``, row ``i`` following
+        randomized plan ``group[i]`` as ``_walk_randomized`` does: ``items[g]``
+        are plan ``g``'s star items and ``cum[g, t]`` the cumulative pick
+        distribution of its attempt ``t``, padded with its last value, and
+        ``nan`` where the attempt picks nothing and draws nothing."""
+        pat = tables.patience[v]
+        budget = np.full(rows.size, tables.theta[v])
+        if pat.is_survival:
+            budget = np.argmin(tables.curves[v] > self.draw(rows)[:, None], axis=1)
+        elif pat.is_hazard:
+            if not pat.has_global_rate:
+                raise PatienceVariantError("per-item hazard patience is realized probe by probe")
+            if pat.rate >= 1.0:
+                budget[:] = 1
+            elif 1.0 - pat.rate < 1.0:
+                steps = np.log(np.maximum(self.draw(rows), 1e-300)) / np.log(1.0 - pat.rate)
+                budget = 1 + np.minimum(steps, BIG_PATIENCE).astype(np.int64)
+        probed = np.zeros((rows.size, items.shape[1]), dtype=bool)
+        for t in range(cum.shape[1]):
+            at = np.flatnonzero((budget > t) & ~np.isnan(cum[group, t, 0]))
+            u = self.draw(rows[at])
+            c = cum[group[at], t]
+            hit = u < c[:, -1]  # otherwise the attempt idles
+            at, j = at[hit], np.argmax(c[hit] > u[hit, None], axis=1)
+            r, item = rows[at], items[group[at], j]
+            success = self.draw(r) < tables.probs[item, v]
+            won = success & ~probed[at, j]
+            probed[at, j] = True
+            budget[at[success]] = 0
+            r, item = r[won], item[won]
+            self.free[r, item] = False
+            self.weight[r] += tables.weights[item, v]
+
 
 def _walk_policy(tables: _Tables, state, step, v, order, tape, skip_half_of=None):
     """Execute a deterministic probing order for one arrival of type ``v``.
@@ -331,8 +368,8 @@ def _walk_policy(tables: _Tables, state, step, v, order, tape, skip_half_of=None
     pat = tables.patience[v]
     hazard_coins = pat.is_hazard
     budget = None if hazard_coins else realized_patience(pat, tape)
-    rates = tables.rate_cols[v]
-    probs = tables.prob_cols[v]
+    rates = tables.rates[v]
+    probs = tables.probs[:, v]
     weights = tables.weight_cols[v]
     matched = state.matched
     probes = 0
@@ -368,25 +405,18 @@ def _walk_randomized(tables: _Tables, state, step, v, rsp: RandomizedStarPolicy,
     pat = tables.patience[v]
     budget = realized_patience(pat, tape)
     rows = rsp.attempt_probs
-    probs = tables.prob_cols[v]
+    probs = tables.probs[:, v]
     weights = tables.weight_cols[v]
     probed = set()
     for t in range(min(rows.shape[0], budget)):
         row = rows[t]
         if not row.any():
-            if not rows[t:].any():
-                break
             continue
         u_draw = tape.u()
-        cum = 0.0
-        j = -1
-        for jj in range(len(items)):
-            cum += row[jj]
-            if u_draw < cum:
-                j = jj
-                break
-        if j < 0:
+        cum = np.cumsum(row)
+        if u_draw >= cum[-1]:
             continue  # idle attempt
+        j = int(np.argmax(cum > u_draw))
         u = items[j]
         p = probs[u]
         if j in probed:
@@ -460,17 +490,50 @@ class _TableCache:
 
 class _GreedyMatcher(_TableCache):
     """What the matchers for a fixed adversarial arrival order share: each
-    arrival probes a star over its still-unmatched neighbors."""
+    arrival probes a star over its still-unmatched neighbors ``avail``,
+    following ``self._plan(instance, v, avail)``, which is
+    ``("policy", order)`` or ``("randomized", policy, items, cum)``."""
+
+    _randomized = False  # whether ``_plan`` may return a randomized plan
 
     def _adversarial_tables(self, instance) -> _Tables:
         if instance.arrivals.kind != ADVERSARIAL:
             raise CapabilityError("greedy matcher needs adversarial arrivals")
         return self._tables(instance)
 
+    def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
+        tables = self._adversarial_tables(instance)
+        tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
+        state = MatcherState(trace=[] if trace else None)
+        for step, v in enumerate(instance.arrivals.order):
+            matched = state.matched
+            avail = tuple(u for u in tables.neighbors[v] if u not in matched)
+            if not avail:
+                continue
+            plan = self._plan(instance, v, avail)
+            if plan[0] == "policy":
+                _walk_policy(tables, state, step, v, plan[1], tape)
+            else:
+                _walk_randomized(tables, state, step, v, plan[1], plan[2], tape)
+        return state
+
+    def draw_bound(self, instance: MatchingInstance) -> int:
+        """Most uniforms one trial can read.  A randomized plan reads a
+        budget, then a pick and a success draw per attempt."""
+        tables = self._adversarial_tables(instance)
+        caps = [(v, min(len(tables.neighbors[v]), tables.probe_cap(v)))
+                for v in instance.arrivals.order if tables.neighbors[v]]
+        return sum(1 + 2 * k if self._randomized else tables.walk_draws(v, k) for v, k in caps)
+
     def _match_probabilities(self, instance, v, avail) -> tuple[list[int], np.ndarray]:
         """The star items of an arrival of type ``v`` that finds the
         neighbors ``avail`` unmatched, and its probability of matching each."""
-        raise NotImplementedError
+        star, items = star_items = instance.star_for(v, avail)
+        plan = self._plan(instance, v, tuple(avail), star_items)
+        if plan[0] == "randomized":
+            return items, randomized_match_probabilities(star, plan[1])
+        local = Policy(tuple(map(items.index, plan[1])))
+        return items, policy_match_probabilities(star, local)
 
     def exact_value(self, instance: MatchingInstance) -> float:
         """Exact expected matched weight by expanding every probe outcome."""
@@ -498,6 +561,8 @@ class AdvGreedyMatcher(_GreedyMatcher):
     cache is an optimization only and never changes results.
     """
 
+    _randomized = True
+
     def __init__(self, solver: StarSolver | None = None):
         self.solver = solver
         self._plans: dict = {}
@@ -512,33 +577,55 @@ class AdvGreedyMatcher(_GreedyMatcher):
             if isinstance(result.policy, Policy):
                 plan = ("policy", tuple(items[i] for i in result.policy.order))
             else:
-                plan = ("randomized", result.policy, items)
+                probs = result.policy.attempt_probs
+                cum = np.cumsum(probs, axis=1)
+                cum[~probs.any(axis=1)] = np.nan
+                plan = ("randomized", result.policy, items, cum)
             self._plans[key] = plan
         return plan
 
-    def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
+    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
+        """All trials of a batch at once, trial ``i`` reading row ``i`` of
+        ``uniforms``; returns per-trial weights and per-vertex match counts,
+        exactly as the scalar walk over the same streams.  Each arrival
+        groups the trials by the neighbors they find unmatched and fetches
+        one plan per group."""
         tables = self._adversarial_tables(instance)
-        tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
-        state = MatcherState(trace=[] if trace else None)
-        for step, v in enumerate(instance.arrivals.order):
-            matched = state.matched
-            avail = tuple(u for u in tables.neighbors[v] if u not in matched)
-            if not avail:
+        state = _Lockstep(uniforms, instance.m)
+        for v in instance.arrivals.order:
+            neigh = tables.neighbors[v]
+            k = len(neigh)
+            if not k:
                 continue
-            plan = self._plan(instance, v, avail)
-            if plan[0] == "policy":
-                _walk_policy(tables, state, step, v, plan[1], tape)
-            else:
-                _walk_randomized(tables, state, step, v, plan[1], plan[2], tape)
-        return state
-
-    def _match_probabilities(self, instance, v, avail):
-        star, items = star_items = instance.star_for(v, avail)
-        plan = self._plan(instance, v, tuple(avail), star_items)
-        if plan[0] == "randomized":
-            return items, randomized_match_probabilities(star, plan[1])
-        local = Policy(tuple(items.index(u) for u in plan[1]))
-        return items, policy_match_probabilities(star, local)
+            packed = np.ascontiguousarray(np.packbits(state.free[:, neigh], axis=1))
+            sets, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                    return_inverse=True)
+            kind = np.zeros(len(sets), dtype=np.int8)  # 1 policy, 2 randomized, 0 no plan
+            items = np.zeros((len(sets), k), dtype=np.intp)
+            length = np.zeros(len(sets), dtype=np.intp)
+            cum = np.full((len(sets), k, k), np.nan)
+            masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1, count=k)
+            for g, mask in enumerate(masks.tolist()):
+                avail = tuple(itertools.compress(neigh, mask))
+                if not avail:
+                    continue
+                plan = self._plan(instance, v, avail)
+                if plan[0] == "policy":
+                    kind[g], length[g] = 1, len(plan[1])
+                    items[g, :length[g]] = plan[1]
+                else:
+                    n = len(plan[2])
+                    kind[g], items[g, :n] = 2, plan[2]
+                    cum[g, :n, :n], cum[g, :n, n:] = plan[3], plan[3][:, -1:]
+            kind = kind[group]
+            rows = np.flatnonzero(kind == 1)
+            if rows.size:
+                g = group[rows]
+                state.walk(tables, rows, np.full(rows.size, v), items[g], length[g])
+            rows = np.flatnonzero(kind == 2)
+            if rows.size:
+                state.walk_randomized(tables, rows, v, cum, items, group[rows])
+        return state.result()
 
 
 class SimpleGreedyMatcher(_GreedyMatcher):
@@ -554,38 +641,8 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             raise StochmatchError(f"unknown neighbor rule {rule!r}")
         self.rule = rule
 
-    def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
-        tables = self._adversarial_tables(instance)
-        tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
-        state = MatcherState(trace=[] if trace else None)
-        reverse = self.rule == "last"
-        patience = tables.patience
-        fast = state.trace is None
-        for step, v in enumerate(instance.arrivals.order):
-            neigh = tables.neighbors[v]
-            if reverse:
-                neigh = neigh[::-1]
-            pat = patience[v]
-            matched = state.matched
-            if fast and pat.is_deterministic and pat.theta == 1:
-                # hot path: a single probe at the first available neighbor
-                probs = tables.prob_cols[v]
-                for u in neigh:
-                    if u not in matched:
-                        if tape.u() < probs[u]:
-                            state.match(u, step, v, tables.weight_cols[v][u])
-                        break
-                continue
-            order = [u for u in neigh if u not in matched]
-            if order:
-                _walk_policy(tables, state, step, v, order, tape)
-        return state
-
-    def draw_bound(self, instance: MatchingInstance) -> int:
-        """Most uniforms one trial can read."""
-        tables = self._adversarial_tables(instance)
-        return sum(tables.walk_draws(v, min(len(tables.neighbors[v]), tables.probe_cap(v)))
-                   for v in instance.arrivals.order if tables.neighbors[v])
+    def _plan(self, instance, v, avail_key, star_items=None):
+        return ("policy", avail_key[::-1] if self.rule == "last" else avail_key)
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
@@ -618,10 +675,6 @@ class SimpleGreedyMatcher(_GreedyMatcher):
                 ranked = np.argsort(~avail[rows], axis=1, kind="stable")[:, :width]
                 state.walk(tables, rows, np.full(rows.size, v), neigh[ranked], length[rows])
         return state.result()
-
-    def _match_probabilities(self, instance, v, avail):
-        star, items = instance.star_for(v, avail[::-1] if self.rule == "last" else avail)
-        return items, policy_match_probabilities(star, Policy(tuple(range(len(items)))))
 
 
 # ---------------------------------------------------------------------------
@@ -854,8 +907,8 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance,
 # ---------------------------------------------------------------------------
 
 class _PolicyArrays:
-    """A ``PolicyLpMatcher``'s tables on one instance for the lockstep walk:
-    per step the arriving type's CDF, per type a padded alias table, and
+    """A ``PolicyLpMatcher``'s tables on one instance for its walks: per
+    step the arriving type's CDF, per type a padded alias table, and
     per sampleable policy (flat index ``base[v] + k``) its probing order
     with the entries the matcher skips removed."""
 
@@ -864,7 +917,9 @@ class _PolicyArrays:
         samplers = matcher._samplers
         kept = matcher._kept_orders(instance)
         n = instance.n_types
-        self.step_cum = np.array(matcher._step_cum(instance))
+        arr = instance.arrivals
+        self.step_cum = np.cumsum(np.array([arr.step_probs(t) for t in range(arr.n_steps)],
+                                           ndmin=2), axis=1)
         self.sampled = np.array([s is not None for s in samplers])
         width = max((s[2].n for s in samplers if s is not None), default=1)
         self.alias_n = np.ones(n, dtype=np.intp)
@@ -907,7 +962,6 @@ class PolicyLpMatcher(_TableCache):
     def __init__(self, lp_result: ProphetLpResult, skip: bool):
         self.lp_result = lp_result
         self.skip = skip
-        self._step_cum_pair = None
         self._arrays_pair = None
         # per type: policy orders, their masses and an alias table over them
         self._samplers: list[tuple[list[tuple[int, ...]], list[float], AliasSampler] | None] = []
@@ -939,23 +993,11 @@ class PolicyLpMatcher(_TableCache):
                  for order in sampler[0]] if sampler else []
                 for v, sampler in enumerate(self._samplers)]
 
-    def _step_cum(self, instance):
-        pair = self._step_cum_pair
-        if pair is not None and pair[0] is instance:
-            return pair[1]
-        arr = instance.arrivals
-        if arr.kind == IID:
-            cums = [np.cumsum(arr.step_probs(0)).tolist()] * arr.n_steps
-        else:
-            cums = [np.cumsum(arr.q_tv[t]).tolist() for t in range(arr.n_steps)]
-        self._step_cum_pair = (instance, cums)
-        return cums
-
     def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
         tables = self._policy_tables(instance)
         tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
         state = MatcherState(trace=[] if trace else None)
-        step_cum = self._step_cum(instance)
+        step_cum = self._lockstep_tables(instance).step_cum
         skip_of = self.lp_result.w_star if self.skip else None
         samplers = self._samplers
         for t in range(instance.arrivals.n_steps):
@@ -963,9 +1005,7 @@ class PolicyLpMatcher(_TableCache):
             u_draw = tape.u()
             if u_draw >= cum[-1]:
                 continue  # no arrival this step
-            v = 0
-            while cum[v] <= u_draw:
-                v += 1
+            v = int(np.argmax(cum > u_draw))
             sampler = samplers[v]
             if sampler is None:
                 continue

@@ -8,14 +8,12 @@ for a fixed trial array.
 
 One generator serves a whole run: its state is reset to counter 0 under
 key ``(seed, i)`` for trial ``i``, which gives the stream that
-``trial_generator(seed, i)`` would.  Matchers with a lockstep walk
-(``PolicyLpMatcher`` for IID and prophet arrivals, ``SimpleGreedyMatcher``)
-run a batch of trials at once: each trial's uniforms are one row of a
-block whose width bounds the draws of any trial, and the matcher walks
-every row on numpy state.
-Streams and reports are the same as the scalar walk's.  ``AdvGreedyMatcher``
-and other matcher callables walk one trial at a time on a ``RandomTape``,
-as do traced calls (``trace=True``), which never go through ``simulate``.
+``trial_generator(seed, i)`` would.  Every matcher runs a batch of trials
+at once (``run_lockstep``): each trial's uniforms are one row of a block
+whose width, the matcher's ``draw_bound``, bounds the draws of any trial,
+and the matcher walks every row on numpy state.  Streams and reports are
+the same as the scalar walk's, which walks one trial on a ``RandomTape``
+and serves traces (``trace=True``) and the tests.
 """
 
 from __future__ import annotations
@@ -36,16 +34,11 @@ from .instances import (
     StarInstance,
     StochmatchError,
 )
-from .matching import RandomTape
 from .stars import RandomizedStarPolicy, eval_policy_exact, eval_randomized_exact
 
 LOW_TRIAL_WARNING = 1000
 CHUNK_TRIALS = 4096        # trials per chunk: the unit of parallel work
 BLOCK_FLOATS = 1 << 22     # most uniforms held at once by a lockstep batch
-# Batches of fewer trials walk one trial at a time: a lockstep step pays
-# 10-20 microseconds of numpy calls, a scalar step about one per trial, and
-# the two broke even at 20-40 trials on the benchmark's instances.
-LOCKSTEP_MIN_TRIALS = 32
 THREADS_ENV = "STOCHMATCH_THREADS"
 _MASK64 = (1 << 64) - 1
 
@@ -79,7 +72,7 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 
 class _TrialStreams:
-    """``trial_generator(seed, i)`` for any ``i`` from one reused generator:
+    """The streams ``trial_generator(seed, i)`` from one reused generator:
     resetting a Philox state to counter 0 under key ``(seed, i)`` costs a
     fraction of building a new generator, and yields the same stream."""
 
@@ -90,54 +83,31 @@ class _TrialStreams:
         self.key = self.state["state"]["key"]
         self.key[0] = seed & _MASK64
 
-    def __call__(self, trial: int) -> np.random.Generator:
-        self.key[1] = trial & _MASK64
-        self.bitgen.state = self.state
-        return self.gen
-
     def fill(self, block: np.ndarray, start: int) -> np.ndarray:
         """Row ``j`` of ``block`` becomes the first draws of trial ``start + j``."""
         for j, row in enumerate(block):
-            self(start + j).random(out=row)
+            self.key[1] = (start + j) & _MASK64
+            self.bitgen.state = self.state
+            self.gen.random(out=row)
         return block
 
 
-def block_width(instance, matcher) -> int | None:
-    """Uniforms per trial in a lockstep block: the matcher's bound on the
-    draws of one trial (at least 1), or ``None`` when the matcher has no
-    lockstep walk.  A row of any width is a prefix of the trial's stream:
-    the first ``k`` doubles of a Philox stream do not depend on how many are
-    drawn, so no row needs rounding up to whole ``RandomTape`` refills."""
-    if not hasattr(matcher, "run_lockstep"):
-        return None
-    return max(1, matcher.draw_bound(instance))
-
-
 def _run_range(instance, matcher, seed, start, stop, m):
-    """Per-trial weights and per-vertex match counts of trials [start, stop)."""
+    """Per-trial weights and per-vertex match counts of trials [start, stop).
+
+    A block row holds the matcher's bound on the draws of one trial (at
+    least 1).  A row of any width is a prefix of the trial's stream: the
+    first ``k`` doubles of a Philox stream do not depend on how many are
+    drawn, so no row needs rounding up to whole ``RandomTape`` refills."""
     streams = _TrialStreams(seed)
-    width = block_width(instance, matcher)
-    rows = CHUNK_TRIALS if width is None else max(1, min(CHUNK_TRIALS, BLOCK_FLOATS // width))
+    width = max(1, matcher.draw_bound(instance))
+    rows = max(1, min(CHUNK_TRIALS, BLOCK_FLOATS // width))
     weights = np.empty(stop - start)
     counts = np.zeros(m)
     for a in range(start, stop, rows):
         b = min(a + rows, stop)
-        if width is None or b - a < LOCKSTEP_MIN_TRIALS:
-            for i in range(a, b):
-                try:
-                    state = matcher(instance, RandomTape(streams(i)))
-                except Exception as e:
-                    raise StochmatchError(f"matcher failed at trial {i}: {e}") from e
-                weights[i - start] = state.total_weight
-                for u in state.matched:
-                    counts[u] += 1.0
-            continue
         block = streams.fill(np.empty((b - a, width)), a)
-        try:
-            weights[a - start:b - start], batch_counts = matcher.run_lockstep(instance, block)
-        except IndexError as e:
-            raise StochmatchError(
-                f"a trial in [{a}, {b}) read more than its {width} uniforms") from e
+        weights[a - start:b - start], batch_counts = matcher.run_lockstep(instance, block)
         counts += batch_counts
     return weights, counts
 
@@ -179,7 +149,7 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
     A value of ``None`` reads the ``STOCHMATCH_THREADS`` variable,
     defaulting to 1 (see ``thread_count``).
     """
-    m = instance.m if isinstance(instance, MatchingInstance) else getattr(instance, "n", 0)
+    m = instance.m
     trials = config.trials
     chunks = [(a, min(a + CHUNK_TRIALS, trials)) for a in range(0, trials, CHUNK_TRIALS)]
     threads = thread_count(threads, chunks=len(chunks))
@@ -239,9 +209,12 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
     The offline algorithm sees the whole graph and may interleave probes
     across online vertices in any order (so the arrival order is
     irrelevant); it still obeys probe-commit, per-vertex patience, and
-    never re-probes an edge.  State: available offline set, and per online
-    vertex its remaining patience and the set of edges already probed.
-    Deterministic patience and tiny instances only.
+    never re-probes an edge.  State: per online vertex its remaining
+    patience and its open set, the positive-probability neighbors still
+    available and not yet probed.  Nothing else changes the value, so a
+    vertex with no patience or no open neighbor is ``(0, 0)``, and
+    patience is capped at the open set's size.  Deterministic patience
+    and tiny instances only.
     """
     if instance.arrivals.kind != ADVERSARIAL:
         raise CapabilityError("the offline oracle is defined for adversarial instances")
@@ -249,44 +222,39 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
         raise CapabilityError("the offline oracle needs deterministic patience")
     m, n = instance.m, instance.n_types
     probs = instance.probs
-    thetas = [min(p.theta, m) for p in instance.patience]
     memo: dict = {}
 
-    def go(avail: int, states: tuple) -> float:
-        key = (avail, states)
-        got = memo.get(key)
+    def canon(rem: int, open_: int) -> tuple[int, int]:
+        return (min(rem, open_.bit_count()), open_) if rem > 0 and open_ else (0, 0)
+
+    def go(states: tuple) -> float:
+        got = memo.get(states)
         if got is not None:
             return got
         if len(memo) > OFFLINE_OPT_STATE_CAP:
             raise CapacityError("offline oracle state space exceeded its cap")
         best = 0.0
-        for v, (rem, probed) in enumerate(states):
-            if rem <= 0:
-                continue
+        for v, (rem, open_) in enumerate(states):
             for u in range(m):
-                if not (avail >> u & 1) or (probed >> u & 1):
+                if not open_ >> u & 1:
                     continue
                 p = float(probs[u, v])
-                if p <= 0.0:
-                    continue
-                new_avail = avail & ~(1 << u)
-                succ = tuple(
-                    (0 if vv == v else r2, p2 & new_avail)
-                    for vv, (r2, p2) in enumerate(states))
-                fail = tuple(
-                    (rem - 1 if vv == v else r2,
-                     (probed | (1 << u)) if vv == v else p2)
-                    for vv, (r2, p2) in enumerate(states))
-                val = (p * (instance.weight(u, v) + go(new_avail, succ))
-                       + (1.0 - p) * go(avail, fail))
+                keep = ~(1 << u)
+                succ = tuple((0, 0) if vv == v else canon(r2, o2 & keep)
+                             for vv, (r2, o2) in enumerate(states))
+                fail = tuple(canon(rem - 1, open_ & keep) if vv == v else s2
+                             for vv, s2 in enumerate(states))
+                val = (p * (instance.weight(u, v) + go(succ))
+                       + (1.0 - p) * go(fail))
                 if val > best:
                     best = val
-        memo[key] = best
+        memo[states] = best
         return best
 
-    start = tuple((thetas[v], 0) for v in range(n))
+    start = tuple(canon(instance.patience[v].theta,
+                        sum(1 << u for u in range(m) if probs[u, v] > 0.0)) for v in range(n))
     try:
-        return go((1 << m) - 1, start)
+        return go(start)
     finally:
         del go  # break the closure's cycle through itself and its memo
 

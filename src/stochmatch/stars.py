@@ -149,7 +149,7 @@ def solve_deterministic_patience(star: StarInstance) -> StarResult:
     items.sort(key=lambda i: (-star.weights[i], i))
     n = len(items)
     cap = min(theta, n)
-    if cap == 0 or n == 0:
+    if cap <= 0:
         return StarResult(EMPTY_POLICY, 0.0, 0.0)
     # D[i][t]: best value from sorted position i on with t probes left
     D = [[0.0] * (cap + 1) for _ in range(n + 1)]

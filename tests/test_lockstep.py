@@ -1,9 +1,9 @@
-"""The lockstep batch walk against the scalar walk it replaces.
+"""The lockstep batch walk against the scalar walk.
 
-``simulate`` runs ``PolicyLpMatcher`` and ``SimpleGreedyMatcher`` trials in
-lockstep over one block of uniforms per batch; the reference here is the
-scalar loop ``matcher(instance, RandomTape(trial_generator(seed, i)))``.
-Reports must be equal, not approximately equal.
+``simulate`` runs every matcher's trials in lockstep over one block of
+uniforms per batch; the reference here is the scalar loop
+``matcher(instance, RandomTape(trial_generator(seed, i)))``.  Reports must
+be equal, not approximately equal.
 """
 
 import importlib
@@ -19,18 +19,21 @@ from stochmatch.instances import (
     CapabilityError,
     MatchingInstance,
     PatienceModel,
+    PatienceVariantError,
     Policy,
     PolicyMixture,
     StochmatchError,
 )
 from stochmatch.matching import (
     TAPE_BLOCK,
+    AdvGreedyMatcher,
     PolicyLpMatcher,
     ProphetLpResult,
     RandomTape,
     SimpleGreedyMatcher,
 )
 from stochmatch.simulate import SimConfig, simulate, trial_generator
+from stochmatch.stars import StarSolver, solver_by_name
 
 sim = importlib.import_module("stochmatch.simulate")  # the package exports a same-named function
 PATIENCE = ("deterministic", "survival", "global-hazard", "item-hazard")
@@ -109,7 +112,7 @@ def _assert_same(instance, matcher, config):
 
 kinds = st.lists(st.sampled_from(PATIENCE), min_size=1, max_size=4)
 seeds = st.integers(0, 2 ** 32 - 1)
-trials = st.integers(sim.LOCKSTEP_MIN_TRIALS, 160)
+trials = st.integers(1, 160)
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,6 +130,44 @@ def test_simple_greedy_batch_equals_scalar_walk(seed, kinds, rule, sim_seed, n):
     _assert_same(instance, SimpleGreedyMatcher(rule), SimConfig(sim_seed, n))
 
 
+@settings(max_examples=80, deadline=None)
+@given(seeds, kinds, st.sampled_from((None, "lp")), seeds, trials)
+def test_adv_greedy_batch_equals_scalar_walk(seed, kinds, solver, sim_seed, n):
+    # the default solvers give policy plans for deterministic and hazard
+    # patience and randomized plans for survival patience; ``lp`` gives
+    # randomized plans for every patience kind but per-item hazard, which
+    # it rejects in both walks
+    instance, _ = _instance(seed, kinds, "adversarial")
+    config = SimConfig(sim_seed, n)
+    make = lambda: AdvGreedyMatcher(solver and solver_by_name(solver))  # noqa: E731
+    try:
+        mean, stddev, freq = _scalar_report(instance, make(), config)
+    except PatienceVariantError:
+        with pytest.raises(PatienceVariantError):
+            simulate(instance, make(), config, threads=1)
+        return
+    report = simulate(instance, make(), config, threads=1)
+    assert report.mean == mean
+    assert report.stddev == stddev
+    assert np.array_equal(report.match_freq, freq)
+
+
+@pytest.mark.parametrize("solver", ["dp", "lp"])
+def test_adv_greedy_batch_on_a_larger_instance(solver):
+    # many availability sets per arrival, so many groups per lockstep step
+    inst = hard.gen_random_matching(31, 6, 20, "adversarial", max_theta=3)
+    _assert_same(inst, AdvGreedyMatcher(solver_by_name(solver)), SimConfig(2, 300))
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-17, 0.3, 1.0])
+def test_adv_greedy_randomized_plans_under_a_global_hazard_rate(rate):
+    # a rate too small to change 1 - rate is no rate (log(1 - rate) is 0)
+    inst = hard.gen_random_matching(5, 4, 6, "adversarial")
+    inst = MatchingInstance.make(inst.probs, PatienceModel.constant_hazard(rate=rate),
+                                 inst.arrivals, edge_weights=inst.edge_weights)
+    _assert_same(inst, AdvGreedyMatcher(solver_by_name("lp")), SimConfig(3, 200))
+
+
 @pytest.mark.parametrize("rule", ["first", "last"])
 def test_simple_greedy_batch_with_patience_above_one(rule):
     # later arrivals find earlier ones' matches and probe past them
@@ -139,7 +180,7 @@ def test_hard_family_crosses_a_tape_refill():
     # 500 arrivals read up to 500 uniforms: past two RandomTape refills
     inst = hard.gen_simple_greedy_hard(4, 100, v0_cap=400)
     matcher = SimpleGreedyMatcher("first")
-    assert sim.block_width(inst, matcher) == matcher.draw_bound(inst) > 2 * TAPE_BLOCK
+    assert matcher.draw_bound(inst) > 2 * TAPE_BLOCK
     _assert_same(inst, matcher, SimConfig(3, 60))
 
 
@@ -148,9 +189,9 @@ def test_small_batches_give_the_same_report(monkeypatch):
     matcher = SimpleGreedyMatcher("last")
     config = SimConfig(8, 1010)
     whole = simulate(inst, matcher, config, threads=1)
-    width = sim.block_width(inst, matcher)
-    assert width == matcher.draw_bound(inst) < TAPE_BLOCK
-    # batches of 40 trials, the last 10 of them walked one at a time
+    width = max(1, matcher.draw_bound(inst))
+    assert width < TAPE_BLOCK
+    # batches of 40 trials and a last batch of 10
     monkeypatch.setattr(sim, "BLOCK_FLOATS", 40 * width)
     split = simulate(inst, matcher, config, threads=1)
     assert whole.mean == split.mean and whole.stddev == split.stddev
@@ -178,6 +219,17 @@ def test_understated_draw_bound_raises():
     inst = hard.gen_simple_greedy_hard(4, 100, v0_cap=400)
     with pytest.raises(StochmatchError, match="uniforms"):
         simulate(inst, Understated("first"), SimConfig(0, 50), threads=1)
+
+
+def test_star_solver_errors_reach_the_caller_as_themselves():
+    # only a read past the end of a block row is reported as an overrun
+    class Broken(StarSolver):
+        def solve(self, star):
+            raise IndexError("solver bug")
+
+    inst = hard.gen_random_matching(2, 3, 4, "adversarial")
+    with pytest.raises(IndexError, match="solver bug"):
+        simulate(inst, AdvGreedyMatcher(Broken("dp", 1.0)), SimConfig(0, 20), threads=1)
 
 
 def test_wrong_arrival_model_is_a_capability_error():

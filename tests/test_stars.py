@@ -124,8 +124,9 @@ def test_dp_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
     for _ in range(60):
         n = int(rng.integers(1, 7))
+        # theta = -1 included: both solvers return the empty policy
         star = StarInstance.make(rng.random(n) * 3, rng.random(n),
-                                 PatienceModel.deterministic(int(rng.integers(0, n + 1))))
+                                 PatienceModel.deterministic(int(rng.integers(-1, n + 1))))
         assert solve_deterministic_patience(star).expected_value == pytest.approx(
             brute_force_optimal(star).expected_value, abs=1e-10)
 
