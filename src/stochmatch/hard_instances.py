@@ -308,12 +308,14 @@ def tight_example_policy_value(eps: float) -> float:
 # Random instances for property tests
 # ---------------------------------------------------------------------------
 
-def random_survival_curve(rng, n: int, zero_tail: bool = True) -> tuple[float, ...]:
+def random_survival_curve(rng, n: int) -> tuple[float, ...]:
+    """A random survival curve over ``n`` attempts, starting at 1; one in
+    four curves drops to zero after a random attempt."""
     if n <= 0:
         return ()
     vals = np.sort(rng.random(n - 1))[::-1] if n > 1 else np.zeros(0)
     q = np.concatenate([[1.0], vals])
-    if zero_tail and n > 1 and rng.random() < 0.25:
+    if n > 1 and rng.random() < 0.25:
         q[int(rng.integers(1, n)):] = 0.0
     return tuple(float(v) for v in q)
 
@@ -340,13 +342,10 @@ def gen_random_star(seed: int, n: int, patience_kind: str = "survival") -> StarI
 
 def gen_random_matching(seed: int, m: int, n_types: int, arrival_kind: str,
                         max_theta: int = 3, horizon: int | None = None,
-                        edge_weighted: bool = True,
-                        density: float = 1.0) -> MatchingInstance:
+                        edge_weighted: bool = True) -> MatchingInstance:
     """Reproducible random matching instance with deterministic patience."""
     rng = np.random.default_rng(seed)
     probs = rng.random((m, n_types))
-    if density < 1.0:
-        probs = probs * (rng.random((m, n_types)) < density)
     patience = tuple(PatienceModel.deterministic(int(rng.integers(1, max_theta + 1)))
                      for _ in range(n_types))
     if arrival_kind == "adversarial":

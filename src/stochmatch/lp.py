@@ -49,6 +49,8 @@ CERT_TOL = 1e-9       # largest certified primal residual
 DUAL_TOL = 1e-7       # largest certified wrong-signed dual, relative to 1 + max|c|
 REFACTOR_EVERY = 100
 MAX_DENSE_ENTRIES = 30_000_000  # desk scale; protects the dense representation
+ITERATIONS_BASE = 5000    # simplex pivots allowed per phase: the base,
+ITERATIONS_PER_DIM = 60   # plus this many per standard-form row and column
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -339,7 +341,7 @@ def _drive_out_artificials(st: _Basis, art0: int) -> None:
         st.pivot(j, d, r, 0.0)
 
 
-def solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
+def solve(problem: LpProblem) -> LpSolution:
     """Solve to optimality; returns primal values, row duals, and objective.
 
     An ``optimal`` answer is certified (see the module docstring).  Raises
@@ -353,8 +355,7 @@ def solve(problem: LpProblem, max_iter: int | None = None) -> LpSolution:
         raise CapacityError("problem too large for the dense exact solver")
     std = _Standardized(problem)
     m, N = std.A.shape
-    if max_iter is None:
-        max_iter = 5000 + 60 * (m + N)
+    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (m + N)
     if m == 0:
         # only bounds; maximize each variable independently
         x = np.where(problem.c > 0, problem.ub, problem.lb)

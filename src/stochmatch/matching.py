@@ -26,6 +26,11 @@ this way.  Calling a matcher walks one trial on a ``RandomTape``: that
 scalar walk serves traces (``trace=True``) and is the tests' reference for
 the lockstep walks, which read every trial's stream exactly as it does.
 
+A matcher derives what it needs from an instance into one table, kept
+until it runs on another instance: AdvGreedy's star plans, the policy-LP
+matcher's arrival CDFs, alias tables and per-policy skips.  Both walks,
+the draw bound and the exact value read that table.
+
 Each matcher's ``exact_value`` is one call to ``exact_expansion``, a
 memoised expansion over (arrival step, bitmask of free offline vertices):
 the matcher supplies, per state, the probability and expected reward of
@@ -76,6 +81,7 @@ from .stars import (
 
 PRICING_TOL = 1e-7
 COLUMN_CAP = 10_000
+MAX_ENUMERATED_POLICIES = 100_000
 BIG_PATIENCE = 10 ** 9
 TAPE_BLOCK = 192  # uniforms per RandomTape refill
 
@@ -129,9 +135,9 @@ class RandomTape:
 
     __slots__ = ("gen", "buf", "pos")
 
-    def __init__(self, gen, block: int = TAPE_BLOCK):
+    def __init__(self, gen):
         self.gen = gen
-        self.buf = gen.random(block)
+        self.buf = gen.random(TAPE_BLOCK)
         self.pos = 0
 
     def u(self) -> float:
@@ -143,35 +149,26 @@ class RandomTape:
         return buf[pos]
 
 
-class AliasSampler:
-    """Vose alias table for O(1) draws from a fixed discrete distribution."""
-
-    __slots__ = ("n", "prob", "alias")
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        total = w.sum()
-        if total <= 0:
-            raise StochmatchError("alias sampler needs positive total mass")
-        n = len(w)
-        scaled = w * (n / total)
-        prob = np.zeros(n)
-        alias = np.zeros(n, dtype=int)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s, l = small.pop(), large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            (small if scaled[l] < 1.0 else large).append(l)
-        for i in large + small:
-            prob[i] = 1.0
-        self.n, self.prob, self.alias = n, prob, alias
-
-    def sample(self, tape: RandomTape) -> int:
-        i = min(int(tape.u() * self.n), self.n - 1)
-        return i if tape.u() < self.prob[i] else int(self.alias[i])
+def _alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table over the positive masses ``weights``: a draw
+    takes a uniform index ``i`` and keeps it with probability ``prob[i]``,
+    else takes ``alias[i]``."""
+    w = np.asarray(weights, dtype=float)
+    n = len(w)
+    scaled = w * (n / w.sum())
+    prob = np.zeros(n)
+    alias = np.zeros(n, dtype=int)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        prob[s] = scaled[s]
+        alias[s] = l
+        scaled[l] -= 1.0 - scaled[s]
+        (small if scaled[l] < 1.0 else large).append(l)
+    for i in large + small:
+        prob[i] = 1.0
+    return prob, alias
 
 
 def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
@@ -208,9 +205,10 @@ def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
 # ---------------------------------------------------------------------------
 
 class _Tables:
-    """Views of one instance, built once per matcher run series: plain lists
-    for the exact expansions (numpy scalar indexing is slow there) and
-    per-type arrays for the walks."""
+    """What a matcher derives from one instance, built when it first runs
+    on the instance (see ``_TableCache``): plain lists for the exact
+    expansions (numpy scalar indexing is slow there) and per-type arrays
+    for the walks.  A matcher that derives more extends it."""
 
     __slots__ = ("m", "patience", "weight_cols", "neighbors", "neighbor_arrays", "probs",
                  "weights", "theta", "survival", "curves", "hazard", "rates")
@@ -256,6 +254,21 @@ class _Tables:
         (hazard patience) a balk coin per probe."""
         pat = self.patience[v]
         return int(pat.is_survival) + probes * (2 if pat.is_hazard else 1)
+
+
+class _TableCache:
+    """A matcher's table on the instance it last ran on, kept as one
+    ``(instance, table)`` pair and rebuilt (``_new_tables``) when another
+    instance comes: nothing derived from one instance serves another."""
+
+    _table_pair: tuple | None = None
+
+    def _tables(self, instance) -> _Tables:
+        pair = self._table_pair
+        if pair is None or pair[0] is not instance:
+            pair = (instance, self._new_tables(instance))
+            self._table_pair = pair
+        return pair[1]
 
 
 class _Lockstep:
@@ -357,10 +370,10 @@ class _Lockstep:
             self.weight[r] += tables.weights[item, v]
 
 
-def _walk_policy(tables: _Tables, state, step, v, order, tape, skip_half_of=None):
+def _walk_policy(tables: _Tables, state, step, v, order, tape, skipped=None):
     """Execute a deterministic probing order for one arrival of type ``v``.
 
-    Entries below the skip threshold are passed over without spending
+    Entries marked in ``skipped`` are passed over without spending
     patience.  Probing a matched vertex is simulated; simulated success
     abandons the arrival.  Hazard patience flips a balk coin after each
     failed probe; the other models realize the patience once up front.
@@ -373,8 +386,8 @@ def _walk_policy(tables: _Tables, state, step, v, order, tape, skip_half_of=None
     weights = tables.weight_cols[v]
     matched = state.matched
     probes = 0
-    for u in order:
-        if skip_half_of is not None and weights[u] < 0.5 * skip_half_of[u]:
+    for u, skip in zip(order, skipped or itertools.repeat(False)):
+        if skip:
             state.record(step, v, probes, u, "skip", "skip")
             continue
         if budget is not None:
@@ -477,32 +490,29 @@ def exact_expansion(n_steps: int, m: int, outcomes, max_offline: int) -> float:
 # Greedy matchers for adversarial arrivals
 # ---------------------------------------------------------------------------
 
-class _TableCache:
-    _table_pair: tuple | None = None
+class _GreedyTables(_Tables):
+    """A greedy matcher's table: also its plans by (type, available
+    neighbors), solved as arrivals first need them, and per type whether
+    a plan may be randomized."""
 
-    def _tables(self, instance) -> _Tables:
-        pair = self._table_pair
-        if pair is None or pair[0] is not instance:
-            pair = (instance, _Tables(instance))
-            self._table_pair = pair
-        return pair[1]
+    __slots__ = ("plans", "randomized")
+
+    def __init__(self, instance: MatchingInstance, randomized: list[bool]):
+        if instance.arrivals.kind != ADVERSARIAL:
+            raise CapabilityError("greedy matcher needs adversarial arrivals")
+        super().__init__(instance)
+        self.plans: dict = {}
+        self.randomized = randomized
 
 
 class _GreedyMatcher(_TableCache):
     """What the matchers for a fixed adversarial arrival order share: each
     arrival probes a star over its still-unmatched neighbors ``avail``,
-    following ``self._plan(instance, v, avail)``, which is
+    following ``self._plan(instance, tables, v, avail)``, which is
     ``("policy", order)`` or ``("randomized", policy, items, cum)``."""
 
-    _randomized = False  # whether ``_plan`` may return a randomized plan
-
-    def _adversarial_tables(self, instance) -> _Tables:
-        if instance.arrivals.kind != ADVERSARIAL:
-            raise CapabilityError("greedy matcher needs adversarial arrivals")
-        return self._tables(instance)
-
     def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
-        tables = self._adversarial_tables(instance)
+        tables = self._tables(instance)
         tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
         state = MatcherState(trace=[] if trace else None)
         for step, v in enumerate(instance.arrivals.order):
@@ -510,7 +520,7 @@ class _GreedyMatcher(_TableCache):
             avail = tuple(u for u in tables.neighbors[v] if u not in matched)
             if not avail:
                 continue
-            plan = self._plan(instance, v, avail)
+            plan = self._plan(instance, tables, v, avail)
             if plan[0] == "policy":
                 _walk_policy(tables, state, step, v, plan[1], tape)
             else:
@@ -518,26 +528,18 @@ class _GreedyMatcher(_TableCache):
         return state
 
     def draw_bound(self, instance: MatchingInstance) -> int:
-        """Most uniforms one trial can read.  A randomized plan reads a
-        budget, then a pick and a success draw per attempt."""
-        tables = self._adversarial_tables(instance)
+        """Most uniforms one trial can read.  A type whose solver may return
+        a randomized plan is allowed its reads: a budget, then a pick and a
+        success draw per attempt; any other type a policy walk's."""
+        tables = self._tables(instance)
         caps = [(v, min(len(tables.neighbors[v]), tables.probe_cap(v)))
                 for v in instance.arrivals.order if tables.neighbors[v]]
-        return sum(1 + 2 * k if self._randomized else tables.walk_draws(v, k) for v, k in caps)
-
-    def _match_probabilities(self, instance, v, avail) -> tuple[list[int], np.ndarray]:
-        """The star items of an arrival of type ``v`` that finds the
-        neighbors ``avail`` unmatched, and its probability of matching each."""
-        star, items = star_items = instance.star_for(v, avail)
-        plan = self._plan(instance, v, tuple(avail), star_items)
-        if plan[0] == "randomized":
-            return items, randomized_match_probabilities(star, plan[1])
-        local = Policy(tuple(map(items.index, plan[1])))
-        return items, policy_match_probabilities(star, local)
+        return sum(1 + 2 * k if tables.randomized[v] else tables.walk_draws(v, k)
+                   for v, k in caps)
 
     def exact_value(self, instance: MatchingInstance) -> float:
         """Exact expected matched weight by expanding every probe outcome."""
-        tables = self._adversarial_tables(instance)
+        tables = self._tables(instance)
         order = instance.arrivals.order
 
         def outcomes(step, free):
@@ -545,7 +547,12 @@ class _GreedyMatcher(_TableCache):
             avail = [u for u in tables.neighbors[v] if free >> u & 1]
             if not avail:
                 return ()
-            items, match_p = self._match_probabilities(instance, v, avail)
+            star, items = star_items = instance.star_for(v, avail)
+            plan = self._plan(instance, tables, v, tuple(avail), star_items)
+            if plan[0] == "randomized":
+                match_p = randomized_match_probabilities(star, plan[1])
+            else:
+                match_p = policy_match_probabilities(star, Policy(tuple(map(items.index, plan[1]))))
             w = tables.weight_cols[v]
             return [(u, p, p * w[u]) for u, p in zip(items, match_p.tolist()) if p > 0.0]
 
@@ -557,19 +564,23 @@ class AdvGreedyMatcher(_GreedyMatcher):
 
     Per arrival, builds the star over the currently unmatched neighbors,
     asks the black box for a plan, and probes accordingly (committing on
-    the first success).  Plans are cached by (type, available set); the
-    cache is an optimization only and never changes results.
+    the first success).  Plans are cached by (type, available set) in the
+    matcher's table on the instance, which another instance replaces; the
+    cache is an optimization only and never changes results, on one
+    instance or across several.
     """
-
-    _randomized = True
 
     def __init__(self, solver: StarSolver | None = None):
         self.solver = solver
-        self._plans: dict = {}
 
-    def _plan(self, instance, v, avail_key, star_items=None):
+    def _new_tables(self, instance) -> _GreedyTables:
+        # of the star solvers only the LP policy returns randomized plans
+        return _GreedyTables(instance, [(self.solver or auto_solver(p)).name == "lp"
+                                        for p in instance.patience])
+
+    def _plan(self, instance, tables, v, avail_key, star_items=None):
         key = (v, avail_key)
-        plan = self._plans.get(key)
+        plan = tables.plans.get(key)
         if plan is None:
             star, items = star_items or instance.star_for(v, avail_key)
             solver = self.solver or auto_solver(star)
@@ -581,7 +592,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
                 cum = np.cumsum(probs, axis=1)
                 cum[~probs.any(axis=1)] = np.nan
                 plan = ("randomized", result.policy, items, cum)
-            self._plans[key] = plan
+            tables.plans[key] = plan
         return plan
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
@@ -590,7 +601,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
         exactly as the scalar walk over the same streams.  Each arrival
         groups the trials by the neighbors they find unmatched and fetches
         one plan per group."""
-        tables = self._adversarial_tables(instance)
+        tables = self._tables(instance)
         state = _Lockstep(uniforms, instance.m)
         for v in instance.arrivals.order:
             neigh = tables.neighbors[v]
@@ -609,7 +620,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
                 avail = tuple(itertools.compress(neigh, mask))
                 if not avail:
                     continue
-                plan = self._plan(instance, v, avail)
+                plan = self._plan(instance, tables, v, avail)
                 if plan[0] == "policy":
                     kind[g], length[g] = 1, len(plan[1])
                     items[g, :length[g]] = plan[1]
@@ -641,14 +652,17 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             raise StochmatchError(f"unknown neighbor rule {rule!r}")
         self.rule = rule
 
-    def _plan(self, instance, v, avail_key, star_items=None):
+    def _new_tables(self, instance) -> _GreedyTables:
+        return _GreedyTables(instance, [False] * instance.n_types)
+
+    def _plan(self, instance, tables, v, avail_key, star_items=None):
         return ("policy", avail_key[::-1] if self.rule == "last" else avail_key)
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts,
         exactly as the scalar walk over the same streams."""
-        tables = self._adversarial_tables(instance)
+        tables = self._tables(instance)
         state = _Lockstep(uniforms, instance.m)
         every = state.every
         for v in instance.arrivals.order:
@@ -823,22 +837,20 @@ def _solve_master(problem: lp.LpProblem) -> lp.LpSolution:
 
 
 def solve_prophet_lp(instance: MatchingInstance,
-                     solvers: dict[int, StarSolver] | StarSolver | None = None,
-                     pricing_tol: float = PRICING_TOL,
-                     column_cap: int = COLUMN_CAP) -> ProphetLpResult:
+                     solvers: dict[int, StarSolver] | StarSolver | None = None) -> ProphetLpResult:
     """Solve the policy LP by column generation.
 
     The restricted master starts from the empty policy for every type.
     Each round reads the offline-row duals ``alpha_u`` and the per-type
     duals ``beta_v``, prices a best policy for adjusted weights
     ``w_uv - alpha_u`` through the type's star black box, and adds the
-    column when its value exceeds ``beta_v`` by more than ``pricing_tol``.
+    column when its value exceeds ``beta_v`` by more than ``PRICING_TOL``.
     With exact pricing (deterministic or hazard patience) the final
     objective is the true LP optimum; with the 1/2-approximate LP-policy
     box the returned solution is feasible and the objective is the value
-    at which approximate pricing certified no improvement.  Hitting the
-    column cap returns the best feasible solution with status
-    ``"column_cap"``.
+    at which approximate pricing certified no improvement.  Holding more
+    than ``COLUMN_CAP`` columns returns the best feasible solution with
+    status ``"column_cap"``.
     """
     if instance.arrivals.kind not in (PROPHET, IID):
         raise CapabilityError("the policy LP needs prophet or IID arrivals")
@@ -863,7 +875,7 @@ def solve_prophet_lp(instance: MatchingInstance,
             if q_v[v] <= 0.0:
                 continue
             policy, value = price_policy(stars[v], wmat[:, v] - alpha, boxes[v])
-            if value > beta[v] + pricing_tol and (v, policy.order) not in seen:
+            if value > beta[v] + PRICING_TOL and (v, policy.order) not in seen:
                 pvec = policy_match_probabilities(stars[v], policy)
                 col = np.concatenate([pvec, np.zeros(n)])
                 col[m + v] = 1.0
@@ -873,15 +885,14 @@ def solve_prophet_lp(instance: MatchingInstance,
                 added = True
         if not added:
             break  # the master is unchanged since ``sol``
-        if len(columns) > column_cap:
+        if len(columns) > COLUMN_CAP:
             status = "column_cap"
             sol = _solve_master(master)
             break
     return _assemble_result(instance, columns, sol.x, sol.objective, status, kappa)
 
 
-def solve_prophet_lp_enumerated(instance: MatchingInstance,
-                                max_policies: int = 100_000) -> ProphetLpResult:
+def solve_prophet_lp_enumerated(instance: MatchingInstance) -> ProphetLpResult:
     """Oracle route: materialize every policy per type and solve the full
     LP directly.  Only for instances whose policy set is small."""
     if instance.arrivals.kind not in (PROPHET, IID):
@@ -896,8 +907,8 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance,
         for sub_policy in enumerate_policies(len(items), cap):
             policy = Policy(tuple(items[i] for i in sub_policy.order))
             columns.append((v, policy, policy_match_probabilities(stars[v], policy)))
-            if len(columns) > max_policies:
-                raise CapacityError(f"policy enumeration exceeded {max_policies}")
+            if len(columns) > MAX_ENUMERATED_POLICIES:
+                raise CapacityError(f"policy enumeration exceeded {MAX_ENUMERATED_POLICIES}")
     sol = _solve_master(_master_problem(instance, columns, q_v))
     return _assemble_result(instance, columns, sol.x, sol.objective, "optimal", 1.0)
 
@@ -906,45 +917,63 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance,
 # Policy-LP driven online matchers (prophet / IID arrivals)
 # ---------------------------------------------------------------------------
 
-class _PolicyArrays:
-    """A ``PolicyLpMatcher``'s tables on one instance for its walks: per
-    step the arriving type's CDF, per type a padded alias table, and
-    per sampleable policy (flat index ``base[v] + k``) its probing order
-    with the entries the matcher skips removed."""
+class _PolicyTables(_Tables):
+    """A ``PolicyLpMatcher``'s table: per step the arriving type's CDF, per
+    type a padded alias table over its sampleable policies (residual
+    mixture mass on the empty policy), and per policy (flat index
+    ``base[v] + k``) its mass, its probing order, which entries of it the
+    matcher skips (weight below half the vertex's LP reward) and its order
+    without them."""
 
-    def __init__(self, matcher: "PolicyLpMatcher", instance: MatchingInstance):
-        tables = matcher._tables(instance)
-        samplers = matcher._samplers
-        kept = matcher._kept_orders(instance)
+    __slots__ = ("step_cum", "sampled", "alias_n", "alias_prob", "alias", "base", "mass",
+                 "orders", "skipped", "kept", "walks", "items", "length", "draws_per_step")
+
+    def __init__(self, instance: MatchingInstance, lp_result: ProphetLpResult, skip: bool):
+        if instance.arrivals.kind not in (PROPHET, IID):
+            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
+        super().__init__(instance)
         n = instance.n_types
         arr = instance.arrivals
         self.step_cum = np.cumsum(np.array([arr.step_probs(t) for t in range(arr.n_steps)],
                                            ndmin=2), axis=1)
-        self.sampled = np.array([s is not None for s in samplers])
-        width = max((s[2].n for s in samplers if s is not None), default=1)
+        skip_of = lp_result.w_star if skip else None
+        self.sampled = np.zeros(n, dtype=bool)
         self.alias_n = np.ones(n, dtype=np.intp)
+        self.base = np.zeros(n, dtype=np.intp)
+        width = 1 + max(map(len, lp_result.mixture.per_type), default=0)
         self.alias_prob = np.zeros((n, width))
         self.alias = np.zeros((n, width), dtype=np.intp)
-        self.base = np.zeros(n, dtype=np.intp)
-        orders, walks = [], []
+        self.mass, self.orders, self.skipped, self.kept = [], [], [], []
         draws = 0  # most uniforms an arrival reads after the arrival draw
-        for v, sampler in enumerate(samplers):
-            self.base[v] = len(orders)
-            if sampler is None:
+        for v, entries in enumerate(lp_result.mixture.per_type):
+            self.base[v] = len(self.orders)
+            q = lp_result.mixture.q_v[v]
+            orders = [pol.order for pol, _ in entries]
+            masses = [max(mass, 0.0) for _, mass in entries]
+            resid = q - sum(masses)
+            if resid > 0.0:
+                orders.append(())
+                masses.append(resid)
+            if q <= 0.0 or sum(masses) <= 0.0:
                 continue
-            policies, _, alias = sampler
-            self.alias_n[v] = alias.n
-            self.alias_prob[v, :alias.n] = alias.prob
-            self.alias[v, :alias.n] = alias.alias
-            walks.extend(bool(order) for order in policies)
-            orders.extend(kept[v])
-            longest = max(len(o) for o in orders[self.base[v]:])
-            draws = max(draws, 2 + tables.walk_draws(v, min(longest, tables.probe_cap(v))))
+            k = len(masses)
+            self.sampled[v], self.alias_n[v] = True, k
+            self.alias_prob[v, :k], self.alias[v, :k] = _alias_table(masses)
+            weights = self.weight_cols[v]
+            for order in orders:
+                skipped = tuple(skip_of is not None and weights[u] < 0.5 * skip_of[u]
+                                for u in order)
+                self.skipped.append(skipped)
+                self.kept.append(tuple(u for u, s in zip(order, skipped) if not s))
+            self.mass.extend(masses)
+            self.orders.extend(orders)
+            longest = max(len(o) for o in self.kept[self.base[v]:])
+            draws = max(draws, 2 + self.walk_draws(v, min(longest, self.probe_cap(v))))
         self.draws_per_step = 1 + draws
-        self.walks = np.array(walks, dtype=bool)
-        self.length = np.array([len(o) for o in orders], dtype=np.intp)
-        self.items = np.zeros((len(orders), self.length.max(initial=0)), dtype=np.intp)
-        for g, order in enumerate(orders):
+        self.walks = np.array([bool(order) for order in self.orders], dtype=bool)
+        self.length = np.array([len(o) for o in self.kept], dtype=np.intp)
+        self.items = np.zeros((len(self.kept), self.length.max(initial=0)), dtype=np.intp)
+        for g, order in enumerate(self.kept):
             self.items[g, :len(order)] = order
 
 
@@ -962,99 +991,56 @@ class PolicyLpMatcher(_TableCache):
     def __init__(self, lp_result: ProphetLpResult, skip: bool):
         self.lp_result = lp_result
         self.skip = skip
-        self._arrays_pair = None
-        # per type: policy orders, their masses and an alias table over them
-        self._samplers: list[tuple[list[tuple[int, ...]], list[float], AliasSampler] | None] = []
-        for v, entries in enumerate(lp_result.mixture.per_type):
-            q = lp_result.mixture.q_v[v]
-            policies = [pol.order for pol, _ in entries]
-            masses = [max(mass, 0.0) for _, mass in entries]
-            resid = q - sum(masses)
-            if resid > 0.0:
-                policies.append(())
-                masses.append(resid)
-            if q <= 0.0 or sum(masses) <= 0.0:
-                self._samplers.append(None)
-            else:
-                self._samplers.append((policies, masses, AliasSampler(masses)))
 
-    def _policy_tables(self, instance) -> _Tables:
-        if instance.arrivals.kind not in (PROPHET, IID):
-            raise CapabilityError("the policy matcher needs prophet or IID arrivals")
-        return self._tables(instance)
-
-    def _kept_orders(self, instance) -> list[list[tuple[int, ...]]]:
-        """Per type, each sampleable policy's probing order without the
-        entries the matcher skips (weight below half the vertex's LP reward)."""
-        weights = self._tables(instance).weight_cols
-        skip_of = self.lp_result.w_star if self.skip else None
-        return [[tuple(u for u in order
-                       if skip_of is None or not weights[v][u] < 0.5 * skip_of[u])
-                 for order in sampler[0]] if sampler else []
-                for v, sampler in enumerate(self._samplers)]
+    def _new_tables(self, instance) -> _PolicyTables:
+        return _PolicyTables(instance, self.lp_result, self.skip)
 
     def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
-        tables = self._policy_tables(instance)
+        tables = self._tables(instance)
         tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
         state = MatcherState(trace=[] if trace else None)
-        step_cum = self._lockstep_tables(instance).step_cum
-        skip_of = self.lp_result.w_star if self.skip else None
-        samplers = self._samplers
         for t in range(instance.arrivals.n_steps):
-            cum = step_cum[t]
+            cum = tables.step_cum[t]
             u_draw = tape.u()
             if u_draw >= cum[-1]:
                 continue  # no arrival this step
             v = int(np.argmax(cum > u_draw))
-            sampler = samplers[v]
-            if sampler is None:
+            if not tables.sampled[v]:
                 continue
-            policies, _, alias = sampler
-            order = policies[alias.sample(tape)]
-            if order:
-                _walk_policy(tables, state, t, v, order, tape, skip_half_of=skip_of)
+            n = tables.alias_n[v]
+            i = min(int(tape.u() * n), n - 1)
+            g = tables.base[v] + (i if tape.u() < tables.alias_prob[v, i] else tables.alias[v, i])
+            if tables.walks[g]:
+                _walk_policy(tables, state, t, v, tables.orders[g], tape, tables.skipped[g])
         return state
-
-    # -- lockstep batch walk -----------------------------------------------
-
-    def _lockstep_tables(self, instance) -> _PolicyArrays:
-        pair = self._arrays_pair
-        if pair is None or pair[0] is not instance:
-            pair = (instance, _PolicyArrays(self, instance))
-            self._arrays_pair = pair
-        return pair[1]
 
     def draw_bound(self, instance: MatchingInstance) -> int:
         """Most uniforms one trial can read."""
-        self._policy_tables(instance)
-        return self._lockstep_tables(instance).draws_per_step * instance.arrivals.n_steps
+        return self._tables(instance).draws_per_step * instance.arrivals.n_steps
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts,
         exactly as the scalar walk over the same streams."""
-        tables = self._policy_tables(instance)
-        pa = self._lockstep_tables(instance)
+        tables = self._tables(instance)
         state = _Lockstep(uniforms, instance.m)
         for t in range(instance.arrivals.n_steps):
             u = state.draw(state.every)
-            cum = pa.step_cum[t]
+            cum = tables.step_cum[t]
             v = np.argmax(cum > u[:, None], axis=1)
-            rows = np.flatnonzero((u < cum[-1]) & pa.sampled[v])
+            rows = np.flatnonzero((u < cum[-1]) & tables.sampled[v])
             if not rows.size:
                 continue
             v = v[rows]
-            n = pa.alias_n[v]
+            n = tables.alias_n[v]
             i = np.minimum((state.draw(rows) * n).astype(np.intp), n - 1)
-            kept = state.draw(rows) < pa.alias_prob[v, i]
-            g = pa.base[v] + np.where(kept, i, pa.alias[v, i])
-            walks = pa.walks[g]
+            kept = state.draw(rows) < tables.alias_prob[v, i]
+            g = tables.base[v] + np.where(kept, i, tables.alias[v, i])
+            walks = tables.walks[g]
             rows, v, g = rows[walks], v[walks], g[walks]
             if rows.size:
-                state.walk(tables, rows, v, pa.items[g], pa.length[g])
+                state.walk(tables, rows, v, tables.items[g], tables.length[g])
         return state.result()
-
-    # -- exact expansion ---------------------------------------------------
 
     def exact_value(self, instance: MatchingInstance) -> float:
         """Exact expected matched weight.  A simulated probe ends the
@@ -1062,14 +1048,14 @@ class PolicyLpMatcher(_TableCache):
         type ``v`` matches a free ``u`` with the probability it would with
         every vertex free: one match vector per type, mixed over its
         policies and masked by the free set."""
-        self._policy_tables(instance)
+        tables = self._tables(instance)
         stars = _type_stars(instance)
         match = np.zeros((instance.n_types, instance.m))
-        for v, (sampler, kept) in enumerate(zip(self._samplers, self._kept_orders(instance))):
-            if sampler is not None:
-                q = self.lp_result.mixture.q_v[v]
-                for order, mass in zip(kept, sampler[1]):
-                    match[v] += mass / q * policy_match_probabilities(stars[v], Policy(order))
+        for v in np.flatnonzero(tables.sampled):
+            q = self.lp_result.mixture.q_v[v]
+            for g in range(tables.base[v], tables.base[v] + tables.alias_n[v]):
+                match[v] += tables.mass[g] / q * policy_match_probabilities(
+                    stars[v], Policy(tables.kept[g]))
         arr = instance.arrivals
         steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])
         probs = (steps @ match).tolist()

@@ -112,10 +112,18 @@ def _run_range(instance, matcher, seed, start, stop, m):
     return weights, counts
 
 
+def _table_plans(instance, matcher) -> dict:
+    """AdvGreedy's plan cache in its table on ``instance``; a throwaway
+    dict for other matchers."""
+    tables = matcher._tables(instance) if hasattr(matcher, "_tables") else None
+    return getattr(tables, "plans", {})
+
+
 def _run_worker(instance, matcher, seed, start, stop, m):
-    """``_run_range`` in a worker process, returning also the AdvGreedy
-    plans it solved so that the caller's plan cache keeps them."""
-    plans = getattr(matcher, "_plans", {})
+    """``_run_range`` in a worker process, returning also the plans the
+    matcher's table (pickled with the instance) gained there, so that the
+    caller's table keeps them."""
+    plans = _table_plans(instance, matcher)
     known = set(plans)
     weights, counts = _run_range(instance, matcher, seed, start, stop, m)
     return weights, counts, {k: p for k, p in plans.items() if k not in known}
@@ -154,13 +162,13 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
     chunks = [(a, min(a + CHUNK_TRIALS, trials)) for a in range(0, trials, CHUNK_TRIALS)]
     threads = thread_count(threads, chunks=len(chunks))
     if threads > 1:
+        plans = _table_plans(instance, matcher)
         with ProcessPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(_run_worker,
                                   *zip(*[(instance, matcher, config.seed, a, b, m)
                                          for a, b in chunks])))
         weights = np.concatenate([p[0] for p in parts])
         counts = np.sum([p[1] for p in parts], axis=0)
-        plans = getattr(matcher, "_plans", {})
         for part in parts:
             plans.update(part[2])
     else:

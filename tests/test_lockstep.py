@@ -221,6 +221,24 @@ def test_understated_draw_bound_raises():
         simulate(inst, Understated("first"), SimConfig(0, 50), threads=1)
 
 
+def test_adv_greedy_bound_allows_randomized_plans_only_to_the_lp_solver():
+    # deterministic patience: the default solver gives policies, as simple greedy walks
+    inst = hard.gen_random_matching(3, 10, 60, "adversarial")
+    policy_bound = SimpleGreedyMatcher().draw_bound(inst)
+    assert AdvGreedyMatcher().draw_bound(inst) == policy_bound
+    assert AdvGreedyMatcher(solver_by_name("lp")).draw_bound(inst) > policy_bound
+
+
+def test_randomized_plans_from_a_solver_named_otherwise_overrun_loudly():
+    class Randomizing(StarSolver):
+        def solve(self, star):
+            return solver_by_name("lp").solve(star)
+
+    inst = hard.gen_random_matching(2, 3, 4, "adversarial")
+    with pytest.raises(StochmatchError, match="uniforms"):
+        simulate(inst, AdvGreedyMatcher(Randomizing("dp", 1.0)), SimConfig(0, 200), threads=1)
+
+
 def test_star_solver_errors_reach_the_caller_as_themselves():
     # only a read past the end of a block row is reported as an overrun
     class Broken(StarSolver):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stochmatch import hard_instances as hard
+from stochmatch import matching
 from stochmatch.instances import (
     ArrivalModel,
     CapabilityError,
@@ -55,6 +56,19 @@ def test_column_generation_equals_enumeration(seed):
     full = solve_prophet_lp_enumerated(inst)
     assert cg.objective == pytest.approx(full.objective, abs=1e-6)
     assert cg.status == "optimal"
+
+
+def test_column_cap_returns_a_feasible_master(monkeypatch):
+    inst = hard.gen_random_matching(0, m=6, n_types=4, arrival_kind="prophet",
+                                    max_theta=3, horizon=5)
+    full = solve_prophet_lp(inst)
+    # the first round's columns already pass a cap of one column per type
+    monkeypatch.setattr(matching, "COLUMN_CAP", inst.n_types)
+    capped = solve_prophet_lp(inst)
+    assert capped.status == "column_cap" and full.status == "optimal"
+    assert inst.n_types < capped.n_columns < full.n_columns
+    assert validate(capped.mixture).ok
+    assert capped.objective <= full.objective + 1e-9
 
 
 def test_lp_solution_constraints_hold():

@@ -81,8 +81,26 @@ def test_parallel_run_keeps_the_workers_plans():
     serial, parallel = AdvGreedyMatcher(), AdvGreedyMatcher()
     simulate(inst, serial, cfg, threads=1)
     simulate(inst, parallel, cfg, threads=2)
-    assert len(serial._plans) > 1000
-    assert parallel._plans.keys() == serial._plans.keys()
+    plans = serial._tables(inst).plans
+    assert len(plans) > 1000
+    assert parallel._tables(inst).plans.keys() == plans.keys()
+
+
+@pytest.mark.parametrize("solver", [None, "lp"])
+def test_adv_greedy_plans_stay_with_their_instance(solver):
+    # a matcher that ran on one instance values the next as a fresh one does
+    first = hard.gen_random_matching(1, 4, 5, "adversarial")
+    second = hard.gen_random_matching(2, 4, 5, "adversarial")
+    cfg = SimConfig(seed=0, trials=2000)
+    make = lambda: AdvGreedyMatcher(solver and solver_by_name(solver))  # noqa: E731
+    used = make()
+    for inst in (first, second, first):
+        used_value, used_report = used.exact_value(inst), simulate(inst, used, cfg, threads=1)
+        fresh = make()
+        assert used_value == fresh.exact_value(inst)
+        report = simulate(inst, fresh, cfg, threads=1)
+        assert used_report.mean == report.mean and used_report.stddev == report.stddev
+        assert np.array_equal(used_report.match_freq, report.match_freq)
 
 
 def test_thread_count_parses_and_clamps():
