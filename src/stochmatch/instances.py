@@ -159,6 +159,16 @@ class PatienceModel:
             return float(min(n, 1.0 / rmin))
         return float(np.sum(self.survival_curve(n)))
 
+    def max_probes(self, n: int) -> int:
+        """Most probes one arrival can make over ``n`` items: its budget for
+        deterministic patience, the support of a survival curve (up to its
+        last positive ``q``) and every item for hazard patience."""
+        if self.kind == DETERMINISTIC:
+            return max(0, min(self.theta, n))
+        if self.kind == SURVIVAL:
+            return min(max((k + 1 for k, qk in enumerate(self.q) if qk > 0.0), default=0), n)
+        return n
+
     def subset(self, indices) -> "PatienceModel":
         """Patience model induced on a subset of items (matters for per-item rates)."""
         if self.kind == HAZARD and self.r is not None:

@@ -28,8 +28,10 @@ the lockstep walks, which read every trial's stream exactly as it does.
 
 A matcher derives what it needs from an instance into one table, kept
 until it runs on another instance: AdvGreedy's star plans, the policy-LP
-matcher's arrival CDFs, alias tables and per-policy skips.  Both walks,
-the draw bound and the exact value read that table.
+matcher's per-step CDF over its policies and per-policy skips.  Both
+walks, the draw bound and the exact value read that table.  A policy-LP
+arrival step reads one uniform against that CDF, which picks the arriving
+type and its policy at once.
 
 Each matcher's ``exact_value`` is one call to ``exact_expansion``, a
 memoised expansion over (arrival step, bitmask of free offline vertices):
@@ -68,7 +70,6 @@ from .instances import (
     StochmatchError,
 )
 from .stars import (
-    RandomizedStarPolicy,
     StarSolver,
     auto_solver,
     enumerate_policies,
@@ -76,7 +77,6 @@ from .stars import (
     price_policy,
     randomized_match_probabilities,
     solver_by_name,
-    _policy_length_cap,
 )
 
 PRICING_TOL = 1e-7
@@ -149,28 +149,6 @@ class RandomTape:
         return buf[pos]
 
 
-def _alias_table(weights) -> tuple[np.ndarray, np.ndarray]:
-    """Vose's alias table over the positive masses ``weights``: a draw
-    takes a uniform index ``i`` and keeps it with probability ``prob[i]``,
-    else takes ``alias[i]``."""
-    w = np.asarray(weights, dtype=float)
-    n = len(w)
-    scaled = w * (n / w.sum())
-    prob = np.zeros(n)
-    alias = np.zeros(n, dtype=int)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        s, l = small.pop(), large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] -= 1.0 - scaled[s]
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in large + small:
-        prob[i] = 1.0
-    return prob, alias
-
-
 def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
     """Sample the number of probes an arrival will tolerate.
 
@@ -238,15 +216,6 @@ class _Tables:
                 self.curves[v, :len(p.q)] = p.q
             elif p.is_hazard:
                 self.rates[v] = p.hazard_rates(instance.m)
-
-    def probe_cap(self, v: int) -> int:
-        """Most probes one arrival of type ``v`` can make."""
-        pat = self.patience[v]
-        if pat.is_deterministic:
-            return max(pat.theta, 0)
-        if pat.is_survival:
-            return len(pat.q)
-        return self.m
 
     def walk_draws(self, v: int, probes: int) -> int:
         """Most uniforms one policy walk of type ``v`` reads when it can make
@@ -410,26 +379,25 @@ def _walk_policy(tables: _Tables, state, step, v, order, tape, skipped=None):
             break
 
 
-def _walk_randomized(tables: _Tables, state, step, v, rsp: RandomizedStarPolicy,
-                     items, tape):
+def _walk_randomized(tables: _Tables, state, step, v, cum, items, tape):
     """Execute a randomized attempt policy over the star items ``items``
-    (global offline indices), all unmatched when the plan was built.
-    Idle attempt mass makes no probe but the attempt still elapses."""
+    (global offline indices), all unmatched when the plan was built:
+    ``cum[t]`` is attempt ``t``'s cumulative pick distribution, ``nan``
+    where the attempt picks nothing and draws nothing.  Idle attempt mass
+    makes no probe but the attempt still elapses."""
     pat = tables.patience[v]
     budget = realized_patience(pat, tape)
-    rows = rsp.attempt_probs
     probs = tables.probs[:, v]
     weights = tables.weight_cols[v]
     probed = set()
-    for t in range(min(rows.shape[0], budget)):
-        row = rows[t]
-        if not row.any():
+    for t in range(min(cum.shape[0], budget)):
+        row = cum[t]
+        if np.isnan(row[-1]):
             continue
         u_draw = tape.u()
-        cum = np.cumsum(row)
-        if u_draw >= cum[-1]:
+        if u_draw >= row[-1]:
             continue  # idle attempt
-        j = int(np.argmax(cum > u_draw))
+        j = int(np.argmax(row > u_draw))
         u = items[j]
         p = probs[u]
         if j in probed:
@@ -524,15 +492,16 @@ class _GreedyMatcher(_TableCache):
             if plan[0] == "policy":
                 _walk_policy(tables, state, step, v, plan[1], tape)
             else:
-                _walk_randomized(tables, state, step, v, plan[1], plan[2], tape)
+                _walk_randomized(tables, state, step, v, plan[3], plan[2], tape)
         return state
 
     def draw_bound(self, instance: MatchingInstance) -> int:
         """Most uniforms one trial can read.  A type whose solver may return
         a randomized plan is allowed its reads: a budget, then a pick and a
-        success draw per attempt; any other type a policy walk's."""
+        success draw per attempt; any other type a policy walk's, and the
+        lockstep walk refuses a randomized plan for it."""
         tables = self._tables(instance)
-        caps = [(v, min(len(tables.neighbors[v]), tables.probe_cap(v)))
+        caps = [(v, tables.patience[v].max_probes(len(tables.neighbors[v])))
                 for v in instance.arrivals.order if tables.neighbors[v]]
         return sum(1 + 2 * k if tables.randomized[v] else tables.walk_draws(v, k)
                    for v, k in caps)
@@ -625,6 +594,11 @@ class AdvGreedyMatcher(_GreedyMatcher):
                     kind[g], length[g] = 1, len(plan[1])
                     items[g, :length[g]] = plan[1]
                 else:
+                    if not tables.randomized[v]:
+                        solver = self.solver or auto_solver(tables.patience[v])
+                        raise StochmatchError(
+                            f"star solver {solver.name!r} returned a randomized plan for type "
+                            f"{v}, whose draw bound allowed only a policy walk's uniforms")
                     n = len(plan[2])
                     kind[g], items[g, :n] = 2, plan[2]
                     cum[g, :n, :n], cum[g, :n, n:] = plan[3], plan[3][:, -1:]
@@ -672,7 +646,7 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             if self.rule == "last":
                 neigh = neigh[::-1]
             avail = state.free[:, neigh]
-            width = min(neigh.size, tables.probe_cap(v))
+            width = tables.patience[v].max_probes(neigh.size)
             if width == 1 and tables.patience[v].is_deterministic:
                 # hot path: one probe at the first available neighbor
                 first = avail.argmax(axis=1)
@@ -903,7 +877,7 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance) -> ProphetLpResult:
     columns = []
     for v in range(n):
         items = [u for u in range(m) if instance.probs[u, v] > 0.0]
-        cap = _policy_length_cap(stars[v])
+        cap = instance.patience[v].max_probes(len(items))
         for sub_policy in enumerate_policies(len(items), cap):
             policy = Policy(tuple(items[i] for i in sub_policy.order))
             columns.append((v, policy, policy_match_probabilities(stars[v], policy)))
@@ -918,35 +892,27 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance) -> ProphetLpResult:
 # ---------------------------------------------------------------------------
 
 class _PolicyTables(_Tables):
-    """A ``PolicyLpMatcher``'s table: per step the arriving type's CDF, per
-    type a padded alias table over its sampleable policies (residual
-    mixture mass on the empty policy), and per policy (flat index
-    ``base[v] + k``) its mass, its probing order, which entries of it the
-    matcher skips (weight below half the vertex's LP reward) and its order
-    without them."""
+    """A ``PolicyLpMatcher``'s table.  Its policies, with residual mixture
+    mass on the empty policy, are numbered ``g`` in type order; per policy it
+    holds the type ``type_of[g]``, the mass, the probing order, which
+    entries of it the matcher skips (weight below half the vertex's LP
+    reward) and the order without them.  ``cum[t]`` is step ``t``'s CDF
+    over the policies: arriving as type ``v`` and then drawing policy ``g``
+    of ``v``'s mixture.  No arrival, and an arrival of a type whose mixture
+    samples nothing, lie above ``cum[t, -1]``."""
 
-    __slots__ = ("step_cum", "sampled", "alias_n", "alias_prob", "alias", "base", "mass",
-                 "orders", "skipped", "kept", "walks", "items", "length", "draws_per_step")
+    __slots__ = ("cum", "type_of", "mass", "orders", "skipped", "kept", "walks", "items",
+                 "length", "draws_per_step")
 
     def __init__(self, instance: MatchingInstance, lp_result: ProphetLpResult, skip: bool):
         if instance.arrivals.kind not in (PROPHET, IID):
             raise CapabilityError("the policy matcher needs prophet or IID arrivals")
         super().__init__(instance)
-        n = instance.n_types
-        arr = instance.arrivals
-        self.step_cum = np.cumsum(np.array([arr.step_probs(t) for t in range(arr.n_steps)],
-                                           ndmin=2), axis=1)
         skip_of = lp_result.w_star if skip else None
-        self.sampled = np.zeros(n, dtype=bool)
-        self.alias_n = np.ones(n, dtype=np.intp)
-        self.base = np.zeros(n, dtype=np.intp)
-        width = 1 + max(map(len, lp_result.mixture.per_type), default=0)
-        self.alias_prob = np.zeros((n, width))
-        self.alias = np.zeros((n, width), dtype=np.intp)
+        type_of, share = [], []
         self.mass, self.orders, self.skipped, self.kept = [], [], [], []
-        draws = 0  # most uniforms an arrival reads after the arrival draw
+        draws = 0  # most uniforms a policy walk reads
         for v, entries in enumerate(lp_result.mixture.per_type):
-            self.base[v] = len(self.orders)
             q = lp_result.mixture.q_v[v]
             orders = [pol.order for pol, _ in entries]
             masses = [max(mass, 0.0) for _, mass in entries]
@@ -954,22 +920,30 @@ class _PolicyTables(_Tables):
             if resid > 0.0:
                 orders.append(())
                 masses.append(resid)
-            if q <= 0.0 or sum(masses) <= 0.0:
+            total = sum(masses)
+            if q <= 0.0 or total <= 0.0:
                 continue
-            k = len(masses)
-            self.sampled[v], self.alias_n[v] = True, k
-            self.alias_prob[v, :k], self.alias[v, :k] = _alias_table(masses)
             weights = self.weight_cols[v]
             for order in orders:
                 skipped = tuple(skip_of is not None and weights[u] < 0.5 * skip_of[u]
                                 for u in order)
                 self.skipped.append(skipped)
                 self.kept.append(tuple(u for u, s in zip(order, skipped) if not s))
+            type_of += [v] * len(orders)
+            share += [mass / total for mass in masses]
             self.mass.extend(masses)
             self.orders.extend(orders)
-            longest = max(len(o) for o in self.kept[self.base[v]:])
-            draws = max(draws, 2 + self.walk_draws(v, min(longest, self.probe_cap(v))))
+            longest = max(len(o) for o in self.kept[-len(orders):])
+            draws = max(draws, self.walk_draws(v, self.patience[v].max_probes(longest)))
         self.draws_per_step = 1 + draws
+        self.type_of = np.array(type_of, dtype=np.intp)
+        arr = instance.arrivals
+        steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])
+        # a zero column when there is no policy, so that cum[t, -1] exists
+        step_mass = np.zeros((arr.n_steps, max(len(type_of), 1)))
+        step_mass[:, :len(type_of)] = (steps.reshape(arr.n_steps, instance.n_types)
+                                       [:, self.type_of] * share)
+        self.cum = np.cumsum(step_mass, axis=1)
         self.walks = np.array([bool(order) for order in self.orders], dtype=bool)
         self.length = np.array([len(o) for o in self.kept], dtype=np.intp)
         self.items = np.zeros((len(self.kept), self.length.max(initial=0)), dtype=np.intp)
@@ -1000,18 +974,14 @@ class PolicyLpMatcher(_TableCache):
         tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
         state = MatcherState(trace=[] if trace else None)
         for t in range(instance.arrivals.n_steps):
-            cum = tables.step_cum[t]
+            cum = tables.cum[t]
             u_draw = tape.u()
             if u_draw >= cum[-1]:
-                continue  # no arrival this step
-            v = int(np.argmax(cum > u_draw))
-            if not tables.sampled[v]:
-                continue
-            n = tables.alias_n[v]
-            i = min(int(tape.u() * n), n - 1)
-            g = tables.base[v] + (i if tape.u() < tables.alias_prob[v, i] else tables.alias[v, i])
+                continue  # no arrival, or one whose type samples no policy
+            g = int(np.argmax(cum > u_draw))
             if tables.walks[g]:
-                _walk_policy(tables, state, t, v, tables.orders[g], tape, tables.skipped[g])
+                _walk_policy(tables, state, t, int(tables.type_of[g]), tables.orders[g], tape,
+                             tables.skipped[g])
         return state
 
     def draw_bound(self, instance: MatchingInstance) -> int:
@@ -1026,20 +996,13 @@ class PolicyLpMatcher(_TableCache):
         state = _Lockstep(uniforms, instance.m)
         for t in range(instance.arrivals.n_steps):
             u = state.draw(state.every)
-            cum = tables.step_cum[t]
-            v = np.argmax(cum > u[:, None], axis=1)
-            rows = np.flatnonzero((u < cum[-1]) & tables.sampled[v])
-            if not rows.size:
-                continue
-            v = v[rows]
-            n = tables.alias_n[v]
-            i = np.minimum((state.draw(rows) * n).astype(np.intp), n - 1)
-            kept = state.draw(rows) < tables.alias_prob[v, i]
-            g = tables.base[v] + np.where(kept, i, tables.alias[v, i])
+            cum = tables.cum[t]
+            rows = np.flatnonzero(u < cum[-1])
+            g = np.argmax(cum > u[rows, None], axis=1)
             walks = tables.walks[g]
-            rows, v, g = rows[walks], v[walks], g[walks]
+            rows, g = rows[walks], g[walks]
             if rows.size:
-                state.walk(tables, rows, v, tables.items[g], tables.length[g])
+                state.walk(tables, rows, tables.type_of[g], tables.items[g], tables.length[g])
         return state.result()
 
     def exact_value(self, instance: MatchingInstance) -> float:
@@ -1050,12 +1013,11 @@ class PolicyLpMatcher(_TableCache):
         policies and masked by the free set."""
         tables = self._tables(instance)
         stars = _type_stars(instance)
+        q_v = self.lp_result.mixture.q_v
         match = np.zeros((instance.n_types, instance.m))
-        for v in np.flatnonzero(tables.sampled):
-            q = self.lp_result.mixture.q_v[v]
-            for g in range(tables.base[v], tables.base[v] + tables.alias_n[v]):
-                match[v] += tables.mass[g] / q * policy_match_probabilities(
-                    stars[v], Policy(tables.kept[g]))
+        for g, v in enumerate(tables.type_of.tolist()):
+            match[v] += tables.mass[g] / q_v[v] * policy_match_probabilities(
+                stars[v], Policy(tables.kept[g]))
         arr = instance.arrivals
         steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])
         probs = (steps @ match).tolist()

@@ -201,19 +201,6 @@ def enumerate_policies(n: int, max_len: int | None = None):
                 yield Policy(perm)
 
 
-def _policy_length_cap(star: StarInstance) -> int:
-    pat = star.patience
-    if pat.is_deterministic:
-        return min(pat.theta, star.n)
-    if pat.is_survival:
-        support = 0
-        for k, v in enumerate(pat.q):
-            if v > 0.0:
-                support = k + 1
-        return min(support, star.n)
-    return star.n
-
-
 def brute_force_optimal(star: StarInstance) -> StarResult:
     """Exhaustive search over all ordered subsets (failed probes carry no
     information beyond their count, so some ordered subset is optimal).
@@ -224,7 +211,7 @@ def brute_force_optimal(star: StarInstance) -> StarResult:
     items = _positive_items(star)
     sub = star.with_items(items)
     best_policy, best = EMPTY_POLICY, 0.0
-    for pol in enumerate_policies(sub.n, _policy_length_cap(sub)):
+    for pol in enumerate_policies(sub.n, sub.patience.max_probes(sub.n)):
         v = eval_policy_exact(sub, pol)
         if v > best:
             best, best_policy = v, pol
@@ -468,8 +455,7 @@ class StarSolver:
         mass = rsp.attempt_probs.T @ rsp.survival  # total x*_j per item
         items = [j for j in range(star.n) if mass[j] > 1e-12]
         items.sort(key=lambda j: (-mass[j], j))
-        cap = _policy_length_cap(star)
-        return Policy(tuple(items[:cap]))
+        return Policy(tuple(items[:star.patience.max_probes(star.n)]))
 
 
 def solver_by_name(name: str) -> StarSolver:

@@ -234,8 +234,12 @@ def test_randomized_plans_from_a_solver_named_otherwise_overrun_loudly():
         def solve(self, star):
             return solver_by_name("lp").solve(star)
 
+    # the bound gave these types a policy walk's uniforms: the plan is
+    # refused before a trial reads past its row
     inst = hard.gen_random_matching(2, 3, 4, "adversarial")
-    with pytest.raises(StochmatchError, match="uniforms"):
+    with pytest.raises(StochmatchError, match=r"star solver 'dp' returned a randomized plan "
+                                              r"for type \d+, whose draw bound allowed only "
+                                              r"a policy walk's uniforms"):
         simulate(inst, AdvGreedyMatcher(Randomizing("dp", 1.0)), SimConfig(0, 200), threads=1)
 
 
@@ -258,3 +262,92 @@ def test_wrong_arrival_model_is_a_capability_error():
         simulate(iid, SimpleGreedyMatcher(), SimConfig(0, 100), threads=1)
     with pytest.raises(CapabilityError):
         simulate(adv, matcher, SimConfig(0, 100), threads=1)
+
+
+def test_survival_bound_stops_at_the_curve_support():
+    # trailing zeros of a survival curve allow no probe, and a block row is
+    # a prefix of the trial's stream, so the bound stops at the last positive q
+    patience = PatienceModel.survival([1.0, 0.5, 0.0, 0.0])
+    assert patience.max_probes(4) == 2 and patience.max_probes(1) == 1
+    assert PatienceModel.deterministic(-1).max_probes(3) == 0
+    assert PatienceModel.deterministic(5).max_probes(3) == 3
+    assert PatienceModel.constant_hazard(rate=0.5).max_probes(3) == 3
+    rng = np.random.default_rng(4)
+    probs = rng.uniform(0.2, 0.9, (4, 3))
+    adv = MatchingInstance.make(probs, patience, ArrivalModel.adversarial([2, 0, 1]),
+                                edge_weights=rng.random((4, 3)))
+    # a budget draw, then a success draw per probe; the LP solver's plans
+    # read a pick and a success draw per attempt
+    assert SimpleGreedyMatcher().draw_bound(adv) == 3 * (1 + 2)
+    assert AdvGreedyMatcher().draw_bound(adv) == 3 * (1 + 2 * 2)
+    _assert_same(adv, SimpleGreedyMatcher(), SimConfig(1, 300))
+    _assert_same(adv, AdvGreedyMatcher(), SimConfig(2, 300))
+    iid = MatchingInstance.make(probs, patience, ArrivalModel.iid([0.5, 0.5, 0.5], 4),
+                                edge_weights=rng.random((4, 3)))
+    full = Policy((3, 2, 1, 0))
+    matcher = PolicyLpMatcher(ProphetLpResult(
+        mixture=PolicyMixture((((full, 0.4),),) * 3, (0.5, 0.5, 0.5)),
+        objective=0.0, w_star=np.zeros(4)), skip=False)
+    assert matcher.draw_bound(iid) == 4 * (1 + 1 + 2)
+    _assert_same(iid, matcher, SimConfig(3, 300))
+
+
+def test_one_step_cdf_mixes_types_and_policies():
+    # several policies per type, a zero mass, a clipped negative mass,
+    # residual mass, a type with q_v = 0 and one whose masses exceed q_v
+    q_tv = np.array([[0.3, 0.0, 0.2], [0.1, 0.0, 0.4], [0.25, 0.0, 0.05]])
+    inst = MatchingInstance.make(np.full((3, 3), 0.5), PatienceModel.deterministic(2),
+                                 ArrivalModel.prophet(q_tv), edge_weights=np.ones((3, 3)))
+    q_v = tuple(map(float, q_tv.sum(axis=0)))
+    per_type = (((Policy((0, 1)), 0.3), (Policy((2,)), 0.0), (Policy((1, 2)), 0.2)),
+                (),
+                ((Policy((2, 0)), 0.5), (Policy((0,)), -1e-12), (Policy((1,)), 0.3)))
+    matcher = PolicyLpMatcher(ProphetLpResult(mixture=PolicyMixture(per_type, q_v),
+                                              objective=0.0, w_star=np.zeros(3)), skip=True)
+    tables = matcher._tables(inst)
+    # type 0 keeps residual mass on the empty policy; type 2's masses sum above q_v
+    masses = [(0, 0.3), (0, 0.0), (0, 0.2), (0, q_v[0] - 0.5), (2, 0.5), (2, 0.0), (2, 0.3)]
+    total = {0: q_v[0], 2: 0.8}
+    assert tables.type_of.tolist() == [v for v, _ in masses]
+    want = np.array([[q_tv[t, v] * mass / total[v] for v, mass in masses] for t in range(3)])
+    got = np.diff(tables.cum, axis=1, prepend=0.0)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert np.allclose(tables.cum[:, -1], q_tv[:, [0, 2]].sum(axis=1), rtol=1e-12)
+    assert matcher.draw_bound(inst) == 3 * (1 + 2)
+
+
+@pytest.mark.parametrize("skip", [False, True])
+def test_policy_matcher_simulation_agrees_with_exact_value(skip):
+    # random mixtures with several policies for some type, drawn by one
+    # uniform per step: the simulated mean sits within 4 standard errors.
+    # A value near 0 is left out, because trials that rarely match can show
+    # no match at all and estimate a standard error of 0
+    compared = 0
+    for seed in range(40):
+        kinds = [PATIENCE[(seed + k) % len(PATIENCE)] for k in range(1 + seed % 3)]
+        instance, rng = _instance(seed, kinds, ("iid", "prophet")[seed % 2])
+        matcher = _policy_matcher(instance, rng, skip)
+        if max(map(len, matcher.lp_result.mixture.per_type)) < 2:
+            continue
+        exact = matcher.exact_value(instance)
+        if exact < 0.05:
+            continue
+        report = simulate(instance, matcher, SimConfig(seed, 4000), threads=1)
+        assert abs(report.mean - exact) <= 4 * report.stddev / np.sqrt(4000) + 1e-12
+        compared += 1
+        if compared == 10:
+            return
+    pytest.fail(f"only {compared} random mixtures had several policies for a type")
+
+
+def test_a_mixture_that_samples_nothing_reads_one_uniform_per_step():
+    inst = hard.gen_random_matching(6, 3, 2, "prophet", horizon=5)
+    matcher = PolicyLpMatcher(ProphetLpResult(mixture=PolicyMixture(((), ()), (0.0, 0.0)),
+                                              objective=0.0, w_star=np.zeros(3)), skip=False)
+    assert matcher.draw_bound(inst) == 5
+    tape = RandomTape(trial_generator(0, 0))
+    assert matcher(inst, tape).matched == {} and tape.pos == 5
+    weights, counts = matcher.run_lockstep(inst, np.random.default_rng(1).random((40, 5)))
+    assert not weights.any() and not counts.any()
+    _assert_same(inst, matcher, SimConfig(2, 50))
+    assert matcher.exact_value(inst) == 0.0
