@@ -387,7 +387,7 @@ def cmd_repro(args) -> int:
     if args.target not in _REPRO_TARGETS:
         raise StochmatchError(f"unknown repro target {args.target!r}")
     fn, default_trials = _REPRO_TARGETS[args.target]
-    trials = args.trials or default_trials
+    trials = default_trials if args.trials is None else args.trials
     r = _Repro()
     fn(r, args.seed, trials)
     if args.csv:

@@ -112,24 +112,21 @@ class LpSolution:
     iterations: int = 0
 
 
-def add_column(problem: LpProblem, obj_coeff: float, column,
-               lb: float = 0.0, ub: float = np.inf) -> LpProblem:
-    """Problem with one extra variable appended (default bounds [0, inf))."""
+def add_column(problem: LpProblem, obj_coeff: float, column) -> LpProblem:
+    """Problem with one extra variable appended, with bounds [0, inf)."""
     column = np.asarray(column, dtype=float)
     if column.shape != (problem.n_rows,):
         raise ValueError(f"column has length {column.shape}, expected {problem.n_rows}")
     if not (np.isfinite(column).all() and np.isfinite(obj_coeff)):
         raise ValueError("column and objective coefficient must be finite")
-    if np.isnan(lb) or np.isnan(ub) or lb > ub:
-        raise ValueError("bounds must not be NaN, nor the lower exceed the upper")
     return LpProblem(
         c=np.append(problem.c, float(obj_coeff)),
         A=np.hstack([problem.A, column[:, None]]) if problem.n_rows else
           problem.A.reshape(0, problem.n_vars + 1),
         senses=problem.senses,
         b=problem.b,
-        lb=np.append(problem.lb, lb),
-        ub=np.append(problem.ub, ub),
+        lb=np.append(problem.lb, 0.0),
+        ub=np.append(problem.ub, np.inf),
     )
 
 

@@ -33,13 +33,15 @@ walks, the draw bound and the exact value read that table.  A policy-LP
 arrival step reads one uniform against that CDF, which picks the arriving
 type and its policy at once.
 
-Each matcher's ``exact_value`` is one call to ``exact_expansion``, a
-memoised expansion over (arrival step, bitmask of free offline vertices):
-the matcher supplies, per state, the probability and expected reward of
-matching each free vertex.  A simulated probe ends an arrival with the
-same probability as a real one, so a policy-LP arrival's match
-probabilities are those of its policy with every vertex free, masked by
-the free set.
+Each matcher's ``exact_value`` is one call to ``exact_expansion``, the
+forward expansion ``stars.expand`` over arrival steps with the bitmask of
+free offline vertices as state: the matcher supplies, per state, the
+probability and expected reward of matching each free vertex.  A
+simulated probe ends an arrival with the same probability as a real one,
+so a policy-LP arrival's match probabilities are those of its policy with
+every vertex free, masked by the free set.  The offline optimum
+(``simulate.brute_force_offline_opt``) takes a max over probes, not an
+expectation, and stays a backward recursion.
 
 Also here: the offline benchmark LP over edge-probe variables (optionally
 tightened with per-subset star-optimum rows), and the policy LP over probing
@@ -73,6 +75,7 @@ from .stars import (
     StarSolver,
     auto_solver,
     enumerate_policies,
+    expand,
     policy_match_probabilities,
     price_policy,
     randomized_match_probabilities,
@@ -425,33 +428,23 @@ def exact_expansion(n_steps: int, m: int, outcomes, max_offline: int) -> float:
     vertices.  ``outcomes(step, free)`` lists, for the arrival at ``step``,
     one ``(u, p, pw)`` per vertex ``u`` it can match: the probability ``p``
     of matching ``u`` and the expected reward ``p * w``; the remaining mass
-    matches nothing.  States are memoised, so the cost is the number of
-    reachable (step, free set) pairs times the cost of ``outcomes``.
+    matches nothing.  It is ``stars.expand`` over free sets, so the cost is
+    the number of reachable (step, free set) pairs times the cost of
+    ``outcomes``.
     """
     if m > max_offline:
         raise CapacityError(f"exact expansion capped at {max_offline} offline vertices")
-    memo: dict[tuple[int, int], float] = {}
 
-    def go(step: int, free: int) -> float:
-        if step == n_steps:
-            return 0.0
-        key = (step, free)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = 0.0
+    def moves(step: int, free: int):
+        out = []
         none = 1.0
         for u, p, pw in outcomes(step, free):
             none -= p
-            total += pw + p * go(step + 1, free & ~(1 << u))
-        total += max(none, 0.0) * go(step + 1, free)
-        memo[key] = total
-        return total
+            out.append((pw, p, free & ~(1 << u)))
+        out.append((0.0, none, free))
+        return out
 
-    try:
-        return go(0, (1 << m) - 1)
-    finally:
-        del go  # break the closure's cycle through itself and its memo
+    return expand(n_steps, (1 << m) - 1, moves)
 
 
 # ---------------------------------------------------------------------------
@@ -811,14 +804,15 @@ def _solve_master(problem: lp.LpProblem) -> lp.LpSolution:
 
 
 def solve_prophet_lp(instance: MatchingInstance,
-                     solvers: dict[int, StarSolver] | StarSolver | None = None) -> ProphetLpResult:
+                     solvers: StarSolver | None = None) -> ProphetLpResult:
     """Solve the policy LP by column generation.
 
     The restricted master starts from the empty policy for every type.
     Each round reads the offline-row duals ``alpha_u`` and the per-type
     duals ``beta_v``, prices a best policy for adjusted weights
-    ``w_uv - alpha_u`` through the type's star black box, and adds the
-    column when its value exceeds ``beta_v`` by more than ``PRICING_TOL``.
+    ``w_uv - alpha_u`` through the type's star black box (``solvers`` for
+    every type when given, else ``auto_solver``), and adds the column when
+    its value exceeds ``beta_v`` by more than ``PRICING_TOL``.
     With exact pricing (deterministic or hazard patience) the final
     objective is the true LP optimum; with the 1/2-approximate LP-policy
     box the returned solution is feasible and the objective is the value
@@ -831,9 +825,7 @@ def solve_prophet_lp(instance: MatchingInstance,
     m, n = instance.m, instance.n_types
     q_v = instance.arrivals.expected_arrivals(n)
     stars = _type_stars(instance)
-    if isinstance(solvers, StarSolver):
-        solvers = {v: solvers for v in range(n)}
-    boxes = [(solvers or {}).get(v) or auto_solver(stars[v]) for v in range(n)]
+    boxes = [solvers or auto_solver(stars[v]) for v in range(n)]
     kappa = min((b.kappa for b in boxes), default=1.0)
     wmat = instance.weights_matrix()
     columns = [(v, EMPTY_POLICY, np.zeros(m)) for v in range(n)]
@@ -894,14 +886,18 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance) -> ProphetLpResult:
 class _PolicyTables(_Tables):
     """A ``PolicyLpMatcher``'s table.  Its policies, with residual mixture
     mass on the empty policy, are numbered ``g`` in type order; per policy it
-    holds the type ``type_of[g]``, the mass, the probing order, which
-    entries of it the matcher skips (weight below half the vertex's LP
-    reward) and the order without them.  ``cum[t]`` is step ``t``'s CDF
-    over the policies: arriving as type ``v`` and then drawing policy ``g``
-    of ``v``'s mixture.  No arrival, and an arrival of a type whose mixture
-    samples nothing, lie above ``cum[t, -1]``."""
+    holds the type ``type_of[g]``, its weight ``share[g]``, the probing
+    order, which entries of it the matcher skips (weight below half the
+    vertex's LP reward) and the order without them.  ``share[g]`` is the
+    policy's mass, clipped at 0, over the sum of its type's clipped masses:
+    the probability that an arrival of that type draws it, which is
+    ``mass / q_v`` unless the masses sum above ``q_v``.  ``cum[t]`` is
+    step ``t``'s CDF over the policies: arriving as type ``v`` and then
+    drawing policy ``g`` with probability ``share[g]``.  No arrival, and an
+    arrival of a type whose mixture samples nothing, lie above
+    ``cum[t, -1]``."""
 
-    __slots__ = ("cum", "type_of", "mass", "orders", "skipped", "kept", "walks", "items",
+    __slots__ = ("cum", "type_of", "share", "orders", "skipped", "kept", "walks", "items",
                  "length", "draws_per_step")
 
     def __init__(self, instance: MatchingInstance, lp_result: ProphetLpResult, skip: bool):
@@ -909,8 +905,8 @@ class _PolicyTables(_Tables):
             raise CapabilityError("the policy matcher needs prophet or IID arrivals")
         super().__init__(instance)
         skip_of = lp_result.w_star if skip else None
-        type_of, share = [], []
-        self.mass, self.orders, self.skipped, self.kept = [], [], [], []
+        type_of, self.share = [], []
+        self.orders, self.skipped, self.kept = [], [], []
         draws = 0  # most uniforms a policy walk reads
         for v, entries in enumerate(lp_result.mixture.per_type):
             q = lp_result.mixture.q_v[v]
@@ -930,8 +926,7 @@ class _PolicyTables(_Tables):
                 self.skipped.append(skipped)
                 self.kept.append(tuple(u for u, s in zip(order, skipped) if not s))
             type_of += [v] * len(orders)
-            share += [mass / total for mass in masses]
-            self.mass.extend(masses)
+            self.share += [mass / total for mass in masses]
             self.orders.extend(orders)
             longest = max(len(o) for o in self.kept[-len(orders):])
             draws = max(draws, self.walk_draws(v, self.patience[v].max_probes(longest)))
@@ -942,7 +937,7 @@ class _PolicyTables(_Tables):
         # a zero column when there is no policy, so that cum[t, -1] exists
         step_mass = np.zeros((arr.n_steps, max(len(type_of), 1)))
         step_mass[:, :len(type_of)] = (steps.reshape(arr.n_steps, instance.n_types)
-                                       [:, self.type_of] * share)
+                                       [:, self.type_of] * self.share)
         self.cum = np.cumsum(step_mass, axis=1)
         self.walks = np.array([bool(order) for order in self.orders], dtype=bool)
         self.length = np.array([len(o) for o in self.kept], dtype=np.intp)
@@ -1010,13 +1005,13 @@ class PolicyLpMatcher(_TableCache):
         arrival with the same probability as a real one, so an arrival of
         type ``v`` matches a free ``u`` with the probability it would with
         every vertex free: one match vector per type, mixed over its
-        policies and masked by the free set."""
+        policies by the shares the walks draw them with, and masked by the
+        free set."""
         tables = self._tables(instance)
         stars = _type_stars(instance)
-        q_v = self.lp_result.mixture.q_v
         match = np.zeros((instance.n_types, instance.m))
         for g, v in enumerate(tables.type_of.tolist()):
-            match[v] += tables.mass[g] / q_v[v] * policy_match_probabilities(
+            match[v] += tables.share[g] * policy_match_probabilities(
                 stars[v], Policy(tables.kept[g]))
         arr = instance.arrivals
         steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])

@@ -40,6 +40,7 @@ LOW_TRIAL_WARNING = 1000
 CHUNK_TRIALS = 4096        # trials per chunk: the unit of parallel work
 BLOCK_FLOATS = 1 << 22     # most uniforms held at once by a lockstep batch
 THREADS_ENV = "STOCHMATCH_THREADS"
+CONFIDENCE = 0.999         # two-sided level of every report's half-width
 _MASK64 = (1 << 64) - 1
 
 
@@ -47,7 +48,6 @@ _MASK64 = (1 << 64) - 1
 class SimConfig:
     seed: int
     trials: int
-    confidence: float = 0.999
 
     def __post_init__(self):
         if self.trials < 1:
@@ -175,11 +175,11 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
         weights, counts = _run_range(instance, matcher, config.seed, 0, trials, m)
     mean = float(np.mean(weights))
     stddev = float(np.std(weights, ddof=1)) if trials > 1 else 0.0
-    z = float(ndtri(1.0 - (1.0 - config.confidence) / 2.0))
+    z = float(ndtri(1.0 - (1.0 - CONFIDENCE) / 2.0))
     half_width = z * stddev / np.sqrt(trials)
     return SimReport(mean=mean, stddev=stddev, half_width=half_width,
                      match_freq=counts / trials, trials=trials,
-                     confidence=config.confidence,
+                     confidence=CONFIDENCE,
                      low_trial_count=trials < LOW_TRIAL_WARNING)
 
 

@@ -11,8 +11,11 @@ provides
 * an attempt-indexed LP relaxation for arbitrary explicit patience
   distributions and the randomized policy read off its optimal solution
   (guaranteed at least half the LP bound),
-* brute-force enumeration oracles, and
-* the adjusted-weight pricing problem used by column generation.
+* brute-force enumeration oracles,
+* the adjusted-weight pricing problem used by column generation, and
+* ``expand``, the one forward expansion behind every exact expected value
+  (a randomized attempt policy's here, each matcher's in ``matching``);
+  the offline optimum in ``simulate``, a max, stays a backward recursion.
 """
 
 from __future__ import annotations
@@ -350,65 +353,66 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
     return StarResult(rsp, value, sol.objective)
 
 
+def expand(n_steps: int, start, moves):
+    """Expected total gain of a process run forward ``n_steps`` steps from
+    ``start``, holding one step's ``{state: probability}`` at a time.
+
+    ``moves(step, state)`` lists ``(gain, p, after)``: the move adds
+    ``gain`` to the expected total from ``state`` and carries probability
+    ``p`` into ``after``.  Probability it does not list ends the process.
+    A gain may be a vector.
+    """
+    total = 0.0
+    layer = {start: 1.0}
+    for step in range(n_steps):
+        reached: dict = {}
+        get = reached.get
+        for state, prob in layer.items():
+            for gain, p, after in moves(step, state):
+                total += prob * gain
+                if p > 0.0:
+                    reached[after] = get(after, 0.0) + prob * p
+        layer = reached
+    return total
+
+
 def _randomized_walk(star: StarInstance, rsp: RandomizedStarPolicy, gains):
     """Expected total gain of executing a randomized attempt policy, where a
     real success on item ``j`` gains ``gains[j]``: its weight for the
     expected reward, a unit vector for the per-item match probabilities.
 
-    State: the set of items already really probed, and the attempt index.
-    On each attempt an item is drawn from that attempt's row (leftover row
-    mass makes no probe but the attempt still elapses).  Re-drawing an
-    already probed item simulates the probe, and a simulated success
-    terminates with no gain.  Surviving into the next attempt multiplies by
-    the patience ratio ``q_{t+1}/q_t``.
+    An ``expand`` over attempts whose state is the bitmask of items already
+    really probed.  On each attempt an item is drawn from that attempt's row
+    (leftover row mass makes no probe but the attempt still elapses).
+    Re-drawing an already probed item simulates the probe, and a simulated
+    success terminates with no gain.  Surviving into the next attempt
+    multiplies by the patience ratio ``q_{t+1}/q_t``.
     """
     n = star.n
     if n > RANDOMIZED_EVAL_MAX_ITEMS:
         raise CapacityError(
             f"exact randomized evaluation capped at {RANDOMIZED_EVAL_MAX_ITEMS} items")
-    if n == 0:
-        return 0.0
     curve = star.patience.survival_curve(n).tolist()
     p = star.probs
     rows = rsp.attempt_probs.tolist()
     T = len(rows)
-    mass = rsp.attempt_probs.sum(axis=1)
-    idle = (1.0 - mass).tolist()
-    live = (np.cumsum((mass > 0.0)[::-1])[::-1] > 0).tolist()  # some row from t on has mass
-    memo: dict[tuple[int, int], object] = {}
+    idle = (1.0 - rsp.attempt_probs.sum(axis=1)).tolist()
 
-    def go(t: int, probed: int):
-        if t >= T or curve[t] <= 0.0 or not live[t]:
-            return 0.0
-        key = (t, probed)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        ratio_next = curve[t + 1] / curve[t] if t + 1 < T else 0.0
-        same = None  # gain of surviving into the next attempt with nothing new probed
-        total = 0.0
+    def moves(t: int, probed: int):
+        if curve[t] <= 0.0:
+            return ()
+        ratio = curve[t + 1] / curve[t] if t + 1 < T else 0.0
+        out = [(0.0, idle[t] * ratio, probed)] if idle[t] > 1e-15 else []
         for j, pr in enumerate(rows[t]):
-            if pr <= 0.0:
-                continue
-            if probed >> j & 1:
-                if same is None:
-                    same = ratio_next * go(t + 1, probed) if ratio_next > 0.0 else 0.0
-                total += pr * (1.0 - p[j]) * same
-            else:
-                total += pr * p[j] * gains[j]
-                if ratio_next > 0.0:
-                    total += pr * (1.0 - p[j]) * ratio_next * go(t + 1, probed | (1 << j))
-        if idle[t] > 1e-15:
-            if same is None:
-                same = ratio_next * go(t + 1, probed) if ratio_next > 0.0 else 0.0
-            total += idle[t] * same
-        memo[key] = total
-        return total
+            if pr > 0.0:
+                if probed >> j & 1:
+                    out.append((0.0, pr * (1.0 - p[j]) * ratio, probed))
+                else:
+                    out.append((pr * p[j] * gains[j], pr * (1.0 - p[j]) * ratio,
+                                probed | 1 << j))
+        return out
 
-    try:
-        return go(0, 0)
-    finally:
-        del go  # break the closure's cycle through itself and its memo
+    return expand(T, 0, moves)
 
 
 def eval_randomized_exact(star: StarInstance, rsp: RandomizedStarPolicy) -> float:

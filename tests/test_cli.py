@@ -212,6 +212,12 @@ def test_repro_targets_pass_and_are_deterministic(tmp_path, capsys, target):
     assert c1.read_bytes() == c2.read_bytes()
 
 
+def test_repro_zero_trials_exits_2(capsys):
+    code, _, err = run(capsys, "repro", "iid-guarantee", "--trials", "0")
+    assert code == 2
+    assert "trials must be >= 1" in err
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_thread_count_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("STOCHMATCH_THREADS", value)

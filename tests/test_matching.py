@@ -8,12 +8,17 @@ from stochmatch import matching
 from stochmatch.instances import (
     ArrivalModel,
     CapabilityError,
+    CapacityError,
     MatchingInstance,
     PatienceModel,
+    Policy,
+    PolicyMixture,
     validate,
 )
 from stochmatch.matching import (
     AdvGreedyMatcher,
+    PolicyLpMatcher,
+    ProphetLpResult,
     RandomTape,
     SimpleGreedyMatcher,
     benchmark_lp_value,
@@ -186,6 +191,55 @@ def test_never_real_probes_matched_vertex_and_probe_commit():
             assert probes <= inst.patience[v].theta
             distinct = {r.vertex for r in records if r.kind != "skip"}
             assert len(distinct) <= inst.m
+
+
+def test_policy_exact_value_weights_policies_as_drawn():
+    # type 2's masses sum to 0.8 against q_v = 0.65 (a clipped negative mass
+    # among them): an arrival draws each policy with its share of 0.8, so
+    # the exact value is that of the mixture rescaled to sum to q_v
+    q_tv = np.array([[0.3, 0.0, 0.2], [0.1, 0.0, 0.4], [0.25, 0.0, 0.05]])
+    inst = MatchingInstance.make(np.full((3, 3), 0.5), PatienceModel.deterministic(2),
+                                 ArrivalModel.prophet(q_tv), edge_weights=np.ones((3, 3)))
+    q_v = tuple(map(float, q_tv.sum(axis=0)))
+    type0 = ((Policy((0, 1)), 0.3), (Policy((2,)), 0.0), (Policy((1, 2)), 0.2))
+    type2 = ((Policy((2, 0)), 0.5), (Policy((0,)), -1e-12), (Policy((1,)), 0.3))
+    scale = q_v[2] / 0.8
+    rescaled = tuple((pol, max(mass, 0.0) * scale) for pol, mass in type2)
+
+    def value(per_type):
+        result = ProphetLpResult(mixture=PolicyMixture(per_type, q_v), objective=0.0,
+                                 w_star=np.zeros(3))
+        return PolicyLpMatcher(result, skip=False).exact_value(inst)
+
+    assert value((type0, (), type2)) == pytest.approx(value((type0, (), rescaled)),
+                                                      rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("matcher, n", [(AdvGreedyMatcher(solver_by_name("dp")), 1000),
+                                        (SimpleGreedyMatcher(), 1500)])
+def test_greedy_exact_value_past_the_recursion_limit(matcher, n):
+    exact = matcher.exact_value(hard.gen_single_offline(n))
+    assert exact == pytest.approx(hard.single_offline_best_value(n), rel=0, abs=1e-12)
+
+
+def test_policy_exact_value_over_a_long_horizon_agrees_with_simulation():
+    inst = hard.gen_random_matching(5, 3, 2, "iid", horizon=1200)
+    matcher = iid_matcher(solve_prophet_lp(inst))
+    exact = matcher.exact_value(inst)
+    rep = simulate(inst, matcher, SimConfig(seed=0, trials=20000), threads=1)
+    assert abs(exact - rep.mean) <= 4 * rep.stddev / np.sqrt(rep.trials)
+
+
+def test_exact_expansion_caps_offline_vertices():
+    greedy = hard.gen_random_matching(0, 21, 2, "adversarial")
+    with pytest.raises(CapacityError):
+        SimpleGreedyMatcher().exact_value(greedy)
+    iid = hard.gen_random_matching(0, 17, 2, "iid", horizon=3)
+    q_v = tuple(map(float, iid.arrivals.expected_arrivals(2)))
+    result = ProphetLpResult(mixture=PolicyMixture(((), ()), q_v), objective=0.0,
+                             w_star=np.zeros(17))
+    with pytest.raises(CapacityError):
+        PolicyLpMatcher(result, skip=False).exact_value(iid)
 
 
 def test_prophet_matcher_exact_vs_simulation():
