@@ -108,7 +108,7 @@ def cmd_star_solve(args) -> int:
               f" x {result.policy.attempt_probs.shape[0]} attempts")
     print(f"expected value: {f6(result.expected_value)}")
     print(f"benchmark:      {f6(result.benchmark)}")
-    if result.expected_value is not None and result.benchmark:
+    if result.benchmark:
         print(f"ratio:          {f6(result.expected_value / result.benchmark)}")
     if args.policy_out and isinstance(result.policy, Policy):
         with open(args.policy_out, "w", encoding="utf-8") as f:
@@ -386,6 +386,8 @@ _REPRO_TARGETS = {
 def cmd_repro(args) -> int:
     if args.target not in _REPRO_TARGETS:
         raise StochmatchError(f"unknown repro target {args.target!r}")
+    if args.trials is not None and args.trials < 1:
+        raise StochmatchError("trials must be >= 1")
     fn, default_trials = _REPRO_TARGETS[args.target]
     trials = default_trials if args.trials is None else args.trials
     r = _Repro()

@@ -33,13 +33,21 @@ walks, the draw bound and the exact value read that table.  A policy-LP
 arrival step reads one uniform against that CDF, which picks the arriving
 type and its policy at once.
 
-Each matcher's ``exact_value`` is one call to ``exact_expansion``, the
-forward expansion ``stars.expand`` over arrival steps with the bitmask of
-free offline vertices as state: the matcher supplies, per state, the
-probability and expected reward of matching each free vertex.  A
-simulated probe ends an arrival with the same probability as a real one,
-so a policy-LP arrival's match probabilities are those of its policy with
-every vertex free, masked by the free set.  The offline optimum
+Each matcher's ``exact_value`` is one call to ``exact_expansion``, a
+forward expansion over arrival steps with the bitmask of free offline
+vertices as state.  It advances a whole layer of states per step, as
+numpy arrays of free sets and probabilities taken in chunks of
+``EXACT_CHUNK``: per chunk the matcher supplies the probability and
+expected reward of matching each vertex, and the next layer is summed in
+a dense accumulator over all free sets.  A simulated probe ends an
+arrival with the same probability as a real one, so a policy-LP
+arrival's match probabilities are those of its policy with every vertex
+free, masked by the free set.  SimpleGreedy ranks each set's free
+neighbors as its lockstep walk does.  AdvGreedy with the built-in ``dp``
+solver orders every set of a chunk with one batched DP
+(``stars.deterministic_patience_orders``); with another solver, or one
+whose ``solve`` is overridden (a traced solver, say), it plans once per
+distinct set, grouped as in its lockstep walk.  The offline optimum
 (``simulate.brute_force_offline_opt``) takes a max over probes, not an
 expectation, and stays a backward recursion.
 
@@ -74,8 +82,8 @@ from .instances import (
 from .stars import (
     StarSolver,
     auto_solver,
+    deterministic_patience_orders,
     enumerate_policies,
-    expand,
     policy_match_probabilities,
     price_policy,
     randomized_match_probabilities,
@@ -87,6 +95,7 @@ COLUMN_CAP = 10_000
 MAX_ENUMERATED_POLICIES = 100_000
 BIG_PATIENCE = 10 ** 9
 TAPE_BLOCK = 192  # uniforms per RandomTape refill
+EXACT_CHUNK = 4096  # states per ``outcomes`` call of an exact expansion
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +196,10 @@ def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
 
 class _Tables:
     """What a matcher derives from one instance, built when it first runs
-    on the instance (see ``_TableCache``): plain lists for the exact
-    expansions (numpy scalar indexing is slow there) and per-type arrays
-    for the walks.  A matcher that derives more extends it."""
+    on the instance (see ``_TableCache``): plain lists for the scalar walk
+    (numpy scalar indexing is slow there) and per-type arrays for the
+    lockstep walks and the exact expansions.  A matcher that derives more
+    extends it."""
 
     __slots__ = ("m", "patience", "weight_cols", "neighbors", "neighbor_arrays", "probs",
                  "weights", "theta", "survival", "curves", "hazard", "rates")
@@ -425,26 +435,81 @@ def exact_expansion(n_steps: int, m: int, outcomes, max_offline: int) -> float:
     """Exact expected matched weight of a matcher, expanding every outcome.
 
     The state is the arrival step and the bitmask of still-free offline
-    vertices.  ``outcomes(step, free)`` lists, for the arrival at ``step``,
-    one ``(u, p, pw)`` per vertex ``u`` it can match: the probability ``p``
-    of matching ``u`` and the expected reward ``p * w``; the remaining mass
-    matches nothing.  It is ``stars.expand`` over free sets, so the cost is
-    the number of reachable (step, free set) pairs times the cost of
-    ``outcomes``.
+    vertices.  A layer, every free set reachable before one step with its
+    probability, is a pair of arrays, and the expansion advances it one
+    step at a time in chunks of at most ``EXACT_CHUNK`` states.
+    ``outcomes(step, free)`` takes an array of free sets and returns two
+    ``(len(free), m)`` matrices for the arrival at ``step``: the
+    probability of matching each vertex and its expected reward ``p * w``;
+    the remaining mass matches nothing.  The next layer is summed in a
+    dense ``1 << m`` accumulator, so the cost is one ``outcomes`` call per
+    chunk plus ``O(2^m)`` per step.
     """
     if m > max_offline:
         raise CapacityError(f"exact expansion capped at {max_offline} offline vertices")
+    bit = np.int64(1) << np.arange(m, dtype=np.int64)
+    states = np.array([(1 << m) - 1], dtype=np.int64)
+    probs = np.ones(1)
+    total = 0.0
+    for step in range(n_steps):
+        reached = np.zeros(1 << m)
+        for a in range(0, states.size, EXACT_CHUNK):
+            free, prob = states[a:a + EXACT_CHUNK], probs[a:a + EXACT_CHUNK]
+            match, reward = outcomes(step, free)
+            total += float(prob @ reward.sum(axis=1))
+            r, u = np.nonzero(match > 0.0)
+            np.add.at(reached, free[r] & ~bit[u], prob[r] * match[r, u])
+            none = 1.0 - match.sum(axis=1)
+            stay = none > 0.0
+            reached[free[stay]] += prob[stay] * none[stay]  # free sets of a layer are distinct
+        states = np.flatnonzero(reached)
+        probs = reached[states]
+    return total
 
-    def moves(step: int, free: int):
-        out = []
-        none = 1.0
-        for u, p, pw in outcomes(step, free):
-            none -= p
-            out.append((pw, p, free & ~(1 << u)))
-        out.append((0.0, none, free))
-        return out
 
-    return expand(n_steps, (1 << m) - 1, moves)
+def _free_bits(free: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Whether each of ``vertices`` is in each free set: ``(len(free),
+    len(vertices))`` booleans."""
+    return (free[:, None] >> vertices & 1).astype(bool)
+
+
+def _order_match(tables: _Tables, v: int, items: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Match probabilities, ``(L, m)``, of arrivals of type ``v`` where row
+    ``i`` probes the first ``length[i]`` entries of ``items[i]``, all free:
+    ``stars.policy_match_probabilities`` on each row's induced star, with
+    the same arithmetic."""
+    n_rows, width = items.shape
+    m = tables.m
+    probs = np.append(tables.probs[:, v], 0.0)  # column m takes the padding
+    out = np.zeros((n_rows, m + 1))
+    pat = tables.patience[v]
+    if pat.is_hazard:
+        ends = probs + (1.0 - probs) * np.append(tables.rates[v], 0.0)
+    else:
+        curve = pat.survival_curve(width).tolist()
+    alive = np.ones(n_rows)
+    every = np.arange(n_rows)
+    for k in range(width):
+        u = np.where(length > k, items[:, k], m)
+        p = probs[u]
+        if pat.is_hazard:
+            out[every, u] = alive * p
+            alive = alive * (1.0 - ends[u])
+        else:
+            out[every, u] = curve[k] * alive * p
+            alive = alive * (1.0 - p)
+    return out[:, :m]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean matrix with at least one column, and
+    per row the index of its distinct row."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    sets, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                            return_inverse=True)
+    masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1,
+                          count=rows.shape[1])
+    return masks, group
 
 
 # ---------------------------------------------------------------------------
@@ -500,23 +565,20 @@ class _GreedyMatcher(_TableCache):
                    for v, k in caps)
 
     def exact_value(self, instance: MatchingInstance) -> float:
-        """Exact expected matched weight by expanding every probe outcome."""
+        """Exact expected matched weight by expanding every probe outcome:
+        per step, ``self._exact_match`` gives the match probabilities of
+        the arriving type on every free set of the layer."""
         tables = self._tables(instance)
         order = instance.arrivals.order
 
         def outcomes(step, free):
             v = order[step]
-            avail = [u for u in tables.neighbors[v] if free >> u & 1]
-            if not avail:
-                return ()
-            star, items = star_items = instance.star_for(v, avail)
-            plan = self._plan(instance, tables, v, tuple(avail), star_items)
-            if plan[0] == "randomized":
-                match_p = randomized_match_probabilities(star, plan[1])
+            neigh = tables.neighbor_arrays[v]
+            if not neigh.size:
+                match = np.zeros((free.size, instance.m))
             else:
-                match_p = policy_match_probabilities(star, Policy(tuple(map(items.index, plan[1]))))
-            w = tables.weight_cols[v]
-            return [(u, p, p * w[u]) for u, p in zip(items, match_p.tolist()) if p > 0.0]
+                match = self._exact_match(instance, tables, v, _free_bits(free, neigh))
+            return match, match * tables.weights[:, v]
 
         return exact_expansion(len(order), instance.m, outcomes, max_offline=20)
 
@@ -557,6 +619,33 @@ class AdvGreedyMatcher(_GreedyMatcher):
             tables.plans[key] = plan
         return plan
 
+    def _exact_match(self, instance, tables, v, avail):
+        """Match probabilities of an arrival of type ``v`` on each row of
+        ``avail`` (its free neighbors).  With the built-in ``dp`` solver,
+        one batched DP (``stars.deterministic_patience_orders``) orders
+        every row at once; any other solver, or a subclass that overrides
+        ``solve``, plans once per distinct row, as the lockstep walk does."""
+        neigh = tables.neighbor_arrays[v]
+        solver = self.solver or auto_solver(tables.patience[v])
+        if solver.name == "dp" and type(solver).solve is StarSolver.solve:
+            star, _ = instance.star_for(v, neigh.tolist())
+            orders, length = deterministic_patience_orders(star, avail)
+            return _order_match(tables, v, neigh[orders], length)
+        masks, group = _distinct_rows(avail)
+        match = np.zeros((len(masks), instance.m))
+        for g, mask in enumerate(masks.tolist()):
+            avail_key = tuple(itertools.compress(tables.neighbors[v], mask))
+            if not avail_key:
+                continue
+            star, items = star_items = instance.star_for(v, avail_key)
+            plan = self._plan(instance, tables, v, avail_key, star_items)
+            if plan[0] == "randomized":
+                match[g, items] = randomized_match_probabilities(star, plan[1])
+            else:
+                match[g, items] = policy_match_probabilities(
+                    star, Policy(tuple(map(items.index, plan[1]))))
+        return match[group]
+
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts,
@@ -570,14 +659,11 @@ class AdvGreedyMatcher(_GreedyMatcher):
             k = len(neigh)
             if not k:
                 continue
-            packed = np.ascontiguousarray(np.packbits(state.free[:, neigh], axis=1))
-            sets, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                                    return_inverse=True)
-            kind = np.zeros(len(sets), dtype=np.int8)  # 1 policy, 2 randomized, 0 no plan
-            items = np.zeros((len(sets), k), dtype=np.intp)
-            length = np.zeros(len(sets), dtype=np.intp)
-            cum = np.full((len(sets), k, k), np.nan)
-            masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1, count=k)
+            masks, group = _distinct_rows(state.free[:, neigh])
+            kind = np.zeros(len(masks), dtype=np.int8)  # 1 policy, 2 randomized, 0 no plan
+            items = np.zeros((len(masks), k), dtype=np.intp)
+            length = np.zeros(len(masks), dtype=np.intp)
+            cum = np.full((len(masks), k, k), np.nan)
             for g, mask in enumerate(masks.tolist()):
                 avail = tuple(itertools.compress(neigh, mask))
                 if not avail:
@@ -624,6 +710,18 @@ class SimpleGreedyMatcher(_GreedyMatcher):
 
     def _plan(self, instance, tables, v, avail_key, star_items=None):
         return ("policy", avail_key[::-1] if self.rule == "last" else avail_key)
+
+    def _exact_match(self, instance, tables, v, avail):
+        """Match probabilities of an arrival of type ``v`` on each row of
+        ``avail`` (its free neighbors): its free neighbors ranked in rule
+        order, as ``run_lockstep`` ranks them."""
+        neigh = tables.neighbor_arrays[v]
+        if self.rule == "last":
+            neigh, avail = neigh[::-1], avail[:, ::-1]
+        width = tables.patience[v].max_probes(neigh.size)
+        ranked = np.argsort(~avail, axis=1, kind="stable")[:, :width]
+        length = np.minimum(np.count_nonzero(avail, axis=1), width)
+        return _order_match(tables, v, neigh[ranked], length)
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
@@ -1015,15 +1113,15 @@ class PolicyLpMatcher(_TableCache):
                 stars[v], Policy(tables.kept[g]))
         arr = instance.arrivals
         steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])
-        probs = (steps @ match).tolist()
-        rewards = (steps @ (match * instance.weights_matrix().T)).tolist()
-        m = instance.m
+        probs = steps @ match
+        rewards = steps @ (match * instance.weights_matrix().T)
+        vertices = np.arange(instance.m)
 
         def outcomes(t, free):
-            p, pw = probs[t], rewards[t]
-            return [(u, p[u], pw[u]) for u in range(m) if free >> u & 1 and p[u] > 0.0]
+            bits = _free_bits(free, vertices)
+            return bits * probs[t], bits * rewards[t]
 
-        return exact_expansion(arr.n_steps, m, outcomes, max_offline=16)
+        return exact_expansion(arr.n_steps, instance.m, outcomes, max_offline=16)
 
 
 def prophet_matcher(lp_result: ProphetLpResult) -> PolicyLpMatcher:

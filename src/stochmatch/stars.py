@@ -6,16 +6,18 @@ can be attempted, under any of the three patience models.  This module
 provides
 
 * exact evaluation of a fixed probing order,
-* an exact dynamic program for deterministic patience,
+* an exact dynamic program for deterministic patience, also batched over
+  many induced stars of one star (``deterministic_patience_orders``),
 * the exact index rule ``w_i p_i / q_i`` for per-item hazard rates,
 * an attempt-indexed LP relaxation for arbitrary explicit patience
   distributions and the randomized policy read off its optimal solution
   (guaranteed at least half the LP bound),
 * brute-force enumeration oracles,
-* the adjusted-weight pricing problem used by column generation, and
-* ``expand``, the one forward expansion behind every exact expected value
-  (a randomized attempt policy's here, each matcher's in ``matching``);
-  the offline optimum in ``simulate``, a max, stays a backward recursion.
+* a closed form for the match probabilities of a randomized attempt
+  policy: every draw ends the arrival with the drawn item's success
+  probability, real probe or simulated, so survival does not depend on
+  what was probed and no expansion over probed sets is needed, and
+* the adjusted-weight pricing problem used by column generation.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .instances import (
 )
 
 BRUTE_FORCE_MAX_ITEMS = 7
-RANDOMIZED_EVAL_MAX_ITEMS = 15
 ZERO_SURVIVAL = 1e-9  # attempt rows with survival mass below this are zeroed
 
 
@@ -69,7 +70,7 @@ class StarResult:
     randomized policy, the optimal value for exact solvers)."""
 
     policy: Policy | RandomizedStarPolicy
-    expected_value: float | None
+    expected_value: float
     benchmark: float | None = None
 
 
@@ -176,6 +177,54 @@ def solve_deterministic_patience(star: StarInstance) -> StarResult:
             t -= 1
     value = D[0][cap]
     return StarResult(Policy(tuple(order)), value, value)
+
+
+def deterministic_patience_orders(star: StarInstance, avail) -> tuple[np.ndarray, np.ndarray]:
+    """``solve_deterministic_patience`` on many induced stars at once.
+
+    Row ``i`` of the boolean ``(L, n)`` matrix ``avail`` picks the star
+    ``star.with_items(np.flatnonzero(avail[i]))``.  Returns ``(orders,
+    lengths)``: the first ``lengths[i]`` entries of ``orders[i]`` are that
+    star's optimal order, as indices into ``star``.
+
+    One knapsack DP runs over the weight-sorted items of ``star`` for every
+    row at once.  An item missing from a row passes the values of the items
+    after it on unchanged, which is the scalar DP over the row's own items,
+    so every row makes the scalar DP's comparisons, ties included, and gets
+    its order.
+    """
+    if not star.patience.is_deterministic:
+        raise PatienceVariantError("deterministic-patience solver needs deterministic patience")
+    avail = np.asarray(avail, dtype=bool)
+    n_rows = avail.shape[0]
+    theta = star.patience.theta
+    items = _positive_items(star)
+    items.sort(key=lambda i: (-star.weights[i], i))
+    cap = min(theta, len(items))
+    orders = np.zeros((n_rows, max(cap, 0)), dtype=np.intp)
+    lengths = np.zeros(n_rows, dtype=np.intp)
+    if cap <= 0:
+        return orders, lengths
+    present = avail[:, items]
+    # D[:, t]: best value from the current sorted position on with t probes left
+    D = np.zeros((n_rows, cap + 1))
+    take = np.zeros((len(items), n_rows, cap + 1), dtype=bool)
+    for i in range(len(items) - 1, -1, -1):
+        w = star.weights[items[i]]
+        p = star.probs[items[i]]
+        skip = D[:, 1:]
+        probe = p * w + (1.0 - p) * D[:, :-1]
+        took = (probe >= skip) & present[:, i, None]
+        take[i, :, 1:] = took
+        D[:, 1:] = np.where(took, probe, skip)
+    t = np.minimum(theta, present.sum(axis=1))
+    every = np.arange(n_rows)
+    for i, item in enumerate(items):
+        sel = np.flatnonzero(take[i, every, t])  # take[i, :, 0] is never set
+        orders[sel, lengths[sel]] = item
+        lengths[sel] += 1
+        t[sel] -= 1
+    return orders, lengths
 
 
 def solve_constant_hazard(star: StarInstance) -> StarResult:
@@ -316,9 +365,8 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
 
     Works for any explicitly given patience distribution (survival curve,
     deterministic step, or the geometric curve of a global hazard rate).
-    The returned policy's exact expected reward is at least half the LP
-    objective; it is computed exactly when the star is small enough and
-    left as ``None`` otherwise.
+    The returned policy's exact expected reward, which is at least half the
+    LP objective, comes with it (``randomized_match_probabilities``).
     """
     if not _lp_supported_patience(star):
         raise PatienceVariantError(
@@ -349,81 +397,53 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
             worst_scale = max(worst_scale, total - 1.0)
         probs[t, :] = row
     rsp = RandomizedStarPolicy(probs, surv, sol.objective, worst_scale)
-    value = eval_randomized_exact(star, rsp) if n <= RANDOMIZED_EVAL_MAX_ITEMS else None
-    return StarResult(rsp, value, sol.objective)
+    return StarResult(rsp, eval_randomized_exact(star, rsp), sol.objective)
 
 
-def expand(n_steps: int, start, moves):
-    """Expected total gain of a process run forward ``n_steps`` steps from
-    ``start``, holding one step's ``{state: probability}`` at a time.
+def randomized_match_probabilities(star: StarInstance,
+                                   rsp: RandomizedStarPolicy) -> np.ndarray:
+    """Per-item probabilities of a real match when executing ``rsp``.
 
-    ``moves(step, state)`` lists ``(gain, p, after)``: the move adds
-    ``gain`` to the expected total from ``state`` and carries probability
-    ``p`` into ``after``.  Probability it does not list ends the process.
-    A gain may be a vector.
-    """
-    total = 0.0
-    layer = {start: 1.0}
-    for step in range(n_steps):
-        reached: dict = {}
-        get = reached.get
-        for state, prob in layer.items():
-            for gain, p, after in moves(step, state):
-                total += prob * gain
-                if p > 0.0:
-                    reached[after] = get(after, 0.0) + prob * p
-        layer = reached
-    return total
+    On each attempt an item is drawn from that attempt's row (leftover row
+    mass makes no probe, but the attempt still elapses); re-drawing an item
+    already probed simulates the probe, and a simulated success ends the
+    arrival with no reward.  Every draw of ``j``, real or simulated, ends
+    the arrival with probability ``p_j``, and the rows do not depend on
+    what was probed, so the arrival is alive at attempt ``t`` without
+    having drawn ``j`` with probability
 
+        B_{t,j} = prod_{s<t} ratio_s (idle_s + sum_i r_{s,i} (1 - p_i)
+                                      - r_{s,j} (1 - p_j)),
 
-def _randomized_walk(star: StarInstance, rsp: RandomizedStarPolicy, gains):
-    """Expected total gain of executing a randomized attempt policy, where a
-    real success on item ``j`` gains ``gains[j]``: its weight for the
-    expected reward, a unit vector for the per-item match probabilities.
-
-    An ``expand`` over attempts whose state is the bitmask of items already
-    really probed.  On each attempt an item is drawn from that attempt's row
-    (leftover row mass makes no probe but the attempt still elapses).
-    Re-drawing an already probed item simulates the probe, and a simulated
-    success terminates with no gain.  Surviving into the next attempt
-    multiplies by the patience ratio ``q_{t+1}/q_t``.
+    where ``ratio_s = q_{s+1} / q_s`` is the patience surviving into the
+    next attempt.  The first draw of ``j`` is its real probe, so ``j`` is
+    matched with probability ``sum_t B_{t,j} r_{t,j} p_j``: an O(T n)
+    loop, no expansion over probed sets.
     """
     n = star.n
-    if n > RANDOMIZED_EVAL_MAX_ITEMS:
-        raise CapacityError(
-            f"exact randomized evaluation capped at {RANDOMIZED_EVAL_MAX_ITEMS} items")
     curve = star.patience.survival_curve(n).tolist()
     p = star.probs
     rows = rsp.attempt_probs.tolist()
     T = len(rows)
     idle = (1.0 - rsp.attempt_probs.sum(axis=1)).tolist()
-
-    def moves(t: int, probed: int):
+    match = [0.0] * n
+    unseen = [1.0] * n  # B_{t,j}
+    for t, row in enumerate(rows):
         if curve[t] <= 0.0:
-            return ()
+            break
         ratio = curve[t + 1] / curve[t] if t + 1 < T else 0.0
-        out = [(0.0, idle[t] * ratio, probed)] if idle[t] > 1e-15 else []
-        for j, pr in enumerate(rows[t]):
+        fail = [pr * (1.0 - p[j]) if pr > 0.0 else 0.0 for j, pr in enumerate(row)]
+        stay = (idle[t] if idle[t] > 1e-15 else 0.0) + sum(fail)
+        for j, pr in enumerate(row):
             if pr > 0.0:
-                if probed >> j & 1:
-                    out.append((0.0, pr * (1.0 - p[j]) * ratio, probed))
-                else:
-                    out.append((pr * p[j] * gains[j], pr * (1.0 - p[j]) * ratio,
-                                probed | 1 << j))
-        return out
-
-    return expand(T, 0, moves)
+                match[j] += unseen[j] * pr * p[j]
+            unseen[j] *= ratio * (stay - fail[j])
+    return np.array(match)
 
 
 def eval_randomized_exact(star: StarInstance, rsp: RandomizedStarPolicy) -> float:
     """Exact expected reward of executing a randomized attempt policy."""
-    return _randomized_walk(star, rsp, star.weights)
-
-
-def randomized_match_probabilities(star: StarInstance,
-                                   rsp: RandomizedStarPolicy) -> np.ndarray:
-    """Per-item probabilities of a real match when executing ``rsp``."""
-    return np.zeros(star.n) + _randomized_walk(star, rsp, np.eye(star.n))
+    return float(randomized_match_probabilities(star, rsp) @ np.asarray(star.weights))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,130 @@
+"""Reference oracles for the exact values, one state at a time.
+
+The package computes a matcher's exact value layer by layer over arrays of
+free-set bitmasks (``matching.exact_expansion``) and a randomized attempt
+policy's match probabilities in closed form
+(``stars.randomized_match_probabilities``).  The oracles here are the
+per-state expansions those replaced: a forward expansion over a dict of
+states, each state's moves listed in plain Python.
+"""
+
+import numpy as np
+
+from stochmatch.instances import Policy, StarInstance
+from stochmatch.matching import AdvGreedyMatcher, PolicyLpMatcher, SimpleGreedyMatcher
+from stochmatch.stars import RandomizedStarPolicy, auto_solver, policy_match_probabilities
+
+
+def expand(n_steps: int, start, moves):
+    """Expected total gain of a process run forward ``n_steps`` steps from
+    ``start``, holding one step's ``{state: probability}`` at a time.
+
+    ``moves(step, state)`` lists ``(gain, p, after)``: the move adds
+    ``gain`` to the expected total from ``state`` and carries probability
+    ``p`` into ``after``.  Probability it does not list ends the process.
+    A gain may be a vector.
+    """
+    total = 0.0
+    layer = {start: 1.0}
+    for step in range(n_steps):
+        reached: dict = {}
+        get = reached.get
+        for state, prob in layer.items():
+            for gain, p, after in moves(step, state):
+                total += prob * gain
+                if p > 0.0:
+                    reached[after] = get(after, 0.0) + prob * p
+        layer = reached
+    return total
+
+
+def randomized_walk(star: StarInstance, rsp: RandomizedStarPolicy, gains):
+    """Expected total gain of executing a randomized attempt policy, where a
+    real success on item ``j`` gains ``gains[j]``, by an ``expand`` over
+    attempts whose state is the bitmask of items already really probed.
+    Re-drawing a probed item simulates the probe, and a simulated success
+    ends the arrival with no gain."""
+    n = star.n
+    curve = star.patience.survival_curve(n).tolist()
+    p = star.probs
+    rows = rsp.attempt_probs.tolist()
+    T = len(rows)
+    idle = (1.0 - rsp.attempt_probs.sum(axis=1)).tolist()
+
+    def moves(t: int, probed: int):
+        if curve[t] <= 0.0:
+            return ()
+        ratio = curve[t + 1] / curve[t] if t + 1 < T else 0.0
+        out = [(0.0, idle[t] * ratio, probed)] if idle[t] > 1e-15 else []
+        for j, pr in enumerate(rows[t]):
+            if pr > 0.0:
+                if probed >> j & 1:
+                    out.append((0.0, pr * (1.0 - p[j]) * ratio, probed))
+                else:
+                    out.append((pr * p[j] * gains[j], pr * (1.0 - p[j]) * ratio,
+                                probed | 1 << j))
+        return out
+
+    return expand(T, 0, moves)
+
+
+def randomized_match_probabilities(star: StarInstance, rsp: RandomizedStarPolicy) -> np.ndarray:
+    return np.zeros(star.n) + randomized_walk(star, rsp, np.eye(star.n))
+
+
+def _greedy_match(matcher, instance, v, avail) -> tuple[list[int], np.ndarray]:
+    """The star items of an arrival of type ``v`` finding ``avail`` free,
+    and its match probability on each."""
+    star, items = instance.star_for(v, avail)
+    if isinstance(matcher, SimpleGreedyMatcher):
+        order = range(star.n)[::-1] if matcher.rule == "last" else range(star.n)
+        return items, policy_match_probabilities(star, Policy(tuple(order)))
+    result = (matcher.solver or auto_solver(star)).solve(star)
+    if isinstance(result.policy, Policy):
+        return items, policy_match_probabilities(star, result.policy)
+    return items, randomized_match_probabilities(star, result.policy)
+
+
+def matcher_value(matcher, instance) -> float:
+    """A matcher's exact expected matched weight by ``expand`` over single
+    free sets, with each state's outcomes worked out on its own star."""
+    m = instance.m
+    w = instance.weights_matrix()
+    if isinstance(matcher, PolicyLpMatcher):
+        # an arrival matches a free vertex as it would with every vertex
+        # free: one match vector per type, over the type's full star
+        tables = matcher._tables(instance)
+        match = np.zeros((instance.n_types, m))
+        for g, v in enumerate(tables.type_of.tolist()):
+            star = StarInstance(tuple(w[:, v]), tuple(instance.probs[:, v]),
+                                instance.patience[v])
+            match[v] += tables.share[g] * policy_match_probabilities(star, Policy(tables.kept[g]))
+        arr = instance.arrivals
+        n_steps = arr.n_steps
+        probs = [arr.step_probs(t) @ match for t in range(n_steps)]
+        rewards = [arr.step_probs(t) @ (match * w.T) for t in range(n_steps)]
+
+        def outcomes(t, free):
+            return [(u, probs[t][u], rewards[t][u]) for u in range(m) if free >> u & 1]
+    else:
+        assert isinstance(matcher, (AdvGreedyMatcher, SimpleGreedyMatcher))
+        order = instance.arrivals.order
+        n_steps = len(order)
+
+        def outcomes(t, free):
+            v = order[t]
+            avail = [u for u in range(m) if free >> u & 1 and instance.probs[u, v] > 0.0]
+            if not avail:
+                return []
+            items, probs = _greedy_match(matcher, instance, v, avail)
+            return [(u, p, p * w[u, v]) for u, p in zip(items, probs.tolist())]
+
+    def moves(t, free):
+        out, none = [], 1.0
+        for u, p, pw in outcomes(t, free):
+            none -= p
+            out.append((pw, p, free & ~(1 << u)))
+        out.append((0.0, none, free))
+        return out
+
+    return expand(n_steps, (1 << m) - 1, moves)

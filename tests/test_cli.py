@@ -218,6 +218,14 @@ def test_repro_zero_trials_exits_2(capsys):
     assert "trials must be >= 1" in err
 
 
+@pytest.mark.parametrize("target", ["gap-single", "tight-example", "unknown-patience"])
+def test_repro_negative_trials_exits_2_for_targets_without_trials(capsys, target):
+    code, out, err = run(capsys, "repro", target, "--trials", "-3")
+    assert code == 2
+    assert "trials must be >= 1" in err
+    assert "PASS" not in out
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_thread_count_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv("STOCHMATCH_THREADS", value)

@@ -1,0 +1,205 @@
+"""The layer-wise exact values against their per-state oracles.
+
+``exact_oracles`` holds the expansions over single states that the
+layer-wise core, the batched deterministic-patience DP and the closed form
+for randomized star policies replaced.  Orders must be equal; values agree
+to summation order.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import exact_oracles as oracle
+from stochmatch import hard_instances as hard
+from stochmatch import matching
+from stochmatch.instances import (
+    MatchingInstance,
+    PatienceModel,
+    PatienceVariantError,
+    StarInstance,
+)
+from stochmatch.matching import AdvGreedyMatcher, SimpleGreedyMatcher
+from stochmatch.simulate import SimConfig, simulate
+from stochmatch.stars import (
+    RandomizedStarPolicy,
+    StarSolver,
+    deterministic_patience_orders,
+    eval_randomized_exact,
+    randomized_match_probabilities,
+    solve_arbitrary_patience,
+    solve_deterministic_patience,
+    solver_by_name,
+)
+from test_lockstep import _instance, _policy_matcher, kinds, seeds
+
+
+def _nonnegative_patience(instance: MatchingInstance) -> MatchingInstance:
+    """The instance with negative deterministic budgets (which ``validate``
+    rejects) raised to 0."""
+    pats = [PatienceModel.deterministic(0) if p.is_deterministic and p.theta < 0 else p
+            for p in instance.patience]
+    return MatchingInstance.make(instance.probs, pats, instance.arrivals,
+                                 edge_weights=instance.edge_weights)
+
+
+# ---------------------------------------------------------------------------
+# the batched deterministic-patience DP
+# ---------------------------------------------------------------------------
+
+@st.composite
+def induced_stars(draw):
+    """A deterministic-patience star with tied weights and zero-probability
+    items, and rows of free items."""
+    n = draw(st.integers(0, 9))
+    weight = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.01, 4.0))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
+    probs = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]) | st.floats(0.0, 1.0),
+                          min_size=n, max_size=n))
+    theta = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                         min_size=1, max_size=8))
+    star = StarInstance.make(weights, probs, PatienceModel.deterministic(theta))
+    return star, np.array(rows, dtype=bool).reshape(len(rows), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(induced_stars())
+def test_batched_dp_orders_equal_the_scalar_dp(case):
+    star, avail = case
+    orders, lengths = deterministic_patience_orders(star, avail)
+    for row, order, length in zip(avail, orders, lengths):
+        idx = np.flatnonzero(row).tolist()
+        scalar = solve_deterministic_patience(star.with_items(idx)).policy.order
+        assert tuple(order[:length].tolist()) == tuple(idx[i] for i in scalar)
+
+
+def test_batched_dp_rejects_other_patience():
+    star = StarInstance.make([1.0], [0.5], PatienceModel.survival([1.0]))
+    with pytest.raises(PatienceVariantError):
+        deterministic_patience_orders(star, np.ones((1, 1), dtype=bool))
+
+
+# ---------------------------------------------------------------------------
+# the closed form for randomized star policies
+# ---------------------------------------------------------------------------
+
+@st.composite
+def randomized_policies(draw):
+    """A star with survival, deterministic or global-hazard patience and a
+    randomized attempt policy on it: the LP's, or random rows with idle
+    mass, zero rows and rows summing to 1."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(("survival", "deterministic", "global-hazard")))
+    rng = np.random.default_rng(draw(seeds))
+    if kind == "survival":
+        q = np.minimum.accumulate(np.sort(rng.random(int(rng.integers(1, n + 2))))[::-1])
+        q[0] = 1.0
+        patience = PatienceModel.survival(q)
+    elif kind == "deterministic":
+        patience = PatienceModel.deterministic(int(rng.integers(0, n + 2)))
+    else:
+        patience = PatienceModel.constant_hazard(rate=float(rng.choice([0.0, rng.random(), 1.0])))
+    star = StarInstance.make(rng.random(n) * 3.0, rng.random(n) * (rng.random(n) < 0.9), patience)
+    if draw(st.booleans()):
+        return star, solve_arbitrary_patience(star).policy
+    rows = rng.random((n, n)) * (rng.random((n, n)) < 0.7)
+    sums = rows.sum(axis=1, keepdims=True)
+    scale = np.where(rng.random((n, 1)) < 0.3, 1.0, rng.random((n, 1)))
+    rows = np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0.0) * scale
+    return star, RandomizedStarPolicy(rows, np.ones(n), 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(randomized_policies())
+def test_randomized_closed_form_equals_the_walk(case):
+    star, rsp = case
+    expected = oracle.randomized_match_probabilities(star, rsp)
+    assert np.allclose(randomized_match_probabilities(star, rsp), expected, rtol=0.0, atol=1e-14)
+    assert eval_randomized_exact(star, rsp) == pytest.approx(
+        oracle.randomized_walk(star, rsp, star.weights), rel=0.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the three matchers' layer-wise values
+# ---------------------------------------------------------------------------
+
+class _PlanningDp(StarSolver):
+    """The ``dp`` solver behind an overridden ``solve``, which keeps the
+    greedy matcher on its per-set path; counts its solves."""
+
+    calls = 0
+
+    def solve(self, star):
+        _PlanningDp.calls += 1
+        return super().solve(star)
+
+
+GREEDY = {
+    "adv-default": lambda: AdvGreedyMatcher(),
+    "adv-lp": lambda: AdvGreedyMatcher(solver_by_name("lp")),
+    "adv-dp-per-set": lambda: AdvGreedyMatcher(_PlanningDp("dp", 1.0)),
+    "simple-first": lambda: SimpleGreedyMatcher("first"),
+    "simple-last": lambda: SimpleGreedyMatcher("last"),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeds, kinds, st.sampled_from(sorted(GREEDY)))
+def test_greedy_exact_values_equal_the_oracle(seed, kinds, which):
+    # the default solvers plan with the batched dp, the hazard index rule
+    # and the randomized LP policy; per-item hazard patience has no LP policy
+    instance = _nonnegative_patience(_instance(seed, kinds, "adversarial")[0])
+    try:
+        expected = oracle.matcher_value(GREEDY[which](), instance)
+    except PatienceVariantError:
+        with pytest.raises(PatienceVariantError):
+            GREEDY[which]().exact_value(instance)
+        return
+    assert GREEDY[which]().exact_value(instance) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, kinds, st.sampled_from(("iid", "prophet")), st.booleans())
+def test_policy_exact_values_equal_the_oracle(seed, kinds, arrivals, skip):
+    instance, rng = _instance(seed, kinds, arrivals)
+    instance = _nonnegative_patience(instance)
+    matcher = _policy_matcher(instance, rng, skip)
+    assert matcher.exact_value(instance) == pytest.approx(
+        oracle.matcher_value(matcher, instance), rel=0.0, abs=1e-12)
+
+
+def test_an_overridden_dp_solve_plans_per_set_and_agrees():
+    inst = hard.gen_random_matching(31, 6, 20, "adversarial", max_theta=3)
+    _PlanningDp.calls = 0
+    per_set = AdvGreedyMatcher(_PlanningDp("dp", 1.0)).exact_value(inst)
+    assert _PlanningDp.calls > 0
+    batched = AdvGreedyMatcher(solver_by_name("dp")).exact_value(inst)
+    assert batched == pytest.approx(per_set, rel=0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# scale and chunking
+# ---------------------------------------------------------------------------
+
+def _adversarial_14_by_16() -> MatchingInstance:
+    inst = hard.gen_random_matching(3, 14, 16, "adversarial")
+    return MatchingInstance.make(inst.probs, PatienceModel.deterministic(2), inst.arrivals,
+                                 edge_weights=inst.edge_weights)
+
+
+def test_adv_greedy_exact_value_at_scale_agrees_with_simulation():
+    inst = _adversarial_14_by_16()
+    exact = AdvGreedyMatcher(solver_by_name("dp")).exact_value(inst)
+    rep = simulate(inst, AdvGreedyMatcher(solver_by_name("dp")),
+                   SimConfig(seed=0, trials=20_000), threads=1)
+    assert abs(exact - rep.mean) <= 4 * rep.stddev / np.sqrt(rep.trials)
+
+
+def test_small_chunks_leave_the_exact_value_unchanged(monkeypatch):
+    inst = _adversarial_14_by_16()
+    whole = AdvGreedyMatcher(solver_by_name("dp")).exact_value(inst)
+    monkeypatch.setattr(matching, "EXACT_CHUNK", 7)
+    chunked = AdvGreedyMatcher(solver_by_name("dp")).exact_value(inst)
+    assert chunked == pytest.approx(whole, rel=0.0, abs=1e-12)

@@ -279,13 +279,39 @@ def test_lp_path_rejects_per_item_hazard():
         solve_arbitrary_patience(star)
 
 
-def test_eval_randomized_capacity_cap():
-    n = 16
-    star = StarInstance.make([1.0] * n, [0.5] * n,
-                             PatienceModel.survival([1.0] + [0.5] * (n - 1)))
-    rsp = RandomizedStarPolicy(np.zeros((n, n)), np.zeros(n), 0.0)
-    with pytest.raises(CapacityError):
-        eval_randomized_exact(star, rsp)
+def _simulate_randomized(star, rsp, trials, seed):
+    """Seeded Monte Carlo of executing ``rsp``: a patience drawn from the
+    survival curve, one draw per attempt from its row (above the row sum
+    idles), re-drawn items probed in simulation, any success ending the
+    arrival.  Returns the mean reward and its standard error."""
+    rng = np.random.default_rng(seed)
+    n = star.n
+    p, w = np.asarray(star.probs), np.asarray(star.weights)
+    curve = star.patience.survival_curve(n)
+    budget = np.count_nonzero(curve[None, :] > rng.random(trials)[:, None], axis=1)
+    cum = np.cumsum(rsp.attempt_probs, axis=1)
+    alive = np.ones(trials, dtype=bool)
+    probed = np.zeros((trials, n), dtype=bool)
+    gain = np.zeros(trials)
+    for t in range(n):
+        live = np.flatnonzero(alive & (budget > t))
+        j = np.searchsorted(cum[t], rng.random(live.size), side="right")
+        live, j = live[j < n], j[j < n]
+        success = rng.random(live.size) < p[j]
+        real = success & ~probed[live, j]
+        gain[live[real]] += w[j[real]]
+        probed[live, j] = True
+        alive[live[success]] = False
+    return gain.mean(), gain.std(ddof=1) / np.sqrt(trials)
+
+
+@pytest.mark.parametrize("n", [16, 30])
+def test_randomized_value_of_a_large_star_agrees_with_simulation(n):
+    star = hard.gen_random_star(n, n, "survival")
+    res = solve_arbitrary_patience(star)
+    assert res.expected_value >= 0.5 * res.benchmark - 1e-9
+    mean, se = _simulate_randomized(star, res.policy, 100_000, seed=n)
+    assert abs(res.expected_value - mean) <= 4 * se
 
 
 # ---------------------------------------------------------------------------
