@@ -124,13 +124,14 @@ class PatienceModel:
         An item can be probed at most once, so no policy ever makes more than
         ``n`` probes: curves longer than ``n`` are truncated and shorter ones
         are padded with zeros.  Deterministic patience maps to a 0/1 step
-        curve and a global hazard rate to the geometric curve
+        curve (all zeros for a negative budget, as ``max_probes`` counts it)
+        and a global hazard rate to the geometric curve
         ``(1 - rate)**(k-1)``.  Per-item hazard rates have no policy-free
         survival curve and are rejected.
         """
         if self.kind == DETERMINISTIC:
             out = np.zeros(n)
-            out[: min(self.theta, n)] = 1.0
+            out[: max(0, min(self.theta, n))] = 1.0
             return out
         if self.kind == SURVIVAL:
             out = np.zeros(n)

@@ -21,14 +21,15 @@ once per arrival (hidden from the matcher); hazard patience flips a balk
 coin after each failed probe.
 
 Every matcher walks a batch of trials in lockstep (``run_lockstep``), each
-trial reading one row of a block of uniforms; ``simulate`` runs trials only
-this way.  Calling a matcher walks one trial on a ``RandomTape``: that
-scalar walk serves traces (``trace=True``) and is the tests' reference for
-the lockstep walks, which read every trial's stream exactly as it does.
+trial reading one row of a block of uniforms; this is the only walk.
+``simulate`` runs its trials this way, and calling a matcher runs one
+trial as a one-row batch with a probe log, which serves traces
+(``trace=True``).  The tests keep a scalar walk, one arrival at a time, as
+the reference (``tests/walk_oracle.py``).
 
 A matcher derives what it needs from an instance into one table, kept
 until it runs on another instance: AdvGreedy's star plans, the policy-LP
-matcher's per-step CDF over its policies and per-policy skips.  Both
+matcher's per-step CDF over its policies and per-policy skips.  The
 walks, the draw bound and the exact value read that table.  A policy-LP
 arrival step reads one uniform against that CDF, which picks the arriving
 type and its policy at once.
@@ -114,19 +115,12 @@ class ProbeRecord:
 
 @dataclass
 class MatcherState:
-    """Result of one matcher run: who got matched and the weight collected."""
+    """Result of one matcher run: who got matched (``matched[u] = (step,
+    type, weight)``, in match order) and the weight collected."""
 
     matched: dict[int, tuple[int, int, float]] = field(default_factory=dict)
     total_weight: float = 0.0
     trace: list[ProbeRecord] | None = None
-
-    def record(self, *args):
-        if self.trace is not None:
-            self.trace.append(ProbeRecord(*args))
-
-    def match(self, u: int, step: int, vtype: int, weight: float):
-        self.matched[u] = (step, vtype, weight)
-        self.total_weight += weight
 
 
 def format_trace(state: MatcherState) -> str:
@@ -161,54 +155,25 @@ class RandomTape:
         return buf[pos]
 
 
-def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
-    """Sample the number of probes an arrival will tolerate.
-
-    Survival curves are inverted in one draw; a global hazard rate is the
-    geometric special case.  Per-item hazard rates have no order-free
-    realization and are handled by per-probe balk coins instead.
-    """
-    if patience.is_deterministic:
-        return patience.theta
-    if patience.is_survival:
-        u = tape.u()
-        k = 0
-        for qk in patience.q:
-            if qk > u:
-                k += 1
-            else:
-                break
-        return k
-    if patience.has_global_rate:
-        r = patience.rate
-        if r >= 1.0:
-            return 1
-        if 1.0 - r >= 1.0:  # no rate, or one too small to change 1 - r
-            return BIG_PATIENCE
-        u = tape.u()
-        return 1 + int(np.log(max(u, 1e-300)) / np.log(1.0 - r))
-    raise PatienceVariantError("per-item hazard patience is realized probe by probe")
-
-
 # ---------------------------------------------------------------------------
 # Per-arrival probe execution
 # ---------------------------------------------------------------------------
 
 class _Tables:
     """What a matcher derives from one instance, built when it first runs
-    on the instance (see ``_TableCache``): plain lists for the scalar walk
-    (numpy scalar indexing is slow there) and per-type arrays for the
-    lockstep walks and the exact expansions.  A matcher that derives more
-    extends it."""
+    on the instance (see ``_TableCache``): per-type arrays for the lockstep
+    walks, which serve ``simulate`` and a called matcher (a one-row batch)
+    alike, and for the exact expansions, and each type's neighbors also as
+    a list, for plan keys and draw bounds.  The tests' scalar walk
+    (``tests/walk_oracle.py``) reads the same table.  A matcher that
+    derives more extends it."""
 
-    __slots__ = ("m", "patience", "weight_cols", "neighbors", "neighbor_arrays", "probs",
+    __slots__ = ("m", "patience", "neighbors", "neighbor_arrays", "probs",
                  "weights", "theta", "survival", "curves", "hazard", "rates")
 
     def __init__(self, instance: MatchingInstance):
         self.m = instance.m
         self.patience = instance.patience
-        wmat = instance.weights_matrix()
-        self.weight_cols = wmat.T.tolist()
         self.neighbor_arrays = [np.flatnonzero(col > 0.0) for col in instance.probs.T]
         self.neighbors = [nb.tolist() for nb in self.neighbor_arrays]
         # one row per type: a deterministic budget (survival budgets are
@@ -216,7 +181,7 @@ class _Tables:
         # that a draw always stops inside the row, and hazard rates
         pats = instance.patience
         self.probs = instance.probs
-        self.weights = wmat
+        self.weights = instance.weights_matrix()
         self.theta = np.array([p.theta if p.is_deterministic else BIG_PATIENCE
                                for p in pats], dtype=np.int64)
         self.survival = np.array([p.is_survival for p in pats])
@@ -241,7 +206,12 @@ class _Tables:
 class _TableCache:
     """A matcher's table on the instance it last ran on, kept as one
     ``(instance, table)`` pair and rebuilt (``_new_tables``) when another
-    instance comes: nothing derived from one instance serves another."""
+    instance comes: nothing derived from one instance serves another.
+
+    Calling a matcher runs one trial: a one-row lockstep batch of
+    ``max(1, draw_bound)`` uniforms read from ``rng`` (a ``RandomTape``, or
+    a Generator read through one), with a probe log from which come the
+    matches and, with ``trace=True``, the trace."""
 
     _table_pair: tuple | None = None
 
@@ -252,26 +222,41 @@ class _TableCache:
             self._table_pair = pair
         return pair[1]
 
+    def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
+        tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
+        width = max(1, self.draw_bound(instance))
+        row = np.fromiter((tape.u() for _ in range(width)), float, count=width)
+        log = []
+        weight, _ = self.run_lockstep(instance, row[None], log)
+        records = [r for r in log if r is not None]
+        weights = self._tables(instance).weights
+        matched = {r.vertex: (r.step, r.vtype, float(weights[r.vertex, r.vtype]))
+                   for r in records if r.kind == "real" and r.outcome == "success"}
+        return MatcherState(matched, float(weight[0]), records if trace else None)
+
 
 class _Lockstep:
     """A batch of trials walked in lockstep on numpy state.
 
     Row ``i`` of ``uniforms`` is trial ``i``'s stream, read from ``pos[i]``
     on; ``free`` marks the offline vertices each trial has not matched, and
-    ``weight`` sums each trial's matched weight in match order, as
-    ``MatcherState.match`` does.  Reading past the end of a row raises
-    ``StochmatchError``: a block is never silently truncated.
+    ``weight`` sums each trial's matched weight in match order.  Reading
+    past the end of a row raises ``StochmatchError``: a block is never
+    silently truncated.  A ``log`` (for a one-row batch) receives a
+    ``ProbeRecord`` per probe, in walk order, and ``None`` where a hazard
+    coin ends an arrival (a balk).
     """
 
-    __slots__ = ("uniforms", "pos", "free", "weight", "every")
+    __slots__ = ("uniforms", "pos", "free", "weight", "every", "log")
 
-    def __init__(self, uniforms: np.ndarray, m: int):
+    def __init__(self, uniforms: np.ndarray, m: int, log: list | None = None):
         trials = uniforms.shape[0]
         self.uniforms = uniforms
         self.pos = np.zeros(trials, dtype=np.intp)
         self.free = np.ones((trials, m), dtype=bool)
         self.weight = np.zeros(trials)
         self.every = np.arange(trials)
+        self.log = log
 
     def draw(self, rows: np.ndarray) -> np.ndarray:
         pos = self.pos[rows]
@@ -282,15 +267,25 @@ class _Lockstep:
             raise StochmatchError(
                 f"a trial read more than its {self.uniforms.shape[1]} uniforms") from e
 
+    def record(self, step, attempt, v, items, real, success):
+        """Log one probe per row: of type(s) ``v`` at ``items``, real or
+        simulated, and its outcome."""
+        for vk, u, fresh, won in zip(*(a.tolist() for a in
+                                       np.broadcast_arrays(v, items, real, success))):
+            self.log.append(ProbeRecord(step, vk, attempt, u, "real" if fresh else "simulated",
+                                        "success" if won else "fail"))
+
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-trial weights and per-vertex match counts."""
         return self.weight, np.count_nonzero(~self.free, axis=0).astype(float)
 
-    def walk(self, tables: _Tables, rows, v, items, length):
-        """One arrival per trial in ``rows``, of types ``v``, probing the
-        first ``length`` entries of its row of ``items`` as ``_walk_policy``
-        does (entries to skip already removed): matched vertices are probed
-        in simulation, and any success ends the arrival."""
+    def walk(self, tables: _Tables, step, rows, v, items, length):
+        """One arrival at ``step`` per trial in ``rows``, of types ``v``,
+        probing the first ``length`` entries of its row of ``items`` (entries
+        to skip already removed).  Survival patience draws a budget up front
+        and hazard patience flips a balk coin after each failed probe.
+        Matched vertices are probed in simulation, and any success ends the
+        arrival."""
         budget = tables.theta[v]
         surv = tables.survival[v]
         if surv.any():
@@ -302,7 +297,10 @@ class _Lockstep:
         while live.size:
             r, vk, u = rows[live], v[live], items[live, k]
             success = self.draw(r) < tables.probs[u, vk]
-            won = success & self.free[r, u]
+            real = self.free[r, u]
+            if self.log is not None:
+                self.record(step, k + 1, vk, u, real, success)
+            won = success & real
             if won.any():
                 r, u = r[won], u[won]
                 self.free[r, u] = False
@@ -313,16 +311,21 @@ class _Lockstep:
                 h = live[hz]
                 stay = np.ones(live.size, dtype=bool)
                 stay[hz] = self.draw(rows[h]) >= tables.rates[v[h], items[h, k]]
+                if self.log is not None and not stay.all():
+                    self.log.append(None)
                 live = live[stay]
             k += 1
             live = live[limit[live] > k]
 
-    def walk_randomized(self, tables: _Tables, rows, v, cum, items, group):
-        """One arrival of type ``v`` per trial in ``rows``, row ``i`` following
-        randomized plan ``group[i]`` as ``_walk_randomized`` does: ``items[g]``
-        are plan ``g``'s star items and ``cum[g, t]`` the cumulative pick
-        distribution of its attempt ``t``, padded with its last value, and
-        ``nan`` where the attempt picks nothing and draws nothing."""
+    def walk_randomized(self, tables: _Tables, step, rows, v, cum, items, group):
+        """One arrival at ``step`` of type ``v`` per trial in ``rows``, row
+        ``i`` following randomized plan ``group[i]``: ``items[g]`` are plan
+        ``g``'s star items, all unmatched when it was built, and ``cum[g,
+        t]`` the cumulative pick distribution of its attempt ``t``, padded
+        with its last value, and ``nan`` where the attempt picks nothing and
+        draws nothing.  The budget is drawn up front; idle attempt mass makes
+        no probe but the attempt still elapses, and re-drawing an item
+        already probed is simulated."""
         pat = tables.patience[v]
         budget = np.full(rows.size, tables.theta[v])
         if pat.is_survival:
@@ -344,87 +347,15 @@ class _Lockstep:
             at, j = at[hit], np.argmax(c[hit] > u[hit, None], axis=1)
             r, item = rows[at], items[group[at], j]
             success = self.draw(r) < tables.probs[item, v]
-            won = success & ~probed[at, j]
+            real = ~probed[at, j]
+            if self.log is not None:
+                self.record(step, t + 1, v, item, real, success)
+            won = success & real
             probed[at, j] = True
             budget[at[success]] = 0
             r, item = r[won], item[won]
             self.free[r, item] = False
             self.weight[r] += tables.weights[item, v]
-
-
-def _walk_policy(tables: _Tables, state, step, v, order, tape, skipped=None):
-    """Execute a deterministic probing order for one arrival of type ``v``.
-
-    Entries marked in ``skipped`` are passed over without spending
-    patience.  Probing a matched vertex is simulated; simulated success
-    abandons the arrival.  Hazard patience flips a balk coin after each
-    failed probe; the other models realize the patience once up front.
-    """
-    pat = tables.patience[v]
-    hazard_coins = pat.is_hazard
-    budget = None if hazard_coins else realized_patience(pat, tape)
-    rates = tables.rates[v]
-    probs = tables.probs[:, v]
-    weights = tables.weight_cols[v]
-    matched = state.matched
-    probes = 0
-    for u, skip in zip(order, skipped or itertools.repeat(False)):
-        if skip:
-            state.record(step, v, probes, u, "skip", "skip")
-            continue
-        if budget is not None:
-            if probes >= budget:
-                break
-        p = probs[u]
-        if u not in matched:
-            if tape.u() < p:
-                state.record(step, v, probes + 1, u, "real", "success")
-                state.match(u, step, v, weights[u])
-                return
-            state.record(step, v, probes + 1, u, "real", "fail")
-        else:
-            if tape.u() < p:
-                state.record(step, v, probes + 1, u, "simulated", "success")
-                return
-            state.record(step, v, probes + 1, u, "simulated", "fail")
-        probes += 1
-        if hazard_coins and tape.u() < rates[u]:
-            break
-
-
-def _walk_randomized(tables: _Tables, state, step, v, cum, items, tape):
-    """Execute a randomized attempt policy over the star items ``items``
-    (global offline indices), all unmatched when the plan was built:
-    ``cum[t]`` is attempt ``t``'s cumulative pick distribution, ``nan``
-    where the attempt picks nothing and draws nothing.  Idle attempt mass
-    makes no probe but the attempt still elapses."""
-    pat = tables.patience[v]
-    budget = realized_patience(pat, tape)
-    probs = tables.probs[:, v]
-    weights = tables.weight_cols[v]
-    probed = set()
-    for t in range(min(cum.shape[0], budget)):
-        row = cum[t]
-        if np.isnan(row[-1]):
-            continue
-        u_draw = tape.u()
-        if u_draw >= row[-1]:
-            continue  # idle attempt
-        j = int(np.argmax(row > u_draw))
-        u = items[j]
-        p = probs[u]
-        if j in probed:
-            if tape.u() < p:
-                state.record(step, v, t + 1, u, "simulated", "success")
-                return
-            state.record(step, v, t + 1, u, "simulated", "fail")
-        else:
-            probed.add(j)
-            if tape.u() < p:
-                state.record(step, v, t + 1, u, "real", "success")
-                state.match(u, step, v, weights[u])
-                return
-            state.record(step, v, t + 1, u, "real", "fail")
 
 
 # ---------------------------------------------------------------------------
@@ -537,22 +468,6 @@ class _GreedyMatcher(_TableCache):
     following ``self._plan(instance, tables, v, avail)``, which is
     ``("policy", order)`` or ``("randomized", policy, items, cum)``."""
 
-    def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
-        tables = self._tables(instance)
-        tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
-        state = MatcherState(trace=[] if trace else None)
-        for step, v in enumerate(instance.arrivals.order):
-            matched = state.matched
-            avail = tuple(u for u in tables.neighbors[v] if u not in matched)
-            if not avail:
-                continue
-            plan = self._plan(instance, tables, v, avail)
-            if plan[0] == "policy":
-                _walk_policy(tables, state, step, v, plan[1], tape)
-            else:
-                _walk_randomized(tables, state, step, v, plan[3], plan[2], tape)
-        return state
-
     def draw_bound(self, instance: MatchingInstance) -> int:
         """Most uniforms one trial can read.  A type whose solver may return
         a randomized plan is allowed its reads: a budget, then a pick and a
@@ -646,15 +561,15 @@ class AdvGreedyMatcher(_GreedyMatcher):
                     star, Policy(tuple(map(items.index, plan[1]))))
         return match[group]
 
-    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
+    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
-        ``uniforms``; returns per-trial weights and per-vertex match counts,
-        exactly as the scalar walk over the same streams.  Each arrival
-        groups the trials by the neighbors they find unmatched and fetches
-        one plan per group."""
+        ``uniforms``; returns per-trial weights and per-vertex match counts.
+        Each arrival groups the trials by the neighbors they find unmatched
+        and fetches one plan per group.  ``log`` is a one-row batch's probe
+        log (see ``_Lockstep``)."""
         tables = self._tables(instance)
-        state = _Lockstep(uniforms, instance.m)
-        for v in instance.arrivals.order:
+        state = _Lockstep(uniforms, instance.m, log)
+        for step, v in enumerate(instance.arrivals.order):
             neigh = tables.neighbors[v]
             k = len(neigh)
             if not k:
@@ -685,10 +600,10 @@ class AdvGreedyMatcher(_GreedyMatcher):
             rows = np.flatnonzero(kind == 1)
             if rows.size:
                 g = group[rows]
-                state.walk(tables, rows, np.full(rows.size, v), items[g], length[g])
+                state.walk(tables, step, rows, np.full(rows.size, v), items[g], length[g])
             rows = np.flatnonzero(kind == 2)
             if rows.size:
-                state.walk_randomized(tables, rows, v, cum, items, group[rows])
+                state.walk_randomized(tables, step, rows, v, cum, items, group[rows])
         return state.result()
 
 
@@ -723,14 +638,14 @@ class SimpleGreedyMatcher(_GreedyMatcher):
         length = np.minimum(np.count_nonzero(avail, axis=1), width)
         return _order_match(tables, v, neigh[ranked], length)
 
-    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
+    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
-        ``uniforms``; returns per-trial weights and per-vertex match counts,
-        exactly as the scalar walk over the same streams."""
+        ``uniforms``; returns per-trial weights and per-vertex match counts.
+        ``log`` is a one-row batch's probe log (see ``_Lockstep``)."""
         tables = self._tables(instance)
-        state = _Lockstep(uniforms, instance.m)
+        state = _Lockstep(uniforms, instance.m, log)
         every = state.every
-        for v in instance.arrivals.order:
+        for step, v in enumerate(instance.arrivals.order):
             neigh = tables.neighbor_arrays[v]
             if not neigh.size:
                 continue
@@ -744,6 +659,8 @@ class SimpleGreedyMatcher(_GreedyMatcher):
                 rows = np.flatnonzero(avail[every, first])
                 items = neigh[first[rows]]
                 won = state.draw(rows) < tables.probs[items, v]
+                if log is not None:
+                    state.record(step, 1, v, items, True, won)
                 rows, items = rows[won], items[won]
                 state.free[rows, items] = False
                 state.weight[rows] += tables.weights[items, v]
@@ -752,7 +669,8 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             rows = np.flatnonzero(length)
             if rows.size:
                 ranked = np.argsort(~avail[rows], axis=1, kind="stable")[:, :width]
-                state.walk(tables, rows, np.full(rows.size, v), neigh[ranked], length[rows])
+                state.walk(tables, step, rows, np.full(rows.size, v), neigh[ranked],
+                           length[rows])
         return state.result()
 
 
@@ -1017,7 +935,7 @@ class _PolicyTables(_Tables):
             total = sum(masses)
             if q <= 0.0 or total <= 0.0:
                 continue
-            weights = self.weight_cols[v]
+            weights = self.weights[:, v]
             for order in orders:
                 skipped = tuple(skip_of is not None and weights[u] < 0.5 * skip_of[u]
                                 for u in order)
@@ -1043,6 +961,26 @@ class _PolicyTables(_Tables):
         for g, order in enumerate(self.kept):
             self.items[g, :len(order)] = order
 
+    def with_skips(self, records: list, step: int, g: int) -> list[ProbeRecord]:
+        """The probe log of one arrival's walk of policy ``g`` with its
+        skipped entries put back into the order: a skip is recorded once
+        every earlier probe has failed without a balk (a ``None`` record),
+        and the arrival stops at the first non-skip entry with no probe
+        left."""
+        probes = [r for r in records if r is not None]
+        ended = bool(records) and (records[-1] is None or records[-1].outcome == "success")
+        v = int(self.type_of[g])
+        out, k = [], 0
+        for u, skip in zip(self.orders[g], self.skipped[g]):
+            if not skip:
+                if k == len(probes):
+                    break
+                out.append(probes[k])
+                k += 1
+            elif k < len(probes) or not ended:
+                out.append(ProbeRecord(step, v, k, u, "skip", "skip"))
+        return out
+
 
 class PolicyLpMatcher(_TableCache):
     """Sample a policy per arrival from the LP mixture and walk it.
@@ -1062,31 +1000,17 @@ class PolicyLpMatcher(_TableCache):
     def _new_tables(self, instance) -> _PolicyTables:
         return _PolicyTables(instance, self.lp_result, self.skip)
 
-    def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
-        tables = self._tables(instance)
-        tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
-        state = MatcherState(trace=[] if trace else None)
-        for t in range(instance.arrivals.n_steps):
-            cum = tables.cum[t]
-            u_draw = tape.u()
-            if u_draw >= cum[-1]:
-                continue  # no arrival, or one whose type samples no policy
-            g = int(np.argmax(cum > u_draw))
-            if tables.walks[g]:
-                _walk_policy(tables, state, t, int(tables.type_of[g]), tables.orders[g], tape,
-                             tables.skipped[g])
-        return state
-
     def draw_bound(self, instance: MatchingInstance) -> int:
         """Most uniforms one trial can read."""
         return self._tables(instance).draws_per_step * instance.arrivals.n_steps
 
-    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray):
+    def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
-        ``uniforms``; returns per-trial weights and per-vertex match counts,
-        exactly as the scalar walk over the same streams."""
+        ``uniforms``; returns per-trial weights and per-vertex match counts.
+        ``log`` is a one-row batch's probe log (see ``_Lockstep``), with
+        skipped entries put back (``_PolicyTables.with_skips``)."""
         tables = self._tables(instance)
-        state = _Lockstep(uniforms, instance.m)
+        state = _Lockstep(uniforms, instance.m, log)
         for t in range(instance.arrivals.n_steps):
             u = state.draw(state.every)
             cum = tables.cum[t]
@@ -1095,7 +1019,11 @@ class PolicyLpMatcher(_TableCache):
             walks = tables.walks[g]
             rows, g = rows[walks], g[walks]
             if rows.size:
-                state.walk(tables, rows, tables.type_of[g], tables.items[g], tables.length[g])
+                start = len(log or ())
+                state.walk(tables, t, rows, tables.type_of[g], tables.items[g],
+                           tables.length[g])
+                if log is not None:
+                    log[start:] = tables.with_skips(log[start:], t, int(g[0]))
         return state.result()
 
     def exact_value(self, instance: MatchingInstance) -> float:

@@ -11,9 +11,11 @@ key ``(seed, i)`` for trial ``i``, which gives the stream that
 ``trial_generator(seed, i)`` would.  Every matcher runs a batch of trials
 at once (``run_lockstep``): each trial's uniforms are one row of a block
 whose width, the matcher's ``draw_bound``, bounds the draws of any trial,
-and the matcher walks every row on numpy state.  Streams and reports are
-the same as the scalar walk's, which walks one trial on a ``RandomTape``
-and serves traces (``trace=True``) and the tests.
+and the matcher walks every row on numpy state.  Each row is the stream
+the trial would read alone, so reports are the same as the tests' scalar
+walk (``tests/walk_oracle.py``) gives one trial at a time; a called
+matcher runs one trial as a one-row batch.  The report's normal quantile
+comes from the standard library, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .instances import (
     ADVERSARIAL,
@@ -175,7 +177,7 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
         weights, counts = _run_range(instance, matcher, config.seed, 0, trials, m)
     mean = float(np.mean(weights))
     stddev = float(np.std(weights, ddof=1)) if trials > 1 else 0.0
-    z = float(ndtri(1.0 - (1.0 - CONFIDENCE) / 2.0))
+    z = NormalDist().inv_cdf(1.0 - (1.0 - CONFIDENCE) / 2.0)
     half_width = z * stddev / np.sqrt(trials)
     return SimReport(mean=mean, stddev=stddev, half_width=half_width,
                      match_freq=counts / trials, trials=trials,

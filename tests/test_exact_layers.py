@@ -15,12 +15,20 @@ import exact_oracles as oracle
 from stochmatch import hard_instances as hard
 from stochmatch import matching
 from stochmatch.instances import (
+    ArrivalModel,
     MatchingInstance,
     PatienceModel,
     PatienceVariantError,
+    Policy,
+    PolicyMixture,
     StarInstance,
 )
-from stochmatch.matching import AdvGreedyMatcher, SimpleGreedyMatcher
+from stochmatch.matching import (
+    AdvGreedyMatcher,
+    PolicyLpMatcher,
+    ProphetLpResult,
+    SimpleGreedyMatcher,
+)
 from stochmatch.simulate import SimConfig, simulate
 from stochmatch.stars import (
     RandomizedStarPolicy,
@@ -33,15 +41,6 @@ from stochmatch.stars import (
     solver_by_name,
 )
 from test_lockstep import _instance, _policy_matcher, kinds, seeds
-
-
-def _nonnegative_patience(instance: MatchingInstance) -> MatchingInstance:
-    """The instance with negative deterministic budgets (which ``validate``
-    rejects) raised to 0."""
-    pats = [PatienceModel.deterministic(0) if p.is_deterministic and p.theta < 0 else p
-            for p in instance.patience]
-    return MatchingInstance.make(instance.probs, pats, instance.arrivals,
-                                 edge_weights=instance.edge_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +149,7 @@ GREEDY = {
 def test_greedy_exact_values_equal_the_oracle(seed, kinds, which):
     # the default solvers plan with the batched dp, the hazard index rule
     # and the randomized LP policy; per-item hazard patience has no LP policy
-    instance = _nonnegative_patience(_instance(seed, kinds, "adversarial")[0])
+    instance = _instance(seed, kinds, "adversarial")[0]
     try:
         expected = oracle.matcher_value(GREEDY[which](), instance)
     except PatienceVariantError:
@@ -164,10 +163,23 @@ def test_greedy_exact_values_equal_the_oracle(seed, kinds, which):
 @given(seeds, kinds, st.sampled_from(("iid", "prophet")), st.booleans())
 def test_policy_exact_values_equal_the_oracle(seed, kinds, arrivals, skip):
     instance, rng = _instance(seed, kinds, arrivals)
-    instance = _nonnegative_patience(instance)
     matcher = _policy_matcher(instance, rng, skip)
     assert matcher.exact_value(instance) == pytest.approx(
         oracle.matcher_value(matcher, instance), rel=0.0, abs=1e-12)
+
+
+def test_a_negative_budget_makes_no_probe_in_walks_or_exact_values():
+    # ``validate`` rejects a negative budget but ``make`` accepts it: the
+    # survival curve, like ``max_probes``, treats it as 0
+    patience = PatienceModel.deterministic(-1)
+    assert patience.survival_curve(3).tolist() == [0.0, 0.0, 0.0]
+    instance = MatchingInstance.make([[1.0], [1.0]], patience, ArrivalModel.iid([1.0], 1),
+                                     edge_weights=[[1.0], [1.0]])
+    matcher = PolicyLpMatcher(ProphetLpResult(
+        mixture=PolicyMixture((((Policy((0, 1)), 1.0),),), (1.0,)),
+        objective=0.0, w_star=np.zeros(2)), skip=False)
+    assert matcher.exact_value(instance) == 0.0
+    assert simulate(instance, matcher, SimConfig(0, 2000), threads=1).mean == 0.0
 
 
 def test_an_overridden_dp_solve_plans_per_set_and_agrees():

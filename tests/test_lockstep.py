@@ -1,11 +1,14 @@
 """The lockstep batch walk against the scalar walk.
 
 ``simulate`` runs every matcher's trials in lockstep over one block of
-uniforms per batch; the reference here is the scalar loop
-``matcher(instance, RandomTape(trial_generator(seed, i)))``.  Reports must
+uniforms per batch, and a called matcher runs one trial as a one-row batch
+with a probe log.  The reference for both is the scalar walk of
+``walk_oracle``, one trial at a time on
+``RandomTape(trial_generator(seed, i))``.  Reports, matches and traces must
 be equal, not approximately equal.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -34,6 +37,7 @@ from stochmatch.matching import (
 )
 from stochmatch.simulate import SimConfig, simulate, trial_generator
 from stochmatch.stars import StarSolver, solver_by_name
+from walk_oracle import scalar_walk
 
 sim = importlib.import_module("stochmatch.simulate")  # the package exports a same-named function
 PATIENCE = ("deterministic", "survival", "global-hazard", "item-hazard")
@@ -94,7 +98,7 @@ def _scalar_report(instance, matcher, config):
     weights = np.empty(config.trials)
     counts = np.zeros(instance.m)
     for i in range(config.trials):
-        state = matcher(instance, RandomTape(trial_generator(config.seed, i)))
+        state = scalar_walk(matcher, instance, RandomTape(trial_generator(config.seed, i)))
         weights[i] = state.total_weight
         for u in state.matched:
             counts[u] += 1.0
@@ -102,12 +106,28 @@ def _scalar_report(instance, matcher, config):
     return float(np.mean(weights)), stddev, counts / config.trials
 
 
+def _called_trace(matcher, instance, seed, i):
+    """Trial ``i`` of a called matcher with ``trace=True``, whose trace
+    (record for record), matches and weight must be the scalar walk's;
+    returns the trace."""
+    got = matcher(instance, RandomTape(trial_generator(seed, i)), trace=True)
+    want = scalar_walk(matcher, instance, RandomTape(trial_generator(seed, i)), trace=True)
+    assert list(map(dataclasses.astuple, got.trace)) == list(map(dataclasses.astuple, want.trace))
+    assert got.matched == want.matched
+    assert got.total_weight == want.total_weight
+    return got.trace
+
+
 def _assert_same(instance, matcher, config):
+    """``simulate``'s report equals the scalar walk's, and so do the first 8
+    called trials."""
     mean, stddev, freq = _scalar_report(instance, matcher, config)
     report = simulate(instance, matcher, config, threads=1)
     assert report.mean == mean
     assert report.stddev == stddev
     assert np.array_equal(report.match_freq, freq)
+    for i in range(min(8, config.trials)):
+        _called_trace(matcher, instance, config.seed, i)
 
 
 kinds = st.lists(st.sampled_from(PATIENCE), min_size=1, max_size=4)
@@ -145,11 +165,18 @@ def test_adv_greedy_batch_equals_scalar_walk(seed, kinds, solver, sim_seed, n):
     except PatienceVariantError:
         with pytest.raises(PatienceVariantError):
             simulate(instance, make(), config, threads=1)
+        called = make()
+        with pytest.raises(PatienceVariantError):
+            for i in range(n):
+                called(instance, RandomTape(trial_generator(sim_seed, i)))
         return
-    report = simulate(instance, make(), config, threads=1)
+    matcher = make()
+    report = simulate(instance, matcher, config, threads=1)
     assert report.mean == mean
     assert report.stddev == stddev
     assert np.array_equal(report.match_freq, freq)
+    for i in range(min(8, n)):
+        _called_trace(matcher, instance, sim_seed, i)
 
 
 @pytest.mark.parametrize("solver", ["dp", "lp"])
@@ -351,3 +378,38 @@ def test_a_mixture_that_samples_nothing_reads_one_uniform_per_step():
     assert not weights.any() and not counts.any()
     _assert_same(inst, matcher, SimConfig(2, 50))
     assert matcher.exact_value(inst) == 0.0
+
+
+@pytest.mark.parametrize("patience, kinds", [
+    # the budget is spent after the first probe: the skips before the next
+    # entry are still recorded, and the arrival stops at that entry
+    (PatienceModel.deterministic(1), ["real", "skip", "skip"]),
+    # a balk ends the arrival before the skips
+    (PatienceModel.constant_hazard(rate=1.0), ["real"]),
+    (PatienceModel.constant_hazard(rate=0.0), ["real", "skip", "skip", "real"]),
+])
+def test_prophet_trace_records_skips_until_the_arrival_ends(patience, kinds):
+    # vertex 0 cannot match; vertices 1 and 2 weigh below half their LP reward
+    inst = MatchingInstance.make([[0.0], [0.5], [0.5], [0.5]], patience,
+                                 ArrivalModel.prophet([[1.0]]), edge_weights=np.ones((4, 1)))
+    matcher = PolicyLpMatcher(ProphetLpResult(
+        mixture=PolicyMixture((((Policy((0, 1, 2, 3)), 1.0),),), (1.0,)),
+        objective=0.0, w_star=np.array([0.0, 4.0, 4.0, 0.0])), skip=True)
+    for i in range(6):
+        trace = _called_trace(matcher, inst, 0, i)
+        assert [r.kind for r in trace] == kinds
+        assert [r.vertex for r in trace] == [0, 1, 2, 3][:len(kinds)]
+        assert [r.attempt for r in trace] == [1, 1, 1, 2][:len(kinds)]
+
+
+def test_adv_greedy_lp_plan_logs_a_redrawn_item_as_simulated():
+    inst = hard.gen_random_matching(1, 4, 3, "adversarial", max_theta=3)
+    matcher = AdvGreedyMatcher(solver_by_name("lp"))
+    for i in range(50):
+        trace = _called_trace(matcher, inst, 0, i)
+        for k, rec in enumerate(trace):
+            if rec.kind == "simulated":
+                earlier = [(r.step, r.vertex, r.kind) for r in trace[:k]]
+                assert (rec.step, rec.vertex, "real") in earlier
+                return
+    pytest.fail("no LP plan re-drew an item in 50 trials")

@@ -18,7 +18,6 @@ from stochmatch.matching import (
     RandomTape,
     SimpleGreedyMatcher,
     iid_matcher,
-    realized_patience,
     solve_prophet_lp,
 )
 from stochmatch.simulate import (
@@ -33,6 +32,7 @@ from stochmatch.simulate import (
     trial_generator,
 )
 from stochmatch.stars import solver_by_name
+from walk_oracle import realized_patience
 
 
 def _unit_instance(p=1.0, w=1.0):
