@@ -50,7 +50,7 @@ solver orders every set of a chunk with one batched DP
 whose ``solve`` is overridden (a traced solver, say), it plans once per
 distinct set, grouped as in its lockstep walk.  The offline optimum
 (``simulate.brute_force_offline_opt``) takes a max over probes, not an
-expectation, and stays a backward recursion.
+expectation, so it values its states backward, one level at a time.
 
 Also here: the offline benchmark LP over edge-probe variables (optionally
 tightened with per-subset star-optimum rows), and the policy LP over probing

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine, exact evaluators, and the offline oracle.
+"""Seeded Monte Carlo engine, exact evaluators, and the level-wise offline oracle.
 
 Trial ``i`` of a run draws its randomness from a counter-based Philox
 stream keyed by ``(master seed, i)``, so every trial is a pure function of
@@ -210,7 +210,42 @@ def exact_expected_value(instance, matcher) -> float:
 # Offline adaptive optimum (tiny instances)
 # ---------------------------------------------------------------------------
 
-OFFLINE_OPT_STATE_CAP = 2_000_000
+OFFLINE_OPT_STATE_CAP = 2_000_000  # most reachable canonical states
+OFFLINE_OPT_CHUNK = 1 << 16        # most probes built at once
+
+
+def _distinct(keys):
+    """The distinct columns of ``keys`` (sorted) and each column's index among them."""
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    new = np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))[:order.size]
+    return keys[:, new], (np.cumsum(new) - 1)[np.argsort(order)]
+
+
+def _offline_moves(keys, m, n, classes):
+    """Every legal probe ``(u, v)`` of the states in ``keys`` (columns of each
+    vertex's patience, then the open bits packed into bytes), state by state:
+    ``state, v, u`` and the canonical keys of its success and failure, last
+    row their level."""
+    bit = np.arange(m * n)
+    shift = (7 - bit % 8).astype(np.uint8)[:, None]  # np.packbits' bit order
+    rec = np.vstack([keys[:n], keys[n:][bit // 8] >> shift & 1]).reshape(-1, n, keys.shape[1])
+    s, v, u = np.nonzero(rec[1:].transpose(2, 1, 0))
+    hot, lost = np.arange(n)[:, None] == v, np.arange(len(rec) - 1)[:, None, None] == u
+    rows = np.take(rec, s, axis=-1)
+    succ, fail = after = np.broadcast_to(rows, (2, *rows.shape)).copy()
+    succ[1:] *= ~lost
+    succ *= ~hot
+    fail[0] -= hot
+    fail[1:] *= ~(lost & hot)
+    after[:, 0] = rem = np.minimum(after[:, 0], after[:, 1:].sum(axis=1, dtype=rec.dtype))
+    after *= (rem > 0)[:, None]
+    for c in classes:
+        order = np.lexsort(after[..., c, :].swapaxes(0, 1), axis=-2)[:, None]
+        after[..., c, :] = np.take_along_axis(after[..., c, :], order, axis=-2)
+    keys = after.transpose(1, 2, 0, 3).reshape(len(rec) * n, -1)
+    packed = np.add.reduceat(keys[n:] << shift, bit[::8], axis=0, dtype=keys.dtype)
+    return s, v, u, np.vstack([keys[:n], packed, rem.sum(axis=1, dtype=rec.dtype).reshape(1, -1)])
 
 
 def brute_force_offline_opt(instance: MatchingInstance) -> float:
@@ -219,54 +254,57 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
     The offline algorithm sees the whole graph and may interleave probes
     across online vertices in any order (so the arrival order is
     irrelevant); it still obeys probe-commit, per-vertex patience, and
-    never re-probes an edge.  State: per online vertex its remaining
-    patience and its open set, the positive-probability neighbors still
-    available and not yet probed.  Nothing else changes the value, so a
-    vertex with no patience or no open neighbor is ``(0, 0)``, and
-    patience is capped at the open set's size.  Deterministic patience
-    and tiny instances only.
+    never re-probes an edge.  A state holds per online vertex its open set
+    (the positive-probability neighbors still available and not yet
+    probed) and its patience capped at that set's size, both zero once
+    either is; types with equal columns and patience are interchangeable,
+    so each class's vertices are sorted.  Every probe spends patience: a
+    forward pass enumerates the reachable states a level of total patience
+    at a time (``CapacityError`` past ``OFFLINE_OPT_STATE_CAP`` of them),
+    and a backward pass values them, each level from those below.
     """
     if instance.arrivals.kind != ADVERSARIAL:
         raise CapabilityError("the offline oracle is defined for adversarial instances")
     if not all(p.is_deterministic for p in instance.patience):
         raise CapabilityError("the offline oracle needs deterministic patience")
     m, n = instance.m, instance.n_types
-    probs = instance.probs
-    memo: dict = {}
-
-    def canon(rem: int, open_: int) -> tuple[int, int]:
-        return (min(rem, open_.bit_count()), open_) if rem > 0 and open_ else (0, 0)
-
-    def go(states: tuple) -> float:
-        got = memo.get(states)
-        if got is not None:
-            return got
-        if len(memo) > OFFLINE_OPT_STATE_CAP:
-            raise CapacityError("offline oracle state space exceeded its cap")
-        best = 0.0
-        for v, (rem, open_) in enumerate(states):
-            for u in range(m):
-                if not open_ >> u & 1:
-                    continue
-                p = float(probs[u, v])
-                keep = ~(1 << u)
-                succ = tuple((0, 0) if vv == v else canon(r2, o2 & keep)
-                             for vv, (r2, o2) in enumerate(states))
-                fail = tuple(canon(rem - 1, open_ & keep) if vv == v else s2
-                             for vv, s2 in enumerate(states))
-                val = (p * (instance.weight(u, v) + go(succ))
-                       + (1.0 - p) * go(fail))
-                if val > best:
-                    best = val
-        memo[states] = best
-        return best
-
-    start = tuple(canon(instance.patience[v].theta,
-                        sum(1 << u for u in range(m) if probs[u, v] > 0.0)) for v in range(n))
-    try:
-        return go(start)
-    finally:
-        del go  # break the closure's cycle through itself and its memo
+    probs, weights = instance.probs, instance.weights_matrix()
+    rec = np.vstack([[p.theta for p in instance.patience], probs > 0.0])
+    _, cls = np.unique(np.vstack([rec, probs, weights]).T, axis=0, return_inverse=True)
+    classes = [c for c in (np.flatnonzero(cls.ravel() == k) for k in range(n)) if c.size > 1]
+    rec[0] = np.clip(rec[0], 0, rec[1:].sum(axis=0))
+    rec = (rec * (rec[0] > 0)).astype(np.min_scalar_type(n * m))
+    start = np.vstack([rec[:1].T, np.packbits(rec[1:].reshape(-1, 1), axis=0)])
+    pending = [[] for _ in range(int(start[:n].sum()))] + [[(start, np.zeros(1, np.int64))]]
+    # an outcome's slot learns its state's index when its level is reached
+    edges, slots, found, reached, outcomes = [], [], [], 0, 1
+    step = max(1, OFFLINE_OPT_CHUNK // max(1, n * m))
+    for level in range(len(pending) - 1, -1, -1):
+        if not pending[level]:
+            continue
+        keys, index = _distinct(np.concatenate([k for k, _ in pending[level]], axis=1))
+        slots.append(np.concatenate([t for _, t in pending[level]]))
+        found.append(reached + index)
+        if reached + keys.shape[1] > OFFLINE_OPT_STATE_CAP:
+            raise CapacityError(f"offline oracle reaches more than {OFFLINE_OPT_STATE_CAP} states")
+        for a in range(0, keys.shape[1], step):
+            s, v, u, after = _offline_moves(keys[:, a:a + step], m, n, classes)
+            after, index = _distinct(after)
+            lows, first = np.unique(after[-1], return_index=True)
+            for low, part in zip(lows, np.split(np.arange(after.shape[1]), first[1:])):
+                pending[low].append((after[:-1, part], outcomes + part))
+            first = np.flatnonzero(np.diff(s, prepend=-1))  # past level 0, each state probes
+            edges.append((reached + a, first, probs[u, v], weights[u, v], outcomes + index))
+            outcomes += after.shape[1]
+        reached += keys.shape[1]
+    target = np.empty(outcomes, np.int64)
+    target[np.concatenate(slots)] = np.concatenate(found)
+    value = np.zeros(reached)
+    for at, first, p, w, index in reversed(edges):
+        succ, fail = value[target[index]].reshape(2, -1)
+        best = np.maximum.reduceat(p * (w + succ) + (1.0 - p) * fail, first)
+        value[at:at + first.size] = np.maximum(best, 0.0)
+    return float(value[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Reference oracles for the exact values, one state at a time.
 
 The package computes a matcher's exact value layer by layer over arrays of
-free-set bitmasks (``matching.exact_expansion``) and a randomized attempt
+free-set bitmasks (``matching.exact_expansion``), a randomized attempt
 policy's match probabilities in closed form
-(``stars.randomized_match_probabilities``).  The oracles here are the
-per-state expansions those replaced: a forward expansion over a dict of
-states, each state's moves listed in plain Python.
+(``stars.randomized_match_probabilities``), and the offline optimum level
+by level over arrays of states (``simulate.brute_force_offline_opt``).  The
+oracles here are the per-state expansions those replaced: a forward
+expansion over a dict of states, each state's moves listed in plain
+Python, and a memoized backward recursion for the offline optimum.
 """
 
 import numpy as np
@@ -128,3 +130,47 @@ def matcher_value(matcher, instance) -> float:
         return out
 
     return expand(n_steps, (1 << m) - 1, moves)
+
+
+def offline_opt(instance, memo=None) -> float:
+    """The offline adaptive optimum by the backward recursion that
+    ``simulate.brute_force_offline_opt`` replaced: a memo over tuples of
+    per-vertex ``(patience, open bitmask)`` states, canonical in the same
+    way but with no symmetry between vertices, each state's probes tried in
+    plain Python.  ``memo``, if given, is the dict to fill: one entry per
+    reachable state."""
+    m, n = instance.m, instance.n_types
+    probs = instance.probs
+    memo = {} if memo is None else memo
+
+    def canon(rem: int, open_: int) -> tuple[int, int]:
+        return (min(rem, open_.bit_count()), open_) if rem > 0 and open_ else (0, 0)
+
+    def go(states: tuple) -> float:
+        got = memo.get(states)
+        if got is not None:
+            return got
+        best = 0.0
+        for v, (rem, open_) in enumerate(states):
+            for u in range(m):
+                if not open_ >> u & 1:
+                    continue
+                p = float(probs[u, v])
+                keep = ~(1 << u)
+                succ = tuple((0, 0) if vv == v else canon(r2, o2 & keep)
+                             for vv, (r2, o2) in enumerate(states))
+                fail = tuple(canon(rem - 1, open_ & keep) if vv == v else s2
+                             for vv, s2 in enumerate(states))
+                val = (p * (instance.weight(u, v) + go(succ))
+                       + (1.0 - p) * go(fail))
+                if val > best:
+                    best = val
+        memo[states] = best
+        return best
+
+    start = tuple(canon(instance.patience[v].theta,
+                        sum(1 << u for u in range(m) if probs[u, v] > 0.0)) for v in range(n))
+    try:
+        return go(start)
+    finally:
+        del go  # break the closure's cycle through itself and its memo

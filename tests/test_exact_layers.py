@@ -1,10 +1,14 @@
 """The layer-wise exact values against their per-state oracles.
 
 ``exact_oracles`` holds the expansions over single states that the
-layer-wise core, the batched deterministic-patience DP and the closed form
-for randomized star policies replaced.  Orders must be equal; values agree
-to summation order.
+layer-wise core, the batched deterministic-patience DP, the closed form
+for randomized star policies and the level-wise offline optimum replaced.
+Orders must be equal; values agree to summation order, and the offline
+optimum, which sums nothing in a new order, is equal.
 """
+
+import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from stochmatch.matching import (
     ProphetLpResult,
     SimpleGreedyMatcher,
 )
-from stochmatch.simulate import SimConfig, simulate
+from stochmatch.simulate import SimConfig, brute_force_offline_opt, simulate
 from stochmatch.stars import (
     RandomizedStarPolicy,
     StarSolver,
@@ -41,6 +45,8 @@ from stochmatch.stars import (
     solver_by_name,
 )
 from test_lockstep import _instance, _policy_matcher, kinds, seeds
+
+sim = importlib.import_module("stochmatch.simulate")  # the package exports a same-named function
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +195,47 @@ def test_an_overridden_dp_solve_plans_per_set_and_agrees():
     assert _PlanningDp.calls > 0
     batched = AdvGreedyMatcher(solver_by_name("dp")).exact_value(inst)
     assert batched == pytest.approx(per_set, rel=0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the offline optimum
+# ---------------------------------------------------------------------------
+
+@st.composite
+def offline_instances(draw):
+    """An adversarial instance with at most 4 offline vertices and 4 types:
+    budgets from -1 to 3, zero-probability edges, negative weights (which
+    ``make`` accepts, so that stopping early can pay), sometimes a type with
+    no neighbor, and types duplicated with or without their budget."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    prob = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+    weight = st.sampled_from([0.5, 1.0, 2.0]) | st.floats(-1.0, 3.0)
+
+    def matrix(entry):
+        return np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                      min_size=m, max_size=m)))
+
+    probs, weights = matrix(prob), matrix(weight)
+    theta = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        probs[:, draw(st.integers(0, n - 1))] = 0.0
+    for v in range(1, n):
+        if draw(st.booleans()):
+            src = draw(st.integers(0, v - 1))
+            probs[:, v], weights[:, v] = probs[:, src], weights[:, src]
+            theta[v] = theta[src] if draw(st.booleans()) else theta[v]
+    by = {"vertex_weights": weights[:, 0]} if draw(st.booleans()) else {"edge_weights": weights}
+    return MatchingInstance.make(probs, tuple(PatienceModel.deterministic(t) for t in theta),
+                                 ArrivalModel.adversarial(range(n)), **by)
+
+
+@settings(max_examples=300, deadline=None)
+@given(offline_instances(), st.sampled_from([1, 7, 1 << 16]))
+def test_offline_optimum_equals_the_recursion(instance, chunk):
+    # the same float expression over the same successor values: equal, not
+    # close; a chunk below a state's probe count builds one state at a time
+    with mock.patch.object(sim, "OFFLINE_OPT_CHUNK", chunk):
+        assert brute_force_offline_opt(instance) == oracle.offline_opt(instance)
 
 
 # ---------------------------------------------------------------------------

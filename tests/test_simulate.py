@@ -1,13 +1,16 @@
 import gc
+import importlib
 import os
 
 import numpy as np
 import pytest
 
+import exact_oracles as oracle
 from stochmatch import hard_instances as hard
 from stochmatch.instances import (
     ArrivalModel,
     CapabilityError,
+    CapacityError,
     MatchingInstance,
     PatienceModel,
     Policy,
@@ -33,6 +36,8 @@ from stochmatch.simulate import (
 )
 from stochmatch.stars import solver_by_name
 from walk_oracle import realized_patience
+
+sim = importlib.import_module("stochmatch.simulate")  # the package exports a same-named function
 
 
 def _unit_instance(p=1.0, w=1.0):
@@ -191,6 +196,26 @@ def test_offline_opt_rejects_stochastic_patience():
                                  ArrivalModel.adversarial([0]), vertex_weights=[1.0])
     with pytest.raises(CapabilityError):
         brute_force_offline_opt(inst)
+
+
+@pytest.mark.parametrize("n", [4, 16, 40])
+def test_offline_opt_of_identical_types_is_the_closed_form(n, monkeypatch):
+    # the n arrivals are one class of identical types: n + 1 states, not 2^n
+    monkeypatch.setattr(sim, "OFFLINE_OPT_STATE_CAP", n + 1)
+    assert brute_force_offline_opt(hard.gen_single_offline(n)) == pytest.approx(
+        hard.single_offline_best_value(n), rel=0.0, abs=1e-12)
+
+
+def test_offline_opt_state_cap_counts_reachable_states(monkeypatch):
+    # distinct types, so the recursion's memo holds every reachable state once
+    inst = hard.gen_random_matching(801, m=3, n_types=3, arrival_kind="adversarial", max_theta=2)
+    memo: dict = {}
+    expected = oracle.offline_opt(inst, memo)
+    monkeypatch.setattr(sim, "OFFLINE_OPT_STATE_CAP", len(memo) - 1)
+    with pytest.raises(CapacityError):
+        brute_force_offline_opt(inst)
+    monkeypatch.setattr(sim, "OFFLINE_OPT_STATE_CAP", len(memo))
+    assert brute_force_offline_opt(inst) == expected
 
 
 @pytest.mark.parametrize("seed", range(8))
