@@ -34,21 +34,22 @@ walks, the draw bound and the exact value read that table.  A policy-LP
 arrival step reads one uniform against that CDF, which picks the arriving
 type and its policy at once.
 
-Each matcher's ``exact_value`` is one call to ``exact_expansion``, a
-forward expansion over arrival steps with the bitmask of free offline
-vertices as state.  It advances a whole layer of states per step, as
-numpy arrays of free sets and probabilities taken in chunks of
-``EXACT_CHUNK``: per chunk the matcher supplies the probability and
-expected reward of matching each vertex, and the next layer is summed in
-a dense accumulator over all free sets.  A simulated probe ends an
-arrival with the same probability as a real one, so a policy-LP
-arrival's match probabilities are those of its policy with every vertex
-free, masked by the free set.  SimpleGreedy ranks each set's free
-neighbors as its lockstep walk does.  AdvGreedy with the built-in ``dp``
-solver orders every set of a chunk with one batched DP
-(``stars.deterministic_patience_orders``); with another solver, or one
-whose ``solve`` is overridden (a traced solver, say), it plans once per
-distinct set, grouped as in its lockstep walk.  The offline optimum
+A greedy matcher's ``exact_value`` is a forward expansion over arrival
+steps with the bitmask of free offline vertices as state, at most
+``EXACT_MAX_OFFLINE`` of them.  It advances a whole layer of states per
+step, as numpy arrays of free sets and probabilities taken in chunks of
+``EXACT_CHUNK``: per chunk the matcher gives the probability of matching
+each vertex, and the next layer is summed in a dense accumulator over all
+free sets.  SimpleGreedy ranks each set's free neighbors as its lockstep
+walk does.  AdvGreedy with the built-in ``dp`` solver orders every set of
+a chunk with one batched DP (``stars.deterministic_patience_orders``);
+with another solver, or one whose ``solve`` is overridden (a traced
+solver, say), it plans once per distinct set, grouped as in its lockstep
+walk.  The policy-LP matcher needs no free sets: a simulated probe ends
+an arrival with the same probability as a real one, so each offline
+vertex stays free with a product over steps of its own miss
+probabilities, whatever the other vertices do, and the value is a sum
+over steps and vertices.  The offline optimum
 (``simulate.brute_force_offline_opt``) takes a max over probes, not an
 expectation, so it values its states backward, one level at a time.
 
@@ -96,7 +97,8 @@ COLUMN_CAP = 10_000
 MAX_ENUMERATED_POLICIES = 100_000
 BIG_PATIENCE = 10 ** 9
 TAPE_BLOCK = 192  # uniforms per RandomTape refill
-EXACT_CHUNK = 4096  # states per ``outcomes`` call of an exact expansion
+EXACT_CHUNK = 4096  # free sets per ``_exact_match`` call of a greedy exact value
+EXACT_MAX_OFFLINE = 20  # offline vertices a greedy exact value expands over
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +165,21 @@ class _Tables:
     """What a matcher derives from one instance, built when it first runs
     on the instance (see ``_TableCache``): per-type arrays for the lockstep
     walks, which serve ``simulate`` and a called matcher (a one-row batch)
-    alike, and for the exact expansions, and each type's neighbors also as
-    a list, for plan keys and draw bounds.  The tests' scalar walk
-    (``tests/walk_oracle.py``) reads the same table.  A matcher that
-    derives more extends it."""
+    alike, and for the exact values; each type's neighbors also as a list,
+    for plan keys; and each type's probe cap over its neighbors
+    (``caps``).  A matcher that derives more extends it, and sets
+    ``draw_bound``, the most uniforms one trial can read.  The tests'
+    scalar walk (``tests/walk_oracle.py``) reads the same table."""
 
-    __slots__ = ("m", "patience", "neighbors", "neighbor_arrays", "probs",
-                 "weights", "theta", "survival", "curves", "hazard", "rates")
+    __slots__ = ("m", "patience", "neighbors", "neighbor_arrays", "probs", "weights",
+                 "theta", "survival", "curves", "hazard", "rates", "caps", "draw_bound")
 
     def __init__(self, instance: MatchingInstance):
         self.m = instance.m
         self.patience = instance.patience
         self.neighbor_arrays = [np.flatnonzero(col > 0.0) for col in instance.probs.T]
         self.neighbors = [nb.tolist() for nb in self.neighbor_arrays]
+        self.caps = [p.max_probes(len(nb)) for p, nb in zip(instance.patience, self.neighbors)]
         # one row per type: a deterministic budget (survival budgets are
         # drawn, hazard walks have none), survival curves padded with -1 so
         # that a draw always stops inside the row, and hazard rates
@@ -221,6 +225,10 @@ class _TableCache:
             pair = (instance, self._new_tables(instance))
             self._table_pair = pair
         return pair[1]
+
+    def draw_bound(self, instance: MatchingInstance) -> int:
+        """Most uniforms one trial can read, as the table computed it."""
+        return self._tables(instance).draw_bound
 
     def __call__(self, instance: MatchingInstance, rng, trace: bool = False) -> MatcherState:
         tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
@@ -359,50 +367,8 @@ class _Lockstep:
 
 
 # ---------------------------------------------------------------------------
-# Exact outcome expansion
+# Exact match probabilities of one arrival
 # ---------------------------------------------------------------------------
-
-def exact_expansion(n_steps: int, m: int, outcomes, max_offline: int) -> float:
-    """Exact expected matched weight of a matcher, expanding every outcome.
-
-    The state is the arrival step and the bitmask of still-free offline
-    vertices.  A layer, every free set reachable before one step with its
-    probability, is a pair of arrays, and the expansion advances it one
-    step at a time in chunks of at most ``EXACT_CHUNK`` states.
-    ``outcomes(step, free)`` takes an array of free sets and returns two
-    ``(len(free), m)`` matrices for the arrival at ``step``: the
-    probability of matching each vertex and its expected reward ``p * w``;
-    the remaining mass matches nothing.  The next layer is summed in a
-    dense ``1 << m`` accumulator, so the cost is one ``outcomes`` call per
-    chunk plus ``O(2^m)`` per step.
-    """
-    if m > max_offline:
-        raise CapacityError(f"exact expansion capped at {max_offline} offline vertices")
-    bit = np.int64(1) << np.arange(m, dtype=np.int64)
-    states = np.array([(1 << m) - 1], dtype=np.int64)
-    probs = np.ones(1)
-    total = 0.0
-    for step in range(n_steps):
-        reached = np.zeros(1 << m)
-        for a in range(0, states.size, EXACT_CHUNK):
-            free, prob = states[a:a + EXACT_CHUNK], probs[a:a + EXACT_CHUNK]
-            match, reward = outcomes(step, free)
-            total += float(prob @ reward.sum(axis=1))
-            r, u = np.nonzero(match > 0.0)
-            np.add.at(reached, free[r] & ~bit[u], prob[r] * match[r, u])
-            none = 1.0 - match.sum(axis=1)
-            stay = none > 0.0
-            reached[free[stay]] += prob[stay] * none[stay]  # free sets of a layer are distinct
-        states = np.flatnonzero(reached)
-        probs = reached[states]
-    return total
-
-
-def _free_bits(free: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Whether each of ``vertices`` is in each free set: ``(len(free),
-    len(vertices))`` booleans."""
-    return (free[:, None] >> vertices & 1).astype(bool)
-
 
 def _order_match(tables: _Tables, v: int, items: np.ndarray, length: np.ndarray) -> np.ndarray:
     """Match probabilities, ``(L, m)``, of arrivals of type ``v`` where row
@@ -450,7 +416,10 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _GreedyTables(_Tables):
     """A greedy matcher's table: also its plans by (type, available
     neighbors), solved as arrivals first need them, and per type whether
-    a plan may be randomized."""
+    a plan may be randomized.  The draw bound allows a type whose solver
+    may return a randomized plan its reads: a budget, then a pick and a
+    success draw per attempt; any other type a policy walk's, and the
+    lockstep walk refuses a randomized plan for it."""
 
     __slots__ = ("plans", "randomized")
 
@@ -460,6 +429,9 @@ class _GreedyTables(_Tables):
         super().__init__(instance)
         self.plans: dict = {}
         self.randomized = randomized
+        draws = [(1 + 2 * k if randomized[v] else self.walk_draws(v, k)) if self.neighbors[v]
+                 else 0 for v, k in enumerate(self.caps)]
+        self.draw_bound = sum(draws[v] for v in instance.arrivals.order)
 
 
 class _GreedyMatcher(_TableCache):
@@ -468,34 +440,44 @@ class _GreedyMatcher(_TableCache):
     following ``self._plan(instance, tables, v, avail)``, which is
     ``("policy", order)`` or ``("randomized", policy, items, cum)``."""
 
-    def draw_bound(self, instance: MatchingInstance) -> int:
-        """Most uniforms one trial can read.  A type whose solver may return
-        a randomized plan is allowed its reads: a budget, then a pick and a
-        success draw per attempt; any other type a policy walk's, and the
-        lockstep walk refuses a randomized plan for it."""
-        tables = self._tables(instance)
-        caps = [(v, tables.patience[v].max_probes(len(tables.neighbors[v])))
-                for v in instance.arrivals.order if tables.neighbors[v]]
-        return sum(1 + 2 * k if tables.randomized[v] else tables.walk_draws(v, k)
-                   for v, k in caps)
-
     def exact_value(self, instance: MatchingInstance) -> float:
-        """Exact expected matched weight by expanding every probe outcome:
-        per step, ``self._exact_match`` gives the match probabilities of
-        the arriving type on every free set of the layer."""
-        tables = self._tables(instance)
-        order = instance.arrivals.order
+        """Exact expected matched weight, expanding every probe outcome.
 
-        def outcomes(step, free):
-            v = order[step]
+        The state is the arrival step and the bitmask of still-free offline
+        vertices.  A layer, every free set reachable before one step with
+        its probability, is a pair of arrays, advanced one step at a time
+        in chunks of at most ``EXACT_CHUNK`` free sets: ``self._exact_match``
+        gives the arriving type's probability of matching each vertex on
+        every set of the chunk, and the remaining mass matches nothing.  The
+        next layer is summed in a dense ``1 << m`` accumulator, so each step
+        costs one ``_exact_match`` call per chunk plus ``O(2^m)``.  A step
+        whose type has no neighbor leaves the layer as it is."""
+        m = instance.m
+        if m > EXACT_MAX_OFFLINE:
+            raise CapacityError(f"exact expansion capped at {EXACT_MAX_OFFLINE} offline vertices")
+        tables = self._tables(instance)
+        bit = np.int64(1) << np.arange(m, dtype=np.int64)
+        states = np.array([(1 << m) - 1], dtype=np.int64)
+        probs = np.ones(1)
+        total = 0.0
+        for v in instance.arrivals.order:
             neigh = tables.neighbor_arrays[v]
             if not neigh.size:
-                match = np.zeros((free.size, instance.m))
-            else:
-                match = self._exact_match(instance, tables, v, _free_bits(free, neigh))
-            return match, match * tables.weights[:, v]
-
-        return exact_expansion(len(order), instance.m, outcomes, max_offline=20)
+                continue
+            reached = np.zeros(1 << m)
+            for a in range(0, states.size, EXACT_CHUNK):
+                free, prob = states[a:a + EXACT_CHUNK], probs[a:a + EXACT_CHUNK]
+                avail = (free[:, None] >> neigh & 1).astype(bool)
+                match = self._exact_match(instance, tables, v, avail)
+                total += float(prob @ (match * tables.weights[:, v]).sum(axis=1))
+                r, u = np.nonzero(match > 0.0)
+                np.add.at(reached, free[r] & ~bit[u], prob[r] * match[r, u])
+                none = 1.0 - match.sum(axis=1)
+                stay = none > 0.0
+                reached[free[stay]] += prob[stay] * none[stay]  # free sets of a layer are distinct
+            states = np.flatnonzero(reached)
+            probs = reached[states]
+        return total
 
 
 class AdvGreedyMatcher(_GreedyMatcher):
@@ -633,7 +615,7 @@ class SimpleGreedyMatcher(_GreedyMatcher):
         neigh = tables.neighbor_arrays[v]
         if self.rule == "last":
             neigh, avail = neigh[::-1], avail[:, ::-1]
-        width = tables.patience[v].max_probes(neigh.size)
+        width = tables.caps[v]
         ranked = np.argsort(~avail, axis=1, kind="stable")[:, :width]
         length = np.minimum(np.count_nonzero(avail, axis=1), width)
         return _order_match(tables, v, neigh[ranked], length)
@@ -652,7 +634,7 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             if self.rule == "last":
                 neigh = neigh[::-1]
             avail = state.free[:, neigh]
-            width = tables.patience[v].max_probes(neigh.size)
+            width = tables.caps[v]
             if width == 1 and tables.patience[v].is_deterministic:
                 # hot path: one probe at the first available neighbor
                 first = avail.argmax(axis=1)
@@ -914,7 +896,7 @@ class _PolicyTables(_Tables):
     ``cum[t, -1]``."""
 
     __slots__ = ("cum", "type_of", "share", "orders", "skipped", "kept", "walks", "items",
-                 "length", "draws_per_step")
+                 "length")
 
     def __init__(self, instance: MatchingInstance, lp_result: ProphetLpResult, skip: bool):
         if instance.arrivals.kind not in (PROPHET, IID):
@@ -946,7 +928,7 @@ class _PolicyTables(_Tables):
             self.orders.extend(orders)
             longest = max(len(o) for o in self.kept[-len(orders):])
             draws = max(draws, self.walk_draws(v, self.patience[v].max_probes(longest)))
-        self.draws_per_step = 1 + draws
+        self.draw_bound = (1 + draws) * instance.arrivals.n_steps  # a type-and-policy draw per step
         self.type_of = np.array(type_of, dtype=np.intp)
         arr = instance.arrivals
         steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])
@@ -1000,10 +982,6 @@ class PolicyLpMatcher(_TableCache):
     def _new_tables(self, instance) -> _PolicyTables:
         return _PolicyTables(instance, self.lp_result, self.skip)
 
-    def draw_bound(self, instance: MatchingInstance) -> int:
-        """Most uniforms one trial can read."""
-        return self._tables(instance).draws_per_step * instance.arrivals.n_steps
-
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts.
@@ -1027,12 +1005,17 @@ class PolicyLpMatcher(_TableCache):
         return state.result()
 
     def exact_value(self, instance: MatchingInstance) -> float:
-        """Exact expected matched weight.  A simulated probe ends the
-        arrival with the same probability as a real one, so an arrival of
-        type ``v`` matches a free ``u`` with the probability it would with
-        every vertex free: one match vector per type, mixed over its
-        policies by the shares the walks draw them with, and masked by the
-        free set."""
+        """Exact expected matched weight, by linearity over the offline
+        vertices.  A simulated probe ends the arrival with the same
+        probability as a real one, so an arrival of type ``v`` matches a
+        free ``u`` with the probability it would with every vertex free: one
+        match vector per type, mixed over its policies by the shares the
+        walks draw them with.  Step ``t`` then matches ``u``, if ``u`` is
+        still free, with a probability ``probs[t, u]`` that no other vertex
+        changes, so ``u`` is free before step ``t`` with probability
+        ``prod_{s<t} (1 - probs[s, u])``.  The value sums that times the
+        step's expected reward at ``u`` over steps and vertices: ``O(T m)``,
+        for any number of offline vertices."""
         tables = self._tables(instance)
         stars = _type_stars(instance)
         match = np.zeros((instance.n_types, instance.m))
@@ -1040,16 +1023,12 @@ class PolicyLpMatcher(_TableCache):
             match[v] += tables.share[g] * policy_match_probabilities(
                 stars[v], Policy(tables.kept[g]))
         arr = instance.arrivals
-        steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])
+        steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)]).reshape(
+            arr.n_steps, instance.n_types)
         probs = steps @ match
         rewards = steps @ (match * instance.weights_matrix().T)
-        vertices = np.arange(instance.m)
-
-        def outcomes(t, free):
-            bits = _free_bits(free, vertices)
-            return bits * probs[t], bits * rewards[t]
-
-        return exact_expansion(arr.n_steps, instance.m, outcomes, max_offline=16)
+        free = np.cumprod(np.vstack([np.ones(instance.m), 1.0 - probs]), axis=0)[:-1]
+        return float(np.sum(free * rewards))
 
 
 def prophet_matcher(lp_result: ProphetLpResult) -> PolicyLpMatcher:

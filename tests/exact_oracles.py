@@ -1,13 +1,17 @@
 """Reference oracles for the exact values, one state at a time.
 
-The package computes a matcher's exact value layer by layer over arrays of
-free-set bitmasks (``matching.exact_expansion``), a randomized attempt
+The package computes a greedy matcher's exact value layer by layer over
+arrays of free-set bitmasks (``_GreedyMatcher.exact_value``), a policy-LP
+matcher's as a sum over steps and offline vertices of each vertex's chance
+to be free (``PolicyLpMatcher.exact_value``), a randomized attempt
 policy's match probabilities in closed form
 (``stars.randomized_match_probabilities``), and the offline optimum level
 by level over arrays of states (``simulate.brute_force_offline_opt``).  The
 oracles here are the per-state expansions those replaced: a forward
-expansion over a dict of states, each state's moves listed in plain
-Python, and a memoized backward recursion for the offline optimum.
+expansion over a dict of free sets, each state's moves listed in plain
+Python (for the policy-LP matcher too, so that its per-vertex sum is
+checked against the free sets it does without), and a memoized backward
+recursion for the offline optimum.
 """
 
 import numpy as np

@@ -156,48 +156,67 @@ def test_criterion_05_column_generation_correctness():
             f"worst gap {worst:.2e}, {elapsed:.1f}s")
 
 
+def _exact_checks(i, exact, bound, res, rep, ratios, zs):
+    """The exact value against the LP guarantee and against the simulated
+    mean (within 4 standard errors); records the ratio and |z|."""
+    ratios.append(exact / res.objective)
+    zs.append(abs(rep.mean - exact) / (rep.stddev / math.sqrt(rep.trials)))
+    failures = []
+    if exact < bound * res.objective - 1e-9:
+        failures.append(f"instance {i}: exact {exact:.6f} < {bound:.4f} * LP {res.objective:.6f}")
+    if zs[-1] > 4.0:
+        failures.append(f"instance {i}: mean {rep.mean:.5f} vs exact {exact:.5f}, z {zs[-1]:.2f}")
+    return failures
+
+
 def test_criterion_06_iid_guarantee():
     t0 = time.time()
     bound = 1.0 - 1.0 / math.e
     failures = []
-    margins = []
+    margins, ratios, zs = [], [], []
     for i in range(20):
         inst = hard.gen_random_matching(60_000 + i, m=2 + i % 4, n_types=2 + i % 3,
                                         arrival_kind="iid", max_theta=2,
                                         horizon=4 + i % 5)
         res = solve_prophet_lp(inst)
         assert res.kappa == 1.0
-        rep = simulate(inst, iid_matcher(res), SimConfig(seed=1000 + i, trials=100_000))
+        matcher = iid_matcher(res)
+        rep = simulate(inst, matcher, SimConfig(seed=1000 + i, trials=100_000))
         floor = bound * res.objective - rep.half_width
         margins.append(rep.mean - floor)
         if rep.mean < floor:
             failures.append(f"instance {i}: mean {rep.mean:.5f} < floor {floor:.5f}")
+        failures += _exact_checks(i, matcher.exact_value(inst), bound, res, rep, ratios, zs)
     elapsed = time.time() - t0
     if elapsed >= 300:
         failures.append(f"runtime {elapsed:.0f}s")
     _report(6, "IID matcher >= (1-1/e) LP bound on 20 instances", not failures,
-            "; ".join(failures) or f"min margin {min(margins):.4f}, {elapsed:.0f}s")
+            "; ".join(failures) or f"min margin {min(margins):.4f}, min exact ratio "
+                                   f"{min(ratios):.4f}, max |z| {max(zs):.2f}, {elapsed:.0f}s")
 
 
 def test_criterion_07_prophet_guarantee():
     t0 = time.time()
     failures = []
-    margins = []
+    margins, ratios, zs = [], [], []
     for i in range(20):
         inst = hard.gen_random_matching(70_000 + i, m=2 + i % 4, n_types=2 + i % 3,
                                         arrival_kind="prophet", max_theta=2,
                                         horizon=4 + i % 5, edge_weighted=True)
         res = solve_prophet_lp(inst)
-        rep = simulate(inst, prophet_matcher(res), SimConfig(seed=2000 + i, trials=100_000))
+        matcher = prophet_matcher(res)
+        rep = simulate(inst, matcher, SimConfig(seed=2000 + i, trials=100_000))
         floor = 0.5 * res.objective - rep.half_width
         margins.append(rep.mean - floor)
         if rep.mean < floor:
             failures.append(f"instance {i}: mean {rep.mean:.5f} < floor {floor:.5f}")
+        failures += _exact_checks(i, matcher.exact_value(inst), 0.5, res, rep, ratios, zs)
     elapsed = time.time() - t0
     if elapsed >= 300:
         failures.append(f"runtime {elapsed:.0f}s")
     _report(7, "prophet matcher >= LP/2 bound on 20 instances", not failures,
-            "; ".join(failures) or f"min margin {min(margins):.4f}, {elapsed:.0f}s")
+            "; ".join(failures) or f"min margin {min(margins):.4f}, min exact ratio "
+                                   f"{min(ratios):.4f}, max |z| {max(zs):.2f}, {elapsed:.0f}s")
 
 
 def test_criterion_08_adversarial_greedy_exact():

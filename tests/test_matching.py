@@ -234,12 +234,33 @@ def test_exact_expansion_caps_offline_vertices():
     greedy = hard.gen_random_matching(0, 21, 2, "adversarial")
     with pytest.raises(CapacityError):
         SimpleGreedyMatcher().exact_value(greedy)
-    iid = hard.gen_random_matching(0, 17, 2, "iid", horizon=3)
+    # the policy-LP value sums over vertices and has no cap: an empty mixture matches nothing
+    iid = hard.gen_random_matching(0, 40, 2, "iid", horizon=3)
     q_v = tuple(map(float, iid.arrivals.expected_arrivals(2)))
     result = ProphetLpResult(mixture=PolicyMixture(((), ()), q_v), objective=0.0,
-                             w_star=np.zeros(17))
-    with pytest.raises(CapacityError):
-        PolicyLpMatcher(result, skip=False).exact_value(iid)
+                             w_star=np.zeros(40))
+    assert PolicyLpMatcher(result, skip=False).exact_value(iid) == 0.0
+
+
+def test_policy_exact_value_of_an_empty_horizon_is_zero():
+    inst = hard.gen_random_matching(0, 2, 2, "iid", horizon=2)
+    inst = dataclasses.replace(inst, arrivals=ArrivalModel.iid((0.0, 0.0), 0))
+    assert validate(inst).ok
+    assert iid_matcher(solve_prophet_lp(inst)).exact_value(inst) == 0.0
+
+
+@pytest.mark.parametrize("seed, kind, make, bound", [
+    (1, "prophet", prophet_matcher, 0.5),
+    (2, "iid", iid_matcher, 1.0 - 1.0 / np.e),
+])
+def test_policy_exact_value_past_twenty_offline_vertices(seed, kind, make, bound):
+    inst = hard.gen_random_matching(seed, 24, 5, kind, horizon=8)
+    res = solve_prophet_lp(inst)
+    matcher = make(res)
+    exact = matcher.exact_value(inst)
+    rep = simulate(inst, matcher, SimConfig(seed=0, trials=20_000), threads=1)
+    assert abs(exact - rep.mean) <= 4 * rep.stddev / np.sqrt(rep.trials)
+    assert exact >= bound * res.objective
 
 
 def test_prophet_matcher_exact_vs_simulation():
