@@ -19,7 +19,6 @@ from stochmatch import (
     SimConfig,
     benchmark_lp_value,
     brute_force_offline_opt,
-    exact_expected_value,
     iid_matcher,
     prophet_matcher,
     simulate,
@@ -35,7 +34,7 @@ from stochmatch.hard_instances import gen_random_matching
 
 inst = gen_random_matching(7, m=4, n_types=3, arrival_kind="adversarial", max_theta=2)
 matcher = AdvGreedyMatcher(solver_by_name("dp"))
-alg = exact_expected_value(inst, matcher)
+alg = matcher.exact_value(inst)
 lp2 = benchmark_lp_value(inst, include_star_constraints=True)
 opt = brute_force_offline_opt(inst)
 print(f"greedy exact value {alg:.4f} | offline optimum {opt:.4f} | "
@@ -72,7 +71,7 @@ print(f"prophet matcher: mean {preport.mean:.4f} +- {preport.half_width:.4f} "
       f"| LP/2 = {0.5 * pres.objective:.4f}")
 
 # tiny instances also admit exact evaluation (no Monte Carlo error)
-exact = exact_expected_value(pro, pmatch)
+exact = pmatch.exact_value(pro)
 print(f"prophet matcher exact value {exact:.6f} "
       f"(simulation said {preport.mean:.6f})")
 

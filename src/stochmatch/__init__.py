@@ -47,7 +47,6 @@ from .simulate import (
     SimReport,
     brute_force_offline_opt,
     empirical_ratio,
-    exact_expected_value,
     simulate,
     trial_generator,
 )

@@ -64,17 +64,6 @@ def _max_matching_size(adj) -> int:
     return int(np.count_nonzero(match >= 0))
 
 
-def sample_max_matching_ratio(n: int, samples: int, seed: int) -> float:
-    """Mean over seeded samples of (maximum matching of the realized graph)
-    divided by the LP objective ``n``.  The realized graph keeps each edge
-    independently with probability ``1/n``."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(samples):
-        total += _max_matching_size(rng.random((n, n)) < 1.0 / n)
-    return total / (samples * n)
-
-
 def coupled_matching_ratio_trend(ns, samples: int, seed: int) -> list[float]:
     """Mean matching ratios for several sizes, one shared uniform grid per
     sample (common random numbers).  The size-to-size differences are only

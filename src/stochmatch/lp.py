@@ -27,7 +27,10 @@ repeated solves of the same problem return bit-identical solutions.
 Problems are stated as maximization; rows may be ``<=``, ``=`` or ``>=`` and
 variables carry individual bounds.  Reported duals refer to the rows as
 given: in a maximization, a binding ``<=`` row has a nonnegative dual and a
-binding ``>=`` row a nonpositive one.
+binding ``>=`` row a nonpositive one.  A problem with no rows and no boxed
+variable takes the same two phases with an empty basis: each variable stays
+at its finite bound (a free one at 0) unless its cost lets it enter, and
+then the problem is unbounded.
 """
 
 from __future__ import annotations
@@ -121,8 +124,7 @@ def add_column(problem: LpProblem, obj_coeff: float, column) -> LpProblem:
         raise ValueError("column and objective coefficient must be finite")
     return LpProblem(
         c=np.append(problem.c, float(obj_coeff)),
-        A=np.hstack([problem.A, column[:, None]]) if problem.n_rows else
-          problem.A.reshape(0, problem.n_vars + 1),
+        A=np.hstack([problem.A, column[:, None]]),
         senses=problem.senses,
         b=problem.b,
         lb=np.append(problem.lb, 0.0),
@@ -286,6 +288,8 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
     """Run primal simplex for cost ``c`` until optimality, pricing only the
     first ``n_price`` columns.  Returns (status, iterations); status is
     OPTIMAL or UNBOUNDED."""
+    if n_price == 0:
+        return OPTIMAL, 0  # no column can enter
     A = st.A
     m, N = A.shape
     A_price, c_price = A[:, :n_price], c[:n_price]
@@ -353,18 +357,7 @@ def solve(problem: LpProblem) -> LpSolution:
     std = _Standardized(problem)
     m, N = std.A.shape
     max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (m + N)
-    if m == 0:
-        # only bounds; maximize each variable independently
-        x = np.where(problem.c > 0, problem.ub, problem.lb)
-        x = np.where(problem.c == 0, np.where(np.isfinite(problem.lb), problem.lb,
-                                              np.where(np.isfinite(problem.ub), problem.ub, 0.0)), x)
-        if np.any(~np.isfinite(x[problem.c != 0])):
-            return LpSolution(status=UNBOUNDED)
-        obj = float(problem.c @ x)
-        return LpSolution(status=OPTIMAL, x=x, duals=np.zeros(0), objective=obj,
-                          dual_objective=obj)
-
-    b_scale = 1.0 + float(np.abs(std.b).max())
+    b_scale = 1.0 + float(np.abs(std.b).max(initial=0.0))
     tol = HARRIS_TOL * b_scale
     st = _Basis(std.A, std.b, std.basis_start())
     c1 = np.zeros(N)

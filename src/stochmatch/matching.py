@@ -727,8 +727,8 @@ def build_benchmark_lp(instance: MatchingInstance,
                              lb=np.zeros(nv), ub=np.ones(nv))
 
 
-def benchmark_lp_value(instance, include_star_constraints=False, selector=None) -> float:
-    sol = lp.solve(build_benchmark_lp(instance, include_star_constraints, selector))
+def benchmark_lp_value(instance, include_star_constraints=False) -> float:
+    sol = lp.solve(build_benchmark_lp(instance, include_star_constraints))
     if sol.status != lp.OPTIMAL:
         raise StochmatchError(f"benchmark LP came back {sol.status}")
     return sol.objective

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine, exact evaluators, and the level-wise offline oracle.
+"""Seeded Monte Carlo engine, the level-wise offline oracle, and benchmark ratios.
 
 Trial ``i`` of a run draws its randomness from a counter-based Philox
 stream keyed by ``(master seed, i)``, so every trial is a pure function of
@@ -6,16 +6,20 @@ the config and trials may run in any order or in parallel without changing
 results.  Means use numpy's pairwise summation, which is order-independent
 for a fixed trial array.
 
-One generator serves a whole run: its state is reset to counter 0 under
-key ``(seed, i)`` for trial ``i``, which gives the stream that
-``trial_generator(seed, i)`` would.  Every matcher runs a batch of trials
-at once (``run_lockstep``): each trial's uniforms are one row of a block
-whose width, the matcher's ``draw_bound``, bounds the draws of any trial,
-and the matcher walks every row on numpy state.  Each row is the stream
-the trial would read alone, so reports are the same as the tests' scalar
-walk (``tests/walk_oracle.py``) gives one trial at a time; a called
-matcher runs one trial as a one-row batch.  The report's normal quantile
-comes from the standard library, so importing this module loads no scipy.
+A run splits its trials into one list of blocks, which serial runs and
+worker processes run the same way.  A block has one row per trial, as wide
+as the matcher's ``draw_bound`` (the most uniforms any trial reads), and at
+most ``CHUNK_TRIALS`` rows and ``BLOCK_FLOATS`` uniforms.  One generator
+fills it, its state reset to counter 0 under key ``(seed, i)`` for trial
+``i``, which gives the stream that ``trial_generator(seed, i)`` would; the
+matcher then walks every row at once on numpy state (``run_lockstep``).
+Each row is the stream the trial would read alone, so reports are the same
+as the tests' scalar walk (``tests/walk_oracle.py``) gives one trial at a
+time; a called matcher runs one trial as a one-row batch.  Exact values
+are the matchers' own ``exact_value`` and, for stars,
+``stars.eval_policy_exact`` and ``stars.eval_randomized_exact``.  The
+report's normal quantile comes from the standard library, so importing
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -27,19 +31,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .instances import (
-    ADVERSARIAL,
-    CapabilityError,
-    CapacityError,
-    MatchingInstance,
-    Policy,
-    StarInstance,
-    StochmatchError,
-)
-from .stars import RandomizedStarPolicy, eval_policy_exact, eval_randomized_exact
+from .instances import (ADVERSARIAL, CapabilityError, CapacityError, MatchingInstance,
+                        StochmatchError)
 
 LOW_TRIAL_WARNING = 1000
-CHUNK_TRIALS = 4096        # trials per chunk: the unit of parallel work
+CHUNK_TRIALS = 4096        # most trials in one lockstep batch
 BLOCK_FLOATS = 1 << 22     # most uniforms held at once by a lockstep batch
 THREADS_ENV = "STOCHMATCH_THREADS"
 CONFIDENCE = 0.999         # two-sided level of every report's half-width
@@ -94,24 +90,17 @@ class _TrialStreams:
         return block
 
 
-def _run_range(instance, matcher, seed, start, stop, m):
-    """Per-trial weights and per-vertex match counts of trials [start, stop).
+def _run_block(instance, matcher, seed, start, stop, width):
+    """Per-trial weights and per-vertex match counts of trials [start, stop),
+    walked as one lockstep batch.
 
-    A block row holds the matcher's bound on the draws of one trial (at
-    least 1).  A row of any width is a prefix of the trial's stream: the
-    first ``k`` doubles of a Philox stream do not depend on how many are
-    drawn, so no row needs rounding up to whole ``RandomTape`` refills."""
-    streams = _TrialStreams(seed)
-    width = max(1, matcher.draw_bound(instance))
-    rows = max(1, min(CHUNK_TRIALS, BLOCK_FLOATS // width))
-    weights = np.empty(stop - start)
-    counts = np.zeros(m)
-    for a in range(start, stop, rows):
-        b = min(a + rows, stop)
-        block = streams.fill(np.empty((b - a, width)), a)
-        weights[a - start:b - start], batch_counts = matcher.run_lockstep(instance, block)
-        counts += batch_counts
-    return weights, counts
+    A block row holds ``width`` uniforms, the matcher's bound on the draws
+    of one trial (at least 1).  A row of any width is a prefix of the
+    trial's stream: the first ``k`` doubles of a Philox stream do not depend
+    on how many are drawn, so no row needs rounding up to whole
+    ``RandomTape`` refills."""
+    block = _TrialStreams(seed).fill(np.empty((stop - start, width)), start)
+    return matcher.run_lockstep(instance, block)
 
 
 def _table_plans(instance, matcher) -> dict:
@@ -121,13 +110,13 @@ def _table_plans(instance, matcher) -> dict:
     return getattr(tables, "plans", {})
 
 
-def _run_worker(instance, matcher, seed, start, stop, m):
-    """``_run_range`` in a worker process, returning also the plans the
+def _run_worker(instance, matcher, seed, start, stop, width):
+    """``_run_block`` in a worker process, returning also the plans the
     matcher's table (pickled with the instance) gained there, so that the
     caller's table keeps them."""
     plans = _table_plans(instance, matcher)
     known = set(plans)
-    weights, counts = _run_range(instance, matcher, seed, start, stop, m)
+    weights, counts = _run_block(instance, matcher, seed, start, stop, width)
     return weights, counts, {k: p for k, p in plans.items() if k not in known}
 
 
@@ -137,7 +126,7 @@ def thread_count(threads=None, chunks: int | None = None, default: int = 1) -> i
     ``threads`` is a count or its text; ``None`` reads ``STOCHMATCH_THREADS``
     and falls back to ``default`` when that is unset.  A non-integer or a
     value below 1 raises ``StochmatchError``.  The count is clamped to the
-    machine's cores and, when given, to the number of trial chunks.
+    machine's cores and, when given, to the number of trial blocks.
     """
     if threads is None:
         threads = os.environ.get(THREADS_ENV, default)
@@ -153,28 +142,29 @@ def thread_count(threads=None, chunks: int | None = None, default: int = 1) -> i
 def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -> SimReport:
     """Seeded Monte Carlo estimate of the matcher's expected matched weight.
 
-    Trials run in chunks of ``CHUNK_TRIALS``.  ``threads`` > 1 spreads the
-    chunks over worker processes; the report is bit-identical to a serial
-    run because each trial's stream depends only on (seed, trial index).
-    A value of ``None`` reads the ``STOCHMATCH_THREADS`` variable,
-    defaulting to 1 (see ``thread_count``).
+    Trials run in lockstep blocks of at most ``CHUNK_TRIALS`` trials and
+    ``BLOCK_FLOATS`` uniforms.  ``threads`` > 1 spreads the blocks over
+    worker processes; the report is bit-identical to a serial run because
+    each trial's stream depends only on (seed, trial index).  A value of
+    ``None`` reads the ``STOCHMATCH_THREADS`` variable, defaulting to 1
+    (see ``thread_count``).
     """
-    m = instance.m
     trials = config.trials
-    chunks = [(a, min(a + CHUNK_TRIALS, trials)) for a in range(0, trials, CHUNK_TRIALS)]
-    threads = thread_count(threads, chunks=len(chunks))
+    width = max(1, matcher.draw_bound(instance))
+    rows = max(1, min(CHUNK_TRIALS, BLOCK_FLOATS // width))
+    blocks = [(instance, matcher, config.seed, a, min(a + rows, trials), width)
+              for a in range(0, trials, rows)]
+    threads = thread_count(threads, chunks=len(blocks))
     if threads > 1:
         plans = _table_plans(instance, matcher)
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_run_worker,
-                                  *zip(*[(instance, matcher, config.seed, a, b, m)
-                                         for a, b in chunks])))
-        weights = np.concatenate([p[0] for p in parts])
-        counts = np.sum([p[1] for p in parts], axis=0)
+            parts = list(pool.map(_run_worker, *zip(*blocks)))
         for part in parts:
             plans.update(part[2])
     else:
-        weights, counts = _run_range(instance, matcher, config.seed, 0, trials, m)
+        parts = [_run_block(*block) for block in blocks]
+    weights = np.concatenate([p[0] for p in parts])
+    counts = np.sum([p[1] for p in parts], axis=0)
     mean = float(np.mean(weights))
     stddev = float(np.std(weights, ddof=1)) if trials > 1 else 0.0
     z = NormalDist().inv_cdf(1.0 - (1.0 - CONFIDENCE) / 2.0)
@@ -183,27 +173,6 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
                      match_freq=counts / trials, trials=trials,
                      confidence=CONFIDENCE,
                      low_trial_count=trials < LOW_TRIAL_WARNING)
-
-
-# ---------------------------------------------------------------------------
-# Exact evaluation
-# ---------------------------------------------------------------------------
-
-def exact_expected_value(instance, matcher) -> float:
-    """Exact expected matched weight of a matcher whose behavior admits a
-    full outcome expansion (all matchers in this package do, on small
-    instances).  For a star instance the "matcher" may also be a fixed
-    ``Policy`` or a ``RandomizedStarPolicy``."""
-    if isinstance(instance, StarInstance):
-        if isinstance(matcher, RandomizedStarPolicy):
-            return eval_randomized_exact(instance, matcher)
-        if isinstance(matcher, Policy):
-            return eval_policy_exact(instance, matcher)
-        raise StochmatchError("star instances take a Policy or RandomizedStarPolicy")
-    exact = getattr(matcher, "exact_value", None)
-    if exact is None:
-        raise StochmatchError(f"{type(matcher).__name__} has no exact expansion")
-    return exact(instance)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ def test_stochasticity_gap_structure():
 
 
 def test_sampled_matching_ratio_near_half():
-    r100 = hard.sample_max_matching_ratio(100, 60, seed=0)
+    [r100] = hard.coupled_matching_ratio_trend([100], 60, seed=0)
     assert 0.5 < r100 < 0.6
 
 

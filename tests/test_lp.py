@@ -45,6 +45,31 @@ def test_infeasible_and_unbounded():
     assert solve(LpProblem.make([1.0], np.zeros((0, 1)), [], [])).status == "unbounded"
 
 
+@pytest.mark.parametrize("lb", [0.0, 1.0, -2.0, -np.inf])
+@pytest.mark.parametrize("c", [-1.5, 0.0, 2.0])
+def test_row_free_lp_takes_the_bound_its_objective_favors(c, lb):
+    sol = solve(LpProblem.make([c], np.zeros((0, 1)), [], [], lb=[lb]))
+    if c > 0 or (c < 0 and lb == -np.inf):
+        assert sol.status == "unbounded" and sol.x is None and sol.objective is None
+        return
+    x = lb if np.isfinite(lb) else 0.0  # a free variable with no cost sits at 0
+    assert sol.status == OPTIMAL
+    assert sol.x.tolist() == [x] and sol.duals.shape == (0,)
+    assert sol.objective == sol.dual_objective == c * x
+
+
+def test_empty_lp_and_its_first_column():
+    empty = LpProblem.make([], np.zeros((0, 0)), [], [])
+    sol = solve(empty)
+    assert sol.status == OPTIMAL and sol.objective == 0.0
+    assert sol.x.shape == sol.duals.shape == (0,)
+    grown = add_column(empty, -1.0, [])
+    assert grown.A.shape == (0, 1)
+    sol = solve(grown)
+    assert sol.status == OPTIMAL and sol.x.tolist() == [0.0] and sol.objective == 0.0
+    assert solve(add_column(empty, 1.0, [])).status == "unbounded"
+
+
 def test_add_column_duplicate_keeps_objective():
     p = LpProblem.make([2.0, 1.0], [[1.0, 1.0]], ["<="], [1.0])
     base = solve(p).objective

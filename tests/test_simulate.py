@@ -29,12 +29,11 @@ from stochmatch.simulate import (
     SimConfig,
     brute_force_offline_opt,
     empirical_ratio,
-    exact_expected_value,
     simulate,
     thread_count,
     trial_generator,
 )
-from stochmatch.stars import solver_by_name
+from stochmatch.stars import eval_policy_exact, eval_randomized_exact, solver_by_name
 from walk_oracle import realized_patience
 
 sim = importlib.import_module("stochmatch.simulate")  # the package exports a same-named function
@@ -78,6 +77,22 @@ def test_parallel_equals_serial():
     assert serial.mean == parallel.mean
     assert serial.stddev == parallel.stddev
     assert np.array_equal(serial.match_freq, parallel.match_freq)
+
+
+def test_wide_blocks_give_the_same_report_serial_parallel_and_split(monkeypatch):
+    # 1,300 uniforms a row: blocks of 3,226 trials, which do not divide
+    # CHUNK_TRIALS, so a block edge falls inside the first CHUNK_TRIALS trials
+    inst = hard.gen_simple_greedy_hard(4, 100, v0_cap=1200)
+    matcher = SimpleGreedyMatcher("first")
+    width = matcher.draw_bound(inst)
+    assert width > 1024 and CHUNK_TRIALS % (sim.BLOCK_FLOATS // width)
+    cfg = SimConfig(seed=3, trials=CHUNK_TRIALS + 100)
+    reports = [simulate(inst, matcher, cfg, threads=1), simulate(inst, matcher, cfg, threads=2)]
+    monkeypatch.setattr(sim, "BLOCK_FLOATS", 500 * width)
+    reports.append(simulate(inst, matcher, cfg, threads=1))
+    for rep in reports[1:]:
+        assert rep.mean == reports[0].mean and rep.stddev == reports[0].stddev
+        assert np.array_equal(rep.match_freq, reports[0].match_freq)
 
 
 def test_parallel_run_keeps_the_workers_plans():
@@ -145,12 +160,12 @@ def test_config_rejects_zero_trials():
 # ---------------------------------------------------------------------------
 
 def test_exact_value_trivial_and_star_dispatch():
-    assert exact_expected_value(_unit_instance(p=0.5), AdvGreedyMatcher()) == pytest.approx(0.5)
+    assert AdvGreedyMatcher().exact_value(_unit_instance(p=0.5)) == pytest.approx(0.5)
     star = hard.gen_tight_example(0.1)
-    assert exact_expected_value(star, hard.tight_example_solution(0.1)) == pytest.approx(1 / 18, abs=1e-10)
+    assert eval_randomized_exact(star, hard.tight_example_solution(0.1)) == pytest.approx(1 / 18, abs=1e-10)
     from stochmatch.instances import StarInstance
     s = StarInstance.make([2.0], [0.5], PatienceModel.deterministic(1))
-    assert exact_expected_value(s, Policy.of(0)) == pytest.approx(1.0)
+    assert eval_policy_exact(s, Policy.of(0)) == pytest.approx(1.0)
 
 
 def test_exact_vs_simulate_on_tiny_corpus():
@@ -162,7 +177,7 @@ def test_exact_vs_simulate_on_tiny_corpus():
     iid = hard.gen_random_matching(41, m=3, n_types=2, arrival_kind="iid", horizon=4)
     cases.append((iid, iid_matcher(solve_prophet_lp(iid))))
     for inst, matcher in cases:
-        exact = exact_expected_value(inst, matcher)
+        exact = matcher.exact_value(inst)
         rep = simulate(inst, matcher, SimConfig(seed=11, trials=40_000))
         se = rep.stddev / np.sqrt(rep.trials) + 1e-12
         assert abs(exact - rep.mean) <= 4 * se
@@ -228,7 +243,7 @@ def test_no_matcher_beats_offline_opt(seed):
     lp6 = benchmark_lp_value(inst)
     assert opt <= lp2 + 1e-7 <= lp6 + 2e-7
     for matcher in (AdvGreedyMatcher(solver_by_name("dp")), SimpleGreedyMatcher()):
-        assert exact_expected_value(inst, matcher) <= opt + 1e-9
+        assert matcher.exact_value(inst) <= opt + 1e-9
 
 
 def _garbage_after(call):
