@@ -333,6 +333,9 @@ def gen_random_matching(seed: int, m: int, n_types: int, arrival_kind: str,
                         max_theta: int = 3, horizon: int | None = None,
                         edge_weighted: bool = True) -> MatchingInstance:
     """Reproducible random matching instance with deterministic patience."""
+    if m < 1 or max_theta < 1:
+        raise StochmatchError(f"random matching needs m >= 1 and max_theta >= 1, "
+                              f"got m={m}, max_theta={max_theta}")
     rng = np.random.default_rng(seed)
     probs = rng.random((m, n_types))
     patience = tuple(PatienceModel.deterministic(int(rng.integers(1, max_theta + 1)))

@@ -335,9 +335,9 @@ def _drive_out_artificials(st: _Basis, art0: int) -> None:
     usable entry (a redundant row) stays basic at its phase-1 value."""
     for r in np.flatnonzero(st.cols >= art0):
         row = np.abs(st.inv[r] @ st.A[:, :art0])
-        j = int(np.argmax(row))
-        if row[j] <= PIVOT_TOL:
+        if row.max(initial=0.0) <= PIVOT_TOL:  # also a row with no structural part
             continue
+        j = int(np.argmax(row))
         d = st.inv @ st.A[:, j]
         st.pivot(j, d, r, 0.0)
 

@@ -41,11 +41,9 @@ step, as numpy arrays of free sets and probabilities taken in chunks of
 ``EXACT_CHUNK``: per chunk the matcher gives the probability of matching
 each vertex, and the next layer is summed in a dense accumulator over all
 free sets.  SimpleGreedy ranks each set's free neighbors as its lockstep
-walk does.  AdvGreedy with the built-in ``dp`` solver orders every set of
-a chunk with one batched DP (``stars.deterministic_patience_orders``);
-with another solver, or one whose ``solve`` is overridden (a traced
-solver, say), it plans once per distinct set, grouped as in its lockstep
-walk.  The policy-LP matcher needs no free sets: a simulated probe ends
+walk does, and AdvGreedy plans every set with ``stars.induced_match``;
+either walks a chunk's orders in one ``stars.order_match`` call.  The
+policy-LP matcher needs no free sets: a simulated probe ends
 an arrival with the same probability as a real one, so each offline
 vertex stays free with a product over steps of its own miss
 probabilities, whatever the other vertices do, and the value is a sum
@@ -61,6 +59,7 @@ policies solved by column generation against its pricing problem.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +82,12 @@ from .instances import (
 )
 from .stars import (
     StarSolver,
+    _distinct_rows,
+    _price,
     auto_solver,
-    deterministic_patience_orders,
-    enumerate_policies,
-    policy_match_probabilities,
-    price_policy,
-    randomized_match_probabilities,
+    enumerated_orders,
+    induced_match,
+    order_match,
     solver_by_name,
 )
 
@@ -367,49 +366,6 @@ class _Lockstep:
 
 
 # ---------------------------------------------------------------------------
-# Exact match probabilities of one arrival
-# ---------------------------------------------------------------------------
-
-def _order_match(tables: _Tables, v: int, items: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """Match probabilities, ``(L, m)``, of arrivals of type ``v`` where row
-    ``i`` probes the first ``length[i]`` entries of ``items[i]``, all free:
-    ``stars.policy_match_probabilities`` on each row's induced star, with
-    the same arithmetic."""
-    n_rows, width = items.shape
-    m = tables.m
-    probs = np.append(tables.probs[:, v], 0.0)  # column m takes the padding
-    out = np.zeros((n_rows, m + 1))
-    pat = tables.patience[v]
-    if pat.is_hazard:
-        ends = probs + (1.0 - probs) * np.append(tables.rates[v], 0.0)
-    else:
-        curve = pat.survival_curve(width).tolist()
-    alive = np.ones(n_rows)
-    every = np.arange(n_rows)
-    for k in range(width):
-        u = np.where(length > k, items[:, k], m)
-        p = probs[u]
-        if pat.is_hazard:
-            out[every, u] = alive * p
-            alive = alive * (1.0 - ends[u])
-        else:
-            out[every, u] = curve[k] * alive * p
-            alive = alive * (1.0 - p)
-    return out[:, :m]
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a boolean matrix with at least one column, and
-    per row the index of its distinct row."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-    sets, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                            return_inverse=True)
-    masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1,
-                          count=rows.shape[1])
-    return masks, group
-
-
-# ---------------------------------------------------------------------------
 # Greedy matchers for adversarial arrivals
 # ---------------------------------------------------------------------------
 
@@ -499,11 +455,11 @@ class AdvGreedyMatcher(_GreedyMatcher):
         return _GreedyTables(instance, [(self.solver or auto_solver(p)).name == "lp"
                                         for p in instance.patience])
 
-    def _plan(self, instance, tables, v, avail_key, star_items=None):
+    def _plan(self, instance, tables, v, avail_key):
         key = (v, avail_key)
         plan = tables.plans.get(key)
         if plan is None:
-            star, items = star_items or instance.star_for(v, avail_key)
+            star, items = instance.star_for(v, avail_key)
             solver = self.solver or auto_solver(star)
             result = solver.solve(star)
             if isinstance(result.policy, Policy):
@@ -518,30 +474,13 @@ class AdvGreedyMatcher(_GreedyMatcher):
 
     def _exact_match(self, instance, tables, v, avail):
         """Match probabilities of an arrival of type ``v`` on each row of
-        ``avail`` (its free neighbors).  With the built-in ``dp`` solver,
-        one batched DP (``stars.deterministic_patience_orders``) orders
-        every row at once; any other solver, or a subclass that overrides
-        ``solve``, plans once per distinct row, as the lockstep walk does."""
+        ``avail`` (its free neighbors): the solver's plan on each induced
+        star (``stars.induced_match``)."""
         neigh = tables.neighbor_arrays[v]
-        solver = self.solver or auto_solver(tables.patience[v])
-        if solver.name == "dp" and type(solver).solve is StarSolver.solve:
-            star, _ = instance.star_for(v, neigh.tolist())
-            orders, length = deterministic_patience_orders(star, avail)
-            return _order_match(tables, v, neigh[orders], length)
-        masks, group = _distinct_rows(avail)
-        match = np.zeros((len(masks), instance.m))
-        for g, mask in enumerate(masks.tolist()):
-            avail_key = tuple(itertools.compress(tables.neighbors[v], mask))
-            if not avail_key:
-                continue
-            star, items = star_items = instance.star_for(v, avail_key)
-            plan = self._plan(instance, tables, v, avail_key, star_items)
-            if plan[0] == "randomized":
-                match[g, items] = randomized_match_probabilities(star, plan[1])
-            else:
-                match[g, items] = policy_match_probabilities(
-                    star, Policy(tuple(map(items.index, plan[1]))))
-        return match[group]
+        star, _ = instance.star_for(v, neigh.tolist())
+        match = np.zeros((len(avail), instance.m))
+        match[:, neigh] = induced_match(self.solver or auto_solver(star), star, avail)
+        return match
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
@@ -605,7 +544,7 @@ class SimpleGreedyMatcher(_GreedyMatcher):
     def _new_tables(self, instance) -> _GreedyTables:
         return _GreedyTables(instance, [False] * instance.n_types)
 
-    def _plan(self, instance, tables, v, avail_key, star_items=None):
+    def _plan(self, instance, tables, v, avail_key):
         return ("policy", avail_key[::-1] if self.rule == "last" else avail_key)
 
     def _exact_match(self, instance, tables, v, avail):
@@ -618,7 +557,7 @@ class SimpleGreedyMatcher(_GreedyMatcher):
         width = tables.caps[v]
         ranked = np.argsort(~avail, axis=1, kind="stable")[:, :width]
         length = np.minimum(np.count_nonzero(avail, axis=1), width)
-        return _order_match(tables, v, neigh[ranked], length)
+        return order_match(tables.probs[:, v], tables.patience[v], neigh[ranked], length)
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
@@ -681,49 +620,32 @@ def build_benchmark_lp(instance: MatchingInstance,
     per (offline subset, online vertex) caps the subset's LP reward by the
     exact star optimum, giving a strictly tighter bound; this needs an
     exact star solver for the patience variant and at most
-    ``STAR_CONSTRAINT_MAX_OFFLINE`` offline vertices.
+    ``STAR_CONSTRAINT_MAX_OFFLINE`` offline vertices.  Each type's subsets
+    are planned in one ``stars.induced_match`` call (``selector`` if given).
     """
     m, n = instance.m, instance.n_types
     W = instance.weights_matrix()
     P = np.asarray(instance.probs)
     nv = m * n  # x_{u,v} at u * n + v
-    c = (P * W).reshape(nv)
-    rows, senses, rhs = [], [], []
-    for u in range(m):
-        row = np.zeros(nv)
-        row[u * n: (u + 1) * n] = P[u]
-        rows.append(row)
-        senses.append(lp.LE)
-        rhs.append(1.0)
-    for v in range(n):
-        row = np.zeros(nv)
-        row[v::n] = P[:, v]
-        rows.append(row)
-        senses.append(lp.LE)
-        rhs.append(1.0)
-    for v in range(n):
-        row = np.zeros(nv)
-        row[v::n] = 1.0
-        rows.append(row)
-        senses.append(lp.LE)
-        rhs.append(instance.patience[v].mean_patience(m))
+    rows = [(np.eye(m)[:, :, None] * P).reshape(m, nv),  # offline vertices
+            (np.eye(n)[:, None, :] * P).reshape(n, nv),  # online vertices
+            np.tile(np.eye(n), m)]                       # probes per online vertex
+    rhs = [np.ones(m + n), [p.mean_patience(m) for p in instance.patience]]
     if include_star_constraints:
         if m > STAR_CONSTRAINT_MAX_OFFLINE:
             raise CapacityError(
                 f"star-cap rows need at most {STAR_CONSTRAINT_MAX_OFFLINE} offline vertices")
+        within = np.array([[u in s for u in range(m)] for r in range(1, m + 1)
+                           for s in itertools.combinations(range(m), r)])
         for v in range(n):
+            star, items = instance.star_for(v, range(m))
             solver = selector or _exact_solver_for(instance.patience[v])
-            for r in range(1, m + 1):
-                for subset in itertools.combinations(range(m), r):
-                    star, items = instance.star_for(v, subset)
-                    opt = solver.solve(star).expected_value if items else 0.0
-                    row = np.zeros(nv)
-                    for u in subset:
-                        row[u * n + v] = P[u, v] * W[u, v]
-                    rows.append(row)
-                    senses.append(lp.LE)
-                    rhs.append(opt)
-    return lp.LpProblem.make(c, np.vstack(rows), senses, rhs,
+            block = np.zeros((len(within), m, n))
+            block[:, :, v] = np.where(within, P[:, v] * W[:, v], 0.0)
+            rows.append(block.reshape(len(within), nv))
+            rhs.append(induced_match(solver, star, within[:, items]) @ np.asarray(star.weights))
+    A = np.vstack(rows)
+    return lp.LpProblem.make((P * W).reshape(nv), A, [lp.LE] * len(A), np.concatenate(rhs),
                              lb=np.zeros(nv), ub=np.ones(nv))
 
 
@@ -838,9 +760,8 @@ def solve_prophet_lp(instance: MatchingInstance,
         for v in range(n):
             if q_v[v] <= 0.0:
                 continue
-            policy, value = price_policy(stars[v], wmat[:, v] - alpha, boxes[v])
+            policy, value, pvec = _price(stars[v], wmat[:, v] - alpha, boxes[v])
             if value > beta[v] + PRICING_TOL and (v, policy.order) not in seen:
-                pvec = policy_match_probabilities(stars[v], policy)
                 col = np.concatenate([pvec, np.zeros(n)])
                 col[m + v] = 1.0
                 master = lp.add_column(master, float(pvec @ wmat[:, v]), col)
@@ -861,18 +782,20 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance) -> ProphetLpResult:
     LP directly.  Only for instances whose policy set is small."""
     if instance.arrivals.kind not in (PROPHET, IID):
         raise CapabilityError("the policy LP needs prophet or IID arrivals")
-    m, n = instance.m, instance.n_types
+    n = instance.n_types
     q_v = instance.arrivals.expected_arrivals(n)
-    stars = _type_stars(instance)
-    columns = []
+    columns, count = [], 0
     for v in range(n):
-        items = [u for u in range(m) if instance.probs[u, v] > 0.0]
+        items = np.flatnonzero(instance.probs[:, v] > 0.0)
         cap = instance.patience[v].max_probes(len(items))
-        for sub_policy in enumerate_policies(len(items), cap):
-            policy = Policy(tuple(items[i] for i in sub_policy.order))
-            columns.append((v, policy, policy_match_probabilities(stars[v], policy)))
-            if len(columns) > MAX_ENUMERATED_POLICIES:
-                raise CapacityError(f"policy enumeration exceeded {MAX_ENUMERATED_POLICIES}")
+        count += sum(math.perm(len(items), r) for r in range(cap + 1))
+        if count > MAX_ENUMERATED_POLICIES:
+            raise CapacityError(f"policy enumeration exceeded {MAX_ENUMERATED_POLICIES}")
+        orders, lengths = enumerated_orders(len(items), cap)
+        orders = items[orders]
+        pvecs = order_match(instance.probs[:, v], instance.patience[v], orders, lengths)
+        columns += [(v, Policy(tuple(order[:k])), pvec)
+                    for order, k, pvec in zip(orders.tolist(), lengths.tolist(), pvecs)]
     sol = _solve_master(_master_problem(instance, columns, q_v))
     return _assemble_result(instance, columns, sol.x, sol.objective, "optimal", 1.0)
 
@@ -1017,11 +940,12 @@ class PolicyLpMatcher(_TableCache):
         step's expected reward at ``u`` over steps and vertices: ``O(T m)``,
         for any number of offline vertices."""
         tables = self._tables(instance)
-        stars = _type_stars(instance)
         match = np.zeros((instance.n_types, instance.m))
-        for g, v in enumerate(tables.type_of.tolist()):
-            match[v] += tables.share[g] * policy_match_probabilities(
-                stars[v], Policy(tables.kept[g]))
+        share = np.asarray(tables.share)
+        for v in np.unique(tables.type_of).tolist():
+            mine = tables.type_of == v
+            match[v] = share[mine] @ order_match(instance.probs[:, v], instance.patience[v],
+                                                 tables.items[mine], tables.length[mine])
         arr = instance.arrivals
         steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)]).reshape(
             arr.n_steps, instance.n_types)

@@ -5,9 +5,11 @@ matched and probing stops.  The arrival's patience limits how many probes
 can be attempted, under any of the three patience models.  This module
 provides
 
-* exact evaluation of a fixed probing order,
+* exact evaluation of many probing orders at once (``order_match``, the
+  package's one walk of an order),
 * an exact dynamic program for deterministic patience, also batched over
-  many induced stars of one star (``deterministic_patience_orders``),
+  many induced stars of one star (``deterministic_patience_orders``), and
+  a solver's plans on every induced star of one star (``induced_match``),
 * the exact index rule ``w_i p_i / q_i`` for per-item hazard rates,
 * an attempt-indexed LP relaxation for arbitrary explicit patience
   distributions and the randomized policy read off its optimal solution
@@ -22,6 +24,7 @@ provides
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,7 +34,6 @@ from . import lp
 from .instances import (
     CapacityError,
     EMPTY_POLICY,
-    HAZARD,
     PatienceVariantError,
     Policy,
     StarInstance,
@@ -75,58 +77,63 @@ class StarResult:
 
 
 # ---------------------------------------------------------------------------
-# Exact evaluation of deterministic policies
+# Exact evaluation of probing orders
 # ---------------------------------------------------------------------------
 
-def termination_probs(star: StarInstance) -> np.ndarray:
-    """Per item, the probability that probing it ends the process under
-    hazard patience: success, or failure followed by balking."""
-    p = np.asarray(star.probs)
-    r = star.patience.hazard_rates(star.n)
-    return p + (1.0 - p) * r
-
-
-def _order_match_probabilities(star: StarInstance, policy: Policy) -> list[float]:
-    """Per entry of ``policy``, the probability that probing it matches.
+def _probe_entries(probs, patience, orders, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of ``orders``, the probability that probing it matches
+    (zero past the row's length), and the entries with the padding mapped
+    to ``n = len(probs)``: row ``i`` probes its first ``lengths[i]`` entries.
 
     Survival-curve and deterministic patience: the k-th probe happens iff
     the patience is at least ``k`` and the first ``k-1`` probes failed.
-    Hazard patience: after each failed probe of item ``i`` the arrival balks
-    with probability ``r_i``.
+    Hazard patience: probing ``i`` ends the arrival with probability
+    ``p_i + (1-p_i) r_i`` (success, or failure and a balk).  Each row's
+    prefix of surviving terms is one ``np.cumprod``, in probe order.
     """
-    check_policy(policy, star.n)
-    p = star.probs
-    out = []
-    if star.patience.kind == HAZARD:
-        q = termination_probs(star).tolist()
-        alive = 1.0
-        for i in policy.order:
-            out.append(alive * p[i])
-            alive *= 1.0 - q[i]
-    else:
-        curve = star.patience.survival_curve(star.n).tolist()
-        fail = 1.0
-        for k, i in enumerate(policy.order):
-            out.append(curve[k] * fail * p[i])
-            fail *= 1.0 - p[i]
-    return out
+    n = len(probs)
+    p = np.zeros(n + 1)
+    p[:n] = probs
+    orders = np.asarray(orders, dtype=np.intp)
+    width = orders.shape[1]
+    idx = np.where(np.arange(width) < np.asarray(lengths)[:, None], orders, n)
+    ends = p + (1.0 - p) * np.append(patience.hazard_rates(n), 0.0) if patience.is_hazard else p
+    alive = np.ones(idx.shape)
+    alive[:, 1:] = np.cumprod(1.0 - ends[idx[:, :-1]], axis=1)
+    curve = 1.0 if patience.is_hazard else patience.survival_curve(width)
+    return curve * alive * p[idx], idx
+
+
+def order_match(probs, patience, orders, lengths) -> np.ndarray:
+    """Match probabilities, ``(L, n)`` over the items of ``probs``, of
+    arrivals with ``patience`` where row ``i`` probes the first
+    ``lengths[i]`` entries of ``orders[i]``, all available."""
+    entry, idx = _probe_entries(probs, patience, orders, lengths)
+    out = np.zeros((idx.shape[0], len(probs) + 1))  # the last column takes the padding
+    out[np.arange(idx.shape[0])[:, None], idx] = entry
+    return out[:, :-1]
+
+
+def _order_values(star: StarInstance, orders, lengths) -> np.ndarray:
+    """Expected reward of each row of ``orders`` on ``star``, a running
+    total from 0.0 in probe order."""
+    entry, idx = _probe_entries(star.probs, star.patience, orders, lengths)
+    gains = np.zeros((idx.shape[0], idx.shape[1] + 1))
+    gains[:, 1:] = entry * np.append(star.weights, 0.0)[idx]
+    return np.cumsum(gains, axis=1)[:, -1]
 
 
 def eval_policy_exact(star: StarInstance, policy: Policy) -> float:
     """Exact expected reward of probing in the given order."""
-    w = star.weights
-    total = 0.0
-    for i, pr in zip(policy.order, _order_match_probabilities(star, policy)):
-        total += pr * w[i]
-    return total
+    check_policy(policy, star.n)
+    return float(_order_values(star, [policy.order], [len(policy)])[0])
 
 
 def policy_match_probabilities(star: StarInstance, policy: Policy) -> np.ndarray:
     """Probability that the arrival is matched to each item when following
     ``policy`` with every item available; zero for items not probed."""
-    out = np.zeros(star.n)
-    out[list(policy.order)] = _order_match_probabilities(star, policy)
-    return out
+    check_policy(policy, star.n)
+    return order_match(star.probs, star.patience, [policy.order], [len(policy)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,8 @@ def solve_constant_hazard(star: StarInstance) -> StarResult:
     are dropped."""
     if not star.patience.is_hazard:
         raise PatienceVariantError("constant-hazard solver needs hazard patience")
-    q = termination_probs(star)
+    p = np.asarray(star.probs)
+    q = p + (1.0 - p) * star.patience.hazard_rates(star.n)
     items = [i for i in _positive_items(star) if star.weights[i] * star.probs[i] > 0.0]
     items.sort(key=lambda i: (-star.weights[i] * star.probs[i] / q[i], i))
     policy = Policy(tuple(items))
@@ -253,21 +261,41 @@ def enumerate_policies(n: int, max_len: int | None = None):
                 yield Policy(perm)
 
 
+@functools.lru_cache(maxsize=64)
+def enumerated_orders(n: int, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """``enumerate_policies(n, max_len)`` as read-only ``order_match`` input."""
+    orders, lengths = _pack_orders([pol.order for pol in enumerate_policies(n, max_len)])
+    orders.flags.writeable = lengths.flags.writeable = False
+    return orders, lengths
+
+
+def _pack_orders(orders) -> tuple[np.ndarray, np.ndarray]:
+    """Probing orders as zero-padded rows, with their lengths."""
+    lengths = np.array([len(o) for o in orders], dtype=np.intp)
+    packed = np.zeros((len(orders), lengths.max(initial=0)), dtype=np.intp)
+    for g, order in enumerate(orders):
+        packed[g, :len(order)] = order
+    return packed, lengths
+
+
 def brute_force_optimal(star: StarInstance) -> StarResult:
     """Exhaustive search over all ordered subsets (failed probes carry no
     information beyond their count, so some ordered subset is optimal).
-    Only for tiny stars."""
+    Only for tiny stars.  Every order is scored in one walk, and the first
+    maximal one in enumeration order wins; the empty policy when no value
+    is positive."""
     if star.n > BRUTE_FORCE_MAX_ITEMS:
         raise CapacityError(
             f"brute force capped at {BRUTE_FORCE_MAX_ITEMS} items, got {star.n}")
     items = _positive_items(star)
     sub = star.with_items(items)
-    best_policy, best = EMPTY_POLICY, 0.0
-    for pol in enumerate_policies(sub.n, sub.patience.max_probes(sub.n)):
-        v = eval_policy_exact(sub, pol)
-        if v > best:
-            best, best_policy = v, pol
-    mapped = Policy(tuple(items[i] for i in best_policy.order))
+    orders, lengths = enumerated_orders(sub.n, sub.patience.max_probes(sub.n))
+    values = _order_values(sub, orders, lengths)
+    g = int(np.argmax(values))
+    if not values[g] > 0.0:
+        return StarResult(EMPTY_POLICY, 0.0, 0.0)
+    best = float(values[g])
+    mapped = Policy(tuple(items[i] for i in orders[g, :lengths[g]].tolist()))
     return StarResult(mapped, best, best)
 
 
@@ -499,6 +527,61 @@ def auto_solver(star_or_patience) -> StarSolver:
     return solver_by_name("lp")
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a boolean matrix with at least one column, and
+    per row the index of its distinct row."""
+    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
+    sets, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                            return_inverse=True)
+    masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1,
+                          count=rows.shape[1])
+    return masks, group
+
+
+def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
+    """Match probabilities, ``(L, n)`` over the items of ``star``, of
+    ``solver``'s plan on each induced star ``star.with_items(
+    np.flatnonzero(avail[i]))``.  The built-in ``dp`` solver orders every
+    row at once (``deterministic_patience_orders``); any other solver, or
+    one whose ``solve`` is overridden (a traced solver, say), solves once
+    per distinct row.  The orders are walked in one ``order_match`` call."""
+    avail = np.asarray(avail, dtype=bool)
+    if solver.name == "dp" and type(solver).solve is StarSolver.solve:
+        return order_match(star.probs, star.patience, *deterministic_patience_orders(star, avail))
+    if not star.n:
+        return np.zeros(avail.shape)
+    masks, group = _distinct_rows(avail)
+    match = np.zeros(masks.shape)
+    walked, orders = [], []
+    for g, items in enumerate(map(np.flatnonzero, masks)):
+        sub = star.with_items(items.tolist())
+        plan = solver.solve(sub).policy if items.size else EMPTY_POLICY
+        if isinstance(plan, Policy):
+            walked.append(g)
+            orders.append(items[list(plan.order)])
+        else:
+            match[g, items] = randomized_match_probabilities(sub, plan)
+    match[walked] = order_match(star.probs, star.patience, *_pack_orders(orders))
+    return match[group]
+
+
+def _price(star: StarInstance, adjusted_weights, selector: StarSolver):
+    """``price_policy``'s policy and value, and the policy's match vector."""
+    adjusted = np.asarray(adjusted_weights, dtype=float)
+    if adjusted.shape != (star.n,):
+        raise StochmatchError("adjusted weights must match the item count")
+    keep = [i for i in range(star.n) if adjusted[i] > 0.0 and star.probs[i] > 0.0]
+    if not keep:
+        return EMPTY_POLICY, 0.0, np.zeros(star.n)
+    sub = StarInstance(tuple(adjusted[i] for i in keep),
+                       tuple(star.probs[i] for i in keep),
+                       star.patience.subset(keep))
+    sub_policy = selector.policy_for(sub)
+    policy = Policy(tuple(keep[i] for i in sub_policy.order))
+    match = policy_match_probabilities(star, policy)
+    return policy, float(match @ adjusted), match
+
+
 def price_policy(star: StarInstance, adjusted_weights,
                  selector: StarSolver) -> tuple[Policy, float]:
     """Best probing policy for dual-adjusted item weights.
@@ -508,16 +591,4 @@ def price_policy(star: StarInstance, adjusted_weights,
     Returns the policy over the original item indices together with its
     exact adjusted value ``sum_u p_u(pi) w'_u``.
     """
-    adjusted = np.asarray(adjusted_weights, dtype=float)
-    if adjusted.shape != (star.n,):
-        raise StochmatchError("adjusted weights must match the item count")
-    keep = [i for i in range(star.n) if adjusted[i] > 0.0 and star.probs[i] > 0.0]
-    if not keep:
-        return EMPTY_POLICY, 0.0
-    sub = StarInstance(tuple(adjusted[i] for i in keep),
-                       tuple(star.probs[i] for i in keep),
-                       star.patience.subset(keep))
-    sub_policy = selector.policy_for(sub)
-    policy = Policy(tuple(keep[i] for i in sub_policy.order))
-    value = float(policy_match_probabilities(star, policy) @ adjusted)
-    return policy, value
+    return _price(star, adjusted_weights, selector)[:2]

@@ -34,6 +34,16 @@ def test_gen_rejects_bad_parameters(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", [["--theta", "0"], ["-m", "0"]])
+def test_gen_random_matching_rejects_what_it_cannot_build(tmp_path, capsys, flag):
+    # a zero patience bound used to raise numpy's ValueError, and m = 0 wrote
+    # a file that load_instance rejects
+    path = tmp_path / "inst.json"
+    code, _, err = run(capsys, "gen", "random-matching", *flag, "-o", str(path))
+    assert code == 2 and "input error" in err
+    assert not path.exists()
+
+
 def test_star_solve_on_tight_example(tmp_path, capsys):
     path = tmp_path / "tight.json"
     run(capsys, "gen", "tight-example", "--eps", "0.1", "-o", str(path))

@@ -70,6 +70,13 @@ def test_empty_lp_and_its_first_column():
     assert solve(add_column(empty, 1.0, [])).status == "unbounded"
 
 
+def test_equality_row_over_no_variables():
+    # phase 1 leaves the row's artificial basic over an empty structural part
+    sol = solve(LpProblem.make([], np.zeros((1, 0)), ["="], [0.0]))
+    assert sol.status == OPTIMAL and sol.objective == 0.0 and sol.x.shape == (0,)
+    assert solve(LpProblem.make([], np.zeros((1, 0)), ["="], [1.0])).status == "infeasible"
+
+
 def test_add_column_duplicate_keeps_objective():
     p = LpProblem.make([2.0, 1.0], [[1.0, 1.0]], ["<="], [1.0])
     base = solve(p).objective

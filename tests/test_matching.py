@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from stochmatch.matching import (
     solve_prophet_lp_enumerated,
 )
 from stochmatch.simulate import SimConfig, simulate, trial_generator
-from stochmatch.stars import solver_by_name
+from stochmatch.stars import StarSolver, solver_by_name
 
 
 def _tape(seed):
@@ -360,6 +361,57 @@ def test_benchmark_lp_single_offline_values():
     rows = prob.A @ x
     star_rows = slice(1 + 4 + 4, prob.n_rows)
     assert np.allclose(rows[star_rows], prob.b[star_rows])
+
+
+class _OverriddenDp(StarSolver):
+    """The ``dp`` solver behind an overridden ``solve``: planned per subset."""
+
+    calls = 0
+
+    def solve(self, star):
+        _OverriddenDp.calls += 1
+        return super().solve(star)
+
+
+STAR_CAP_PATIENCE = {
+    "dp": lambda m: None,
+    "brute": lambda m: PatienceModel.survival((1.0, 0.6, 0.3)),
+    "hazard": lambda m: PatienceModel.constant_hazard(rate=0.3),
+    "item-hazard": lambda m: PatienceModel.constant_hazard(rates=np.linspace(0.1, 0.7, m)),
+    "zero-edge": lambda m: None,
+    "overridden-solve": lambda m: None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAR_CAP_PATIENCE))
+def test_star_cap_rows_cap_each_subset_by_its_exact_optimum(case):
+    base = hard.gen_random_matching(5, 5, 3, "adversarial")
+    probs = base.probs.copy()
+    if case == "zero-edge":
+        probs[1, 0] = probs[3, 2] = 0.0
+    patience = STAR_CAP_PATIENCE[case](base.m) or base.patience
+    inst = MatchingInstance.make(probs, patience, base.arrivals, edge_weights=base.edge_weights)
+    selector = _OverriddenDp("dp", 1.0) if case == "overridden-solve" else None
+    _OverriddenDp.calls = 0
+    prob = build_benchmark_lp(inst, include_star_constraints=True, selector=selector)
+    solves = _OverriddenDp.calls
+    m, n = inst.m, inst.n_types
+    W = inst.weights_matrix()
+    k = m + 2 * n  # the star-cap rows follow the vertex and patience rows
+    for v in range(n):
+        solver = selector or matching._exact_solver_for(inst.patience[v])
+        for r in range(1, m + 1):
+            for subset in itertools.combinations(range(m), r):
+                star, items = inst.star_for(v, subset)
+                opt = solver.solve(star).expected_value if items else 0.0
+                assert prob.b[k] == pytest.approx(opt, rel=0.0, abs=1e-12)
+                row = np.zeros((m, n))
+                row[list(subset), v] = probs[list(subset), v] * W[list(subset), v]
+                assert np.array_equal(prob.A[k], row.reshape(-1))
+                k += 1
+    assert k == prob.n_rows
+    if selector is not None:
+        assert solves == n * (2 ** m - 1)  # every edge is positive: one solve per subset
 
 
 def test_benchmark_lp_empty_graph():

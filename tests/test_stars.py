@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochmatch import hard_instances as hard
 from stochmatch import lp
@@ -15,8 +17,10 @@ from stochmatch.stars import (
     brute_force_optimal,
     build_arbitrary_patience_lp,
     enumerate_policies,
+    enumerated_orders,
     eval_policy_exact,
     eval_randomized_exact,
+    order_match,
     policy_match_probabilities,
     price_policy,
     randomized_match_probabilities,
@@ -33,6 +37,71 @@ HAZARD_PAIR = StarInstance.make([10.0, 6.0], [0.5, 0.9],
 # ---------------------------------------------------------------------------
 # eval_policy_exact
 # ---------------------------------------------------------------------------
+
+def scalar_walk(star: StarInstance, policy: Policy) -> list[float]:
+    """Per entry of ``policy``, the probability that probing it matches, one
+    probe at a time: the reference for ``order_match``."""
+    p = star.probs
+    out = []
+    if star.patience.is_hazard:
+        r = star.patience.hazard_rates(star.n).tolist()
+        alive = 1.0
+        for i in policy.order:
+            out.append(alive * p[i])
+            alive *= 1.0 - (p[i] + (1.0 - p[i]) * r[i])
+    else:
+        curve = star.patience.survival_curve(star.n).tolist()
+        fail = 1.0
+        for k, i in enumerate(policy.order):
+            out.append(curve[k] * fail * p[i])
+            fail *= 1.0 - p[i]
+    return out
+
+
+def scalar_value(star: StarInstance, policy: Policy) -> float:
+    total = 0.0
+    for i, pr in zip(policy.order, scalar_walk(star, policy)):
+        total += pr * star.weights[i]
+    return total
+
+
+@st.composite
+def order_batches(draw):
+    """A star of any patience kind (budgets from -1, per-item hazard rates,
+    zero-probability items) and a few probing orders of it."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["deterministic", "survival", "global-hazard", "item-hazard"]))
+    if kind == "deterministic":
+        patience = PatienceModel.deterministic(draw(st.integers(-1, n + 1)))
+    elif kind == "survival":
+        q = np.minimum.accumulate(np.sort(rng.random(int(rng.integers(1, n + 2))))[::-1])
+        q[0] = 1.0
+        patience = PatienceModel.survival(q)
+    elif kind == "global-hazard":
+        patience = PatienceModel.constant_hazard(rate=float(rng.choice([0.0, rng.random(), 1.0])))
+    else:
+        patience = PatienceModel.constant_hazard(rates=rng.random(n))
+    star = StarInstance.make(rng.random(n) * 3.0, rng.random(n) * (rng.random(n) < 0.8), patience)
+    policies = [Policy(tuple(int(i) for i in rng.permutation(n)[:int(rng.integers(0, n + 1))]))
+                for _ in range(draw(st.integers(1, 6)))]
+    return star, policies
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_batches())
+def test_order_match_rows_equal_one_row_calls_and_the_scalar_walk(case):
+    star, policies = case
+    rng = np.random.default_rng(len(policies))
+    orders = rng.integers(0, star.n, (len(policies), star.n))  # padding is never read
+    for row, pol in zip(orders, policies):
+        row[:len(pol)] = pol.order
+    batch = order_match(star.probs, star.patience, orders, [len(pol) for pol in policies])
+    for row, pol in zip(batch, policies):
+        assert np.array_equal(row, policy_match_probabilities(star, pol))
+        assert row[list(pol.order)].tolist() == scalar_walk(star, pol)
+        assert eval_policy_exact(star, pol) == scalar_value(star, pol)
+
 
 def test_eval_certain_single_item():
     star = StarInstance.make([1.0], [1.0], PatienceModel.deterministic(1))
@@ -324,6 +393,52 @@ def test_brute_force_single_item_and_cap():
     big = StarInstance.make([1.0] * 8, [0.5] * 8, PatienceModel.deterministic(2))
     with pytest.raises(CapacityError):
         brute_force_optimal(big)
+
+
+def test_brute_force_keeps_the_first_maximal_policy():
+    # identical items tie: the first policy in enumeration order wins
+    star = StarInstance.make([1.0, 1.0], [0.5, 0.5], PatienceModel.deterministic(1))
+    assert brute_force_optimal(star).policy == Policy.of(0)
+    star = StarInstance.make([1.0, 1.0], [0.5, 0.5], PatienceModel.deterministic(2))
+    assert brute_force_optimal(star).policy == Policy.of(0, 1)
+    # zero-probability items are dropped and the rest keep their indices
+    star = StarInstance.make([5.0, 2.0, 2.0], [0.0, 0.5, 0.5], PatienceModel.deterministic(1))
+    assert brute_force_optimal(star).policy == Policy.of(1)
+    # no positive value: the empty policy
+    for weights in ([0.0, 0.0], [-1.0, 0.0]):
+        star = StarInstance.make(weights, [0.5, 0.5], PatienceModel.deterministic(2))
+        result = brute_force_optimal(star)
+        assert result.policy == Policy(()) and result.expected_value == 0.0
+    assert brute_force_optimal(
+        StarInstance.make([1.0], [0.5], PatienceModel.deterministic(-1))).policy == Policy(())
+
+
+def test_brute_force_equals_a_scalar_search():
+    rng = np.random.default_rng(8)
+    for k in range(60):
+        n = int(rng.integers(1, 6))
+        star = hard.gen_random_star(int(rng.integers(10**6)), n,
+                                    ("survival", "deterministic", "hazard")[k % 3])
+        if k % 4 == 0:  # ties
+            star = StarInstance.make(np.round(star.weights), np.round(np.array(star.probs) * 2) / 2,
+                                     star.patience)
+        items = [i for i in range(n) if star.probs[i] > 0.0]
+        sub = star.with_items(items)
+        best, best_value = Policy(()), 0.0
+        for pol in enumerate_policies(sub.n, sub.patience.max_probes(sub.n)):
+            value = scalar_value(sub, pol)
+            if value > best_value:
+                best, best_value = pol, value
+        result = brute_force_optimal(star)
+        assert result.policy == Policy(tuple(items[i] for i in best.order))
+        assert result.expected_value == best_value
+
+
+def test_enumerated_orders_follow_enumerate_policies():
+    orders, lengths = enumerated_orders(4, 3)
+    assert [tuple(o[:k]) for o, k in zip(orders.tolist(), lengths.tolist())] == \
+        [pol.order for pol in enumerate_policies(4, 3)]
+    assert not orders.flags.writeable
 
 
 def test_enumerate_policies_count():
