@@ -42,11 +42,9 @@ from .matching import (
     solve_prophet_lp_enumerated,
 )
 from .simulate import (
-    RatioReport,
     SimConfig,
     SimReport,
     brute_force_offline_opt,
-    empirical_ratio,
     simulate,
     trial_generator,
 )
@@ -61,7 +59,6 @@ from .stars import (
     eval_policy_exact,
     eval_randomized_exact,
     policy_match_probabilities,
-    price_policy,
     randomized_match_probabilities,
     solve_arbitrary_patience,
     solve_constant_hazard,

@@ -4,8 +4,13 @@ All linear programs in this package are small and dense (hundreds of rows),
 and the probing algorithms consume both primal values and row duals, so a
 self-contained revised simplex is used: Dantzig pricing with a Bland's-rule
 anti-cycling fallback, and a two-phase start from the identity basis of
-slacks and artificials.  The dense basis inverse is kept by in-place rank-1
-updates, carried from phase 1 into phase 2, and refactorized periodically.
+slacks and artificials.  Only the structural columns are stored; every
+slack, bound-row and artificial column is a unit column, kept as its row
+and sign and priced, solved and updated from them.  The dense basis inverse
+is kept by rank-1 updates, which on a basis of ``SPARSE_UPDATE_ROWS`` rows
+or more touch only the columns where the new pivot row is nonzero (about
+one per basic structural column); it is carried from phase 1 into phase 2
+and refactorized periodically.
 
 The ratio test is Harris's two-pass test (Harris 1973, as practised in
 HiGHS, Huangfu & Hall 2018): a basic variable may fall ``HARRIS_TOL``
@@ -51,6 +56,7 @@ HARRIS_TOL = 1e-10    # infeasibility the ratio test may trade for a larger pivo
 CERT_TOL = 1e-9       # largest certified primal residual
 DUAL_TOL = 1e-7       # largest certified wrong-signed dual, relative to 1 + max|c|
 REFACTOR_EVERY = 100
+SPARSE_UPDATE_ROWS = 64  # from this many rows, a pivot gathers the inverse's changed columns
 MAX_DENSE_ENTRIES = 30_000_000  # desk scale; protects the dense representation
 ITERATIONS_BASE = 5000    # simplex pivots allowed per phase: the base,
 ITERATIONS_PER_DIM = 60   # plus this many per standard-form row and column
@@ -92,6 +98,8 @@ class LpProblem:
             raise ValueError("c, A and b must be finite")
         if np.isnan(lb).any() or np.isnan(ub).any():
             raise ValueError("bounds must not be NaN")
+        if (lb == np.inf).any() or (ub == -np.inf).any():
+            raise ValueError("a lower bound must be below +inf and an upper bound above -inf")
         if np.any(lb > ub):
             raise ValueError("lower bound exceeds upper bound")
         return LpProblem(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub)
@@ -142,9 +150,13 @@ class _Standardized:
     Columns: structural (a variable with a finite lower bound is shifted to
     it, one with only a finite upper bound is reflected, a free one is split
     in two), then one slack per inequality row, then one artificial per row.
-    A variable with both bounds finite gets an extra ``<=`` row.  The slack
-    or artificial chosen per row by ``basis_start`` is a unit column, so the
-    starting basis matrix is the identity.
+    A variable with both bounds finite gets an extra ``<=`` row.  Only the
+    structural block ``S`` is stored: every slack and artificial column is a
+    unit column, and column ``n_struct + u`` is ``unit_val[u]`` (+1 or -1)
+    in row ``unit_row[u]`` and zero elsewhere.  The methods below apply
+    ``A`` from ``S`` and these descriptors.  The slack or artificial chosen
+    per row by ``basis_start`` has a +1, so the starting basis matrix is the
+    identity.
     """
 
     def __init__(self, p: LpProblem):
@@ -171,26 +183,60 @@ class _Standardized:
         slack_rows = np.concatenate([(senses != EQ).nonzero()[0], np.arange(m0, m)])
         art0 = n_struct + len(slack_rows)
 
-        A = np.zeros((m, art0 + m))
-        np.multiply(p.A[:, orig] * sign, flip[:m0, None], out=A[:m0, :n_struct])
-        A[np.arange(m0, m), first[boxed]] = 1.0
-        A[slack_rows, n_struct + np.arange(len(slack_rows))] = row_scale[slack_rows]
-        A[np.arange(m), art0 + np.arange(m)] = 1.0
+        S = np.zeros((m, n_struct))
+        np.multiply(p.A[:, orig] * sign, flip[:m0, None], out=S[:m0])
+        S[np.arange(m0, m), first[boxed]] = 1.0
 
         self.n0, self.m0 = n0, m0
         self.base, self.orig, self.sign = base, orig, sign
         self.row_sign, self.row_scale = row_sign, row_scale
-        self.A, self.b = A, rhs * row_scale
-        self.n_struct, self.art0 = n_struct, art0
+        self.S, self.b = S, rhs * row_scale
+        self.unit_row = np.concatenate([slack_rows, np.arange(m)])
+        self.unit_val = np.concatenate([row_scale[slack_rows], np.ones(m)])
+        self.n_struct, self.art0, self.n_cols = n_struct, art0, art0 + m
         self.slack_of_row = np.full(m, -1)
         self.slack_of_row[slack_rows] = n_struct + np.arange(len(slack_rows))
-        self.c = np.zeros(A.shape[1])
+        self.c = np.zeros(self.n_cols)
         self.c[:n_struct] = p.c[orig] * sign
         self.const = float(np.dot(p.c, base))
 
     def basis_start(self) -> np.ndarray:
         slack_ok = (self.slack_of_row >= 0) & (self.row_scale > 0)
         return np.where(slack_ok, self.slack_of_row, self.art0 + np.arange(len(self.b)))
+
+    def basis_matrix(self, cols: np.ndarray) -> np.ndarray:
+        """``A[:, cols]``."""
+        B = np.zeros((len(self.b), len(cols)))
+        struct = cols < self.n_struct
+        B[:, struct] = self.S[:, cols[struct]]
+        unit = cols[~struct] - self.n_struct
+        B[self.unit_row[unit], (~struct).nonzero()[0]] = self.unit_val[unit]
+        return B
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` for a vector over all columns."""
+        return self.S @ x[: self.n_struct] + np.bincount(
+            self.unit_row, weights=self.unit_val * x[self.n_struct:], minlength=len(self.b))
+
+    def row_times(self, w: np.ndarray, n: int) -> np.ndarray:
+        """``w @ A[:, :n]``, for ``n >= n_struct``."""
+        u = n - self.n_struct
+        return np.concatenate([w @ self.S, w[self.unit_row[:u]] * self.unit_val[:u]])
+
+    def ftran(self, inv: np.ndarray, j: int) -> np.ndarray:
+        """``inv @ A[:, j]``."""
+        if j < self.n_struct:
+            return inv @ self.S[:, j]
+        u = j - self.n_struct
+        return inv[:, self.unit_row[u]] * self.unit_val[u]
+
+    def add_column(self, v: np.ndarray, j: int, scale: float) -> None:
+        """``v += scale * A[:, j]`` in place."""
+        if j < self.n_struct:
+            v += scale * self.S[:, j]
+        else:
+            u = j - self.n_struct
+            v[self.unit_row[u]] += scale * self.unit_val[u]
 
     def x_original(self, x_int: np.ndarray) -> np.ndarray:
         return self.base + np.bincount(self.orig, weights=self.sign * x_int,
@@ -213,51 +259,54 @@ class _Basis:
     allows) keeps that value in ``xN``; ``rhs = b - A xN`` then keeps
     ``inv @ rhs == xB``, so the tolerance never turns into an inconsistency
     that later pivots could amplify.
+
+    A basic unit column makes its row's column of ``inv`` a unit column
+    too, so a row of ``inv`` has at most k + 1 nonzeros, with k the number
+    of basic structural columns.  From ``SPARSE_UPDATE_ROWS`` rows on, a
+    pivot updates only the columns of ``inv`` where the new pivot row is
+    nonzero; every entry it skips would have had exactly zero subtracted.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, cols: np.ndarray):
-        m, N = A.shape
-        self.A, self.b, self.cols = A, b, cols
+    def __init__(self, std: _Standardized, cols: np.ndarray):
+        m, N = len(std.b), std.n_cols
+        self.std, self.cols = std, cols
         self.inv = np.eye(m)  # the starting basis is unit columns
-        self.xB = b.copy()
+        self.xB = std.b.copy()
         self.xN = np.zeros(N)
-        self.rhs = b.copy()
+        self.rhs = std.b.copy()
         self.is_basic = np.zeros(N, dtype=bool)
         self.is_basic[cols] = True
-        # rank-1 update factors, padded to rank 2: numpy hands an (m, 2) @
-        # (2, m) product to BLAS but runs an inner dimension of 1 in a loop
-        # that is 2-3x slower at m in the hundreds
-        self._u, self._v = np.zeros((m, 2)), np.zeros((2, m))
-        self._outer = np.empty((m, m))
 
     def refactor(self) -> None:
         try:
-            self.inv[...] = np.linalg.inv(self.A[:, self.cols])
+            self.inv[...] = np.linalg.inv(self.std.basis_matrix(self.cols))
         except np.linalg.LinAlgError as e:
             raise LpNumericalError(f"singular basis during refactorization: {e}") from e
-        self.rhs = self.b - self.A @ self.xN
+        self.rhs = self.std.b - self.std.times(self.xN)
         np.dot(self.inv, self.rhs, out=self.xB)
 
     def pivot(self, j: int, d: np.ndarray, r: int, t: float) -> None:
         """Column ``j`` (with ``d = inv @ A[:, j]``) enters, raised by ``t``;
         the variable of row ``r`` leaves at whatever value the step leaves
         it, which is zero up to rounding unless the step is zero."""
-        A, xB, xN = self.A, self.xB, self.xN
+        std, xB, xN = self.std, self.xB, self.xN
         k = int(self.cols[r])
         leave = float(xB[r] - t * d[r])
         xB -= t * d
         xB[r] = xN[j] + t
         if xN[j]:
-            self.rhs += xN[j] * A[:, j]
+            std.add_column(self.rhs, j, xN[j])
             xN[j] = 0.0
         if leave:
             xN[k] = leave
-            self.rhs -= leave * A[:, k]
-        np.divide(self.inv[r], d[r], out=self._v[0])
-        self._u[:, 0] = d
-        np.matmul(self._u, self._v, out=self._outer)
-        self.inv -= self._outer
-        self.inv[r] = self._v[0]
+            std.add_column(self.rhs, k, -leave)
+        v = self.inv[r] / d[r]
+        if len(v) >= SPARSE_UPDATE_ROWS:
+            nz = v.nonzero()[0]
+            self.inv[:, nz] -= np.multiply.outer(d, v[nz])
+        else:  # the gather costs more than it skips
+            self.inv -= np.multiply.outer(d, v)
+        self.inv[r] = v
         self.is_basic[k] = False
         self.is_basic[j] = True
         self.cols[r] = j
@@ -290,20 +339,19 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
     OPTIMAL or UNBOUNDED."""
     if n_price == 0:
         return OPTIMAL, 0  # no column can enter
-    A = st.A
-    m, N = A.shape
-    A_price, c_price = A[:, :n_price], c[:n_price]
+    std = st.std
+    c_price = c[:n_price]
     cB = c[st.cols]
     bland = False
     degenerate = 0
-    bland_after = 10 * (m + N)
+    bland_after = 10 * (len(std.b) + std.n_cols)
     it = 0
     while True:
         if it >= max_iter:
             raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
         if it and it % REFACTOR_EVERY == 0:
             st.refactor()
-        z = c_price - (cB @ st.inv) @ A_price
+        z = c_price - std.row_times(cB @ st.inv, n_price)
         z[st.is_basic[:n_price]] = -np.inf
         if bland:
             pos = np.flatnonzero(z > OPT_TOL)
@@ -314,7 +362,7 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
             j = int(np.argmax(z))
             if z[j] <= OPT_TOL:
                 return OPTIMAL, it
-        d = st.inv @ A[:, j]
+        d = std.ftran(st.inv, j)
         r = _ratio_test(st.xB, d, st.cols, bland, tol)
         if r < 0:
             return UNBOUNDED, it
@@ -333,13 +381,13 @@ def _drive_out_artificials(st: _Basis, art0: int) -> None:
     """Pivot each basic artificial out on its row's largest structural or
     slack entry, by a zero step that moves no value; one whose row has no
     usable entry (a redundant row) stays basic at its phase-1 value."""
+    std = st.std
     for r in np.flatnonzero(st.cols >= art0):
-        row = np.abs(st.inv[r] @ st.A[:, :art0])
+        row = np.abs(std.row_times(st.inv[r], art0))
         if row.max(initial=0.0) <= PIVOT_TOL:  # also a row with no structural part
             continue
         j = int(np.argmax(row))
-        d = st.inv @ st.A[:, j]
-        st.pivot(j, d, r, 0.0)
+        st.pivot(j, std.ftran(st.inv, j), r, 0.0)
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -355,11 +403,11 @@ def solve(problem: LpProblem) -> LpSolution:
     if est_rows * (problem.n_vars + 2 * est_rows) > MAX_DENSE_ENTRIES:
         raise CapacityError("problem too large for the dense exact solver")
     std = _Standardized(problem)
-    m, N = std.A.shape
+    m, N = len(std.b), std.n_cols
     max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (m + N)
     b_scale = 1.0 + float(np.abs(std.b).max(initial=0.0))
     tol = HARRIS_TOL * b_scale
-    st = _Basis(std.A, std.b, std.basis_start())
+    st = _Basis(std, std.basis_start())
     c1 = np.zeros(N)
     c1[std.art0:] = -1.0
     status, it1 = _simplex_phase(st, c1, N, tol, max_iter)
@@ -372,9 +420,9 @@ def solve(problem: LpProblem) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
 
-    B = std.A[:, st.cols]
+    B = std.basis_matrix(st.cols)
     try:
-        xB = np.linalg.solve(B, std.b - std.A @ st.xN)
+        xB = np.linalg.solve(B, std.b - std.times(st.xN))
         y = np.linalg.solve(B.T, std.c[st.cols])
     except np.linalg.LinAlgError as e:
         raise LpNumericalError(f"singular final basis: {e}") from e

@@ -1,4 +1,4 @@
-"""Seeded Monte Carlo engine, the level-wise offline oracle, and benchmark ratios.
+"""Seeded Monte Carlo engine and the level-wise offline oracle.
 
 Trial ``i`` of a run draws its randomness from a counter-based Philox
 stream keyed by ``(master seed, i)``, so every trial is a pure function of
@@ -274,50 +274,3 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
         best = np.maximum.reduceat(p * (w + succ) + (1.0 - p) * fail, first)
         value[at:at + first.size] = np.maximum(best, 0.0)
     return float(value[0])
-
-
-# ---------------------------------------------------------------------------
-# Ratios against benchmarks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RatioReport:
-    ratio: float
-    half_width: float
-    benchmark_name: str
-    benchmark_value: float
-    sim: SimReport
-
-
-def empirical_ratio(instance, matcher, benchmark, config: SimConfig,
-                    threads: int | None = None) -> RatioReport:
-    """Simulated mean over a benchmark value, with the confidence
-    half-width propagated through the division.
-
-    ``benchmark`` is one of ``"lp2"`` (edge-probe LP with star-cap rows),
-    ``"lp6"`` (plain edge-probe LP), ``"lpp"`` (policy LP), and
-    ``"offline-opt"`` (tiny-instance oracle), or an already-computed
-    ``(name, value)`` pair.
-    """
-    from . import matching
-
-    if isinstance(benchmark, tuple):
-        name, value = benchmark
-    else:
-        name = benchmark
-        if benchmark == "lp2":
-            value = matching.benchmark_lp_value(instance, include_star_constraints=True)
-        elif benchmark == "lp6":
-            value = matching.benchmark_lp_value(instance, include_star_constraints=False)
-        elif benchmark == "lpp":
-            value = matching.solve_prophet_lp(instance).objective
-        elif benchmark == "offline-opt":
-            value = brute_force_offline_opt(instance)
-        else:
-            raise StochmatchError(f"unknown benchmark {benchmark!r}")
-    if value <= 0.0:
-        raise StochmatchError("benchmark value must be positive for a ratio")
-    report = simulate(instance, matcher, config, threads=threads)
-    return RatioReport(ratio=report.mean / value,
-                       half_width=report.half_width / value,
-                       benchmark_name=name, benchmark_value=value, sim=report)

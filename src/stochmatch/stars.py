@@ -344,43 +344,30 @@ def build_arbitrary_patience_lp(star: StarInstance, multiplicity=None) -> lp.LpP
     nx = n * T
     nv = nx + T
     c = np.zeros(nv)
-    for j in range(n):
-        c[j * T: (j + 1) * T] = w[j] * p[j]
-    rows, senses, rhs = [], [], []
-    # suffix sums: each item probed at most once given survival to attempt t'
-    for j in range(n):
-        for t0 in range(T):
-            row = np.zeros(nv)
-            row[j * T + t0: (j + 1) * T] = 1.0
-            row[nx + t0] = -copies[j]
-            rows.append(row)
-            senses.append(lp.LE)
-            rhs.append(0.0)
-    # one probe per attempt
-    for t in range(T):
-        row = np.zeros(nv)
-        row[t: nx: T] = 1.0
-        row[nx + t] = -1.0
-        rows.append(row)
-        senses.append(lp.LE)
-        rhs.append(0.0)
-    # survival recursion
-    row = np.zeros(nv)
-    row[nx] = 1.0
-    rows.append(row)
-    senses.append(lp.EQ)
-    rhs.append(1.0)
-    for t in range(1, T):
-        ratio = curve[t] / curve[t - 1] if curve[t - 1] > 0.0 else 0.0
-        row = np.zeros(nv)
-        row[nx + t] = 1.0
-        row[nx + t - 1] = -ratio
-        for j in range(n):
-            row[j * T + t - 1] = ratio * p[j]
-        rows.append(row)
-        senses.append(lp.EQ)
-        rhs.append(0.0)
-    return lp.LpProblem.make(c, np.vstack(rows), senses, rhs)
+    c[:nx] = np.repeat(w * p, T)
+    A = np.zeros((nx + 2 * T, nv))
+    b = np.zeros(nx + 2 * T)
+    x_cols = np.arange(nx)
+    item, attempt = np.divmod(x_cols, T)
+    # suffix sums, row j * T + t': each item probed at most once given
+    # survival to attempt t'
+    row, later = np.nonzero(np.arange(T) >= attempt[:, None])
+    A[row, item[row] * T + later] = 1.0
+    A[x_cols, nx + attempt] = -copies[item]
+    # one probe per attempt, row nx + t
+    A[nx + attempt, x_cols] = 1.0
+    A[nx + np.arange(T), nx + np.arange(T)] = -1.0
+    # survival recursion, row nx + T + t
+    A[nx + T, nx] = 1.0
+    b[nx + T] = 1.0
+    prev = curve[:T - 1]
+    ratio = np.divide(curve[1:T], prev, out=np.zeros(T - 1), where=prev > 0.0)
+    t = np.arange(1, T)
+    rec = nx + T + t
+    A[rec, nx + t] = 1.0
+    A[rec, nx + t - 1] = -ratio
+    A[rec[:, None], np.arange(n) * T + t[:, None] - 1] = ratio[:, None] * p
+    return lp.LpProblem.make(c, A, (lp.LE,) * (nx + T) + (lp.EQ,) * T, b)
 
 
 def _lp_supported_patience(star: StarInstance) -> bool:
@@ -566,7 +553,13 @@ def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
 
 
 def _price(star: StarInstance, adjusted_weights, selector: StarSolver):
-    """``price_policy``'s policy and value, and the policy's match vector."""
+    """Best probing policy for dual-adjusted item weights.
+
+    Items with nonpositive adjusted weight can never help (probing them
+    only spends patience) and are dropped before the selector runs.
+    Returns the policy over the original item indices, its exact adjusted
+    value ``sum_u p_u(pi) w'_u`` and its match vector ``p(pi)``.
+    """
     adjusted = np.asarray(adjusted_weights, dtype=float)
     if adjusted.shape != (star.n,):
         raise StochmatchError("adjusted weights must match the item count")
@@ -580,15 +573,3 @@ def _price(star: StarInstance, adjusted_weights, selector: StarSolver):
     policy = Policy(tuple(keep[i] for i in sub_policy.order))
     match = policy_match_probabilities(star, policy)
     return policy, float(match @ adjusted), match
-
-
-def price_policy(star: StarInstance, adjusted_weights,
-                 selector: StarSolver) -> tuple[Policy, float]:
-    """Best probing policy for dual-adjusted item weights.
-
-    Items with nonpositive adjusted weight can never help (probing them
-    only spends patience) and are dropped before the selector runs.
-    Returns the policy over the original item indices together with its
-    exact adjusted value ``sum_u p_u(pi) w'_u``.
-    """
-    return _price(star, adjusted_weights, selector)[:2]

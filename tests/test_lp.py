@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stochmatch.lp import (
     solution_residuals,
     solve,
 )
+from stochmatch.matching import build_benchmark_lp
 from stochmatch.stars import build_arbitrary_patience_lp
 
 
@@ -203,6 +205,21 @@ def test_lp1_of_random_survival_stars_is_feasible_and_optimal(n):
         assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7), seed
 
 
+def test_star_cap_lp2_of_an_8_by_8_instance_fits_in_100_mb():
+    # 2,064 rows; storing every slack and artificial column took 183 MB
+    p = build_benchmark_lp(hard.gen_random_matching(0, 8, 8, "adversarial"),
+                           include_star_constraints=True)
+    tracemalloc.start()
+    try:
+        sol = solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7)
+    assert peak < 100e6
+
+
 def test_lp1_seed_17_n_8_value():
     # reported 1.170, with a primal residual of 0.85, before the Harris ratio test
     assert solve(_lp1(17, 8)).objective == pytest.approx(0.694190, abs=1e-6)
@@ -236,12 +253,14 @@ def test_failed_certificate_raises(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [
     ("c", np.nan), ("c", np.inf), ("A", np.nan), ("A", -np.inf), ("b", np.nan),
-    ("b", np.inf), ("lb", np.nan), ("ub", np.nan)])
+    ("b", np.inf), ("lb", np.nan), ("ub", np.nan), ("lb", np.inf), ("ub", -np.inf)])
 def test_make_rejects_non_finite_input(field, value):
-    args = {"c": [1.0, 1.0], "A": [[1.0, 2.0]], "b": [1.0], "lb": [0.0, 0.0],
+    # the last variable is free, so a bound of +inf below or -inf above
+    # still has lb <= ub
+    args = {"c": [1.0, 1.0], "A": [[1.0, 2.0]], "b": [1.0], "lb": [0.0, -np.inf],
             "ub": [1.0, np.inf]}
     arr = np.array(args[field], dtype=float)
-    arr.flat[0] = value
+    arr.flat[-1] = value
     args[field] = arr
     with pytest.raises(ValueError):
         LpProblem.make(args["c"], args["A"], ["<="], args["b"], args["lb"], args["ub"])

@@ -25,10 +25,8 @@ from stochmatch.matching import (
 )
 from stochmatch.simulate import (
     CHUNK_TRIALS,
-    RatioReport,
     SimConfig,
     brute_force_offline_opt,
-    empirical_ratio,
     simulate,
     thread_count,
     trial_generator,
@@ -270,16 +268,8 @@ def test_exact_dps_leave_no_reference_cycles():
 
 
 # ---------------------------------------------------------------------------
-# ratios and patience realization
+# patience realization
 # ---------------------------------------------------------------------------
-
-def test_empirical_ratio_certain_instance():
-    report = empirical_ratio(_unit_instance(), AdvGreedyMatcher(), "lp6",
-                             SimConfig(seed=0, trials=2000))
-    assert isinstance(report, RatioReport)
-    assert report.ratio == pytest.approx(1.0)
-    assert report.benchmark_value == pytest.approx(1.0)
-
 
 def test_realized_patience_matches_survival_curve():
     q = (1.0, 0.7, 0.7, 0.2)

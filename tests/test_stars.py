@@ -14,6 +14,8 @@ from stochmatch.instances import (
 )
 from stochmatch.stars import (
     RandomizedStarPolicy,
+    _lp_attempt_count,
+    _price,
     brute_force_optimal,
     build_arbitrary_patience_lp,
     enumerate_policies,
@@ -22,7 +24,6 @@ from stochmatch.stars import (
     eval_randomized_exact,
     order_match,
     policy_match_probabilities,
-    price_policy,
     randomized_match_probabilities,
     solve_arbitrary_patience,
     solve_constant_hazard,
@@ -341,6 +342,75 @@ def test_deterministic_patience_through_lp_path():
         assert res.expected_value >= 0.5 * res.benchmark - 1e-9
 
 
+def _arbitrary_patience_lp_by_rows(star, multiplicity=None):
+    """The attempt-indexed LP built one row at a time, in the layout of
+    ``build_arbitrary_patience_lp``: the reference for its array build."""
+    n = star.n
+    copies = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=float)
+    T = _lp_attempt_count(star, int(copies.sum()))
+    if n == 0 or T == 0:
+        return lp.LpProblem.make(np.zeros(0), np.zeros((0, 0)), (), np.zeros(0))
+    curve = star.patience.survival_curve(T)
+    p = np.asarray(star.probs)
+    w = np.asarray(star.weights)
+    nx = n * T
+    nv = nx + T
+    c = np.zeros(nv)
+    for j in range(n):
+        c[j * T: (j + 1) * T] = w[j] * p[j]
+    rows, senses, rhs = [], [], []
+    for j in range(n):
+        for t0 in range(T):
+            row = np.zeros(nv)
+            row[j * T + t0: (j + 1) * T] = 1.0
+            row[nx + t0] = -copies[j]
+            rows.append(row)
+            senses.append(lp.LE)
+            rhs.append(0.0)
+    for t in range(T):
+        row = np.zeros(nv)
+        row[t: nx: T] = 1.0
+        row[nx + t] = -1.0
+        rows.append(row)
+        senses.append(lp.LE)
+        rhs.append(0.0)
+    row = np.zeros(nv)
+    row[nx] = 1.0
+    rows.append(row)
+    senses.append(lp.EQ)
+    rhs.append(1.0)
+    for t in range(1, T):
+        ratio = curve[t] / curve[t - 1] if curve[t - 1] > 0.0 else 0.0
+        row = np.zeros(nv)
+        row[nx + t] = 1.0
+        row[nx + t - 1] = -ratio
+        for j in range(n):
+            row[j * T + t - 1] = ratio * p[j]
+        rows.append(row)
+        senses.append(lp.EQ)
+        rhs.append(0.0)
+    return lp.LpProblem.make(c, np.vstack(rows), senses, rhs)
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "survival", "hazard"])
+def test_lp1_build_equals_the_row_by_row_build(kind):
+    built = 0
+    for n in range(1, 16):
+        for seed in range(4):
+            star = hard.gen_random_star(100 * n + seed, n, kind)
+            if not star.patience.has_global_rate and kind == "hazard":
+                continue  # per-item hazards have no LP
+            for mult in (None, np.arange(n) % 3 + 1):
+                got = build_arbitrary_patience_lp(star, mult)
+                ref = _arbitrary_patience_lp_by_rows(star, mult)
+                for field in ("c", "A", "b"):
+                    a, r = getattr(got, field), getattr(ref, field)
+                    assert np.array_equal(a, r) and a.tobytes() == r.tobytes(), (field, n, seed)
+                assert got.senses == ref.senses
+                built += 1
+    assert built >= 60
+
+
 def test_lp_path_rejects_per_item_hazard():
     star = StarInstance.make([1.0, 1.0], [0.5, 0.5],
                              PatienceModel.constant_hazard(rates=[0.1, 0.2]))
@@ -481,14 +551,14 @@ def test_match_probabilities_total_mass_at_most_one():
 def test_price_policy_drops_nonpositive_and_matches_brute():
     star = StarInstance.make([3.0, 2.0, 1.0], [0.5, 0.6, 0.7],
                              PatienceModel.deterministic(2))
-    pol, val = price_policy(star, [-1.0, -2.0, 0.0], solver_by_name("dp"))
+    pol, val = _price(star, [-1.0, -2.0, 0.0], solver_by_name("dp"))[:2]
     assert pol.order == () and val == 0.0
     # identity adjustment reproduces the plain solver's value
-    pol, val = price_policy(star, list(star.weights), solver_by_name("dp"))
+    pol, val = _price(star, list(star.weights), solver_by_name("dp"))[:2]
     assert val == pytest.approx(solve_deterministic_patience(star).expected_value)
     # one negative weight: equals brute force over the two positive items
     adjusted = [1.5, -0.5, 0.9]
-    pol, val = price_policy(star, adjusted, solver_by_name("brute"))
+    pol, val = _price(star, adjusted, solver_by_name("brute"))[:2]
     sub = StarInstance.make([1.5, 0.9], [0.5, 0.7], PatienceModel.deterministic(2))
     assert val == pytest.approx(brute_force_optimal(sub).expected_value, abs=1e-12)
     assert all(u in (0, 2) for u in pol.order)
