@@ -4,8 +4,8 @@ cannot do.
 Three constructions with closed-form values:
 
 * the square stochastic family, where even the realized graph's maximum
-  matching stays near 0.544 of the plain LP bound (so no algorithm judged
-  against that LP can look better);
+  matching tends to 0.544 of the plain LP bound, the Karp-Sipser constant
+  (so no algorithm judged against that LP can look better);
 * the two-block family on which the naive greedy earns about half the
   offline value;
 * the clairvoyance-gap star, where knowing the patience in advance is
@@ -21,6 +21,7 @@ from stochmatch.hard_instances import (
     simple_greedy_exact_value,
     simple_greedy_poisson_limit,
     single_offline_best_value,
+    stochasticity_gap_limit,
     stochasticity_gap_lp_value,
     unknown_patience_lp_value,
 )
@@ -34,11 +35,12 @@ for n in (4, 100):
     print(f"single-offline n={n}: best prober {single_offline_best_value(n):.4f} "
           f"vs LP 1.0")
 
-# the square family pushes the gap toward ~0.544
+# the square family pushes the gap toward the Karp-Sipser constant 0.544062
 ratios = coupled_matching_ratio_trend((50, 100, 200), samples=1500, seed=7)
 for n, r in zip((50, 100, 200), ratios):
     print(f"square family n={n}: realized max matching / LP({stochasticity_gap_lp_value(n):.0f}) "
           f"~= {r:.4f}")
+print(f"square family limit: {stochasticity_gap_limit():.6f}")
 
 # ---------------------------------------------------------------------------
 # The naive greedy trap.  Early arrivals can reach a small shared block and

@@ -21,7 +21,6 @@ from .instances import (
     StarInstance,
     StochmatchError,
     ValidationReport,
-    hazard_to_survival,
     load_instance,
     save_instance,
     validate,

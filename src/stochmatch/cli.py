@@ -81,13 +81,9 @@ def _csv_row(**fields) -> str:
     return ",".join(out)
 
 
-def _emit_csv(rows: list[str], path: str | None) -> None:
-    text = ",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit_csv(rows: list[str], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join(CSV_COLUMNS) + "\n" + "\n".join(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +119,19 @@ def cmd_star_solve(args) -> int:
 def cmd_lp(args) -> int:
     instance = load_instance(args.instance)
     which = args.which
-    if which == "lp1":
-        if not isinstance(instance, StarInstance):
-            raise CapabilityError("lp1 needs a star instance")
-        problem = build_arbitrary_patience_lp(instance)
-        sol = lp.solve(problem)
-        print(f"lp1 objective: {f6(sol.objective)}")
-    elif which in ("lp2", "lp6"):
-        if not isinstance(instance, MatchingInstance):
-            raise CapabilityError(f"{which} needs a matching instance")
-        problem = build_benchmark_lp(instance, include_star_constraints=(which == "lp2"))
-        sol = lp.solve(problem)
-        print(f"{which} objective: {f6(sol.objective)}")
-    elif which == "lpp":
-        if not isinstance(instance, MatchingInstance):
-            raise CapabilityError("lpp needs a matching instance")
+    if (which == "lp1") != isinstance(instance, StarInstance):
+        kind = "star" if which == "lp1" else "matching"
+        raise CapabilityError(f"{which} needs a {kind} instance")
+    if which == "lpp":
         res = solve_prophet_lp(instance)
         print(f"lpp objective: {f6(res.objective)}")
         print(f"columns generated: {res.n_columns} (status {res.status})")
         return EXIT_OK
+    if which == "lp1":
+        problem = build_arbitrary_patience_lp(instance)
     else:
-        raise StochmatchError(f"unknown LP {which!r}")
+        problem = build_benchmark_lp(instance, include_star_constraints=(which == "lp2"))
+    print(f"{which} objective: {f6(lp.solve(problem).objective)}")
     if args.dump:
         sys.stdout.write(lp.dumps_lp(problem))
     return EXIT_OK
@@ -159,11 +147,8 @@ def _make_matcher(instance, algorithm, star_solver, rule):
         return AdvGreedyMatcher(solver), None
     if algorithm == "simple-greedy":
         return SimpleGreedyMatcher(rule), None
-    if algorithm in ("prophet", "iid"):
-        res = solve_prophet_lp(instance)
-        matcher = prophet_matcher(res) if algorithm == "prophet" else iid_matcher(res)
-        return matcher, res
-    raise StochmatchError(f"unknown algorithm {algorithm!r}")
+    res = solve_prophet_lp(instance)  # prophet or iid
+    return (prophet_matcher(res) if algorithm == "prophet" else iid_matcher(res)), res
 
 
 def cmd_match_run(args) -> int:
@@ -244,13 +229,11 @@ def cmd_gen(args) -> int:
     elif fam == "random-star":
         instance = hard.gen_random_star(args.seed, args.n, args.patience)
         print(f"random star with {instance.n} items ({args.patience} patience)")
-    elif fam == "random-matching":
+    else:  # random-matching
         instance = hard.gen_random_matching(args.seed, args.m, args.n,
                                             args.arrivals, max_theta=args.theta)
         print(f"random {instance.m}x{instance.n_types} instance"
               f" ({args.arrivals} arrivals)")
-    else:
-        raise StochmatchError(f"unknown family {fam!r}")
     report = validate(instance)
     if not report.ok:
         raise StochmatchError("generated instance failed validation: "
@@ -270,31 +253,28 @@ class _Repro:
         self.rows: list[str] = []
         self.failed = False
 
+    def _record(self, target, name, ok, text, benchmark_name, benchmark_value, observed):
+        mark = "PASS" if ok else "FAIL"
+        self.failed |= not ok
+        print(f"  [{mark}] {name}: {text}")
+        self.rows.append(_csv_row(instance=target, algorithm=name,
+                                  benchmark_name=benchmark_name, benchmark_value=benchmark_value,
+                                  mean=observed, **{"pass": mark}))
+
     def check(self, target, name, expected, observed, tol=None):
         if tol is None:
-            ok = bool(observed)
-            exp_s, obs_s = "true", str(bool(observed)).lower()
+            obs = str(bool(observed)).lower()
+            self._record(target, name, bool(observed), f"expected true, observed {obs}",
+                         "expected", "true", obs)
         else:
-            ok = abs(observed - expected) <= tol
-            exp_s, obs_s = repr(float(expected)), repr(float(observed))
-        mark = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failed = True
-        print(f"  [{mark}] {name}: expected {exp_s if tol is None else f6(expected)},"
-              f" observed {obs_s if tol is None else f6(observed)}")
-        self.rows.append(_csv_row(instance=target, algorithm=name,
-                                  benchmark_name="expected", benchmark_value=exp_s,
-                                  mean=obs_s, **{"pass": mark}))
+            self._record(target, name, abs(observed - expected) <= tol,
+                         f"expected {f6(expected)}, observed {f6(observed)}",
+                         "expected", repr(float(expected)), repr(float(observed)))
 
     def check_at_least(self, target, name, bound, observed):
-        ok = observed >= bound
-        mark = "PASS" if ok else "FAIL"
-        if not ok:
-            self.failed = True
-        print(f"  [{mark}] {name}: observed {f6(observed)} >= bound {f6(bound)}")
-        self.rows.append(_csv_row(instance=target, algorithm=name,
-                                  benchmark_name="lower_bound", benchmark_value=repr(float(bound)),
-                                  mean=repr(float(observed)), **{"pass": mark}))
+        self._record(target, name, observed >= bound,
+                     f"observed {f6(observed)} >= bound {f6(bound)}",
+                     "lower_bound", repr(float(bound)), repr(float(observed)))
 
 
 def _repro_tight_example(r: _Repro, seed: int, trials: int) -> None:
@@ -384,8 +364,6 @@ _REPRO_TARGETS = {
 
 
 def cmd_repro(args) -> int:
-    if args.target not in _REPRO_TARGETS:
-        raise StochmatchError(f"unknown repro target {args.target!r}")
     if args.trials is not None and args.trials < 1:
         raise StochmatchError("trials must be >= 1")
     fn, default_trials = _REPRO_TARGETS[args.target]

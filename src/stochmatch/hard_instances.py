@@ -5,8 +5,9 @@ this package: the gap between LP relaxations and what any prober can
 collect, the 1/2 ceiling of the naive greedy baseline, the failure of
 patience-clairvoyant benchmarks under stochastic patience, and the
 two-item star on which the randomized LP policy earns exactly half its LP
-bound.  Exact expectations are computed in rational or log-domain
-arithmetic where floating point would drift.
+bound.  The square gap family's ratio tends to the Karp–Sipser constant
+(``stochasticity_gap_limit``).  Exact expectations are computed in
+rational or log-domain arithmetic where floating point would drift.
 """
 
 from __future__ import annotations
@@ -54,6 +55,18 @@ def stochasticity_gap_lp_value(n: int) -> float:
     the offline rows shows the objective can never exceed ``n``.
     """
     return float(n)
+
+
+def stochasticity_gap_limit() -> float:
+    """Limit over ``n`` of the square family's ratio, the maximum matching
+    of the bipartite random graph G(n, n, 1/n) over ``n``: ``2 - 2Ω - Ω²``
+    = 0.544062..., with ``Ω = e^{-Ω}`` (Karp & Sipser 1981; Aronson, Frieze
+    & Pittel 1998).  Newton's method finds Ω in four steps from 1/2; the
+    rest leave it unchanged."""
+    omega = 0.5
+    for _ in range(8):
+        omega = (1.0 + omega) / (1.0 + math.exp(omega))
+    return 2.0 - 2.0 * omega - omega * omega
 
 
 def _max_matching_size(adj) -> int:

@@ -3,6 +3,10 @@
 All types here are immutable after construction and safe to share between
 concurrent readers.  Probabilities and weights are stored as 64-bit floats;
 tolerance-based invariant checks use ``ABS_TOL`` unless noted otherwise.
+``validate`` reports every violation of a star instance, a matching
+instance or a policy mixture without raising; ``check_policy`` is the one
+check of a probing order, and raises.  ``save_instance`` and
+``load_instance`` round-trip instances through JSON.
 """
 
 from __future__ import annotations
@@ -153,11 +157,9 @@ class PatienceModel:
         zero.
         """
         if self.kind == HAZARD:
-            rates = self.hazard_rates(n) if self.r is not None or self.rate is not None else None
-            rmin = float(np.min(rates)) if rates is not None and len(rates) else 0.0
-            if rmin <= 0.0:
-                return float(n)
-            return float(min(n, 1.0 / rmin))
+            rates = self.hazard_rates(n)
+            rmin = float(rates.min()) if rates.size else 0.0
+            return float(n) if rmin <= 0.0 else float(min(n, 1.0 / rmin))
         return float(np.sum(self.survival_curve(n)))
 
     def max_probes(self, n: int) -> int:
@@ -240,18 +242,10 @@ class Policy:
 
     @staticmethod
     def of(*indices) -> "Policy":
-        if len(indices) == 1 and not isinstance(indices[0], int):
-            indices = tuple(indices[0])
         return Policy(tuple(int(i) for i in indices))
 
     def __len__(self):
         return len(self.order)
-
-    def __iter__(self):
-        return iter(self.order)
-
-    def __getitem__(self, k):
-        return self.order[k]
 
 
 EMPTY_POLICY = Policy(())
@@ -320,15 +314,11 @@ class ArrivalModel:
         raise StochmatchError("adversarial arrivals are not probabilistic")
 
     def expected_arrivals(self, n_types: int) -> np.ndarray:
-        """Expected number of arrivals per type over the whole horizon."""
-        if self.kind == ADVERSARIAL:
-            out = np.zeros(n_types)
-            for v in self.order:
-                out[v] += 1.0
-            return out
-        if self.kind == PROPHET:
-            return self.q_tv.sum(axis=0)
-        return np.asarray(self.q_v, dtype=float)
+        """Expected number of arrivals per type over the whole horizon
+        (prophet and IID arrivals only)."""
+        if self.kind == IID:
+            return np.asarray(self.q_v, dtype=float)
+        return self.q_tv.sum(axis=0)
 
     def __eq__(self, other):
         if not isinstance(other, ArrivalModel):
@@ -459,9 +449,6 @@ class ValidationReport:
     ok: bool
     violations: list[str]
 
-    def __bool__(self):
-        return self.ok
-
 
 def _check_finite(values, what: str, out: list[str], label: str = "") -> None:
     # a NaN makes every comparison false, so the range checks let it through
@@ -563,9 +550,6 @@ def validate(instance) -> ValidationReport:
                 total += mass
             if abs(total - instance.q_v[v]) > MASS_TOL:
                 out.append(f"type {v + 1}: policy masses sum to {total}, expected {instance.q_v[v]}")
-    elif isinstance(instance, Policy):
-        if len(set(instance.order)) != len(instance.order):
-            out.append("policy probes an item twice")
     else:
         out.append(f"cannot validate object of type {type(instance).__name__}")
     return ValidationReport(ok=not out, violations=out)
@@ -646,25 +630,3 @@ def save_instance(instance, path) -> None:
         json.dump(instance.to_json_dict(), f, indent=1)
         f.write("\n")
 
-
-# ---------------------------------------------------------------------------
-# Hazard / survival conversion
-# ---------------------------------------------------------------------------
-
-def hazard_to_survival(star: StarInstance, policy: Policy) -> tuple[float, ...]:
-    """Survival curve along a probing order under per-item hazard rates.
-
-    ``q_k = prod_{j<k} (1 - r_{i_j})`` is the probability the arrival is
-    still present for the k-th probe given the first ``k-1`` probes failed.
-    With one global rate the curve is ``(1-r)**(k-1)`` whatever the order.
-    """
-    if star.patience.kind != HAZARD:
-        raise PatienceVariantError("hazard_to_survival needs constant-hazard patience")
-    check_policy(policy, star.n)
-    rates = star.patience.hazard_rates(star.n)
-    out = []
-    alive = 1.0
-    for i in policy.order:
-        out.append(alive)
-        alive *= 1.0 - rates[i]
-    return tuple(out)

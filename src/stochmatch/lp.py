@@ -27,7 +27,10 @@ two LU solves with the final basis, and ``solve`` raises
 ``LpNumericalError`` unless the primal residual of ``solution_residuals``
 is at most ``CERT_TOL * (1 + max|b|)`` and no dual has the wrong sign by
 more than ``DUAL_TOL * (1 + max|c|)``.  Pivoting is deterministic, so
-repeated solves of the same problem return bit-identical solutions.
+repeated solves of the same problem return bit-identical solutions at a
+fixed BLAS thread count; another thread count can change the last bits
+of x and the duals, since numpy's matrix products then sum in another
+order.
 
 Problems are stated as maximization; rows may be ``<=``, ``=`` or ``>=`` and
 variables carry individual bounds.  Reported duals refer to the rows as

@@ -53,7 +53,8 @@ expectation, so it values its states backward, one level at a time.
 
 Also here: the offline benchmark LP over edge-probe variables (optionally
 tightened with per-subset star-optimum rows), and the policy LP over probing
-policies solved by column generation against its pricing problem.
+policies solved by column generation against its pricing problem; pricing
+a column already in the master raises ``LpNumericalError``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .instances import (
     CapacityError,
     EMPTY_POLICY,
     IID,
+    LpNumericalError,
     MatchingInstance,
     PatienceModel,
     PatienceVariantError,
@@ -392,9 +394,8 @@ class _GreedyTables(_Tables):
 
 class _GreedyMatcher(_TableCache):
     """What the matchers for a fixed adversarial arrival order share: each
-    arrival probes a star over its still-unmatched neighbors ``avail``,
-    following ``self._plan(instance, tables, v, avail)``, which is
-    ``("policy", order)`` or ``("randomized", policy, items, cum)``."""
+    arrival probes a star over its still-unmatched neighbors, and the exact
+    value expands every outcome with the subclass's ``_exact_match``."""
 
     def exact_value(self, instance: MatchingInstance) -> float:
         """Exact expected matched weight, expanding every probe outcome.
@@ -456,6 +457,8 @@ class AdvGreedyMatcher(_GreedyMatcher):
                                         for p in instance.patience])
 
     def _plan(self, instance, tables, v, avail_key):
+        """The black box's plan for type ``v`` on its free neighbors ``avail_key``:
+        ``("policy", order)`` or ``("randomized", policy, items, cum)``."""
         key = (v, avail_key)
         plan = tables.plans.get(key)
         if plan is None:
@@ -543,9 +546,6 @@ class SimpleGreedyMatcher(_GreedyMatcher):
 
     def _new_tables(self, instance) -> _GreedyTables:
         return _GreedyTables(instance, [False] * instance.n_types)
-
-    def _plan(self, instance, tables, v, avail_key):
-        return ("policy", avail_key[::-1] if self.rule == "last" else avail_key)
 
     def _exact_match(self, instance, tables, v, avail):
         """Match probabilities of an arrival of type ``v`` on each row of
@@ -732,7 +732,9 @@ def solve_prophet_lp(instance: MatchingInstance,
     duals ``beta_v``, prices a best policy for adjusted weights
     ``w_uv - alpha_u`` through the type's star black box (``solvers`` for
     every type when given, else ``auto_solver``), and adds the column when
-    its value exceeds ``beta_v`` by more than ``PRICING_TOL``.
+    its value exceeds ``beta_v`` by more than ``PRICING_TOL``; a column
+    already in the master cannot, so pricing one again raises
+    ``LpNumericalError``.
     With exact pricing (deterministic or hazard patience) the final
     objective is the true LP optimum; with the 1/2-approximate LP-policy
     box the returned solution is feasible and the objective is the value
@@ -761,7 +763,11 @@ def solve_prophet_lp(instance: MatchingInstance,
             if q_v[v] <= 0.0:
                 continue
             policy, value, pvec = _price(stars[v], wmat[:, v] - alpha, boxes[v])
-            if value > beta[v] + PRICING_TOL and (v, policy.order) not in seen:
+            if value > beta[v] + PRICING_TOL:
+                if (v, policy.order) in seen:
+                    raise LpNumericalError(
+                        f"type {v}: priced policy {policy.order} is already in the master, "
+                        f"yet its value {value} exceeds the dual {beta[v]}")
                 col = np.concatenate([pvec, np.zeros(n)])
                 col[m + v] = 1.0
                 master = lp.add_column(master, float(pvec @ wmat[:, v]), col)

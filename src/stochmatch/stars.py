@@ -388,9 +388,6 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
             "the LP policy needs a policy-independent patience distribution")
     n = star.n
     T = _lp_attempt_count(star, n)
-    if n == 0 or T == 0:
-        rsp = RandomizedStarPolicy(np.zeros((n, n)), np.zeros(n), 0.0)
-        return StarResult(rsp, 0.0, 0.0)
     problem = build_arbitrary_patience_lp(star)
     sol = lp.solve(problem)
     if sol.status != lp.OPTIMAL:

@@ -2,9 +2,13 @@ import json
 
 import pytest
 
+from stochmatch import hard_instances as hard
 from stochmatch import lp
 from stochmatch.cli import main
 from stochmatch.instances import load_instance
+from stochmatch.matching import SimpleGreedyMatcher
+from stochmatch.simulate import SimConfig, simulate
+from stochmatch.stars import solver_by_name
 
 
 def run(capsys, *argv):
@@ -27,6 +31,13 @@ def test_gen_reports_derived_quantities(capsys):
     code, out, _ = run(capsys, "gen", "unknown-patience", "-m", "2", "-k", "3")
     assert code == 0
     assert "clairvoyant value" in out and "attempt-LP value" in out
+
+
+def test_gen_stochgap_writes_the_gap_family(tmp_path, capsys):
+    path = tmp_path / "gap.json"
+    code, out, _ = run(capsys, "gen", "stochgap", "-n", "5", "-o", str(path))
+    assert code == 0 and "plain-LP objective: 5" in out
+    assert load_instance(path) == hard.gen_stochasticity_gap(5)
 
 
 def test_gen_rejects_bad_parameters(capsys):
@@ -92,6 +103,22 @@ def test_star_solve_hazard_instance(tmp_path, capsys):
     assert code == 0
     assert "1 2" in out  # probe order, 1-based
     assert "7.16" in out
+
+
+def test_star_solve_writes_an_order_policy_only(tmp_path, capsys):
+    path, policy = tmp_path / "star.json", tmp_path / "policy.txt"
+    run(capsys, "gen", "random-star", "-n", "5", "--patience", "deterministic",
+        "--seed", "2", "-o", str(path))
+    code, out, _ = run(capsys, "star-solve", str(path), "--solver", "dp",
+                       "--policy-out", str(policy))
+    order = solver_by_name("dp").solve(load_instance(path)).policy.order
+    assert code == 0 and order
+    assert policy.read_text() == " ".join(map(str, order)) + "\n"  # 0-based
+    # a randomized LP policy has no order to write
+    lp_policy = tmp_path / "lp-policy.txt"
+    code, _, _ = run(capsys, "star-solve", str(path), "--solver", "lp",
+                     "--policy-out", str(lp_policy))
+    assert code == 0 and not lp_policy.exists()
 
 
 def test_missing_file_exits_2(capsys):
@@ -210,6 +237,18 @@ def test_match_run_prints_pass_marker(tmp_path, capsys):
                        "--seed", "1", "--trials", "4000")
     assert code == 0
     assert "ratio:" in out and "PASS" in out
+
+
+def test_match_run_simple_greedy_last_rule(tmp_path, capsys):
+    path, csv = tmp_path / "sg.json", tmp_path / "sg.csv"
+    run(capsys, "gen", "simplegreedy", "-k", "2", "-n", "5", "--cap", "20", "-o", str(path))
+    code, out, _ = run(capsys, "match-run", str(path), "--algorithm", "simple-greedy",
+                       "--rule", "last", "--seed", "3", "--trials", "2000", "--csv", str(csv))
+    assert code == 0 and "algorithm: simple-greedy" in out
+    report = simulate(load_instance(path), SimpleGreedyMatcher("last"),
+                      SimConfig(seed=3, trials=2000))
+    header, row = csv.read_text().splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["mean"] == repr(report.mean)
 
 
 @pytest.mark.parametrize("target", ["tight-example", "gap-single", "unknown-patience"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from stochmatch import hard_instances as hard
 from stochmatch import lp
@@ -31,6 +32,18 @@ def test_coupled_matching_trend_decreases_with_n():
     r = hard.coupled_matching_ratio_trend((50, 100, 200), samples=6000, seed=7)
     assert r[0] > r[1] > r[2]
     assert r[2] < 0.75
+
+
+def test_stochasticity_gap_limit_is_the_karp_sipser_constant():
+    omega = float(lambertw(1.0).real)  # Ω = e^{-Ω}
+    assert hard.stochasticity_gap_limit() == pytest.approx(2 - 2 * omega - omega ** 2, abs=1e-15)
+    assert round(hard.stochasticity_gap_limit(), 6) == 0.544062
+
+
+def test_square_family_ratio_at_n_400_is_near_the_limit():
+    # the sampled mean has a standard error of about 0.001; 0.004 is about four of them
+    [r400] = hard.coupled_matching_ratio_trend((400,), 400, seed=7)
+    assert abs(r400 - hard.stochasticity_gap_limit()) <= 0.004
 
 
 def test_single_offline_values():

@@ -9,15 +9,13 @@ from stochmatch.instances import (
     InstanceFormatError,
     MatchingInstance,
     PatienceModel,
-    PatienceVariantError,
-    Policy,
     StarInstance,
-    hazard_to_survival,
     load_instance,
     loads_instance,
     save_instance,
     validate,
 )
+from stochmatch.stars import order_match
 
 
 def test_validate_flags_non_monotone_survival():
@@ -84,6 +82,22 @@ def test_roundtrip_star(tmp_path):
     assert load_instance(path) == star
 
 
+def test_roundtrip_hazard_patience(tmp_path):
+    rate = PatienceModel.constant_hazard(rate=0.25)
+    rates = PatienceModel.constant_hazard(rates=[0.1, 0.4])
+    as_json = {"type": "hazard", "rate": 0.25}, {"type": "hazard", "r": [0.1, 0.4]}
+    cases = [(StarInstance.make([1.5, 2.0], [0.25, 1.0], rate), as_json[0]),
+             (StarInstance.make([1.5, 2.0], [0.25, 1.0], rates), as_json[1]),
+             (MatchingInstance.make([[0.5, 0.2], [0.3, 0.9]], (rate, rates),
+                                    ArrivalModel.adversarial([1, 0]), vertex_weights=[1.0, 2.0]),
+              list(as_json))]
+    for inst, patience in cases:
+        path = tmp_path / "hazard.json"
+        save_instance(inst, path)
+        assert json.loads(path.read_text())["patience"] == patience
+        assert load_instance(path) == inst
+
+
 def test_roundtrip_matching_edge_and_vertex(tmp_path):
     for inst in (
         hard.gen_random_matching(0, m=3, n_types=2, arrival_kind="adversarial"),
@@ -137,32 +151,20 @@ def test_single_patience_dict_expands_per_type(tmp_path):
     assert load_instance(path) == inst
 
 
-def test_hazard_to_survival_global_and_per_item():
-    star = StarInstance.make([1, 1, 1], [0.3, 0.3, 0.3],
-                             PatienceModel.constant_hazard(rate=0.0))
-    assert hazard_to_survival(star, Policy.of(0, 1, 2)) == (1.0, 1.0, 1.0)
-    star = StarInstance.make([1, 1, 1], [0.3, 0.3, 0.3],
-                             PatienceModel.constant_hazard(rate=0.5))
-    q = hazard_to_survival(star, Policy.of(0, 1, 2))
-    assert np.allclose(q, (1.0, 0.5, 0.25))
-    star = StarInstance.make([1, 1], [0.3, 0.3],
-                             PatienceModel.constant_hazard(rates=[0.2, 0.1]))
-    assert np.allclose(hazard_to_survival(star, Policy.of(0, 1)), (1.0, 0.8))
-
-
 @pytest.mark.parametrize("r", [0.0, 0.3, 0.9])
 def test_global_hazard_matches_geometric_curve(r):
     n = 6
-    star = StarInstance.make([1] * n, [0.5] * n, PatienceModel.constant_hazard(rate=r))
-    q = hazard_to_survival(star, Policy.of(range(n)))
-    expected = (1 - r) ** np.arange(n)
-    assert np.max(np.abs(np.asarray(q) - expected)) <= 1e-12
-
-
-def test_wrong_variant_raises():
-    star = StarInstance.make([1.0], [0.5], PatienceModel.deterministic(1))
-    with pytest.raises(PatienceVariantError):
-        hazard_to_survival(star, Policy.of(0))
+    hazard = PatienceModel.constant_hazard(rate=r)
+    curve = hazard.survival_curve(n)
+    assert np.max(np.abs(curve - (1 - r) ** np.arange(n))) <= 1e-12
+    # walking any order under the rate matches walking it under its curve
+    rng = np.random.default_rng(3)
+    probs = rng.random(n)
+    orders = np.array([rng.permutation(n) for _ in range(20)])
+    lengths = rng.integers(0, n + 1, size=20)
+    under_rate = order_match(probs, hazard, orders, lengths)
+    under_curve = order_match(probs, PatienceModel.survival(tuple(curve)), orders, lengths)
+    assert np.max(np.abs(under_rate - under_curve)) <= 1e-15
 
 
 def test_generators_all_validate():

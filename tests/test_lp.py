@@ -79,6 +79,35 @@ def test_equality_row_over_no_variables():
     assert solve(LpProblem.make([], np.zeros((1, 0)), ["="], [1.0])).status == "infeasible"
 
 
+def test_artificial_of_a_negated_equality_row_is_driven_out(monkeypatch):
+    # max x s.t. -x = 0: phase 1 ends with the row's artificial basic at 0,
+    # and the zero-step pivot onto x takes its place
+    drive_out, moves = lp._drive_out_artificials, []
+
+    def spy(st, art0):
+        before = st.cols.tolist()
+        drive_out(st, art0)
+        moves.append((before, art0, st.cols.tolist()))
+
+    monkeypatch.setattr(lp, "_drive_out_artificials", spy)
+    sol = solve(LpProblem.make([1.0], [[-1.0]], ["="], [0.0]))
+    assert moves == [([1], 1, [0])]  # column 1 is the artificial
+    assert sol.status == OPTIMAL and sol.x.tolist() == [0.0] and sol.objective == 0.0
+
+
+def test_ratio_test_bland_mode_takes_the_smallest_basic_column():
+    # every row blocks at step 1: Harris takes the largest pivot, Bland the smallest column
+    xB, d, cols = np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.0, 0.5]), np.array([3, 5, 7])
+    assert lp._ratio_test(xB, d, cols, False, 0.0) == 1
+    assert lp._ratio_test(xB, d, cols, True, 0.0) == 0
+    # a pivot below REL_PIVOT_TOL of the largest is passed over while another row fits ...
+    tiny = np.array([1e-9, 1.0, 1.0])
+    assert lp._ratio_test(np.zeros(3), tiny, np.array([1, 5, 4]), True, 0.0) == 2
+    # ... and taken when it alone blocks
+    assert lp._ratio_test(np.array([0.0, 1.0, 1.0]), tiny, np.array([1, 5, 4]), True, 0.0) == 0
+    assert lp._ratio_test(xB, -d, cols, True, 0.0) == -1
+
+
 def test_add_column_duplicate_keeps_objective():
     p = LpProblem.make([2.0, 1.0], [[1.0, 1.0]], ["<="], [1.0])
     base = solve(p).objective

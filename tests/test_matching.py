@@ -10,6 +10,7 @@ from stochmatch.instances import (
     ArrivalModel,
     CapabilityError,
     CapacityError,
+    LpNumericalError,
     MatchingInstance,
     PatienceModel,
     Policy,
@@ -75,6 +76,22 @@ def test_column_cap_returns_a_feasible_master(monkeypatch):
     assert inst.n_types < capped.n_columns < full.n_columns
     assert validate(capped.mixture).ok
     assert capped.objective <= full.objective + 1e-9
+
+
+def test_repricing_a_master_column_raises(monkeypatch):
+    inst = hard.gen_random_matching(0, m=3, n_types=2, arrival_kind="prophet",
+                                    max_theta=2, horizon=4)
+    real, first = matching._price, {}
+
+    def price(star, adjusted, box):
+        # each type's first priced column, then that column again, always at a large value
+        policy, _, match = first.setdefault(star, real(star, adjusted, box))
+        return policy, 1e6, match
+
+    monkeypatch.setattr(matching, "_price", price)
+    with pytest.raises(LpNumericalError, match="already in the master"):
+        solve_prophet_lp(inst)
+    assert any(policy.order for policy, _, _ in first.values())
 
 
 def test_lp_solution_constraints_hold():
@@ -378,6 +395,7 @@ STAR_CAP_PATIENCE = {
     "brute": lambda m: PatienceModel.survival((1.0, 0.6, 0.3)),
     "hazard": lambda m: PatienceModel.constant_hazard(rate=0.3),
     "item-hazard": lambda m: PatienceModel.constant_hazard(rates=np.linspace(0.1, 0.7, m)),
+    "no-neighbor": lambda m: PatienceModel.survival((1.0, 0.6, 0.3)),
     "zero-edge": lambda m: None,
     "overridden-solve": lambda m: None,
 }
@@ -389,6 +407,8 @@ def test_star_cap_rows_cap_each_subset_by_its_exact_optimum(case):
     probs = base.probs.copy()
     if case == "zero-edge":
         probs[1, 0] = probs[3, 2] = 0.0
+    if case == "no-neighbor":  # an empty star: every subset's cap is 0
+        probs[:, 1] = 0.0
     patience = STAR_CAP_PATIENCE[case](base.m) or base.patience
     inst = MatchingInstance.make(probs, patience, base.arrivals, edge_weights=base.edge_weights)
     selector = _OverriddenDp("dp", 1.0) if case == "overridden-solve" else None

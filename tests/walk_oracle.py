@@ -18,6 +18,7 @@ from stochmatch.matching import (
     PolicyLpMatcher,
     ProbeRecord,
     RandomTape,
+    SimpleGreedyMatcher,
 )
 
 
@@ -139,7 +140,8 @@ def scalar_walk(matcher, instance, rng, trace: bool = False) -> MatcherState:
     """One trial of ``matcher`` on ``rng`` (a ``RandomTape`` or a Generator),
     reading only the uniforms its walk uses.  A policy-LP arrival reads one
     uniform against the step's CDF over policies; a greedy arrival walks
-    the matcher's plan for its still-unmatched neighbors."""
+    its still-unmatched neighbors in SimpleGreedy's rule order (lowest
+    index first, or last), or AdvGreedy's plan for them."""
     tables = matcher._tables(instance)
     tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
     state = _State(trace=[] if trace else None)
@@ -159,7 +161,10 @@ def scalar_walk(matcher, instance, rng, trace: bool = False) -> MatcherState:
         avail = tuple(u for u in tables.neighbors[v] if u not in matched)
         if not avail:
             continue
-        plan = matcher._plan(instance, tables, v, avail)
+        if isinstance(matcher, SimpleGreedyMatcher):
+            plan = ("policy", avail[::-1] if matcher.rule == "last" else avail)
+        else:
+            plan = matcher._plan(instance, tables, v, avail)
         if plan[0] == "policy":
             _walk_policy(tables, state, step, v, plan[1], tape)
         else:
