@@ -158,22 +158,22 @@ def cmd_match_run(args) -> int:
     matcher, lp_result = _make_matcher(instance, args.algorithm,
                                        args.star_solver, args.rule)
     config = SimConfig(seed=args.seed, trials=args.trials)
-    report = simulate(instance, matcher, config, threads=_threads())
     benchmark = args.benchmark
     if benchmark == "auto":
         benchmark = "lpp" if instance.arrivals.kind in (PROPHET, IID) else "lp6"
     bench_value = None
     ratio = None
     passed = ""
-    if benchmark != "none":
-        if benchmark == "lpp":
-            res = lp_result or solve_prophet_lp(instance)
-            bench_value = res.objective
-            kappa = res.kappa
-        else:
-            bench_value = benchmark_lp_value(
-                instance, include_star_constraints=(benchmark == "lp2"))
-            kappa = 1.0
+    # the benchmark comes first: an instance too large for its LP exits
+    # before any trial is simulated
+    if benchmark == "lpp":
+        res = lp_result or solve_prophet_lp(instance)
+        bench_value, kappa = res.objective, res.kappa
+    elif benchmark != "none":
+        bench_value = benchmark_lp_value(instance, include_star_constraints=(benchmark == "lp2"))
+        kappa = 1.0
+    report = simulate(instance, matcher, config, threads=_threads())
+    if bench_value is not None:
         ratio = report.mean / bench_value if bench_value else None
         guarantee = {"adv-greedy": 0.5, "prophet": 0.5,
                      "iid": 1.0 - 1.0 / math.e}.get(args.algorithm)

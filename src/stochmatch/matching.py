@@ -13,7 +13,9 @@ Three matchers are provided:
   availability process stays coupled to the LP: a simulated success ends
   the arrival with no reward.
 * ``SimpleGreedyMatcher``: the opportunistic baseline that probes an
-  arbitrary (rule-selected) available neighbor.
+  arbitrary (rule-selected) available neighbor.  It walks each run of
+  consecutive arrivals that probe once and share their probability and
+  weight columns as one step, success by success.
 
 Patience semantics: real and simulated probes each consume one unit of
 patience, weight-skips consume none.  A survival-curve patience is realized
@@ -100,6 +102,8 @@ BIG_PATIENCE = 10 ** 9
 TAPE_BLOCK = 192  # uniforms per RandomTape refill
 EXACT_CHUNK = 4096  # free sets per ``_exact_match`` call of a greedy exact value
 EXACT_MAX_OFFLINE = 20  # offline vertices a greedy exact value expands over
+RUN_SCAN_FIRST = 64  # columns of a run walk's first scan chunk
+RUN_FLOATS = 1 << 19  # most entries a run walk or a run cut holds in one temporary
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +370,77 @@ class _Lockstep:
             self.free[r, item] = False
             self.weight[r] += tables.weights[item, v]
 
+    def walk_run(self, tables: _Tables, start, types, neigh):
+        """A run of arrivals, at steps ``start, start + 1, ...`` of types
+        ``types`` with equal probability and weight columns, each probing
+        only the first free neighbor in ``neigh``'s order (patience 1).  A
+        row's state changes only at its successes, at most ``len(neigh)``,
+        so the run is walked success by success: a row's next success is
+        its first draw below its first free neighbor's probability
+        (``first_below``), and the row stops drawing once no neighbor is
+        free or its arrivals are spent.  A run of one arrival is one draw
+        per row with a free neighbor."""
+        v = types[0]
+        probs, weights = tables.probs[:, v], tables.weights[:, v]
+        avail = self.free[:, neigh]
+        first = avail.argmax(axis=1)
+        rows = np.flatnonzero(avail[self.every, first])
+        items = neigh[first[rows]]
+        # arrivals of the run each row has not passed
+        left = np.full(rows.size, types.size) if types.size > 1 else 1
+        while rows.size:
+            p = probs[items]
+            if types.size == 1:
+                read, won = 1, self.draw(rows) < p
+            else:
+                read, won = self.first_below(rows, p, left)
+            if self.log is not None:  # one row: a record per draw, each at its arrival
+                at = (types.size - left + np.arange(np.max(read))).tolist()
+                for t in at:
+                    self.record(start + t, 1, types[t], items, True, won & (t == at[-1]))
+            r, u = rows[won], items[won]
+            self.free[r, u] = False
+            self.weight[r] += weights[u]
+            if types.size == 1:
+                return
+            left = left - read
+            keep = won & (left > 0)
+            rows, left = rows[keep], left[keep]
+            avail = self.free[rows[:, None], neigh]
+            first = avail.argmax(axis=1)
+            keep = avail[np.arange(rows.size), first]
+            rows, left, items = rows[keep], left[keep], neigh[first[keep]]
+
+    def first_below(self, rows, p, left):
+        """How many uniforms each row in ``rows`` reads from its position
+        on, at most ``left[i]``, up to and including its first one below
+        ``p[i]``, and whether it found one; the rows' positions move past
+        what they read.  The rows are scanned together in chunks of columns
+        that double from ``RUN_SCAN_FIRST``, each gathering at most
+        ``RUN_FLOATS`` uniforms.  A row that would read past the end of its
+        block row raises ``StochmatchError``."""
+        pos = self.pos[rows]
+        width = self.uniforms.shape[1]
+        read, hit = left.copy(), np.zeros(rows.size, dtype=bool)
+        todo, done, size = np.arange(rows.size), 0, RUN_SCAN_FIRST
+        while todo.size:
+            size = max(1, min(size, RUN_FLOATS // todo.size, int(left[todo].max()) - done))
+            span = np.arange(done, done + size)
+            at = pos[todo, None] + span
+            below = self.uniforms[rows[todo, None], np.minimum(at, width - 1)] < p[todo, None]
+            below &= (at < width) & (span < left[todo, None])
+            found = below.any(axis=1)
+            read[todo[found]] = done + below[found].argmax(axis=1) + 1
+            hit[todo[found]] = True
+            done += size
+            size *= 2
+            todo = todo[~found & (left[todo] > done)]
+        end = pos + read
+        if (end > width).any():
+            raise StochmatchError(f"a trial read more than its {width} uniforms")
+        self.pos[rows] = end
+        return read, hit
+
 
 # ---------------------------------------------------------------------------
 # Greedy matchers for adversarial arrivals
@@ -531,12 +606,51 @@ class AdvGreedyMatcher(_GreedyMatcher):
         return state.result()
 
 
+class _SimpleTables(_GreedyTables):
+    """A ``SimpleGreedyMatcher``'s table: also which types probe once
+    (``once``: deterministic patience and a probe cap of 1), and the
+    arrival order (``order``) cut into runs, ``(type, start, stop)`` per
+    run, which ``cut_runs`` fills when the matcher first walks the instance
+    (the exact value needs neither)."""
+
+    __slots__ = ("once", "order", "runs")
+
+    def __init__(self, instance: MatchingInstance):
+        super().__init__(instance, [False] * instance.n_types)
+        self.runs = None
+
+    def cut_runs(self, instance: MatchingInstance):
+        """A run is a maximal stretch of consecutive arrivals of types that
+        probe once and have equal probability and weight columns; any other
+        arrival is a run of one.  The columns of consecutive distinct types
+        are compared in chunks of at most ``RUN_FLOATS`` entries."""
+        self.once = [p.is_deterministic and c == 1 for p, c in zip(self.patience, self.caps)]
+        self.order = order = np.asarray(instance.arrivals.order, dtype=np.intp)
+        a, b = order[:-1], order[1:]
+        joined = np.asarray(self.once, dtype=bool)[order]
+        joined = joined[:-1] & joined[1:]
+        pairs = np.flatnonzero(joined & (a != b))
+        chunk = max(1, RUN_FLOATS // max(self.m, 1))
+        for i in (pairs[k:k + chunk] for k in range(0, pairs.size, chunk)):
+            joined[i] = ((self.probs[:, a[i]] == self.probs[:, b[i]]).all(axis=0)
+                         & (self.weights[:, a[i]] == self.weights[:, b[i]]).all(axis=0))
+        starts = np.flatnonzero(np.append(True, ~joined)[:order.size])
+        self.runs = list(zip(order[starts].tolist(), starts.tolist(),
+                             np.append(starts[1:], order.size).tolist()))
+
+
 class SimpleGreedyMatcher(_GreedyMatcher):
     """Opportunistic baseline: probe an arbitrary available neighbor.
 
     ``rule`` picks which neighbor: ``first`` (lowest index) or ``last``.
     With patience above one it keeps probing available, not-yet-probed
-    neighbors in rule order.
+    neighbors in rule order.  An arrival that probes once (deterministic
+    patience, probe cap 1) probes only its first free neighbor, so a run of
+    such arrivals with equal columns (``_SimpleTables.runs``) changes a
+    trial's state only at its successes, and the lockstep walk takes the
+    whole run as one step (``_Lockstep.walk_run``): each trial's next
+    success is its first draw below its first free neighbor's probability.
+    A lone arrival is a run of one.
     """
 
     def __init__(self, rule: str = "first"):
@@ -544,8 +658,8 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             raise StochmatchError(f"unknown neighbor rule {rule!r}")
         self.rule = rule
 
-    def _new_tables(self, instance) -> _GreedyTables:
-        return _GreedyTables(instance, [False] * instance.n_types)
+    def _new_tables(self, instance) -> _SimpleTables:
+        return _SimpleTables(instance)
 
     def _exact_match(self, instance, tables, v, avail):
         """Match probabilities of an arrival of type ``v`` on each row of
@@ -562,35 +676,29 @@ class SimpleGreedyMatcher(_GreedyMatcher):
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts.
-        ``log`` is a one-row batch's probe log (see ``_Lockstep``)."""
+        A run of arrivals that each probe once is one step
+        (``_Lockstep.walk_run``); any other arrival walks its free neighbors
+        in rule order.  ``log`` is a one-row batch's probe log (see
+        ``_Lockstep``)."""
         tables = self._tables(instance)
+        if tables.runs is None:
+            tables.cut_runs(instance)
         state = _Lockstep(uniforms, instance.m, log)
-        every = state.every
-        for step, v in enumerate(instance.arrivals.order):
+        for v, start, stop in tables.runs:
             neigh = tables.neighbor_arrays[v]
             if not neigh.size:
                 continue
             if self.rule == "last":
                 neigh = neigh[::-1]
-            avail = state.free[:, neigh]
-            width = tables.caps[v]
-            if width == 1 and tables.patience[v].is_deterministic:
-                # hot path: one probe at the first available neighbor
-                first = avail.argmax(axis=1)
-                rows = np.flatnonzero(avail[every, first])
-                items = neigh[first[rows]]
-                won = state.draw(rows) < tables.probs[items, v]
-                if log is not None:
-                    state.record(step, 1, v, items, True, won)
-                rows, items = rows[won], items[won]
-                state.free[rows, items] = False
-                state.weight[rows] += tables.weights[items, v]
+            if tables.once[v]:
+                state.walk_run(tables, start, tables.order[start:stop], neigh)
                 continue
+            avail = state.free[:, neigh]
             length = np.count_nonzero(avail, axis=1)
             rows = np.flatnonzero(length)
             if rows.size:
-                ranked = np.argsort(~avail[rows], axis=1, kind="stable")[:, :width]
-                state.walk(tables, step, rows, np.full(rows.size, v), neigh[ranked],
+                ranked = np.argsort(~avail[rows], axis=1, kind="stable")[:, :tables.caps[v]]
+                state.walk(tables, start, rows, np.full(rows.size, v), neigh[ranked],
                            length[rows])
         return state.result()
 

@@ -12,7 +12,9 @@ as the matcher's ``draw_bound`` (the most uniforms any trial reads), and at
 most ``CHUNK_TRIALS`` rows and ``BLOCK_FLOATS`` uniforms.  One generator
 fills it, its state reset to counter 0 under key ``(seed, i)`` for trial
 ``i``, which gives the stream that ``trial_generator(seed, i)`` would; the
-matcher then walks every row at once on numpy state (``run_lockstep``).
+matcher then walks every row at once on numpy state (``run_lockstep``);
+SimpleGreedy takes a run of identical patience-1 arrivals as one step,
+scanning each row's uniforms for its next success.
 Each row is the stream the trial would read alone, so reports are the same
 as the tests' scalar walk (``tests/walk_oracle.py``) gives one trial at a
 time; a called matcher runs one trial as a one-row batch.  Exact values

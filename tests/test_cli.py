@@ -3,7 +3,7 @@ import json
 import pytest
 
 from stochmatch import hard_instances as hard
-from stochmatch import lp
+from stochmatch import cli, lp
 from stochmatch.cli import main
 from stochmatch.instances import load_instance
 from stochmatch.matching import SimpleGreedyMatcher
@@ -164,6 +164,18 @@ def test_match_run_wrong_arrivals_exits_3(tmp_path, capsys):
     run(capsys, "gen", "single-offline", "-n", "3", "-o", str(path))
     code, _, err = run(capsys, "match-run", str(path), "--algorithm", "iid")
     assert code == 3
+
+
+def test_match_run_too_large_benchmark_exits_3_before_simulating(tmp_path, capsys, monkeypatch):
+    # the README's capped simple-greedy instance: its lp6 benchmark is past
+    # the dense solver's size, which is known before any trial runs
+    path = tmp_path / "greedy.json"
+    run(capsys, "gen", "simplegreedy", "-k", "4", "-n", "100", "--cap", "400", "-o", str(path))
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: calls.append(a))
+    code, _, err = run(capsys, "match-run", str(path), "--algorithm", "simple-greedy")
+    assert code == 3 and "too large" in err
+    assert calls == []
 
 
 def test_match_run_nan_probability_exits_2(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch import hard_instances as hard
+from stochmatch import matching
 from stochmatch.instances import (
     ArrivalModel,
     CapabilityError,
@@ -150,6 +151,66 @@ def test_simple_greedy_batch_equals_scalar_walk(seed, kinds, rule, sim_seed, n):
     _assert_same(instance, SimpleGreedyMatcher(rule), SimConfig(sim_seed, n))
 
 
+def _run_instance(seed):
+    """Arrivals in runs: each segment repeats one column, drawn from a few
+    types that share it, so that a run mixes a repeated type with distinct
+    types of equal columns.  A column probes once (patience 1, or one
+    neighbor under a larger patience), has no neighbor, or probes up to 3
+    times; probabilities near or at 1 let every neighbor match mid-run."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    columns, patience, segments = [], [], []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = rng.choice(["once", "single", "none", "several"], p=[0.5, 0.2, 0.1, 0.2])
+        probs = np.where(rng.random(m) < 0.5, rng.random(m), 1.0 - rng.random(m) * 1e-3)
+        probs[rng.random(m) < 0.15] = 1.0
+        probs[rng.random(m) < 0.3] = 0.0
+        if kind == "none":
+            probs[:] = 0.0
+        elif kind == "single":
+            probs[np.arange(m) != rng.integers(m)] = 0.0
+        thetas = {"once": [1], "single": [1, 2, 3], "none": [1], "several": [2, 3]}[kind]
+        weights = rng.random(m)
+        first = len(columns)
+        for _ in range(int(rng.integers(1, 4))):
+            columns.append((probs, weights))
+            patience.append(PatienceModel.deterministic(int(rng.choice(thetas))))
+        segments.append(range(first, len(columns)))
+    order = []
+    for _ in range(int(rng.integers(1, 9))):
+        types = segments[rng.integers(len(segments))]
+        order += rng.choice(types, int(rng.integers(1, 13))).tolist()
+    probs, weights = (np.array(c).T for c in zip(*columns))
+    return MatchingInstance.make(probs, patience, ArrivalModel.adversarial(order),
+                                 edge_weights=weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seeds, st.sampled_from(("first", "last")), seeds, trials)
+def test_simple_greedy_runs_equal_scalar_walk(seed, rule, sim_seed, n):
+    # a run of arrivals that probe once is walked success by success; its
+    # reports and called traces must be the scalar walk's, arrival by arrival
+    instance = _run_instance(seed)
+    _assert_same(instance, SimpleGreedyMatcher(rule), SimConfig(sim_seed, n))
+
+
+def test_runs_join_equal_columns_that_probe_once():
+    # types 0 and 1 share a column, type 2 has one neighbor under patience
+    # 3, type 3 probes twice and type 4 has no neighbor (a run of one each)
+    probs = np.array([[0.5, 0.5, 0.0, 0.5, 0.0], [0.2, 0.2, 0.7, 0.2, 0.0]])
+    patience = [PatienceModel.deterministic(t) for t in (1, 1, 3, 2, 1)]
+    order = [0, 1, 0, 2, 2, 3, 3, 1, 4, 4, 0]
+    inst = MatchingInstance.make(probs, patience, ArrivalModel.adversarial(order),
+                                 edge_weights=np.ones((2, 5)))
+    matcher = SimpleGreedyMatcher()
+    matcher.exact_value(inst)
+    tables = matcher._tables(inst)
+    assert tables.runs is None  # cut when the matcher first walks the instance
+    matcher(inst, np.random.default_rng(0))
+    assert tables.runs == [(0, 0, 3), (2, 3, 5), (3, 5, 6), (3, 6, 7), (1, 7, 8),
+                           (4, 8, 9), (4, 9, 10), (0, 10, 11)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(seeds, kinds, st.sampled_from((None, "lp")), seeds, trials)
 def test_adv_greedy_batch_equals_scalar_walk(seed, kinds, solver, sim_seed, n):
@@ -209,6 +270,33 @@ def test_hard_family_crosses_a_tape_refill():
     matcher = SimpleGreedyMatcher("first")
     assert matcher.draw_bound(inst) > 2 * TAPE_BLOCK
     _assert_same(inst, matcher, SimConfig(3, 60))
+
+
+def _long_run(length):
+    """Two distinct early arrivals, then ``length`` arrivals of one type
+    whose three neighbors rarely match, so that its scans cross chunks."""
+    probs = np.array([[0.3, 0.0, 0.004], [0.0, 0.5, 0.01], [0.2, 0.2, 0.02]])
+    return MatchingInstance.make(probs, PatienceModel.deterministic(1),
+                                 ArrivalModel.adversarial([0, 1] + [2] * length),
+                                 edge_weights=np.arange(1.0, 10.0).reshape(3, 3))
+
+
+@pytest.mark.parametrize("run_floats", [matching.RUN_FLOATS, 100])
+@pytest.mark.parametrize("rule", ["first", "last"])
+def test_a_long_run_scans_across_chunks(run_floats, rule, monkeypatch):
+    # scan chunks double from 64 columns; with 100 uniforms a chunk, 300
+    # rows scan one column at a time
+    monkeypatch.setattr(matching, "RUN_FLOATS", run_floats)
+    _assert_same(_long_run(600), SimpleGreedyMatcher(rule), SimConfig(4, 300))
+
+
+def test_a_long_run_past_its_row_raises():
+    class Understated(SimpleGreedyMatcher):
+        def draw_bound(self, instance):
+            return 150
+
+    with pytest.raises(StochmatchError, match="a trial read more than its 150 uniforms"):
+        simulate(_long_run(600), Understated("first"), SimConfig(0, 50), threads=1)
 
 
 def test_small_batches_give_the_same_report(monkeypatch):

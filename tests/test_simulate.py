@@ -57,6 +57,16 @@ def test_bernoulli_mean_within_tolerance():
     assert abs(rep.mean - 0.5) <= 4 * se
 
 
+def test_uncapped_simple_greedy_family_agrees_with_its_closed_form():
+    # 40,100 arrivals: 100 early ones, then one run of 40,000 identical
+    # late ones, walked success by success
+    inst = hard.gen_simple_greedy_hard(4, 100)
+    assert inst.arrivals.n_steps == 40_100
+    rep = simulate(inst, SimpleGreedyMatcher("first"), SimConfig(seed=5, trials=2000), threads=1)
+    se = rep.stddev / np.sqrt(rep.trials)
+    assert abs(rep.mean - hard.simple_greedy_exact_value(4, 100)) <= 4 * se
+
+
 def test_reports_are_reproducible():
     inst = hard.gen_random_matching(3, m=3, n_types=3, arrival_kind="adversarial")
     cfg = SimConfig(seed=123, trials=3000)
