@@ -34,7 +34,13 @@ until it runs on another instance: AdvGreedy's star plans, the policy-LP
 matcher's per-step CDF over its policies and per-policy skips.  The
 walks, the draw bound and the exact value read that table.  A policy-LP
 arrival step reads one uniform against that CDF, which picks the arriving
-type and its policy at once.
+type and its policy at once.  AdvGreedy keeps each plan by (type, free
+neighbors), as the black box returned it, and also as one row of its
+type's stacked plan arrays, found by the bytes of the free set's packed
+key: ``ceil(k / 64)`` uint64 words over the type's ``k`` neighbors.  At
+an arrival that leaves some trial a free neighbor, its lockstep walk
+groups the trials by one sort over their keys and gathers their plans'
+rows; only a key not stored yet reaches the black box.
 
 A greedy matcher's ``exact_value`` is a forward expansion over arrival
 steps with the bitmask of free offline vertices as state, at most
@@ -88,6 +94,7 @@ from .stars import (
     StarSolver,
     _distinct_rows,
     _price,
+    _unpacked,
     auto_solver,
     enumerated_orders,
     induced_match,
@@ -182,8 +189,12 @@ class _Tables:
     def __init__(self, instance: MatchingInstance):
         self.m = instance.m
         self.patience = instance.patience
-        self.neighbor_arrays = [np.flatnonzero(col > 0.0) for col in instance.probs.T]
-        self.neighbors = [nb.tolist() for nb in self.neighbor_arrays]
+        # one pass over the edges, in type-major order, cut by type
+        v, u = np.nonzero(instance.probs.T > 0.0)
+        cuts = np.searchsorted(v, np.arange(instance.n_types + 1)).tolist()
+        spans, flat = list(zip(cuts[:-1], cuts[1:])), u.tolist()
+        self.neighbor_arrays = [u[a:b] for a, b in spans]
+        self.neighbors = [flat[a:b] for a, b in spans]
         self.caps = [p.max_probes(len(nb)) for p, nb in zip(instance.patience, self.neighbors)]
         # one row per type: a deterministic budget (survival budgets are
         # drawn, hazard walks have none), survival curves padded with -1 so
@@ -446,21 +457,65 @@ class _Lockstep:
 # Greedy matchers for adversarial arrivals
 # ---------------------------------------------------------------------------
 
+class _PlanRows:
+    """One type's plans as stacked rows, each found by the bytes of its
+    free-set key (``stars._distinct_rows``): its kind (1 a policy, 2
+    randomized), its items (a policy's order, or a randomized plan's star
+    items) padded with 0 to the type's ``k`` neighbors, the length of that
+    order, and, for a type whose plans may be randomized, ``cum`` as ``(k,
+    k)``: a randomized plan's cumulative pick distributions, each row
+    padded with its last value and ``nan`` past the plan's attempts.  The
+    lockstep walk gathers the rows its trials need by index."""
+
+    __slots__ = ("index", "kind", "items", "length", "cum")
+
+    def __init__(self, k: int, randomized: bool):
+        self.index: dict[bytes, int] = {}
+        self.kind = np.zeros(0, dtype=np.int8)
+        self.items = np.zeros((0, k), dtype=np.intp)
+        self.length = np.zeros(0, dtype=np.intp)
+        self.cum = np.full((0, k, k), np.nan) if randomized else None
+
+    def add(self, names: list, plans: list):
+        """Store ``plans[i]`` (see ``AdvGreedyMatcher._plan``) under key bytes ``names[i]``."""
+        first, k = len(self.kind), self.items.shape[1]
+        kind = np.ones(len(plans), dtype=np.int8)
+        items = np.zeros((len(plans), k), dtype=np.intp)
+        length = np.zeros(len(plans), dtype=np.intp)
+        cum = None if self.cum is None else np.full((len(plans), k, k), np.nan)
+        for i, plan in enumerate(plans):
+            order = plan[1] if plan[0] == "policy" else plan[2]
+            length[i] = n = len(order)
+            items[i, :n] = order
+            if plan[0] == "randomized":
+                kind[i] = 2
+                cum[i, :n, :n], cum[i, :n, n:] = plan[3], plan[3][:, -1:]
+        self.kind = np.concatenate([self.kind, kind])
+        self.items = np.concatenate([self.items, items])
+        self.length = np.concatenate([self.length, length])
+        if cum is not None:
+            self.cum = np.concatenate([self.cum, cum])
+        self.index.update(zip(names, range(first, first + len(plans))))
+
+
 class _GreedyTables(_Tables):
     """A greedy matcher's table: also its plans by (type, available
-    neighbors), solved as arrivals first need them, and per type whether
-    a plan may be randomized.  The draw bound allows a type whose solver
-    may return a randomized plan its reads: a budget, then a pick and a
-    success draw per attempt; any other type a policy walk's, and the
-    lockstep walk refuses a randomized plan for it."""
+    neighbors), solved as arrivals first need them, the same plans as
+    stacked rows per type (``plan_rows``, a ``_PlanRows`` per type that has
+    walked), and per type whether a plan may be randomized.  The draw
+    bound allows a type whose solver may return a randomized plan its
+    reads: a budget, then a pick and a success draw per attempt; any other
+    type a policy walk's, and the lockstep walk refuses a randomized plan
+    for it."""
 
-    __slots__ = ("plans", "randomized")
+    __slots__ = ("plans", "plan_rows", "randomized")
 
     def __init__(self, instance: MatchingInstance, randomized: list[bool]):
         if instance.arrivals.kind != ADVERSARIAL:
             raise CapabilityError("greedy matcher needs adversarial arrivals")
         super().__init__(instance)
         self.plans: dict = {}
+        self.plan_rows: dict[int, _PlanRows] = {}
         self.randomized = randomized
         draws = [(1 + 2 * k if randomized[v] else self.walk_draws(v, k)) if self.neighbors[v]
                  else 0 for v, k in enumerate(self.caps)]
@@ -520,7 +575,11 @@ class AdvGreedyMatcher(_GreedyMatcher):
     the first success).  Plans are cached by (type, available set) in the
     matcher's table on the instance, which another instance replaces; the
     cache is an optimization only and never changes results, on one
-    instance or across several.
+    instance or across several.  The lockstep walk reads the same plans as
+    stacked rows per type (``_PlanRows``), found by the packed key of a
+    trial's free neighbors (``stars._distinct_rows``), so a warm matcher
+    gathers each arrival's plans with a few array indexings and calls the
+    black box for no set it has solved before.
     """
 
     def __init__(self, solver: StarSolver | None = None):
@@ -560,49 +619,61 @@ class AdvGreedyMatcher(_GreedyMatcher):
         match[:, neigh] = induced_match(self.solver or auto_solver(star), star, avail)
         return match
 
+    def _find_rows(self, instance, tables, v, keys) -> tuple[_PlanRows, np.ndarray]:
+        """Type ``v``'s stored plan rows and the row of each of its packed
+        free-set ``keys`` there.  A key not stored yet takes its plan from
+        ``_plan``; a randomized plan for a type whose draw bound allows only
+        a policy walk raises ``StochmatchError``."""
+        neigh = tables.neighbor_arrays[v]
+        store = tables.plan_rows.get(v)
+        if store is None:
+            store = tables.plan_rows[v] = _PlanRows(neigh.size, tables.randomized[v])
+        names = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
+        found = [store.index.get(name) for name in names]
+        if None in found:
+            new = [i for i, at in enumerate(found) if at is None]
+            masks = _unpacked(keys[new], neigh.size)
+            plans = [self._plan(instance, tables, v, tuple(neigh[mask].tolist()))
+                     for mask in masks]
+            if not tables.randomized[v] and any(plan[0] != "policy" for plan in plans):
+                solver = self.solver or auto_solver(tables.patience[v])
+                raise StochmatchError(
+                    f"star solver {solver.name!r} returned a randomized plan for type "
+                    f"{v}, whose draw bound allowed only a policy walk's uniforms")
+            store.add([names[i] for i in new], plans)
+            found = [store.index[name] for name in names]
+        return store, np.array(found, dtype=np.intp)
+
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts.
-        Each arrival groups the trials by the neighbors they find unmatched
-        and fetches one plan per group.  ``log`` is a one-row batch's probe
-        log (see ``_Lockstep``)."""
+        An arrival that finds none of its neighbors unmatched in any trial
+        is skipped; otherwise the trials with a free neighbor are grouped by
+        their packed free-set keys (``stars._distinct_rows``), each key is
+        looked up in the type's stored plan rows (``_find_rows``), and the
+        walks gather their rows from there.  ``log`` is a one-row batch's
+        probe log (see ``_Lockstep``)."""
         tables = self._tables(instance)
         state = _Lockstep(uniforms, instance.m, log)
         for step, v in enumerate(instance.arrivals.order):
-            neigh = tables.neighbors[v]
-            k = len(neigh)
-            if not k:
+            neigh = tables.neighbor_arrays[v]
+            if not neigh.size:
                 continue
-            masks, group = _distinct_rows(state.free[:, neigh])
-            kind = np.zeros(len(masks), dtype=np.int8)  # 1 policy, 2 randomized, 0 no plan
-            items = np.zeros((len(masks), k), dtype=np.intp)
-            length = np.zeros(len(masks), dtype=np.intp)
-            cum = np.full((len(masks), k, k), np.nan)
-            for g, mask in enumerate(masks.tolist()):
-                avail = tuple(itertools.compress(neigh, mask))
-                if not avail:
-                    continue
-                plan = self._plan(instance, tables, v, avail)
-                if plan[0] == "policy":
-                    kind[g], length[g] = 1, len(plan[1])
-                    items[g, :length[g]] = plan[1]
-                else:
-                    if not tables.randomized[v]:
-                        solver = self.solver or auto_solver(tables.patience[v])
-                        raise StochmatchError(
-                            f"star solver {solver.name!r} returned a randomized plan for type "
-                            f"{v}, whose draw bound allowed only a policy walk's uniforms")
-                    n = len(plan[2])
-                    kind[g], items[g, :n] = 2, plan[2]
-                    cum[g, :n, :n], cum[g, :n, n:] = plan[3], plan[3][:, -1:]
-            kind = kind[group]
-            rows = np.flatnonzero(kind == 1)
-            if rows.size:
-                g = group[rows]
-                state.walk(tables, step, rows, np.full(rows.size, v), items[g], length[g])
-            rows = np.flatnonzero(kind == 2)
-            if rows.size:
-                state.walk_randomized(tables, step, rows, v, cum, items, group[rows])
+            avail = state.free[:, neigh]
+            rows = np.flatnonzero(avail.any(axis=1))
+            if not rows.size:
+                continue
+            keys, group = _distinct_rows(avail[rows])
+            store, found = self._find_rows(instance, tables, v, keys)
+            plan = found[group]
+            walks = store.kind[plan] == 1
+            if walks.any():
+                p = plan[walks]
+                state.walk(tables, step, rows[walks], np.full(p.size, v), store.items[p],
+                           store.length[p])
+            if not walks.all():
+                state.walk_randomized(tables, step, rows[~walks], v, store.cum, store.items,
+                                      plan[~walks])
         return state.result()
 
 

@@ -14,7 +14,8 @@ fills it, its state reset to counter 0 under key ``(seed, i)`` for trial
 ``i``, which gives the stream that ``trial_generator(seed, i)`` would; the
 matcher then walks every row at once on numpy state (``run_lockstep``);
 SimpleGreedy takes a run of identical patience-1 arrivals as one step,
-scanning each row's uniforms for its next success.
+scanning each row's uniforms for its next success, and AdvGreedy gathers
+an arrival's plans from rows stored by packed free-set key.
 Each row is the stream the trial would read alone, so reports are the same
 as the tests' scalar walk (``tests/walk_oracle.py``) gives one trial at a
 time; a called matcher runs one trial as a one-row batch.  Exact values
@@ -26,6 +27,7 @@ this module loads no scipy.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -112,14 +114,26 @@ def _table_plans(instance, matcher) -> dict:
     return getattr(tables, "plans", {})
 
 
-def _run_worker(instance, matcher, seed, start, stop, width):
-    """``_run_block`` in a worker process, returning also the plans the
-    matcher's table (pickled with the instance) gained there, so that the
-    caller's table keeps them."""
+_JOB: tuple = ()  # a worker process's (instance, matcher), set once by ``_start_worker``
+
+
+def _start_worker(instance, matcher):
+    """Pool initializer: keep the run's instance and matcher, with its
+    table, for every block the worker runs."""
+    global _JOB
+    _JOB = (instance, matcher)
+
+
+def _run_worker(seed, start, stop, width):
+    """``_run_block`` in a worker process on its kept instance and matcher,
+    returning also the plans the matcher's table gained in this block, so
+    that the caller's table keeps them.  Plans are only ever added, so the
+    dict's insertion order puts them last."""
+    instance, matcher = _JOB
     plans = _table_plans(instance, matcher)
-    known = set(plans)
+    known = len(plans)
     weights, counts = _run_block(instance, matcher, seed, start, stop, width)
-    return weights, counts, {k: p for k, p in plans.items() if k not in known}
+    return weights, counts, dict(itertools.islice(plans.items(), known, None))
 
 
 def thread_count(threads=None, chunks: int | None = None, default: int = 1) -> int:
@@ -146,7 +160,9 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
 
     Trials run in lockstep blocks of at most ``CHUNK_TRIALS`` trials and
     ``BLOCK_FLOATS`` uniforms.  ``threads`` > 1 spreads the blocks over
-    worker processes; the report is bit-identical to a serial run because
+    worker processes, each given the instance and the matcher once, by the
+    pool's initializer, so that a block carries only its seed, trial range
+    and width; the report is bit-identical to a serial run because
     each trial's stream depends only on (seed, trial index).  A value of
     ``None`` reads the ``STOCHMATCH_THREADS`` variable, defaulting to 1
     (see ``thread_count``).
@@ -154,17 +170,17 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
     trials = config.trials
     width = max(1, matcher.draw_bound(instance))
     rows = max(1, min(CHUNK_TRIALS, BLOCK_FLOATS // width))
-    blocks = [(instance, matcher, config.seed, a, min(a + rows, trials), width)
-              for a in range(0, trials, rows)]
+    blocks = [(config.seed, a, min(a + rows, trials), width) for a in range(0, trials, rows)]
     threads = thread_count(threads, chunks=len(blocks))
     if threads > 1:
         plans = _table_plans(instance, matcher)
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker,
+                                 initargs=(instance, matcher)) as pool:
             parts = list(pool.map(_run_worker, *zip(*blocks)))
         for part in parts:
             plans.update(part[2])
     else:
-        parts = [_run_block(*block) for block in blocks]
+        parts = [_run_block(instance, matcher, *block) for block in blocks]
     weights = np.concatenate([p[0] for p in parts])
     counts = np.sum([p[1] for p in parts], axis=0)
     mean = float(np.mean(weights))

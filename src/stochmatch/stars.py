@@ -512,14 +512,28 @@ def auto_solver(star_or_patience) -> StarSolver:
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a boolean matrix with at least one column, and
-    per row the index of its distinct row."""
-    packed = np.ascontiguousarray(np.packbits(rows, axis=1))
-    sets, group = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
-                            return_inverse=True)
-    masks = np.unpackbits(sets.view(np.uint8).reshape(len(sets), -1), axis=1,
-                          count=rows.shape[1])
-    return masks, group
+    """The distinct rows of a boolean matrix with ``k >= 1`` columns as
+    packed keys, and per row the index of its key.  A key is ``ceil(k /
+    64)`` uint64 words, little-endian (entry ``j`` is bit ``j % 64`` of
+    word ``j // 64``), and the rows are grouped by one sort over those
+    words; ``_unpacked`` turns keys back into rows."""
+    n, k = rows.shape
+    width = -(-k // 64)  # words per key
+    padded = np.zeros((n, width * 64), dtype=bool)
+    padded[:, :k] = rows
+    words = np.packbits(padded, bitorder="little").view("<u8").reshape(n, width)
+    order = np.lexsort(words.T)
+    words = words[order]
+    new = np.ones(n, dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    group = np.empty(n, dtype=np.intp)
+    group[order] = new.cumsum() - 1
+    return words[new], group
+
+
+def _unpacked(keys: np.ndarray, k: int) -> np.ndarray:
+    """The boolean rows of ``k`` columns that ``_distinct_rows`` packed into ``keys``."""
+    return np.unpackbits(keys.view(np.uint8), axis=1, count=k, bitorder="little").view(bool)
 
 
 def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
@@ -534,7 +548,8 @@ def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
         return order_match(star.probs, star.patience, *deterministic_patience_orders(star, avail))
     if not star.n:
         return np.zeros(avail.shape)
-    masks, group = _distinct_rows(avail)
+    keys, group = _distinct_rows(avail)
+    masks = _unpacked(keys, avail.shape[1])
     match = np.zeros(masks.shape)
     walked, orders = [], []
     for g, items in enumerate(map(np.flatnonzero, masks)):

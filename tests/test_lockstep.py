@@ -247,6 +247,69 @@ def test_adv_greedy_batch_on_a_larger_instance(solver):
     _assert_same(inst, AdvGreedyMatcher(solver_by_name(solver)), SimConfig(2, 300))
 
 
+def _wide_instance(seed, kind):
+    """65 to 80 offline vertices, all neighbors of type 0, which arrives
+    first, so that its free-set keys span two words; up to two more types
+    with a few neighbors each.  ``kind`` is the patience of every type:
+    deterministic (the ``dp`` solver's plans), hazard (``hazard``'s, under
+    per-item rates or a global one) or survival (``lp``'s randomized
+    plans)."""
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(65, 81)), int(rng.integers(1, 4))
+    probs = rng.random((m, n)) * (rng.random((m, n)) < 0.1)
+    probs[:, 0] = rng.uniform(0.05, 0.9, m)
+    if kind == "deterministic":
+        patience = [PatienceModel.deterministic(int(rng.integers(1, 4))) for _ in range(n)]
+    elif kind == "hazard":
+        patience = [PatienceModel.constant_hazard(rates=rng.random(m)),
+                    PatienceModel.constant_hazard(rate=float(rng.random()))] * 2
+    else:
+        patience = [_patience(rng, "survival", 3) for _ in range(n)]
+    order = [0] + rng.integers(0, n, int(rng.integers(0, 8))).tolist()
+    return MatchingInstance.make(probs, patience[:n], ArrivalModel.adversarial(order),
+                                 edge_weights=rng.random((m, n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seeds, st.sampled_from(("deterministic", "hazard", "survival")), seeds,
+       st.integers(1, 60))
+def test_adv_greedy_lockstep_equals_the_oracle_row_by_row(seed, kind, sim_seed, n):
+    # each trial's weight and the match counts of a lockstep block are the
+    # scalar walk's; keys of more than 64 neighbors take two words
+    instance = _wide_instance(seed, kind)
+    matcher = AdvGreedyMatcher()
+    block = sim._TrialStreams(sim_seed).fill(
+        np.empty((n, max(1, matcher.draw_bound(instance)))), 0)
+    weights, counts = matcher.run_lockstep(instance, block)
+    assert {len(key) for key in matcher._tables(instance).plan_rows[0].index} == {16}
+    walks = [scalar_walk(matcher, instance, RandomTape(trial_generator(sim_seed, i)))
+             for i in range(n)]
+    assert weights.tolist() == [w.total_weight for w in walks]
+    matched = [u for w in walks for u in w.matched]
+    assert counts.tolist() == np.bincount(matched, minlength=instance.m).tolist()
+
+
+def test_adv_greedy_solves_each_free_set_once():
+    # the first run solves each (type, free set) it meets once; a second
+    # run of the same trials finds every plan stored and solves none
+    calls = []
+
+    class Counting(StarSolver):
+        def solve(self, star):
+            calls.append(star)
+            return super().solve(star)
+
+    inst = hard.gen_random_matching(4, 10, 60, "adversarial", max_theta=3)
+    matcher = AdvGreedyMatcher(Counting("dp", 1.0))
+    config = SimConfig(1, 2000)
+    first = simulate(inst, matcher, config, threads=1)
+    assert len(calls) == len(matcher._tables(inst).plans) > 100
+    calls.clear()
+    second = simulate(inst, matcher, config, threads=1)
+    assert not calls
+    assert first.mean == second.mean and np.array_equal(first.match_freq, second.match_freq)
+
+
 @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.3, 1.0])
 def test_adv_greedy_randomized_plans_under_a_global_hazard_rate(rate):
     # a rate too small to change 1 - rate is no rate (log(1 - rate) is 0)

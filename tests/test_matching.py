@@ -486,3 +486,20 @@ def test_simple_greedy_trace_patience_one():
     assert all(c <= 1 for c in per_step.values())
     text = format_trace(state)
     assert len(text.splitlines()) == len(state.trace)
+
+
+def test_table_neighbors_equal_the_per_type_construction():
+    # the first and last types and one in between have no neighbor
+    rng = np.random.default_rng(3)
+    probs = rng.random((7, 9)) * (rng.random((7, 9)) < 0.6)
+    probs[:, [0, 4, 8]] = 0.0
+    inst = MatchingInstance.make(probs, PatienceModel.deterministic(2),
+                                 ArrivalModel.adversarial(range(9)), edge_weights=np.ones((7, 9)))
+    tables = matching._Tables(inst)
+    assert len(tables.neighbor_arrays) == len(tables.neighbors) == 9
+    for v, col in enumerate(probs.T):
+        want = np.flatnonzero(col > 0.0)
+        assert tables.neighbor_arrays[v].dtype == want.dtype
+        assert np.array_equal(tables.neighbor_arrays[v], want)
+        assert tables.neighbors[v] == want.tolist()
+        assert tables.caps[v] == inst.patience[v].max_probes(want.size)

@@ -114,6 +114,28 @@ def test_parallel_run_keeps_the_workers_plans():
     assert parallel._tables(inst).plans.keys() == plans.keys()
 
 
+class _CountedPickles(AdvGreedyMatcher):
+    pickled = 0
+
+    def __reduce_ex__(self, protocol):
+        type(self).pickled += 1
+        return super().__reduce_ex__(protocol)
+
+
+def test_workers_receive_the_matcher_once(monkeypatch):
+    # 20 blocks over at most 2 workers: the matcher goes to each worker
+    # once (pickled only where workers do not fork), never with a block
+    inst = hard.gen_random_matching(5, 6, 20, "adversarial")
+    matcher = _CountedPickles()
+    monkeypatch.setattr(sim, "BLOCK_FLOATS", 50 * matcher.draw_bound(inst))
+    cfg = SimConfig(seed=2, trials=1000)
+    serial = simulate(inst, AdvGreedyMatcher(), cfg, threads=1)
+    parallel = simulate(inst, matcher, cfg, threads=2)
+    assert _CountedPickles.pickled <= 2
+    assert parallel.mean == serial.mean and parallel.stddev == serial.stddev
+    assert np.array_equal(parallel.match_freq, serial.match_freq)
+
+
 @pytest.mark.parametrize("solver", [None, "lp"])
 def test_adv_greedy_plans_stay_with_their_instance(solver):
     # a matcher that ran on one instance values the next as a fresh one does
