@@ -34,13 +34,14 @@ until it runs on another instance: AdvGreedy's star plans, the policy-LP
 matcher's per-step CDF over its policies and per-policy skips.  The
 walks, the draw bound and the exact value read that table.  A policy-LP
 arrival step reads one uniform against that CDF, which picks the arriving
-type and its policy at once.  AdvGreedy keeps each plan by (type, free
-neighbors), as the black box returned it, and also as one row of its
-type's stacked plan arrays, found by the bytes of the free set's packed
-key: ``ceil(k / 64)`` uint64 words over the type's ``k`` neighbors.  At
-an arrival that leaves some trial a free neighbor, its lockstep walk
-groups the trials by one sort over their keys and gathers their plans'
-rows; only a key not stored yet reaches the black box.
+type and its policy at once.  AdvGreedy stores each plan only as one row
+of its type's stacked plan arrays (``_PlanRows``), found by the bytes of
+the free set's packed key: ``ceil(k / 64)`` uint64 words over the type's
+``k`` neighbors.  At an arrival that leaves some trial a free neighbor,
+its lockstep walk groups the trials by one sort over their keys and
+gathers their plans' rows; only a key not stored yet reaches the black
+box, whose answer becomes the key's row.  A parallel ``simulate`` hands
+each worker's new rows back to the caller's table.
 
 A greedy matcher's ``exact_value`` is a forward expansion over arrival
 steps with the bitmask of free offline vertices as state, at most
@@ -93,8 +94,8 @@ from .instances import (
 from .stars import (
     StarSolver,
     _distinct_rows,
+    _pack_orders,
     _price,
-    _unpacked,
     auto_solver,
     enumerated_orders,
     induced_match,
@@ -177,29 +178,29 @@ class _Tables:
     """What a matcher derives from one instance, built when it first runs
     on the instance (see ``_TableCache``): per-type arrays for the lockstep
     walks, which serve ``simulate`` and a called matcher (a one-row batch)
-    alike, and for the exact values; each type's neighbors also as a list,
-    for plan keys; and each type's probe cap over its neighbors
-    (``caps``).  A matcher that derives more extends it, and sets
+    alike, and for the exact values; each type's probe cap over its
+    neighbors (``caps``); and AdvGreedy's stored plans (``plan_rows``, a
+    ``_PlanRows`` per type that has walked, empty for other matchers),
+    which ``simulate`` carries back from its worker processes
+    (``keep_plans``).  A matcher that derives more extends it, and sets
     ``draw_bound``, the most uniforms one trial can read.  The tests'
     scalar walk (``tests/walk_oracle.py``) reads the same table."""
 
-    __slots__ = ("m", "patience", "neighbors", "neighbor_arrays", "probs", "weights",
-                 "theta", "survival", "curves", "hazard", "rates", "caps", "draw_bound")
+    __slots__ = ("m", "patience", "neighbor_arrays", "probs", "weights", "theta", "survival",
+                 "curves", "hazard", "rates", "caps", "plan_rows", "draw_bound")
 
     def __init__(self, instance: MatchingInstance):
         self.m = instance.m
-        self.patience = instance.patience
+        self.patience = pats = instance.patience
         # one pass over the edges, in type-major order, cut by type
         v, u = np.nonzero(instance.probs.T > 0.0)
         cuts = np.searchsorted(v, np.arange(instance.n_types + 1)).tolist()
-        spans, flat = list(zip(cuts[:-1], cuts[1:])), u.tolist()
-        self.neighbor_arrays = [u[a:b] for a, b in spans]
-        self.neighbors = [flat[a:b] for a, b in spans]
-        self.caps = [p.max_probes(len(nb)) for p, nb in zip(instance.patience, self.neighbors)]
+        self.neighbor_arrays = [u[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        self.caps = [p.max_probes(nb.size) for p, nb in zip(pats, self.neighbor_arrays)]
+        self.plan_rows: dict[int, _PlanRows] = {}
         # one row per type: a deterministic budget (survival budgets are
         # drawn, hazard walks have none), survival curves padded with -1 so
         # that a draw always stops inside the row, and hazard rates
-        pats = instance.patience
         self.probs = instance.probs
         self.weights = instance.weights_matrix()
         self.theta = np.array([p.theta if p.is_deterministic else BIG_PATIENCE
@@ -214,6 +215,14 @@ class _Tables:
                 self.curves[v, :len(p.q)] = p.q
             elif p.is_hazard:
                 self.rates[v] = p.hazard_rates(instance.m)
+
+    def keep_plans(self, v: int, rows: _PlanRows) -> _PlanRows:
+        """Type ``v``'s plan store, made of ``rows`` if it had none, else
+        with the rows of ``rows`` whose keys it lacked appended."""
+        store = self.plan_rows.setdefault(v, rows)
+        if store is not rows:
+            store.add(rows)
+        return store
 
     def walk_draws(self, v: int, probes: int) -> int:
         """Most uniforms one policy walk of type ``v`` reads when it can make
@@ -458,67 +467,57 @@ class _Lockstep:
 # ---------------------------------------------------------------------------
 
 class _PlanRows:
-    """One type's plans as stacked rows, each found by the bytes of its
-    free-set key (``stars._distinct_rows``): its kind (1 a policy, 2
-    randomized), its items (a policy's order, or a randomized plan's star
-    items) padded with 0 to the type's ``k`` neighbors, the length of that
-    order, and, for a type whose plans may be randomized, ``cum`` as ``(k,
-    k)``: a randomized plan's cumulative pick distributions, each row
-    padded with its last value and ``nan`` past the plan's attempts.  The
-    lockstep walk gathers the rows its trials need by index."""
+    """AdvGreedy's plans for one type as stacked rows, each found by the
+    bytes of its free-set key (``stars._distinct_rows``): its kind (1 a
+    policy, 2 randomized), its items (a policy's order, or a randomized
+    plan's star items) padded with 0 to the type's ``k`` neighbors, the
+    length of that order, and, for a type whose plans may be randomized,
+    ``cum`` as ``(k, k)``: a randomized plan's cumulative pick
+    distributions, each row padded with its last value and ``nan`` past the
+    plan's attempts (``None`` for any other type).  Rows are only appended,
+    so the key index lists the keys in row order.  The lockstep walk
+    gathers the rows its trials need by index."""
 
     __slots__ = ("index", "kind", "items", "length", "cum")
 
-    def __init__(self, k: int, randomized: bool):
-        self.index: dict[bytes, int] = {}
-        self.kind = np.zeros(0, dtype=np.int8)
-        self.items = np.zeros((0, k), dtype=np.intp)
-        self.length = np.zeros(0, dtype=np.intp)
-        self.cum = np.full((0, k, k), np.nan) if randomized else None
+    def __init__(self, names: list, kind, items, length, cum):
+        self.index = dict(zip(names, range(len(names))))
+        self.kind, self.items, self.length, self.cum = kind, items, length, cum
 
-    def add(self, names: list, plans: list):
-        """Store ``plans[i]`` (see ``AdvGreedyMatcher._plan``) under key bytes ``names[i]``."""
-        first, k = len(self.kind), self.items.shape[1]
-        kind = np.ones(len(plans), dtype=np.int8)
-        items = np.zeros((len(plans), k), dtype=np.intp)
-        length = np.zeros(len(plans), dtype=np.intp)
-        cum = None if self.cum is None else np.full((len(plans), k, k), np.nan)
-        for i, plan in enumerate(plans):
-            order = plan[1] if plan[0] == "policy" else plan[2]
-            length[i] = n = len(order)
-            items[i, :n] = order
-            if plan[0] == "randomized":
-                kind[i] = 2
-                cum[i, :n, :n], cum[i, :n, n:] = plan[3], plan[3][:, -1:]
-        self.kind = np.concatenate([self.kind, kind])
-        self.items = np.concatenate([self.items, items])
-        self.length = np.concatenate([self.length, length])
-        if cum is not None:
-            self.cum = np.concatenate([self.cum, cum])
-        self.index.update(zip(names, range(first, first + len(plans))))
+    def add(self, rows: _PlanRows):
+        """Append the rows of ``rows`` whose keys this store lacks."""
+        names = [name for name in rows.index if name not in self.index]
+        new = [rows.index[name] for name in names]
+        self.index.update(zip(names, range(len(self.kind), len(self.kind) + len(new))))
+        self.kind = np.concatenate([self.kind, rows.kind[new]])
+        self.items = np.concatenate([self.items, rows.items[new]])
+        self.length = np.concatenate([self.length, rows.length[new]])
+        if self.cum is not None:
+            self.cum = np.concatenate([self.cum, rows.cum[new]])
+
+    def since(self, first: int) -> _PlanRows:
+        """The rows from row ``first`` on, as a store of their own."""
+        return _PlanRows(list(itertools.islice(self.index, first, None)), self.kind[first:],
+                         self.items[first:], self.length[first:],
+                         None if self.cum is None else self.cum[first:])
 
 
 class _GreedyTables(_Tables):
-    """A greedy matcher's table: also its plans by (type, available
-    neighbors), solved as arrivals first need them, the same plans as
-    stacked rows per type (``plan_rows``, a ``_PlanRows`` per type that has
-    walked), and per type whether a plan may be randomized.  The draw
-    bound allows a type whose solver may return a randomized plan its
-    reads: a budget, then a pick and a success draw per attempt; any other
-    type a policy walk's, and the lockstep walk refuses a randomized plan
-    for it."""
+    """A greedy matcher's table: also per type whether a plan may be
+    randomized.  The draw bound allows a type whose solver may return a
+    randomized plan its reads: a budget, then a pick and a success draw per
+    attempt; any other type a policy walk's, and the lockstep walk refuses
+    a randomized plan for it."""
 
-    __slots__ = ("plans", "plan_rows", "randomized")
+    __slots__ = ("randomized",)
 
     def __init__(self, instance: MatchingInstance, randomized: list[bool]):
         if instance.arrivals.kind != ADVERSARIAL:
             raise CapabilityError("greedy matcher needs adversarial arrivals")
         super().__init__(instance)
-        self.plans: dict = {}
-        self.plan_rows: dict[int, _PlanRows] = {}
         self.randomized = randomized
-        draws = [(1 + 2 * k if randomized[v] else self.walk_draws(v, k)) if self.neighbors[v]
-                 else 0 for v, k in enumerate(self.caps)]
+        draws = [(1 + 2 * k if randomized[v] else self.walk_draws(v, k))
+                 if self.neighbor_arrays[v].size else 0 for v, k in enumerate(self.caps)]
         self.draw_bound = sum(draws[v] for v in instance.arrivals.order)
 
 
@@ -572,42 +571,25 @@ class AdvGreedyMatcher(_GreedyMatcher):
 
     Per arrival, builds the star over the currently unmatched neighbors,
     asks the black box for a plan, and probes accordingly (committing on
-    the first success).  Plans are cached by (type, available set) in the
-    matcher's table on the instance, which another instance replaces; the
-    cache is an optimization only and never changes results, on one
-    instance or across several.  The lockstep walk reads the same plans as
+    the first success).  Plans are stored by (type, available set) in the
+    matcher's table on the instance, which another instance replaces, as
     stacked rows per type (``_PlanRows``), found by the packed key of a
-    trial's free neighbors (``stars._distinct_rows``), so a warm matcher
-    gathers each arrival's plans with a few array indexings and calls the
-    black box for no set it has solved before.
+    trial's free neighbors (``stars._distinct_rows``); the store is an
+    optimization only and never changes results, on one instance or across
+    several.  A warm matcher gathers each arrival's plans with a few array
+    indexings and calls the black box for no set it has solved before.
     """
 
     def __init__(self, solver: StarSolver | None = None):
         self.solver = solver
 
     def _new_tables(self, instance) -> _GreedyTables:
-        # of the star solvers only the LP policy returns randomized plans
-        return _GreedyTables(instance, [(self.solver or auto_solver(p)).name == "lp"
-                                        for p in instance.patience])
-
-    def _plan(self, instance, tables, v, avail_key):
-        """The black box's plan for type ``v`` on its free neighbors ``avail_key``:
-        ``("policy", order)`` or ``("randomized", policy, items, cum)``."""
-        key = (v, avail_key)
-        plan = tables.plans.get(key)
-        if plan is None:
-            star, items = instance.star_for(v, avail_key)
-            solver = self.solver or auto_solver(star)
-            result = solver.solve(star)
-            if isinstance(result.policy, Policy):
-                plan = ("policy", tuple(items[i] for i in result.policy.order))
-            else:
-                probs = result.policy.attempt_probs
-                cum = np.cumsum(probs, axis=1)
-                cum[~probs.any(axis=1)] = np.nan
-                plan = ("randomized", result.policy, items, cum)
-            tables.plans[key] = plan
-        return plan
+        # of the star solvers only the LP policy returns randomized plans;
+        # types share few patience objects, so each is asked once
+        models = {id(p): p for p in instance.patience}
+        by_model = {key: (self.solver or auto_solver(p)).name == "lp"
+                    for key, p in models.items()}
+        return _GreedyTables(instance, [by_model[id(p)] for p in instance.patience])
 
     def _exact_match(self, instance, tables, v, avail):
         """Match probabilities of an arrival of type ``v`` on each row of
@@ -619,28 +601,44 @@ class AdvGreedyMatcher(_GreedyMatcher):
         match[:, neigh] = induced_match(self.solver or auto_solver(star), star, avail)
         return match
 
-    def _find_rows(self, instance, tables, v, keys) -> tuple[_PlanRows, np.ndarray]:
-        """Type ``v``'s stored plan rows and the row of each of its packed
-        free-set ``keys`` there.  A key not stored yet takes its plan from
-        ``_plan``; a randomized plan for a type whose draw bound allows only
-        a policy walk raises ``StochmatchError``."""
+    def _find_rows(self, instance, tables, v, keys, free, first):
+        """Type ``v``'s stored plan rows (a ``_PlanRows``) and the row of
+        each of its packed free-set ``keys`` there; row ``first[i]`` of the
+        boolean ``free`` marks the free neighbors of ``keys[i]``.  A key not
+        stored yet is planned by the black box on the star its free
+        neighbors induce, and its row is written from the result; a
+        randomized plan for a type whose draw bound allows only a policy
+        walk raises ``StochmatchError``."""
         neigh = tables.neighbor_arrays[v]
         store = tables.plan_rows.get(v)
-        if store is None:
-            store = tables.plan_rows[v] = _PlanRows(neigh.size, tables.randomized[v])
         names = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
-        found = [store.index.get(name) for name in names]
+        index = {} if store is None else store.index
+        found = list(map(index.get, names))
         if None in found:
             new = [i for i, at in enumerate(found) if at is None]
-            masks = _unpacked(keys[new], neigh.size)
-            plans = [self._plan(instance, tables, v, tuple(neigh[mask].tolist()))
-                     for mask in masks]
-            if not tables.randomized[v] and any(plan[0] != "policy" for plan in plans):
-                solver = self.solver or auto_solver(tables.patience[v])
-                raise StochmatchError(
-                    f"star solver {solver.name!r} returned a randomized plan for type "
-                    f"{v}, whose draw bound allowed only a policy walk's uniforms")
-            store.add([names[i] for i in new], plans)
+            solver = self.solver or auto_solver(tables.patience[v])
+            count, k = len(new), neigh.size
+            kind, length = np.ones(count, dtype=np.int8), np.zeros(count, dtype=np.intp)
+            items = np.zeros((count, k), dtype=np.intp)
+            cum = np.full((count, k, k), np.nan) if tables.randomized[v] else None
+            for i, mask in enumerate(free[first[new]]):
+                star, star_items = instance.star_for(v, neigh[mask].tolist())
+                plan = solver.solve(star).policy
+                if isinstance(plan, Policy):
+                    order = [star_items[j] for j in plan.order]
+                elif cum is None:
+                    raise StochmatchError(
+                        f"star solver {solver.name!r} returned a randomized plan for type "
+                        f"{v}, whose draw bound allowed only a policy walk's uniforms")
+                else:
+                    kind[i], order, n = 2, star_items, len(star_items)
+                    pick = np.cumsum(plan.attempt_probs, axis=1)
+                    pick[~plan.attempt_probs.any(axis=1)] = np.nan
+                    cum[i, :n, :n], cum[i, :n, n:] = pick, pick[:, -1:]
+                length[i] = len(order)
+                items[i, :len(order)] = order
+            store = tables.keep_plans(v, _PlanRows([names[i] for i in new], kind, items,
+                                                   length, cum))
             found = [store.index[name] for name in names]
         return store, np.array(found, dtype=np.intp)
 
@@ -650,9 +648,10 @@ class AdvGreedyMatcher(_GreedyMatcher):
         An arrival that finds none of its neighbors unmatched in any trial
         is skipped; otherwise the trials with a free neighbor are grouped by
         their packed free-set keys (``stars._distinct_rows``), each key is
-        looked up in the type's stored plan rows (``_find_rows``), and the
-        walks gather their rows from there.  ``log`` is a one-row batch's
-        probe log (see ``_Lockstep``)."""
+        looked up, with its first trial's free neighbors, in the type's
+        stored plan rows (``_find_rows``), and the walks gather their rows
+        from there.  ``log`` is a one-row batch's probe log (see
+        ``_Lockstep``)."""
         tables = self._tables(instance)
         state = _Lockstep(uniforms, instance.m, log)
         for step, v in enumerate(instance.arrivals.order):
@@ -663,8 +662,9 @@ class AdvGreedyMatcher(_GreedyMatcher):
             rows = np.flatnonzero(avail.any(axis=1))
             if not rows.size:
                 continue
-            keys, group = _distinct_rows(avail[rows])
-            store, found = self._find_rows(instance, tables, v, keys)
+            free = avail[rows]
+            keys, group, first = _distinct_rows(free)
+            store, found = self._find_rows(instance, tables, v, keys, free, first)
             plan = found[group]
             walks = store.kind[plan] == 1
             if walks.any():
@@ -997,14 +997,15 @@ class _PolicyTables(_Tables):
     vertex's LP reward) and the order without them.  ``share[g]`` is the
     policy's mass, clipped at 0, over the sum of its type's clipped masses:
     the probability that an arrival of that type draws it, which is
-    ``mass / q_v`` unless the masses sum above ``q_v``.  ``cum[t]`` is
-    step ``t``'s CDF over the policies: arriving as type ``v`` and then
-    drawing policy ``g`` with probability ``share[g]``.  No arrival, and an
-    arrival of a type whose mixture samples nothing, lie above
-    ``cum[t, -1]``."""
+    ``mass / q_v`` unless the masses sum above ``q_v``.  ``steps[t, v]``
+    is the probability that step ``t`` brings an arrival of type ``v``,
+    which the walks and the exact value share, and ``cum[t]`` is step
+    ``t``'s CDF over the policies: arriving as type ``v`` and then drawing
+    policy ``g`` with probability ``share[g]``.  No arrival, and an arrival
+    of a type whose mixture samples nothing, lie above ``cum[t, -1]``."""
 
-    __slots__ = ("cum", "type_of", "share", "orders", "skipped", "kept", "walks", "items",
-                 "length")
+    __slots__ = ("steps", "cum", "type_of", "share", "orders", "skipped", "kept", "walks",
+                 "items", "length")
 
     def __init__(self, instance: MatchingInstance, lp_result: ProphetLpResult, skip: bool):
         if instance.arrivals.kind not in (PROPHET, IID):
@@ -1039,17 +1040,14 @@ class _PolicyTables(_Tables):
         self.draw_bound = (1 + draws) * instance.arrivals.n_steps  # a type-and-policy draw per step
         self.type_of = np.array(type_of, dtype=np.intp)
         arr = instance.arrivals
-        steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)])
+        self.steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)]).reshape(
+            arr.n_steps, instance.n_types)
         # a zero column when there is no policy, so that cum[t, -1] exists
         step_mass = np.zeros((arr.n_steps, max(len(type_of), 1)))
-        step_mass[:, :len(type_of)] = (steps.reshape(arr.n_steps, instance.n_types)
-                                       [:, self.type_of] * self.share)
+        step_mass[:, :len(type_of)] = self.steps[:, self.type_of] * self.share
         self.cum = np.cumsum(step_mass, axis=1)
         self.walks = np.array([bool(order) for order in self.orders], dtype=bool)
-        self.length = np.array([len(o) for o in self.kept], dtype=np.intp)
-        self.items = np.zeros((len(self.kept), self.length.max(initial=0)), dtype=np.intp)
-        for g, order in enumerate(self.kept):
-            self.items[g, :len(order)] = order
+        self.items, self.length = _pack_orders(self.kept)
 
     def with_skips(self, records: list, step: int, g: int) -> list[ProbeRecord]:
         """The probe log of one arrival's walk of policy ``g`` with its
@@ -1131,11 +1129,8 @@ class PolicyLpMatcher(_TableCache):
             mine = tables.type_of == v
             match[v] = share[mine] @ order_match(instance.probs[:, v], instance.patience[v],
                                                  tables.items[mine], tables.length[mine])
-        arr = instance.arrivals
-        steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)]).reshape(
-            arr.n_steps, instance.n_types)
-        probs = steps @ match
-        rewards = steps @ (match * instance.weights_matrix().T)
+        probs = tables.steps @ match
+        rewards = tables.steps @ (match * tables.weights.T)
         free = np.cumprod(np.vstack([np.ones(instance.m), 1.0 - probs]), axis=0)[:-1]
         return float(np.sum(free * rewards))
 

@@ -15,7 +15,10 @@ fills it, its state reset to counter 0 under key ``(seed, i)`` for trial
 matcher then walks every row at once on numpy state (``run_lockstep``);
 SimpleGreedy takes a run of identical patience-1 arrivals as one step,
 scanning each row's uniforms for its next success, and AdvGreedy gathers
-an arrival's plans from rows stored by packed free-set key.
+an arrival's plans from rows stored by packed free-set key.  A worker
+process returns, with its block's results, the plan rows its matcher's
+table gained, and the caller's table appends those it lacks, so that
+plans solved in workers are not solved again.
 Each row is the stream the trial would read alone, so reports are the same
 as the tests' scalar walk (``tests/walk_oracle.py``) gives one trial at a
 time; a called matcher runs one trial as a one-row batch.  Exact values
@@ -27,7 +30,6 @@ this module loads no scipy.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +39,7 @@ import numpy as np
 
 from .instances import (ADVERSARIAL, CapabilityError, CapacityError, MatchingInstance,
                         StochmatchError)
+from .stars import _distinct
 
 LOW_TRIAL_WARNING = 1000
 CHUNK_TRIALS = 4096        # most trials in one lockstep batch
@@ -107,13 +110,6 @@ def _run_block(instance, matcher, seed, start, stop, width):
     return matcher.run_lockstep(instance, block)
 
 
-def _table_plans(instance, matcher) -> dict:
-    """AdvGreedy's plan cache in its table on ``instance``; a throwaway
-    dict for other matchers."""
-    tables = matcher._tables(instance) if hasattr(matcher, "_tables") else None
-    return getattr(tables, "plans", {})
-
-
 _JOB: tuple = ()  # a worker process's (instance, matcher), set once by ``_start_worker``
 
 
@@ -126,14 +122,15 @@ def _start_worker(instance, matcher):
 
 def _run_worker(seed, start, stop, width):
     """``_run_block`` in a worker process on its kept instance and matcher,
-    returning also the plans the matcher's table gained in this block, so
-    that the caller's table keeps them.  Plans are only ever added, so the
-    dict's insertion order puts them last."""
+    returning also the plan rows the matcher's table gained in this block
+    (``_PlanRows.since``, per type), so that the caller's table keeps
+    them."""
     instance, matcher = _JOB
-    plans = _table_plans(instance, matcher)
-    known = len(plans)
+    stores = matcher._tables(instance).plan_rows
+    known = {v: len(store.kind) for v, store in stores.items()}
     weights, counts = _run_block(instance, matcher, seed, start, stop, width)
-    return weights, counts, dict(itertools.islice(plans.items(), known, None))
+    return weights, counts, {v: store.since(known.get(v, 0)) for v, store in stores.items()
+                             if len(store.kind) > known.get(v, 0)}
 
 
 def thread_count(threads=None, chunks: int | None = None, default: int = 1) -> int:
@@ -163,7 +160,8 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
     worker processes, each given the instance and the matcher once, by the
     pool's initializer, so that a block carries only its seed, trial range
     and width; the report is bit-identical to a serial run because
-    each trial's stream depends only on (seed, trial index).  A value of
+    each trial's stream depends only on (seed, trial index), and the plan
+    rows the workers' tables gained join the caller's table.  A value of
     ``None`` reads the ``STOCHMATCH_THREADS`` variable, defaulting to 1
     (see ``thread_count``).
     """
@@ -173,12 +171,13 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
     blocks = [(config.seed, a, min(a + rows, trials), width) for a in range(0, trials, rows)]
     threads = thread_count(threads, chunks=len(blocks))
     if threads > 1:
-        plans = _table_plans(instance, matcher)
+        tables = matcher._tables(instance)
         with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker,
                                  initargs=(instance, matcher)) as pool:
             parts = list(pool.map(_run_worker, *zip(*blocks)))
         for part in parts:
-            plans.update(part[2])
+            for v, gained in part[2].items():
+                tables.keep_plans(v, gained)
     else:
         parts = [_run_block(instance, matcher, *block) for block in blocks]
     weights = np.concatenate([p[0] for p in parts])
@@ -199,14 +198,6 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
 
 OFFLINE_OPT_STATE_CAP = 2_000_000  # most reachable canonical states
 OFFLINE_OPT_CHUNK = 1 << 16        # most probes built at once
-
-
-def _distinct(keys):
-    """The distinct columns of ``keys`` (sorted) and each column's index among them."""
-    order = np.lexsort(keys)
-    keys = keys[:, order]
-    new = np.append(True, (keys[:, 1:] != keys[:, :-1]).any(axis=0))[:order.size]
-    return keys[:, new], (np.cumsum(new) - 1)[np.argsort(order)]
 
 
 def _offline_moves(keys, m, n, classes):
@@ -269,14 +260,17 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
     for level in range(len(pending) - 1, -1, -1):
         if not pending[level]:
             continue
-        keys, index = _distinct(np.concatenate([k for k, _ in pending[level]], axis=1))
+        keys = np.concatenate([k for k, _ in pending[level]], axis=1)
+        index, kept = _distinct(keys)
+        keys = keys[:, kept]
         slots.append(np.concatenate([t for _, t in pending[level]]))
         found.append(reached + index)
         if reached + keys.shape[1] > OFFLINE_OPT_STATE_CAP:
             raise CapacityError(f"offline oracle reaches more than {OFFLINE_OPT_STATE_CAP} states")
         for a in range(0, keys.shape[1], step):
             s, v, u, after = _offline_moves(keys[:, a:a + step], m, n, classes)
-            after, index = _distinct(after)
+            index, kept = _distinct(after)
+            after = after[:, kept]
             lows, first = np.unique(after[-1], return_index=True)
             for low, part in zip(lows, np.split(np.arange(after.shape[1]), first[1:])):
                 pending[low].append((after[:-1, part], outcomes + part))

@@ -511,29 +511,33 @@ def auto_solver(star_or_patience) -> StarSolver:
     return solver_by_name("lp")
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the columns of an integer matrix by value, in ``np.lexsort``
+    order (the last row is the primary key): per column the index of its
+    group, and per group the index of its first column.  The package's one
+    grouping: the offline oracle's states (``simulate``) and AdvGreedy's
+    free-set keys (``_distinct_rows``) both go through it."""
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = new.cumsum() - 1
+    return group, order[new]
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows of a boolean matrix with ``k >= 1`` columns as
-    packed keys, and per row the index of its key.  A key is ``ceil(k /
-    64)`` uint64 words, little-endian (entry ``j`` is bit ``j % 64`` of
-    word ``j // 64``), and the rows are grouped by one sort over those
-    words; ``_unpacked`` turns keys back into rows."""
+    packed keys, per row the index of its key, and per key its first row
+    (``_distinct`` over the keys).  A key is ``ceil(k / 64)`` uint64 words,
+    little-endian (entry ``j`` is bit ``j % 64`` of word ``j // 64``)."""
     n, k = rows.shape
     width = -(-k // 64)  # words per key
     padded = np.zeros((n, width * 64), dtype=bool)
     padded[:, :k] = rows
     words = np.packbits(padded, bitorder="little").view("<u8").reshape(n, width)
-    order = np.lexsort(words.T)
-    words = words[order]
-    new = np.ones(n, dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    group = np.empty(n, dtype=np.intp)
-    group[order] = new.cumsum() - 1
-    return words[new], group
-
-
-def _unpacked(keys: np.ndarray, k: int) -> np.ndarray:
-    """The boolean rows of ``k`` columns that ``_distinct_rows`` packed into ``keys``."""
-    return np.unpackbits(keys.view(np.uint8), axis=1, count=k, bitorder="little").view(bool)
+    group, first = _distinct(words.T)
+    return words[first], group, first
 
 
 def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
@@ -548,8 +552,8 @@ def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
         return order_match(star.probs, star.patience, *deterministic_patience_orders(star, avail))
     if not star.n:
         return np.zeros(avail.shape)
-    keys, group = _distinct_rows(avail)
-    masks = _unpacked(keys, avail.shape[1])
+    _, group, first = _distinct_rows(avail)
+    masks = avail[first]
     match = np.zeros(masks.shape)
     walked, orders = [], []
     for g, items in enumerate(map(np.flatnonzero, masks)):

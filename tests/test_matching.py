@@ -496,10 +496,9 @@ def test_table_neighbors_equal_the_per_type_construction():
     inst = MatchingInstance.make(probs, PatienceModel.deterministic(2),
                                  ArrivalModel.adversarial(range(9)), edge_weights=np.ones((7, 9)))
     tables = matching._Tables(inst)
-    assert len(tables.neighbor_arrays) == len(tables.neighbors) == 9
+    assert len(tables.neighbor_arrays) == 9
     for v, col in enumerate(probs.T):
         want = np.flatnonzero(col > 0.0)
         assert tables.neighbor_arrays[v].dtype == want.dtype
         assert np.array_equal(tables.neighbor_arrays[v], want)
-        assert tables.neighbors[v] == want.tolist()
         assert tables.caps[v] == inst.patience[v].max_probes(want.size)

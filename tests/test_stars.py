@@ -17,7 +17,6 @@ from stochmatch.stars import (
     _distinct_rows,
     _lp_attempt_count,
     _price,
-    _unpacked,
     brute_force_optimal,
     build_arbitrary_patience_lp,
     enumerate_policies,
@@ -577,16 +576,19 @@ def test_wrong_variant_errors():
 @pytest.mark.parametrize("k", [1, 8, 63, 64, 65, 130])
 def test_distinct_rows_packs_each_row_into_words(k):
     # few distinct rows among many, some of them empty; entry j of a row is
-    # bit j % 64 of word j // 64
+    # bit j % 64 of word j // 64, and each key's representative is its
+    # first row
     rng = np.random.default_rng(k)
     pool = rng.random((6, k)) < 0.5
     pool[0] = False
     rows = pool[rng.integers(0, 6, 200)]
-    keys, group = _distinct_rows(rows)
+    keys, group, first = _distinct_rows(rows)
     assert keys.dtype == np.uint64 and keys.shape[1] == -(-k // 64)
     assert len(keys) == len(np.unique(rows, axis=0))
-    masks = _unpacked(keys, k)
-    assert np.array_equal(masks[group], rows)
+    assert np.array_equal(rows[first][group], rows)
+    assert np.array_equal(first, [np.flatnonzero(group == g)[0] for g in range(len(keys))])
+    assert np.array_equal(group[first], np.arange(len(keys)))
+    assert np.array_equal(np.lexsort(keys.T), np.arange(len(keys)))  # keys in sort order
     j = np.flatnonzero(rows[0])
     assert np.array_equal((keys[group[0], j // 64] >> (j % 64).astype(np.uint64)) & 1,
                           np.ones(j.size, dtype=np.uint64))

@@ -7,11 +7,12 @@ tests' reference for both: it reads each trial's stream in the same order,
 so reports, matches and traces must be equal, not approximately equal.
 """
 
+import functools
 import itertools
 
 import numpy as np
 
-from stochmatch.instances import PatienceModel, PatienceVariantError
+from stochmatch.instances import PatienceModel, PatienceVariantError, Policy
 from stochmatch.matching import (
     BIG_PATIENCE,
     MatcherState,
@@ -20,6 +21,7 @@ from stochmatch.matching import (
     RandomTape,
     SimpleGreedyMatcher,
 )
+from stochmatch.stars import auto_solver
 
 
 class _State(MatcherState):
@@ -136,12 +138,29 @@ def _walk_randomized(tables, state, step, v, cum, items, tape):
             state.record(step, v, t + 1, u, "real", "fail")
 
 
+@functools.lru_cache(maxsize=4096)
+def _black_box_plan(solver, star):
+    """``solver``'s plan on ``star``: ``(order, None)`` for a policy, or
+    ``(None, cum)`` for a randomized plan, ``cum[t]`` its attempt ``t``'s
+    cumulative pick distribution and ``nan`` where the attempt picks
+    nothing.  Memoized by (solver, star), both frozen and compared by value,
+    so that the walk does not solve a star again at every arrival."""
+    plan = solver.solve(star).policy
+    if isinstance(plan, Policy):
+        return plan.order, None
+    cum = np.cumsum(plan.attempt_probs, axis=1)
+    cum[~plan.attempt_probs.any(axis=1)] = np.nan
+    return None, cum
+
+
 def scalar_walk(matcher, instance, rng, trace: bool = False) -> MatcherState:
     """One trial of ``matcher`` on ``rng`` (a ``RandomTape`` or a Generator),
     reading only the uniforms its walk uses.  A policy-LP arrival reads one
     uniform against the step's CDF over policies; a greedy arrival walks
     its still-unmatched neighbors in SimpleGreedy's rule order (lowest
-    index first, or last), or AdvGreedy's plan for them."""
+    index first, or last), or the plan AdvGreedy's black box returns for
+    the star they induce (``_black_box_plan``): the walk reads no plan the
+    matcher stored."""
     tables = matcher._tables(instance)
     tape = rng if isinstance(rng, RandomTape) else RandomTape(rng)
     state = _State(trace=[] if trace else None)
@@ -158,15 +177,17 @@ def scalar_walk(matcher, instance, rng, trace: bool = False) -> MatcherState:
         return state
     for step, v in enumerate(instance.arrivals.order):
         matched = state.matched
-        avail = tuple(u for u in tables.neighbors[v] if u not in matched)
+        avail = [u for u in tables.neighbor_arrays[v].tolist() if u not in matched]
         if not avail:
             continue
         if isinstance(matcher, SimpleGreedyMatcher):
-            plan = ("policy", avail[::-1] if matcher.rule == "last" else avail)
+            _walk_policy(tables, state, step, v, avail[::-1] if matcher.rule == "last" else avail,
+                         tape)
+            continue
+        star, items = instance.star_for(v, avail)
+        order, cum = _black_box_plan(matcher.solver or auto_solver(star), star)
+        if cum is None:
+            _walk_policy(tables, state, step, v, [items[i] for i in order], tape)
         else:
-            plan = matcher._plan(instance, tables, v, avail)
-        if plan[0] == "policy":
-            _walk_policy(tables, state, step, v, plan[1], tape)
-        else:
-            _walk_randomized(tables, state, step, v, plan[3], plan[2], tape)
+            _walk_randomized(tables, state, step, v, cum, items, tape)
     return state
