@@ -375,7 +375,9 @@ class MatchingInstance:
         if isinstance(patience, PatienceModel):
             patience = (patience,) * probs.shape[1]
         else:
-            patience = tuple(patience)
+            # equal models become one object, so per-model work runs once
+            shared = {}
+            patience = tuple(shared.setdefault(p, p) for p in patience)
         if (vertex_weights is None) == (edge_weights is None):
             raise ValueError("give exactly one of vertex_weights or edge_weights")
         if vertex_weights is not None:

@@ -182,39 +182,58 @@ class _Tables:
     neighbors (``caps``); and AdvGreedy's stored plans (``plan_rows``, a
     ``_PlanRows`` per type that has walked, empty for other matchers),
     which ``simulate`` carries back from its worker processes
-    (``keep_plans``).  A matcher that derives more extends it, and sets
-    ``draw_bound``, the most uniforms one trial can read.  The tests'
-    scalar walk (``tests/walk_oracle.py``) reads the same table."""
+    (``keep_plans``).  Types share few patience models, so each distinct
+    model (``models``) is read once and a type's entries are gathered from
+    its model's (``model_of``).  A matcher that derives more extends it,
+    and sets ``draw_bound``, the most uniforms one trial can read.  The
+    tests' scalar walk (``tests/walk_oracle.py``) reads the same table."""
 
-    __slots__ = ("m", "patience", "neighbor_arrays", "probs", "weights", "theta", "survival",
-                 "curves", "hazard", "rates", "caps", "plan_rows", "draw_bound")
+    __slots__ = ("m", "patience", "models", "model_of", "neighbor_arrays", "degree", "probs",
+                 "weights", "theta", "survival", "curves", "hazard", "rates", "caps",
+                 "plan_rows", "draw_bound")
 
     def __init__(self, instance: MatchingInstance):
-        self.m = instance.m
+        self.m = m = instance.m
         self.patience = pats = instance.patience
+        # equal patience models are one object (``MatchingInstance.make``)
+        objects = dict(zip(map(id, pats), pats))
+        index = dict(zip(objects, range(len(objects))))
+        self.model_of = of = np.fromiter(map(index.__getitem__, map(id, pats)), np.intp,
+                                         len(pats))
+        self.models = models = list(objects.values())
         # one pass over the edges, in type-major order, cut by type
         v, u = np.nonzero(instance.probs.T > 0.0)
-        cuts = np.searchsorted(v, np.arange(instance.n_types + 1)).tolist()
-        self.neighbor_arrays = [u[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-        self.caps = [p.max_probes(nb.size) for p, nb in zip(pats, self.neighbor_arrays)]
+        cuts = np.searchsorted(v, np.arange(instance.n_types + 1))
+        self.neighbor_arrays = [u[a:b] for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())]
+        self.degree = cuts[1:] - cuts[:-1]
         self.plan_rows: dict[int, _PlanRows] = {}
-        # one row per type: a deterministic budget (survival budgets are
-        # drawn, hazard walks have none), survival curves padded with -1 so
-        # that a draw always stops inside the row, and hazard rates
         self.probs = instance.probs
         self.weights = instance.weights_matrix()
-        self.theta = np.array([p.theta if p.is_deterministic else BIG_PATIENCE
-                               for p in pats], dtype=np.int64)
-        self.survival = np.array([p.is_survival for p in pats])
-        self.hazard = np.array([p.is_hazard for p in pats])
-        width = max((len(p.q) for p in pats if p.is_survival), default=0)
-        self.curves = np.full((len(pats), width + 1), -1.0)
-        self.rates = np.zeros((len(pats), instance.m))
-        for v, p in enumerate(pats):
+        # no type has more than m neighbors, so its cap over its k neighbors
+        # is min(k, its model's cap over m)
+        self.caps = np.minimum(self.degree,
+                               np.array([p.max_probes(m) for p in models], dtype=np.intp)[of])
+        # one row per type: a deterministic budget (survival budgets are
+        # drawn, hazard walks have none), survival curves padded with -1 so
+        # that a draw always stops inside the row, and hazard rates, written
+        # only in hazard types' rows so that the others stay untouched zero
+        # pages (33 MB of them on the uncapped simple-greedy family)
+        self.theta = np.array([p.theta if p.is_deterministic else BIG_PATIENCE for p in models],
+                              dtype=np.int64)[of]
+        self.survival = np.array([p.is_survival for p in models], dtype=bool)[of]
+        self.hazard = np.array([p.is_hazard for p in models], dtype=bool)[of]
+        width = max((len(p.q) for p in models if p.is_survival), default=0)
+        curves = np.full((len(models), width + 1), -1.0)
+        rates = np.zeros((len(models), m))
+        for i, p in enumerate(models):
             if p.is_survival:
-                self.curves[v, :len(p.q)] = p.q
+                curves[i, :len(p.q)] = p.q
             elif p.is_hazard:
-                self.rates[v] = p.hazard_rates(instance.m)
+                rates[i] = p.hazard_rates(m)
+        self.curves = curves[of]
+        self.rates = np.zeros((len(pats), m))
+        if any(p.is_hazard for p in models):
+            self.rates[self.hazard] = rates[of[self.hazard]]
 
     def keep_plans(self, v: int, rows: _PlanRows) -> _PlanRows:
         """Type ``v``'s plan store, made of ``rows`` if it had none, else
@@ -504,21 +523,24 @@ class _PlanRows:
 
 class _GreedyTables(_Tables):
     """A greedy matcher's table: also per type whether a plan may be
-    randomized.  The draw bound allows a type whose solver may return a
-    randomized plan its reads: a budget, then a pick and a success draw per
-    attempt; any other type a policy walk's, and the lockstep walk refuses
-    a randomized plan for it."""
+    randomized, which ``may_randomize`` tells per patience model (by
+    default, no type's).  The draw bound allows a type whose solver may
+    return a randomized plan its reads: a budget, then a pick and a success
+    draw per attempt; any other type a policy walk's (``walk_draws``), and
+    the lockstep walk refuses a randomized plan for it."""
 
     __slots__ = ("randomized",)
 
-    def __init__(self, instance: MatchingInstance, randomized: list[bool]):
+    def __init__(self, instance: MatchingInstance, may_randomize=lambda p: False):
         if instance.arrivals.kind != ADVERSARIAL:
             raise CapabilityError("greedy matcher needs adversarial arrivals")
         super().__init__(instance)
-        self.randomized = randomized
-        draws = [(1 + 2 * k if randomized[v] else self.walk_draws(v, k))
-                 if self.neighbor_arrays[v].size else 0 for v, k in enumerate(self.caps)]
-        self.draw_bound = sum(draws[v] for v in instance.arrivals.order)
+        self.randomized = np.array([may_randomize(p) for p in self.models],
+                                   dtype=bool)[self.model_of]
+        caps = self.caps
+        draws = np.where(self.randomized, 1 + 2 * caps, self.survival + caps * (1 + self.hazard))
+        draws[self.degree == 0] = 0
+        self.draw_bound = int(draws[np.asarray(instance.arrivals.order, dtype=np.intp)].sum())
 
 
 class _GreedyMatcher(_TableCache):
@@ -584,12 +606,8 @@ class AdvGreedyMatcher(_GreedyMatcher):
         self.solver = solver
 
     def _new_tables(self, instance) -> _GreedyTables:
-        # of the star solvers only the LP policy returns randomized plans;
-        # types share few patience objects, so each is asked once
-        models = {id(p): p for p in instance.patience}
-        by_model = {key: (self.solver or auto_solver(p)).name == "lp"
-                    for key, p in models.items()}
-        return _GreedyTables(instance, [by_model[id(p)] for p in instance.patience])
+        # of the star solvers only the LP policy returns randomized plans
+        return _GreedyTables(instance, lambda p: (self.solver or auto_solver(p)).name == "lp")
 
     def _exact_match(self, instance, tables, v, avail):
         """Match probabilities of an arrival of type ``v`` on each row of
@@ -687,7 +705,7 @@ class _SimpleTables(_GreedyTables):
     __slots__ = ("once", "order", "runs")
 
     def __init__(self, instance: MatchingInstance):
-        super().__init__(instance, [False] * instance.n_types)
+        super().__init__(instance)
         self.runs = None
 
     def cut_runs(self, instance: MatchingInstance):
@@ -695,10 +713,11 @@ class _SimpleTables(_GreedyTables):
         probe once and have equal probability and weight columns; any other
         arrival is a run of one.  The columns of consecutive distinct types
         are compared in chunks of at most ``RUN_FLOATS`` entries."""
-        self.once = [p.is_deterministic and c == 1 for p, c in zip(self.patience, self.caps)]
+        deterministic = np.array([p.is_deterministic for p in self.models], dtype=bool)
+        self.once = deterministic[self.model_of] & (self.caps == 1)
         self.order = order = np.asarray(instance.arrivals.order, dtype=np.intp)
         a, b = order[:-1], order[1:]
-        joined = np.asarray(self.once, dtype=bool)[order]
+        joined = self.once[order]
         joined = joined[:-1] & joined[1:]
         pairs = np.flatnonzero(joined & (a != b))
         chunk = max(1, RUN_FLOATS // max(self.m, 1))

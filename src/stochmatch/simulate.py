@@ -9,10 +9,17 @@ for a fixed trial array.
 A run splits its trials into one list of blocks, which serial runs and
 worker processes run the same way.  A block has one row per trial, as wide
 as the matcher's ``draw_bound`` (the most uniforms any trial reads), and at
-most ``CHUNK_TRIALS`` rows and ``BLOCK_FLOATS`` uniforms.  One generator
-fills it, its state reset to counter 0 under key ``(seed, i)`` for trial
-``i``, which gives the stream that ``trial_generator(seed, i)`` would; the
-matcher then walks every row at once on numpy state (``run_lockstep``);
+most ``CHUNK_TRIALS`` rows and ``BLOCK_FLOATS`` uniforms.  Row ``j`` of a
+block is the stream ``trial_generator(seed, start + j)`` would give, bit
+for bit (``trial_uniforms``), drawn by one of two paths: one vectorized
+Philox4x64-10 pass computes every row's 4-word counter blocks at once, in
+about 15 numpy calls a round, or one generator is reset to counter 0 under
+key ``(seed, i)`` for each row.  The vectorized pass costs more per
+uniform and per call but nothing per row, so a cost rule on the block's
+row count and width, with constants fitted by timing both, picks it for
+many narrow rows (the IID and prophet matchers' blocks) and the generator
+for few or wide ones (AdvGreedy's and SimpleGreedy's).  The matcher then
+walks every row at once on numpy state (``run_lockstep``);
 SimpleGreedy takes a run of identical patience-1 arrivals as one step,
 scanning each row's uniforms for its next success, and AdvGreedy gathers
 an arrival's plans from rows stored by packed free-set key.  A worker
@@ -76,25 +83,134 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _TrialStreams:
-    """The streams ``trial_generator(seed, i)`` from one reused generator:
-    resetting a Philox state to counter 0 under key ``(seed, i)`` costs a
-    fraction of building a new generator, and yields the same stream."""
+# Philox4x64-10 as numpy's ``Philox`` runs it (Salmon et al., SC 2011):
+# the round multipliers and the Weyl key bumps
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & np.uint64(0xFFFFFFFF), _PHILOX_M >> np.uint64(32)
+_LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
-    def __init__(self, seed: int):
-        self.bitgen = np.random.Philox(key=0)
-        self.gen = np.random.Generator(self.bitgen)
-        self.state = self.bitgen.state
-        self.key = self.state["state"]["key"]
-        self.key[0] = seed & _MASK64
+# A vectorized pass holds about 6 words per uniform; passes over at most
+# this many uniforms (1.5 MB) keep them in a core's L2 cache, and larger ones
+# ran at up to twice the cost per uniform
+PHILOX_PASS_FLOATS = 1 << 15
+# The cost in ns of each path to a block, fitted on a 2-core x86 machine
+# (CHANGES.md has the table): the generator pays per call, per row for a
+# state reset and per uniform; the vectorized path per pass and per uniform
+# of whole 4-word Philox blocks
+GENERATOR_NS, GENERATOR_NS_PER_ROW, GENERATOR_NS_PER_UNIFORM = 20_000, 2_200, 7.5
+PHILOX_NS, PHILOX_NS_PER_UNIFORM = 180_000, 32
 
-    def fill(self, block: np.ndarray, start: int) -> np.ndarray:
-        """Row ``j`` of ``block`` becomes the first draws of trial ``start + j``."""
-        for j, row in enumerate(block):
-            self.key[1] = (start + j) & _MASK64
-            self.bitgen.state = self.state
-            self.gen.random(out=row)
-        return block
+
+def _generator_uniforms(seed: int, start: int, rows: int, width: int) -> np.ndarray:
+    """``trial_uniforms`` from one reused generator: resetting a Philox
+    state to counter 0 under key ``(seed, i)`` costs a fraction of building
+    a new generator, and yields the same stream."""
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    key = state["state"]["key"]
+    key[0] = seed & _MASK64
+    block = np.empty((rows, width))
+    for j, row in enumerate(block):
+        key[1] = (start + j) & _MASK64
+        bitgen.state = state
+        gen.random(out=row)
+    return block
+
+
+def _philox_pass(seed: int, start: int, width: int, out: np.ndarray):
+    """Fill ``out`` with the ``trial_uniforms`` block of ``len(out)`` rows
+    from trial ``start`` on, in one numpy pass over all rows.
+
+    Numpy's Philox draws the 4-word block ``(c, 0, 0, 0)`` for counters
+    ``c = 1, 2, ...`` under key ``(seed, trial)``, and a double is
+    ``(x >> 11) * 2**-53``.  A round multiplies words 0 and 2 by the two
+    multipliers; both high products go through one stacked
+    ``(2, rows, blocks)`` array, built from 32-bit halves.  Round 0 sees
+    only word 0, the counter, so it is done on the counters alone.  All
+    arithmetic is on uint64 arrays, which wrap without a warning."""
+    rows, blocks = len(out), -(-width // 4)
+    key = np.empty((2, rows, 1), dtype=np.uint64)
+    key[0] = seed & _MASK64
+    key[1, :, 0] = np.arange(rows, dtype=np.uint64)
+    key[1] += np.uint64(start & _MASK64)  # trial indices, wrapping past 2**64
+    m0 = int(_PHILOX_M[0, 0, 0])
+    prod = [c * m0 for c in range(1, blocks + 1)]
+    # words 0 and 2 (``even``) and 1 and 3 (``odd``) after round 0
+    even = np.empty((2, rows, blocks), dtype=np.uint64)
+    even[0] = key[0]
+    np.bitwise_xor(np.array([p >> 64 for p in prod], dtype=np.uint64), key[1], out=even[1])
+    odd = np.zeros((2, rows, blocks), dtype=np.uint64)
+    odd[1] = np.array([p & _MASK64 for p in prod], dtype=np.uint64)
+    words = np.empty((rows, blocks, 2, 2), dtype=np.uint64)  # rows of (w0, w1), (w2, w3)
+    lo, hi, t, x0, x1 = (np.empty_like(even) for _ in range(5))
+    for r in range(1, 10):
+        key += _PHILOX_W
+        # with x = x1 * 2**32 + x0 and t = x1 * m0 + (x0 * m0 >> 32), the
+        # high product is x1 * m1 + (t >> 32) + ((x0 * m1 + (t & LOW32)) >> 32)
+        # for the multiplier's halves m1 (high) and m0 (low)
+        np.multiply(even, _PHILOX_M, out=lo)
+        np.bitwise_and(even, _LOW32, out=x0)
+        np.right_shift(even, _HALF, out=x1)
+        np.multiply(x0, _PHILOX_M_LO, out=t)
+        np.right_shift(t, _HALF, out=t)
+        np.multiply(x1, _PHILOX_M_LO, out=hi)
+        t += hi                                  # cannot carry out of 64 bits
+        np.multiply(x0, _PHILOX_M_HI, out=x0)
+        np.multiply(x1, _PHILOX_M_HI, out=hi)
+        np.right_shift(t, _HALF, out=x1)
+        hi += x1
+        np.bitwise_and(t, _LOW32, out=t)
+        t += x0
+        np.right_shift(t, _HALF, out=t)
+        hi += t
+        # (w0, w1, w2, w3) <- (hi1 ^ w1 ^ k0, lo1, hi0 ^ w3 ^ k1, lo0); the
+        # last round writes straight into ``words``
+        if r == 9:
+            even = words[..., 0].transpose(2, 0, 1)
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        even ^= key
+        if r == 9:
+            words[..., 1] = lo[::-1].transpose(1, 2, 0)
+        else:
+            odd, lo = lo[::-1], odd[::-1]
+    words >>= np.uint64(11)
+    np.multiply(words.reshape(rows, 4 * blocks)[:, :width], 2.0 ** -53, out=out)
+
+
+def _philox_uniforms(seed: int, start: int, rows: int, width: int) -> np.ndarray:
+    """``trial_uniforms`` by vectorized passes over at most
+    ``PHILOX_PASS_FLOATS`` uniforms of whole rows each."""
+    step = max(1, PHILOX_PASS_FLOATS // (-(-width // 4) * 4))
+    block = np.empty((rows, width))
+    for a in range(0, rows, step):
+        _philox_pass(seed, start + a, width, block[a:a + step])
+    return block
+
+
+def _philox_pays(rows: int, width: int) -> bool:
+    """Whether the vectorized passes cost less than the generator on a block
+    of ``rows`` rows of ``width`` uniforms, by the fitted costs above."""
+    padded = -(-width // 4) * 4
+    passes = -(-rows // max(1, PHILOX_PASS_FLOATS // padded))
+    generator = GENERATOR_NS + rows * (GENERATOR_NS_PER_ROW + GENERATOR_NS_PER_UNIFORM * width)
+    return passes * PHILOX_NS + PHILOX_NS_PER_UNIFORM * rows * padded < generator
+
+
+def trial_uniforms(seed: int, start: int, rows: int, width: int) -> np.ndarray:
+    """A ``(rows, width)`` block whose row ``j`` is the first ``width``
+    uniforms of trial ``start + j``, ``trial_generator(seed, start + j)
+    .random(width)``, bit for bit.
+
+    Two paths give the same block, and the one the block's shape makes
+    cheaper runs (``_philox_pays``): one vectorized Philox pass over all
+    rows (``_philox_uniforms``), which wins on many narrow rows, or a
+    generator reset per row (``_generator_uniforms``), which wins on few or
+    wide ones."""
+    if _philox_pays(rows, width):
+        return _philox_uniforms(seed, start, rows, width)
+    return _generator_uniforms(seed, start, rows, width)
 
 
 def _run_block(instance, matcher, seed, start, stop, width):
@@ -106,8 +222,7 @@ def _run_block(instance, matcher, seed, start, stop, width):
     trial's stream: the first ``k`` doubles of a Philox stream do not depend
     on how many are drawn, so no row needs rounding up to whole
     ``RandomTape`` refills."""
-    block = _TrialStreams(seed).fill(np.empty((stop - start, width)), start)
-    return matcher.run_lockstep(instance, block)
+    return matcher.run_lockstep(instance, trial_uniforms(seed, start, stop - start, width))
 
 
 _JOB: tuple = ()  # a worker process's (instance, matcher), set once by ``_start_worker``

@@ -335,3 +335,27 @@ def test_criterion_12_repro_bit_identical(tmp_path, capsys):
         if pair[0] != pair[1]:
             failures.append(f"{target} CSV differs between runs")
     _report(12, "repro targets bit-identical", not failures, "; ".join(failures))
+
+
+def test_criterion_13_vertex_weighted_prophet():
+    # exact values only.  With vertex weights the prophet matcher skips no
+    # edge (``w_star[u]`` is u's weight times its LP match probability), and
+    # the guarantee is the IID matcher's 1 - 1/e
+    t0 = time.time()
+    bound = 1.0 - 1.0 / math.e
+    failures, ratios = [], []
+    for i in range(200):
+        inst = hard.gen_random_matching(80_000 + i, m=2 + i % 5, n_types=2 + i % 4,
+                                        arrival_kind="prophet", max_theta=3,
+                                        horizon=3 + i % 8, edge_weighted=False)
+        res = solve_prophet_lp(inst)
+        assert res.kappa == 1.0
+        exact = prophet_matcher(res).exact_value(inst)
+        ratios.append(exact / res.objective)
+        if exact < bound * res.objective - 1e-9:
+            failures.append(f"instance {i}: exact {exact:.6f} < {bound:.4f} * LP "
+                            f"{res.objective:.6f}")
+    elapsed = time.time() - t0
+    _report(13, "vertex-weighted prophet matcher >= (1-1/e) LP bound on 200 instances",
+            not failures, "; ".join(failures[:3])
+            or f"min exact ratio {min(ratios):.4f}, {elapsed:.1f}s")

@@ -35,8 +35,10 @@ from stochmatch.matching import (
     ProphetLpResult,
     RandomTape,
     SimpleGreedyMatcher,
+    iid_matcher,
+    solve_prophet_lp,
 )
-from stochmatch.simulate import SimConfig, simulate, trial_generator
+from stochmatch.simulate import CHUNK_TRIALS, SimConfig, simulate, trial_generator
 from stochmatch.stars import StarSolver, solver_by_name
 from walk_oracle import scalar_walk
 
@@ -278,8 +280,7 @@ def test_adv_greedy_lockstep_equals_the_oracle_row_by_row(seed, kind, sim_seed, 
     # scalar walk's; keys of more than 64 neighbors take two words
     instance = _wide_instance(seed, kind)
     matcher = AdvGreedyMatcher()
-    block = sim._TrialStreams(sim_seed).fill(
-        np.empty((n, max(1, matcher.draw_bound(instance)))), 0)
+    block = sim.trial_uniforms(sim_seed, 0, n, max(1, matcher.draw_bound(instance)))
     weights, counts = matcher.run_lockstep(instance, block)
     assert {len(key) for key in matcher._tables(instance).plan_rows[0].index} == {16}
     walks = [scalar_walk(matcher, instance, RandomTape(trial_generator(sim_seed, i)))
@@ -377,12 +378,26 @@ def test_small_batches_give_the_same_report(monkeypatch):
     assert np.array_equal(whole.match_freq, split.match_freq)
 
 
+def test_iid_run_across_a_block_edge_equals_the_scalar_walk():
+    # a full first block takes the vectorized pass and the 50-trial second
+    # block the generator; every trial is still its own stream
+    instance = hard.gen_random_matching(60_003, m=5, n_types=2, arrival_kind="iid",
+                                        max_theta=2, horizon=7)
+    matcher = iid_matcher(solve_prophet_lp(instance))
+    width = max(1, matcher.draw_bound(instance))
+    assert sim._philox_pays(CHUNK_TRIALS, width) and not sim._philox_pays(50, width)
+    config = SimConfig(seed=17, trials=CHUNK_TRIALS + 50)
+    mean, stddev, freq = _scalar_report(instance, matcher, config)
+    report = simulate(instance, matcher, config, threads=1)
+    assert report.mean == mean and report.stddev == stddev
+    assert np.array_equal(report.match_freq, freq)
+
+
 def test_block_rows_are_successive_tape_refills():
     # a row of any width is a prefix of the tape: within the first refill
     # (24, 1), exactly one refill, and across refills (2 * 192 + 24)
-    streams = sim._TrialStreams(11)
     for width in (1, 24, TAPE_BLOCK, 2 * TAPE_BLOCK + 24):
-        block = streams.fill(np.empty((3, width)), 40)
+        block = sim.trial_uniforms(11, 40, 3, width)
         for j in range(3):
             tape = RandomTape(trial_generator(11, 40 + j))
             drawn = [tape.u() for _ in range(width)]

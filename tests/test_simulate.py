@@ -1,9 +1,12 @@
 import gc
 import importlib
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import exact_oracles as oracle
 from stochmatch import hard_instances as hard
@@ -17,6 +20,7 @@ from stochmatch.instances import (
     StochmatchError,
 )
 from stochmatch.matching import (
+    TAPE_BLOCK,
     AdvGreedyMatcher,
     RandomTape,
     SimpleGreedyMatcher,
@@ -224,6 +228,50 @@ def test_trial_streams_are_pure_functions_of_seed_and_index():
     c = trial_generator(5, 18).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+# seeds and trial indices are taken mod 2**64, so negative seeds, seeds
+# past 2**63 and trial keys that wrap past 2**64 all name valid streams
+stream_seeds = st.one_of(st.integers(-2**63, -1), st.integers(0, 2**63 - 1),
+                         st.integers(2**63, 2**64 - 1), st.integers(2**64, 2**66))
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream_seeds, st.integers(0, 2**64 + 300), st.integers(1, 300), st.integers(1, 70))
+@example(seed=-1, start=2**64 - 3, rows=600, width=18)   # the vectorized pass
+@example(seed=2**63, start=0, rows=150, width=121)      # the generator
+@example(seed=7, start=5, rows=3, width=2 * TAPE_BLOCK + 3)
+@example(seed=3, start=2**64 - 1000, rows=1500, width=45)  # three passes, the last partial
+def test_trial_uniforms_rows_are_the_trials_streams(seed, start, rows, width):
+    # both paths, and the one the cost rule picks, give each row its
+    # trial's stream bit for bit, whatever the width's remainder mod 4 and
+    # however many vectorized passes the block takes
+    want = np.array([trial_generator(seed, start + j).random(width) for j in range(rows)])
+    for block in (sim.trial_uniforms(seed, start, rows, width),
+                  sim._philox_uniforms(seed, start, rows, width),
+                  sim._generator_uniforms(seed, start, rows, width)):
+        assert block.shape == (rows, width) and block.flags.c_contiguous
+        assert np.array_equal(block, want)
+
+
+def test_path_rule_takes_the_vectorized_pass_only_on_many_narrow_rows():
+    # the benchmark's IID and prophet blocks (600 rows of 12-18 uniforms)
+    # and criteria 6-7's full blocks against AdvGreedy's and SimpleGreedy's
+    assert sim._philox_pays(600, 12) and sim._philox_pays(600, 18)
+    assert sim._philox_pays(CHUNK_TRIALS, 24)
+    assert not sim._philox_pays(150, 112) and not sim._philox_pays(150, 127)
+    assert not sim._philox_pays(75, 500) and not sim._philox_pays(CHUNK_TRIALS, 500)
+    assert not sim._philox_pays(1, 1) and not sim._philox_pays(20, 8)
+
+
+def test_vectorized_pass_wraps_without_warnings():
+    # the trial keys wrap past 2**64 and every round's key bump wraps too
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = sim._philox_uniforms(2**64 - 1, 2**64 - 2, 5, 7)
+        sim.trial_uniforms(-1, 2**64 - 1, CHUNK_TRIALS, 9)
+    want = [trial_generator(2**64 - 1, 2**64 - 2 + j).random(7) for j in range(5)]
+    assert np.array_equal(block, want)
 
 
 def test_config_rejects_zero_trials():
