@@ -76,7 +76,7 @@ def _csv_row(**fields) -> str:
     for col in CSV_COLUMNS:
         v = fields.get(col, "")
         if isinstance(v, float):
-            v = repr(v)
+            v = repr(float(v))  # a numpy float64 would print its type name
         out.append(str(v))
     return ",".join(out)
 

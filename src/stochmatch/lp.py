@@ -7,10 +7,11 @@ anti-cycling fallback, and a two-phase start from the identity basis of
 slacks and artificials.  Only the structural columns are stored; every
 slack, bound-row and artificial column is a unit column, kept as its row
 and sign and priced, solved and updated from them.  The dense basis inverse
-is kept by rank-1 updates, which on a basis of ``SPARSE_UPDATE_ROWS`` rows
-or more touch only the columns where the new pivot row is nonzero (about
-one per basic structural column); it is carried from phase 1 into phase 2
-and refactorized periodically.
+is stored transposed and kept by rank-1 updates, which on a basis of
+``SPARSE_UPDATE_ROWS`` rows or more touch only the stored rows where the
+new pivot row of the inverse is nonzero (about one per basic structural
+column); it is carried from phase 1 into phase 2 and refactorized
+periodically.
 
 The ratio test is Harris's two-pass test (Harris 1973, as practised in
 HiGHS, Huangfu & Hall 2018): a basic variable may fall ``HARRIS_TOL``
@@ -23,7 +24,8 @@ below ``REL_PIVOT_TOL`` times the largest candidate is taken only when no
 other row blocks.
 
 Every ``optimal`` answer carries a certificate: x and the duals come from
-two LU solves with the final basis, and ``solve`` raises
+the kept inverse, improved by one step of iterative refinement against the
+final basis (Higham 2002, ch. 12), and ``solve`` raises
 ``LpNumericalError`` unless the primal residual of ``solution_residuals``
 is at most ``CERT_TOL * (1 + max|b|)`` and no dual has the wrong sign by
 more than ``DUAL_TOL * (1 + max|c|)``.  Pivoting is deterministic, so
@@ -59,7 +61,7 @@ HARRIS_TOL = 1e-10    # infeasibility the ratio test may trade for a larger pivo
 CERT_TOL = 1e-9       # largest certified primal residual
 DUAL_TOL = 1e-7       # largest certified wrong-signed dual, relative to 1 + max|c|
 REFACTOR_EVERY = 100
-SPARSE_UPDATE_ROWS = 64  # from this many rows, a pivot gathers the inverse's changed columns
+SPARSE_UPDATE_ROWS = 64  # from this many rows, a pivot gathers the inverse's changed rows
 MAX_DENSE_ENTRIES = 30_000_000  # desk scale; protects the dense representation
 ITERATIONS_BASE = 5000    # simplex pivots allowed per phase: the base,
 ITERATIONS_PER_DIM = 60   # plus this many per standard-form row and column
@@ -227,11 +229,12 @@ class _Standardized:
         return np.concatenate([w @ self.S, w[self.unit_row[:u]] * self.unit_val[:u]])
 
     def ftran(self, inv: np.ndarray, j: int) -> np.ndarray:
-        """``inv @ A[:, j]``."""
+        """``A[:, j] @ inv``: the basis inverse times column ``j``, given the
+        inverse transposed."""
         if j < self.n_struct:
-            return inv @ self.S[:, j]
+            return self.S[:, j] @ inv
         u = j - self.n_struct
-        return inv[:, self.unit_row[u]] * self.unit_val[u]
+        return inv[self.unit_row[u]] * self.unit_val[u]
 
     def add_column(self, v: np.ndarray, j: int, scale: float) -> None:
         """``v += scale * A[:, j]`` in place."""
@@ -256,18 +259,21 @@ class _Standardized:
 class _Basis:
     """Simplex state shared by both phases.
 
-    ``cols`` are the basic columns, ``inv`` the explicit basis inverse and
-    ``xB`` the basic values.  A nonbasic variable normally sits at zero, but
-    one that left the basis slightly below zero (which the Harris ratio test
-    allows) keeps that value in ``xN``; ``rhs = b - A xN`` then keeps
-    ``inv @ rhs == xB``, so the tolerance never turns into an inconsistency
+    ``cols`` are the basic columns, ``inv`` the transpose of the explicit
+    basis inverse (row ``i`` is column ``i`` of the inverse) and ``xB`` the
+    basic values.  A nonbasic variable normally sits at zero, but one that
+    left the basis slightly below zero (which the Harris ratio test allows)
+    keeps that value in ``xN``; ``rhs = b - A xN`` then keeps
+    ``rhs @ inv == xB``, so the tolerance never turns into an inconsistency
     that later pivots could amplify.
 
-    A basic unit column makes its row's column of ``inv`` a unit column
-    too, so a row of ``inv`` has at most k + 1 nonzeros, with k the number
-    of basic structural columns.  From ``SPARSE_UPDATE_ROWS`` rows on, a
-    pivot updates only the columns of ``inv`` where the new pivot row is
-    nonzero; every entry it skips would have had exactly zero subtracted.
+    A basic unit column makes its row's row of ``inv`` a unit row too, so
+    a column of ``inv`` has at most k + 1 nonzeros, with k the number of
+    basic structural columns.  A pivot on basis row ``r`` subtracts
+    ``outer(v, d)`` with ``v`` the scaled column ``r``; from
+    ``SPARSE_UPDATE_ROWS`` rows on, it updates only the contiguous rows of
+    ``inv`` where ``v`` is nonzero, and every entry it skips would have had
+    exactly zero subtracted.
     """
 
     def __init__(self, std: _Standardized, cols: np.ndarray):
@@ -282,14 +288,14 @@ class _Basis:
 
     def refactor(self) -> None:
         try:
-            self.inv[...] = np.linalg.inv(self.std.basis_matrix(self.cols))
+            self.inv[...] = np.linalg.inv(self.std.basis_matrix(self.cols).T)
         except np.linalg.LinAlgError as e:
             raise LpNumericalError(f"singular basis during refactorization: {e}") from e
         self.rhs = self.std.b - self.std.times(self.xN)
-        np.dot(self.inv, self.rhs, out=self.xB)
+        np.dot(self.rhs, self.inv, out=self.xB)
 
     def pivot(self, j: int, d: np.ndarray, r: int, t: float) -> None:
-        """Column ``j`` (with ``d = inv @ A[:, j]``) enters, raised by ``t``;
+        """Column ``j`` (with ``d = A[:, j] @ inv``) enters, raised by ``t``;
         the variable of row ``r`` leaves at whatever value the step leaves
         it, which is zero up to rounding unless the step is zero."""
         std, xB, xN = self.std, self.xB, self.xN
@@ -303,13 +309,13 @@ class _Basis:
         if leave:
             xN[k] = leave
             std.add_column(self.rhs, k, -leave)
-        v = self.inv[r] / d[r]
+        v = self.inv[:, r] / d[r]
         if len(v) >= SPARSE_UPDATE_ROWS:
             nz = v.nonzero()[0]
-            self.inv[:, nz] -= np.multiply.outer(d, v[nz])
+            self.inv[nz] -= np.multiply.outer(v[nz], d)
         else:  # the gather costs more than it skips
-            self.inv -= np.multiply.outer(d, v)
-        self.inv[r] = v
+            self.inv -= np.multiply.outer(v, d)
+        self.inv[:, r] = v
         self.is_basic[k] = False
         self.is_basic[j] = True
         self.cols[r] = j
@@ -354,7 +360,7 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
             raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
         if it and it % REFACTOR_EVERY == 0:
             st.refactor()
-        z = c_price - std.row_times(cB @ st.inv, n_price)
+        z = c_price - std.row_times(st.inv @ cB, n_price)
         z[st.is_basic[:n_price]] = -np.inf
         if bland:
             pos = np.flatnonzero(z > OPT_TOL)
@@ -386,7 +392,7 @@ def _drive_out_artificials(st: _Basis, art0: int) -> None:
     usable entry (a redundant row) stays basic at its phase-1 value."""
     std = st.std
     for r in np.flatnonzero(st.cols >= art0):
-        row = np.abs(std.row_times(st.inv[r], art0))
+        row = np.abs(std.row_times(st.inv[:, r], art0))
         if row.max(initial=0.0) <= PIVOT_TOL:  # also a row with no structural part
             continue
         j = int(np.argmax(row))
@@ -423,12 +429,13 @@ def solve(problem: LpProblem) -> LpSolution:
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
 
-    B = std.basis_matrix(st.cols)
-    try:
-        xB = np.linalg.solve(B, std.b - std.times(st.xN))
-        y = np.linalg.solve(B.T, std.c[st.cols])
-    except np.linalg.LinAlgError as e:
-        raise LpNumericalError(f"singular final basis: {e}") from e
+    # one step of iterative refinement against the final basis
+    B, inv = std.basis_matrix(st.cols), st.inv
+    rhs, cB = std.b - std.times(st.xN), std.c[st.cols]
+    xB = rhs @ inv
+    xB += (rhs - B @ xB) @ inv
+    y = inv @ cB
+    y += inv @ (cB - y @ B)
     x_int = st.xN.copy()
     x_int[st.cols] = xB
     sol = LpSolution(status=OPTIMAL, x=std.x_original(x_int[: std.n_struct]),

@@ -55,14 +55,12 @@ class RandomizedStarPolicy:
     Rows sum to at most 1; leftover mass means no probe is made on that
     attempt.  When execution re-selects an item that was already probed,
     the probe is simulated: a simulated success terminates the arrival
-    with no reward.  ``row_renormalization`` records the largest downward
-    scaling applied to keep row sums at 1 despite solver noise.
+    with no reward.
     """
 
     attempt_probs: np.ndarray  # (n, n)
     survival: np.ndarray       # (n,) optimal s* values
     lp_objective: float
-    row_renormalization: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -397,7 +395,6 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
     probs = np.zeros((n, n))
     surv = np.zeros(n)
     surv[:T] = np.clip(s, 0.0, None)
-    worst_scale = 0.0
     for t in range(T):
         if surv[t] <= ZERO_SURVIVAL:
             surv[t] = max(surv[t], 0.0)
@@ -406,9 +403,8 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
         total = row.sum()
         if total > 1.0:
             row /= total
-            worst_scale = max(worst_scale, total - 1.0)
         probs[t, :] = row
-    rsp = RandomizedStarPolicy(probs, surv, sol.objective, worst_scale)
+    rsp = RandomizedStarPolicy(probs, surv, sol.objective)
     return StarResult(rsp, eval_randomized_exact(star, rsp), sol.objective)
 
 

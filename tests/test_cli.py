@@ -241,6 +241,21 @@ def test_match_run_csv_is_deterministic(tmp_path, capsys):
     assert header.startswith("schema_version,instance,algorithm,seed,trials,mean")
 
 
+def test_match_run_csv_numeric_cells_parse_as_floats(tmp_path, capsys):
+    # the iid run's ci is a numpy float64, which once printed as np.float64(...)
+    path, csv = tmp_path / "inst.json", tmp_path / "out.csv"
+    run(capsys, "gen", "random-matching", "-m", "4", "-n", "3", "--arrivals", "iid",
+        "--seed", "7", "-o", str(path))
+    code, _, _ = run(capsys, "match-run", str(path), "--algorithm", "iid", "--seed", "1",
+                     "--trials", "2000", "--csv", str(csv))
+    assert code == 0
+    header, row = csv.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    for col in ("schema_version", "seed", "trials", "mean", "stddev", "ci",
+                "benchmark_value", "ratio"):
+        float(cells[col])
+
+
 def test_match_run_prints_pass_marker(tmp_path, capsys):
     path = tmp_path / "iid.json"
     run(capsys, "gen", "random-matching", "-m", "3", "-n", "2",

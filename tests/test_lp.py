@@ -268,6 +268,54 @@ def test_lp1_does_not_depend_on_blas_threads():
     assert here == pytest.approx(0.886961, abs=1e-6)
 
 
+def _final_basis(monkeypatch, problem):
+    """Solve ``problem`` and return the solution with the basis its last
+    simplex phase ended on, which ``solve`` reads x and the duals from."""
+    phase, seen = lp._simplex_phase, []
+
+    def spy(st, *args):
+        seen.append(st)
+        return phase(st, *args)
+
+    monkeypatch.setattr(lp, "_simplex_phase", spy)
+    sol = solve(problem)
+    monkeypatch.undo()
+    return sol, seen[-1]
+
+
+@pytest.mark.parametrize("n", [12, 15])
+@pytest.mark.parametrize("seed", range(10))
+def test_solution_is_refined_from_the_kept_transposed_inverse(monkeypatch, seed, n):
+    sol, st = _final_basis(monkeypatch, _lp1(seed, n))
+    std = st.std
+    B = std.basis_matrix(st.cols)
+    # x and the duals agree with two LU solves on the final basis, also
+    # where pivots on entries near PIVOT_TOL left the kept inverse inexact
+    x_int = st.xN.copy()
+    x_int[st.cols] = np.linalg.solve(B, std.b - std.times(st.xN))
+    x = std.x_original(x_int[: std.n_struct])
+    y = std.duals_original(np.linalg.solve(B.T, std.c[st.cols]))
+    assert np.abs(sol.x - x).max() <= 1e-12 * (1 + np.abs(x).max())
+    assert np.abs(sol.duals - y).max() <= 1e-12 * (1 + np.abs(y).max())
+    # the refactorized inverse is stored transposed
+    st.refactor()
+    assert np.abs(st.inv - np.linalg.inv(B).T).max() <= 1e-9
+
+
+def test_row_gather_pivot_equals_the_dense_update(monkeypatch):
+    _, st = _final_basis(monkeypatch, _lp1(0, 12))
+    assert len(st.cols) >= lp.SPARSE_UPDATE_ROWS  # the gather path
+    j = int(np.flatnonzero(~st.is_basic[: st.std.art0])[0])
+    d = st.std.ftran(st.inv, j)
+    r = int(np.argmax(np.abs(d)))
+    v = st.inv[:, r] / d[r]
+    assert 0 < np.count_nonzero(v) < len(v)
+    dense = st.inv - np.multiply.outer(v, d)
+    dense[:, r] = v
+    st.pivot(j, d, r, 0.0)
+    assert np.array_equal(st.inv, dense)
+
+
 def test_failed_certificate_raises(monkeypatch):
     # a Harris tolerance this loose leaves the final basis primal infeasible
     monkeypatch.setattr(lp, "HARRIS_TOL", 0.05)
