@@ -3,15 +3,32 @@
 All linear programs in this package are small and dense (hundreds of rows),
 and the probing algorithms consume both primal values and row duals, so a
 self-contained revised simplex is used: Dantzig pricing with a Bland's-rule
-anti-cycling fallback, and a two-phase start from the identity basis of
-slacks and artificials.  Only the structural columns are stored; every
-slack, bound-row and artificial column is a unit column, kept as its row
-and sign and priced, solved and updated from them.  The dense basis inverse
-is stored transposed and kept by rank-1 updates, which on a basis of
+anti-cycling fallback, and two phases from a start basis.  Only the
+structural columns are stored, also compressed to their nonzeros, from
+which a column is solved against the basis; every slack, bound-row and
+artificial column is a unit column, kept as its row and sign and priced,
+solved and updated from them.  The dense basis inverse is stored
+transposed and kept by rank-1 updates, which on a basis of
 ``SPARSE_UPDATE_ROWS`` rows or more touch only the stored rows where the
 new pivot row of the inverse is nonzero (about one per basic structural
 column); it is carried from phase 1 into phase 2 and refactorized
-periodically.
+periodically.  The row duals follow each pivot along that new row of the
+inverse, and are recomputed from the inverse at every refactorization and
+before a phase ends.
+
+The start basis (Bixby 1992) is a slack on every row whose slack is
+feasible and an artificial elsewhere, except where a triangular crash
+replaces artificials by structural columns: over the artificial rows it
+repeatedly takes a column with exactly one nonzero among the rows left.
+The crash basis differs from the identity only in a triangular block, so
+its inverse takes one small triangular solve; it is kept when its basic
+values are feasible within the Harris tolerance.  ``solve(problem,
+start=)`` instead starts from the basis an earlier solution ended on
+(``LpSolution.basis``), which stays primal feasible when ``add_column``
+has appended variables (Chvátal 1983); a start that does not fit, being
+of another shape, singular or infeasible, falls back to the cold start.
+Phase 1 runs either way, and with no artificial basic it ends after one
+pricing.
 
 The ratio test is Harris's two-pass test (Harris 1973, as practised in
 HiGHS, Huangfu & Hall 2018): a basic variable may fall ``HARRIS_TOL``
@@ -26,8 +43,8 @@ other row blocks.
 Every ``optimal`` answer carries a certificate: x and the duals come from
 the kept inverse, improved by one step of iterative refinement against the
 final basis (Higham 2002, ch. 12), and ``solve`` raises
-``LpNumericalError`` unless the primal residual of ``solution_residuals``
-is at most ``CERT_TOL * (1 + max|b|)`` and no dual has the wrong sign by
+``LpNumericalError`` unless both are finite, the primal residual of
+``solution_residuals`` is at most ``CERT_TOL * (1 + max|b|)`` and no dual has the wrong sign by
 more than ``DUAL_TOL * (1 + max|c|)``.  Pivoting is deterministic, so
 repeated solves of the same problem return bit-identical solutions at a
 fixed BLAS thread count; another thread count can change the last bits
@@ -120,12 +137,23 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """``iterations`` counts every simplex pivot, ``phase1_iterations``
+    those of phase 1; ``start`` names the first basis (``"identity"``,
+    ``"crash"`` or ``"warm"``).  An optimal answer keeps its final basis in
+    ``basis``, which ``solve(..., start=)`` reads, also after
+    ``add_column`` has appended variables: per basis row, ``k >= 0`` is
+    standard-form structural column ``k`` and ``~u`` is unit column ``u``
+    (a slack, bound row or artificial)."""
+
     status: str
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
     objective: float | None = None
     dual_objective: float | None = None
     iterations: int = 0
+    phase1_iterations: int = 0
+    start: str = "identity"
+    basis: np.ndarray | None = None
 
 
 def add_column(problem: LpProblem, obj_coeff: float, column) -> LpProblem:
@@ -160,7 +188,7 @@ class _Standardized:
     unit column, and column ``n_struct + u`` is ``unit_val[u]`` (+1 or -1)
     in row ``unit_row[u]`` and zero elsewhere.  The methods below apply
     ``A`` from ``S`` and these descriptors.  The slack or artificial chosen
-    per row by ``basis_start`` has a +1, so the starting basis matrix is the
+    per row by ``basis_start`` has a +1, so that basis matrix is the
     identity.
     """
 
@@ -204,10 +232,44 @@ class _Standardized:
         self.c = np.zeros(self.n_cols)
         self.c[:n_struct] = p.c[orig] * sign
         self.const = float(np.dot(p.c, base))
+        self.b_scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
+        # the structural columns compressed: column k's nonzeros are
+        # nz_val[nz_ptr[k]:nz_ptr[k + 1]] in rows nz_row[...]
+        nz_col, self.nz_row = np.nonzero(S.T)
+        self.nz_val = S[self.nz_row, nz_col]
+        self.nz_ptr = np.concatenate([[0], np.cumsum(np.bincount(nz_col, minlength=n_struct))])
 
     def basis_start(self) -> np.ndarray:
         slack_ok = (self.slack_of_row >= 0) & (self.row_scale > 0)
         return np.where(slack_ok, self.slack_of_row, self.art0 + np.arange(len(self.b)))
+
+    def crash(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Triangular crash (Bixby 1992) over the rows where ``cols`` has an
+        artificial: repeatedly take a structural column with exactly one
+        nonzero among the rows still left, preferring the smallest |c| and
+        then the lowest index, and skipping one whose entry there is below
+        ``REL_PIVOT_TOL`` times its largest.  Returns the rows and columns
+        in the order taken; the block ``S[rows][:, taken]`` is upper
+        triangular."""
+        R = (cols >= self.art0).nonzero()[0]
+        nz = self.S[R] != 0.0
+        count = nz.sum(axis=0)
+        order = np.lexsort((np.arange(self.n_struct), np.abs(self.c[: self.n_struct])))
+        left = np.ones(len(R), dtype=bool)
+        done = np.zeros(self.n_struct, dtype=bool)
+        rows, taken = [], []
+        while True:
+            cand = order[(count[order] == 1) & ~done[order]]
+            if cand.size == 0:
+                return R[rows], np.array(taken, dtype=int)
+            j = int(cand[0])
+            done[j] = True
+            i = int(np.flatnonzero(nz[:, j] & left)[0])
+            if abs(self.S[R[i], j]) >= REL_PIVOT_TOL * np.abs(self.S[:, j]).max():
+                rows.append(i)
+                taken.append(j)
+                left[i] = False
+                count -= nz[i]
 
     def basis_matrix(self, cols: np.ndarray) -> np.ndarray:
         """``A[:, cols]``."""
@@ -232,7 +294,8 @@ class _Standardized:
         """``A[:, j] @ inv``: the basis inverse times column ``j``, given the
         inverse transposed."""
         if j < self.n_struct:
-            return self.S[:, j] @ inv
+            lo, hi = self.nz_ptr[j], self.nz_ptr[j + 1]
+            return self.nz_val[lo:hi] @ inv[self.nz_row[lo:hi]]
         u = j - self.n_struct
         return inv[self.unit_row[u]] * self.unit_val[u]
 
@@ -276,11 +339,9 @@ class _Basis:
     exactly zero subtracted.
     """
 
-    def __init__(self, std: _Standardized, cols: np.ndarray):
-        m, N = len(std.b), std.n_cols
-        self.std, self.cols = std, cols
-        self.inv = np.eye(m)  # the starting basis is unit columns
-        self.xB = std.b.copy()
+    def __init__(self, std: _Standardized, cols: np.ndarray, inv: np.ndarray, xB: np.ndarray):
+        N = std.n_cols
+        self.std, self.cols, self.inv, self.xB = std, cols, inv, xB
         self.xN = np.zeros(N)
         self.rhs = std.b.copy()
         self.is_basic = np.zeros(N, dtype=bool)
@@ -294,10 +355,11 @@ class _Basis:
         self.rhs = self.std.b - self.std.times(self.xN)
         np.dot(self.rhs, self.inv, out=self.xB)
 
-    def pivot(self, j: int, d: np.ndarray, r: int, t: float) -> None:
+    def pivot(self, j: int, d: np.ndarray, r: int, t: float) -> np.ndarray:
         """Column ``j`` (with ``d = A[:, j] @ inv``) enters, raised by ``t``;
         the variable of row ``r`` leaves at whatever value the step leaves
-        it, which is zero up to rounding unless the step is zero."""
+        it, which is zero up to rounding unless the step is zero.  Returns
+        the new row ``r`` of the inverse, along which the duals move."""
         std, xB, xN = self.std, self.xB, self.xN
         k = int(self.cols[r])
         leave = float(xB[r] - t * d[r])
@@ -319,6 +381,64 @@ class _Basis:
         self.is_basic[k] = False
         self.is_basic[j] = True
         self.cols[r] = j
+        return v
+
+
+def _cold_start(std: _Standardized) -> tuple[_Basis, str]:
+    """The crash basis when its basic values are feasible within the Harris
+    tolerance, else the identity basis of ``basis_start``.  With ``rows``
+    and ``taken`` from ``crash``, the basis is ``I + (A_C - E_R) E_R^T``,
+    so its transposed inverse differs from I only in those rows:
+    ``inv[rows] = I[rows] - K^-T (A_C - E_R)^T`` with ``K`` the triangular
+    block, and ``xB = b - b[rows] @ (K^-T (A_C - E_R)^T)``."""
+    m = len(std.b)
+    cols = std.basis_start()
+    rows, taken = std.crash(cols)
+    if taken.size:
+        M = std.S[:, taken]
+        K = M[rows]
+        M[rows, np.arange(len(rows))] -= 1.0
+        X = np.linalg.solve(K.T, M.T)
+        xB = std.b - std.b[rows] @ X
+        if (xB >= -HARRIS_TOL * std.b_scale).all():
+            inv = np.eye(m)
+            inv[rows] -= X
+            cols[rows] = taken
+            return _Basis(std, cols, inv, xB), "crash"
+    return _Basis(std, cols, np.eye(m), std.b.copy()), "identity"
+
+
+def _encode_basis(std: _Standardized, cols: np.ndarray) -> np.ndarray:
+    """``LpSolution.basis`` of the basic columns ``cols``, in the smallest
+    integer type that holds it, since callers may keep many solutions."""
+    code = np.where(cols < std.n_struct, cols, ~(cols - std.n_struct))
+    return code.astype(np.int16 if std.n_cols < 2**15 else np.int32)
+
+
+def _warm_start(std: _Standardized, basis) -> _Basis | None:
+    """The basis an earlier solution ended on, refactorized; None unless it
+    has one column per row, is nonsingular and is primal feasible within
+    the Harris tolerance."""
+    m, n_struct = len(std.b), std.n_struct
+    if basis is None or len(basis) != m:
+        return None
+    basis = np.asarray(basis, dtype=int)
+    cols = np.where(basis >= 0, basis, n_struct + ~basis)
+    if not ((basis < n_struct) & (cols < std.n_cols)).all():
+        return None
+    if np.count_nonzero(np.bincount(cols, minlength=std.n_cols)) < m:  # a repeated column
+        return None
+    B = std.basis_matrix(cols)
+    try:
+        inv = np.linalg.inv(B.T)
+    except np.linalg.LinAlgError:
+        return None
+    xB = std.b @ inv
+    if not (np.isfinite(inv).all()
+            and np.abs(B @ xB - std.b).max(initial=0.0) <= FEAS_TOL * std.b_scale
+            and (xB >= -HARRIS_TOL * std.b_scale).all()):
+        return None
+    return _Basis(std, cols, inv, xB)
 
 
 def _ratio_test(xB, d, cols, bland, tol):
@@ -345,12 +465,18 @@ def _ratio_test(xB, d, cols, bland, tol):
 def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
     """Run primal simplex for cost ``c`` until optimality, pricing only the
     first ``n_price`` columns.  Returns (status, iterations); status is
-    OPTIMAL or UNBOUNDED."""
+    OPTIMAL or UNBOUNDED.
+
+    The duals ``y`` follow each pivot, ``y += z_j * v`` with ``v`` the new
+    row of the inverse, and are recomputed as ``inv @ cB`` at every
+    refactor and before the phase declares optimality or unboundedness,
+    which then prices once more with the fresh duals."""
     if n_price == 0:
         return OPTIMAL, 0  # no column can enter
     std = st.std
     c_price = c[:n_price]
     cB = c[st.cols]
+    y, fresh = st.inv @ cB, True
     bland = False
     degenerate = 0
     bland_after = 10 * (len(std.b) + std.n_cols)
@@ -360,28 +486,35 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
             raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
         if it and it % REFACTOR_EVERY == 0:
             st.refactor()
-        z = c_price - std.row_times(st.inv @ cB, n_price)
+            y, fresh = st.inv @ cB, True
+        z = c_price - std.row_times(y, n_price)
         z[st.is_basic[:n_price]] = -np.inf
         if bland:
             pos = np.flatnonzero(z > OPT_TOL)
-            if pos.size == 0:
-                return OPTIMAL, it
-            j = int(pos[0])
+            j = int(pos[0]) if pos.size else -1
         else:
-            j = int(np.argmax(z))
+            j = int(np.argmax(z))  # the first NaN, if any
             if z[j] <= OPT_TOL:
-                return OPTIMAL, it
-        d = std.ftran(st.inv, j)
-        r = _ratio_test(st.xB, d, st.cols, bland, tol)
+                j = -1
+        if j >= 0 and not np.isfinite(z[j]):
+            raise LpNumericalError("non-finite reduced cost")
+        r = -1
+        if j >= 0:
+            d = std.ftran(st.inv, j)
+            r = _ratio_test(st.xB, d, st.cols, bland, tol)
         if r < 0:
-            return UNBOUNDED, it
+            if fresh:
+                return (OPTIMAL if j < 0 else UNBOUNDED), it
+            y, fresh = st.inv @ cB, True
+            continue
         # a leaving value just below zero stays there: the step is never negative
         t = max(float(st.xB[r]), 0.0) / d[r]
         if t <= FEAS_TOL:
             degenerate += 1
             if degenerate > bland_after:
                 bland = True
-        st.pivot(j, d, r, t)
+        y += z[j] * st.pivot(j, d, r, t)
+        fresh = False
         cB[r] = c[j]
         it += 1
 
@@ -399,10 +532,13 @@ def _drive_out_artificials(st: _Basis, art0: int) -> None:
         st.pivot(j, std.ftran(st.inv, j), r, 0.0)
 
 
-def solve(problem: LpProblem) -> LpSolution:
+def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
     """Solve to optimality; returns primal values, row duals, and objective.
 
-    An ``optimal`` answer is certified (see the module docstring).  Raises
+    ``start``, an earlier solution of this problem or of one that
+    ``add_column`` has since grown, lends its final basis as the first
+    basis (see the module docstring); a start that does not fit falls back
+    to the cold start.  An ``optimal`` answer is certified.  Raises
     ``LpNumericalError`` when the certificate fails, when a basis is
     singular, or when the pivot tolerance cannot make progress within the
     iteration budget even after the Bland's-rule fallback.
@@ -414,20 +550,22 @@ def solve(problem: LpProblem) -> LpSolution:
     std = _Standardized(problem)
     m, N = len(std.b), std.n_cols
     max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (m + N)
-    b_scale = 1.0 + float(np.abs(std.b).max(initial=0.0))
+    b_scale = std.b_scale
     tol = HARRIS_TOL * b_scale
-    st = _Basis(std, std.basis_start())
+    st = _warm_start(std, None if start is None else start.basis)
+    st, how = (st, "warm") if st is not None else _cold_start(std)
     c1 = np.zeros(N)
     c1[std.art0:] = -1.0
     status, it1 = _simplex_phase(st, c1, N, tol, max_iter)
     if status != OPTIMAL:
         raise LpNumericalError("phase 1 did not terminate at an optimum")
     if float(c1[st.cols] @ st.xB + c1 @ st.xN) < -FEAS_TOL * b_scale:
-        return LpSolution(status=INFEASIBLE, iterations=it1)
+        return LpSolution(status=INFEASIBLE, iterations=it1, phase1_iterations=it1, start=how)
     _drive_out_artificials(st, std.art0)
     status, it2 = _simplex_phase(st, std.c, std.art0, tol, max_iter)
     if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, iterations=it1 + it2)
+        return LpSolution(status=UNBOUNDED, iterations=it1 + it2, phase1_iterations=it1,
+                          start=how)
 
     # one step of iterative refinement against the final basis
     B, inv = std.basis_matrix(st.cols), st.inv
@@ -442,7 +580,8 @@ def solve(problem: LpProblem) -> LpSolution:
                      duals=std.duals_original(y),
                      objective=float(std.c @ x_int) + std.const,
                      dual_objective=float(y @ std.b) + std.const,
-                     iterations=it1 + it2)
+                     iterations=it1 + it2, phase1_iterations=it1, start=how,
+                     basis=_encode_basis(std, st.cols))
     _certify(problem, sol, b_scale)
     return sol
 
@@ -459,30 +598,34 @@ def solution_residuals(problem: LpProblem, sol: LpSolution) -> dict:
     |reduced cost * distance to the active bound| (scaled check used by the
     test-suite invariants).
     """
-    x, y = sol.x, sol.duals
+    x, y = np.asarray(sol.x, dtype=float), np.asarray(sol.duals, dtype=float)
     senses = np.array(problem.senses, dtype="U2")
     le, ge = senses == LE, senses == GE
     slack = problem.b - problem.A @ x
     viol = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
-    primal = max(0.0, float(np.max(viol, initial=0.0)),
-                 float(np.max(problem.lb - x, initial=0.0)),
-                 float(np.max(x - problem.ub, initial=0.0)))
+    # np.max, unlike Python's max, carries a NaN through
+    primal = float(np.max([0.0, np.max(viol, initial=0.0),
+                           np.max(problem.lb - x, initial=0.0),
+                           np.max(x - problem.ub, initial=0.0)]))
     rc = problem.c - y @ problem.A
     at_lb = x <= problem.lb + FEAS_TOL
     at_ub = x >= problem.ub - FEAS_TOL
-    dual = max(0.0, float(np.max(np.where(le, -y, np.where(ge, y, 0.0)), initial=0.0)),
-               float(np.max(rc[at_lb & ~at_ub], initial=0.0)),     # at lower bound: rc <= 0
-               float(np.max(-rc[at_ub & ~at_lb], initial=0.0)))    # at upper bound: rc >= 0
-    cs = max(float(np.max(np.abs(y * slack), initial=0.0)),
-             float(np.max(np.abs(rc[~at_lb & ~at_ub]), initial=0.0)))  # interior: rc = 0
+    dual = float(np.max([0.0, np.max(np.where(le, -y, np.where(ge, y, 0.0)), initial=0.0),
+                         np.max(rc[at_lb & ~at_ub], initial=0.0),     # at lower bound: rc <= 0
+                         np.max(-rc[at_ub & ~at_lb], initial=0.0)]))  # at upper bound: rc >= 0
+    cs = float(np.max([np.max(np.abs(y * slack), initial=0.0),
+                       np.max(np.abs(rc[~at_lb & ~at_ub]), initial=0.0)]))  # interior: rc = 0
     return {"primal": primal, "dual": dual, "cs": cs}
 
 
 def _certify(problem: LpProblem, sol: LpSolution, b_scale: float) -> None:
+    if not (np.isfinite(sol.x).all() and np.isfinite(sol.duals).all()):
+        raise LpNumericalError("solution fails its certificate: non-finite x or duals")
     res = solution_residuals(problem, sol)
-    if res["primal"] > CERT_TOL * b_scale:
+    # negated comparisons, so that a NaN residual fails too
+    if not res["primal"] <= CERT_TOL * b_scale:
         raise LpNumericalError(f"solution fails its certificate: primal residual {res['primal']:.3g}")
-    if res["dual"] > DUAL_TOL * (1.0 + float(np.abs(problem.c).max(initial=0.0))):
+    if not res["dual"] <= DUAL_TOL * (1.0 + float(np.abs(problem.c).max(initial=0.0))):
         raise LpNumericalError(f"solution fails its certificate: wrong-signed dual {res['dual']:.3g}")
 
 

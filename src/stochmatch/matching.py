@@ -914,8 +914,8 @@ def _master_problem(instance, columns, q_v) -> lp.LpProblem:
     return lp.LpProblem.make(c, A, senses, b)
 
 
-def _solve_master(problem: lp.LpProblem) -> lp.LpSolution:
-    sol = lp.solve(problem)
+def _solve_master(problem: lp.LpProblem, start: lp.LpSolution | None = None) -> lp.LpSolution:
+    sol = lp.solve(problem, start)
     if sol.status != lp.OPTIMAL:
         raise StochmatchError(f"policy-LP master came back {sol.status}")
     return sol
@@ -932,7 +932,8 @@ def solve_prophet_lp(instance: MatchingInstance,
     every type when given, else ``auto_solver``), and adds the column when
     its value exceeds ``beta_v`` by more than ``PRICING_TOL``; a column
     already in the master cannot, so pricing one again raises
-    ``LpNumericalError``.
+    ``LpNumericalError``.  Each master solve starts from the previous
+    master's final basis, which the added columns leave primal feasible.
     With exact pricing (deterministic or hazard patience) the final
     objective is the true LP optimum; with the 1/2-approximate LP-policy
     box the returned solution is feasible and the objective is the value
@@ -952,8 +953,9 @@ def solve_prophet_lp(instance: MatchingInstance,
     seen = {(v, ()) for v in range(n)}
     master = _master_problem(instance, columns, q_v)
     status = "optimal"
+    sol = None
     while True:
-        sol = _solve_master(master)
+        sol = _solve_master(master, sol)
         alpha = np.clip(sol.duals[:m], 0.0, None)
         beta = sol.duals[m: m + n]
         added = False
@@ -976,7 +978,7 @@ def solve_prophet_lp(instance: MatchingInstance,
             break  # the master is unchanged since ``sol``
         if len(columns) > COLUMN_CAP:
             status = "column_cap"
-            sol = _solve_master(master)
+            sol = _solve_master(master, sol)
             break
     return _assemble_result(instance, columns, sol.x, sol.objective, status, kappa)
 

@@ -79,9 +79,8 @@ def test_equality_row_over_no_variables():
     assert solve(LpProblem.make([], np.zeros((1, 0)), ["="], [1.0])).status == "infeasible"
 
 
-def test_artificial_of_a_negated_equality_row_is_driven_out(monkeypatch):
-    # max x s.t. -x = 0: phase 1 ends with the row's artificial basic at 0,
-    # and the zero-step pivot onto x takes its place
+def _solve_with_drive_out_moves(monkeypatch, problem):
+    """Solve, recording the basis before and after the drive-out."""
     drive_out, moves = lp._drive_out_artificials, []
 
     def spy(st, art0):
@@ -90,8 +89,27 @@ def test_artificial_of_a_negated_equality_row_is_driven_out(monkeypatch):
         moves.append((before, art0, st.cols.tolist()))
 
     monkeypatch.setattr(lp, "_drive_out_artificials", spy)
-    sol = solve(LpProblem.make([1.0], [[-1.0]], ["="], [0.0]))
-    assert moves == [([1], 1, [0])]  # column 1 is the artificial
+    return solve(problem), moves
+
+
+def test_artificial_of_a_negated_equality_row_is_driven_out(monkeypatch):
+    # max x s.t. -x - y = 0, -x + y = 0: no column is a singleton, so there
+    # is no crash; phase 1 prices no column in (each column's entries sum to
+    # at most 0) and ends with both artificials basic at 0, and the
+    # zero-step pivots onto x and y take their places
+    sol, moves = _solve_with_drive_out_moves(
+        monkeypatch, LpProblem.make([1.0, 0.0], [[-1.0, -1.0], [-1.0, 1.0]], ["=", "="], [0.0, 0.0]))
+    assert moves == [([2, 3], 2, [0, 1])]  # columns 2 and 3 are the artificials
+    assert sol.start == "identity" and sol.phase1_iterations == 0
+    assert sol.status == OPTIMAL and sol.x.tolist() == [0.0, 0.0] and sol.objective == 0.0
+
+
+def test_negated_equality_row_starts_from_the_crash(monkeypatch):
+    # max x s.t. -x = 0: x is a singleton on the row, so the crash makes it
+    # basic at 0 and no artificial is left to drive out
+    sol, moves = _solve_with_drive_out_moves(monkeypatch, LpProblem.make([1.0], [[-1.0]], ["="], [0.0]))
+    assert sol.start == "crash" and sol.phase1_iterations == 0 and sol.iterations == 0
+    assert moves == [([0], 1, [0])]
     assert sol.status == OPTIMAL and sol.x.tolist() == [0.0] and sol.objective == 0.0
 
 
@@ -341,3 +359,112 @@ def test_make_rejects_non_finite_input(field, value):
     args[field] = arr
     with pytest.raises(ValueError):
         LpProblem.make(args["c"], args["A"], ["<="], args["b"], args["lb"], args["ub"])
+
+
+def test_certificate_rejects_a_non_finite_solution():
+    # Python's max(0.0, nan) is 0.0: the residuals used to fold a NaN away
+    p = LpProblem.make([1.0], [[1.0]], ["<="], [1.0])
+    nan = float("nan")
+    sol = lp.LpSolution("optimal", x=[nan], duals=[nan])
+    assert np.isnan(solution_residuals(p, sol)["primal"])
+    with pytest.raises(LpNumericalError, match="non-finite"):
+        lp._certify(p, sol, 2.0)
+
+
+@pytest.mark.parametrize("when", ["before phase 2", "after phase 2"])
+def test_a_nan_in_the_kept_inverse_raises(monkeypatch, when):
+    phase, calls = lp._simplex_phase, []
+
+    def spiked(st, *args):
+        calls.append(st)
+        if when == "before phase 2" and len(calls) == 2:
+            st.inv[0, 0] = np.nan
+        out = phase(st, *args)
+        if when == "after phase 2" and len(calls) == 2:
+            st.inv[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(lp, "_simplex_phase", spiked)
+    with pytest.raises(LpNumericalError, match="non-finite"):
+        solve(_lp1(0, 12))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n", [6, 12, 15])
+def test_lp1_starts_from_a_feasible_triangular_crash(n):
+    # the crash takes the survival columns s_t: phase 1 has nothing to do
+    for seed in range(10):
+        p = _lp1(seed, n)
+        sol = solve(p)
+        assert sol.status == OPTIMAL and sol.start == "crash" and sol.phase1_iterations == 0
+        std = lp._Standardized(p)
+        st, how = lp._cold_start(std)
+        # one structural column for each row that would start with an artificial
+        assert how == "crash"
+        assert (st.cols < std.n_struct).sum() == (std.basis_start() >= std.art0).sum()
+        B = std.basis_matrix(st.cols)
+        assert np.abs(st.inv - np.linalg.inv(B).T).max() <= 1e-12, seed
+        assert (st.xB >= 0).all(), seed
+        assert np.abs(B @ st.xB - std.b).max() <= 1e-12, seed
+
+
+def test_an_infeasible_crash_falls_back_to_the_identity_start():
+    # max 2x s.t. x - y = 1, x <= 3: the crash prefers y (|c| = 0), which
+    # would be basic at -1
+    p = LpProblem.make([2.0, 0.0], [[1.0, -1.0], [1.0, 0.0]], ["=", "<="], [1.0, 3.0])
+    std = lp._Standardized(p)
+    rows, taken = std.crash(std.basis_start())
+    assert rows.tolist() == [0] and taken.tolist() == [1]
+    sol = solve(p)
+    assert sol.start == "identity" and sol.phase1_iterations > 0
+    assert sol.status == OPTIMAL
+    assert sol.objective == pytest.approx(-_scipy_solve(p).fun, rel=1e-9, abs=1e-9)
+
+
+def _objectives_agree(a, b):
+    return abs(a - b) <= 1e-9 * (1.0 + abs(b))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_warm_start_after_added_columns_matches_cold_and_reference(seed):
+    rng = np.random.default_rng(300 + seed)
+    warm_starts = 0
+    for _ in range(25):
+        p = _random_problem(rng)
+        first = solve(p)
+        for _ in range(int(rng.integers(1, 4))):
+            p = add_column(p, rng.normal(), rng.normal(size=p.n_rows))
+        warm, cold, ref = solve(p, start=first), solve(p), _scipy_solve(p)
+        expected = {2: "infeasible", 3: "unbounded"}.get(ref.status, "optimal")
+        assert warm.status == cold.status == expected
+        # the appended columns are nonbasic at 0, so an optimal basis stays feasible
+        assert (warm.start == "warm") == (first.status == OPTIMAL)
+        warm_starts += warm.start == "warm"
+        if expected == "optimal":
+            assert _objectives_agree(warm.objective, cold.objective)
+            assert _objectives_agree(warm.objective, -ref.fun)
+    assert warm_starts > 0
+
+
+def test_starts_that_do_not_fit_fall_back_to_the_cold_start():
+    # max x + y s.t. x + y <= 1, x <= 2; structural columns 0 (x) and 1 (y),
+    # slacks are unit columns 0 and 1, written ~0 and ~1
+    p = LpProblem.make([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], ["<=", "<="], [1.0, 2.0])
+    grown = add_column(p, 1.0, [2.0, 2.0])  # column 2 is twice column 0
+    one_row = solve(LpProblem.make([1.0], [[1.0]], ["<="], [1.0]))
+    for problem, basis in [(p, [0, ~1]), (grown, [0, ~1])]:  # x and the second slack fit
+        sol = solve(problem, start=lp.LpSolution(OPTIMAL, basis=np.array(basis)))
+        assert sol.start == "warm"
+        assert _objectives_agree(sol.objective, -_scipy_solve(problem).fun)
+    for problem, start in [
+        (p, one_row),                                          # another row count
+        (p, lp.LpSolution(OPTIMAL, basis=np.array([0]))),      # another row count
+        (p, lp.LpSolution(OPTIMAL, basis=np.array([0, 7]))),   # no such column
+        (p, lp.LpSolution(OPTIMAL, basis=np.array([0, 0]))),   # a repeated column
+        (grown, lp.LpSolution(OPTIMAL, basis=np.array([0, 2]))),  # singular
+        (p, lp.LpSolution(OPTIMAL, basis=np.array([0, 1]))),   # x = 2, y = -1
+        (p, lp.LpSolution("infeasible")),                      # no basis
+    ]:
+        sol = solve(problem, start=start)
+        assert sol.start in ("identity", "crash") and sol.status == OPTIMAL
+        assert _objectives_agree(sol.objective, -_scipy_solve(problem).fun)

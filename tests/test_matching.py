@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stochmatch import hard_instances as hard
-from stochmatch import matching
+from stochmatch import lp, matching
 from stochmatch.instances import (
     ArrivalModel,
     CapabilityError,
@@ -92,6 +92,40 @@ def test_repricing_a_master_column_raises(monkeypatch):
     with pytest.raises(LpNumericalError, match="already in the master"):
         solve_prophet_lp(inst)
     assert any(policy.order for policy, _, _ in first.values())
+
+
+def _column_generation(monkeypatch, instance, warm):
+    """``solve_prophet_lp`` with every master warm-started (as it runs) or
+    cold-started, and the masters' solutions."""
+    solve, masters = lp.solve, []
+
+    def master(problem, start=None):
+        masters.append(solve(problem, start if warm else None))
+        return masters[-1]
+
+    monkeypatch.setattr(lp, "solve", master)
+    try:
+        return solve_prophet_lp(instance), masters
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("kind", ["iid", "prophet"])
+def test_warm_started_masters_match_cold_ones_in_fewer_pivots(monkeypatch, kind):
+    pivots = {True: 0, False: 0}
+    for i in range(10):
+        inst = hard.gen_random_matching(400 + i, 8, 6, kind, horizon=8)
+        warm, masters = _column_generation(monkeypatch, inst, True)
+        cold, cold_masters = _column_generation(monkeypatch, inst, False)
+        assert warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
+        # the first master starts from the crash onto the empty policies,
+        # and adding columns keeps every later start feasible
+        assert [s.start for s in masters] == ["crash"] + ["warm"] * (len(masters) - 1)
+        assert all(s.phase1_iterations == 0 for s in masters + cold_masters)
+        pivots[True] += sum(s.iterations for s in masters)
+        pivots[False] += sum(s.iterations for s in cold_masters)
+    assert pivots[True] < pivots[False]
 
 
 def test_lp_solution_constraints_hold():
