@@ -39,9 +39,10 @@ of its type's stacked plan arrays (``_PlanRows``), found by the bytes of
 the free set's packed key: ``ceil(k / 64)`` uint64 words over the type's
 ``k`` neighbors.  At an arrival that leaves some trial a free neighbor,
 its lockstep walk groups the trials by one sort over their keys and
-gathers their plans' rows; only a key not stored yet reaches the black
-box, whose answer becomes the key's row.  A parallel ``simulate`` hands
-each worker's new rows back to the caller's table.
+gathers their plans' rows; only the keys not stored yet are planned, in
+one ``stars.induced_plans`` call, whose plans become their rows.  A
+parallel ``simulate`` hands each worker's new rows back to the caller's
+table.
 
 A greedy matcher's ``exact_value`` is a forward expansion over arrival
 steps with the bitmask of free offline vertices as state, at most
@@ -50,8 +51,9 @@ step, as numpy arrays of free sets and probabilities taken in chunks of
 ``EXACT_CHUNK``: per chunk the matcher gives the probability of matching
 each vertex, and the next layer is summed in a dense accumulator over all
 free sets.  SimpleGreedy ranks each set's free neighbors as its lockstep
-walk does, and AdvGreedy plans every set with ``stars.induced_match``;
-either walks a chunk's orders in one ``stars.order_match`` call.  The
+walk does, and AdvGreedy plans every set with ``stars.induced_plans``
+(through ``stars.induced_match``); either walks a chunk's orders in one
+``stars.order_match`` call.  The
 policy-LP matcher needs no free sets: a simulated probe ends
 an arrival with the same probability as a real one, so each offline
 vertex stays free with a product over steps of its own miss
@@ -99,6 +101,7 @@ from .stars import (
     auto_solver,
     enumerated_orders,
     induced_match,
+    induced_plans,
     order_match,
     solver_by_name,
 )
@@ -243,12 +246,11 @@ class _Tables:
             store.add(rows)
         return store
 
-    def walk_draws(self, v: int, probes: int) -> int:
-        """Most uniforms one policy walk of type ``v`` reads when it can make
-        at most ``probes`` probes: a survival budget, then a success draw and
-        (hazard patience) a balk coin per probe."""
-        pat = self.patience[v]
-        return int(pat.is_survival) + probes * (2 if pat.is_hazard else 1)
+    def walk_draws(self, probes: np.ndarray) -> np.ndarray:
+        """Per type ``v``, the most uniforms one policy walk reads when it
+        can make at most ``probes[v]`` probes: a survival budget, then a
+        success draw and (hazard patience) a balk coin per probe."""
+        return self.survival + probes * (1 + self.hazard)
 
 
 class _TableCache:
@@ -538,7 +540,7 @@ class _GreedyTables(_Tables):
         self.randomized = np.array([may_randomize(p) for p in self.models],
                                    dtype=bool)[self.model_of]
         caps = self.caps
-        draws = np.where(self.randomized, 1 + 2 * caps, self.survival + caps * (1 + self.hazard))
+        draws = np.where(self.randomized, 1 + 2 * caps, self.walk_draws(caps))
         draws[self.degree == 0] = 0
         self.draw_bound = int(draws[np.asarray(instance.arrivals.order, dtype=np.intp)].sum())
 
@@ -612,7 +614,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
     def _exact_match(self, instance, tables, v, avail):
         """Match probabilities of an arrival of type ``v`` on each row of
         ``avail`` (its free neighbors): the solver's plan on each induced
-        star (``stars.induced_match``)."""
+        star (``stars.induced_plans``), walked by ``stars.induced_match``."""
         neigh = tables.neighbor_arrays[v]
         star, _ = instance.star_for(v, neigh.tolist())
         match = np.zeros((len(avail), instance.m))
@@ -622,11 +624,11 @@ class AdvGreedyMatcher(_GreedyMatcher):
     def _find_rows(self, instance, tables, v, keys, free, first):
         """Type ``v``'s stored plan rows (a ``_PlanRows``) and the row of
         each of its packed free-set ``keys`` there; row ``first[i]`` of the
-        boolean ``free`` marks the free neighbors of ``keys[i]``.  A key not
-        stored yet is planned by the black box on the star its free
-        neighbors induce, and its row is written from the result; a
-        randomized plan for a type whose draw bound allows only a policy
-        walk raises ``StochmatchError``."""
+        boolean ``free`` marks the free neighbors of ``keys[i]``.  The keys
+        not stored yet are planned in one ``stars.induced_plans`` call on
+        the star of all of the type's neighbors, and their rows are written
+        from its plans; a randomized plan for a type whose draw bound allows
+        only a policy walk raises ``StochmatchError``."""
         neigh = tables.neighbor_arrays[v]
         store = tables.plan_rows.get(v)
         names = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
@@ -635,28 +637,27 @@ class AdvGreedyMatcher(_GreedyMatcher):
         if None in found:
             new = [i for i, at in enumerate(found) if at is None]
             solver = self.solver or auto_solver(tables.patience[v])
-            count, k = len(new), neigh.size
-            kind, length = np.ones(count, dtype=np.int8), np.zeros(count, dtype=np.intp)
-            items = np.zeros((count, k), dtype=np.intp)
-            cum = np.full((count, k, k), np.nan) if tables.randomized[v] else None
-            for i, mask in enumerate(free[first[new]]):
-                star, star_items = instance.star_for(v, neigh[mask].tolist())
-                plan = solver.solve(star).policy
-                if isinstance(plan, Policy):
-                    order = [star_items[j] for j in plan.order]
-                elif cum is None:
-                    raise StochmatchError(
-                        f"star solver {solver.name!r} returned a randomized plan for type "
-                        f"{v}, whose draw bound allowed only a policy walk's uniforms")
-                else:
-                    kind[i], order, n = 2, star_items, len(star_items)
-                    pick = np.cumsum(plan.attempt_probs, axis=1)
-                    pick[~plan.attempt_probs.any(axis=1)] = np.nan
-                    cum[i, :n, :n], cum[i, :n, n:] = pick, pick[:, -1:]
-                length[i] = len(order)
-                items[i, :len(order)] = order
-            store = tables.keep_plans(v, _PlanRows([names[i] for i in new], kind, items,
-                                                   length, cum))
+            star, _ = instance.star_for(v, neigh.tolist())
+            plan, orders, lengths, randomized = induced_plans(solver, star, free[first[new]])
+            if randomized and not tables.randomized[v]:
+                raise StochmatchError(
+                    f"star solver {solver.name!r} returned a randomized plan for type "
+                    f"{v}, whose draw bound allowed only a policy walk's uniforms")
+            k = neigh.size
+            kind = np.ones(len(orders), dtype=np.int8)
+            items = np.zeros((len(orders), k), dtype=np.intp)
+            width = orders.shape[1]
+            items[:, :width] = np.where(np.arange(width) < lengths[:, None], neigh[orders], 0)
+            cum = np.full((len(orders), k, k), np.nan) if tables.randomized[v] else None
+            for g, rsp in randomized.items():
+                n = lengths[g]
+                kind[g] = 2
+                pick = np.cumsum(rsp.attempt_probs, axis=1)
+                pick[~rsp.attempt_probs.any(axis=1)] = np.nan
+                cum[g, :n, :n], cum[g, :n, n:] = pick, pick[:, -1:]
+            rows = _PlanRows([names[i] for i in new], kind[plan], items[plan], lengths[plan],
+                             None if cum is None else cum[plan])
+            store = tables.keep_plans(v, rows)
             found = [store.index[name] for name in names]
         return store, np.array(found, dtype=np.intp)
 
@@ -819,7 +820,8 @@ def build_benchmark_lp(instance: MatchingInstance,
     exact star optimum, giving a strictly tighter bound; this needs an
     exact star solver for the patience variant and at most
     ``STAR_CONSTRAINT_MAX_OFFLINE`` offline vertices.  Each type's subsets
-    are planned in one ``stars.induced_match`` call (``selector`` if given).
+    are planned in one ``stars.induced_plans`` call (``selector`` if given)
+    and valued by ``stars.induced_match``.
     """
     m, n = instance.m, instance.n_types
     W = instance.weights_matrix()
@@ -1035,7 +1037,7 @@ class _PolicyTables(_Tables):
         skip_of = lp_result.w_star if skip else None
         type_of, self.share = [], []
         self.orders, self.skipped, self.kept = [], [], []
-        draws = 0  # most uniforms a policy walk reads
+        probes = np.zeros(instance.n_types, dtype=np.intp)  # per type, most probes a walk makes
         for v, entries in enumerate(lp_result.mixture.per_type):
             q = lp_result.mixture.q_v[v]
             orders = [pol.order for pol, _ in entries]
@@ -1056,10 +1058,11 @@ class _PolicyTables(_Tables):
             type_of += [v] * len(orders)
             self.share += [mass / total for mass in masses]
             self.orders.extend(orders)
-            longest = max(len(o) for o in self.kept[-len(orders):])
-            draws = max(draws, self.walk_draws(v, self.patience[v].max_probes(longest)))
-        self.draw_bound = (1 + draws) * instance.arrivals.n_steps  # a type-and-policy draw per step
+            probes[v] = self.patience[v].max_probes(max(len(o) for o in self.kept[-len(orders):]))
         self.type_of = np.array(type_of, dtype=np.intp)
+        # a type-and-policy draw per step, then at most the longest policy walk
+        draws = self.walk_draws(probes)[self.type_of].max(initial=0)
+        self.draw_bound = int(1 + draws) * instance.arrivals.n_steps
         arr = instance.arrivals
         self.steps = np.array([arr.step_probs(t) for t in range(arr.n_steps)]).reshape(
             arr.n_steps, instance.n_types)
@@ -1146,7 +1149,7 @@ class PolicyLpMatcher(_TableCache):
         tables = self._tables(instance)
         match = np.zeros((instance.n_types, instance.m))
         share = np.asarray(tables.share)
-        for v in np.unique(tables.type_of).tolist():
+        for v in np.flatnonzero(np.bincount(tables.type_of)).tolist():
             mine = tables.type_of == v
             match[v] = share[mine] @ order_match(instance.probs[:, v], instance.patience[v],
                                                  tables.items[mine], tables.length[mine])

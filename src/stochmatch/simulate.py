@@ -363,8 +363,8 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
     m, n = instance.m, instance.n_types
     probs, weights = instance.probs, instance.weights_matrix()
     rec = np.vstack([[p.theta for p in instance.patience], probs > 0.0])
-    _, cls = np.unique(np.vstack([rec, probs, weights]).T, axis=0, return_inverse=True)
-    classes = [c for c in (np.flatnonzero(cls.ravel() == k) for k in range(n)) if c.size > 1]
+    cls, _ = _distinct(np.vstack([rec, probs, weights]))
+    classes = [c for c in (np.flatnonzero(cls == k) for k in range(n)) if c.size > 1]
     rec[0] = np.clip(rec[0], 0, rec[1:].sum(axis=0))
     rec = (rec * (rec[0] > 0)).astype(np.min_scalar_type(n * m))
     start = np.vstack([rec[:1].T, np.packbits(rec[1:].reshape(-1, 1), axis=0)])
@@ -386,8 +386,9 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
             s, v, u, after = _offline_moves(keys[:, a:a + step], m, n, classes)
             index, kept = _distinct(after)
             after = after[:, kept]
-            lows, first = np.unique(after[-1], return_index=True)
-            for low, part in zip(lows, np.split(np.arange(after.shape[1]), first[1:])):
+            level = after[-1]  # ``_distinct`` sorted the outcomes by it
+            first = np.flatnonzero(np.diff(level, prepend=level[:1] - 1))  # each level's first
+            for low, part in zip(level[first], np.split(np.arange(level.size), first[1:])):
                 pending[low].append((after[:-1, part], outcomes + part))
             first = np.flatnonzero(np.diff(s, prepend=-1))  # past level 0, each state probes
             edges.append((reached + a, first, probs[u, v], weights[u, v], outcomes + index))

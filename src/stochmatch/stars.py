@@ -7,9 +7,10 @@ provides
 
 * exact evaluation of many probing orders at once (``order_match``, the
   package's one walk of an order),
-* an exact dynamic program for deterministic patience, also batched over
-  many induced stars of one star (``deterministic_patience_orders``), and
-  a solver's plans on every induced star of one star (``induced_match``),
+* an exact dynamic program for deterministic patience, run over many
+  induced stars of one star at once (``deterministic_patience_dp``), and
+  the package's one induced-star planner (``induced_plans``): a solver's
+  plans on every induced star of one star, which ``induced_match`` walks,
 * the exact index rule ``w_i p_i / q_i`` for per-item hazard rates,
 * an attempt-indexed LP relaxation for arbitrary explicit patience
   distributions and the randomized policy read off its optimal solution
@@ -143,93 +144,67 @@ def _positive_items(star: StarInstance):
 
 
 def solve_deterministic_patience(star: StarInstance) -> StarResult:
-    """Optimal ordered subset for a fixed probe budget ``theta``.
-
-    Within any chosen set that fits the budget, probing in decreasing
-    weight order is optimal (an adjacent swap changes the value by
-    ``prefix * p_a p_b (w_a - w_b)``), so a knapsack-style DP over the
-    weight-sorted items with the budget as capacity finds the optimum.
-    Ties in the DP are broken toward probing.
-    """
-    if not star.patience.is_deterministic:
-        raise PatienceVariantError("deterministic-patience solver needs deterministic patience")
-    theta = star.patience.theta
-    items = _positive_items(star)
-    items.sort(key=lambda i: (-star.weights[i], i))
-    n = len(items)
-    cap = min(theta, n)
-    if cap <= 0:
-        return StarResult(EMPTY_POLICY, 0.0, 0.0)
-    # D[i][t]: best value from sorted position i on with t probes left
-    D = [[0.0] * (cap + 1) for _ in range(n + 1)]
-    take = [[False] * (cap + 1) for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        w = star.weights[items[i]]
-        p = star.probs[items[i]]
-        for t in range(1, cap + 1):
-            skip = D[i + 1][t]
-            probe = p * w + (1.0 - p) * D[i + 1][t - 1]
-            if probe >= skip:
-                D[i][t] = probe
-                take[i][t] = True
-            else:
-                D[i][t] = skip
-    order = []
-    t = cap
-    for i in range(n):
-        if t > 0 and take[i][t]:
-            order.append(items[i])
-            t -= 1
-    value = D[0][cap]
-    return StarResult(Policy(tuple(order)), value, value)
+    """Optimal ordered subset for a fixed probe budget ``theta``: the
+    one-row call of ``deterministic_patience_dp``."""
+    orders, lengths, values = deterministic_patience_dp(star, np.ones((1, star.n), dtype=bool))
+    value = float(values[0])
+    return StarResult(Policy(tuple(orders[0, :lengths[0]].tolist())), value, value)
 
 
-def deterministic_patience_orders(star: StarInstance, avail) -> tuple[np.ndarray, np.ndarray]:
-    """``solve_deterministic_patience`` on many induced stars at once.
+def deterministic_patience_dp(star: StarInstance, avail) -> tuple[np.ndarray, ...]:
+    """Optimal ordered subsets for a fixed probe budget ``theta`` on many
+    induced stars at once: row ``i`` of the boolean ``(L, n)`` matrix
+    ``avail`` picks ``star.with_items(np.flatnonzero(avail[i]))``, whose
+    optimal order is the first ``lengths[i]`` entries of ``orders[i]``
+    (indices into ``star``) and whose expected reward is ``values[i]``.
 
-    Row ``i`` of the boolean ``(L, n)`` matrix ``avail`` picks the star
-    ``star.with_items(np.flatnonzero(avail[i]))``.  Returns ``(orders,
-    lengths)``: the first ``lengths[i]`` entries of ``orders[i]`` are that
-    star's optimal order, as indices into ``star``.
-
-    One knapsack DP runs over the weight-sorted items of ``star`` for every
-    row at once.  An item missing from a row passes the values of the items
-    after it on unchanged, which is the scalar DP over the row's own items,
-    so every row makes the scalar DP's comparisons, ties included, and gets
-    its order.
+    Probing a chosen set in decreasing weight order is optimal (an adjacent
+    swap changes the value by ``prefix * p_a p_b (w_a - w_b)``), so a
+    knapsack DP over the weight-sorted items finds the optimum: with ``t``
+    probes left, ``D_t[i] = max(D_t[i+1], p_i w_i + (1 - p_i) D_{t-1}[i+1])``
+    from sorted position ``i`` on, probing ``i`` on ties.  ``D_t`` is a
+    suffix maximum, so the DP makes one pass per unit of budget over every
+    item and row.  An item a row lacks never wins the maximum, and a budget
+    above the items left changes nothing, so every row gets the values and
+    choices of the DP over its own items.
     """
     if not star.patience.is_deterministic:
         raise PatienceVariantError("deterministic-patience solver needs deterministic patience")
     avail = np.asarray(avail, dtype=bool)
     n_rows = avail.shape[0]
-    theta = star.patience.theta
     items = _positive_items(star)
     items.sort(key=lambda i: (-star.weights[i], i))
-    cap = min(theta, len(items))
-    orders = np.zeros((n_rows, max(cap, 0)), dtype=np.intp)
-    lengths = np.zeros(n_rows, dtype=np.intp)
+    k = len(items)
+    cap = min(star.patience.theta, k)
     if cap <= 0:
-        return orders, lengths
-    present = avail[:, items]
-    # D[:, t]: best value from the current sorted position on with t probes left
-    D = np.zeros((n_rows, cap + 1))
-    take = np.zeros((len(items), n_rows, cap + 1), dtype=bool)
-    for i in range(len(items) - 1, -1, -1):
-        w = star.weights[items[i]]
-        p = star.probs[items[i]]
-        skip = D[:, 1:]
-        probe = p * w + (1.0 - p) * D[:, :-1]
-        took = (probe >= skip) & present[:, i, None]
-        take[i, :, 1:] = took
-        D[:, 1:] = np.where(took, probe, skip)
-    t = np.minimum(theta, present.sum(axis=1))
-    every = np.arange(n_rows)
-    for i, item in enumerate(items):
-        sel = np.flatnonzero(take[i, every, t])  # take[i, :, 0] is never set
-        orders[sel, lengths[sel]] = item
-        lengths[sel] += 1
-        t[sel] -= 1
-    return orders, lengths
+        return (np.zeros((n_rows, 0), dtype=np.intp), np.zeros(n_rows, dtype=np.intp),
+                np.zeros(n_rows))
+    # per sorted position and row: p w and 1 - p, or -inf and 0 where the row lacks the item
+    present = avail.T[items]
+    gain, fail = np.array([(star.probs[i] * star.weights[i], 1.0 - star.probs[i])
+                           for i in items]).T[:, :, None]
+    gain, fail = np.where(present, gain, -np.inf), fail * present
+    # D[i, row]: D_t[i] of the pass, D[k] = 0; take[t - 1, i]: probe i with t left
+    # (position k always takes: it ends a walk)
+    D = np.zeros((k + 1, n_rows))
+    take = np.ones((cap, k + 1, n_rows), dtype=bool)
+    for t in range(cap):
+        probe = gain + fail * D[1:]
+        D[:k] = probe
+        span = 1
+        while span <= k:  # suffix maximum by doubling spans
+            np.maximum(D[:-span], D[span:], out=D[:-span])
+            span *= 2
+        np.greater_equal(probe, D[1:], out=take[t, :k])
+    # each probe of a row's walk is the first position on that takes with the probes left
+    ranks = np.arange(k + 1)[:, None]
+    picks = np.empty((cap, n_rows), dtype=np.intp)
+    at = np.zeros(n_rows, dtype=np.intp)
+    for s in range(cap):
+        picks[s] = np.argmax(take[cap - 1 - s] & (ranks >= at), axis=0)
+        at = np.minimum(picks[s] + 1, k)
+    orders = np.append(items, 0)[picks.T]
+    return orders, np.count_nonzero(picks < k, axis=0), D[0]
 
 
 def solve_constant_hazard(star: StarInstance) -> StarResult:
@@ -508,11 +483,11 @@ def auto_solver(star_or_patience) -> StarSolver:
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the columns of an integer matrix by value, in ``np.lexsort``
-    order (the last row is the primary key): per column the index of its
-    group, and per group the index of its first column.  The package's one
-    grouping: the offline oracle's states (``simulate``) and AdvGreedy's
-    free-set keys (``_distinct_rows``) both go through it."""
+    """Group the columns of a matrix by value, in ``np.lexsort`` order (the
+    last row is the primary key): per column the index of its group, and
+    per group the index of its first column.  The package's one grouping:
+    the offline oracle's states and type classes (``simulate``) and
+    AdvGreedy's free-set keys (``_distinct_rows``) all go through it."""
     order = np.lexsort(keys)
     keys = keys[:, order]
     new = np.ones(order.size, dtype=bool)
@@ -523,12 +498,12 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of a boolean matrix with ``k >= 1`` columns as
-    packed keys, per row the index of its key, and per key its first row
-    (``_distinct`` over the keys).  A key is ``ceil(k / 64)`` uint64 words,
+    """The distinct rows of a boolean ``(n, k)`` matrix as packed keys, per
+    row the index of its key, and per key its first row (``_distinct`` over
+    the keys).  A key is ``max(1, ceil(k / 64))`` uint64 words,
     little-endian (entry ``j`` is bit ``j % 64`` of word ``j // 64``)."""
     n, k = rows.shape
-    width = -(-k // 64)  # words per key
+    width = max(1, -(-k // 64))  # words per key
     padded = np.zeros((n, width * 64), dtype=bool)
     padded[:, :k] = rows
     words = np.packbits(padded, bitorder="little").view("<u8").reshape(n, width)
@@ -536,32 +511,48 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return words[first], group, first
 
 
-def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
-    """Match probabilities, ``(L, n)`` over the items of ``star``, of
-    ``solver``'s plan on each induced star ``star.with_items(
-    np.flatnonzero(avail[i]))``.  The built-in ``dp`` solver orders every
-    row at once (``deterministic_patience_orders``); any other solver, or
-    one whose ``solve`` is overridden (a traced solver, say), solves once
-    per distinct row.  The orders are walked in one ``order_match`` call."""
+def induced_plans(solver: StarSolver, star: StarInstance, avail):
+    """``solver``'s plans on the induced stars ``star.with_items(
+    np.flatnonzero(avail[i]))``, one per row of the boolean ``avail``: the
+    package's one induced-star planner.
+
+    Returns ``(plan, orders, lengths, randomized)``: row ``i`` follows plan
+    ``plan[i]``, and plan ``g`` lists ``lengths[g]`` entries of
+    ``orders[g]``, indices into ``star``.  They are its probing order, or,
+    when ``randomized`` maps ``g`` to a ``RandomizedStarPolicy``, the
+    items of the star that policy runs on, in index order.  The built-in
+    ``dp`` solver plans every row at once (``deterministic_patience_dp``);
+    any other solver, or one whose ``solve`` is overridden (a traced
+    solver, say), solves once per distinct nonempty row."""
     avail = np.asarray(avail, dtype=bool)
     if solver.name == "dp" and type(solver).solve is StarSolver.solve:
-        return order_match(star.probs, star.patience, *deterministic_patience_orders(star, avail))
-    if not star.n:
-        return np.zeros(avail.shape)
-    _, group, first = _distinct_rows(avail)
-    masks = avail[first]
-    match = np.zeros(masks.shape)
-    walked, orders = [], []
-    for g, items in enumerate(map(np.flatnonzero, masks)):
+        orders, lengths, _ = deterministic_patience_dp(star, avail)
+        return np.arange(len(avail)), orders, lengths, {}
+    _, plan, first = _distinct_rows(avail)
+    picked, randomized = [], {}
+    for g, items in enumerate(map(np.flatnonzero, avail[first])):
         sub = star.with_items(items.tolist())
-        plan = solver.solve(sub).policy if items.size else EMPTY_POLICY
-        if isinstance(plan, Policy):
-            walked.append(g)
-            orders.append(items[list(plan.order)])
+        policy = solver.solve(sub).policy if items.size else EMPTY_POLICY
+        if isinstance(policy, Policy):
+            picked.append(items[list(policy.order)])
         else:
-            match[g, items] = randomized_match_probabilities(sub, plan)
-    match[walked] = order_match(star.probs, star.patience, *_pack_orders(orders))
-    return match[group]
+            picked.append(items)
+            randomized[g] = policy
+    return (plan, *_pack_orders(picked), randomized)
+
+
+def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
+    """Match probabilities, ``(L, n)`` over the items of ``star``, of
+    ``solver``'s plan on each induced star (``induced_plans``): every
+    plan's order walked in one ``order_match`` call, and a randomized
+    plan's row then replaced on its items, the only entries its walk wrote,
+    by ``randomized_match_probabilities``."""
+    plan, orders, lengths, randomized = induced_plans(solver, star, avail)
+    match = order_match(star.probs, star.patience, orders, lengths)
+    for g, rsp in randomized.items():
+        items = orders[g, :lengths[g]]
+        match[g, items] = randomized_match_probabilities(star.with_items(items.tolist()), rsp)
+    return match[plan]
 
 
 def _price(star: StarInstance, adjusted_weights, selector: StarSolver):

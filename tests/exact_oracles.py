@@ -5,13 +5,15 @@ arrays of free-set bitmasks (``_GreedyMatcher.exact_value``), a policy-LP
 matcher's as a sum over steps and offline vertices of each vertex's chance
 to be free (``PolicyLpMatcher.exact_value``), a randomized attempt
 policy's match probabilities in closed form
-(``stars.randomized_match_probabilities``), and the offline optimum level
-by level over arrays of states (``simulate.brute_force_offline_opt``).  The
-oracles here are the per-state expansions those replaced: a forward
-expansion over a dict of free sets, each state's moves listed in plain
-Python (for the policy-LP matcher too, so that its per-vertex sum is
-checked against the free sets it does without), and a memoized backward
-recursion for the offline optimum.
+(``stars.randomized_match_probabilities``), the offline optimum level by
+level over arrays of states (``simulate.brute_force_offline_opt``), and
+the deterministic-patience DP over many induced stars at once
+(``stars.deterministic_patience_dp``).  The oracles here are the
+per-state expansions those replaced: a forward expansion over a dict of
+free sets, each state's moves listed in plain Python (for the policy-LP
+matcher too, so that its per-vertex sum is checked against the free sets
+it does without), a memoized backward recursion for the offline optimum,
+and the knapsack DP over one star's items in plain Python.
 """
 
 import numpy as np
@@ -178,3 +180,37 @@ def offline_opt(instance, memo=None) -> float:
         return go(start)
     finally:
         del go  # break the closure's cycle through itself and its memo
+
+
+def deterministic_patience(star: StarInstance) -> tuple[tuple[int, ...], float]:
+    """The optimal order for a fixed probe budget ``theta`` and its value,
+    by the knapsack DP over the star's weight-sorted positive items, one
+    entry at a time, ties broken toward probing."""
+    theta = star.patience.theta
+    items = [i for i in range(star.n) if star.probs[i] > 0.0]
+    items.sort(key=lambda i: (-star.weights[i], i))
+    n = len(items)
+    cap = min(theta, n)
+    if cap <= 0:
+        return (), 0.0
+    # D[i][t]: best value from sorted position i on with t probes left
+    D = [[0.0] * (cap + 1) for _ in range(n + 1)]
+    take = [[False] * (cap + 1) for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        w = star.weights[items[i]]
+        p = star.probs[items[i]]
+        for t in range(1, cap + 1):
+            skip = D[i + 1][t]
+            probe = p * w + (1.0 - p) * D[i + 1][t - 1]
+            if probe >= skip:
+                D[i][t] = probe
+                take[i][t] = True
+            else:
+                D[i][t] = skip
+    order = []
+    t = cap
+    for i in range(n):
+        if t > 0 and take[i][t]:
+            order.append(items[i])
+            t -= 1
+    return tuple(order), D[0][cap]

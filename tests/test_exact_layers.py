@@ -37,7 +37,7 @@ from stochmatch.simulate import SimConfig, brute_force_offline_opt, simulate
 from stochmatch.stars import (
     RandomizedStarPolicy,
     StarSolver,
-    deterministic_patience_orders,
+    deterministic_patience_dp,
     eval_randomized_exact,
     randomized_match_probabilities,
     solve_arbitrary_patience,
@@ -72,18 +72,25 @@ def induced_stars(draw):
 @settings(max_examples=300, deadline=None)
 @given(induced_stars())
 def test_batched_dp_orders_equal_the_scalar_dp(case):
+    # every row's order and value are the scalar DP's on the row's own
+    # star, and so are the one-row call's in ``solve_deterministic_patience``
     star, avail = case
-    orders, lengths = deterministic_patience_orders(star, avail)
-    for row, order, length in zip(avail, orders, lengths):
+    orders, lengths, values = deterministic_patience_dp(star, avail)
+    for row, order, length, value in zip(avail, orders, lengths, values.tolist()):
         idx = np.flatnonzero(row).tolist()
-        scalar = solve_deterministic_patience(star.with_items(idx)).policy.order
+        sub = star.with_items(idx)
+        scalar, best = oracle.deterministic_patience(sub)
         assert tuple(order[:length].tolist()) == tuple(idx[i] for i in scalar)
+        assert value == best
+        solved = solve_deterministic_patience(sub)
+        assert solved.policy.order == scalar
+        assert solved.expected_value == solved.benchmark == best
 
 
 def test_batched_dp_rejects_other_patience():
     star = StarInstance.make([1.0], [0.5], PatienceModel.survival([1.0]))
     with pytest.raises(PatienceVariantError):
-        deterministic_patience_orders(star, np.ones((1, 1), dtype=bool))
+        deterministic_patience_dp(star, np.ones((1, 1), dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ be equal, not approximately equal.
 
 import dataclasses
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmatch import hard_instances as hard
-from stochmatch import matching
+from stochmatch import matching, stars
 from stochmatch.instances import (
     ArrivalModel,
     CapabilityError,
@@ -310,6 +311,69 @@ def test_adv_greedy_solves_each_free_set_once():
     second = simulate(inst, matcher, config, threads=1)
     assert not calls
     assert first.mean == second.mean and np.array_equal(first.match_freq, second.match_freq)
+
+
+def test_batched_dp_plan_rows_equal_per_set_solves():
+    # equal weights and coarse probabilities tie many orders; the built-in
+    # dp plans each type's new free sets in one batched DP and calls no
+    # per-set solve, and writes the rows a per-set solver writes, in order
+    calls = []
+
+    class Counting(StarSolver):
+        def solve(self, star):
+            calls.append(star)
+            return super().solve(star)
+
+    rng = np.random.default_rng(8)
+    m, n = 8, 6
+    probs = rng.choice([0.0, 0.25, 0.5, 1.0], (m, n))
+    patience = [PatienceModel.deterministic(int(t)) for t in rng.integers(1, 4, n)]
+    inst = MatchingInstance.make(probs, patience, ArrivalModel.adversarial(
+        rng.integers(0, n, 30).tolist()), edge_weights=np.ones((m, n)))
+    batched = AdvGreedyMatcher(solver_by_name("dp"))
+    per_set = AdvGreedyMatcher(Counting("dp", 1.0))
+    dp = stars._SOLVERS["dp"]
+    with mock.patch.dict(stars._SOLVERS, {"dp": (lambda star: calls.append(star) or dp[0](star),
+                                                 dp[1])}):
+        simulate(inst, batched, SimConfig(2, 600), threads=1)
+    assert not calls
+    simulate(inst, per_set, SimConfig(2, 600), threads=1)
+    ours, theirs = batched._tables(inst).plan_rows, per_set._tables(inst).plan_rows
+    assert ours.keys() == theirs.keys()
+    for v, a in ours.items():
+        b = theirs[v]
+        assert list(a.index) == list(b.index) and a.cum is b.cum is None
+        for name in ("kind", "items", "length"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert len(calls) == sum(len(a.index) for a in ours.values()) > 50
+
+
+def test_lp_plan_rows_hold_each_sets_pick_distributions():
+    # every stored randomized row is the LP policy of its free set's star:
+    # its items, and per attempt the cumulative pick distribution padded
+    # with its last value, nan where the attempt picks nothing
+    inst = hard.gen_random_matching(3, 6, 12, "adversarial")
+    inst = MatchingInstance.make(inst.probs, PatienceModel.survival([1.0, 0.6, 0.3]),
+                                 inst.arrivals, edge_weights=inst.edge_weights)
+    matcher = AdvGreedyMatcher(solver_by_name("lp"))
+    simulate(inst, matcher, SimConfig(1, 400), threads=1)
+    tables = matcher._tables(inst)
+    checked = 0
+    for v, rows in tables.plan_rows.items():
+        neigh = tables.neighbor_arrays[v]
+        for name, r in rows.index.items():
+            free = np.unpackbits(np.frombuffer(name, np.uint8), bitorder="little")[:neigh.size]
+            star, items = inst.star_for(v, neigh[free.astype(bool)].tolist())
+            rsp = solver_by_name("lp").solve(star).policy
+            want = np.full((neigh.size, neigh.size), np.nan)
+            pick = np.cumsum(rsp.attempt_probs, axis=1)
+            pick[~rsp.attempt_probs.any(axis=1)] = np.nan
+            want[:star.n, :star.n], want[:star.n, star.n:] = pick, pick[:, -1:]
+            assert rows.kind[r] == 2 and rows.length[r] == star.n
+            assert rows.items[r, :star.n].tolist() == items
+            assert np.array_equal(rows.cum[r], want, equal_nan=True)
+            checked += 1
+    assert checked > 20
 
 
 @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.3, 1.0])

@@ -1,6 +1,8 @@
 import gc
 import importlib
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -355,6 +357,26 @@ def test_offline_opt_state_cap_counts_reachable_states(monkeypatch):
         brute_force_offline_opt(inst)
     monkeypatch.setattr(sim, "OFFLINE_OPT_STATE_CAP", len(memo))
     assert brute_force_offline_opt(inst) == expected
+
+
+def test_exact_values_do_not_import_numpy_ma():
+    # numpy.ma costs about 10 ms to import, and np.unique's first call imports it
+    code = ("import sys\n"
+            "import stochmatch\n"
+            "from stochmatch import hard_instances as hard\n"
+            "from stochmatch.matching import iid_matcher, solve_prophet_lp\n"
+            "from stochmatch.simulate import brute_force_offline_opt\n"
+            "inst = hard.gen_random_matching(7, 4, 3, 'iid', horizon=4)\n"
+            "iid_matcher(solve_prophet_lp(inst)).exact_value(inst)\n"
+            "brute_force_offline_opt(hard.gen_random_matching(8, 4, 5, 'adversarial',"
+            " max_theta=2))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(sim.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout == "False\n"
 
 
 @pytest.mark.parametrize("seed", range(8))
