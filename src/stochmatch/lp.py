@@ -156,20 +156,26 @@ class LpSolution:
     basis: np.ndarray | None = None
 
 
-def add_column(problem: LpProblem, obj_coeff: float, column) -> LpProblem:
-    """Problem with one extra variable appended, with bounds [0, inf)."""
+def add_column(problem: LpProblem, obj_coeff, column) -> LpProblem:
+    """Problem with extra variables appended, each with bounds [0, inf):
+    one ``column`` of ``n_rows`` entries with its objective coefficient,
+    or an ``(n_rows, k)`` block of columns with their ``k`` coefficients
+    (as ``k`` single additions, in one copy)."""
     column = np.asarray(column, dtype=float)
-    if column.shape != (problem.n_rows,):
-        raise ValueError(f"column has length {column.shape}, expected {problem.n_rows}")
-    if not (np.isfinite(column).all() and np.isfinite(obj_coeff)):
+    costs = np.atleast_1d(np.asarray(obj_coeff, dtype=float))
+    block = column[:, None] if column.ndim == 1 else column
+    if block.shape != (problem.n_rows, len(costs)) or costs.ndim != 1:
+        raise ValueError(f"column has shape {column.shape}, expected ({problem.n_rows},) "
+                         f"or ({problem.n_rows}, {len(costs)}) for {len(costs)} coefficients")
+    if not (np.isfinite(block).all() and np.isfinite(costs).all()):
         raise ValueError("column and objective coefficient must be finite")
     return LpProblem(
-        c=np.append(problem.c, float(obj_coeff)),
-        A=np.hstack([problem.A, column[:, None]]),
+        c=np.append(problem.c, costs),
+        A=np.hstack([problem.A, block]),
         senses=problem.senses,
         b=problem.b,
-        lb=np.append(problem.lb, 0.0),
-        ub=np.append(problem.ub, np.inf),
+        lb=np.append(problem.lb, np.zeros(len(costs))),
+        ub=np.append(problem.ub, np.full(len(costs), np.inf)),
     )
 
 

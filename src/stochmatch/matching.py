@@ -65,7 +65,12 @@ expectation, so it values its states backward, one level at a time.
 Also here: the offline benchmark LP over edge-probe variables (optionally
 tightened with per-subset star-optimum rows), and the policy LP over probing
 policies solved by column generation against its pricing problem; pricing
-a column already in the master raises ``LpNumericalError``.
+a column already in the master raises ``LpNumericalError``.  A round prices
+every type whose black box is the built-in ``dp`` solver in one call
+(``stars._price_dp``: one DP and one walk for all of them) and any other
+type on its own (``stars._price``: the hazard, LP or brute-force box, or a
+solver whose ``solve`` is overridden), and adds its columns to the master
+as one block.
 """
 
 from __future__ import annotations
@@ -97,7 +102,9 @@ from .stars import (
     StarSolver,
     _distinct_rows,
     _pack_orders,
+    _plain_dp,
     _price,
+    _price_dp,
     auto_solver,
     enumerated_orders,
     induced_match,
@@ -931,11 +938,16 @@ def solve_prophet_lp(instance: MatchingInstance,
     Each round reads the offline-row duals ``alpha_u`` and the per-type
     duals ``beta_v``, prices a best policy for adjusted weights
     ``w_uv - alpha_u`` through the type's star black box (``solvers`` for
-    every type when given, else ``auto_solver``), and adds the column when
+    every type when given, else ``auto_solver``), and keeps the column when
     its value exceeds ``beta_v`` by more than ``PRICING_TOL``; a column
     already in the master cannot, so pricing one again raises
-    ``LpNumericalError``.  Each master solve starts from the previous
-    master's final basis, which the added columns leave primal feasible.
+    ``LpNumericalError``.  The types whose box is the plain ``dp`` solver
+    (``stars._plain_dp``) are priced together in one ``stars._price_dp``
+    call, the others one at a time by ``stars._price``; both give the same
+    columns, and the round's columns join the master in one
+    ``lp.add_column`` block, in type order.  Each master solve starts from
+    the previous master's final basis, which the added columns leave
+    primal feasible.
     With exact pricing (deterministic or hazard patience) the final
     objective is the true LP optimum; with the 1/2-approximate LP-policy
     box the returned solution is feasible and the objective is the value
@@ -951,6 +963,9 @@ def solve_prophet_lp(instance: MatchingInstance,
     boxes = [solvers or auto_solver(stars[v]) for v in range(n)]
     kappa = min((b.kappa for b in boxes), default=1.0)
     wmat = instance.weights_matrix()
+    w_rows = np.ascontiguousarray(wmat.T)  # so that each type's adjusted weights are one row
+    priced = [v for v in range(n) if q_v[v] > 0.0]
+    batched = [v for v in priced if _plain_dp(boxes[v])]
     columns = [(v, EMPTY_POLICY, np.zeros(m)) for v in range(n)]
     seen = {(v, ()) for v in range(n)}
     master = _master_problem(instance, columns, q_v)
@@ -960,24 +975,27 @@ def solve_prophet_lp(instance: MatchingInstance,
         sol = _solve_master(master, sol)
         alpha = np.clip(sol.duals[:m], 0.0, None)
         beta = sol.duals[m: m + n]
-        added = False
-        for v in range(n):
-            if q_v[v] <= 0.0:
-                continue
-            policy, value, pvec = _price(stars[v], wmat[:, v] - alpha, boxes[v])
+        adjusted = w_rows - alpha
+        found = dict(zip(batched, _price_dp([stars[v] for v in batched], adjusted[batched])))
+        new = []
+        for v in priced:
+            policy, value, pvec = (found[v] if v in found
+                                   else _price(stars[v], adjusted[v], boxes[v]))
             if value > beta[v] + PRICING_TOL:
                 if (v, policy.order) in seen:
                     raise LpNumericalError(
                         f"type {v}: priced policy {policy.order} is already in the master, "
                         f"yet its value {value} exceeds the dual {beta[v]}")
-                col = np.concatenate([pvec, np.zeros(n)])
-                col[m + v] = 1.0
-                master = lp.add_column(master, float(pvec @ wmat[:, v]), col)
-                columns.append((v, policy, pvec))
+                new.append((v, policy, pvec))
                 seen.add((v, policy.order))
-                added = True
-        if not added:
+        if not new:
             break  # the master is unchanged since ``sol``
+        block = np.zeros((m + n, len(new)))
+        for k, (v, _, pvec) in enumerate(new):
+            block[:m, k] = pvec
+            block[m + v, k] = 1.0
+        master = lp.add_column(master, [float(pvec @ wmat[:, v]) for v, _, pvec in new], block)
+        columns += new
         if len(columns) > COLUMN_CAP:
             status = "column_cap"
             sol = _solve_master(master, sol)

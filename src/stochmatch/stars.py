@@ -6,10 +6,13 @@ can be attempted, under any of the three patience models.  This module
 provides
 
 * exact evaluation of many probing orders at once (``order_match``, the
-  package's one walk of an order),
-* an exact dynamic program for deterministic patience, run over many
-  induced stars of one star at once (``deterministic_patience_dp``), and
-  the package's one induced-star planner (``induced_plans``): a solver's
+  package's one walk of an order), with one probability row for every
+  order or one per order,
+* one exact dynamic program for deterministic patience over many stars at
+  once (``_patience_dp``), each with its own items and budget: it plans
+  every induced star of one star (``deterministic_patience_dp``) and
+  prices every ``dp`` type of a column-generation round (``_price_dp``),
+* the package's one induced-star planner (``induced_plans``): a solver's
   plans on every induced star of one star, which ``induced_match`` walks,
 * the exact index rule ``w_i p_i / q_i`` for per-item hazard rates,
 * an attempt-indexed LP relaxation for arbitrary explicit patience
@@ -20,7 +23,9 @@ provides
   policy: every draw ends the arrival with the drawn item's success
   probability, real probe or simulated, so survival does not depend on
   what was probed and no expansion over probed sets is needed, and
-* the adjusted-weight pricing problem used by column generation.
+* the adjusted-weight pricing problem used by column generation: one
+  star per call through any solver (``_price``), or every star of a round
+  at once through the built-in ``dp`` solver (``_price_dp``).
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from . import lp
 from .instances import (
     CapacityError,
     EMPTY_POLICY,
+    PatienceModel,
     PatienceVariantError,
     Policy,
     StarInstance,
@@ -79,10 +85,18 @@ class StarResult:
 # Exact evaluation of probing orders
 # ---------------------------------------------------------------------------
 
+def _per_row(probs) -> bool:
+    """Whether ``probs`` is an ``(L, n)`` array, one row of item
+    probabilities per order, rather than one row for every order."""
+    return getattr(probs, "ndim", 1) == 2
+
+
 def _probe_entries(probs, patience, orders, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Per entry of ``orders``, the probability that probing it matches
     (zero past the row's length), and the entries with the padding mapped
-    to ``n = len(probs)``: row ``i`` probes its first ``lengths[i]`` entries.
+    to ``n``, the item count: row ``i`` probes its first ``lengths[i]``
+    entries.  ``probs`` holds ``n`` item probabilities for every row, or
+    one row of them per row (``_per_row``).
 
     Survival-curve and deterministic patience: the k-th probe happens iff
     the patience is at least ``k`` and the first ``k-1`` probes failed.
@@ -90,25 +104,31 @@ def _probe_entries(probs, patience, orders, lengths) -> tuple[np.ndarray, np.nda
     ``p_i + (1-p_i) r_i`` (success, or failure and a balk).  Each row's
     prefix of surviving terms is one ``np.cumprod``, in probe order.
     """
-    n = len(probs)
-    p = np.zeros(n + 1)
-    p[:n] = probs
+    per_row = _per_row(probs)
+    n = probs.shape[1] if per_row else len(probs)
+    p = np.zeros((len(probs), n + 1) if per_row else n + 1)
+    p[..., :n] = probs
     orders = np.asarray(orders, dtype=np.intp)
     width = orders.shape[1]
     idx = np.where(np.arange(width) < np.asarray(lengths)[:, None], orders, n)
     ends = p + (1.0 - p) * np.append(patience.hazard_rates(n), 0.0) if patience.is_hazard else p
+    at = idx
+    if per_row:  # gather from the flattened rows
+        at, p, ends = idx + (n + 1) * np.arange(len(idx))[:, None], p.ravel(), ends.ravel()
     alive = np.ones(idx.shape)
-    alive[:, 1:] = np.cumprod(1.0 - ends[idx[:, :-1]], axis=1)
+    alive[:, 1:] = np.cumprod(1.0 - ends[at[:, :-1]], axis=1)
     curve = 1.0 if patience.is_hazard else patience.survival_curve(width)
-    return curve * alive * p[idx], idx
+    return curve * alive * p[at], idx
 
 
 def order_match(probs, patience, orders, lengths) -> np.ndarray:
-    """Match probabilities, ``(L, n)`` over the items of ``probs``, of
-    arrivals with ``patience`` where row ``i`` probes the first
-    ``lengths[i]`` entries of ``orders[i]``, all available."""
+    """Match probabilities, ``(L, n)`` over the ``n`` items, of arrivals
+    with ``patience`` where row ``i`` probes the first ``lengths[i]``
+    entries of ``orders[i]``, all available; ``probs`` as in
+    ``_probe_entries``."""
     entry, idx = _probe_entries(probs, patience, orders, lengths)
-    out = np.zeros((idx.shape[0], len(probs) + 1))  # the last column takes the padding
+    n = probs.shape[1] if _per_row(probs) else len(probs)
+    out = np.zeros((idx.shape[0], n + 1))  # the last column takes the padding
     out[np.arange(idx.shape[0])[:, None], idx] = entry
     return out[:, :-1]
 
@@ -151,44 +171,68 @@ def solve_deterministic_patience(star: StarInstance) -> StarResult:
     return StarResult(Policy(tuple(orders[0, :lengths[0]].tolist())), value, value)
 
 
+def _dp_budget(patience) -> int:
+    if not patience.is_deterministic:
+        raise PatienceVariantError("deterministic-patience solver needs deterministic patience")
+    return patience.theta
+
+
 def deterministic_patience_dp(star: StarInstance, avail) -> tuple[np.ndarray, ...]:
     """Optimal ordered subsets for a fixed probe budget ``theta`` on many
     induced stars at once: row ``i`` of the boolean ``(L, n)`` matrix
     ``avail`` picks ``star.with_items(np.flatnonzero(avail[i]))``, whose
     optimal order is the first ``lengths[i]`` entries of ``orders[i]``
     (indices into ``star``) and whose expected reward is ``values[i]``.
+    The star's items with ``p > 0`` are sorted once, and a row lacks the
+    ones it does not have (``_patience_dp``)."""
+    theta = _dp_budget(star.patience)
+    items = _positive_items(star)
+    items.sort(key=lambda i: (-star.weights[i], i))
+    gain, fail = np.array([(star.probs[i] * star.weights[i], 1.0 - star.probs[i])
+                           for i in items]).reshape(-1, 2).T[:, :, None]
+    present = np.asarray(avail, dtype=bool).T[items]
+    picks, lengths, values = _patience_dp(present, gain, fail, theta)
+    return np.append(items, 0)[picks], lengths, values
+
+
+def _patience_dp(present, gain, fail, theta) -> tuple[np.ndarray, ...]:
+    """The package's one deterministic-patience DP, over many stars at
+    once.  Star ``r``'s items are sorted by ``(-w, index)`` into positions
+    ``i``: ``present[i, r]`` tells whether the star has the item there,
+    ``gain[i]`` is its ``p w`` and ``fail[i]`` its ``1 - p`` (a column
+    each for all stars, or one per star); ``theta`` is every star's probe
+    budget, or one per star.  The optimal order of star ``r`` is the
+    positions ``picks[r, :lengths[r]]`` (``k``, the position count, pads
+    the rest) and its expected reward is ``values[r]``.
 
     Probing a chosen set in decreasing weight order is optimal (an adjacent
     swap changes the value by ``prefix * p_a p_b (w_a - w_b)``), so a
-    knapsack DP over the weight-sorted items finds the optimum: with ``t``
+    knapsack DP over the sorted positions finds the optimum: with ``t``
     probes left, ``D_t[i] = max(D_t[i+1], p_i w_i + (1 - p_i) D_{t-1}[i+1])``
-    from sorted position ``i`` on, probing ``i`` on ties.  ``D_t`` is a
-    suffix maximum, so the DP makes one pass per unit of budget over every
-    item and row.  An item a row lacks never wins the maximum, and a budget
-    above the items left changes nothing, so every row gets the values and
-    choices of the DP over its own items.
+    from position ``i`` on, probing ``i`` on ties.  ``D_t`` is a suffix
+    maximum, so the DP makes one pass per unit of budget over every
+    position and star.  A missing item probes at -inf and never wins the
+    maximum, and a budget above the items left changes nothing, so every
+    star gets the values and choices of the DP over its own items, and its
+    walk reads the choices of its own budget.
     """
-    if not star.patience.is_deterministic:
-        raise PatienceVariantError("deterministic-patience solver needs deterministic patience")
-    avail = np.asarray(avail, dtype=bool)
-    n_rows = avail.shape[0]
-    items = _positive_items(star)
-    items.sort(key=lambda i: (-star.weights[i], i))
-    k = len(items)
-    cap = min(star.patience.theta, k)
-    if cap <= 0:
-        return (np.zeros((n_rows, 0), dtype=np.intp), np.zeros(n_rows, dtype=np.intp),
-                np.zeros(n_rows))
-    # per sorted position and row: p w and 1 - p, or -inf and 0 where the row lacks the item
-    present = avail.T[items]
-    gain, fail = np.array([(star.probs[i] * star.weights[i], 1.0 - star.probs[i])
-                           for i in items]).T[:, :, None]
+    k, n_rows = present.shape
     gain, fail = np.where(present, gain, -np.inf), fail * present
-    # D[i, row]: D_t[i] of the pass, D[k] = 0; take[t - 1, i]: probe i with t left
+    one_budget = isinstance(theta, (int, np.integer))  # then each probe reads one layer of ``take``
+    if one_budget:
+        caps = passes = max(0, min(theta, k))
+    else:
+        caps = np.maximum(np.minimum(theta, k), 0)
+        passes = int(caps.max(initial=0))
+    # D[i, row]: D_t[i] of the pass, D[k] = 0; take[t, i]: probe i with t left
     # (position k always takes: it ends a walk)
     D = np.zeros((k + 1, n_rows))
-    take = np.ones((cap, k + 1, n_rows), dtype=bool)
-    for t in range(cap):
+    take = np.ones((passes + 1, k + 1, n_rows), dtype=bool)
+    if not one_budget:  # a walk past its star's budget reads layer 0, which takes position k only
+        take[0, :k] = False
+        rows = np.arange(n_rows)
+        top = np.zeros((passes + 1, n_rows))  # D_t[0], the value of budget t
+    for t in range(1, passes + 1):
         probe = gain + fail * D[1:]
         D[:k] = probe
         span = 1
@@ -196,15 +240,17 @@ def deterministic_patience_dp(star: StarInstance, avail) -> tuple[np.ndarray, ..
             np.maximum(D[:-span], D[span:], out=D[:-span])
             span *= 2
         np.greater_equal(probe, D[1:], out=take[t, :k])
-    # each probe of a row's walk is the first position on that takes with the probes left
+        if not one_budget:
+            top[t] = D[0]
+    # each probe of a star's walk is the first position on that takes with its probes left
     ranks = np.arange(k + 1)[:, None]
-    picks = np.empty((cap, n_rows), dtype=np.intp)
+    picks = np.empty((passes, n_rows), dtype=np.intp)
     at = np.zeros(n_rows, dtype=np.intp)
-    for s in range(cap):
-        picks[s] = np.argmax(take[cap - 1 - s] & (ranks >= at), axis=0)
+    for s in range(passes):
+        layer = take[caps - s] if one_budget else take[np.maximum(caps - s, 0), :, rows].T
+        picks[s] = np.argmax(layer & (ranks >= at), axis=0)
         at = np.minimum(picks[s] + 1, k)
-    orders = np.append(items, 0)[picks.T]
-    return orders, np.count_nonzero(picks < k, axis=0), D[0]
+    return picks.T, np.count_nonzero(picks < k, axis=0), D[0] if one_budget else top[caps, rows]
 
 
 def solve_constant_hazard(star: StarInstance) -> StarResult:
@@ -482,6 +528,13 @@ def auto_solver(star_or_patience) -> StarSolver:
     return solver_by_name("lp")
 
 
+def _plain_dp(solver: StarSolver) -> bool:
+    """Whether ``solver`` is the built-in ``dp`` solver, which plans many
+    stars in one ``_patience_dp`` call: named ``dp``, with ``solve`` not
+    overridden (a traced solver, say, solves one star per call)."""
+    return solver.name == "dp" and type(solver).solve is StarSolver.solve
+
+
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the columns of a matrix by value, in ``np.lexsort`` order (the
     last row is the primary key): per column the index of its group, and
@@ -525,7 +578,7 @@ def induced_plans(solver: StarSolver, star: StarInstance, avail):
     any other solver, or one whose ``solve`` is overridden (a traced
     solver, say), solves once per distinct nonempty row."""
     avail = np.asarray(avail, dtype=bool)
-    if solver.name == "dp" and type(solver).solve is StarSolver.solve:
+    if _plain_dp(solver):
         orders, lengths, _ = deterministic_patience_dp(star, avail)
         return np.arange(len(avail)), orders, lengths, {}
     _, plan, first = _distinct_rows(avail)
@@ -576,3 +629,32 @@ def _price(star: StarInstance, adjusted_weights, selector: StarSolver):
     policy = Policy(tuple(keep[i] for i in sub_policy.order))
     match = policy_match_probabilities(star, policy)
     return policy, float(match @ adjusted), match
+
+
+def _price_dp(stars, adjusted) -> list[tuple[Policy, float, np.ndarray]]:
+    """``_price`` with the ``dp`` selector for every star of ``stars`` at
+    once, row ``r`` of ``adjusted`` holding star ``r``'s adjusted weights:
+    one ``_patience_dp`` call, where each row keeps its items of positive
+    adjusted weight and probability and has its own budget, and one
+    ``order_match`` walk over the rows' probabilities.  Returns
+    ``_price``'s triple per star, equal to it bit for bit: each value is
+    the row's own dot product."""
+    if not stars:
+        return []
+    adjusted = np.ascontiguousarray(adjusted, dtype=float)
+    probs = np.array([star.probs for star in stars], dtype=float)
+    if adjusted.shape != probs.shape:
+        raise StochmatchError("adjusted weights must match the item count")
+    theta = [_dp_budget(star.patience) for star in stars]
+    # per row, its items of positive adjusted weight and probability first, in (-w, index) order
+    keep = (adjusted > 0.0) & (probs > 0.0)
+    cols = np.argsort(np.where(keep, -adjusted, np.inf), axis=1, kind="stable")
+    cols = cols[:, :keep.sum(axis=1).max()]
+    rows = np.arange(len(stars))
+    at = rows, cols.T
+    picks, lengths, _ = _patience_dp(keep[at], (probs * adjusted)[at], 1.0 - probs[at], theta)
+    orders = np.append(cols, np.zeros((len(rows), 1), dtype=np.intp), axis=1)[rows[:, None], picks]
+    # no row probes past its own budget, where deterministic patience is still alive
+    match = order_match(probs, PatienceModel.deterministic(orders.shape[1]), orders, lengths)
+    return [(Policy(tuple(order[:k])), float(pvec @ row), pvec)
+            for order, k, pvec, row in zip(orders.tolist(), lengths.tolist(), match, adjusted)]

@@ -146,6 +146,28 @@ def test_dimension_mismatch_raises():
     p = LpProblem.make([1.0], [[1.0]], ["<="], [1.0])
     with pytest.raises(ValueError):
         add_column(p, 1.0, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        add_column(p, [1.0, 2.0], [[1.0, 2.0, 3.0]])  # three columns, two coefficients
+
+
+def test_a_block_of_columns_equals_adding_them_one_by_one():
+    rng = np.random.default_rng(5)
+    p = LpProblem.make(rng.random(3), rng.random((2, 3)), ["<=", "<="], [1.0, 2.0])
+    first = solve(p)
+    costs, block = rng.random(4) + 1.0, rng.random((2, 4))
+    one_by_one = p
+    for j in range(4):
+        one_by_one = add_column(one_by_one, costs[j], block[:, j])
+    at_once = add_column(p, costs, block)
+    for name in ("c", "A", "b", "lb", "ub"):
+        assert np.array_equal(getattr(at_once, name), getattr(one_by_one, name))
+    assert at_once.senses == one_by_one.senses
+    # the earlier basis still fits the grown problem
+    warm = solve(at_once, start=first)
+    assert warm.start == "warm" and warm.status == OPTIMAL
+    assert warm.objective > first.objective
+    again = solve(one_by_one, start=first)
+    assert warm.objective == again.objective and np.array_equal(warm.x, again.x)
 
 
 def _random_problem(rng):

@@ -1,8 +1,11 @@
 import dataclasses
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochmatch import hard_instances as hard
 from stochmatch import lp, matching
@@ -32,7 +35,7 @@ from stochmatch.matching import (
     solve_prophet_lp_enumerated,
 )
 from stochmatch.simulate import SimConfig, simulate, trial_generator
-from stochmatch.stars import StarSolver, solver_by_name
+from stochmatch.stars import StarSolver, _price, auto_solver, solver_by_name
 
 
 def _tape(seed):
@@ -81,17 +84,101 @@ def test_column_cap_returns_a_feasible_master(monkeypatch):
 def test_repricing_a_master_column_raises(monkeypatch):
     inst = hard.gen_random_matching(0, m=3, n_types=2, arrival_kind="prophet",
                                     max_theta=2, horizon=4)
-    real, first = matching._price, {}
+    real, first = matching._price_dp, {}
 
-    def price(star, adjusted, box):
+    def price(stars, adjusted):
         # each type's first priced column, then that column again, always at a large value
-        policy, _, match = first.setdefault(star, real(star, adjusted, box))
-        return policy, 1e6, match
+        out = []
+        for star, row in zip(stars, adjusted):
+            policy, _, match = first.setdefault(star, real([star], row[None])[0])
+            out.append((policy, 1e6, match))
+        return out
 
-    monkeypatch.setattr(matching, "_price", price)
+    monkeypatch.setattr(matching, "_price_dp", price)
     with pytest.raises(LpNumericalError, match="already in the master"):
         solve_prophet_lp(inst)
     assert any(policy.order for policy, _, _ in first.values())
+
+
+@st.composite
+def pricing_rounds(draw):
+    """A deterministic-patience instance and offline duals for one pricing
+    round: weights and duals from a small grid (ties in adjusted weight),
+    zero-probability edges, types whose weights are all zero (so every
+    adjusted weight is at most 0), budgets from 0 to above the item count,
+    and types that never arrive (q_v = 0)."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0)
+    prob = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)
+    weights = np.array(draw(st.lists(grid, min_size=m * n, max_size=m * n))).reshape(m, n)
+    probs = np.array(draw(st.lists(prob, min_size=m * n, max_size=m * n))).reshape(m, n)
+    weights[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
+    theta = draw(st.lists(st.integers(0, m + 2), min_size=n, max_size=n))
+    arrives = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    inst = MatchingInstance.make(probs, tuple(map(PatienceModel.deterministic, theta)),
+                                 ArrivalModel.prophet(np.tile(arrives / n, (2, 1))),
+                                 edge_weights=weights)
+    return inst, np.array(draw(st.lists(grid, min_size=m, max_size=m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pricing_rounds())
+def test_batched_pricing_equals_pricing_each_type(case):
+    inst, alpha = case
+    stars = matching._type_stars(inst)
+    wmat = inst.weights_matrix()
+    adjusted = np.array([wmat[:, v] - alpha for v in range(inst.n_types)])
+    for v, (policy, value, match) in enumerate(matching._price_dp(stars, adjusted)):
+        one = _price(stars[v], wmat[:, v] - alpha, solver_by_name("dp"))
+        assert policy.order == one[0].order
+        assert value == one[1]
+        assert np.array_equal(match, one[2])
+
+
+class _OneStarPerCall(StarSolver):
+    """The ``dp`` solver with ``solve`` overridden, which column generation
+    prices one type at a time."""
+
+    def solve(self, star):
+        return super().solve(star)
+
+
+def _mixed_patience_instance():
+    """An 8x6 prophet instance whose type 2 has hazard patience and whose
+    type 4 never arrives."""
+    inst = hard.gen_random_matching(0, 8, 6, "prophet", horizon=8)
+    patience = list(inst.patience)
+    patience[2] = PatienceModel.constant_hazard(rate=0.3)
+    q_tv = np.array(inst.arrivals.q_tv)
+    q_tv[:, 4] = 0.0
+    return MatchingInstance.make(inst.probs, tuple(patience), ArrivalModel.prophet(q_tv),
+                                 edge_weights=inst.edge_weights)
+
+
+@pytest.mark.parametrize("make", [
+    *(pytest.param(partial(hard.gen_random_matching, seed, 8, 6, kind, horizon=8),
+                   id=f"{kind}-{seed}")
+      for kind in ("iid", "prophet") for seed in range(10)),
+    pytest.param(_mixed_patience_instance, id="mixed-patience")])
+def test_batched_column_generation_equals_pricing_each_type(monkeypatch, make):
+    inst = make()
+    batched = solve_prophet_lp(inst)
+
+    def one_star_per_call(star_or_patience):
+        solver = auto_solver(star_or_patience)
+        return _OneStarPerCall(solver.name, solver.kappa) if solver.name == "dp" else solver
+
+    def no_batch(stars, adjusted):
+        assert not stars
+        return []
+
+    monkeypatch.setattr(matching, "auto_solver", one_star_per_call)
+    monkeypatch.setattr(matching, "_price_dp", no_batch)
+    each = solve_prophet_lp(inst)
+    assert (batched.objective, batched.status, batched.n_columns) == (
+        each.objective, each.status, each.n_columns)
+    assert np.array_equal(batched.w_star, each.w_star)
+    assert batched.mixture == each.mixture
 
 
 def _column_generation(monkeypatch, instance, warm):
