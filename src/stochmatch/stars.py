@@ -6,8 +6,7 @@ can be attempted, under any of the three patience models.  This module
 provides
 
 * exact evaluation of many probing orders at once (``order_match``, the
-  package's one walk of an order), with one probability row for every
-  order or one per order,
+  package's one walk of an order),
 * one exact dynamic program for deterministic patience over many stars at
   once (``_patience_dp``), each with its own items and budget: it plans
   every induced star of one star (``deterministic_patience_dp``) and
@@ -85,18 +84,10 @@ class StarResult:
 # Exact evaluation of probing orders
 # ---------------------------------------------------------------------------
 
-def _per_row(probs) -> bool:
-    """Whether ``probs`` is an ``(L, n)`` array, one row of item
-    probabilities per order, rather than one row for every order."""
-    return getattr(probs, "ndim", 1) == 2
-
-
 def _probe_entries(probs, patience, orders, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Per entry of ``orders``, the probability that probing it matches
     (zero past the row's length), and the entries with the padding mapped
-    to ``n``, the item count: row ``i`` probes its first ``lengths[i]``
-    entries.  ``probs`` holds ``n`` item probabilities for every row, or
-    one row of them per row (``_per_row``).
+    to ``n = len(probs)``: row ``i`` probes its first ``lengths[i]`` entries.
 
     Survival-curve and deterministic patience: the k-th probe happens iff
     the patience is at least ``k`` and the first ``k-1`` probes failed.
@@ -104,31 +95,25 @@ def _probe_entries(probs, patience, orders, lengths) -> tuple[np.ndarray, np.nda
     ``p_i + (1-p_i) r_i`` (success, or failure and a balk).  Each row's
     prefix of surviving terms is one ``np.cumprod``, in probe order.
     """
-    per_row = _per_row(probs)
-    n = probs.shape[1] if per_row else len(probs)
-    p = np.zeros((len(probs), n + 1) if per_row else n + 1)
-    p[..., :n] = probs
+    n = len(probs)
+    p = np.zeros(n + 1)
+    p[:n] = probs
     orders = np.asarray(orders, dtype=np.intp)
     width = orders.shape[1]
     idx = np.where(np.arange(width) < np.asarray(lengths)[:, None], orders, n)
     ends = p + (1.0 - p) * np.append(patience.hazard_rates(n), 0.0) if patience.is_hazard else p
-    at = idx
-    if per_row:  # gather from the flattened rows
-        at, p, ends = idx + (n + 1) * np.arange(len(idx))[:, None], p.ravel(), ends.ravel()
     alive = np.ones(idx.shape)
-    alive[:, 1:] = np.cumprod(1.0 - ends[at[:, :-1]], axis=1)
+    alive[:, 1:] = np.cumprod(1.0 - ends[idx[:, :-1]], axis=1)
     curve = 1.0 if patience.is_hazard else patience.survival_curve(width)
-    return curve * alive * p[at], idx
+    return curve * alive * p[idx], idx
 
 
 def order_match(probs, patience, orders, lengths) -> np.ndarray:
-    """Match probabilities, ``(L, n)`` over the ``n`` items, of arrivals
-    with ``patience`` where row ``i`` probes the first ``lengths[i]``
-    entries of ``orders[i]``, all available; ``probs`` as in
-    ``_probe_entries``."""
+    """Match probabilities, ``(L, n)`` over the items of ``probs``, of
+    arrivals with ``patience`` where row ``i`` probes the first
+    ``lengths[i]`` entries of ``orders[i]``, all available."""
     entry, idx = _probe_entries(probs, patience, orders, lengths)
-    n = probs.shape[1] if _per_row(probs) else len(probs)
-    out = np.zeros((idx.shape[0], n + 1))  # the last column takes the padding
+    out = np.zeros((idx.shape[0], len(probs) + 1))  # the last column takes the padding
     out[np.arange(idx.shape[0])[:, None], idx] = entry
     return out[:, :-1]
 
@@ -191,8 +176,8 @@ def deterministic_patience_dp(star: StarInstance, avail) -> tuple[np.ndarray, ..
     gain, fail = np.array([(star.probs[i] * star.weights[i], 1.0 - star.probs[i])
                            for i in items]).reshape(-1, 2).T[:, :, None]
     present = np.asarray(avail, dtype=bool).T[items]
-    picks, lengths, values = _patience_dp(present, gain, fail, theta)
-    return np.append(items, 0)[picks], lengths, values
+    picks, lengths, values = _patience_dp(present, gain, fail, np.full(present.shape[1], theta))
+    return np.array(items + [0], dtype=np.intp)[picks], lengths, values
 
 
 def _patience_dp(present, gain, fail, theta) -> tuple[np.ndarray, ...]:
@@ -200,8 +185,8 @@ def _patience_dp(present, gain, fail, theta) -> tuple[np.ndarray, ...]:
     once.  Star ``r``'s items are sorted by ``(-w, index)`` into positions
     ``i``: ``present[i, r]`` tells whether the star has the item there,
     ``gain[i]`` is its ``p w`` and ``fail[i]`` its ``1 - p`` (a column
-    each for all stars, or one per star); ``theta`` is every star's probe
-    budget, or one per star.  The optimal order of star ``r`` is the
+    each for all stars, or one per star); the array ``theta`` holds each
+    star's probe budget.  The optimal order of star ``r`` is the
     positions ``picks[r, :lengths[r]]`` (``k``, the position count, pads
     the rest) and its expected reward is ``values[r]``.
 
@@ -213,44 +198,38 @@ def _patience_dp(present, gain, fail, theta) -> tuple[np.ndarray, ...]:
     maximum, so the DP makes one pass per unit of budget over every
     position and star.  A missing item probes at -inf and never wins the
     maximum, and a budget above the items left changes nothing, so every
-    star gets the values and choices of the DP over its own items, and its
-    walk reads the choices of its own budget.
+    star gets the values and choices of the DP over its own items.  A star
+    joins the DP for its last ``theta[r]`` passes only (all of them when
+    its budget is larger, none when it is 0): before, all its probes score
+    -inf, so its ``D`` stays 0 and no position but ``k`` takes.  Its
+    budget then runs out exactly at the last pass, and every walk reads
+    the passes from the last one down.
     """
     k, n_rows = present.shape
-    gain, fail = np.where(present, gain, -np.inf), fail * present
-    one_budget = isinstance(theta, (int, np.integer))  # then each probe reads one layer of ``take``
-    if one_budget:
-        caps = passes = max(0, min(theta, k))
-    else:
-        caps = np.maximum(np.minimum(theta, k), 0)
-        passes = int(caps.max(initial=0))
-    # D[i, row]: D_t[i] of the pass, D[k] = 0; take[t, i]: probe i with t left
+    passes = min(int(theta.max(initial=0)), k)
+    # gain[t - 1] for pass t: a star joins once fewer passes are left than its budget
+    joined = np.arange(passes - 1, -1, -1)[:, None, None] < theta
+    gain, fail = np.where(present & joined, gain, -np.inf), fail * present
+    # D[i, row]: D_t[i] of the pass, D[k] = 0; take[t - 1, i]: probe i in pass t
     # (position k always takes: it ends a walk)
     D = np.zeros((k + 1, n_rows))
-    take = np.ones((passes + 1, k + 1, n_rows), dtype=bool)
-    if not one_budget:  # a walk past its star's budget reads layer 0, which takes position k only
-        take[0, :k] = False
-        rows = np.arange(n_rows)
-        top = np.zeros((passes + 1, n_rows))  # D_t[0], the value of budget t
+    take = np.ones((passes, k + 1, n_rows), dtype=bool)
     for t in range(1, passes + 1):
-        probe = gain + fail * D[1:]
+        probe = gain[t - 1] + fail * D[1:]
         D[:k] = probe
         span = 1
         while span <= k:  # suffix maximum by doubling spans
             np.maximum(D[:-span], D[span:], out=D[:-span])
             span *= 2
-        np.greater_equal(probe, D[1:], out=take[t, :k])
-        if not one_budget:
-            top[t] = D[0]
-    # each probe of a star's walk is the first position on that takes with its probes left
+        np.greater_equal(probe, D[1:], out=take[t - 1, :k])
+    # probe s of a walk is the first position on that takes in the s-th pass from the last
     ranks = np.arange(k + 1)[:, None]
     picks = np.empty((passes, n_rows), dtype=np.intp)
     at = np.zeros(n_rows, dtype=np.intp)
     for s in range(passes):
-        layer = take[caps - s] if one_budget else take[np.maximum(caps - s, 0), :, rows].T
-        picks[s] = np.argmax(layer & (ranks >= at), axis=0)
+        picks[s] = np.argmax(take[passes - 1 - s] & (ranks >= at), axis=0)
         at = np.minimum(picks[s] + 1, k)
-    return picks.T, np.count_nonzero(picks < k, axis=0), D[0] if one_budget else top[caps, rows]
+    return picks.T, np.count_nonzero(picks < k, axis=0), D[0]
 
 
 def solve_constant_hazard(star: StarInstance) -> StarResult:
@@ -635,17 +614,17 @@ def _price_dp(stars, adjusted) -> list[tuple[Policy, float, np.ndarray]]:
     """``_price`` with the ``dp`` selector for every star of ``stars`` at
     once, row ``r`` of ``adjusted`` holding star ``r``'s adjusted weights:
     one ``_patience_dp`` call, where each row keeps its items of positive
-    adjusted weight and probability and has its own budget, and one
-    ``order_match`` walk over the rows' probabilities.  Returns
-    ``_price``'s triple per star, equal to it bit for bit: each value is
-    the row's own dot product."""
+    adjusted weight and probability and has its own budget, and one walk
+    (``_probe_entries``) over the rows' probabilities laid end to end.
+    Returns ``_price``'s triple per star, equal to it bit for bit: each
+    value is the row's own dot product."""
     if not stars:
         return []
     adjusted = np.ascontiguousarray(adjusted, dtype=float)
     probs = np.array([star.probs for star in stars], dtype=float)
     if adjusted.shape != probs.shape:
         raise StochmatchError("adjusted weights must match the item count")
-    theta = [_dp_budget(star.patience) for star in stars]
+    theta = np.array([_dp_budget(star.patience) for star in stars])
     # per row, its items of positive adjusted weight and probability first, in (-w, index) order
     keep = (adjusted > 0.0) & (probs > 0.0)
     cols = np.argsort(np.where(keep, -adjusted, np.inf), axis=1, kind="stable")
@@ -654,7 +633,13 @@ def _price_dp(stars, adjusted) -> list[tuple[Policy, float, np.ndarray]]:
     at = rows, cols.T
     picks, lengths, _ = _patience_dp(keep[at], (probs * adjusted)[at], 1.0 - probs[at], theta)
     orders = np.append(cols, np.zeros((len(rows), 1), dtype=np.intp), axis=1)[rows[:, None], picks]
-    # no row probes past its own budget, where deterministic patience is still alive
-    match = order_match(probs, PatienceModel.deterministic(orders.shape[1]), orders, lengths)
+    # one walk over the rows' probabilities laid end to end, row r's order offset into its own
+    # block; no row probes past its own budget, where deterministic patience is still alive.
+    # Each row writes only its own block, so the match vectors scatter into one flat vector.
+    entry, idx = _probe_entries(probs.ravel(), PatienceModel.deterministic(orders.shape[1]),
+                                orders + probs.shape[1] * rows[:, None], lengths)
+    flat = np.zeros(probs.size + 1)  # the last entry takes the padding
+    flat[idx] = entry
+    match = flat[:-1].reshape(probs.shape)
     return [(Policy(tuple(order[:k])), float(pvec @ row), pvec)
             for order, k, pvec, row in zip(orders.tolist(), lengths.tolist(), match, adjusted)]

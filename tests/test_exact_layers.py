@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import exact_oracles as oracle
@@ -71,11 +71,15 @@ def induced_stars(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(induced_stars())
+@example((StarInstance.make([1.0, 2.0], [0.0, 0.0], PatienceModel.deterministic(2)),
+          np.ones((2, 2), dtype=bool)))  # no item to probe
 def test_batched_dp_orders_equal_the_scalar_dp(case):
     # every row's order and value are the scalar DP's on the row's own
-    # star, and so are the one-row call's in ``solve_deterministic_patience``
+    # star, and so are the one-row call's in ``solve_deterministic_patience``;
+    # the orders index the star, even when they are empty
     star, avail = case
     orders, lengths, values = deterministic_patience_dp(star, avail)
+    assert orders.dtype == np.intp
     for row, order, length, value in zip(avail, orders, lengths, values.tolist()):
         idx = np.flatnonzero(row).tolist()
         sub = star.with_items(idx)
