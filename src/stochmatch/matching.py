@@ -40,7 +40,7 @@ the free set's packed key: ``ceil(k / 64)`` uint64 words over the type's
 ``k`` neighbors.  At an arrival that leaves some trial a free neighbor,
 its lockstep walk groups the trials by one sort over their keys and
 gathers their plans' rows; only the keys not stored yet are planned, in
-one ``stars.induced_plans`` call, whose plans become their rows.  A
+one ``StarSolver.plan`` call, whose plans become their rows.  A
 parallel ``simulate`` hands each worker's new rows back to the caller's
 table.
 
@@ -51,26 +51,23 @@ step, as numpy arrays of free sets and probabilities taken in chunks of
 ``EXACT_CHUNK``: per chunk the matcher gives the probability of matching
 each vertex, and the next layer is summed in a dense accumulator over all
 free sets.  SimpleGreedy ranks each set's free neighbors as its lockstep
-walk does, and AdvGreedy plans every set with ``stars.induced_plans``
-(through ``stars.induced_match``); either walks a chunk's orders in one
-``stars.order_match`` call.  The
-policy-LP matcher needs no free sets: a simulated probe ends
-an arrival with the same probability as a real one, so each offline
-vertex stays free with a product over steps of its own miss
-probabilities, whatever the other vertices do, and the value is a sum
-over steps and vertices.  The offline optimum
-(``simulate.brute_force_offline_opt``) takes a max over probes, not an
-expectation, so it values its states backward, one level at a time.
+walk does, and AdvGreedy plans every distinct set in one
+``StarSolver.plan`` call (through ``stars.induced_match``); either walks a
+chunk's orders in one ``stars.order_match`` call.  The policy-LP matcher
+needs no free sets: a simulated probe ends an arrival with the same
+probability as a real one, so each offline vertex stays free with a
+product over steps of its own miss probabilities, whatever the other
+vertices do, and the value is a sum over steps and vertices.  The offline
+optimum (``simulate.brute_force_offline_opt``) takes a max over probes, not
+an expectation, so it values its states backward, one level at a time.
 
 Also here: the offline benchmark LP over edge-probe variables (optionally
 tightened with per-subset star-optimum rows), and the policy LP over probing
 policies solved by column generation against its pricing problem; pricing
-a column already in the master raises ``LpNumericalError``.  A round prices
-every type whose black box is the built-in ``dp`` solver in one call
-(``stars._price_dp``: one DP and one walk for all of them) and any other
-type on its own (``stars._price``: the hazard, LP or brute-force box, or a
-solver whose ``solve`` is overridden), and adds its columns to the master
-as one block.
+a column already in the master raises ``LpNumericalError``.  A round groups
+its types by black box and prices each group through ``stars.price``: one
+``plan`` call and one walk per box, whatever the box.  It adds its columns
+to the master as one block.
 """
 
 from __future__ import annotations
@@ -95,21 +92,18 @@ from .instances import (
     Policy,
     PolicyMixture,
     PROPHET,
-    StarInstance,
     StochmatchError,
 )
 from .stars import (
+    StarBatch,
     StarSolver,
     _distinct_rows,
     _pack_orders,
-    _plain_dp,
-    _price,
-    _price_dp,
     auto_solver,
     enumerated_orders,
     induced_match,
-    induced_plans,
     order_match,
+    price,
     solver_by_name,
 )
 
@@ -616,12 +610,12 @@ class AdvGreedyMatcher(_GreedyMatcher):
 
     def _new_tables(self, instance) -> _GreedyTables:
         # of the star solvers only the LP policy returns randomized plans
-        return _GreedyTables(instance, lambda p: (self.solver or auto_solver(p)).name == "lp")
+        return _GreedyTables(instance, lambda p: (self.solver or auto_solver(p)).randomized)
 
     def _exact_match(self, instance, tables, v, avail):
         """Match probabilities of an arrival of type ``v`` on each row of
         ``avail`` (its free neighbors): the solver's plan on each induced
-        star (``stars.induced_plans``), walked by ``stars.induced_match``."""
+        star, walked by ``stars.induced_match``."""
         neigh = tables.neighbor_arrays[v]
         star, _ = instance.star_for(v, neigh.tolist())
         match = np.zeros((len(avail), instance.m))
@@ -632,10 +626,11 @@ class AdvGreedyMatcher(_GreedyMatcher):
         """Type ``v``'s stored plan rows (a ``_PlanRows``) and the row of
         each of its packed free-set ``keys`` there; row ``first[i]`` of the
         boolean ``free`` marks the free neighbors of ``keys[i]``.  The keys
-        not stored yet are planned in one ``stars.induced_plans`` call on
-        the star of all of the type's neighbors, and their rows are written
-        from its plans; a randomized plan for a type whose draw bound allows
-        only a policy walk raises ``StochmatchError``."""
+        not stored yet, distinct already, are planned in one
+        ``StarSolver.plan`` call on the star of all of the type's neighbors,
+        and their rows are written from its plans; a randomized plan for a
+        type whose draw bound allows only a policy walk raises
+        ``StochmatchError``."""
         neigh = tables.neighbor_arrays[v]
         store = tables.plan_rows.get(v)
         names = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
@@ -645,7 +640,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
             new = [i for i, at in enumerate(found) if at is None]
             solver = self.solver or auto_solver(tables.patience[v])
             star, _ = instance.star_for(v, neigh.tolist())
-            plan, orders, lengths, randomized = induced_plans(solver, star, free[first[new]])
+            orders, lengths, randomized = solver.plan(StarBatch.induced(star, free[first[new]]))
             if randomized and not tables.randomized[v]:
                 raise StochmatchError(
                     f"star solver {solver.name!r} returned a randomized plan for type "
@@ -662,8 +657,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
                 pick = np.cumsum(rsp.attempt_probs, axis=1)
                 pick[~rsp.attempt_probs.any(axis=1)] = np.nan
                 cum[g, :n, :n], cum[g, :n, n:] = pick, pick[:, -1:]
-            rows = _PlanRows([names[i] for i in new], kind[plan], items[plan], lengths[plan],
-                             None if cum is None else cum[plan])
+            rows = _PlanRows([names[i] for i in new], kind, items, lengths, cum)
             store = tables.keep_plans(v, rows)
             found = [store.index[name] for name in names]
         return store, np.array(found, dtype=np.intp)
@@ -809,9 +803,9 @@ STAR_CONSTRAINT_MAX_OFFLINE = 12
 
 
 def _exact_solver_for(patience: PatienceModel) -> StarSolver:
-    """``auto_solver``, with brute force where it would pick the LP policy."""
+    """``auto_solver``, with brute force where it would pick an approximate box."""
     solver = auto_solver(patience)
-    return solver_by_name("brute") if solver.name == "lp" else solver
+    return solver if solver.kappa == 1.0 else solver_by_name("brute")
 
 
 def build_benchmark_lp(instance: MatchingInstance,
@@ -827,8 +821,8 @@ def build_benchmark_lp(instance: MatchingInstance,
     exact star optimum, giving a strictly tighter bound; this needs an
     exact star solver for the patience variant and at most
     ``STAR_CONSTRAINT_MAX_OFFLINE`` offline vertices.  Each type's subsets
-    are planned in one ``stars.induced_plans`` call (``selector`` if given)
-    and valued by ``stars.induced_match``.
+    are planned in one ``StarSolver.plan`` call (``selector`` if given) and
+    valued by ``stars.induced_match``.
     """
     m, n = instance.m, instance.n_types
     W = instance.weights_matrix()
@@ -885,13 +879,6 @@ class ProphetLpResult:
     kappa: float = 1.0
 
 
-def _type_stars(instance: MatchingInstance):
-    return [StarInstance(tuple(instance.weight(u, v) for u in range(instance.m)),
-                         tuple(float(p) for p in instance.probs[:, v]),
-                         instance.patience[v])
-            for v in range(instance.n_types)]
-
-
 def _assemble_result(instance, columns, x, objective, status, kappa) -> ProphetLpResult:
     n = instance.n_types
     q_v = instance.arrivals.expected_arrivals(n)
@@ -941,10 +928,9 @@ def solve_prophet_lp(instance: MatchingInstance,
     every type when given, else ``auto_solver``), and keeps the column when
     its value exceeds ``beta_v`` by more than ``PRICING_TOL``; a column
     already in the master cannot, so pricing one again raises
-    ``LpNumericalError``.  The types whose box is the plain ``dp`` solver
-    (``stars._plain_dp``) are priced together in one ``stars._price_dp``
-    call, the others one at a time by ``stars._price``; both give the same
-    columns, and the round's columns join the master in one
+    ``LpNumericalError``.  The types that arrive are grouped by box, and
+    each group is priced in one ``stars.price`` call (one ``plan`` call and
+    one walk); the round's columns join the master in one
     ``lp.add_column`` block, in type order.  Each master solve starts from
     the previous master's final basis, which the added columns leave
     primal feasible.
@@ -959,13 +945,13 @@ def solve_prophet_lp(instance: MatchingInstance,
         raise CapabilityError("the policy LP needs prophet or IID arrivals")
     m, n = instance.m, instance.n_types
     q_v = instance.arrivals.expected_arrivals(n)
-    stars = _type_stars(instance)
-    boxes = [solvers or auto_solver(stars[v]) for v in range(n)]
+    boxes = [solvers or auto_solver(pat) for pat in instance.patience]
     kappa = min((b.kappa for b in boxes), default=1.0)
     wmat = instance.weights_matrix()
     w_rows = np.ascontiguousarray(wmat.T)  # so that each type's adjusted weights are one row
-    priced = [v for v in range(n) if q_v[v] > 0.0]
-    batched = [v for v in priced if _plain_dp(boxes[v])]
+    groups = {}  # the types that arrive, by box
+    for v in np.flatnonzero(q_v > 0.0).tolist():
+        groups.setdefault(boxes[v], []).append(v)
     columns = [(v, EMPTY_POLICY, np.zeros(m)) for v in range(n)]
     seen = {(v, ()) for v in range(n)}
     master = _master_problem(instance, columns, q_v)
@@ -976,11 +962,13 @@ def solve_prophet_lp(instance: MatchingInstance,
         alpha = np.clip(sol.duals[:m], 0.0, None)
         beta = sol.duals[m: m + n]
         adjusted = w_rows - alpha
-        found = dict(zip(batched, _price_dp([stars[v] for v in batched], adjusted[batched])))
+        found = {}
+        for box, types in groups.items():
+            found.update(zip(types, price(box, instance.probs.T[types], adjusted[types],
+                                          [instance.patience[v] for v in types])))
         new = []
-        for v in priced:
-            policy, value, pvec = (found[v] if v in found
-                                   else _price(stars[v], adjusted[v], boxes[v]))
+        for v in sorted(found):
+            policy, value, pvec = found[v]
             if value > beta[v] + PRICING_TOL:
                 if (v, policy.order) in seen:
                     raise LpNumericalError(

@@ -7,13 +7,11 @@ provides
 
 * exact evaluation of many probing orders at once (``order_match``, the
   package's one walk of an order),
-* one exact dynamic program for deterministic patience over many stars at
-  once (``_patience_dp``), each with its own items and budget: it plans
-  every induced star of one star (``deterministic_patience_dp``) and
-  prices every ``dp`` type of a column-generation round (``_price_dp``),
-* the package's one induced-star planner (``induced_plans``): a solver's
-  plans on every induced star of one star, which ``induced_match`` walks,
-* the exact index rule ``w_i p_i / q_i`` for per-item hazard rates,
+* one batched ``plan`` per star solver for every star of a ``StarBatch``
+  (one star's induced stars, or one star per row): one exact DP for
+  deterministic patience (``_patience_dp``), one argsort of the exact index
+  rule ``w_i p_i / q_i`` for per-item hazard rates, and a loop over the
+  rows for the LP policy and brute force (``_plan_each``),
 * an attempt-indexed LP relaxation for arbitrary explicit patience
   distributions and the randomized policy read off its optimal solution
   (guaranteed at least half the LP bound),
@@ -22,9 +20,9 @@ provides
   policy: every draw ends the arrival with the drawn item's success
   probability, real probe or simulated, so survival does not depend on
   what was probed and no expansion over probed sets is needed, and
-* the adjusted-weight pricing problem used by column generation: one
-  star per call through any solver (``_price``), or every star of a round
-  at once through the built-in ``dp`` solver (``_price_dp``).
+* the induced-star walk (``induced_match``) and the adjusted-weight
+  pricing problem of column generation (``price``), each one ``plan`` call
+  and one walk.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from . import lp
 from .instances import (
     CapacityError,
     EMPTY_POLICY,
-    PatienceModel,
     PatienceVariantError,
     Policy,
     StarInstance,
@@ -84,35 +81,39 @@ class StarResult:
 # Exact evaluation of probing orders
 # ---------------------------------------------------------------------------
 
-def _probe_entries(probs, patience, orders, lengths) -> tuple[np.ndarray, np.ndarray]:
+def _walk_terms(probs, patience) -> tuple[np.ndarray, np.ndarray]:
+    """Per item the probability that probing it ends the arrival (``p_i``,
+    or under hazard patience ``p_i + (1-p_i) r_i``: success, or failure and
+    a balk), and per probe the probability that ``patience`` allows it."""
+    p = np.asarray(probs, dtype=float)
+    if patience.is_hazard:
+        return p + (1.0 - p) * patience.hazard_rates(len(p)), np.ones(len(p))
+    return p, patience.survival_curve(len(p))
+
+
+def _probe_entries(probs, ends, curve, orders, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Per entry of ``orders``, the probability that probing it matches
     (zero past the row's length), and the entries with the padding mapped
     to ``n = len(probs)``: row ``i`` probes its first ``lengths[i]`` entries.
-
-    Survival-curve and deterministic patience: the k-th probe happens iff
-    the patience is at least ``k`` and the first ``k-1`` probes failed.
-    Hazard patience: probing ``i`` ends the arrival with probability
-    ``p_i + (1-p_i) r_i`` (success, or failure and a balk).  Each row's
-    prefix of surviving terms is one ``np.cumprod``, in probe order.
+    ``ends`` and ``curve`` are ``_walk_terms``; ``curve`` may hold one row
+    per row of ``orders``.  Each row's prefix of surviving terms is one
+    ``np.cumprod``, in probe order.
     """
     n = len(probs)
-    p = np.zeros(n + 1)
-    p[:n] = probs
+    p, e = np.append(probs, 0.0), np.append(ends, 0.0)
     orders = np.asarray(orders, dtype=np.intp)
     width = orders.shape[1]
     idx = np.where(np.arange(width) < np.asarray(lengths)[:, None], orders, n)
-    ends = p + (1.0 - p) * np.append(patience.hazard_rates(n), 0.0) if patience.is_hazard else p
     alive = np.ones(idx.shape)
-    alive[:, 1:] = np.cumprod(1.0 - ends[idx[:, :-1]], axis=1)
-    curve = 1.0 if patience.is_hazard else patience.survival_curve(width)
-    return curve * alive * p[idx], idx
+    alive[:, 1:] = np.cumprod(1.0 - e[idx[:, :-1]], axis=1)
+    return curve[..., :width] * alive * p[idx], idx
 
 
 def order_match(probs, patience, orders, lengths) -> np.ndarray:
     """Match probabilities, ``(L, n)`` over the items of ``probs``, of
     arrivals with ``patience`` where row ``i`` probes the first
     ``lengths[i]`` entries of ``orders[i]``, all available."""
-    entry, idx = _probe_entries(probs, patience, orders, lengths)
+    entry, idx = _probe_entries(probs, *_walk_terms(probs, patience), orders, lengths)
     out = np.zeros((idx.shape[0], len(probs) + 1))  # the last column takes the padding
     out[np.arange(idx.shape[0])[:, None], idx] = entry
     return out[:, :-1]
@@ -121,7 +122,8 @@ def order_match(probs, patience, orders, lengths) -> np.ndarray:
 def _order_values(star: StarInstance, orders, lengths) -> np.ndarray:
     """Expected reward of each row of ``orders`` on ``star``, a running
     total from 0.0 in probe order."""
-    entry, idx = _probe_entries(star.probs, star.patience, orders, lengths)
+    entry, idx = _probe_entries(star.probs, *_walk_terms(star.probs, star.patience), orders,
+                                lengths)
     gains = np.zeros((idx.shape[0], idx.shape[1] + 1))
     gains[:, 1:] = entry * np.append(star.weights, 0.0)[idx]
     return np.cumsum(gains, axis=1)[:, -1]
@@ -144,14 +146,42 @@ def policy_match_probabilities(star: StarInstance, policy: Policy) -> np.ndarray
 # Exact solvers
 # ---------------------------------------------------------------------------
 
-def _positive_items(star: StarInstance):
-    return [i for i in range(star.n) if star.probs[i] > 0.0]
+@dataclass(frozen=True)
+class StarBatch:
+    """Stars planned in one ``StarSolver.plan`` call: star ``r`` has the
+    items that row ``r`` of the boolean ``present`` marks, and its row of
+    ``probs``, ``weights`` and ``patience``, or their one row that every
+    star shares (one star's induced stars, ``induced``)."""
+
+    probs: np.ndarray    # (L, n) or (1, n)
+    weights: np.ndarray  # (L, n) or (1, n)
+    present: np.ndarray  # (L, n) bool
+    patience: tuple      # L models or one
+
+    @staticmethod
+    def induced(star: StarInstance, avail) -> StarBatch:
+        """The stars ``star.with_items(np.flatnonzero(avail[r]))``, one per
+        row of the boolean ``avail``; ``of(star)`` is ``star`` alone."""
+        return StarBatch(np.array([star.probs], dtype=float), np.array([star.weights], dtype=float),
+                         np.asarray(avail, dtype=bool), (star.patience,))
+
+    @staticmethod
+    def of(star: StarInstance) -> StarBatch:
+        return StarBatch.induced(star, np.ones((1, star.n), dtype=bool))
+
+    def star(self, r: int) -> tuple[np.ndarray, StarInstance]:
+        """Row ``r``'s items, as indices into the ``n`` items, and its star."""
+        s = r if len(self.probs) > 1 else 0
+        items = np.flatnonzero(self.present[r])
+        return items, StarInstance(tuple(self.weights[s, items].tolist()),
+                                   tuple(self.probs[s, items].tolist()),
+                                   self.patience[s].subset(items.tolist()))
 
 
 def solve_deterministic_patience(star: StarInstance) -> StarResult:
     """Optimal ordered subset for a fixed probe budget ``theta``: the
     one-row call of ``deterministic_patience_dp``."""
-    orders, lengths, values = deterministic_patience_dp(star, np.ones((1, star.n), dtype=bool))
+    orders, lengths, values = deterministic_patience_dp(StarBatch.of(star))
     value = float(values[0])
     return StarResult(Policy(tuple(orders[0, :lengths[0]].tolist())), value, value)
 
@@ -162,22 +192,24 @@ def _dp_budget(patience) -> int:
     return patience.theta
 
 
-def deterministic_patience_dp(star: StarInstance, avail) -> tuple[np.ndarray, ...]:
-    """Optimal ordered subsets for a fixed probe budget ``theta`` on many
-    induced stars at once: row ``i`` of the boolean ``(L, n)`` matrix
-    ``avail`` picks ``star.with_items(np.flatnonzero(avail[i]))``, whose
-    optimal order is the first ``lengths[i]`` entries of ``orders[i]``
-    (indices into ``star``) and whose expected reward is ``values[i]``.
-    The star's items with ``p > 0`` are sorted once, and a row lacks the
-    ones it does not have (``_patience_dp``)."""
-    theta = _dp_budget(star.patience)
-    items = _positive_items(star)
-    items.sort(key=lambda i: (-star.weights[i], i))
-    gain, fail = np.array([(star.probs[i] * star.weights[i], 1.0 - star.probs[i])
-                           for i in items]).reshape(-1, 2).T[:, :, None]
-    present = np.asarray(avail, dtype=bool).T[items]
-    picks, lengths, values = _patience_dp(present, gain, fail, np.full(present.shape[1], theta))
-    return np.array(items + [0], dtype=np.intp)[picks], lengths, values
+def deterministic_patience_dp(batch: StarBatch) -> tuple[np.ndarray, ...]:
+    """Optimal ordered subsets for fixed probe budgets ``theta`` on every
+    star of ``batch``: star ``r``'s optimal order is the first
+    ``lengths[r]`` entries of ``orders[r]`` (indices into the ``n`` items)
+    and its expected reward is ``values[r]``.  Each row of probabilities
+    and weights sorts its items with ``p > 0`` by ``(-w, index)``, all in
+    one stable argsort, so one star's induced stars share one sort, and a
+    star lacks the sorted items it does not have (``_patience_dp``)."""
+    p, w = batch.probs, batch.weights
+    theta = np.array([_dp_budget(pat) for pat in batch.patience])
+    keep = p > 0.0
+    cols = np.argsort(np.where(keep, -w, np.inf), axis=1, kind="stable")
+    cols = cols[:, :keep.sum(axis=1).max(initial=0)]
+    at = cols.T, np.arange(len(cols))  # (position, star) of each row of probabilities and weights
+    picks, lengths, values = _patience_dp(batch.present.T[cols.T, np.arange(len(batch.present))],
+                                          (p * w).T[at], 1.0 - p.T[at], theta)
+    padded = np.append(cols, np.zeros((len(cols), 1), dtype=np.intp), axis=1)
+    return padded[np.arange(len(cols))[:, None], picks], lengths, values
 
 
 def _patience_dp(present, gain, fail, theta) -> tuple[np.ndarray, ...]:
@@ -186,9 +218,9 @@ def _patience_dp(present, gain, fail, theta) -> tuple[np.ndarray, ...]:
     ``i``: ``present[i, r]`` tells whether the star has the item there,
     ``gain[i]`` is its ``p w`` and ``fail[i]`` its ``1 - p`` (a column
     each for all stars, or one per star); the array ``theta`` holds each
-    star's probe budget.  The optimal order of star ``r`` is the
-    positions ``picks[r, :lengths[r]]`` (``k``, the position count, pads
-    the rest) and its expected reward is ``values[r]``.
+    star's probe budget (or one for all).  The optimal order of star ``r``
+    is the positions ``picks[r, :lengths[r]]`` (``k``, the position count,
+    pads the rest) and its expected reward is ``values[r]``.
 
     Probing a chosen set in decreasing weight order is optimal (an adjacent
     swap changes the value by ``prefix * p_a p_b (w_a - w_b)``), so a
@@ -233,19 +265,28 @@ def _patience_dp(present, gain, fail, theta) -> tuple[np.ndarray, ...]:
 
 
 def solve_constant_hazard(star: StarInstance) -> StarResult:
-    """Optimal order under per-item hazard rates: sort by ``w_i p_i / q_i``
-    with ``q_i = p_i + (1-p_i) r_i``, descending, ties to the lower index.
-    Items that cannot contribute (``w_i p_i = 0``) only burn patience and
-    are dropped."""
-    if not star.patience.is_hazard:
-        raise PatienceVariantError("constant-hazard solver needs hazard patience")
-    p = np.asarray(star.probs)
-    q = p + (1.0 - p) * star.patience.hazard_rates(star.n)
-    items = [i for i in _positive_items(star) if star.weights[i] * star.probs[i] > 0.0]
-    items.sort(key=lambda i: (-star.weights[i] * star.probs[i] / q[i], i))
-    policy = Policy(tuple(items))
+    """Optimal order under per-item hazard rates: the one-row call of
+    ``_plan_hazard``, valued by ``eval_policy_exact``."""
+    orders, lengths, _ = _plan_hazard(StarBatch.of(star))
+    policy = Policy(tuple(orders[0, :lengths[0]].tolist()))
     value = eval_policy_exact(star, policy)
     return StarResult(policy, value, value)
+
+
+def _plan_hazard(batch: StarBatch):
+    """Optimal orders under per-item hazard rates on every star of
+    ``batch``: sort by ``w_i p_i / q_i`` with ``q_i = p_i + (1-p_i) r_i``,
+    descending, ties to the lower index, in one stable argsort over every
+    row.  Items that cannot contribute (``w_i p_i = 0``) only burn patience
+    and are dropped."""
+    if not all(pat.is_hazard for pat in batch.patience):
+        raise PatienceVariantError("constant-hazard solver needs hazard patience")
+    p, w = batch.probs, batch.weights
+    q = np.array([_walk_terms(row, pat)[0] for row, pat in zip(p, batch.patience)])
+    keep = batch.present & (w * p > 0.0)
+    key = np.divide(-w * p, q, out=np.full(keep.shape, np.inf), where=keep)
+    lengths = np.count_nonzero(keep, axis=1)
+    return np.argsort(key, axis=1, kind="stable")[:, :lengths.max(initial=0)], lengths, {}
 
 
 def enumerate_policies(n: int, max_len: int | None = None):
@@ -285,7 +326,7 @@ def brute_force_optimal(star: StarInstance) -> StarResult:
     if star.n > BRUTE_FORCE_MAX_ITEMS:
         raise CapacityError(
             f"brute force capped at {BRUTE_FORCE_MAX_ITEMS} items, got {star.n}")
-    items = _positive_items(star)
+    items = [i for i in range(star.n) if star.probs[i] > 0.0]
     sub = star.with_items(items)
     orders, lengths = enumerated_orders(sub.n, sub.patience.max_probes(sub.n))
     values = _order_values(sub, orders, lengths)
@@ -458,42 +499,67 @@ def eval_randomized_exact(star: StarInstance, rsp: RandomizedStarPolicy) -> floa
 # Black boxes and pricing
 # ---------------------------------------------------------------------------
 
+def _plan_each(solve, batch: StarBatch):
+    """Plan every star of ``batch`` on its own: ``solve`` once per distinct
+    row, its items and star (``StarBatch.star``), and the empty policy for
+    an empty star.  A randomized plan's row lists its star's items in index
+    order, and ``randomized`` maps the row to the policy."""
+    picked, randomized, solved = [], {}, {}
+    for r in range(len(batch.present)):
+        items, star = batch.star(r)
+        key = items.tobytes(), star
+        if key not in solved:
+            solved[key] = solve(star).policy if items.size else EMPTY_POLICY
+        policy = solved[key]
+        if isinstance(policy, Policy):
+            picked.append(items[list(policy.order)])
+        else:
+            picked.append(items)
+            randomized[r] = policy
+    return (*_pack_orders(picked), randomized)
+
+
+# per solver: its plan, its one-star solve and its approximation factor
 _SOLVERS = {
-    "dp": (solve_deterministic_patience, 1.0),
-    "hazard": (solve_constant_hazard, 1.0),
-    "lp": (solve_arbitrary_patience, 0.5),
-    "brute": (brute_force_optimal, 1.0),
+    "dp": (lambda batch: (*deterministic_patience_dp(batch)[:2], {}),
+           solve_deterministic_patience, 1.0),
+    "hazard": (_plan_hazard, solve_constant_hazard, 1.0),
+    "lp": (functools.partial(_plan_each, solve_arbitrary_patience), solve_arbitrary_patience, 0.5),
+    "brute": (functools.partial(_plan_each, brute_force_optimal), brute_force_optimal, 1.0),
 }
 
 
 @dataclass(frozen=True)
 class StarSolver:
-    """A named star-graph black box with its approximation factor kappa."""
+    """A named star-graph black box with its approximation factor kappa.
+
+    ``plan(batch)``, which every package caller uses, plans every star of a
+    ``StarBatch`` in one call and returns ``(orders, lengths, randomized)``:
+    star ``r`` probes the first ``lengths[r]`` entries of ``orders[r]``, or,
+    when ``randomized`` maps ``r`` to a ``RandomizedStarPolicy``, they are
+    the items that policy runs on, in index order.  ``solve(star)`` solves
+    one star with its value: the one-row call of the ``dp`` and ``hazard``
+    plans, the function that the ``lp`` and ``brute`` plans run per row.
+    """
 
     name: str
     kappa: float
 
-    def solve(self, star: StarInstance) -> StarResult:
-        return _SOLVERS[self.name][0](star)
+    def plan(self, batch: StarBatch):
+        return _SOLVERS[self.name][0](batch)
 
-    def policy_for(self, star: StarInstance) -> Policy:
-        """A deterministic probing order, extracting one from the
-        randomized LP policy when needed (items ranked by total LP probe
-        mass; heuristic, carries no approximation guarantee)."""
-        result = self.solve(star)
-        if isinstance(result.policy, Policy):
-            return result.policy
-        rsp = result.policy
-        mass = rsp.attempt_probs.T @ rsp.survival  # total x*_j per item
-        items = [j for j in range(star.n) if mass[j] > 1e-12]
-        items.sort(key=lambda j: (-mass[j], j))
-        return Policy(tuple(items[:star.patience.max_probes(star.n)]))
+    def solve(self, star: StarInstance) -> StarResult:
+        return _SOLVERS[self.name][1](star)
+
+    @property
+    def randomized(self) -> bool:  # only the LP policy's plans may be randomized
+        return self.name == "lp"
 
 
 def solver_by_name(name: str) -> StarSolver:
     if name not in _SOLVERS:
         raise StochmatchError(f"unknown star solver {name!r}")
-    return StarSolver(name, _SOLVERS[name][1])
+    return StarSolver(name, _SOLVERS[name][2])
 
 
 def auto_solver(star_or_patience) -> StarSolver:
@@ -505,13 +571,6 @@ def auto_solver(star_or_patience) -> StarSolver:
     if pat.is_hazard:
         return solver_by_name("hazard")
     return solver_by_name("lp")
-
-
-def _plain_dp(solver: StarSolver) -> bool:
-    """Whether ``solver`` is the built-in ``dp`` solver, which plans many
-    stars in one ``_patience_dp`` call: named ``dp``, with ``solve`` not
-    overridden (a traced solver, say, solves one star per call)."""
-    return solver.name == "dp" and type(solver).solve is StarSolver.solve
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -543,101 +602,53 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return words[first], group, first
 
 
-def induced_plans(solver: StarSolver, star: StarInstance, avail):
-    """``solver``'s plans on the induced stars ``star.with_items(
-    np.flatnonzero(avail[i]))``, one per row of the boolean ``avail``: the
-    package's one induced-star planner.
-
-    Returns ``(plan, orders, lengths, randomized)``: row ``i`` follows plan
-    ``plan[i]``, and plan ``g`` lists ``lengths[g]`` entries of
-    ``orders[g]``, indices into ``star``.  They are its probing order, or,
-    when ``randomized`` maps ``g`` to a ``RandomizedStarPolicy``, the
-    items of the star that policy runs on, in index order.  The built-in
-    ``dp`` solver plans every row at once (``deterministic_patience_dp``);
-    any other solver, or one whose ``solve`` is overridden (a traced
-    solver, say), solves once per distinct nonempty row."""
-    avail = np.asarray(avail, dtype=bool)
-    if _plain_dp(solver):
-        orders, lengths, _ = deterministic_patience_dp(star, avail)
-        return np.arange(len(avail)), orders, lengths, {}
-    _, plan, first = _distinct_rows(avail)
-    picked, randomized = [], {}
-    for g, items in enumerate(map(np.flatnonzero, avail[first])):
-        sub = star.with_items(items.tolist())
-        policy = solver.solve(sub).policy if items.size else EMPTY_POLICY
-        if isinstance(policy, Policy):
-            picked.append(items[list(policy.order)])
-        else:
-            picked.append(items)
-            randomized[g] = policy
-    return (plan, *_pack_orders(picked), randomized)
-
-
 def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
     """Match probabilities, ``(L, n)`` over the items of ``star``, of
-    ``solver``'s plan on each induced star (``induced_plans``): every
-    plan's order walked in one ``order_match`` call, and a randomized
-    plan's row then replaced on its items, the only entries its walk wrote,
-    by ``randomized_match_probabilities``."""
-    plan, orders, lengths, randomized = induced_plans(solver, star, avail)
+    ``solver``'s plan on each induced star ``star.with_items(
+    np.flatnonzero(avail[i]))``, one per row of the boolean ``avail``: every
+    row planned in one ``solver.plan`` call, every plan's order walked in
+    one ``order_match`` call, and a randomized plan's row then replaced on
+    its items, the only entries its walk wrote, by
+    ``randomized_match_probabilities``."""
+    orders, lengths, randomized = solver.plan(StarBatch.induced(star, avail))
     match = order_match(star.probs, star.patience, orders, lengths)
     for g, rsp in randomized.items():
         items = orders[g, :lengths[g]]
         match[g, items] = randomized_match_probabilities(star.with_items(items.tolist()), rsp)
-    return match[plan]
+    return match
 
 
-def _price(star: StarInstance, adjusted_weights, selector: StarSolver):
-    """Best probing policy for dual-adjusted item weights.
+def price(solver: StarSolver, probs, adjusted, patience) -> list[tuple[Policy, float, np.ndarray]]:
+    """Best probing policy of each star for dual-adjusted item weights, star
+    ``r`` having ``probs[r]``, ``adjusted[r]`` and ``patience[r]``: one
+    ``solver.plan`` call, then one walk over the rows' probabilities laid
+    end to end, each with its own patience's terms.
 
     Items with nonpositive adjusted weight can never help (probing them
-    only spends patience) and are dropped before the selector runs.
-    Returns the policy over the original item indices, its exact adjusted
-    value ``sum_u p_u(pi) w'_u`` and its match vector ``p(pi)``.
+    only spends patience) and are left out of the star.  A randomized plan
+    gives its items ranked by total LP probe mass, as many as the patience
+    allows (heuristic, carries no approximation guarantee).  Returns per
+    star the policy, its exact adjusted value ``sum_u p_u(pi) w'_u`` (the
+    row's own dot product: a batched one may sum in another order) and its
+    match vector ``p(pi)``.
     """
-    adjusted = np.asarray(adjusted_weights, dtype=float)
-    if adjusted.shape != (star.n,):
-        raise StochmatchError("adjusted weights must match the item count")
-    keep = [i for i in range(star.n) if adjusted[i] > 0.0 and star.probs[i] > 0.0]
-    if not keep:
-        return EMPTY_POLICY, 0.0, np.zeros(star.n)
-    sub = StarInstance(tuple(adjusted[i] for i in keep),
-                       tuple(star.probs[i] for i in keep),
-                       star.patience.subset(keep))
-    sub_policy = selector.policy_for(sub)
-    policy = Policy(tuple(keep[i] for i in sub_policy.order))
-    match = policy_match_probabilities(star, policy)
-    return policy, float(match @ adjusted), match
-
-
-def _price_dp(stars, adjusted) -> list[tuple[Policy, float, np.ndarray]]:
-    """``_price`` with the ``dp`` selector for every star of ``stars`` at
-    once, row ``r`` of ``adjusted`` holding star ``r``'s adjusted weights:
-    one ``_patience_dp`` call, where each row keeps its items of positive
-    adjusted weight and probability and has its own budget, and one walk
-    (``_probe_entries``) over the rows' probabilities laid end to end.
-    Returns ``_price``'s triple per star, equal to it bit for bit: each
-    value is the row's own dot product."""
-    if not stars:
-        return []
+    probs = np.asarray(probs, dtype=float)
     adjusted = np.ascontiguousarray(adjusted, dtype=float)
-    probs = np.array([star.probs for star in stars], dtype=float)
     if adjusted.shape != probs.shape:
         raise StochmatchError("adjusted weights must match the item count")
-    theta = np.array([_dp_budget(star.patience) for star in stars])
-    # per row, its items of positive adjusted weight and probability first, in (-w, index) order
-    keep = (adjusted > 0.0) & (probs > 0.0)
-    cols = np.argsort(np.where(keep, -adjusted, np.inf), axis=1, kind="stable")
-    cols = cols[:, :keep.sum(axis=1).max()]
-    rows = np.arange(len(stars))
-    at = rows, cols.T
-    picks, lengths, _ = _patience_dp(keep[at], (probs * adjusted)[at], 1.0 - probs[at], theta)
-    orders = np.append(cols, np.zeros((len(rows), 1), dtype=np.intp), axis=1)[rows[:, None], picks]
-    # one walk over the rows' probabilities laid end to end, row r's order offset into its own
-    # block; no row probes past its own budget, where deterministic patience is still alive.
-    # Each row writes only its own block, so the match vectors scatter into one flat vector.
-    entry, idx = _probe_entries(probs.ravel(), PatienceModel.deterministic(orders.shape[1]),
-                                orders + probs.shape[1] * rows[:, None], lengths)
+    orders, lengths, randomized = solver.plan(
+        StarBatch(probs, adjusted, (adjusted > 0.0) & (probs > 0.0), tuple(patience)))
+    for r, rsp in randomized.items():
+        items = orders[r, :lengths[r]]
+        mass = rsp.attempt_probs.T @ rsp.survival  # total x*_j per item
+        ranked = sorted(np.flatnonzero(mass > 1e-12).tolist(), key=lambda j: (-mass[j], j))
+        ranked = ranked[:patience[r].max_probes(items.size)]
+        orders[r, :len(ranked)] = items[ranked]
+        lengths[r] = len(ranked)
+    ends, curves = zip(*(_walk_terms(p, pat) for p, pat in zip(probs, patience)))
+    # each row writes only its own block, so the match vectors scatter into one flat vector
+    entry, idx = _probe_entries(probs.ravel(), np.concatenate(ends), np.array(curves),
+                                orders + probs.shape[1] * np.arange(len(probs))[:, None], lengths)
     flat = np.zeros(probs.size + 1)  # the last entry takes the padding
     flat[idx] = entry
     match = flat[:-1].reshape(probs.shape)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import exact_oracles as oracle
 from stochmatch import hard_instances as hard
-from stochmatch import matching
+from stochmatch import matching, stars
 from stochmatch.instances import (
     ArrivalModel,
     MatchingInstance,
@@ -36,6 +36,7 @@ from stochmatch.matching import (
 from stochmatch.simulate import SimConfig, brute_force_offline_opt, simulate
 from stochmatch.stars import (
     RandomizedStarPolicy,
+    StarBatch,
     StarSolver,
     deterministic_patience_dp,
     eval_randomized_exact,
@@ -78,7 +79,7 @@ def test_batched_dp_orders_equal_the_scalar_dp(case):
     # star, and so are the one-row call's in ``solve_deterministic_patience``;
     # the orders index the star, even when they are empty
     star, avail = case
-    orders, lengths, values = deterministic_patience_dp(star, avail)
+    orders, lengths, values = deterministic_patience_dp(StarBatch.induced(star, avail))
     assert orders.dtype == np.intp
     for row, order, length, value in zip(avail, orders, lengths, values.tolist()):
         idx = np.flatnonzero(row).tolist()
@@ -94,7 +95,7 @@ def test_batched_dp_orders_equal_the_scalar_dp(case):
 def test_batched_dp_rejects_other_patience():
     star = StarInstance.make([1.0], [0.5], PatienceModel.survival([1.0]))
     with pytest.raises(PatienceVariantError):
-        deterministic_patience_dp(star, np.ones((1, 1), dtype=bool))
+        deterministic_patience_dp(StarBatch.induced(star, np.ones((1, 1), dtype=bool)))
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +145,14 @@ def test_randomized_closed_form_equals_the_walk(case):
 # ---------------------------------------------------------------------------
 
 class _PlanningDp(StarSolver):
-    """The ``dp`` solver behind an overridden ``solve``, which keeps the
-    greedy matcher on its per-set path; counts its solves."""
+    """The ``dp`` solver behind an overridden ``plan`` that solves each set
+    on its own (``stars._plan_each``); counts its solves."""
 
     calls = 0
 
-    def solve(self, star):
-        _PlanningDp.calls += 1
-        return super().solve(star)
+    def plan(self, batch):
+        _PlanningDp.calls += len(batch.present)
+        return stars._plan_each(solve_deterministic_patience, batch)
 
 
 GREEDY = {

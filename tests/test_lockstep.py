@@ -292,14 +292,14 @@ def test_adv_greedy_lockstep_equals_the_oracle_row_by_row(seed, kind, sim_seed, 
 
 
 def test_adv_greedy_solves_each_free_set_once():
-    # the first run solves each (type, free set) it meets once; a second
-    # run of the same trials finds every plan stored and solves none
+    # the first run plans each (type, free set) it meets once; a second
+    # run of the same trials finds every plan stored and plans none
     calls = []
 
     class Counting(StarSolver):
-        def solve(self, star):
-            calls.append(star)
-            return super().solve(star)
+        def plan(self, batch):
+            calls.extend(batch.present)
+            return super().plan(batch)
 
     inst = hard.gen_random_matching(4, 10, 60, "adversarial", max_theta=3)
     matcher = AdvGreedyMatcher(Counting("dp", 1.0))
@@ -316,13 +316,13 @@ def test_adv_greedy_solves_each_free_set_once():
 def test_batched_dp_plan_rows_equal_per_set_solves():
     # equal weights and coarse probabilities tie many orders; the built-in
     # dp plans each type's new free sets in one batched DP and calls no
-    # per-set solve, and writes the rows a per-set solver writes, in order
+    # one-star solve, and writes the rows a per-set solver (one
+    # ``solve_deterministic_patience`` call per row) writes, in order
     calls = []
 
     class Counting(StarSolver):
-        def solve(self, star):
-            calls.append(star)
-            return super().solve(star)
+        def plan(self, batch):
+            return stars._plan_each(stars.solve_deterministic_patience, batch)
 
     rng = np.random.default_rng(8)
     m, n = 8, 6
@@ -332,12 +332,12 @@ def test_batched_dp_plan_rows_equal_per_set_solves():
         rng.integers(0, n, 30).tolist()), edge_weights=np.ones((m, n)))
     batched = AdvGreedyMatcher(solver_by_name("dp"))
     per_set = AdvGreedyMatcher(Counting("dp", 1.0))
-    dp = stars._SOLVERS["dp"]
-    with mock.patch.dict(stars._SOLVERS, {"dp": (lambda star: calls.append(star) or dp[0](star),
-                                                 dp[1])}):
+    solve = stars.solve_deterministic_patience
+    with mock.patch.object(stars, "solve_deterministic_patience",
+                           lambda star: calls.append(star) or solve(star)):
         simulate(inst, batched, SimConfig(2, 600), threads=1)
-    assert not calls
-    simulate(inst, per_set, SimConfig(2, 600), threads=1)
+        assert not calls
+        simulate(inst, per_set, SimConfig(2, 600), threads=1)
     ours, theirs = batched._tables(inst).plan_rows, per_set._tables(inst).plan_rows
     assert ours.keys() == theirs.keys()
     for v, a in ours.items():
@@ -489,8 +489,8 @@ def test_adv_greedy_bound_allows_randomized_plans_only_to_the_lp_solver():
 
 def test_randomized_plans_from_a_solver_named_otherwise_overrun_loudly():
     class Randomizing(StarSolver):
-        def solve(self, star):
-            return solver_by_name("lp").solve(star)
+        def plan(self, batch):
+            return solver_by_name("lp").plan(batch)
 
     # the bound gave these types a policy walk's uniforms: the plan is
     # refused before a trial reads past its row
@@ -504,7 +504,7 @@ def test_randomized_plans_from_a_solver_named_otherwise_overrun_loudly():
 def test_star_solver_errors_reach_the_caller_as_themselves():
     # only a read past the end of a block row is reported as an overrun
     class Broken(StarSolver):
-        def solve(self, star):
+        def plan(self, batch):
             raise IndexError("solver bug")
 
     inst = hard.gen_random_matching(2, 3, 4, "adversarial")

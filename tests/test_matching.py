@@ -4,8 +4,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from stochmatch import hard_instances as hard
 from stochmatch import lp, matching
@@ -35,7 +33,8 @@ from stochmatch.matching import (
     solve_prophet_lp_enumerated,
 )
 from stochmatch.simulate import SimConfig, simulate, trial_generator
-from stochmatch.stars import StarSolver, _price, auto_solver, solver_by_name
+from stochmatch import stars
+from stochmatch.stars import StarSolver, solver_by_name
 
 
 def _tape(seed):
@@ -84,63 +83,21 @@ def test_column_cap_returns_a_feasible_master(monkeypatch):
 def test_repricing_a_master_column_raises(monkeypatch):
     inst = hard.gen_random_matching(0, m=3, n_types=2, arrival_kind="prophet",
                                     max_theta=2, horizon=4)
-    real, first = matching._price_dp, {}
+    real, first = matching.price, {}
 
-    def price(stars, adjusted):
+    def price(solver, probs, adjusted, patience):
         # each type's first priced column, then that column again, always at a large value
         out = []
-        for star, row in zip(stars, adjusted):
-            policy, _, match = first.setdefault(star, real([star], row[None])[0])
+        for r, pat in enumerate(patience):
+            one = real(solver, probs[r:r + 1], adjusted[r:r + 1], [pat])[0]
+            policy, _, match = first.setdefault((probs[r].tobytes(), pat), one)
             out.append((policy, 1e6, match))
         return out
 
-    monkeypatch.setattr(matching, "_price_dp", price)
+    monkeypatch.setattr(matching, "price", price)
     with pytest.raises(LpNumericalError, match="already in the master"):
         solve_prophet_lp(inst)
     assert any(policy.order for policy, _, _ in first.values())
-
-
-@st.composite
-def pricing_rounds(draw):
-    """A deterministic-patience instance and offline duals for one pricing
-    round: weights and duals from a small grid (ties in adjusted weight),
-    zero-probability edges, types whose weights are all zero (so every
-    adjusted weight is at most 0), budgets from 0 to above the item count,
-    and types that never arrive (q_v = 0)."""
-    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 6))
-    grid = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0)
-    prob = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)
-    weights = np.array(draw(st.lists(grid, min_size=m * n, max_size=m * n))).reshape(m, n)
-    probs = np.array(draw(st.lists(prob, min_size=m * n, max_size=m * n))).reshape(m, n)
-    weights[:, draw(st.lists(st.booleans(), min_size=n, max_size=n))] = 0.0
-    theta = draw(st.lists(st.integers(0, m + 2), min_size=n, max_size=n))
-    arrives = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    inst = MatchingInstance.make(probs, tuple(map(PatienceModel.deterministic, theta)),
-                                 ArrivalModel.prophet(np.tile(arrives / n, (2, 1))),
-                                 edge_weights=weights)
-    return inst, np.array(draw(st.lists(grid, min_size=m, max_size=m)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(pricing_rounds())
-def test_batched_pricing_equals_pricing_each_type(case):
-    inst, alpha = case
-    stars = matching._type_stars(inst)
-    wmat = inst.weights_matrix()
-    adjusted = np.array([wmat[:, v] - alpha for v in range(inst.n_types)])
-    for v, (policy, value, match) in enumerate(matching._price_dp(stars, adjusted)):
-        one = _price(stars[v], wmat[:, v] - alpha, solver_by_name("dp"))
-        assert policy.order == one[0].order
-        assert value == one[1]
-        assert np.array_equal(match, one[2])
-
-
-class _OneStarPerCall(StarSolver):
-    """The ``dp`` solver with ``solve`` overridden, which column generation
-    prices one type at a time."""
-
-    def solve(self, star):
-        return super().solve(star)
 
 
 def _mixed_patience_instance():
@@ -155,26 +112,38 @@ def _mixed_patience_instance():
                                  edge_weights=inst.edge_weights)
 
 
+def _hazard_instance(kind, seed, per_item):
+    """An 8x6 instance whose every type has hazard patience: a global rate
+    of 0.3, or per-item rates drawn from U(0, 0.6)."""
+    inst = hard.gen_random_matching(seed, 8, 6, kind, horizon=8)
+    rng = np.random.default_rng(seed)
+    patience = tuple(PatienceModel.constant_hazard(rates=rng.uniform(0.0, 0.6, 8)) if per_item
+                     else PatienceModel.constant_hazard(rate=0.3) for _ in range(6))
+    return MatchingInstance.make(inst.probs, patience, inst.arrivals,
+                                 edge_weights=inst.edge_weights)
+
+
 @pytest.mark.parametrize("make", [
     *(pytest.param(partial(hard.gen_random_matching, seed, 8, 6, kind, horizon=8),
                    id=f"{kind}-{seed}")
       for kind in ("iid", "prophet") for seed in range(10)),
+    *(pytest.param(partial(_hazard_instance, kind, seed, per_item),
+                   id=f"{kind}-{'item-' if per_item else ''}hazard-{seed}")
+      for kind in ("iid", "prophet") for per_item in (False, True) for seed in range(3)),
     pytest.param(_mixed_patience_instance, id="mixed-patience")])
 def test_batched_column_generation_equals_pricing_each_type(monkeypatch, make):
     inst = make()
     batched = solve_prophet_lp(inst)
+    real, sizes = matching.price, []
 
-    def one_star_per_call(star_or_patience):
-        solver = auto_solver(star_or_patience)
-        return _OneStarPerCall(solver.name, solver.kappa) if solver.name == "dp" else solver
+    def one_row_each(solver, probs, adjusted, patience):
+        sizes.append(len(probs))
+        return [real(solver, probs[r:r + 1], adjusted[r:r + 1], patience[r:r + 1])[0]
+                for r in range(len(probs))]
 
-    def no_batch(stars, adjusted):
-        assert not stars
-        return []
-
-    monkeypatch.setattr(matching, "auto_solver", one_star_per_call)
-    monkeypatch.setattr(matching, "_price_dp", no_batch)
+    monkeypatch.setattr(matching, "price", one_row_each)
     each = solve_prophet_lp(inst)
+    assert max(sizes) > 1
     assert (batched.objective, batched.status, batched.n_columns) == (
         each.objective, each.status, each.n_columns)
     assert np.array_equal(batched.w_star, each.w_star)
@@ -502,13 +471,14 @@ def test_benchmark_lp_single_offline_values():
 
 
 class _OverriddenDp(StarSolver):
-    """The ``dp`` solver behind an overridden ``solve``: planned per subset."""
+    """The ``dp`` solver behind an overridden ``plan``: planned per subset,
+    one ``solve_deterministic_patience`` call per row."""
 
     calls = 0
 
-    def solve(self, star):
-        _OverriddenDp.calls += 1
-        return super().solve(star)
+    def plan(self, batch):
+        _OverriddenDp.calls += len(batch.present)
+        return stars._plan_each(stars.solve_deterministic_patience, batch)
 
 
 STAR_CAP_PATIENCE = {

@@ -141,9 +141,9 @@ class _CountedLp(StarSolver):
 
     calls = 0
 
-    def solve(self, star):
-        _CountedLp.calls += 1
-        return super().solve(star)
+    def plan(self, batch):
+        _CountedLp.calls += len(batch.present)
+        return super().plan(batch)
 
 
 def test_parallel_run_keeps_the_workers_randomized_plans():

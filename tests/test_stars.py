@@ -14,9 +14,9 @@ from stochmatch.instances import (
 )
 from stochmatch.stars import (
     RandomizedStarPolicy,
+    StarBatch,
     _distinct_rows,
     _lp_attempt_count,
-    _price,
     brute_force_optimal,
     build_arbitrary_patience_lp,
     enumerate_policies,
@@ -25,6 +25,7 @@ from stochmatch.stars import (
     eval_randomized_exact,
     order_match,
     policy_match_probabilities,
+    price,
     randomized_match_probabilities,
     solve_arbitrary_patience,
     solve_constant_hazard,
@@ -549,6 +550,10 @@ def test_match_probabilities_total_mass_at_most_one():
         assert policy_match_probabilities(star, policy).sum() <= 1 + 1e-9
 
 
+def _price(star, adjusted, solver):
+    return price(solver, [star.probs], [adjusted], [star.patience])[0]
+
+
 def test_price_policy_drops_nonpositive_and_matches_brute():
     star = StarInstance.make([3.0, 2.0, 1.0], [0.5, 0.6, 0.7],
                              PatienceModel.deterministic(2))
@@ -563,6 +568,84 @@ def test_price_policy_drops_nonpositive_and_matches_brute():
     sub = StarInstance.make([1.5, 0.9], [0.5, 0.7], PatienceModel.deterministic(2))
     assert val == pytest.approx(brute_force_optimal(sub).expected_value, abs=1e-12)
     assert all(u in (0, 2) for u in pol.order)
+
+
+# ---------------------------------------------------------------------------
+# batched plans
+# ---------------------------------------------------------------------------
+
+PROB = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)
+GRID = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0)
+
+
+def _patience(draw, kind, m):
+    """A patience model that the ``kind`` solver takes on ``m`` items:
+    budgets from 0 to ``m + 2``, global or per-item hazard rates, and
+    survival curves."""
+    budget = st.integers(0, m + 2).map(PatienceModel.deterministic)
+    rate = st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0)
+    global_rate = rate.map(lambda r: PatienceModel.constant_hazard(rate=r))
+    item_rates = st.lists(rate, min_size=m, max_size=m).map(
+        lambda r: PatienceModel.constant_hazard(rates=r))
+    curve = st.lists(st.floats(0.0, 1.0), max_size=m + 1).map(
+        lambda q: PatienceModel.survival([1.0, *sorted(q, reverse=True)]))
+    return draw({"dp": budget, "hazard": global_rate | item_rates,
+                 "lp": budget | global_rate | curve,
+                 "brute": budget | global_rate | item_rates | curve}[kind])
+
+
+@st.composite
+def star_batches(draw):
+    """A solver kind and a batch for it, of either shape: one star's induced
+    rows, or one star per row with dual-adjusted weights as pricing makes
+    them (weights and duals from a small grid, so adjusted weights tie and
+    are often nonpositive, and rows whose weights are all zero).  Success
+    probabilities are often 0."""
+    kind = draw(st.sampled_from(("dp", "hazard", "lp", "brute")))
+    m, rows = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+
+    def matrix(entry, n):
+        return np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
+
+    if draw(st.booleans()):
+        star = StarInstance.make(matrix(GRID, 1)[0], matrix(PROB, 1)[0], _patience(draw, kind, m))
+        return kind, StarBatch.induced(star, matrix(st.booleans(), rows)), None
+    probs, weights = matrix(PROB, rows), matrix(GRID, rows)
+    weights[draw(st.lists(st.booleans(), min_size=rows, max_size=rows))] = 0.0
+    adjusted = weights - np.array(draw(st.lists(GRID, min_size=m, max_size=m)))
+    patience = tuple(_patience(draw, kind, m) for _ in range(rows))
+    batch = StarBatch(probs, adjusted, (adjusted > 0.0) & (probs > 0.0), patience)
+    return kind, batch, (probs, adjusted, patience)
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_batches())
+def test_each_batched_plan_row_equals_its_one_row_call(case):
+    # every solver's plan of a batch row is its plan of the row's own star in
+    # a one-row batch; a pricing batch's policies, values and match vectors
+    # are those of pricing each row in a one-row batch
+    kind, batch, priced = case
+    solver = solver_by_name(kind)
+    orders, lengths, randomized = solver.plan(batch)
+    assert len(orders) == len(lengths) == len(batch.present)
+    for r in range(len(batch.present)):
+        items, star = batch.star(r)
+        one, length, single = solver.plan(StarBatch.induced(star, np.ones((1, star.n), dtype=bool)))
+        assert orders[r, :lengths[r]].tolist() == items[one[0, :length[0]]].tolist()
+        assert lengths[r] == length[0]
+        assert (r in randomized) == (0 in single)
+        if r in randomized:
+            a, b = randomized[r], single[0]
+            assert np.array_equal(a.attempt_probs, b.attempt_probs)
+            assert np.array_equal(a.survival, b.survival) and a.lp_objective == b.lp_objective
+    if priced is None:
+        return
+    probs, adjusted, patience = priced
+    for r, (policy, value, match) in enumerate(price(solver, probs, adjusted, patience)):
+        each = price(solver, probs[r:r + 1], adjusted[r:r + 1], patience[r:r + 1])[0]
+        assert policy.order == each[0].order
+        assert value == each[1]
+        assert np.array_equal(match, each[2])
 
 
 def test_wrong_variant_errors():
