@@ -2,9 +2,17 @@
 
 All linear programs in this package are small and dense (hundreds of rows),
 and the probing algorithms consume both primal values and row duals, so a
-self-contained revised simplex is used: Dantzig pricing with a Bland's-rule
-anti-cycling fallback, and two phases from a start basis.  Only the
-structural columns are stored, also compressed to their nonzeros, from
+self-contained revised simplex is used, with two phases from a start basis.
+The entering column is the one with the largest ``z_j * s_j`` among the
+reduced costs ``z_j > OPT_TOL``, where ``s_j = 1 / sqrt(1 + |a_j|^2)`` is
+the steepest-edge weight of a slack basis, held fixed (Forrest & Goldfarb
+1992): computed once per solve, and ``1 / sqrt(2)`` for a unit column.  On
+the attempt-indexed LP1 this takes about a sixth fewer pivots than
+Dantzig's rule (largest ``z_j``) for one more elementwise multiply per
+pricing, while Devex weights, updated per pivot, cost more than they saved
+at these sizes.  Optimality still tests the unscaled reduced costs, and a
+Bland's-rule fallback guards against cycling.  Only the structural columns
+are stored, also compressed to their nonzeros, from
 which a column is solved against the basis; every slack, bound-row and
 artificial column is a unit column, kept as its row and sign and priced,
 solved and updated from them.  The dense basis inverse is stored
@@ -27,8 +35,8 @@ start=)`` instead starts from the basis an earlier solution ended on
 (``LpSolution.basis``), which stays primal feasible when ``add_column``
 has appended variables (Chvátal 1983); a start that does not fit, being
 of another shape, singular or infeasible, falls back to the cold start.
-Phase 1 runs either way, and with no artificial basic it ends after one
-pricing.
+Phase 1 runs either way, and with no artificial basic it ends before its
+first pricing.
 
 The ratio test is Harris's two-pass test (Harris 1973, as practised in
 HiGHS, Huangfu & Hall 2018): a basic variable may fall ``HARRIS_TOL``
@@ -223,7 +231,10 @@ class _Standardized:
         art0 = n_struct + len(slack_rows)
 
         S = np.zeros((m, n_struct))
-        np.multiply(p.A[:, orig] * sign, flip[:m0, None], out=S[:m0])
+        top = S[:m0]  # written in place: a full-size temporary costs more than the gather
+        np.take(p.A, orig, axis=1, out=top, mode="clip")  # "clip" writes out unbuffered
+        top *= sign
+        top *= flip[:m0, None]
         S[np.arange(m0, m), first[boxed]] = 1.0
 
         self.n0, self.m0 = n0, m0
@@ -241,9 +252,15 @@ class _Standardized:
         self.b_scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
         # the structural columns compressed: column k's nonzeros are
         # nz_val[nz_ptr[k]:nz_ptr[k + 1]] in rows nz_row[...]
-        nz_col, self.nz_row = np.nonzero(S.T)
+        flat = np.flatnonzero(S.T != 0.0)
+        nz_col, self.nz_row = np.divmod(flat, m)
         self.nz_val = S[self.nz_row, nz_col]
         self.nz_ptr = np.concatenate([[0], np.cumsum(np.bincount(nz_col, minlength=n_struct))])
+        # pricing scale 1 / sqrt(1 + |a_j|^2): the steepest-edge weight of
+        # the slack basis, held fixed; 1 / sqrt(2) for a unit column
+        self.price_scale = np.full(self.n_cols, np.sqrt(0.5))
+        self.price_scale[:n_struct] = 1.0 / np.sqrt(
+            1.0 + np.bincount(nz_col, weights=self.nz_val ** 2, minlength=n_struct))
 
     def basis_start(self) -> np.ndarray:
         slack_ok = (self.slack_of_row >= 0) & (self.row_scale > 0)
@@ -291,10 +308,12 @@ class _Standardized:
         return self.S @ x[: self.n_struct] + np.bincount(
             self.unit_row, weights=self.unit_val * x[self.n_struct:], minlength=len(self.b))
 
-    def row_times(self, w: np.ndarray, n: int) -> np.ndarray:
-        """``w @ A[:, :n]``, for ``n >= n_struct``."""
-        u = n - self.n_struct
-        return np.concatenate([w @ self.S, w[self.unit_row[:u]] * self.unit_val[:u]])
+    def row_times(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``w @ A[:, :n]`` written into ``out`` of length ``n >= n_struct``."""
+        k, u = self.n_struct, len(out) - self.n_struct
+        np.matmul(w, self.S, out=out[:k])
+        np.multiply(w[self.unit_row[:u]], self.unit_val[:u], out=out[k:])
+        return out
 
     def ftran(self, inv: np.ndarray, j: int) -> np.ndarray:
         """``A[:, j] @ inv``: the basis inverse times column ``j``, given the
@@ -340,9 +359,10 @@ class _Basis:
     a column of ``inv`` has at most k + 1 nonzeros, with k the number of
     basic structural columns.  A pivot on basis row ``r`` subtracts
     ``outer(v, d)`` with ``v`` the scaled column ``r``; from
-    ``SPARSE_UPDATE_ROWS`` rows on, it updates only the contiguous rows of
-    ``inv`` where ``v`` is nonzero, and every entry it skips would have had
-    exactly zero subtracted.
+    ``SPARSE_UPDATE_ROWS`` rows on, it gathers by index only the rows of
+    ``inv`` where ``v`` is nonzero (``inv[nz]``, rows that need not be
+    contiguous), and every entry it skips would have had exactly zero
+    subtracted.
     """
 
     def __init__(self, std: _Standardized, cols: np.ndarray, inv: np.ndarray, xB: np.ndarray):
@@ -369,7 +389,8 @@ class _Basis:
         std, xB, xN = self.std, self.xB, self.xN
         k = int(self.cols[r])
         leave = float(xB[r] - t * d[r])
-        xB -= t * d
+        if t:
+            xB -= t * d
         xB[r] = xN[j] + t
         if xN[j]:
             std.add_column(self.rhs, j, xN[j])
@@ -477,10 +498,12 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
     row of the inverse, and are recomputed as ``inv @ cB`` at every
     refactor and before the phase declares optimality or unboundedness,
     which then prices once more with the fresh duals."""
-    if n_price == 0:
-        return OPTIMAL, 0  # no column can enter
-    std = st.std
     c_price = c[:n_price]
+    if n_price == 0 or (c_price.max() <= OPT_TOL and not c[st.cols].any()):
+        return OPTIMAL, 0  # no column can enter: with y = 0, z = c
+    std = st.std
+    scale = std.price_scale[:n_price]
+    z, score = np.empty(n_price), np.empty(n_price)
     cB = c[st.cols]
     y, fresh = st.inv @ cB, True
     bland = False
@@ -493,15 +516,18 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
         if it and it % REFACTOR_EVERY == 0:
             st.refactor()
             y, fresh = st.inv @ cB, True
-        z = c_price - std.row_times(y, n_price)
+        np.subtract(c_price, std.row_times(y, z), out=z)
         z[st.is_basic[:n_price]] = -np.inf
         if bland:
             pos = np.flatnonzero(z > OPT_TOL)
             j = int(pos[0]) if pos.size else -1
-        else:
-            j = int(np.argmax(z))  # the first NaN, if any
-            if z[j] <= OPT_TOL:
-                j = -1
+        else:  # the largest scaled z among z > OPT_TOL, or the first NaN
+            j = int(np.argmax(np.multiply(z, scale, out=score)))
+            if z[j] <= OPT_TOL:  # a column below the tolerance scored highest
+                score[z <= OPT_TOL] = -np.inf
+                j = int(np.argmax(score))
+                if z[j] <= OPT_TOL:
+                    j = -1
         if j >= 0 and not np.isfinite(z[j]):
             raise LpNumericalError("non-finite reduced cost")
         r = -1
@@ -531,7 +557,7 @@ def _drive_out_artificials(st: _Basis, art0: int) -> None:
     usable entry (a redundant row) stays basic at its phase-1 value."""
     std = st.std
     for r in np.flatnonzero(st.cols >= art0):
-        row = np.abs(std.row_times(st.inv[:, r], art0))
+        row = np.abs(std.row_times(st.inv[:, r], np.empty(art0)))
         if row.max(initial=0.0) <= PIVOT_TOL:  # also a row with no structural part
             continue
         j = int(np.argmax(row))

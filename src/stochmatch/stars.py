@@ -91,6 +91,13 @@ def _walk_terms(probs, patience) -> tuple[np.ndarray, np.ndarray]:
     return p, patience.survival_curve(len(p))
 
 
+def _padded(values) -> np.ndarray:
+    """``values`` and a trailing 0.0, the entry that padding indexes."""
+    out = np.zeros(len(values) + 1)
+    out[:-1] = values
+    return out
+
+
 def _probe_entries(probs, ends, curve, orders, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Per entry of ``orders``, the probability that probing it matches
     (zero past the row's length), and the entries with the padding mapped
@@ -100,7 +107,7 @@ def _probe_entries(probs, ends, curve, orders, lengths) -> tuple[np.ndarray, np.
     ``np.cumprod``, in probe order.
     """
     n = len(probs)
-    p, e = np.append(probs, 0.0), np.append(ends, 0.0)
+    p, e = _padded(probs), _padded(ends)
     orders = np.asarray(orders, dtype=np.intp)
     width = orders.shape[1]
     idx = np.where(np.arange(width) < np.asarray(lengths)[:, None], orders, n)
@@ -125,7 +132,7 @@ def _order_values(star: StarInstance, orders, lengths) -> np.ndarray:
     entry, idx = _probe_entries(star.probs, *_walk_terms(star.probs, star.patience), orders,
                                 lengths)
     gains = np.zeros((idx.shape[0], idx.shape[1] + 1))
-    gains[:, 1:] = entry * np.append(star.weights, 0.0)[idx]
+    gains[:, 1:] = entry * _padded(star.weights)[idx]
     return np.cumsum(gains, axis=1)[:, -1]
 
 
@@ -502,13 +509,18 @@ def eval_randomized_exact(star: StarInstance, rsp: RandomizedStarPolicy) -> floa
 def _plan_each(solve, batch: StarBatch):
     """Plan every star of ``batch`` on its own: ``solve`` once per distinct
     row, its items and star (``StarBatch.star``), and the empty policy for
-    an empty star.  A randomized plan's row lists its star's items in index
-    order, and ``randomized`` maps the row to the policy."""
+    an empty star.  The rows of a one-star batch differ only in their
+    items, so there a row's star is built only when its items are new.  A
+    randomized plan's row lists its star's items in index order, and
+    ``randomized`` maps the row to the policy."""
     picked, randomized, solved = [], {}, {}
-    for r in range(len(batch.present)):
-        items, star = batch.star(r)
-        key = items.tobytes(), star
+    shared = len(batch.probs) == 1
+    for r, row in enumerate(batch.present):
+        items, star = (np.flatnonzero(row), None) if shared else batch.star(r)
+        key = row.tobytes(), star
         if key not in solved:
+            if star is None:
+                star = batch.star(r)[1]
             solved[key] = solve(star).policy if items.size else EMPTY_POLICY
         policy = solved[key]
         if isinstance(policy, Policy):

@@ -126,6 +126,24 @@ def test_ratio_test_bland_mode_takes_the_smallest_basic_column():
     assert lp._ratio_test(xB, -d, cols, True, 0.0) == -1
 
 
+def test_pricing_scales_each_reduced_cost_by_its_column_norm(monkeypatch):
+    # x0 has the larger reduced cost, 2 against 1, but the scaled rule
+    # compares 2 / sqrt(1 + 200) = 0.14 with 1 / sqrt(1 + 1) = 0.71 and
+    # lets x1 enter, which is optimal at once; Dantzig's rule enters x0
+    p = LpProblem.make([2.0, 1.0], [[10.0, 1.0], [10.0, 0.0]], ["<=", "<="], [10.0, 10.0])
+    pivot, entered = lp._Basis.pivot, []
+
+    def spy(st, j, *args):
+        entered.append(j)
+        return pivot(st, j, *args)
+
+    monkeypatch.setattr(lp._Basis, "pivot", spy)
+    sol = solve(p)
+    assert entered == [1]
+    assert sol.objective == pytest.approx(10.0)
+    np.testing.assert_allclose(sol.x, [0.0, 10.0])
+
+
 def test_add_column_duplicate_keeps_objective():
     p = LpProblem.make([2.0, 1.0], [[1.0, 1.0]], ["<="], [1.0])
     base = solve(p).objective
@@ -263,7 +281,7 @@ def _lp1(seed, n):
     return build_arbitrary_patience_lp(hard.gen_random_star(seed, n, "survival"))
 
 
-@pytest.mark.parametrize("n", [8, 12, 15])
+@pytest.mark.parametrize("n", [8, 12, 15, 20])
 def test_lp1_of_random_survival_stars_is_feasible_and_optimal(n):
     # degenerate LPs on which the engine used to stop at "optimal" with a
     # primal-infeasible x (3, 12 and 20 of these 40 seeds)
@@ -395,6 +413,9 @@ def test_certificate_rejects_a_non_finite_solution():
 
 @pytest.mark.parametrize("when", ["before phase 2", "after phase 2"])
 def test_a_nan_in_the_kept_inverse_raises(monkeypatch, when):
+    # phase 2 prices with the NaN; after it, the certificate finds it in x
+    message = {"before phase 2": "non-finite reduced cost",
+               "after phase 2": "non-finite x or duals"}[when]
     phase, calls = lp._simplex_phase, []
 
     def spiked(st, *args):
@@ -407,7 +428,7 @@ def test_a_nan_in_the_kept_inverse_raises(monkeypatch, when):
         return out
 
     monkeypatch.setattr(lp, "_simplex_phase", spiked)
-    with pytest.raises(LpNumericalError, match="non-finite"):
+    with pytest.raises(LpNumericalError, match=message):
         solve(_lp1(0, 12))
     assert len(calls) == 2
 
