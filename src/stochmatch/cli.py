@@ -131,7 +131,10 @@ def cmd_lp(args) -> int:
         problem = build_arbitrary_patience_lp(instance)
     else:
         problem = build_benchmark_lp(instance, include_star_constraints=(which == "lp2"))
-    print(f"{which} objective: {f6(lp.solve(problem).objective)}")
+    sol = lp.solve(problem)
+    print(f"{which} objective: {f6(sol.objective)}")
+    if which == "lp1":
+        print(f"rows held back: {len(lp.held_rows(problem))}   added: {sol.rows_added}")
     if args.dump:
         sys.stdout.write(lp.dumps_lp(problem))
     return EXIT_OK

@@ -328,6 +328,8 @@ def random_survival_curve(rng, n: int) -> tuple[float, ...]:
 def gen_random_star(seed: int, n: int, patience_kind: str = "survival") -> StarInstance:
     """Reproducible random star: uniform weights and probabilities, with a
     random patience of the requested kind."""
+    if n < 0 or seed < 0:
+        raise StochmatchError(f"random star needs n >= 0 and seed >= 0, got n={n}, seed={seed}")
     rng = np.random.default_rng(seed)
     weights = rng.random(n)
     probs = rng.random(n)
@@ -349,9 +351,10 @@ def gen_random_matching(seed: int, m: int, n_types: int, arrival_kind: str,
                         max_theta: int = 3, horizon: int | None = None,
                         edge_weighted: bool = True) -> MatchingInstance:
     """Reproducible random matching instance with deterministic patience."""
-    if m < 1 or max_theta < 1:
-        raise StochmatchError(f"random matching needs m >= 1 and max_theta >= 1, "
-                              f"got m={m}, max_theta={max_theta}")
+    if m < 1 or n_types < 0 or max_theta < 1 or seed < 0:
+        raise StochmatchError(f"random matching needs m >= 1, n >= 0, max_theta >= 1 and "
+                              f"seed >= 0, got m={m}, n={n_types}, max_theta={max_theta}, "
+                              f"seed={seed}")
     rng = np.random.default_rng(seed)
     probs = rng.random((m, n_types))
     patience = tuple(PatienceModel.deterministic(int(rng.integers(1, max_theta + 1)))

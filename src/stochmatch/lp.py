@@ -1,4 +1,5 @@
-"""Dense exact LP solver with dual values and incremental column addition.
+"""Dense exact LP solver with dual values, incremental column addition and
+rows held back until violated.
 
 All linear programs in this package are small and dense (hundreds of rows),
 and the probing algorithms consume both primal values and row duals, so a
@@ -59,6 +60,27 @@ fixed BLAS thread count; another thread count can change the last bits
 of x and the duals, since numpy's matrix products then sum in another
 order.
 
+A problem may mark ``<=`` rows ``lazy``.  Where there are at least
+``LAZY_ROWS_PER_ROW`` of them per other row, a cold ``solve`` holds them
+back (Grötschel, Lovász & Schrijver 1981): it solves the other rows, the
+working set, as above, then each round finds by one product the held rows
+that the refined x violates by more than ``LAZY_VIOLATION`` times the
+certificate's tolerance.  They join the kept standard form in place with
+their slacks basic, so the transposed inverse grows by a bordered block
+and nothing is standardized or inverted again, and the basis stays dual
+feasible.  Dual simplex pivots (Koberstein 2005) restore primal
+feasibility: the most negative basic value leaves, a Harris two-pass
+dual ratio test on its row of ``B^-1 A`` picks the entering column, and
+after as many degenerate steps as the primal allows, Bland's rule takes
+over.  A primal phase 2 then confirms optimality.  The answer is
+certified on every row of the full problem, with a zero dual on each row
+that never joined.  A working set that is unbounded, fails numerically or
+that a joined row leaves infeasible falls back to the full problem, and
+an infeasible working set is infeasible.  Below the crossover the rounds
+cost more than the smaller basis saves, and the full problem is solved:
+LP1 of 10 items (3.0 held rows per other row) takes 9% longer on a
+working set, and of 12 items (3.67) 12% less.
+
 Problems are stated as maximization; rows may be ``<=``, ``=`` or ``>=`` and
 variables carry individual bounds.  Reported duals refer to the rows as
 given: in a maximization, a binding ``<=`` row has a nonnegative dual and a
@@ -90,6 +112,8 @@ SPARSE_UPDATE_ROWS = 64  # from this many rows, a pivot gathers the inverse's ch
 MAX_DENSE_ENTRIES = 30_000_000  # desk scale; protects the dense representation
 ITERATIONS_BASE = 5000    # simplex pivots allowed per phase: the base,
 ITERATIONS_PER_DIM = 60   # plus this many per standard-form row and column
+LAZY_ROWS_PER_ROW = 3.5   # hold lazy rows back from this many per other row on
+LAZY_VIOLATION = 0.1      # a held row joins when violated by this share of CERT_TOL's bound
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -108,9 +132,10 @@ class LpProblem:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    lazy: np.ndarray | None = None  # <= rows the solver may hold back until violated
 
     @staticmethod
-    def make(c, A, senses, b, lb=None, ub=None) -> "LpProblem":
+    def make(c, A, senses, b, lb=None, ub=None, lazy=None) -> "LpProblem":
         c = np.asarray(c, dtype=float)
         A = np.asarray(A, dtype=float)
         if A.size == 0:
@@ -132,7 +157,13 @@ class LpProblem:
             raise ValueError("a lower bound must be below +inf and an upper bound above -inf")
         if np.any(lb > ub):
             raise ValueError("lower bound exceeds upper bound")
-        return LpProblem(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub)
+        if lazy is not None:
+            lazy = np.asarray(lazy)
+            if lazy.dtype != bool or lazy.shape != (len(b),):
+                raise ValueError(f"lazy must be a boolean mask of {len(b)} rows")
+            if (np.array(senses, dtype="U2")[lazy] != LE).any():
+                raise ValueError("only <= rows may be lazy")
+        return LpProblem(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub, lazy=lazy)
 
     @property
     def n_vars(self) -> int:
@@ -146,12 +177,15 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """``iterations`` counts every simplex pivot, ``phase1_iterations``
-    those of phase 1; ``start`` names the first basis (``"identity"``,
-    ``"crash"`` or ``"warm"``).  An optimal answer keeps its final basis in
-    ``basis``, which ``solve(..., start=)`` reads, also after
-    ``add_column`` has appended variables: per basis row, ``k >= 0`` is
-    standard-form structural column ``k`` and ``~u`` is unit column ``u``
-    (a slack, bound row or artificial)."""
+    those of phase 1, and ``rows_added`` the held-back ``lazy`` rows that
+    joined the working set; ``start`` names the first basis
+    (``"identity"``, ``"crash"`` or ``"warm"``).  An optimal answer of the
+    full problem keeps its final basis in ``basis``, which ``solve(...,
+    start=)`` reads, also after ``add_column`` has appended variables: per
+    basis row, ``k >= 0`` is standard-form structural column ``k`` and
+    ``~u`` is unit column ``u`` (a slack, bound row or artificial).  An
+    answer from a working set has no ``basis``, since its basis describes
+    only the rows that joined."""
 
     status: str
     x: np.ndarray | None = None
@@ -159,6 +193,7 @@ class LpSolution:
     objective: float | None = None
     dual_objective: float | None = None
     iterations: int = 0
+    rows_added: int = 0
     phase1_iterations: int = 0
     start: str = "identity"
     basis: np.ndarray | None = None
@@ -184,6 +219,7 @@ def add_column(problem: LpProblem, obj_coeff, column) -> LpProblem:
         b=problem.b,
         lb=np.append(problem.lb, np.zeros(len(costs))),
         ub=np.append(problem.ub, np.full(len(costs), np.inf)),
+        lazy=problem.lazy,
     )
 
 
@@ -191,12 +227,19 @@ def add_column(problem: LpProblem, obj_coeff, column) -> LpProblem:
 # Standard-form conversion
 # ---------------------------------------------------------------------------
 
+def _insert(a: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
+    """``a`` with ``values`` inserted before index ``at`` (``np.insert``
+    costs more per call at these sizes)."""
+    return np.concatenate([a[:at], values, a[at:]])
+
+
 class _Standardized:
     """max c.x, A x = b, x >= 0, b >= 0, plus bookkeeping to map back.
 
     Columns: structural (a variable with a finite lower bound is shifted to
     it, one with only a finite upper bound is reflected, a free one is split
-    in two), then one slack per inequality row, then one artificial per row.
+    in two), then one slack per inequality row, then one artificial per row
+    (per row standardized at first: ``add_rows`` adds rows with slacks only).
     A variable with both bounds finite gets an extra ``<=`` row.  Only the
     structural block ``S`` is stored: every slack and artificial column is a
     unit column, and column ``n_struct + u`` is ``unit_val[u]`` (+1 or -1)
@@ -250,17 +293,45 @@ class _Standardized:
         self.c[:n_struct] = p.c[orig] * sign
         self.const = float(np.dot(p.c, base))
         self.b_scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
-        # the structural columns compressed: column k's nonzeros are
-        # nz_val[nz_ptr[k]:nz_ptr[k + 1]] in rows nz_row[...]
-        flat = np.flatnonzero(S.T != 0.0)
-        nz_col, self.nz_row = np.divmod(flat, m)
-        self.nz_val = S[self.nz_row, nz_col]
-        self.nz_ptr = np.concatenate([[0], np.cumsum(np.bincount(nz_col, minlength=n_struct))])
         # pricing scale 1 / sqrt(1 + |a_j|^2): the steepest-edge weight of
         # the slack basis, held fixed; 1 / sqrt(2) for a unit column
         self.price_scale = np.full(self.n_cols, np.sqrt(0.5))
+        self._compress()
+
+    def _compress(self) -> None:
+        """The structural columns compressed, column k's nonzeros being
+        ``nz_val[nz_ptr[k]:nz_ptr[k + 1]]`` in rows ``nz_row[...]``, and
+        their pricing scales."""
+        S, n_struct = self.S, self.n_struct
+        flat = np.flatnonzero(S.T != 0.0)
+        nz_col, self.nz_row = np.divmod(flat, len(S))
+        self.nz_val = S[self.nz_row, nz_col]
+        self.nz_ptr = np.concatenate([[0], np.cumsum(np.bincount(nz_col, minlength=n_struct))])
         self.price_scale[:n_struct] = 1.0 / np.sqrt(
             1.0 + np.bincount(nz_col, weights=self.nz_val ** 2, minlength=n_struct))
+
+    def add_rows(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Append the ``<=`` rows ``A x <= b`` of the original problem
+        after the last row, each with a +1 slack that is inserted before
+        the artificials, so that phase 2 still prices a prefix of the
+        columns; a right-hand side may be negative.  The artificials stay
+        those of the rows standardized at first.  Returns the new rows of
+        the structural block."""
+        k, at, m = len(b), self.art0, len(self.b)
+        rows = A[:, self.orig] * self.sign
+        self.S = np.concatenate([self.S, rows])
+        self.b = np.concatenate([self.b, b - A @ self.base])
+        self.row_sign = np.concatenate([self.row_sign, np.ones(k)])
+        self.row_scale = np.concatenate([self.row_scale, np.ones(k)])
+        u = at - self.n_struct
+        self.unit_row = _insert(self.unit_row, u, np.arange(m, m + k))
+        self.unit_val = _insert(self.unit_val, u, np.ones(k))
+        self.slack_of_row = np.concatenate([self.slack_of_row, np.arange(at, at + k)])
+        self.c = _insert(self.c, at, np.zeros(k))
+        self.price_scale = _insert(self.price_scale, at, np.full(k, np.sqrt(0.5)))
+        self.art0, self.n_cols = at + k, self.n_cols + k
+        self._compress()
+        return rows
 
     def basis_start(self) -> np.ndarray:
         slack_ok = (self.slack_of_row >= 0) & (self.row_scale > 0)
@@ -380,6 +451,31 @@ class _Basis:
             raise LpNumericalError(f"singular basis during refactorization: {e}") from e
         self.rhs = self.std.b - self.std.times(self.xN)
         np.dot(self.rhs, self.inv, out=self.xB)
+
+    def add_rows(self, rows: np.ndarray) -> None:
+        """Grow the basis by the rows that ``std.add_rows`` just appended,
+        ``rows`` over the structural columns, with their slacks (the last
+        columns before the artificials) basic.  The new basis is ``[[B, 0], [R, I]]``, with
+        ``R`` the new rows on the basic columns, so the transposed inverse
+        grows by a bordered block, ``[[inv, -inv R^T], [0, I]]``, and each
+        slack's value is its row's right-hand side less ``R xB``, below
+        zero where the row is violated."""
+        k, m = len(rows), len(self.cols)
+        at = self.std.art0 - k
+        cols = np.where(self.cols >= at, self.cols + k, self.cols)
+        struct = cols < self.std.n_struct
+        R = np.zeros((k, m))
+        R[:, struct] = rows[:, cols[struct]]
+        inv = np.zeros((m + k, m + k))
+        inv[:m, :m] = self.inv
+        inv[:m, m:] = -(self.inv @ R.T)
+        inv[range(m, m + k), range(m, m + k)] = 1.0
+        self.xN = _insert(self.xN, at, np.zeros(k))
+        rhs = self.std.b[m:] - rows @ self.xN[: self.std.n_struct]
+        self.rhs = np.concatenate([self.rhs, rhs])
+        self.xB = np.concatenate([self.xB, rhs - R @ self.xB])
+        self.inv, self.cols = inv, np.concatenate([cols, np.arange(at, at + k)])
+        self.is_basic = _insert(self.is_basic, at, np.ones(k, dtype=bool))
 
     def pivot(self, j: int, d: np.ndarray, r: int, t: float) -> np.ndarray:
         """Column ``j`` (with ``d = A[:, j] @ inv``) enters, raised by ``t``;
@@ -551,6 +647,85 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
         it += 1
 
 
+def _dual_ratio_test(z, alpha, basic, bland):
+    """Harris two-pass dual ratio test on the pivot row ``alpha``; returns
+    the entering column or -1 (no column can lift the leaving row).
+
+    The candidates are the nonbasic columns with ``alpha_j < 0``, which
+    the leaving variable rises with.  Pass 1 finds the largest dual step
+    that keeps every candidate's reduced cost ``z_j`` (at most zero, up
+    to ``OPT_TOL``) below ``OPT_TOL``.  Pass 2 takes, among the columns
+    whose own ratio ``z_j / alpha_j`` fits in that step, the largest
+    ``|alpha_j|``.  In Bland mode it takes the smallest column instead,
+    passing over pivots below ``REL_PIVOT_TOL`` times the largest one
+    while another column fits.
+    """
+    cand = ((alpha < -PIVOT_TOL) & ~basic).nonzero()[0]
+    if cand.size == 0:
+        return -1
+    a, zc = -alpha[cand], np.minimum(z[cand], 0.0)
+    fits = -zc <= ((OPT_TOL - zc) / a).min() * a
+    if not bland:
+        return int(cand[np.where(fits, a, 0.0).argmax()])
+    big = fits & (a >= REL_PIVOT_TOL * a.max())
+    return int(cand[big if big.any() else fits][0])
+
+
+def _dual_phase(st: _Basis, c, n_price, tol, max_iter):
+    """Run dual simplex for cost ``c`` from a dual feasible basis, pricing
+    only the first ``n_price`` columns, until no basic value is below
+    ``-tol``.  Returns (status, iterations); status is OPTIMAL, meaning
+    primal feasible, or INFEASIBLE when a leaving row has no entering
+    column.
+
+    The row with the most negative basic value leaves (in Bland mode, the
+    smallest basic column among those below ``-tol``), the entering column
+    comes from ``_dual_ratio_test`` on the pivot row ``inv[:, r] @ A``,
+    and the pivot raises it until the leaving value reaches zero.  The
+    duals follow each pivot as in ``_simplex_phase``."""
+    std = st.std
+    c_price = c[:n_price]
+    z, alpha = np.empty(n_price), np.empty(n_price)
+    cB = c[st.cols]
+    y = st.inv @ cB
+    bland = False
+    degenerate = 0
+    bland_after = 10 * (len(std.b) + std.n_cols)
+    it = 0
+    while True:
+        if it >= max_iter:
+            raise LpNumericalError(f"dual simplex exceeded {max_iter} iterations")
+        if it and it % REFACTOR_EVERY == 0:
+            st.refactor()
+            y = st.inv @ cB
+        if bland:
+            low = (st.xB < -tol).nonzero()[0]
+            if low.size == 0:
+                return OPTIMAL, it
+            r = int(low[st.cols[low].argmin()])
+        else:
+            r = int(np.argmin(st.xB))
+            if not st.xB[r] < -tol:  # a NaN here fails the certificate later
+                return OPTIMAL, it
+        std.row_times(st.inv[:, r], alpha)
+        np.subtract(c_price, std.row_times(y, z), out=z)
+        j = _dual_ratio_test(z, alpha, st.is_basic[:n_price], bland)
+        if j < 0:
+            return INFEASIBLE, it
+        if not np.isfinite(z[j]):
+            raise LpNumericalError("non-finite reduced cost")
+        d = std.ftran(st.inv, j)
+        if not d[r] < -PIVOT_TOL:
+            raise LpNumericalError("dual simplex pivot lost its sign")
+        if z[j] >= -OPT_TOL:
+            degenerate += 1
+            if degenerate > bland_after:
+                bland = True
+        y += z[j] * st.pivot(j, d, r, float(st.xB[r]) / d[r])
+        cB[r] = c[j]
+        it += 1
+
+
 def _drive_out_artificials(st: _Basis, art0: int) -> None:
     """Pivot each basic artificial out on its row's largest structural or
     slack entry, by a zero step that moves no value; one whose row has no
@@ -564,42 +739,27 @@ def _drive_out_artificials(st: _Basis, art0: int) -> None:
         st.pivot(j, std.ftran(st.inv, j), r, 0.0)
 
 
-def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
-    """Solve to optimality; returns primal values, row duals, and objective.
-
-    ``start``, an earlier solution of this problem or of one that
-    ``add_column`` has since grown, lends its final basis as the first
-    basis (see the module docstring); a start that does not fit falls back
-    to the cold start.  An ``optimal`` answer is certified.  Raises
-    ``LpNumericalError`` when the certificate fails, when a basis is
-    singular, or when the pivot tolerance cannot make progress within the
-    iteration budget even after the Bland's-rule fallback.
-    """
-    n_bounded = int(np.count_nonzero(np.isfinite(problem.ub)))
-    est_rows = problem.n_rows + n_bounded
-    if est_rows * (problem.n_vars + 2 * est_rows) > MAX_DENSE_ENTRIES:
-        raise CapacityError("problem too large for the dense exact solver")
-    std = _Standardized(problem)
-    m, N = len(std.b), std.n_cols
-    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (m + N)
-    b_scale = std.b_scale
+def _phases(std: _Standardized, st: _Basis, b_scale: float) -> tuple[str, int, int]:
+    """Phase 1, the artificials driven out, then phase 2; returns the
+    status and each phase's iterations."""
+    N = std.n_cols
+    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(std.b) + N)
     tol = HARRIS_TOL * b_scale
-    st = _warm_start(std, None if start is None else start.basis)
-    st, how = (st, "warm") if st is not None else _cold_start(std)
     c1 = np.zeros(N)
     c1[std.art0:] = -1.0
     status, it1 = _simplex_phase(st, c1, N, tol, max_iter)
     if status != OPTIMAL:
         raise LpNumericalError("phase 1 did not terminate at an optimum")
     if float(c1[st.cols] @ st.xB + c1 @ st.xN) < -FEAS_TOL * b_scale:
-        return LpSolution(status=INFEASIBLE, iterations=it1, phase1_iterations=it1, start=how)
+        return INFEASIBLE, it1, 0
     _drive_out_artificials(st, std.art0)
     status, it2 = _simplex_phase(st, std.c, std.art0, tol, max_iter)
-    if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, iterations=it1 + it2, phase1_iterations=it1,
-                          start=how)
+    return status, it1, it2
 
-    # one step of iterative refinement against the final basis
+
+def _refine(std: _Standardized, st: _Basis) -> tuple[np.ndarray, np.ndarray]:
+    """The standard form's x and the duals, improved by one step of
+    iterative refinement against the basis."""
     B, inv = std.basis_matrix(st.cols), st.inv
     rhs, cB = std.b - std.times(st.xN), std.c[st.cols]
     xB = rhs @ inv
@@ -608,12 +768,112 @@ def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
     y += inv @ (cB - y @ B)
     x_int = st.xN.copy()
     x_int[st.cols] = xB
+    return x_int, y
+
+
+def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
+    """Solve to optimality; returns primal values, row duals, and objective.
+
+    ``start``, an earlier solution of this problem or of one that
+    ``add_column`` has since grown, lends its final basis as the first
+    basis (see the module docstring); a start that does not fit falls back
+    to the cold start.  With no ``start``, the ``held_rows`` of the
+    problem wait outside a working set (``_solve_working_set``).  An
+    ``optimal`` answer is certified on every row.  Raises
+    ``LpNumericalError`` when the certificate fails, when a basis is
+    singular, or when the pivot tolerance cannot make progress within the
+    iteration budget even after the Bland's-rule fallback.
+    """
+    n_bounded = int(np.count_nonzero(np.isfinite(problem.ub)))
+    est_rows = problem.n_rows + n_bounded
+    if est_rows * (problem.n_vars + 2 * est_rows) > MAX_DENSE_ENTRIES:
+        raise CapacityError("problem too large for the dense exact solver")
+    held = held_rows(problem) if start is None else ()
+    if len(held):
+        try:
+            sol = _solve_working_set(problem, held)
+        except LpNumericalError:
+            sol = None
+        if sol is not None:
+            return sol
+    std = _Standardized(problem)
+    st = _warm_start(std, None if start is None else start.basis)
+    st, how = (st, "warm") if st is not None else _cold_start(std)
+    status, it1, it2 = _phases(std, st, std.b_scale)
+    if status != OPTIMAL:
+        return LpSolution(status=status, iterations=it1 + it2, phase1_iterations=it1, start=how)
+    x_int, y = _refine(std, st)
     sol = LpSolution(status=OPTIMAL, x=std.x_original(x_int[: std.n_struct]),
                      duals=std.duals_original(y),
                      objective=float(std.c @ x_int) + std.const,
                      dual_objective=float(y @ std.b) + std.const,
                      iterations=it1 + it2, phase1_iterations=it1, start=how,
                      basis=_encode_basis(std, st.cols))
+    _certify(problem, sol, std.b_scale)
+    return sol
+
+
+def held_rows(problem: LpProblem) -> np.ndarray:
+    """The ``lazy`` rows that ``solve`` holds back when it has no
+    ``start``: all of them where there are at least ``LAZY_ROWS_PER_ROW``
+    per other row, else none."""
+    held = np.flatnonzero(problem.lazy) if problem.lazy is not None else np.zeros(0, dtype=int)
+    return held if len(held) >= LAZY_ROWS_PER_ROW * (problem.n_rows - len(held)) else held[:0]
+
+
+def _solve_working_set(problem: LpProblem, held: np.ndarray) -> LpSolution | None:
+    """Solve ``problem`` with its rows ``held`` held back until violated.
+
+    The other rows are solved as ``solve`` solves a problem (cold start,
+    two phases).  Then, while the refined x violates a held row by more
+    than ``LAZY_VIOLATION`` times the certificate's tolerance, the
+    violated rows join the kept standard form with their slacks basic
+    (``add_rows``), dual simplex pivots restore primal feasibility and a
+    primal phase 2 confirms optimality.  The answer is certified on the
+    full problem, with a zero dual on every row that never joined, and
+    ``CERT_TOL``'s scale is the full problem's.  Returns None, for the
+    full problem to decide, when the working set is unbounded or a joined
+    row leaves it infeasible; an infeasible working set is infeasible."""
+    work = np.flatnonzero(~problem.lazy)
+    std = _Standardized(LpProblem(
+        c=problem.c, A=problem.A[work], senses=tuple(problem.senses[i] for i in work),
+        b=problem.b[work], lb=problem.lb, ub=problem.ub))
+    A, b = problem.A[held], problem.b[held]
+    b_scale = max(std.b_scale, 1.0 + float(np.abs(b - A @ std.base).max(initial=0.0)))
+    st, how = _cold_start(std)
+    status, it1, it = _phases(std, st, b_scale)
+    if status == INFEASIBLE:
+        return LpSolution(status=INFEASIBLE, iterations=it1, phase1_iterations=it1, start=how)
+    if status == UNBOUNDED:
+        return None
+    it += it1
+    tol, m_work = HARRIS_TOL * b_scale, len(std.b)
+    added, left = [], np.ones(len(held), dtype=bool)
+    while True:
+        x_int, y = _refine(std, st)
+        x = std.x_original(x_int[: std.n_struct])
+        join = (A @ x - b > LAZY_VIOLATION * CERT_TOL * b_scale) & left
+        if not join.any():
+            break
+        left &= ~join
+        st.add_rows(std.add_rows(A[join], b[join]))
+        added.append(held[join])
+        max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(std.b) + std.n_cols)
+        status, it_dual = _dual_phase(st, std.c, std.art0, tol, max_iter)
+        if status == INFEASIBLE:
+            return None
+        status, it_primal = _simplex_phase(st, std.c, std.art0, tol, max_iter)
+        if status == UNBOUNDED:
+            return None
+        it += it_dual + it_primal
+    added = np.concatenate(added) if added else np.zeros(0, dtype=int)
+    duals = np.zeros(problem.n_rows)
+    duals[work] = std.duals_original(y)
+    duals[added] = y[m_work:]
+    sol = LpSolution(status=OPTIMAL, x=x, duals=duals,
+                     objective=float(std.c @ x_int) + std.const,
+                     dual_objective=float(y @ std.b) + std.const,
+                     iterations=it, rows_added=len(added), phase1_iterations=it1, start=how)
     _certify(problem, sol, b_scale)
     return sol
 

@@ -242,19 +242,23 @@ def _patience_dp(present, gain, fail, theta) -> tuple[np.ndarray, ...]:
     its budget is larger, none when it is 0): before, all its probes score
     -inf, so its ``D`` stays 0 and no position but ``k`` takes.  Its
     budget then runs out exactly at the last pass, and every walk reads
-    the passes from the last one down.
+    the passes from the last one down.  Where no star joins late (one
+    budget for all, as in every induced batch), every pass shares one
+    gain.
     """
     k, n_rows = present.shape
     passes = min(int(theta.max(initial=0)), k)
-    # gain[t - 1] for pass t: a star joins once fewer passes are left than its budget
-    joined = np.arange(passes - 1, -1, -1)[:, None, None] < theta
-    gain, fail = np.where(present & joined, gain, -np.inf), fail * present
+    fail = fail * present
+    late = int(theta.min(initial=passes)) < passes
+    if late:  # gain[t - 1] for pass t: a star joins once fewer passes are left than its budget
+        present = present & (np.arange(passes - 1, -1, -1)[:, None, None] < theta)
+    gain = np.where(present, gain, -np.inf)
     # D[i, row]: D_t[i] of the pass, D[k] = 0; take[t - 1, i]: probe i in pass t
     # (position k always takes: it ends a walk)
     D = np.zeros((k + 1, n_rows))
     take = np.ones((passes, k + 1, n_rows), dtype=bool)
     for t in range(1, passes + 1):
-        probe = gain[t - 1] + fail * D[1:]
+        probe = (gain[t - 1] if late else gain) + fail * D[1:]
         D[:k] = probe
         span = 1
         while span <= k:  # suffix maximum by doubling spans
@@ -377,7 +381,9 @@ def build_arbitrary_patience_lp(star: StarInstance, multiplicity=None) -> lp.LpP
     same objective, so the optimum is that of the item-level LP.
 
     Variable layout: ``x_{j,t}`` at ``j * T + t``, then ``s_t`` at
-    ``n * T + t``, with ``T`` the attempt count.
+    ``n * T + t``, with ``T`` the attempt count.  The suffix rows with
+    ``t' >= 1`` are ``lazy``: few of them bind, and ``lp.solve`` holds
+    them back on stars of about 12 items or more.
     """
     n = star.n
     copies = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=float)
@@ -413,7 +419,9 @@ def build_arbitrary_patience_lp(star: StarInstance, multiplicity=None) -> lp.LpP
     A[rec, nx + t] = 1.0
     A[rec, nx + t - 1] = -ratio
     A[rec[:, None], np.arange(n) * T + t[:, None] - 1] = ratio[:, None] * p
-    return lp.LpProblem.make(c, A, (lp.LE,) * (nx + T) + (lp.EQ,) * T, b)
+    lazy = np.zeros(nx + 2 * T, dtype=bool)
+    lazy[:nx] = attempt > 0
+    return lp.LpProblem.make(c, A, (lp.LE,) * (nx + T) + (lp.EQ,) * T, b, lazy=lazy)
 
 
 def _lp_supported_patience(star: StarInstance) -> bool:

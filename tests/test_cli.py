@@ -55,6 +55,17 @@ def test_gen_random_matching_rejects_what_it_cannot_build(tmp_path, capsys, flag
     assert not path.exists()
 
 
+@pytest.mark.parametrize("args", [["random-star", "-n", "-3"],
+                                  ["random-matching", "-m", "3", "-n", "-2"],
+                                  ["random-star", "--seed", "-1"]])
+def test_gen_rejects_negative_sizes_and_seeds(tmp_path, capsys, args):
+    # each used to end in numpy's ValueError traceback with exit 1
+    path = tmp_path / "inst.json"
+    code, _, err = run(capsys, "gen", *args, "-o", str(path))
+    assert code == 2 and "input error" in err
+    assert not path.exists()
+
+
 def test_star_solve_on_tight_example(tmp_path, capsys):
     path = tmp_path / "tight.json"
     run(capsys, "gen", "tight-example", "--eps", "0.1", "-o", str(path))

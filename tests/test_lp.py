@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies
 from scipy.optimize import linprog
 
 import stochmatch
@@ -281,6 +283,12 @@ def _lp1(seed, n):
     return build_arbitrary_patience_lp(hard.gen_random_star(seed, n, "survival"))
 
 
+def _full_lp1(seed, n):
+    """``_lp1`` with every row in the standard form from the start, for
+    tests that inspect the simplex's own state."""
+    return dataclasses.replace(_lp1(seed, n), lazy=None)
+
+
 @pytest.mark.parametrize("n", [8, 12, 15, 20])
 def test_lp1_of_random_survival_stars_is_feasible_and_optimal(n):
     # degenerate LPs on which the engine used to stop at "optimal" with a
@@ -344,7 +352,7 @@ def _final_basis(monkeypatch, problem):
 @pytest.mark.parametrize("n", [12, 15])
 @pytest.mark.parametrize("seed", range(10))
 def test_solution_is_refined_from_the_kept_transposed_inverse(monkeypatch, seed, n):
-    sol, st = _final_basis(monkeypatch, _lp1(seed, n))
+    sol, st = _final_basis(monkeypatch, _full_lp1(seed, n))
     std = st.std
     B = std.basis_matrix(st.cols)
     # x and the duals agree with two LU solves on the final basis, also
@@ -361,7 +369,7 @@ def test_solution_is_refined_from_the_kept_transposed_inverse(monkeypatch, seed,
 
 
 def test_row_gather_pivot_equals_the_dense_update(monkeypatch):
-    _, st = _final_basis(monkeypatch, _lp1(0, 12))
+    _, st = _final_basis(monkeypatch, _full_lp1(0, 12))
     assert len(st.cols) >= lp.SPARSE_UPDATE_ROWS  # the gather path
     j = int(np.flatnonzero(~st.is_basic[: st.std.art0])[0])
     d = st.std.ftran(st.inv, j)
@@ -429,7 +437,7 @@ def test_a_nan_in_the_kept_inverse_raises(monkeypatch, when):
 
     monkeypatch.setattr(lp, "_simplex_phase", spiked)
     with pytest.raises(LpNumericalError, match=message):
-        solve(_lp1(0, 12))
+        solve(_full_lp1(0, 12))
     assert len(calls) == 2
 
 
@@ -437,7 +445,7 @@ def test_a_nan_in_the_kept_inverse_raises(monkeypatch, when):
 def test_lp1_starts_from_a_feasible_triangular_crash(n):
     # the crash takes the survival columns s_t: phase 1 has nothing to do
     for seed in range(10):
-        p = _lp1(seed, n)
+        p = _full_lp1(seed, n)
         sol = solve(p)
         assert sol.status == OPTIMAL and sol.start == "crash" and sol.phase1_iterations == 0
         std = lp._Standardized(p)
@@ -511,3 +519,137 @@ def test_starts_that_do_not_fit_fall_back_to_the_cold_start():
         sol = solve(problem, start=start)
         assert sol.start in ("identity", "crash") and sol.status == OPTIMAL
         assert _objectives_agree(sol.objective, -_scipy_solve(problem).fun)
+
+
+# ---------------------------------------------------------------------------
+# Held-back (lazy) rows
+# ---------------------------------------------------------------------------
+
+def _with_held_rows(c, A, senses, b, lazy):
+    return LpProblem.make(c, A, senses, b, lazy=np.array(lazy, dtype=bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(1, 15),
+       kind=strategies.sampled_from(["survival", "deterministic", "hazard"]))
+def test_working_set_solve_agrees_with_the_full_solve(seed, n, kind):
+    star = hard.gen_random_star(seed, n, kind)
+    assume(kind != "hazard" or star.patience.has_global_rate)
+    p = build_arbitrary_patience_lp(star)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "LAZY_ROWS_PER_ROW", 0.0)  # small stars take the loop too
+        held = lp.held_rows(p)
+        sol = solve(p)
+    assert len(held) == np.count_nonzero(p.lazy)
+    try:
+        full = solve(dataclasses.replace(p, lazy=None))
+    except LpNumericalError:
+        # the full solve fails its certificate on a few stars (deterministic
+        # star 262145 at n = 15: a wrong-signed dual of 0.037)
+        full = None
+    assert sol.status == (full.status if full else OPTIMAL)
+    if sol.status != OPTIMAL:
+        return
+    tol = 1e-9 * (1.0 + abs(sol.objective))
+    if full is None or abs(sol.objective - full.objective) > tol:
+        # the full solve may also stop short of the optimum within its dual
+        # tolerance (deterministic star 11 at n = 15: 2e-8 below HiGHS);
+        # then the working set's objective must be the optimum
+        assert full is None or sol.objective > full.objective
+        assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=tol)
+    b_scale = lp._Standardized(p).b_scale
+    assert solution_residuals(p, sol)["primal"] <= lp.CERT_TOL * b_scale
+    assert sol.duals.shape == (p.n_rows,)
+    assert np.count_nonzero(sol.duals[held]) <= sol.rows_added  # zero unless it joined
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_problems_with_held_rows_match_the_full_solve(monkeypatch, seed):
+    # negative right-hand sides, >= and = rows in the working set, and
+    # variables shifted to their lower bounds and boxed, so that no working
+    # set is unbounded; optimal and infeasible answers, the latter also
+    # where a joined row leaves the working set infeasible and the full
+    # problem decides
+    monkeypatch.setattr(lp, "LAZY_ROWS_PER_ROW", 0.0)
+    rng = np.random.default_rng(500 + seed)
+    added = 0
+    for _ in range(40):
+        p = _random_problem(rng)
+        lazy = (np.array(p.senses) == "<=") & (rng.random(p.n_rows) < 0.7)
+        p = dataclasses.replace(p, lazy=lazy, lb=np.maximum(p.lb, -3.0), ub=np.minimum(p.ub, 3.0))
+        sol, full = solve(p), solve(dataclasses.replace(p, lazy=None))
+        assert sol.status == full.status
+        if sol.status == OPTIMAL:
+            assert _objectives_agree(sol.objective, full.objective)
+            added += sol.rows_added
+    assert added > 0
+
+
+@pytest.mark.parametrize("working, held", [
+    ([(">=", 2.0)], [1.0, 5.0, 5.0, 5.0]),                # x = 2 violates x <= 1
+    ([(">=", 2.0), ("<=", 1.0)], [5.0] * 7),              # the working set is infeasible
+])
+def test_held_rows_and_infeasibility(working, held):
+    # max -x
+    senses = [s for s, _ in working] + ["<="] * len(held)
+    b = [v for _, v in working] + held
+    p = _with_held_rows([-1.0], np.ones((len(b), 1)), senses, b,
+                        [False] * len(working) + [True] * len(held))
+    assert len(lp.held_rows(p)) == len(held)
+    assert solve(p).status == "infeasible"
+
+
+def test_an_unbounded_working_set_falls_back_to_the_full_problem():
+    # max x + y s.t. x - y <= 0, held: x + y <= 1, x <= 5, y <= 5, x + y <= 3
+    p = _with_held_rows([1.0, 1.0], [[1.0, -1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                        ["<="] * 5, [0.0, 1.0, 5.0, 5.0, 3.0], [False, True, True, True, True])
+    assert len(lp.held_rows(p)) == 4
+    sol = solve(p)
+    assert sol.status == OPTIMAL and sol.objective == pytest.approx(1.0, abs=1e-12)
+    assert sol.rows_added == 0 and sol.basis is not None  # the full problem's answer
+
+
+def test_a_held_row_violated_within_feas_tol_still_joins():
+    # max x s.t. x <= 1, held: x <= 1 - 8e-9 and three rows x <= 1.  The
+    # working set's x = 1 violates the first held row by less than FEAS_TOL
+    # but by more than the certificate allows (CERT_TOL * (1 + max|b|) = 2e-9)
+    gap = 8e-9
+    assert lp.CERT_TOL * 2.0 < gap < lp.FEAS_TOL
+    p = _with_held_rows([1.0], np.ones((5, 1)), ["<="] * 5, [1.0, 1.0 - gap, 1.0, 1.0, 1.0],
+                        [False, True, True, True, True])
+    sol = solve(p)
+    assert sol.status == OPTIMAL and sol.rows_added == 1
+    assert sol.objective == pytest.approx(1.0 - gap, abs=1e-15)
+    assert solution_residuals(p, sol)["primal"] <= lp.CERT_TOL * 2.0
+    assert sol.duals.tolist() == pytest.approx([0.0, 1.0, 0.0, 0.0, 0.0], abs=1e-12)
+
+
+def test_a_working_set_answer_does_not_warm_start_the_full_problem():
+    p = _lp1(3, 15)
+    lazy_sol = solve(p)
+    assert lazy_sol.rows_added > 0 and lazy_sol.basis is None
+    full = dataclasses.replace(p, lazy=None)
+    sol = solve(full, start=lazy_sol)
+    assert sol.start in ("identity", "crash") and sol.rows_added == 0
+    assert _objectives_agree(sol.objective, lazy_sol.objective)
+
+
+def test_lazy_rows_are_validated_and_carried_by_add_column():
+    args = ([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 0.0])
+    for bad in ([True, False, False], [1, 0], [False, True]):  # shape, dtype, a >= row
+        with pytest.raises(ValueError):
+            LpProblem.make(*args, lazy=np.array(bad))
+    p = LpProblem.make(*args, lazy=np.array([True, False]))
+    assert add_column(p, 1.0, [1.0, 1.0]).lazy.tolist() == [True, False]
+    assert LpProblem.make(*args).lazy is None
+
+
+def test_lp1_holds_back_the_suffix_rows_past_the_first_attempt():
+    star = hard.gen_random_star(0, 12, "survival")
+    p = build_arbitrary_patience_lp(star)
+    n, T = star.n, p.n_vars // (star.n + 1)
+    suffix = np.zeros(p.n_rows, dtype=bool)
+    suffix[: n * T] = True
+    assert (p.lazy == suffix & (np.arange(p.n_rows) % T > 0)).all()
+    assert len(lp.held_rows(p)) == n * (T - 1)  # n = 12 holds them back
+    assert len(lp.held_rows(_lp1(0, 8))) == 0   # n = 8 does not
