@@ -1,85 +1,73 @@
-"""Dense exact LP solver with dual values, incremental column addition and
-rows held back until violated.
+"""Dense exact LP solver with dual values: one solve loop over a standard
+form that grows in place by rows or, across solves, by columns.
 
 All linear programs in this package are small and dense (hundreds of rows),
 and the probing algorithms consume both primal values and row duals, so a
 self-contained revised simplex is used, with two phases from a start basis.
-The entering column is the one with the largest ``z_j * s_j`` among the
-reduced costs ``z_j > OPT_TOL``, where ``s_j = 1 / sqrt(1 + |a_j|^2)`` is
-the steepest-edge weight of a slack basis, held fixed (Forrest & Goldfarb
-1992): computed once per solve, and ``1 / sqrt(2)`` for a unit column.  On
-the attempt-indexed LP1 this takes about a sixth fewer pivots than
-Dantzig's rule (largest ``z_j``) for one more elementwise multiply per
-pricing, while Devex weights, updated per pivot, cost more than they saved
-at these sizes.  Optimality still tests the unscaled reduced costs, and a
-Bland's-rule fallback guards against cycling.  Only the structural columns
-are stored, also compressed to their nonzeros, from
-which a column is solved against the basis; every slack, bound-row and
-artificial column is a unit column, kept as its row and sign and priced,
-solved and updated from them.  The dense basis inverse is stored
-transposed and kept by rank-1 updates, which on a basis of
-``SPARSE_UPDATE_ROWS`` rows or more touch only the stored rows where the
-new pivot row of the inverse is nonzero (about one per basic structural
-column); it is carried from phase 1 into phase 2 and refactorized
-periodically.  The row duals follow each pivot along that new row of the
-inverse, and are recomputed from the inverse at every refactorization and
+The entering column has the largest ``z_j * s_j`` among the reduced costs
+``z_j > OPT_TOL``, with ``s_j = 1 / sqrt(1 + |a_j|^2)`` the steepest-edge
+weight of a slack basis, held fixed (Forrest & Goldfarb 1992); on LP1 this
+takes about a sixth fewer pivots than Dantzig's rule, and Devex weights
+cost more than they saved.  Optimality tests the unscaled ``z_j``, and a
+Bland's-rule fallback guards against cycling.  Only the structural
+columns are stored, also compressed to their nonzeros; every slack,
+bound-row and artificial column is a unit column, kept as its row and
+sign.  The dense basis inverse is stored transposed and kept by rank-1
+updates, which from ``SPARSE_UPDATE_ROWS`` rows on touch only the stored
+rows where the new pivot row of the inverse is nonzero; it is
+refactorized periodically.  The row duals follow each pivot along that
+row, and are recomputed from the inverse at every refactorization and
 before a phase ends.
 
-The start basis (Bixby 1992) is a slack on every row whose slack is
+A cold start (Bixby 1992) takes a slack on every row whose slack is
 feasible and an artificial elsewhere, except where a triangular crash
-replaces artificials by structural columns: over the artificial rows it
-repeatedly takes a column with exactly one nonzero among the rows left.
-The crash basis differs from the identity only in a triangular block, so
-its inverse takes one small triangular solve; it is kept when its basic
-values are feasible within the Harris tolerance.  ``solve(problem,
-start=)`` instead starts from the basis an earlier solution ended on
-(``LpSolution.basis``), which stays primal feasible when ``add_column``
-has appended variables (Chvátal 1983); a start that does not fit, being
-of another shape, singular or infeasible, falls back to the cold start.
-Phase 1 runs either way, and with no artificial basic it ends before its
-first pricing.
+replaces artificials by structural columns that are singletons on the
+rows left; it is kept when its basic values are feasible within the
+Harris tolerance.  ``solve(problem, start=kept)`` takes a ``KeptBasis``,
+in which an optimal answer of the full problem leaves its standard form
+and basis.  When the next problem is that one with columns appended by
+``add_column``, they join the kept standard form in place, nonbasic at
+zero, so the basis stays primal feasible (Chvátal 1983); it is
+refactorized once and the phases resume.  Any other problem starts cold
+and refills the handle.  Phase 1 ends before its first pricing when no
+artificial is basic.
 
 The ratio test is Harris's two-pass test (Harris 1973, as practised in
 HiGHS, Huangfu & Hall 2018): a basic variable may fall ``HARRIS_TOL``
 (relative to the right-hand sides) below zero in exchange for the largest
 pivot among the rows that block within that slack, and the step is never
 negative.  A variable that leaves the basis below zero keeps that value as
-a nonbasic, so basic values always equal the inverse times the right-hand
-side and no tolerance is silently clipped away.  In Bland mode a pivot
-below ``REL_PIVOT_TOL`` times the largest candidate is taken only when no
-other row blocks.
-
-Every ``optimal`` answer carries a certificate: x and the duals come from
-the kept inverse, improved by one step of iterative refinement against the
-final basis (Higham 2002, ch. 12), and ``solve`` raises
-``LpNumericalError`` unless both are finite, the primal residual of
-``solution_residuals`` is at most ``CERT_TOL * (1 + max|b|)`` and no dual has the wrong sign by
-more than ``DUAL_TOL * (1 + max|c|)``.  Pivoting is deterministic, so
-repeated solves of the same problem return bit-identical solutions at a
-fixed BLAS thread count; another thread count can change the last bits
-of x and the duals, since numpy's matrix products then sum in another
-order.
+a nonbasic, so no tolerance is silently clipped away.  In Bland mode a
+pivot below ``REL_PIVOT_TOL`` times the largest candidate is taken only
+when no other row blocks.  The dual simplex uses the same test.
 
 A problem may mark ``<=`` rows ``lazy``.  Where there are at least
-``LAZY_ROWS_PER_ROW`` of them per other row, a cold ``solve`` holds them
-back (Grötschel, Lovász & Schrijver 1981): it solves the other rows, the
-working set, as above, then each round finds by one product the held rows
-that the refined x violates by more than ``LAZY_VIOLATION`` times the
-certificate's tolerance.  They join the kept standard form in place with
-their slacks basic, so the transposed inverse grows by a bordered block
-and nothing is standardized or inverted again, and the basis stays dual
-feasible.  Dual simplex pivots (Koberstein 2005) restore primal
-feasibility: the most negative basic value leaves, a Harris two-pass
-dual ratio test on its row of ``B^-1 A`` picks the entering column, and
-after as many degenerate steps as the primal allows, Bland's rule takes
-over.  A primal phase 2 then confirms optimality.  The answer is
-certified on every row of the full problem, with a zero dual on each row
-that never joined.  A working set that is unbounded, fails numerically or
-that a joined row leaves infeasible falls back to the full problem, and
-an infeasible working set is infeasible.  Below the crossover the rounds
-cost more than the smaller basis saves, and the full problem is solved:
-LP1 of 10 items (3.0 held rows per other row) takes 9% longer on a
-working set, and of 12 items (3.67) 12% less.
+``LAZY_ROWS_PER_ROW`` of them per other row, and no handle resumes the
+solve, they are held back (Grötschel, Lovász & Schrijver 1981): the loop
+solves the other rows, the working set, then joins the held rows that
+the refined x violates by more than ``LAZY_VIOLATION`` times the
+certificate's tolerance to the kept standard form with their slacks
+basic, so the transposed inverse grows by a bordered block and the basis
+stays dual feasible.  Dual simplex pivots (Koberstein 2005) restore
+primal feasibility, the most negative basic value leaving, and a primal
+phase 2 confirms optimality.  With nothing held the loop runs no such
+round.  A working set that is unbounded, fails numerically or that a
+joined row leaves infeasible is solved again with nothing held, and an
+infeasible working set is infeasible.  Below the crossover the rounds
+cost more than the smaller basis saves: LP1 of 10 items (3.0 held rows
+per other row) takes 9% longer on a working set, and of 12 items 12% less.
+
+Every ``optimal`` answer carries a certificate: x and the duals come from
+the kept inverse, improved by one step of iterative refinement (Higham
+2002, ch. 12).  Before the loop ends, the refined duals price the columns
+once more; where one prices above ``OPT_TOL`` (the kept inverse had
+drifted), the basis is refactorized and phase 2 resumes.  ``solve``
+raises ``LpNumericalError`` unless x and the duals are finite, the primal
+residual is at most ``CERT_TOL * (1 + max|b|)`` on every row and no dual
+has the wrong sign by more than ``DUAL_TOL * (1 + max|c|)``; a row that
+never joined has a zero dual.  Pivoting is deterministic, so repeated
+solves are bit-identical at a fixed BLAS thread count; another thread
+count can change the last bits of x and the duals.
 
 Problems are stated as maximization; rows may be ``<=``, ``=`` or ``>=`` and
 variables carry individual bounds.  Reported duals refer to the rows as
@@ -176,16 +164,12 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """``iterations`` counts every simplex pivot, ``phase1_iterations``
-    those of phase 1, and ``rows_added`` the held-back ``lazy`` rows that
-    joined the working set; ``start`` names the first basis
-    (``"identity"``, ``"crash"`` or ``"warm"``).  An optimal answer of the
-    full problem keeps its final basis in ``basis``, which ``solve(...,
-    start=)`` reads, also after ``add_column`` has appended variables: per
-    basis row, ``k >= 0`` is standard-form structural column ``k`` and
-    ``~u`` is unit column ``u`` (a slack, bound row or artificial).  An
-    answer from a working set has no ``basis``, since its basis describes
-    only the rows that joined."""
+    """``iterations`` counts every simplex pivot, primal and dual,
+    ``phase1_iterations`` those of phase 1, and ``rows_added`` the
+    held-back ``lazy`` rows that joined the working set; ``start`` names
+    the first basis (``"identity"``, ``"crash"``, or ``"warm"`` for a
+    ``KeptBasis`` resumed).  A solution holds no basis: the caller's
+    ``KeptBasis`` does."""
 
     status: str
     x: np.ndarray | None = None
@@ -196,7 +180,6 @@ class LpSolution:
     rows_added: int = 0
     phase1_iterations: int = 0
     start: str = "identity"
-    basis: np.ndarray | None = None
 
 
 def add_column(problem: LpProblem, obj_coeff, column) -> LpProblem:
@@ -333,6 +316,25 @@ class _Standardized:
         self._compress()
         return rows
 
+    def add_columns(self, c: np.ndarray, A: np.ndarray) -> None:
+        """Append variables with bounds [0, inf), costs ``c`` and columns
+        ``A`` over the rows standardized at first, as structural columns
+        inserted before the unit columns, whose indices shift by their
+        number."""
+        k, at = len(c), self.n_struct
+        block = np.zeros((len(self.b), k))
+        block[: self.m0] = A * (self.row_sign * self.row_scale)[: self.m0, None]
+        self.S = np.hstack([self.S, block])
+        self.orig = np.concatenate([self.orig, np.arange(self.n0, self.n0 + k)])
+        self.sign = np.concatenate([self.sign, np.ones(k)])
+        self.base = np.concatenate([self.base, np.zeros(k)])
+        self.c = _insert(self.c, at, c)
+        self.price_scale = _insert(self.price_scale, at, np.empty(k))
+        self.slack_of_row[self.slack_of_row >= 0] += k
+        self.n0, self.n_struct = self.n0 + k, at + k
+        self.art0, self.n_cols = self.art0 + k, self.n_cols + k
+        self._compress()
+
     def basis_start(self) -> np.ndarray:
         slack_ok = (self.slack_of_row >= 0) & (self.row_scale > 0)
         return np.where(slack_ok, self.slack_of_row, self.art0 + np.arange(len(self.b)))
@@ -452,30 +454,36 @@ class _Basis:
         self.rhs = self.std.b - self.std.times(self.xN)
         np.dot(self.rhs, self.inv, out=self.xB)
 
+    def add_columns(self, at: int, k: int) -> None:
+        """Make room for ``k`` columns inserted in ``std`` at index ``at``,
+        nonbasic at zero."""
+        self.cols[self.cols >= at] += k
+        self.xN = _insert(self.xN, at, np.zeros(k))
+        self.is_basic = _insert(self.is_basic, at, np.zeros(k, dtype=bool))
+
     def add_rows(self, rows: np.ndarray) -> None:
         """Grow the basis by the rows that ``std.add_rows`` just appended,
         ``rows`` over the structural columns, with their slacks (the last
-        columns before the artificials) basic.  The new basis is ``[[B, 0], [R, I]]``, with
-        ``R`` the new rows on the basic columns, so the transposed inverse
-        grows by a bordered block, ``[[inv, -inv R^T], [0, I]]``, and each
-        slack's value is its row's right-hand side less ``R xB``, below
-        zero where the row is violated."""
+        columns before the artificials) basic.  The new basis is
+        ``[[B, 0], [R, I]]``, with ``R`` the new rows on the basic columns,
+        so the transposed inverse grows by a bordered block,
+        ``[[inv, -inv R^T], [0, I]]``, and each slack's value is its row's
+        right-hand side less ``R xB``, below zero where the row is violated."""
         k, m = len(rows), len(self.cols)
         at = self.std.art0 - k
-        cols = np.where(self.cols >= at, self.cols + k, self.cols)
-        struct = cols < self.std.n_struct
+        self.add_columns(at, k)
+        struct = self.cols < self.std.n_struct
         R = np.zeros((k, m))
-        R[:, struct] = rows[:, cols[struct]]
+        R[:, struct] = rows[:, self.cols[struct]]
         inv = np.zeros((m + k, m + k))
         inv[:m, :m] = self.inv
         inv[:m, m:] = -(self.inv @ R.T)
         inv[range(m, m + k), range(m, m + k)] = 1.0
-        self.xN = _insert(self.xN, at, np.zeros(k))
         rhs = self.std.b[m:] - rows @ self.xN[: self.std.n_struct]
         self.rhs = np.concatenate([self.rhs, rhs])
         self.xB = np.concatenate([self.xB, rhs - R @ self.xB])
-        self.inv, self.cols = inv, np.concatenate([cols, np.arange(at, at + k)])
-        self.is_basic = _insert(self.is_basic, at, np.ones(k, dtype=bool))
+        self.inv, self.cols = inv, np.concatenate([self.cols, np.arange(at, at + k)])
+        self.is_basic[at:at + k] = True
 
     def pivot(self, j: int, d: np.ndarray, r: int, t: float) -> np.ndarray:
         """Column ``j`` (with ``d = A[:, j] @ inv``) enters, raised by ``t``;
@@ -531,61 +539,35 @@ def _cold_start(std: _Standardized) -> tuple[_Basis, str]:
     return _Basis(std, cols, np.eye(m), std.b.copy()), "identity"
 
 
-def _encode_basis(std: _Standardized, cols: np.ndarray) -> np.ndarray:
-    """``LpSolution.basis`` of the basic columns ``cols``, in the smallest
-    integer type that holds it, since callers may keep many solutions."""
-    code = np.where(cols < std.n_struct, cols, ~(cols - std.n_struct))
-    return code.astype(np.int16 if std.n_cols < 2**15 else np.int32)
+def _ratio_test(x, d, key, bland, tol):
+    """Harris two-pass ratio test over the entries with ``d > PIVOT_TOL``;
+    returns the chosen index or -1 (no candidate).
 
+    Pass 1 finds the largest step that keeps every candidate's ``x - t d``
+    above ``-tol``.  Pass 2 takes, among the candidates whose own ratio
+    fits in that step, the largest ``d``.  In Bland mode it takes the
+    smallest ``key`` instead, passing over candidates whose ``d`` is below
+    ``REL_PIVOT_TOL`` times the largest one while another fits.
 
-def _warm_start(std: _Standardized, basis) -> _Basis | None:
-    """The basis an earlier solution ended on, refactorized; None unless it
-    has one column per row, is nonsingular and is primal feasible within
-    the Harris tolerance."""
-    m, n_struct = len(std.b), std.n_struct
-    if basis is None or len(basis) != m:
-        return None
-    basis = np.asarray(basis, dtype=int)
-    cols = np.where(basis >= 0, basis, n_struct + ~basis)
-    if not ((basis < n_struct) & (cols < std.n_cols)).all():
-        return None
-    if np.count_nonzero(np.bincount(cols, minlength=std.n_cols)) < m:  # a repeated column
-        return None
-    B = std.basis_matrix(cols)
-    try:
-        inv = np.linalg.inv(B.T)
-    except np.linalg.LinAlgError:
-        return None
-    xB = std.b @ inv
-    if not (np.isfinite(inv).all()
-            and np.abs(B @ xB - std.b).max(initial=0.0) <= FEAS_TOL * std.b_scale
-            and (xB >= -HARRIS_TOL * std.b_scale).all()):
-        return None
-    return _Basis(std, cols, inv, xB)
-
-
-def _ratio_test(xB, d, cols, bland, tol):
-    """Harris two-pass ratio test; returns the leaving row or -1 (unbounded).
-
-    Pass 1 finds the largest step that keeps every basic variable with a
-    positive entry above ``-tol``.  Pass 2 takes, among the rows whose own
-    ratio fits in that step, the largest pivot.  In Bland mode it takes the
-    smallest basic column instead, passing over rows whose pivot is below
-    ``REL_PIVOT_TOL`` times the largest one while another row fits.
+    The primal test passes the basic values, the entering column ``d`` and
+    the basic columns as keys, and returns the leaving row.  The dual test
+    passes ``-min(z, 0)`` for the reduced costs ``z``, ``-alpha`` for the
+    pivot row ``alpha`` with zeros on the basic columns, ``OPT_TOL`` and
+    the column indices as keys, and returns the entering column.
     """
     rows = (d > PIVOT_TOL).nonzero()[0]
     if rows.size == 0:
         return -1
-    dr, xr = d[rows], xB[rows]
+    dr, xr = d[rows], x[rows]
     fits = xr <= ((xr + tol) / dr).min() * dr
     if not bland:
         return int(rows[np.where(fits, dr, 0.0).argmax()])
     big = fits & (dr >= REL_PIVOT_TOL * dr.max())
     cand = rows[big if big.any() else fits]
-    return int(cand[cols[cand].argmin()])
+    return int(cand[key[cand].argmin()])
 
 
-def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
+def _simplex_phase(st: _Basis, c, n_price, tol):
     """Run primal simplex for cost ``c`` until optimality, pricing only the
     first ``n_price`` columns.  Returns (status, iterations); status is
     OPTIMAL or UNBOUNDED.
@@ -605,6 +587,7 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
     bland = False
     degenerate = 0
     bland_after = 10 * (len(std.b) + std.n_cols)
+    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(std.b) + std.n_cols)
     it = 0
     while True:
         if it >= max_iter:
@@ -647,31 +630,7 @@ def _simplex_phase(st: _Basis, c, n_price, tol, max_iter):
         it += 1
 
 
-def _dual_ratio_test(z, alpha, basic, bland):
-    """Harris two-pass dual ratio test on the pivot row ``alpha``; returns
-    the entering column or -1 (no column can lift the leaving row).
-
-    The candidates are the nonbasic columns with ``alpha_j < 0``, which
-    the leaving variable rises with.  Pass 1 finds the largest dual step
-    that keeps every candidate's reduced cost ``z_j`` (at most zero, up
-    to ``OPT_TOL``) below ``OPT_TOL``.  Pass 2 takes, among the columns
-    whose own ratio ``z_j / alpha_j`` fits in that step, the largest
-    ``|alpha_j|``.  In Bland mode it takes the smallest column instead,
-    passing over pivots below ``REL_PIVOT_TOL`` times the largest one
-    while another column fits.
-    """
-    cand = ((alpha < -PIVOT_TOL) & ~basic).nonzero()[0]
-    if cand.size == 0:
-        return -1
-    a, zc = -alpha[cand], np.minimum(z[cand], 0.0)
-    fits = -zc <= ((OPT_TOL - zc) / a).min() * a
-    if not bland:
-        return int(cand[np.where(fits, a, 0.0).argmax()])
-    big = fits & (a >= REL_PIVOT_TOL * a.max())
-    return int(cand[big if big.any() else fits][0])
-
-
-def _dual_phase(st: _Basis, c, n_price, tol, max_iter):
+def _dual_phase(st: _Basis, c, n_price, tol):
     """Run dual simplex for cost ``c`` from a dual feasible basis, pricing
     only the first ``n_price`` columns, until no basic value is below
     ``-tol``.  Returns (status, iterations); status is OPTIMAL, meaning
@@ -680,17 +639,19 @@ def _dual_phase(st: _Basis, c, n_price, tol, max_iter):
 
     The row with the most negative basic value leaves (in Bland mode, the
     smallest basic column among those below ``-tol``), the entering column
-    comes from ``_dual_ratio_test`` on the pivot row ``inv[:, r] @ A``,
-    and the pivot raises it until the leaving value reaches zero.  The
+    comes from ``_ratio_test`` on the pivot row ``inv[:, r] @ A``, and the
+    pivot raises it until the leaving value reaches zero.  The
     duals follow each pivot as in ``_simplex_phase``."""
     std = st.std
     c_price = c[:n_price]
-    z, alpha = np.empty(n_price), np.empty(n_price)
+    z, lift = np.empty(n_price), np.empty(n_price)
+    columns = np.arange(n_price)
     cB = c[st.cols]
     y = st.inv @ cB
     bland = False
     degenerate = 0
     bland_after = 10 * (len(std.b) + std.n_cols)
+    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(std.b) + std.n_cols)
     it = 0
     while True:
         if it >= max_iter:
@@ -707,9 +668,10 @@ def _dual_phase(st: _Basis, c, n_price, tol, max_iter):
             r = int(np.argmin(st.xB))
             if not st.xB[r] < -tol:  # a NaN here fails the certificate later
                 return OPTIMAL, it
-        std.row_times(st.inv[:, r], alpha)
+        std.row_times(-st.inv[:, r], lift)  # -alpha: what raises the leaving row
+        lift[st.is_basic[:n_price]] = 0.0
         np.subtract(c_price, std.row_times(y, z), out=z)
-        j = _dual_ratio_test(z, alpha, st.is_basic[:n_price], bland)
+        j = _ratio_test(-np.minimum(z, 0.0), lift, columns, bland, OPT_TOL)
         if j < 0:
             return INFEASIBLE, it
         if not np.isfinite(z[j]):
@@ -743,17 +705,16 @@ def _phases(std: _Standardized, st: _Basis, b_scale: float) -> tuple[str, int, i
     """Phase 1, the artificials driven out, then phase 2; returns the
     status and each phase's iterations."""
     N = std.n_cols
-    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(std.b) + N)
     tol = HARRIS_TOL * b_scale
     c1 = np.zeros(N)
     c1[std.art0:] = -1.0
-    status, it1 = _simplex_phase(st, c1, N, tol, max_iter)
+    status, it1 = _simplex_phase(st, c1, N, tol)
     if status != OPTIMAL:
         raise LpNumericalError("phase 1 did not terminate at an optimum")
     if float(c1[st.cols] @ st.xB + c1 @ st.xN) < -FEAS_TOL * b_scale:
         return INFEASIBLE, it1, 0
     _drive_out_artificials(st, std.art0)
-    status, it2 = _simplex_phase(st, std.c, std.art0, tol, max_iter)
+    status, it2 = _simplex_phase(st, std.c, std.art0, tol)
     return status, it1, it2
 
 
@@ -771,15 +732,45 @@ def _refine(std: _Standardized, st: _Basis) -> tuple[np.ndarray, np.ndarray]:
     return x_int, y
 
 
-def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
+class KeptBasis:
+    """The standard form and basis of the last optimal answer of the full
+    problem that ``solve(problem, start=kept)`` gave, kept by the caller;
+    empty after any other answer.  No ``LpSolution`` holds them, since
+    callers may keep many solutions, and LP1's take about a megabyte."""
+
+    def __init__(self):
+        self.problem: LpProblem | None = None
+        self.basis: _Basis | None = None
+
+    def _take(self, problem: LpProblem) -> _Basis | None:
+        """Empty the handle.  Returns its basis, grown in place by the
+        columns that ``problem`` appends to the kept problem with bounds
+        [0, inf) (as ``add_column`` appends them) and refactorized, or None
+        when ``problem`` is not the kept problem plus such columns."""
+        old, st = self.problem, self.basis
+        self.problem = self.basis = None
+        if old is None:
+            return None
+        n0, k = old.n_vars, problem.n_vars - old.n_vars
+        if not (k >= 0 and problem.senses == old.senses and all(
+                np.array_equal(new, was) for new, was in [
+                    (problem.b, old.b), (problem.c[:n0], old.c), (problem.A[:, :n0], old.A),
+                    (problem.lb, np.append(old.lb, np.zeros(k))),
+                    (problem.ub, np.append(old.ub, np.full(k, np.inf)))])):
+            return None
+        st.add_columns(st.std.n_struct, k)
+        st.std.add_columns(problem.c[n0:], problem.A[:, n0:])
+        st.refactor()
+        return st
+
+
+def solve(problem: LpProblem, start: KeptBasis | None = None) -> LpSolution:
     """Solve to optimality; returns primal values, row duals, and objective.
 
-    ``start``, an earlier solution of this problem or of one that
-    ``add_column`` has since grown, lends its final basis as the first
-    basis (see the module docstring); a start that does not fit falls back
-    to the cold start.  With no ``start``, the ``held_rows`` of the
-    problem wait outside a working set (``_solve_working_set``).  An
-    ``optimal`` answer is certified on every row.  Raises
+    A ``start`` handle resumes its kept problem with columns appended, and
+    any other problem starts cold; an optimal answer of the full problem
+    refills it.  Otherwise the ``held_rows`` wait outside a working set,
+    and the full problem is solved when that fails.  Raises
     ``LpNumericalError`` when the certificate fails, when a basis is
     singular, or when the pivot tolerance cannot make progress within the
     iteration budget even after the Bland's-rule fallback.
@@ -788,85 +779,72 @@ def solve(problem: LpProblem, start: LpSolution | None = None) -> LpSolution:
     est_rows = problem.n_rows + n_bounded
     if est_rows * (problem.n_vars + 2 * est_rows) > MAX_DENSE_ENTRIES:
         raise CapacityError("problem too large for the dense exact solver")
-    held = held_rows(problem) if start is None else ()
+    st = None if start is None else start._take(problem)
+    held = held_rows(problem) if st is None else np.zeros(0, dtype=int)
     if len(held):
         try:
-            sol = _solve_working_set(problem, held)
+            sol = _run(problem, held, None)
         except LpNumericalError:
             sol = None
         if sol is not None:
             return sol
-    std = _Standardized(problem)
-    st = _warm_start(std, None if start is None else start.basis)
-    st, how = (st, "warm") if st is not None else _cold_start(std)
-    status, it1, it2 = _phases(std, st, std.b_scale)
-    if status != OPTIMAL:
-        return LpSolution(status=status, iterations=it1 + it2, phase1_iterations=it1, start=how)
-    x_int, y = _refine(std, st)
-    sol = LpSolution(status=OPTIMAL, x=std.x_original(x_int[: std.n_struct]),
-                     duals=std.duals_original(y),
-                     objective=float(std.c @ x_int) + std.const,
-                     dual_objective=float(y @ std.b) + std.const,
-                     iterations=it1 + it2, phase1_iterations=it1, start=how,
-                     basis=_encode_basis(std, st.cols))
-    _certify(problem, sol, std.b_scale)
-    return sol
+    return _run(problem, held[:0], st, start)
 
 
 def held_rows(problem: LpProblem) -> np.ndarray:
-    """The ``lazy`` rows that ``solve`` holds back when it has no
-    ``start``: all of them where there are at least ``LAZY_ROWS_PER_ROW``
-    per other row, else none."""
+    """The ``lazy`` rows that ``solve`` holds back when no handle resumes
+    it: all of them where there are at least ``LAZY_ROWS_PER_ROW`` per
+    other row, else none."""
     held = np.flatnonzero(problem.lazy) if problem.lazy is not None else np.zeros(0, dtype=int)
     return held if len(held) >= LAZY_ROWS_PER_ROW * (problem.n_rows - len(held)) else held[:0]
 
 
-def _solve_working_set(problem: LpProblem, held: np.ndarray) -> LpSolution | None:
-    """Solve ``problem`` with its rows ``held`` held back until violated.
-
-    The other rows are solved as ``solve`` solves a problem (cold start,
-    two phases).  Then, while the refined x violates a held row by more
-    than ``LAZY_VIOLATION`` times the certificate's tolerance, the
-    violated rows join the kept standard form with their slacks basic
-    (``add_rows``), dual simplex pivots restore primal feasibility and a
-    primal phase 2 confirms optimality.  The answer is certified on the
-    full problem, with a zero dual on every row that never joined, and
-    ``CERT_TOL``'s scale is the full problem's.  Returns None, for the
-    full problem to decide, when the working set is unbounded or a joined
-    row leaves it infeasible; an infeasible working set is infeasible."""
-    work = np.flatnonzero(~problem.lazy)
-    std = _Standardized(LpProblem(
-        c=problem.c, A=problem.A[work], senses=tuple(problem.senses[i] for i in work),
-        b=problem.b[work], lb=problem.lb, ub=problem.ub))
+def _run(problem: LpProblem, held: np.ndarray, st: _Basis | None,
+         keep: KeptBasis | None = None) -> LpSolution | None:
+    """The solve loop of the module docstring on ``problem`` with its rows
+    ``held`` held back, from the basis ``st`` or, when it is None, a cold
+    start of the other rows; an optimal answer leaves its basis in
+    ``keep``.  Returns None when the working set is unbounded or a joined
+    row leaves it infeasible.  After a refactorization for the refined
+    duals, a phase 2 that takes no pivot ends the loop (``stalled``)."""
+    work = np.delete(np.arange(problem.n_rows), held)
+    how = "warm"
+    if st is None:
+        st, how = _cold_start(_Standardized(problem if not len(held) else LpProblem(
+            c=problem.c, A=problem.A[work], senses=tuple(problem.senses[i] for i in work),
+            b=problem.b[work], lb=problem.lb, ub=problem.ub)))
+    std = st.std
     A, b = problem.A[held], problem.b[held]
     b_scale = max(std.b_scale, 1.0 + float(np.abs(b - A @ std.base).max(initial=0.0)))
-    st, how = _cold_start(std)
     status, it1, it = _phases(std, st, b_scale)
-    if status == INFEASIBLE:
-        return LpSolution(status=INFEASIBLE, iterations=it1, phase1_iterations=it1, start=how)
-    if status == UNBOUNDED:
-        return None
     it += it1
     tol, m_work = HARRIS_TOL * b_scale, len(std.b)
-    added, left = [], np.ones(len(held), dtype=bool)
-    while True:
+    added, left, stalled = [], np.ones(len(held), dtype=bool), False
+    while status == OPTIMAL:
         x_int, y = _refine(std, st)
         x = std.x_original(x_int[: std.n_struct])
         join = (A @ x - b > LAZY_VIOLATION * CERT_TOL * b_scale) & left
-        if not join.any():
-            break
-        left &= ~join
-        st.add_rows(std.add_rows(A[join], b[join]))
-        added.append(held[join])
-        max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(std.b) + std.n_cols)
-        status, it_dual = _dual_phase(st, std.c, std.art0, tol, max_iter)
-        if status == INFEASIBLE:
+        if join.any():
+            left &= ~join
+            st.add_rows(std.add_rows(A[join], b[join]))
+            added.append(held[join])
+            status, k = _dual_phase(st, std.c, std.art0, tol)
+            it += k
+            if status != OPTIMAL:
+                break
+        else:
+            z = std.c[: std.art0] - std.row_times(y, np.empty(std.art0))
+            if stalled or not (z[~st.is_basic[: std.art0]] > OPT_TOL).any():
+                break
+            st.refactor()
+        status, k = _simplex_phase(st, std.c, std.art0, tol)
+        stalled = k == 0 and not join.any()
+        it += k
+    if status != OPTIMAL:
+        if len(held) and (status == UNBOUNDED or added):
             return None
-        status, it_primal = _simplex_phase(st, std.c, std.art0, tol, max_iter)
-        if status == UNBOUNDED:
-            return None
-        it += it_dual + it_primal
-    added = np.concatenate(added) if added else np.zeros(0, dtype=int)
+        return LpSolution(status=status, iterations=it, phase1_iterations=it1, start=how)
+    added = np.concatenate(added) if added else held[:0]
     duals = np.zeros(problem.n_rows)
     duals[work] = std.duals_original(y)
     duals[added] = y[m_work:]
@@ -875,6 +853,8 @@ def _solve_working_set(problem: LpProblem, held: np.ndarray) -> LpSolution | Non
                      dual_objective=float(y @ std.b) + std.const,
                      iterations=it, rows_added=len(added), phase1_iterations=it1, start=how)
     _certify(problem, sol, b_scale)
+    if keep is not None:
+        keep.problem, keep.basis = problem, st
     return sol
 
 

@@ -910,8 +910,8 @@ def _master_problem(instance, columns, q_v) -> lp.LpProblem:
     return lp.LpProblem.make(c, A, senses, b)
 
 
-def _solve_master(problem: lp.LpProblem, start: lp.LpSolution | None = None) -> lp.LpSolution:
-    sol = lp.solve(problem, start)
+def _solve_master(problem: lp.LpProblem, kept: lp.KeptBasis | None = None) -> lp.LpSolution:
+    sol = lp.solve(problem, start=kept)
     if sol.status != lp.OPTIMAL:
         raise StochmatchError(f"policy-LP master came back {sol.status}")
     return sol
@@ -931,9 +931,10 @@ def solve_prophet_lp(instance: MatchingInstance,
     ``LpNumericalError``.  The types that arrive are grouped by box, and
     each group is priced in one ``stars.price`` call (one ``plan`` call and
     one walk); the round's columns join the master in one
-    ``lp.add_column`` block, in type order.  Each master solve starts from
-    the previous master's final basis, which the added columns leave
-    primal feasible.
+    ``lp.add_column`` block, in type order.  The master's standard form and
+    basis are kept across rounds (``lp.KeptBasis``): the columns join them
+    in place, nonbasic at zero, so the basis stays primal feasible, and
+    each master solve resumes from it.
     With exact pricing (deterministic or hazard patience) the final
     objective is the true LP optimum; with the 1/2-approximate LP-policy
     box the returned solution is feasible and the objective is the value
@@ -956,9 +957,9 @@ def solve_prophet_lp(instance: MatchingInstance,
     seen = {(v, ()) for v in range(n)}
     master = _master_problem(instance, columns, q_v)
     status = "optimal"
-    sol = None
+    kept = lp.KeptBasis()
     while True:
-        sol = _solve_master(master, sol)
+        sol = _solve_master(master, kept)
         alpha = np.clip(sol.duals[:m], 0.0, None)
         beta = sol.duals[m: m + n]
         adjusted = w_rows - alpha
@@ -986,7 +987,7 @@ def solve_prophet_lp(instance: MatchingInstance,
         columns += new
         if len(columns) > COLUMN_CAP:
             status = "column_cap"
-            sol = _solve_master(master, sol)
+            sol = _solve_master(master, kept)
             break
     return _assemble_result(instance, columns, sol.x, sol.objective, status, kappa)
 

@@ -127,6 +127,24 @@ def test_ratio_test_bland_mode_takes_the_smallest_basic_column():
     assert lp._ratio_test(np.array([0.0, 1.0, 1.0]), tiny, np.array([1, 5, 4]), True, 0.0) == 0
     assert lp._ratio_test(xB, -d, cols, True, 0.0) == -1
 
+    def dual(z, alpha, basic, bland):  # the entering column, as ``_dual_phase`` asks for it
+        lift = np.where(basic, 0.0, -np.asarray(alpha))
+        return lp._ratio_test(-np.minimum(z, 0.0), lift, np.arange(len(z)), bland, lp.OPT_TOL)
+
+    # candidates are nonbasic with alpha < -PIVOT_TOL: column 0 is basic,
+    # column 2's alpha is too small and column 4's has the wrong sign; of
+    # the ratios z_j / alpha_j (1, 1 and 2), columns 1 and 3 fit, and
+    # Harris takes the larger |alpha|, Bland the smaller column
+    z = np.array([0.0, -1.0, -1e-3, -2.0, -1.0, -4.0])
+    alpha = np.array([-5.0, -1.0, -1e-11, -2.0, 3.0, -2.0])
+    basic = np.arange(6) == 0
+    assert dual(z, alpha, basic, False) == 3
+    assert dual(z, alpha, basic, True) == 1
+    assert dual(np.zeros(3), -tiny, np.zeros(3, dtype=bool), True) == 1
+    # no candidate: nothing can raise the leaving row
+    for bland in (False, True):
+        assert dual(z, np.where(basic, -5.0, 1.0), basic, bland) == -1
+
 
 def test_pricing_scales_each_reduced_cost_by_its_column_norm(monkeypatch):
     # x0 has the larger reduced cost, 2 against 1, but the scaled rule
@@ -182,11 +200,16 @@ def test_a_block_of_columns_equals_adding_them_one_by_one():
     for name in ("c", "A", "b", "lb", "ub"):
         assert np.array_equal(getattr(at_once, name), getattr(one_by_one, name))
     assert at_once.senses == one_by_one.senses
-    # the earlier basis still fits the grown problem
-    warm = solve(at_once, start=first)
+    # the kept basis still fits the grown problem
+    kept, kept_again = lp.KeptBasis(), lp.KeptBasis()
+    for handle in (kept, kept_again):
+        assert solve(p, start=handle).objective == first.objective
+    warm = solve(at_once, start=kept)
     assert warm.start == "warm" and warm.status == OPTIMAL
-    assert warm.objective > first.objective
-    again = solve(one_by_one, start=first)
+    # no added column prices in here (each z_j < 0), so the optimum stays
+    assert warm.objective >= first.objective
+    assert _objectives_agree(warm.objective, -_scipy_solve(at_once).fun)
+    again = solve(one_by_one, start=kept_again)
     assert warm.objective == again.objective and np.array_equal(warm.x, again.x)
 
 
@@ -481,11 +504,12 @@ def test_warm_start_after_added_columns_matches_cold_and_reference(seed):
     rng = np.random.default_rng(300 + seed)
     warm_starts = 0
     for _ in range(25):
-        p = _random_problem(rng)
-        first = solve(p)
+        p, kept = _random_problem(rng), lp.KeptBasis()
+        first = solve(p, start=kept)
+        assert (kept.basis is not None) == (first.status == OPTIMAL)
         for _ in range(int(rng.integers(1, 4))):
             p = add_column(p, rng.normal(), rng.normal(size=p.n_rows))
-        warm, cold, ref = solve(p, start=first), solve(p), _scipy_solve(p)
+        warm, cold, ref = solve(p, start=kept), solve(p), _scipy_solve(p)
         expected = {2: "infeasible", 3: "unbounded"}.get(ref.status, "optimal")
         assert warm.status == cold.status == expected
         # the appended columns are nonbasic at 0, so an optimal basis stays feasible
@@ -498,27 +522,31 @@ def test_warm_start_after_added_columns_matches_cold_and_reference(seed):
 
 
 def test_starts_that_do_not_fit_fall_back_to_the_cold_start():
-    # max x + y s.t. x + y <= 1, x <= 2; structural columns 0 (x) and 1 (y),
-    # slacks are unit columns 0 and 1, written ~0 and ~1
+    # max x + y s.t. x + y <= 1, x <= 2
     p = LpProblem.make([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], ["<=", "<="], [1.0, 2.0])
-    grown = add_column(p, 1.0, [2.0, 2.0])  # column 2 is twice column 0
-    one_row = solve(LpProblem.make([1.0], [[1.0]], ["<="], [1.0]))
-    for problem, basis in [(p, [0, ~1]), (grown, [0, ~1])]:  # x and the second slack fit
-        sol = solve(problem, start=lp.LpSolution(OPTIMAL, basis=np.array(basis)))
-        assert sol.start == "warm"
-        assert _objectives_agree(sol.objective, -_scipy_solve(problem).fun)
-    for problem, start in [
-        (p, one_row),                                          # another row count
-        (p, lp.LpSolution(OPTIMAL, basis=np.array([0]))),      # another row count
-        (p, lp.LpSolution(OPTIMAL, basis=np.array([0, 7]))),   # no such column
-        (p, lp.LpSolution(OPTIMAL, basis=np.array([0, 0]))),   # a repeated column
-        (grown, lp.LpSolution(OPTIMAL, basis=np.array([0, 2]))),  # singular
-        (p, lp.LpSolution(OPTIMAL, basis=np.array([0, 1]))),   # x = 2, y = -1
-        (p, lp.LpSolution("infeasible")),                      # no basis
+    one_row = LpProblem.make([1.0], [[1.0]], ["<="], [1.0])
+    other_bound = add_column(dataclasses.replace(p, ub=np.array([np.inf, 0.5])), 1.0, [2.0, 2.0])
+
+    def kept_from(problem):
+        kept = lp.KeptBasis()
+        assert solve(problem, start=kept).status == OPTIMAL and kept.basis is not None
+        return kept
+
+    infeasible = lp.KeptBasis()  # an answer that is not optimal leaves the handle empty
+    assert solve(LpProblem.make([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0]),
+                 start=infeasible).status == "infeasible"
+    for problem, kept in [
+        (p, kept_from(one_row)),                      # another row count
+        (other_bound, kept_from(p)),                  # not the kept problem plus columns
+        (add_column(p, 1.0, [2.0, 2.0]), lp.KeptBasis()),  # an empty handle
+        (p, infeasible),
     ]:
-        sol = solve(problem, start=start)
+        sol = solve(problem, start=kept)
         assert sol.start in ("identity", "crash") and sol.status == OPTIMAL
         assert _objectives_agree(sol.objective, -_scipy_solve(problem).fun)
+        # the cold start refills the handle, and the same problem then resumes from it
+        assert kept.problem is problem
+        assert solve(problem, start=kept).start == "warm"
 
 
 # ---------------------------------------------------------------------------
@@ -541,26 +569,28 @@ def test_working_set_solve_agrees_with_the_full_solve(seed, n, kind):
         held = lp.held_rows(p)
         sol = solve(p)
     assert len(held) == np.count_nonzero(p.lazy)
-    try:
-        full = solve(dataclasses.replace(p, lazy=None))
-    except LpNumericalError:
-        # the full solve fails its certificate on a few stars (deterministic
-        # star 262145 at n = 15: a wrong-signed dual of 0.037)
-        full = None
-    assert sol.status == (full.status if full else OPTIMAL)
+    full = solve(dataclasses.replace(p, lazy=None))
+    assert sol.status == full.status
     if sol.status != OPTIMAL:
         return
-    tol = 1e-9 * (1.0 + abs(sol.objective))
-    if full is None or abs(sol.objective - full.objective) > tol:
-        # the full solve may also stop short of the optimum within its dual
-        # tolerance (deterministic star 11 at n = 15: 2e-8 below HiGHS);
-        # then the working set's objective must be the optimum
-        assert full is None or sol.objective > full.objective
-        assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=tol)
+    assert _objectives_agree(sol.objective, full.objective)
     b_scale = lp._Standardized(p).b_scale
     assert solution_residuals(p, sol)["primal"] <= lp.CERT_TOL * b_scale
     assert sol.duals.shape == (p.n_rows,)
     assert np.count_nonzero(sol.duals[held]) <= sol.rows_added  # zero unless it joined
+
+
+@pytest.mark.parametrize("seed", [11, 1060, 1140, 262145])
+def test_the_full_solve_does_not_stop_short_of_the_optimum(seed):
+    # deterministic-patience LP1 at n = 15, where phase 2 stopped on the
+    # kept inverse's duals while the refined duals still priced a column
+    # in: 1.4e-8 to 1.9e-8 below HiGHS, or (star 262145) a wrong-signed
+    # dual of 0.037 that failed the certificate
+    star = hard.gen_random_star(seed, 15, "deterministic")
+    p = dataclasses.replace(build_arbitrary_patience_lp(star), lazy=None)
+    sol, ref = solve(p), -_scipy_solve(p).fun
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -604,9 +634,10 @@ def test_an_unbounded_working_set_falls_back_to_the_full_problem():
     p = _with_held_rows([1.0, 1.0], [[1.0, -1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
                         ["<="] * 5, [0.0, 1.0, 5.0, 5.0, 3.0], [False, True, True, True, True])
     assert len(lp.held_rows(p)) == 4
-    sol = solve(p)
+    kept = lp.KeptBasis()
+    sol = solve(p, start=kept)
     assert sol.status == OPTIMAL and sol.objective == pytest.approx(1.0, abs=1e-12)
-    assert sol.rows_added == 0 and sol.basis is not None  # the full problem's answer
+    assert sol.rows_added == 0 and kept.basis is not None  # the full problem's answer
 
 
 def test_a_held_row_violated_within_feas_tol_still_joins():
@@ -625,11 +656,11 @@ def test_a_held_row_violated_within_feas_tol_still_joins():
 
 
 def test_a_working_set_answer_does_not_warm_start_the_full_problem():
-    p = _lp1(3, 15)
-    lazy_sol = solve(p)
-    assert lazy_sol.rows_added > 0 and lazy_sol.basis is None
+    p, kept = _lp1(3, 15), lp.KeptBasis()
+    lazy_sol = solve(p, start=kept)
+    assert lazy_sol.rows_added > 0 and kept.basis is None  # its basis covers the joined rows only
     full = dataclasses.replace(p, lazy=None)
-    sol = solve(full, start=lazy_sol)
+    sol = solve(full, start=kept)
     assert sol.start in ("identity", "crash") and sol.rows_added == 0
     assert _objectives_agree(sol.objective, lazy_sol.objective)
 

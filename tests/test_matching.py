@@ -151,11 +151,12 @@ def test_batched_column_generation_equals_pricing_each_type(monkeypatch, make):
 
 
 def _column_generation(monkeypatch, instance, warm):
-    """``solve_prophet_lp`` with every master warm-started (as it runs) or
-    cold-started, and the masters' solutions."""
+    """``solve_prophet_lp`` with every master resumed from the kept basis
+    (as it runs) or cold-started, and the masters' solutions."""
     solve, masters = lp.solve, []
 
     def master(problem, start=None):
+        assert isinstance(start, lp.KeptBasis)
         masters.append(solve(problem, start if warm else None))
         return masters[-1]
 
@@ -176,7 +177,7 @@ def test_warm_started_masters_match_cold_ones_in_fewer_pivots(monkeypatch, kind)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
         # the first master starts from the crash onto the empty policies,
-        # and adding columns keeps every later start feasible
+        # and the columns joining the kept basis keep every later start feasible
         assert [s.start for s in masters] == ["crash"] + ["warm"] * (len(masters) - 1)
         assert all(s.phase1_iterations == 0 for s in masters + cold_masters)
         pivots[True] += sum(s.iterations for s in masters)
