@@ -49,13 +49,15 @@ the refined x violates by more than ``LAZY_VIOLATION`` times the
 certificate's tolerance to the kept standard form with their slacks
 basic, so the transposed inverse grows by a bordered block and the basis
 stays dual feasible.  Dual simplex pivots (Koberstein 2005) restore
-primal feasibility, the most negative basic value leaving, and a primal
-phase 2 confirms optimality.  With nothing held the loop runs no such
-round.  A working set that is unbounded, fails numerically or that a
-joined row leaves infeasible is solved again with nothing held, and an
-infeasible working set is infeasible.  Below the crossover the rounds
-cost more than the smaller basis saves: LP1 of 10 items (3.0 held rows
-per other row) takes 9% longer on a working set, and of 12 items 12% less.
+primal feasibility, the most negative basic value leaving, and the next
+round refines x again.  A round that joins no row prices with the refined
+duals, and only a column that prices in refactorizes the basis and
+resumes phase 2.  With nothing held the loop joins no row.  A working set
+that is unbounded, fails numerically or that a joined row leaves
+infeasible is solved again with nothing held, and an infeasible working
+set is infeasible.  Below the crossover the rounds cost more than the
+smaller basis saves: LP1 of 10 items (3.0 held rows per other row) takes
+9% longer on a working set, and of 12 items 12% less.
 
 Every ``optimal`` answer carries a certificate: x and the duals come from
 the kept inverse, improved by one step of iterative refinement (Higham
@@ -829,17 +831,14 @@ def _run(problem: LpProblem, held: np.ndarray, st: _Basis | None,
             st.add_rows(std.add_rows(A[join], b[join]))
             added.append(held[join])
             status, k = _dual_phase(st, std.c, std.art0, tol)
-            it += k
-            if status != OPTIMAL:
-                break
-        else:
-            z = std.c[: std.art0] - std.row_times(y, np.empty(std.art0))
-            if stalled or not (z[~st.is_basic[: std.art0]] > OPT_TOL).any():
-                break
-            st.refactor()
+            it, stalled = it + k, False
+            continue
+        z = std.c[: std.art0] - std.row_times(y, np.empty(std.art0))
+        if stalled or not (z[~st.is_basic[: std.art0]] > OPT_TOL).any():
+            break
+        st.refactor()
         status, k = _simplex_phase(st, std.c, std.art0, tol)
-        stalled = k == 0 and not join.any()
-        it += k
+        it, stalled = it + k, k == 0
     if status != OPTIMAL:
         if len(held) and (status == UNBOUNDED or added):
             return None

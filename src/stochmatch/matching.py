@@ -40,9 +40,9 @@ the free set's packed key: ``ceil(k / 64)`` uint64 words over the type's
 ``k`` neighbors.  At an arrival that leaves some trial a free neighbor,
 its lockstep walk groups the trials by one sort over their keys and
 gathers their plans' rows; only the keys not stored yet are planned, in
-one ``StarSolver.plan`` call, whose plans become their rows.  A
-parallel ``simulate`` hands each worker's new rows back to the caller's
-table.
+one ``StarSolver.plan`` call, whose plans become their rows.  In a
+parallel ``simulate`` each worker stores the plans it solves in its own
+copy of the table, and none come back to the caller's.
 
 A greedy matcher's ``exact_value`` is a forward expansion over arrival
 steps with the bitmask of free offline vertices as state, at most
@@ -184,13 +184,12 @@ class _Tables:
     walks, which serve ``simulate`` and a called matcher (a one-row batch)
     alike, and for the exact values; each type's probe cap over its
     neighbors (``caps``); and AdvGreedy's stored plans (``plan_rows``, a
-    ``_PlanRows`` per type that has walked, empty for other matchers),
-    which ``simulate`` carries back from its worker processes
-    (``keep_plans``).  Types share few patience models, so each distinct
-    model (``models``) is read once and a type's entries are gathered from
-    its model's (``model_of``).  A matcher that derives more extends it,
-    and sets ``draw_bound``, the most uniforms one trial can read.  The
-    tests' scalar walk (``tests/walk_oracle.py``) reads the same table."""
+    ``_PlanRows`` per type that has walked, empty for other matchers).
+    Types share few patience models, so each distinct model (``models``)
+    is read once and a type's entries are gathered from its model's
+    (``model_of``).  A matcher that derives more extends it, and sets
+    ``draw_bound``, the most uniforms one trial can read.  The tests'
+    scalar walk (``tests/walk_oracle.py``) reads the same table."""
 
     __slots__ = ("m", "patience", "models", "model_of", "neighbor_arrays", "degree", "probs",
                  "weights", "theta", "survival", "curves", "hazard", "rates", "caps",
@@ -238,14 +237,6 @@ class _Tables:
         self.rates = np.zeros((len(pats), m))
         if any(p.is_hazard for p in models):
             self.rates[self.hazard] = rates[of[self.hazard]]
-
-    def keep_plans(self, v: int, rows: _PlanRows) -> _PlanRows:
-        """Type ``v``'s plan store, made of ``rows`` if it had none, else
-        with the rows of ``rows`` whose keys it lacked appended."""
-        store = self.plan_rows.setdefault(v, rows)
-        if store is not rows:
-            store.add(rows)
-        return store
 
     def walk_draws(self, probes: np.ndarray) -> np.ndarray:
         """Per type ``v``, the most uniforms one policy walk reads when it
@@ -496,8 +487,7 @@ class _PlanRows:
     length of that order, and, for a type whose plans may be randomized,
     ``cum`` as ``(k, k)``: a randomized plan's cumulative pick
     distributions, each row padded with its last value and ``nan`` past the
-    plan's attempts (``None`` for any other type).  Rows are only appended,
-    so the key index lists the keys in row order.  The lockstep walk
+    plan's attempts (``None`` for any other type).  The lockstep walk
     gathers the rows its trials need by index."""
 
     __slots__ = ("index", "kind", "items", "length", "cum")
@@ -507,21 +497,14 @@ class _PlanRows:
         self.kind, self.items, self.length, self.cum = kind, items, length, cum
 
     def add(self, rows: _PlanRows):
-        """Append the rows of ``rows`` whose keys this store lacks."""
-        names = [name for name in rows.index if name not in self.index]
-        new = [rows.index[name] for name in names]
-        self.index.update(zip(names, range(len(self.kind), len(self.kind) + len(new))))
-        self.kind = np.concatenate([self.kind, rows.kind[new]])
-        self.items = np.concatenate([self.items, rows.items[new]])
-        self.length = np.concatenate([self.length, rows.length[new]])
+        """Append the rows of ``rows``, whose keys this store lacks."""
+        first = len(self.kind)
+        self.index.update((name, first + at) for name, at in rows.index.items())
+        self.kind = np.concatenate([self.kind, rows.kind])
+        self.items = np.concatenate([self.items, rows.items])
+        self.length = np.concatenate([self.length, rows.length])
         if self.cum is not None:
-            self.cum = np.concatenate([self.cum, rows.cum[new]])
-
-    def since(self, first: int) -> _PlanRows:
-        """The rows from row ``first`` on, as a store of their own."""
-        return _PlanRows(list(itertools.islice(self.index, first, None)), self.kind[first:],
-                         self.items[first:], self.length[first:],
-                         None if self.cum is None else self.cum[first:])
+            self.cum = np.concatenate([self.cum, rows.cum])
 
 
 class _GreedyTables(_Tables):
@@ -628,7 +611,8 @@ class AdvGreedyMatcher(_GreedyMatcher):
         boolean ``free`` marks the free neighbors of ``keys[i]``.  The keys
         not stored yet, distinct already, are planned in one
         ``StarSolver.plan`` call on the star of all of the type's neighbors,
-        and their rows are written from its plans; a randomized plan for a
+        and their rows, written from its plans, become the type's store or
+        are appended to it (``_PlanRows.add``); a randomized plan for a
         type whose draw bound allows only a policy walk raises
         ``StochmatchError``."""
         neigh = tables.neighbor_arrays[v]
@@ -658,7 +642,10 @@ class AdvGreedyMatcher(_GreedyMatcher):
                 pick[~rsp.attempt_probs.any(axis=1)] = np.nan
                 cum[g, :n, :n], cum[g, :n, n:] = pick, pick[:, -1:]
             rows = _PlanRows([names[i] for i in new], kind, items, lengths, cum)
-            store = tables.keep_plans(v, rows)
+            if store is None:
+                store = tables.plan_rows[v] = rows
+            else:
+                store.add(rows)
             found = [store.index[name] for name in names]
         return store, np.array(found, dtype=np.intp)
 
@@ -895,16 +882,23 @@ def _assemble_result(instance, columns, x, objective, status, kappa) -> ProphetL
                            status=status, n_columns=len(columns), kappa=kappa)
 
 
-def _master_problem(instance, columns, q_v) -> lp.LpProblem:
-    m, n = instance.m, instance.n_types
-    wmat = instance.weights_matrix()
-    nv = len(columns)
-    A = np.zeros((m + n, nv))
-    c = np.zeros(nv)
-    for k, (v, policy, pvec) in enumerate(columns):
+def _master_columns(wmat, n, columns) -> tuple[np.ndarray, np.ndarray]:
+    """The master's costs and ``(m + n, k)`` block of columns for the ``k``
+    ``(v, policy, pvec)`` in ``columns``: ``pvec`` in the offline rows, 1
+    in row ``m + v`` and cost ``pvec @ wmat[:, v]``."""
+    m = len(wmat)
+    A = np.zeros((m + n, len(columns)))
+    c = np.zeros(len(columns))
+    for k, (v, _, pvec) in enumerate(columns):
         A[:m, k] = pvec
         A[m + v, k] = 1.0
         c[k] = float(pvec @ wmat[:, v])
+    return c, A
+
+
+def _master_problem(instance, columns, q_v) -> lp.LpProblem:
+    m, n = instance.m, instance.n_types
+    c, A = _master_columns(instance.weights_matrix(), n, columns)
     senses = [lp.LE] * m + [lp.EQ] * n
     b = np.concatenate([np.ones(m), q_v])
     return lp.LpProblem.make(c, A, senses, b)
@@ -979,11 +973,7 @@ def solve_prophet_lp(instance: MatchingInstance,
                 seen.add((v, policy.order))
         if not new:
             break  # the master is unchanged since ``sol``
-        block = np.zeros((m + n, len(new)))
-        for k, (v, _, pvec) in enumerate(new):
-            block[:m, k] = pvec
-            block[m + v, k] = 1.0
-        master = lp.add_column(master, [float(pvec @ wmat[:, v]) for v, _, pvec in new], block)
+        master = lp.add_column(master, *_master_columns(wmat, n, new))
         columns += new
         if len(columns) > COLUMN_CAP:
             status = "column_cap"

@@ -23,9 +23,8 @@ walks every row at once on numpy state (``run_lockstep``);
 SimpleGreedy takes a run of identical patience-1 arrivals as one step,
 scanning each row's uniforms for its next success, and AdvGreedy gathers
 an arrival's plans from rows stored by packed free-set key.  A worker
-process returns, with its block's results, the plan rows its matcher's
-table gained, and the caller's table appends those it lacks, so that
-plans solved in workers are not solved again.
+process returns only its block's results: the plans its matcher solves
+stay in the worker, and the caller's table is left as it was.
 Each row is the stream the trial would read alone, so reports are the same
 as the tests' scalar walk (``tests/walk_oracle.py``) gives one trial at a
 time; a called matcher runs one trial as a one-row batch.  Exact values
@@ -236,16 +235,8 @@ def _start_worker(instance, matcher):
 
 
 def _run_worker(seed, start, stop, width):
-    """``_run_block`` in a worker process on its kept instance and matcher,
-    returning also the plan rows the matcher's table gained in this block
-    (``_PlanRows.since``, per type), so that the caller's table keeps
-    them."""
-    instance, matcher = _JOB
-    stores = matcher._tables(instance).plan_rows
-    known = {v: len(store.kind) for v, store in stores.items()}
-    weights, counts = _run_block(instance, matcher, seed, start, stop, width)
-    return weights, counts, {v: store.since(known.get(v, 0)) for v, store in stores.items()
-                             if len(store.kind) > known.get(v, 0)}
+    """``_run_block`` in a worker process on its kept instance and matcher."""
+    return _run_block(*_JOB, seed, start, stop, width)
 
 
 def thread_count(threads=None, chunks: int | None = None, default: int = 1) -> int:
@@ -275,8 +266,9 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
     worker processes, each given the instance and the matcher once, by the
     pool's initializer, so that a block carries only its seed, trial range
     and width; the report is bit-identical to a serial run because
-    each trial's stream depends only on (seed, trial index), and the plan
-    rows the workers' tables gained join the caller's table.  A value of
+    each trial's stream depends only on (seed, trial index).  Workers
+    return only their blocks' results, so a parallel run leaves the
+    matcher's table as it was before the pool started.  A value of
     ``None`` reads the ``STOCHMATCH_THREADS`` variable, defaulting to 1
     (see ``thread_count``).
     """
@@ -286,13 +278,9 @@ def simulate(instance, matcher, config: SimConfig, threads: int | None = None) -
     blocks = [(config.seed, a, min(a + rows, trials), width) for a in range(0, trials, rows)]
     threads = thread_count(threads, chunks=len(blocks))
     if threads > 1:
-        tables = matcher._tables(instance)
         with ProcessPoolExecutor(max_workers=threads, initializer=_start_worker,
                                  initargs=(instance, matcher)) as pool:
             parts = list(pool.map(_run_worker, *zip(*blocks)))
-        for part in parts:
-            for v, gained in part[2].items():
-                tables.keep_plans(v, gained)
     else:
         parts = [_run_block(instance, matcher, *block) for block in blocks]
     weights = np.concatenate([p[0] for p in parts])
