@@ -73,8 +73,11 @@ def _max_matching_size(adj) -> int:
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    match = maximum_bipartite_matching(csr_matrix(adj), perm_type="column")
-    return int(np.count_nonzero(match >= 0))
+    # the CSR arrays straight from np.nonzero, which lists the nonzeros row by row
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(adj, axis=1))))
+    graph = csr_matrix((np.ones(indptr[-1], dtype=bool), np.nonzero(adj)[1], indptr),
+                       shape=adj.shape)
+    return int(np.count_nonzero(maximum_bipartite_matching(graph, perm_type="column") >= 0))
 
 
 def coupled_matching_ratio_trend(ns, samples: int, seed: int) -> list[float]:

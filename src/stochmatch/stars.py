@@ -353,75 +353,72 @@ def brute_force_optimal(star: StarInstance) -> StarResult:
 # Attempt-indexed LP for arbitrary patience distributions
 # ---------------------------------------------------------------------------
 
-def _lp_attempt_count(star: StarInstance, items: int) -> int:
-    """Attempts of the LP: the survival support, capped at the item count."""
+def _lp_survival(star: StarInstance, items: int) -> np.ndarray:
+    """``q̂ = q / q_1`` over the LP's attempts: the survival curve capped
+    at ``items`` and cut at its first zero, so no attempt divides by 0."""
     curve = star.patience.survival_curve(items)
-    return int(np.nonzero(curve > 0.0)[0][-1] + 1) if np.any(curve > 0.0) else 0
+    T = int(np.logical_and.accumulate(curve > 0.0).sum())
+    return curve[:T] / curve[0] if T else curve[:0]
 
 
 def build_arbitrary_patience_lp(star: StarInstance, multiplicity=None) -> lp.LpProblem:
     """LP relaxation over probe variables ``x_{j,t}`` (probability of
-    probing item ``j`` on attempt ``t``) and survival variables ``s_t``.
+    probing item ``j`` on attempt ``t``) and survival ``s_t``, with ``s``
+    substituted out, which leaves a packing LP.
 
-    Constraints: each item is probed at most once across any attempt
+    The paper's form: each item is probed at most once across any attempt
     suffix (``sum_{t >= t'} x_{j,t} <= s_{t'}``); at most one probe per
     attempt (``sum_j x_{j,t} <= s_t``); ``s_1 = 1``; and the survival
-    recursion ``s_t = (q_t / q_{t-1}) (s_{t-1} - sum_j p_j x_{j,t-1})``
-    with the ratio read as 0 when both survival values vanish.  The
-    optimal objective upper-bounds every probing algorithm.  Attempts are
-    capped at the item count (an item can be probed at most once) and
-    trimmed past the survival support, both of which leave the optimum
+    recursion ``s_t = (q_t / q_{t-1}) (s_{t-1} - sum_j p_j x_{j,t-1})``.
+    The optimal objective upper-bounds every probing algorithm.  With
+    ``q̂ = q / q_1`` (``_lp_survival``) and ``y_{j,t} = x_{j,t} / q̂_t``
+    the recursion reads ``s_t = q̂_t (1 - F_t)``, ``F_t = sum_{tau < t}
+    sum_i p_i y_{i,tau}``, and dividing each row by its ``q̂`` leaves
+    ``max sum w_j p_j q̂_t y_{j,t}`` subject to the suffix rows
+    ``sum_{t >= t'} (q̂_t / q̂_{t'}) y_{j,t} + m_j F_{t'} <= m_j`` and the
+    attempt rows ``sum_j y_{j,t} + F_t <= 1``, which also give ``s >= 0``
+    (Andersen & Andersen 1995's presolve of variables fixed by equality
+    rows).  Every right-hand side is positive, so the slack basis is
+    feasible and no phase 1 runs.  Attempts are capped at the item count
+    (an item can be probed at most once) and cut at the first zero of the
+    curve (``s`` is 0 from there on), both of which leave the optimum
     unchanged.
 
-    ``multiplicity[j]`` makes item ``j`` stand for that many identical
-    items: ``x_{j,t}`` is then their total probe mass and the suffix rows
-    allow ``multiplicity[j] * s_{t'}``.  Averaging a solution of the
+    ``multiplicity[j]`` (``m_j``, else 1) makes item ``j`` stand for that
+    many identical items: ``x_{j,t}`` is then their total probe mass and
+    the suffix rows allow ``m_j s_{t'}``.  Averaging a solution of the
     item-level LP over permutations within each class and splitting an
     aggregated one evenly map feasible solutions onto each other with the
     same objective, so the optimum is that of the item-level LP.
 
-    Variable layout: ``x_{j,t}`` at ``j * T + t``, then ``s_t`` at
-    ``n * T + t``, with ``T`` the attempt count.  The suffix rows with
-    ``t' >= 1`` are ``lazy``: few of them bind, and ``lp.solve`` holds
-    them back on stars of about 12 items or more.
+    Layout: ``y_{j,t}`` at ``j * T + t`` (``T`` attempts, no ``s``);
+    suffix row ``(j, t')`` at ``j * T + t'``, then attempt row ``t`` at
+    ``n * T + t``.  ``x = q̂ y``, and ``s`` follows from the recursion
+    above.  The suffix rows with ``t' >= 1`` are ``lazy``: few of them
+    bind, and ``lp.solve`` holds them back on stars of 8 items or more.
     """
     n = star.n
     copies = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=float)
-    T = _lp_attempt_count(star, int(copies.sum()))
+    q = _lp_survival(star, int(copies.sum()))
+    T = q.size
     if n == 0 or T == 0:
         return lp.LpProblem.make(np.zeros(0), np.zeros((0, 0)), (), np.zeros(0))
-    curve = star.patience.survival_curve(T)
     p = np.asarray(star.probs)
     w = np.asarray(star.weights)
     nx = n * T
-    nv = nx + T
-    c = np.zeros(nv)
-    c[:nx] = np.repeat(w * p, T)
-    A = np.zeros((nx + 2 * T, nv))
-    b = np.zeros(nx + 2 * T)
-    x_cols = np.arange(nx)
-    item, attempt = np.divmod(x_cols, T)
-    # suffix sums, row j * T + t': each item probed at most once given
-    # survival to attempt t'
-    row, later = np.nonzero(np.arange(T) >= attempt[:, None])
-    A[row, item[row] * T + later] = 1.0
-    A[x_cols, nx + attempt] = -copies[item]
-    # one probe per attempt, row nx + t
-    A[nx + attempt, x_cols] = 1.0
-    A[nx + np.arange(T), nx + np.arange(T)] = -1.0
-    # survival recursion, row nx + T + t
-    A[nx + T, nx] = 1.0
-    b[nx + T] = 1.0
-    prev = curve[:T - 1]
-    ratio = np.divide(curve[1:T], prev, out=np.zeros(T - 1), where=prev > 0.0)
-    t = np.arange(1, T)
-    rec = nx + T + t
-    A[rec, nx + t] = 1.0
-    A[rec, nx + t - 1] = -ratio
-    A[rec[:, None], np.arange(n) * T + t[:, None] - 1] = ratio[:, None] * p
-    lazy = np.zeros(nx + 2 * T, dtype=bool)
-    lazy[:nx] = attempt > 0
-    return lp.LpProblem.make(c, A, (lp.LE,) * (nx + T) + (lp.EQ,) * T, b, lazy=lazy)
+    A = np.zeros((nx + T, nx))
+    # attempt row t: p_i on y_{i,tau}, tau < t (F_t), then 1 on y_{j,t}
+    attempt = A[nx:]
+    np.multiply(p[:, None], np.tri(T, k=-1)[:, None, :], out=attempt.reshape(T, n, T))
+    # suffix row (j, t'): m_j F_t', plus q̂_t / q̂_t' on y_{j,t}, t >= t'
+    np.multiply(copies[:, None, None], attempt, out=A[:nx].reshape(n, T, nx))
+    A[:nx].reshape(n, T, n, T)[np.arange(n), :, np.arange(n)] += np.triu(q / q[:, None])
+    attempt.reshape(T, n, T)[np.arange(T), :, np.arange(T)] = 1.0
+    lazy = np.zeros((n + 1, T), dtype=bool)
+    lazy[:n, 1:] = True
+    return lp.LpProblem.make(((w * p)[:, None] * q).ravel(), A, (lp.LE,) * (nx + T),
+                             np.concatenate([np.repeat(copies, T), np.ones(T)]),
+                             lazy=lazy.ravel())
 
 
 def _lp_supported_patience(star: StarInstance) -> bool:
@@ -441,19 +438,19 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
         raise PatienceVariantError(
             "the LP policy needs a policy-independent patience distribution")
     n = star.n
-    T = _lp_attempt_count(star, n)
-    problem = build_arbitrary_patience_lp(star)
-    sol = lp.solve(problem)
+    q = _lp_survival(star, n)
+    T = q.size
+    sol = lp.solve(build_arbitrary_patience_lp(star))
     if sol.status != lp.OPTIMAL:
         raise StochmatchError(f"attempt-indexed LP came back {sol.status}")
-    x = sol.x[: n * T].reshape(n, T)
-    s = sol.x[n * T:]
+    y = sol.x.reshape(n, T)
+    x = q * y
+    s = q * (1.0 - np.concatenate(([0.0], np.cumsum(np.asarray(star.probs) @ y)))[:T])
     probs = np.zeros((n, n))
     surv = np.zeros(n)
     surv[:T] = np.clip(s, 0.0, None)
     for t in range(T):
         if surv[t] <= ZERO_SURVIVAL:
-            surv[t] = max(surv[t], 0.0)
             continue
         row = np.clip(x[:, t], 0.0, None) / surv[t]
         total = row.sum()

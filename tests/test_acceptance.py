@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from shared_results import coupled_matching_trend
 
 from stochmatch import hard_instances as hard
 from stochmatch import lp
@@ -278,7 +279,7 @@ def test_criterion_10_gap_demonstrations():
     solver_val = benchmark_lp_value(hard.gen_stochasticity_gap(8))
     if abs(solver_val - 8.0) > 1e-7:
         failures.append(f"square-family LP at n=8: {solver_val}")
-    ratios = hard.coupled_matching_ratio_trend((50, 100, 200), samples=6000, seed=7)
+    ratios = coupled_matching_trend()
     if not (ratios[0] > ratios[1] > ratios[2]):
         failures.append(f"matching ratios not decreasing: {ratios}")
     if ratios[2] >= 0.75:

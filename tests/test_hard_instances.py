@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.special import lambertw
+from shared_results import coupled_matching_trend
 
 from stochmatch import hard_instances as hard
 from stochmatch import lp
@@ -29,7 +30,7 @@ def test_sampled_matching_ratio_near_half():
 def test_coupled_matching_trend_decreases_with_n():
     # the true means decrease by ~1e-3 per doubling; the coupled sampler
     # needs a few thousand samples (pinned seed) to resolve that
-    r = hard.coupled_matching_ratio_trend((50, 100, 200), samples=6000, seed=7)
+    r = coupled_matching_trend()
     assert r[0] > r[1] > r[2]
     assert r[2] < 0.75
 

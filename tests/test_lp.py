@@ -21,8 +21,9 @@ from stochmatch.lp import (
     solution_residuals,
     solve,
 )
-from stochmatch.matching import build_benchmark_lp
+from stochmatch.matching import build_benchmark_lp, solve_prophet_lp
 from stochmatch.stars import build_arbitrary_patience_lp
+from test_stars import _arbitrary_patience_lp_by_rows
 
 
 def test_one_variable_lp():
@@ -464,22 +465,59 @@ def test_a_nan_in_the_kept_inverse_raises(monkeypatch, when):
     assert len(calls) == 2
 
 
+def _assert_a_feasible_triangular_crash(p):
+    sol = solve(p)
+    assert sol.status == OPTIMAL and sol.start == "crash" and sol.phase1_iterations == 0
+    std = lp._Standardized(p)
+    st, how = lp._cold_start(std)
+    # one structural column for each row that would start with an artificial
+    assert how == "crash"
+    assert (st.cols < std.n_struct).sum() == (std.basis_start() >= std.art0).sum()
+    B = std.basis_matrix(st.cols)
+    assert np.abs(st.inv - np.linalg.inv(B).T).max() <= 1e-12
+    assert (st.xB >= 0).all()
+    assert np.abs(B @ st.xB - std.b).max() <= 1e-12
+
+
 @pytest.mark.parametrize("n", [6, 12, 15])
 def test_lp1_starts_from_a_feasible_triangular_crash(n):
-    # the crash takes the survival columns s_t: phase 1 has nothing to do
+    # LP1 in the paper's form: the crash takes the survival columns s_t,
+    # and phase 1 has nothing to do
+    for seed in range(10):
+        star = hard.gen_random_star(seed, n, "survival")
+        _assert_a_feasible_triangular_crash(
+            dataclasses.replace(_arbitrary_patience_lp_by_rows(star), lazy=None))
+
+
+@pytest.mark.parametrize("n", [6, 12, 15])
+def test_lp1_starts_from_the_slack_basis(n):
+    # s is substituted out: every right-hand side is positive, so the
+    # slack basis is feasible, and no artificial is ever basic
     for seed in range(10):
         p = _full_lp1(seed, n)
+        assert (p.b > 0).all() and set(p.senses) == {lp.LE}
         sol = solve(p)
-        assert sol.status == OPTIMAL and sol.start == "crash" and sol.phase1_iterations == 0
-        std = lp._Standardized(p)
-        st, how = lp._cold_start(std)
-        # one structural column for each row that would start with an artificial
-        assert how == "crash"
-        assert (st.cols < std.n_struct).sum() == (std.basis_start() >= std.art0).sum()
-        B = std.basis_matrix(st.cols)
-        assert np.abs(st.inv - np.linalg.inv(B).T).max() <= 1e-12, seed
-        assert (st.xB >= 0).all(), seed
-        assert np.abs(B @ st.xB - std.b).max() <= 1e-12, seed
+        assert sol.status == OPTIMAL and sol.start == "identity", seed
+        assert sol.phase1_iterations == 0, seed
+        assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7), seed
+
+
+@pytest.mark.parametrize("kind", ["iid", "prophet"])
+def test_the_first_master_of_a_column_generation_starts_from_a_feasible_triangular_crash(
+        monkeypatch, kind):
+    # the crash puts each type's empty-policy column on its equality row
+    solve_master, first = lp.solve, []
+
+    def spy(problem, start=None):
+        first.append(problem)
+        return solve_master(problem, start)
+
+    for seed in range(5):
+        monkeypatch.setattr(lp, "solve", spy)
+        solve_prophet_lp(hard.gen_random_matching(400 + seed, 8, 6, kind, horizon=8))
+        monkeypatch.undo()
+        _assert_a_feasible_triangular_crash(first[0])
+        first.clear()
 
 
 def test_an_infeasible_crash_falls_back_to_the_identity_start():
@@ -559,11 +597,14 @@ def _with_held_rows(c, A, senses, b, lazy):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(1, 15),
-       kind=strategies.sampled_from(["survival", "deterministic", "hazard"]))
-def test_working_set_solve_agrees_with_the_full_solve(seed, n, kind):
+       kind=strategies.sampled_from(["survival", "deterministic", "hazard"]),
+       paper_form=strategies.booleans())
+def test_working_set_solve_agrees_with_the_full_solve(seed, n, kind, paper_form):
+    # the paper's form keeps equality rows, which put artificials in the
+    # working set's start
     star = hard.gen_random_star(seed, n, kind)
     assume(kind != "hazard" or star.patience.has_global_rate)
-    p = build_arbitrary_patience_lp(star)
+    p = (_arbitrary_patience_lp_by_rows if paper_form else build_arbitrary_patience_lp)(star)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "LAZY_ROWS_PER_ROW", 0.0)  # small stars take the loop too
         held = lp.held_rows(p)
@@ -585,12 +626,14 @@ def test_the_full_solve_does_not_stop_short_of_the_optimum(seed):
     # deterministic-patience LP1 at n = 15, where phase 2 stopped on the
     # kept inverse's duals while the refined duals still priced a column
     # in: 1.4e-8 to 1.9e-8 below HiGHS, or (star 262145) a wrong-signed
-    # dual of 0.037 that failed the certificate
+    # dual of 0.037 that failed the certificate; those stars were found on
+    # the paper's form of LP1, which is kept as a case
     star = hard.gen_random_star(seed, 15, "deterministic")
-    p = dataclasses.replace(build_arbitrary_patience_lp(star), lazy=None)
-    sol, ref = solve(p), -_scipy_solve(p).fun
-    assert sol.status == OPTIMAL
-    assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
+    for build in (build_arbitrary_patience_lp, _arbitrary_patience_lp_by_rows):
+        p = dataclasses.replace(build(star), lazy=None)
+        sol, ref = solve(p), -_scipy_solve(p).fun
+        assert sol.status == OPTIMAL
+        assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -678,9 +721,11 @@ def test_lazy_rows_are_validated_and_carried_by_add_column():
 def test_lp1_holds_back_the_suffix_rows_past_the_first_attempt():
     star = hard.gen_random_star(0, 12, "survival")
     p = build_arbitrary_patience_lp(star)
-    n, T = star.n, p.n_vars // (star.n + 1)
+    n, T = star.n, p.n_vars // star.n
     suffix = np.zeros(p.n_rows, dtype=bool)
     suffix[: n * T] = True
+    assert p.n_rows == n * T + T
     assert (p.lazy == suffix & (np.arange(p.n_rows) % T > 0)).all()
     assert len(lp.held_rows(p)) == n * (T - 1)  # n = 12 holds them back
-    assert len(lp.held_rows(_lp1(0, 8))) == 0   # n = 8 does not
+    assert len(lp.held_rows(_lp1(0, 8))) == 8 * 7  # n = 8: 56 held against 16 other rows
+    assert len(lp.held_rows(_lp1(0, 6))) == 0       # n = 6 does not

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from stochmatch import hard_instances as hard
 from stochmatch import lp
@@ -16,7 +17,6 @@ from stochmatch.stars import (
     RandomizedStarPolicy,
     StarBatch,
     _distinct_rows,
-    _lp_attempt_count,
     brute_force_optimal,
     build_arbitrary_patience_lp,
     enumerate_policies,
@@ -345,14 +345,18 @@ def test_deterministic_patience_through_lp_path():
 
 
 def _arbitrary_patience_lp_by_rows(star, multiplicity=None):
-    """The attempt-indexed LP built one row at a time, in the layout of
-    ``build_arbitrary_patience_lp``: the reference for its array build."""
+    """LP1 in the paper's form, built one row at a time: probe variables
+    ``x_{j,t}`` at ``j * T + t``, survival ``s_t`` at ``n * T + t``, the
+    suffix rows (``t' >= 1`` lazy), the attempt rows, ``s_1 = 1`` and the
+    survival recursion, whose ratio is read as 0 where ``q_{t-1}`` is 0.
+    ``T`` runs to the last positive survival value, past any interior
+    zero.  The oracle for ``build_arbitrary_patience_lp``'s optimum."""
     n = star.n
     copies = np.ones(n) if multiplicity is None else np.asarray(multiplicity, dtype=float)
-    T = _lp_attempt_count(star, int(copies.sum()))
+    curve = star.patience.survival_curve(int(copies.sum()))
+    T = int(np.nonzero(curve > 0.0)[0][-1] + 1) if np.any(curve > 0.0) else 0
     if n == 0 or T == 0:
         return lp.LpProblem.make(np.zeros(0), np.zeros((0, 0)), (), np.zeros(0))
-    curve = star.patience.survival_curve(T)
     p = np.asarray(star.probs)
     w = np.asarray(star.weights)
     nx = n * T
@@ -360,7 +364,7 @@ def _arbitrary_patience_lp_by_rows(star, multiplicity=None):
     c = np.zeros(nv)
     for j in range(n):
         c[j * T: (j + 1) * T] = w[j] * p[j]
-    rows, senses, rhs = [], [], []
+    rows, senses, rhs, lazy = [], [], [], []
     for j in range(n):
         for t0 in range(T):
             row = np.zeros(nv)
@@ -369,6 +373,7 @@ def _arbitrary_patience_lp_by_rows(star, multiplicity=None):
             rows.append(row)
             senses.append(lp.LE)
             rhs.append(0.0)
+            lazy.append(t0 > 0)
     for t in range(T):
         row = np.zeros(nv)
         row[t: nx: T] = 1.0
@@ -376,11 +381,13 @@ def _arbitrary_patience_lp_by_rows(star, multiplicity=None):
         rows.append(row)
         senses.append(lp.LE)
         rhs.append(0.0)
+        lazy.append(False)
     row = np.zeros(nv)
     row[nx] = 1.0
     rows.append(row)
     senses.append(lp.EQ)
     rhs.append(1.0)
+    lazy.append(False)
     for t in range(1, T):
         ratio = curve[t] / curve[t - 1] if curve[t - 1] > 0.0 else 0.0
         row = np.zeros(nv)
@@ -391,7 +398,55 @@ def _arbitrary_patience_lp_by_rows(star, multiplicity=None):
         rows.append(row)
         senses.append(lp.EQ)
         rhs.append(0.0)
-    return lp.LpProblem.make(c, np.vstack(rows), senses, rhs)
+        lazy.append(False)
+    return lp.LpProblem.make(c, np.vstack(rows), senses, rhs, lazy=np.array(lazy))
+
+
+def _packing_lp_by_rows(star, multiplicity=None):
+    """LP1 with ``s`` substituted out, built one row at a time in the
+    layout of ``build_arbitrary_patience_lp``: the reference for its array
+    build.  ``q̂ = q / q_1`` up to the first zero of the curve; the suffix
+    row of item ``j`` from attempt ``t'`` holds ``q̂_t / q̂_{t'}`` on
+    ``y_{j,t}``, ``t >= t'``, and ``m_j p_i`` on every ``y_{i,tau}``,
+    ``tau < t'``; the attempt row ``t`` holds 1 on ``y_{j,t}`` and ``p_i``
+    on every ``y_{i,tau}``, ``tau < t``."""
+    n = star.n
+    copies = [1.0] * n if multiplicity is None else [float(m) for m in multiplicity]
+    curve = star.patience.survival_curve(int(sum(copies))).tolist()
+    T = 0
+    while T < len(curve) and curve[T] > 0.0:
+        T += 1
+    if n == 0 or T == 0:
+        return lp.LpProblem.make(np.zeros(0), np.zeros((0, 0)), (), np.zeros(0))
+    q = [curve[t] / curve[0] for t in range(T)]
+    p = [float(v) for v in star.probs]
+    w = [float(v) for v in star.weights]
+    nx = n * T
+    c = np.zeros(nx)
+    rows, rhs, lazy = [], [], []
+    for j in range(n):
+        for t in range(T):
+            c[j * T + t] = w[j] * p[j] * q[t]
+    for j in range(n):
+        for t0 in range(T):
+            row = np.zeros(nx)
+            for t in range(t0, T):
+                row[j * T + t] = q[t] / q[t0]
+            for i in range(n):
+                row[i * T: i * T + t0] = copies[j] * p[i]
+            rows.append(row)
+            rhs.append(copies[j])
+            lazy.append(t0 > 0)
+    for t in range(T):
+        row = np.zeros(nx)
+        row[t: nx: T] = 1.0
+        for i in range(n):
+            row[i * T: i * T + t] = p[i]
+        rows.append(row)
+        rhs.append(1.0)
+        lazy.append(False)
+    return lp.LpProblem.make(c, np.vstack(rows), [lp.LE] * len(rows), rhs,
+                             lazy=np.array(lazy))
 
 
 @pytest.mark.parametrize("kind", ["deterministic", "survival", "hazard"])
@@ -404,13 +459,89 @@ def test_lp1_build_equals_the_row_by_row_build(kind):
                 continue  # per-item hazards have no LP
             for mult in (None, np.arange(n) % 3 + 1):
                 got = build_arbitrary_patience_lp(star, mult)
-                ref = _arbitrary_patience_lp_by_rows(star, mult)
+                ref = _packing_lp_by_rows(star, mult)
                 for field in ("c", "A", "b"):
                     a, r = getattr(got, field), getattr(ref, field)
                     assert np.array_equal(a, r) and a.tobytes() == r.tobytes(), (field, n, seed)
                 assert got.senses == ref.senses
+                assert (got.lazy is None) == (ref.lazy is None)
+                assert got.lazy is None or np.array_equal(got.lazy, ref.lazy)
                 built += 1
     assert built >= 60
+
+
+def _highs_objective(problem):
+    """HiGHS's dual simplex at feasibility tolerances of 1e-10: at its
+    default of 1e-7 it ended 3.7e-8 below the paper form's optimum on a
+    five-item survival star."""
+    if problem.n_vars == 0:
+        return 0.0
+    senses = np.array(problem.senses)
+    le, eq = senses == lp.LE, senses == lp.EQ
+    res = linprog(-problem.c, A_ub=problem.A[le] if le.any() else None,
+                  b_ub=problem.b[le] if le.any() else None,
+                  A_eq=problem.A[eq] if eq.any() else None,
+                  b_eq=problem.b[eq] if eq.any() else None,
+                  bounds=(0, None), method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _paper_form_violation(problem, x):
+    """Largest violation of ``problem``'s rows and bounds by ``x``."""
+    lhs = problem.A @ x - problem.b
+    senses = np.array(problem.senses)
+    return max(np.abs(lhs[senses == lp.EQ]).max(initial=0.0),
+               lhs[senses == lp.LE].max(initial=0.0), -x.min(initial=0.0))
+
+
+@st.composite
+def _lp1_stars(draw):
+    """A star of at most 8 items with deterministic, survival, global-hazard
+    patience, or a survival curve that drops to 0 and rises again."""
+    kind = draw(st.sampled_from(["deterministic", "survival", "hazard", "interior zero"]))
+    n = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    star = hard.gen_random_star(seed, n, "survival" if kind == "interior zero" else kind)
+    if kind == "hazard" and not star.patience.has_global_rate:
+        star = StarInstance.make(star.weights, star.probs,
+                                 PatienceModel.constant_hazard(rate=star.patience.r[0]))
+    if kind == "interior zero":
+        curve = list(star.patience.q) + [0.5]
+        curve[draw(st.integers(1, len(curve) - 1))] = 0.0
+        star = StarInstance.make(star.weights, star.probs, PatienceModel.survival(curve))
+    return star
+
+
+@settings(max_examples=150, deadline=None)
+@given(star=_lp1_stars(), grouped=st.booleans())
+def test_lp1_has_the_optimum_of_the_paper_form_and_maps_back_onto_it(star, grouped):
+    mult = np.arange(star.n) % 3 + 1 if grouped else None
+    paper = _arbitrary_patience_lp_by_rows(star, mult)
+    with np.errstate(all="raise"):  # the build never divides by a zero survival value
+        packing = build_arbitrary_patience_lp(star, mult)
+        rsp = None if grouped else solve_arbitrary_patience(star).policy
+    assert _highs_objective(packing) == pytest.approx(_highs_objective(paper), abs=1e-9)
+    if grouped:
+        return
+    # the (x, s) read off the policy satisfies every row of the paper's form
+    T = paper.n_vars // (star.n + 1)
+    x = rsp.attempt_probs[:T] * rsp.survival[:T, None]
+    assert _paper_form_violation(paper, np.concatenate([x.T.ravel(), rsp.survival[:T]])) <= 1e-9
+
+
+def test_lp1_stops_at_an_interior_zero_of_the_survival_curve():
+    star = StarInstance.make([2.0, 1.0, 1.0], [0.7, 0.3, 0.5],
+                             PatienceModel.survival([1.0, 0.0, 0.5]))
+    with np.errstate(all="raise"):
+        packing = build_arbitrary_patience_lp(star)
+        res = solve_arbitrary_patience(star)
+    assert packing.n_vars == 3  # one attempt; the paper's form carries three
+    assert _arbitrary_patience_lp_by_rows(star).n_vars == 3 * 3 + 3
+    assert res.benchmark == pytest.approx(1.4, abs=1e-12)
+    assert res.policy.survival.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_lp_path_rejects_per_item_hazard():
