@@ -867,6 +867,9 @@ class ProphetLpResult:
 
 
 def _assemble_result(instance, columns, x, objective, status, kappa) -> ProphetLpResult:
+    """The mixture of the master's ``columns`` at masses ``x``, each type's
+    empty policy first with the mass its row leaves, ``q_v`` less the
+    type's other masses; ``n_columns`` counts the empty policies too."""
     n = instance.n_types
     q_v = instance.arrivals.expected_arrivals(n)
     per_type: list[list[tuple[Policy, float]]] = [[] for _ in range(n)]
@@ -876,10 +879,12 @@ def _assemble_result(instance, columns, x, objective, status, kappa) -> ProphetL
         mass = float(x[k])
         per_type[v].append((policy, mass))
         w_star += wmat[:, v] * pvec * mass
+    for v, entries in enumerate(per_type):
+        entries.insert(0, (EMPTY_POLICY, float(q_v[v]) - sum(mass for _, mass in entries)))
     mixture = PolicyMixture(tuple(tuple(e) for e in per_type),
                             tuple(float(q) for q in q_v))
     return ProphetLpResult(mixture=mixture, objective=objective, w_star=w_star,
-                           status=status, n_columns=len(columns), kappa=kappa)
+                           status=status, n_columns=len(columns) + n, kappa=kappa)
 
 
 def _master_columns(wmat, n, columns) -> tuple[np.ndarray, np.ndarray]:
@@ -897,11 +902,14 @@ def _master_columns(wmat, n, columns) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _master_problem(instance, columns, q_v) -> lp.LpProblem:
+    """The policy LP over ``columns`` as a packing LP: each offline row
+    ``sum x_pi p_u(pi) <= 1`` and each type row ``sum_{pi in v} x_pi <=
+    q_v``, whose slack is the mass of the type's empty policy, a column the
+    master does not hold."""
     m, n = instance.m, instance.n_types
     c, A = _master_columns(instance.weights_matrix(), n, columns)
-    senses = [lp.LE] * m + [lp.EQ] * n
     b = np.concatenate([np.ones(m), q_v])
-    return lp.LpProblem.make(c, A, senses, b)
+    return lp.LpProblem.make(c, A, [lp.LE] * (m + n), b)
 
 
 def _solve_master(problem: lp.LpProblem, kept: lp.KeptBasis | None = None) -> lp.LpSolution:
@@ -915,13 +923,16 @@ def solve_prophet_lp(instance: MatchingInstance,
                      solvers: StarSolver | None = None) -> ProphetLpResult:
     """Solve the policy LP by column generation.
 
-    The restricted master starts from the empty policy for every type.
-    Each round reads the offline-row duals ``alpha_u`` and the per-type
-    duals ``beta_v``, prices a best policy for adjusted weights
-    ``w_uv - alpha_u`` through the type's star black box (``solvers`` for
-    every type when given, else ``auto_solver``), and keeps the column when
-    its value exceeds ``beta_v`` by more than ``PRICING_TOL``; a column
-    already in the master cannot, so pricing one again raises
+    The restricted master starts with no column: each type row's slack is
+    the mass of its empty policy, so the master starts from the slack
+    basis, every type on its empty policy.  Each round reads the
+    offline-row duals ``alpha_u`` and the per-type duals ``beta_v``
+    (nonnegative: the type rows are ``<=``), prices a best policy for
+    adjusted weights ``w_uv - alpha_u`` through the type's star black box
+    (``solvers`` for every type when given, else ``auto_solver``), and
+    keeps the column when its value exceeds ``beta_v`` by more than
+    ``PRICING_TOL``; a column already in the master, the empty policy as
+    its type row's slack included, cannot, so pricing one again raises
     ``LpNumericalError``.  The types that arrive are grouped by box, and
     each group is priced in one ``stars.price`` call (one ``plan`` call and
     one walk); the round's columns join the master in one
@@ -947,7 +958,7 @@ def solve_prophet_lp(instance: MatchingInstance,
     groups = {}  # the types that arrive, by box
     for v in np.flatnonzero(q_v > 0.0).tolist():
         groups.setdefault(boxes[v], []).append(v)
-    columns = [(v, EMPTY_POLICY, np.zeros(m)) for v in range(n)]
+    columns = []
     seen = {(v, ()) for v in range(n)}
     master = _master_problem(instance, columns, q_v)
     status = "optimal"
@@ -975,7 +986,7 @@ def solve_prophet_lp(instance: MatchingInstance,
             break  # the master is unchanged since ``sol``
         master = lp.add_column(master, *_master_columns(wmat, n, new))
         columns += new
-        if len(columns) > COLUMN_CAP:
+        if len(columns) + n > COLUMN_CAP:
             status = "column_cap"
             sol = _solve_master(master, kept)
             break
@@ -1000,7 +1011,7 @@ def solve_prophet_lp_enumerated(instance: MatchingInstance) -> ProphetLpResult:
         orders = items[orders]
         pvecs = order_match(instance.probs[:, v], instance.patience[v], orders, lengths)
         columns += [(v, Policy(tuple(order[:k])), pvec)
-                    for order, k, pvec in zip(orders.tolist(), lengths.tolist(), pvecs)]
+                    for order, k, pvec in zip(orders.tolist(), lengths.tolist(), pvecs) if k]
     sol = _solve_master(_master_problem(instance, columns, q_v))
     return _assemble_result(instance, columns, sol.x, sol.objective, "optimal", 1.0)
 

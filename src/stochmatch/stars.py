@@ -378,11 +378,11 @@ def build_arbitrary_patience_lp(star: StarInstance, multiplicity=None) -> lp.LpP
     ``sum_{t >= t'} (q̂_t / q̂_{t'}) y_{j,t} + m_j F_{t'} <= m_j`` and the
     attempt rows ``sum_j y_{j,t} + F_t <= 1``, which also give ``s >= 0``
     (Andersen & Andersen 1995's presolve of variables fixed by equality
-    rows).  Every right-hand side is positive, so the slack basis is
-    feasible and no phase 1 runs.  Attempts are capped at the item count
-    (an item can be probed at most once) and cut at the first zero of the
-    curve (``s`` is 0 from there on), both of which leave the optimum
-    unchanged.
+    rows).  Every row is ``<=`` with a positive right-hand side: a
+    packing LP, which ``lp.solve`` starts from the slack basis.  Attempts
+    are capped at the item count (an item can be probed at most once) and
+    cut at the first zero of the curve (``s`` is 0 from there on), both of
+    which leave the optimum unchanged.
 
     ``multiplicity[j]`` (``m_j``, else 1) makes item ``j`` stand for that
     many identical items: ``x_{j,t}`` is then their total probe mass and

@@ -168,6 +168,14 @@ def test_lpp_command_prints_columns(tmp_path, capsys):
     code, out, _ = run(capsys, "lp", str(path), "--which", "lpp")
     assert code == 0
     assert "columns generated:" in out
+    # the README's instance: the count includes each type's empty policy
+    readme = tmp_path / "inst.json"
+    run(capsys, "gen", "random-matching", "-m", "4", "-n", "3",
+        "--arrivals", "iid", "--seed", "7", "-o", str(readme))
+    code, out, _ = run(capsys, "lp", str(readme), "--which", "lpp")
+    assert code == 0
+    assert "lpp objective: 1.63311" in out
+    assert "columns generated: 9 (status optimal)" in out
 
 
 def test_match_run_wrong_arrivals_exits_3(tmp_path, capsys):

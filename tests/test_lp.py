@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 import stochmatch
 from stochmatch import hard_instances as hard
 from stochmatch import lp
-from stochmatch.instances import LpNumericalError
+from stochmatch.instances import CapabilityError, LpNumericalError
 from stochmatch.lp import (
     LpProblem,
     OPTIMAL,
@@ -23,7 +23,6 @@ from stochmatch.lp import (
 )
 from stochmatch.matching import build_benchmark_lp, solve_prophet_lp
 from stochmatch.stars import build_arbitrary_patience_lp
-from test_stars import _arbitrary_patience_lp_by_rows
 
 
 def test_one_variable_lp():
@@ -45,22 +44,34 @@ def test_tight_example_lp_objective():
     assert sol.objective == pytest.approx(0.1, abs=1e-9)
 
 
-def test_infeasible_and_unbounded():
-    assert solve(LpProblem.make([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0])).status == "infeasible"
-    assert solve(LpProblem.make([1.0], np.zeros((0, 1)), [], [])).status == "unbounded"
-
-
-@pytest.mark.parametrize("lb", [0.0, 1.0, -2.0, -np.inf])
+@pytest.mark.parametrize("lb", [0.0])  # ``solve`` takes no other lower bound
 @pytest.mark.parametrize("c", [-1.5, 0.0, 2.0])
 def test_row_free_lp_takes_the_bound_its_objective_favors(c, lb):
     sol = solve(LpProblem.make([c], np.zeros((0, 1)), [], [], lb=[lb]))
-    if c > 0 or (c < 0 and lb == -np.inf):
+    if c > 0:
         assert sol.status == "unbounded" and sol.x is None and sol.objective is None
         return
-    x = lb if np.isfinite(lb) else 0.0  # a free variable with no cost sits at 0
     assert sol.status == OPTIMAL
-    assert sol.x.tolist() == [x] and sol.duals.shape == (0,)
-    assert sol.objective == sol.dual_objective == c * x
+    assert sol.x.tolist() == [lb] and sol.duals.shape == (0,)
+    assert sol.objective == sol.dual_objective == c * lb
+
+
+@pytest.mark.parametrize("senses, b, lb", [
+    (["<=", "="], [1.0, 1.0], [0.0, 0.0]),
+    (["<=", ">="], [1.0, 1.0], [0.0, 0.0]),
+    (["<=", "<="], [1.0, -1.0], [0.0, 0.0]),
+    (["<=", "<="], [1.0, 1.0], [0.0, 1.0]),
+    (["<=", "<="], [1.0, 1.0], [-2.0, 0.0]),
+    (["<=", "<="], [1.0, 1.0], [0.0, -np.inf]),
+], ids=["eq-row", "ge-row", "negative-b", "positive-lb", "negative-lb", "free"])
+def test_solve_takes_packing_lps_only(senses, b, lb):
+    # ``make`` states the general form, for reference solvers and dumps;
+    # ``solve`` refuses any row or bound whose slack basis is not feasible
+    p = LpProblem.make([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], senses, b, lb=lb)
+    with pytest.raises(CapabilityError, match="packing"):
+        solve(p)
+    with pytest.raises(CapabilityError, match="packing"):
+        solve(p, start=lp.KeptBasis())
 
 
 def test_empty_lp_and_its_first_column():
@@ -73,47 +84,6 @@ def test_empty_lp_and_its_first_column():
     sol = solve(grown)
     assert sol.status == OPTIMAL and sol.x.tolist() == [0.0] and sol.objective == 0.0
     assert solve(add_column(empty, 1.0, [])).status == "unbounded"
-
-
-def test_equality_row_over_no_variables():
-    # phase 1 leaves the row's artificial basic over an empty structural part
-    sol = solve(LpProblem.make([], np.zeros((1, 0)), ["="], [0.0]))
-    assert sol.status == OPTIMAL and sol.objective == 0.0 and sol.x.shape == (0,)
-    assert solve(LpProblem.make([], np.zeros((1, 0)), ["="], [1.0])).status == "infeasible"
-
-
-def _solve_with_drive_out_moves(monkeypatch, problem):
-    """Solve, recording the basis before and after the drive-out."""
-    drive_out, moves = lp._drive_out_artificials, []
-
-    def spy(st, art0):
-        before = st.cols.tolist()
-        drive_out(st, art0)
-        moves.append((before, art0, st.cols.tolist()))
-
-    monkeypatch.setattr(lp, "_drive_out_artificials", spy)
-    return solve(problem), moves
-
-
-def test_artificial_of_a_negated_equality_row_is_driven_out(monkeypatch):
-    # max x s.t. -x - y = 0, -x + y = 0: no column is a singleton, so there
-    # is no crash; phase 1 prices no column in (each column's entries sum to
-    # at most 0) and ends with both artificials basic at 0, and the
-    # zero-step pivots onto x and y take their places
-    sol, moves = _solve_with_drive_out_moves(
-        monkeypatch, LpProblem.make([1.0, 0.0], [[-1.0, -1.0], [-1.0, 1.0]], ["=", "="], [0.0, 0.0]))
-    assert moves == [([2, 3], 2, [0, 1])]  # columns 2 and 3 are the artificials
-    assert sol.start == "identity" and sol.phase1_iterations == 0
-    assert sol.status == OPTIMAL and sol.x.tolist() == [0.0, 0.0] and sol.objective == 0.0
-
-
-def test_negated_equality_row_starts_from_the_crash(monkeypatch):
-    # max x s.t. -x = 0: x is a singleton on the row, so the crash makes it
-    # basic at 0 and no artificial is left to drive out
-    sol, moves = _solve_with_drive_out_moves(monkeypatch, LpProblem.make([1.0], [[-1.0]], ["="], [0.0]))
-    assert sol.start == "crash" and sol.phase1_iterations == 0 and sol.iterations == 0
-    assert moves == [([0], 1, [0])]
-    assert sol.status == OPTIMAL and sol.x.tolist() == [0.0] and sol.objective == 0.0
 
 
 def test_ratio_test_bland_mode_takes_the_smallest_basic_column():
@@ -215,15 +185,15 @@ def test_a_block_of_columns_equals_adding_them_one_by_one():
 
 
 def _random_problem(rng):
+    """A packing LP: ``<=`` rows with mixed-sign entries, b >= 0 (some 0),
+    lower bounds 0 and upper bounds finite or not; it may be unbounded."""
     n = int(rng.integers(1, 9))
     m = int(rng.integers(1, 9))
     c = rng.normal(size=n)
     A = rng.normal(size=(m, n))
-    senses = [("<=", "=", ">=")[rng.integers(0, 3)] for _ in range(m)]
-    b = rng.normal(size=m)
-    lb = np.where(rng.random(n) < 0.8, 0.0, -np.inf)
+    b = np.where(rng.random(m) < 0.2, 0.0, rng.uniform(0.0, 2.0, m))
     ub = np.where(rng.random(n) < 0.5, rng.uniform(0.5, 3.0, n), np.inf)
-    return LpProblem.make(c, A, senses, b, lb, ub)
+    return LpProblem.make(c, A, ["<="] * m, b, ub=ub)
 
 
 def _scipy_solve(p):
@@ -237,22 +207,29 @@ def _scipy_solve(p):
             A_eq.append(p.A[i]); b_eq.append(p.b[i])
     bounds = [(l if np.isfinite(l) else None, u if np.isfinite(u) else None)
               for l, u in zip(p.lb, p.ub)]
-    return linprog(-p.c, A_ub=np.array(A_ub) if A_ub else None, b_ub=b_ub or None,
-                   A_eq=np.array(A_eq) if A_eq else None, b_eq=b_eq or None,
-                   bounds=bounds, method="highs")
+    args = dict(A_ub=np.array(A_ub) if A_ub else None, b_ub=b_ub or None,
+                A_eq=np.array(A_eq) if A_eq else None, b_eq=b_eq or None,
+                bounds=bounds, method="highs")
+    res = linprog(-p.c, **args)
+    if res.status == 2:  # HiGHS's presolve can call an unbounded LP infeasible
+        res = linprog(-p.c, options={"presolve": False}, **args)
+    return res
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_matches_reference_solver_on_random_lps(seed):
     rng = np.random.default_rng(seed)
+    statuses = set()
     for _ in range(25):
         p = _random_problem(rng)
         sol = solve(p)
         ref = _scipy_solve(p)
         expected = {2: "infeasible", 3: "unbounded"}.get(ref.status, "optimal")
         assert sol.status == expected
+        statuses.add(expected)
         if expected == "optimal":
             assert sol.objective == pytest.approx(-ref.fun, abs=1e-6, rel=1e-6)
+    assert statuses == {OPTIMAL, "unbounded"}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -383,8 +360,8 @@ def test_solution_is_refined_from_the_kept_transposed_inverse(monkeypatch, seed,
     # where pivots on entries near PIVOT_TOL left the kept inverse inexact
     x_int = st.xN.copy()
     x_int[st.cols] = np.linalg.solve(B, std.b - std.times(st.xN))
-    x = std.x_original(x_int[: std.n_struct])
-    y = std.duals_original(np.linalg.solve(B.T, std.c[st.cols]))
+    x = x_int[: std.n_struct]
+    y = np.linalg.solve(B.T, std.c[st.cols])[: std.m0]
     assert np.abs(sol.x - x).max() <= 1e-12 * (1 + np.abs(x).max())
     assert np.abs(sol.duals - y).max() <= 1e-12 * (1 + np.abs(y).max())
     # the refactorized inverse is stored transposed
@@ -395,7 +372,7 @@ def test_solution_is_refined_from_the_kept_transposed_inverse(monkeypatch, seed,
 def test_row_gather_pivot_equals_the_dense_update(monkeypatch):
     _, st = _final_basis(monkeypatch, _full_lp1(0, 12))
     assert len(st.cols) >= lp.SPARSE_UPDATE_ROWS  # the gather path
-    j = int(np.flatnonzero(~st.is_basic[: st.std.art0])[0])
+    j = int(np.flatnonzero(~st.is_basic)[0])
     d = st.std.ftran(st.inv, j)
     r = int(np.argmax(np.abs(d)))
     v = st.inv[:, r] / d[r]
@@ -445,92 +422,59 @@ def test_certificate_rejects_a_non_finite_solution():
 
 @pytest.mark.parametrize("when", ["before phase 2", "after phase 2"])
 def test_a_nan_in_the_kept_inverse_raises(monkeypatch, when):
-    # phase 2 prices with the NaN; after it, the certificate finds it in x
+    # the primal simplex (phase 2) prices with the NaN; after it, the
+    # certificate finds it in x
     message = {"before phase 2": "non-finite reduced cost",
                "after phase 2": "non-finite x or duals"}[when]
     phase, calls = lp._simplex_phase, []
 
     def spiked(st, *args):
         calls.append(st)
-        if when == "before phase 2" and len(calls) == 2:
+        if when == "before phase 2":
             st.inv[0, 0] = np.nan
         out = phase(st, *args)
-        if when == "after phase 2" and len(calls) == 2:
+        if when == "after phase 2":
             st.inv[0, 0] = np.nan
         return out
 
     monkeypatch.setattr(lp, "_simplex_phase", spiked)
     with pytest.raises(LpNumericalError, match=message):
         solve(_full_lp1(0, 12))
-    assert len(calls) == 2
-
-
-def _assert_a_feasible_triangular_crash(p):
-    sol = solve(p)
-    assert sol.status == OPTIMAL and sol.start == "crash" and sol.phase1_iterations == 0
-    std = lp._Standardized(p)
-    st, how = lp._cold_start(std)
-    # one structural column for each row that would start with an artificial
-    assert how == "crash"
-    assert (st.cols < std.n_struct).sum() == (std.basis_start() >= std.art0).sum()
-    B = std.basis_matrix(st.cols)
-    assert np.abs(st.inv - np.linalg.inv(B).T).max() <= 1e-12
-    assert (st.xB >= 0).all()
-    assert np.abs(B @ st.xB - std.b).max() <= 1e-12
-
-
-@pytest.mark.parametrize("n", [6, 12, 15])
-def test_lp1_starts_from_a_feasible_triangular_crash(n):
-    # LP1 in the paper's form: the crash takes the survival columns s_t,
-    # and phase 1 has nothing to do
-    for seed in range(10):
-        star = hard.gen_random_star(seed, n, "survival")
-        _assert_a_feasible_triangular_crash(
-            dataclasses.replace(_arbitrary_patience_lp_by_rows(star), lazy=None))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [6, 12, 15])
 def test_lp1_starts_from_the_slack_basis(n):
     # s is substituted out: every right-hand side is positive, so the
-    # slack basis is feasible, and no artificial is ever basic
+    # slack basis is feasible
     for seed in range(10):
         p = _full_lp1(seed, n)
         assert (p.b > 0).all() and set(p.senses) == {lp.LE}
         sol = solve(p)
         assert sol.status == OPTIMAL and sol.start == "identity", seed
-        assert sol.phase1_iterations == 0, seed
         assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7), seed
 
 
 @pytest.mark.parametrize("kind", ["iid", "prophet"])
-def test_the_first_master_of_a_column_generation_starts_from_a_feasible_triangular_crash(
-        monkeypatch, kind):
-    # the crash puts each type's empty-policy column on its equality row
+def test_the_first_master_of_a_column_generation_starts_from_the_slack_basis(monkeypatch, kind):
+    # the first master holds no column: each type row's slack is the mass
+    # of its empty policy
     solve_master, first = lp.solve, []
 
     def spy(problem, start=None):
-        first.append(problem)
-        return solve_master(problem, start)
+        first.append((problem, solve_master(problem, start)))
+        return first[-1][1]
 
     for seed in range(5):
         monkeypatch.setattr(lp, "solve", spy)
-        solve_prophet_lp(hard.gen_random_matching(400 + seed, 8, 6, kind, horizon=8))
+        inst = hard.gen_random_matching(400 + seed, 8, 6, kind, horizon=8)
+        solve_prophet_lp(inst)
         monkeypatch.undo()
-        _assert_a_feasible_triangular_crash(first[0])
+        problem, sol = first[0]
+        assert problem.n_vars == 0 and problem.n_rows == inst.m + inst.n_types
+        assert set(problem.senses) == {lp.LE} and (problem.b >= 0).all()
+        assert sol.start == "identity" and sol.iterations == 0 and sol.objective == 0.0
         first.clear()
-
-
-def test_an_infeasible_crash_falls_back_to_the_identity_start():
-    # max 2x s.t. x - y = 1, x <= 3: the crash prefers y (|c| = 0), which
-    # would be basic at -1
-    p = LpProblem.make([2.0, 0.0], [[1.0, -1.0], [1.0, 0.0]], ["=", "<="], [1.0, 3.0])
-    std = lp._Standardized(p)
-    rows, taken = std.crash(std.basis_start())
-    assert rows.tolist() == [0] and taken.tolist() == [1]
-    sol = solve(p)
-    assert sol.start == "identity" and sol.phase1_iterations > 0
-    assert sol.status == OPTIMAL
-    assert sol.objective == pytest.approx(-_scipy_solve(p).fun, rel=1e-9, abs=1e-9)
 
 
 def _objectives_agree(a, b):
@@ -540,7 +484,7 @@ def _objectives_agree(a, b):
 @pytest.mark.parametrize("seed", range(6))
 def test_warm_start_after_added_columns_matches_cold_and_reference(seed):
     rng = np.random.default_rng(300 + seed)
-    warm_starts = 0
+    warm_starts, statuses = 0, set()
     for _ in range(25):
         p, kept = _random_problem(rng), lp.KeptBasis()
         first = solve(p, start=kept)
@@ -550,13 +494,14 @@ def test_warm_start_after_added_columns_matches_cold_and_reference(seed):
         warm, cold, ref = solve(p, start=kept), solve(p), _scipy_solve(p)
         expected = {2: "infeasible", 3: "unbounded"}.get(ref.status, "optimal")
         assert warm.status == cold.status == expected
+        statuses.add(expected)
         # the appended columns are nonbasic at 0, so an optimal basis stays feasible
         assert (warm.start == "warm") == (first.status == OPTIMAL)
         warm_starts += warm.start == "warm"
         if expected == "optimal":
             assert _objectives_agree(warm.objective, cold.objective)
             assert _objectives_agree(warm.objective, -ref.fun)
-    assert warm_starts > 0
+    assert warm_starts > 0 and statuses == {OPTIMAL, "unbounded"}
 
 
 def test_starts_that_do_not_fit_fall_back_to_the_cold_start():
@@ -570,17 +515,17 @@ def test_starts_that_do_not_fit_fall_back_to_the_cold_start():
         assert solve(problem, start=kept).status == OPTIMAL and kept.basis is not None
         return kept
 
-    infeasible = lp.KeptBasis()  # an answer that is not optimal leaves the handle empty
-    assert solve(LpProblem.make([1.0], [[1.0], [1.0]], ["<=", ">="], [1.0, 2.0]),
-                 start=infeasible).status == "infeasible"
+    unbounded = lp.KeptBasis()  # an answer that is not optimal leaves the handle empty
+    assert solve(LpProblem.make([1.0], [[-1.0]], ["<="], [1.0]),
+                 start=unbounded).status == "unbounded"
     for problem, kept in [
         (p, kept_from(one_row)),                      # another row count
         (other_bound, kept_from(p)),                  # not the kept problem plus columns
         (add_column(p, 1.0, [2.0, 2.0]), lp.KeptBasis()),  # an empty handle
-        (p, infeasible),
+        (p, unbounded),
     ]:
         sol = solve(problem, start=kept)
-        assert sol.start in ("identity", "crash") and sol.status == OPTIMAL
+        assert sol.start == "identity" and sol.status == OPTIMAL
         assert _objectives_agree(sol.objective, -_scipy_solve(problem).fun)
         # the cold start refills the handle, and the same problem then resumes from it
         assert kept.problem is problem
@@ -597,14 +542,11 @@ def _with_held_rows(c, A, senses, b, lazy):
 
 @settings(max_examples=300, deadline=None)
 @given(seed=strategies.integers(0, 2**32 - 1), n=strategies.integers(1, 15),
-       kind=strategies.sampled_from(["survival", "deterministic", "hazard"]),
-       paper_form=strategies.booleans())
-def test_working_set_solve_agrees_with_the_full_solve(seed, n, kind, paper_form):
-    # the paper's form keeps equality rows, which put artificials in the
-    # working set's start
+       kind=strategies.sampled_from(["survival", "deterministic", "hazard"]))
+def test_working_set_solve_agrees_with_the_full_solve(seed, n, kind):
     star = hard.gen_random_star(seed, n, kind)
     assume(kind != "hazard" or star.patience.has_global_rate)
-    p = (_arbitrary_patience_lp_by_rows if paper_form else build_arbitrary_patience_lp)(star)
+    p = build_arbitrary_patience_lp(star)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "LAZY_ROWS_PER_ROW", 0.0)  # small stars take the loop too
         held = lp.held_rows(p)
@@ -615,7 +557,8 @@ def test_working_set_solve_agrees_with_the_full_solve(seed, n, kind, paper_form)
     if sol.status != OPTIMAL:
         return
     assert _objectives_agree(sol.objective, full.objective)
-    b_scale = lp._Standardized(p).b_scale
+    assert np.isinf(p.ub).all()  # no bound rows: b_scale comes from b alone
+    b_scale = 1.0 + np.abs(p.b).max(initial=0.0)
     assert solution_residuals(p, sol)["primal"] <= lp.CERT_TOL * b_scale
     assert sol.duals.shape == (p.n_rows,)
     assert np.count_nonzero(sol.duals[held]) <= sol.rows_added  # zero unless it joined
@@ -623,53 +566,37 @@ def test_working_set_solve_agrees_with_the_full_solve(seed, n, kind, paper_form)
 
 @pytest.mark.parametrize("seed", [11, 1060, 1140, 262145])
 def test_the_full_solve_does_not_stop_short_of_the_optimum(seed):
-    # deterministic-patience LP1 at n = 15, where phase 2 stopped on the
-    # kept inverse's duals while the refined duals still priced a column
-    # in: 1.4e-8 to 1.9e-8 below HiGHS, or (star 262145) a wrong-signed
-    # dual of 0.037 that failed the certificate; those stars were found on
-    # the paper's form of LP1, which is kept as a case
+    # deterministic-patience LP1 at n = 15, where the primal simplex
+    # stopped on the kept inverse's duals while the refined duals still
+    # priced a column in: 1.4e-8 to 1.9e-8 below HiGHS, or (star 262145) a
+    # wrong-signed dual of 0.037 that failed the certificate; those stars
+    # were found on the paper's form of LP1, whose optimum the packing form
+    # keeps (test_stars checks that with HiGHS)
     star = hard.gen_random_star(seed, 15, "deterministic")
-    for build in (build_arbitrary_patience_lp, _arbitrary_patience_lp_by_rows):
-        p = dataclasses.replace(build(star), lazy=None)
-        sol, ref = solve(p), -_scipy_solve(p).fun
-        assert sol.status == OPTIMAL
-        assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
+    p = dataclasses.replace(build_arbitrary_patience_lp(star), lazy=None)
+    sol, ref = solve(p), -_scipy_solve(p).fun
+    assert sol.status == OPTIMAL
+    assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_random_problems_with_held_rows_match_the_full_solve(monkeypatch, seed):
-    # negative right-hand sides, >= and = rows in the working set, and
-    # variables shifted to their lower bounds and boxed, so that no working
-    # set is unbounded; optimal and infeasible answers, the latter also
-    # where a joined row leaves the working set infeasible and the full
-    # problem decides
+    # mixed-sign rows, some held and some in the working set; optimal and
+    # unbounded answers, the latter also where only the working set is
+    # unbounded and the full problem decides
     monkeypatch.setattr(lp, "LAZY_ROWS_PER_ROW", 0.0)
     rng = np.random.default_rng(500 + seed)
-    added = 0
+    added, statuses = 0, set()
     for _ in range(40):
         p = _random_problem(rng)
-        lazy = (np.array(p.senses) == "<=") & (rng.random(p.n_rows) < 0.7)
-        p = dataclasses.replace(p, lazy=lazy, lb=np.maximum(p.lb, -3.0), ub=np.minimum(p.ub, 3.0))
+        p = dataclasses.replace(p, lazy=rng.random(p.n_rows) < 0.7)
         sol, full = solve(p), solve(dataclasses.replace(p, lazy=None))
         assert sol.status == full.status
+        statuses.add(sol.status)
         if sol.status == OPTIMAL:
             assert _objectives_agree(sol.objective, full.objective)
             added += sol.rows_added
-    assert added > 0
-
-
-@pytest.mark.parametrize("working, held", [
-    ([(">=", 2.0)], [1.0, 5.0, 5.0, 5.0]),                # x = 2 violates x <= 1
-    ([(">=", 2.0), ("<=", 1.0)], [5.0] * 7),              # the working set is infeasible
-])
-def test_held_rows_and_infeasibility(working, held):
-    # max -x
-    senses = [s for s, _ in working] + ["<="] * len(held)
-    b = [v for _, v in working] + held
-    p = _with_held_rows([-1.0], np.ones((len(b), 1)), senses, b,
-                        [False] * len(working) + [True] * len(held))
-    assert len(lp.held_rows(p)) == len(held)
-    assert solve(p).status == "infeasible"
+    assert added > 0 and statuses == {OPTIMAL, "unbounded"}
 
 
 def test_an_unbounded_working_set_falls_back_to_the_full_problem():
@@ -704,7 +631,7 @@ def test_a_working_set_answer_does_not_warm_start_the_full_problem():
     assert lazy_sol.rows_added > 0 and kept.basis is None  # its basis covers the joined rows only
     full = dataclasses.replace(p, lazy=None)
     sol = solve(full, start=kept)
-    assert sol.start in ("identity", "crash") and sol.rows_added == 0
+    assert sol.start == "identity" and sol.rows_added == 0
     assert _objectives_agree(sol.objective, lazy_sol.objective)
 
 

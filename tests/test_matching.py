@@ -176,13 +176,29 @@ def test_warm_started_masters_match_cold_ones_in_fewer_pivots(monkeypatch, kind)
         cold, cold_masters = _column_generation(monkeypatch, inst, False)
         assert warm.status == cold.status == "optimal"
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)
-        # the first master starts from the crash onto the empty policies,
-        # and the columns joining the kept basis keep every later start feasible
-        assert [s.start for s in masters] == ["crash"] + ["warm"] * (len(masters) - 1)
-        assert all(s.phase1_iterations == 0 for s in masters + cold_masters)
+        # the first master starts from the slack basis, every type on its
+        # empty policy, and the columns joining the kept basis keep every
+        # later start feasible
+        assert [s.start for s in masters] == ["identity"] + ["warm"] * (len(masters) - 1)
         pivots[True] += sum(s.iterations for s in masters)
         pivots[False] += sum(s.iterations for s in cold_masters)
     assert pivots[True] < pivots[False]
+
+
+@pytest.mark.parametrize("kind", ["iid", "prophet"])
+def test_column_generation_puts_the_type_rows_slack_on_the_empty_policy(kind):
+    # the master holds no empty-policy column: each type's empty policy
+    # comes first in the mixture, with the mass its row leaves
+    for seed in range(5):
+        inst = hard.gen_random_matching(400 + seed, 8, 6, kind, horizon=8)
+        res = solve_prophet_lp(inst)
+        assert validate(res.mixture).ok
+        q_v = inst.arrivals.expected_arrivals(inst.n_types)
+        for v, entries in enumerate(res.mixture.per_type):
+            (first, mass), rest = entries[0], entries[1:]
+            assert first == stars.EMPTY_POLICY and all(pol.order for pol, _ in rest)
+            assert mass == float(q_v[v]) - sum(m for _, m in rest)
+        assert res.n_columns == sum(map(len, res.mixture.per_type))
 
 
 def test_lp_solution_constraints_hold():
