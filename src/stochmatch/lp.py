@@ -9,23 +9,25 @@ largest ``z_j * s_j`` among the reduced costs ``z_j > OPT_TOL``, with
 held fixed (Forrest & Goldfarb 1992): LP1 of the benchmark takes 3,242
 pivots against Dantzig's rule's 3,549, and Devex weights cost more.
 Optimality tests the unscaled ``z_j``, and a Bland's-rule fallback guards
-against cycling.  Only the structural columns are stored, also compressed
-to their nonzeros; every slack column is the +1 unit column of its own
-row.  The dense basis inverse is stored transposed and kept by rank-1
-updates, which from ``SPARSE_UPDATE_ROWS`` rows on touch only the stored
-rows where the new pivot row of the inverse is nonzero; it is
-refactorized periodically.  The row duals follow each pivot along that
-row, and are recomputed from the inverse at every refactorization and
-before a phase ends.
+against cycling.  Only the structural columns are stored; every slack
+column is the +1 unit column of its own row.  The dense basis inverse is
+stored transposed and kept by rank-1 updates, which from
+``SPARSE_UPDATE_ROWS`` rows on touch only the stored rows where the new
+pivot row of the inverse is nonzero; it is refactorized every
+``REFACTOR_EVERY`` pivots, counted across phases and solves.  The primal
+simplex's row duals follow each pivot along that row, and are recomputed
+from the inverse at every refactorization and before a phase ends; the
+dual simplex carries its reduced costs along its pivot row instead.
 
 Every problem ``solve`` takes is a packing LP, so the slack basis
 (``inv = I``, ``xB = b``) is feasible and a cold solve starts from it.
 ``solve(problem, start=kept)`` takes a ``KeptBasis``, in which an optimal
 answer of the full problem leaves its standard form and basis.  When the
 next problem is that one with columns appended by ``add_column``, they
-join the kept standard form in place, nonbasic at zero, so the basis stays
-primal feasible (Chvátal 1983); it is refactorized once and the primal
-simplex resumes.  Any other problem starts cold and refills the handle.
+join the kept standard form in place, nonbasic at zero, so the basis, its
+inverse and the basic values stay as they were, primal feasible (Chvátal
+1983), and the primal simplex resumes.  Any other problem starts cold and
+refills the handle.
 
 The ratio test is Harris's two-pass test (Harris 1973, as practised in
 HiGHS, Huangfu & Hall 2018): a basic variable may fall ``HARRIS_TOL``
@@ -95,7 +97,7 @@ CERT_TOL = 1e-9       # largest certified primal residual
 DUAL_TOL = 1e-7       # largest certified wrong-signed dual, relative to 1 + max|c|
 REFACTOR_EVERY = 100
 SPARSE_UPDATE_ROWS = 64  # from this many rows, a pivot gathers the inverse's changed rows
-MAX_DENSE_ENTRIES = 30_000_000  # desk scale; protects the dense representation
+MAX_DENSE_ENTRIES = 30_000_000  # desk scale; see the size guard in ``solve``
 ITERATIONS_BASE = 5000    # simplex pivots allowed per phase: the base,
 ITERATIONS_PER_DIM = 60   # plus this many per standard-form row and column
 LAZY_ROWS_PER_ROW = 3.5   # hold lazy rows back from this many per other row on
@@ -214,6 +216,11 @@ def _insert(a: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
     return np.concatenate([a[:at], values, a[at:]])
 
 
+def _price_scale(S: np.ndarray) -> np.ndarray:
+    """``1 / sqrt(1 + |a_j|^2)`` for each column ``a_j`` of ``S``."""
+    return 1.0 / np.sqrt(1.0 + np.square(S).sum(axis=0))
+
+
 class _Standardized:
     """max c.x, A x = b, x >= 0, b >= 0: the packing problem with a slack
     on every row.
@@ -222,7 +229,8 @@ class _Standardized:
     a finite upper bound gets an extra ``<=`` row.  Only the structural
     block ``S`` is stored: column ``n_struct + i`` is the slack of row
     ``i``, a +1 in that row and zero elsewhere, and the methods below apply
-    ``A`` from ``S`` and that rule.  The slack basis is the identity.
+    ``A`` from ``S`` and that rule.  ``ftran`` reads a column's nonzeros
+    from ``S`` itself.  The slack basis is the identity.
     """
 
     def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray, ub: np.ndarray):
@@ -241,19 +249,7 @@ class _Standardized:
         # pricing scale 1 / sqrt(1 + |a_j|^2): the steepest-edge weight of
         # the slack basis, held fixed; 1 / sqrt(2) for a slack
         self.price_scale = np.full(self.n_cols, np.sqrt(0.5))
-        self._compress()
-
-    def _compress(self) -> None:
-        """The structural columns compressed, column k's nonzeros being
-        ``nz_val[nz_ptr[k]:nz_ptr[k + 1]]`` in rows ``nz_row[...]``, and
-        their pricing scales."""
-        S, n_struct = self.S, self.n_struct
-        flat = np.flatnonzero(S.T != 0.0)
-        nz_col, self.nz_row = np.divmod(flat, len(S))
-        self.nz_val = S[self.nz_row, nz_col]
-        self.nz_ptr = np.concatenate([[0], np.cumsum(np.bincount(nz_col, minlength=n_struct))])
-        self.price_scale[:n_struct] = 1.0 / np.sqrt(
-            1.0 + np.bincount(nz_col, weights=self.nz_val ** 2, minlength=n_struct))
+        self.price_scale[:n] = _price_scale(S)
 
     def add_rows(self, A: np.ndarray, b: np.ndarray) -> None:
         """Append the ``<=`` rows ``A x <= b`` of the original problem
@@ -263,8 +259,8 @@ class _Standardized:
         self.b = np.concatenate([self.b, b])
         self.c = np.concatenate([self.c, np.zeros(k)])
         self.price_scale = np.concatenate([self.price_scale, np.full(k, np.sqrt(0.5))])
+        self.price_scale[: self.n_struct] = _price_scale(self.S)
         self.n_cols += k
-        self._compress()
 
     def add_columns(self, c: np.ndarray, A: np.ndarray) -> None:
         """Append variables with bounds [0, inf), costs ``c`` and columns
@@ -275,9 +271,8 @@ class _Standardized:
         block[: self.m0] = A
         self.S = np.hstack([self.S, block])
         self.c = _insert(self.c, at, c)
-        self.price_scale = _insert(self.price_scale, at, np.empty(k))
+        self.price_scale = _insert(self.price_scale, at, _price_scale(block))
         self.n_struct, self.n_cols = at + k, self.n_cols + k
-        self._compress()
 
     def basis_matrix(self, cols: np.ndarray) -> np.ndarray:
         """``A[:, cols]``."""
@@ -302,8 +297,8 @@ class _Standardized:
         """``A[:, j] @ inv``: the basis inverse times column ``j``, given the
         inverse transposed."""
         if j < self.n_struct:
-            lo, hi = self.nz_ptr[j], self.nz_ptr[j + 1]
-            return self.nz_val[lo:hi] @ inv[self.nz_row[lo:hi]]
+            nz = self.S[:, j].nonzero()[0]
+            return self.S[nz, j] @ inv[nz]
         return inv[j - self.n_struct].copy()
 
     def add_column(self, v: np.ndarray, j: int, scale: float) -> None:
@@ -327,7 +322,8 @@ class _Basis:
     left the basis slightly below zero (which the Harris ratio test allows)
     keeps that value in ``xN``; ``rhs = b - A xN`` then keeps
     ``rhs @ inv == xB``, so the tolerance never turns into an inconsistency
-    that later pivots could amplify.
+    that later pivots could amplify.  ``pivots`` counts the pivots since
+    the last refactorization, across phases and solves.
 
     A basic slack makes its row's row of ``inv`` a unit row too, so
     a column of ``inv`` has at most k + 1 nonzeros, with k the number of
@@ -346,12 +342,15 @@ class _Basis:
         self.rhs = std.b.copy()
         self.is_basic = np.zeros(N, dtype=bool)
         self.is_basic[cols] = True
+        self.pivots = 0
 
     def refactor(self) -> None:
+        B, self.inv = self.std.basis_matrix(self.cols), None  # free the old inverse first
         try:
-            self.inv[...] = np.linalg.inv(self.std.basis_matrix(self.cols).T)
+            self.inv = np.linalg.inv(B.T)
         except np.linalg.LinAlgError as e:
             raise LpNumericalError(f"singular basis during refactorization: {e}") from e
+        self.pivots = 0
         self.rhs = self.std.b - self.std.times(self.xN)
         np.dot(self.rhs, self.inv, out=self.xB)
 
@@ -414,6 +413,7 @@ class _Basis:
         self.is_basic[k] = False
         self.is_basic[j] = True
         self.cols[r] = j
+        self.pivots += 1
         return v
 
 
@@ -469,7 +469,7 @@ def _simplex_phase(st: _Basis, tol):
     while True:
         if it >= max_iter:
             raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
-        if it and it % REFACTOR_EVERY == 0:
+        if st.pivots >= REFACTOR_EVERY:
             st.refactor()
             y, fresh = st.inv @ cB, True
         np.subtract(c, std.row_times(y, z), out=z)
@@ -515,15 +515,17 @@ def _dual_phase(st: _Basis, tol):
 
     The row with the most negative basic value leaves (in Bland mode, the
     smallest basic column among those below ``-tol``), the entering column
-    comes from ``_ratio_test`` on the pivot row ``inv[:, r] @ A``, and the
-    pivot raises it until the leaving value reaches zero.  The
-    duals follow each pivot as in ``_simplex_phase``."""
+    comes from ``_ratio_test`` on the pivot row ``alpha = inv[:, r] @ A``,
+    and the pivot raises it until the leaving value reaches zero.  The
+    reduced costs ``z = c - yA`` are computed when the phase starts and
+    after a refactorization, and otherwise follow each pivot along alpha:
+    ``z -= (z_j / d_r) alpha``."""
     std = st.std
     c, N = std.c, std.n_cols
     z, lift = np.empty(N), np.empty(N)
     columns = np.arange(N)
     cB = c[st.cols]
-    y = st.inv @ cB
+    np.subtract(c, std.row_times(st.inv @ cB, z), out=z)
     bland = False
     degenerate = 0
     bland_after = 10 * (len(std.b) + std.n_cols)
@@ -532,9 +534,9 @@ def _dual_phase(st: _Basis, tol):
     while True:
         if it >= max_iter:
             raise LpNumericalError(f"dual simplex exceeded {max_iter} iterations")
-        if it and it % REFACTOR_EVERY == 0:
+        if st.pivots >= REFACTOR_EVERY:
             st.refactor()
-            y = st.inv @ cB
+            np.subtract(c, std.row_times(st.inv @ cB, z), out=z)
         if bland:
             low = (st.xB < -tol).nonzero()[0]
             if low.size == 0:
@@ -546,7 +548,6 @@ def _dual_phase(st: _Basis, tol):
                 return OPTIMAL, it
         std.row_times(-st.inv[:, r], lift)  # -alpha: what raises the leaving row
         lift[st.is_basic] = 0.0
-        np.subtract(c, std.row_times(y, z), out=z)
         j = _ratio_test(-np.minimum(z, 0.0), lift, columns, bland, OPT_TOL)
         if j < 0:
             return INFEASIBLE, it
@@ -559,7 +560,10 @@ def _dual_phase(st: _Basis, tol):
             degenerate += 1
             if degenerate > bland_after:
                 bland = True
-        y += z[j] * st.pivot(j, d, r, float(st.xB[r]) / d[r])
+        k, step = int(st.cols[r]), z[j] / d[r]
+        st.pivot(j, d, r, float(st.xB[r]) / d[r])
+        z += step * lift  # lift is -alpha, and alpha is 1 on the leaving column k
+        z[k], z[j] = -step, 0.0
         cB[r] = c[j]
         it += 1
 
@@ -581,8 +585,9 @@ def _refine(std: _Standardized, st: _Basis) -> tuple[np.ndarray, np.ndarray]:
 class KeptBasis:
     """The standard form and basis of the last optimal answer of the full
     problem that ``solve(problem, start=kept)`` gave, kept by the caller;
-    empty after any other answer.  No ``LpSolution`` holds them, since
-    callers may keep many solutions, and LP1's take about a megabyte."""
+    empty after any other answer; the basis keeps its inverse across
+    solves.  No ``LpSolution`` holds them, since callers may keep many
+    solutions, and LP1's take about a megabyte."""
 
     def __init__(self):
         self.problem: LpProblem | None = None
@@ -591,8 +596,8 @@ class KeptBasis:
     def _take(self, problem: LpProblem) -> _Basis | None:
         """Empty the handle.  Returns its basis, grown in place by the
         columns that ``problem`` appends to the kept problem with bounds
-        [0, inf) (as ``add_column`` appends them) and refactorized, or None
-        when ``problem`` is not the kept problem plus such columns."""
+        [0, inf) (as ``add_column`` appends them), or None when
+        ``problem`` is not the kept problem plus such columns."""
         old, st = self.problem, self.basis
         self.problem = self.basis = None
         if old is None:
@@ -606,7 +611,6 @@ class KeptBasis:
             return None
         st.add_columns(st.std.n_struct, k)
         st.std.add_columns(problem.c[n0:], problem.A[:, n0:])
-        st.refactor()
         return st
 
 
@@ -626,8 +630,10 @@ def solve(problem: LpProblem, start: KeptBasis | None = None) -> LpSolution:
     if (problem.senses.count(LE) < problem.n_rows or (problem.b < 0.0).any()
             or problem.lb.any()):
         raise CapabilityError("lp.solve takes packing LPs only: <= rows, b >= 0, lower bounds 0")
-    n_bounded = int(np.count_nonzero(np.isfinite(problem.ub)))
-    est_rows = problem.n_rows + n_bounded
+    # the dense entries held at once: S, the inverse and the basis matrix
+    # refactor and _refine build beside it (a 2,128-row LP2 peaks at 1.01
+    # times this); np.linalg.inv's LAPACK copies of B are not counted
+    est_rows = problem.n_rows + int(np.count_nonzero(np.isfinite(problem.ub)))
     if est_rows * (problem.n_vars + 2 * est_rows) > MAX_DENSE_ENTRIES:
         raise CapacityError("problem too large for the dense exact solver")
     st = None if start is None else start._take(problem)
@@ -719,10 +725,14 @@ def solution_residuals(problem: LpProblem, sol: LpSolution) -> dict:
     test-suite invariants).
     """
     x, y = np.asarray(sol.x, dtype=float), np.asarray(sol.duals, dtype=float)
-    senses = np.array(problem.senses, dtype="U2")
-    le, ge = senses == LE, senses == GE
     slack = problem.b - problem.A @ x
-    viol = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
+    if problem.senses.count(LE) == problem.n_rows:  # a packing LP skips the senses array
+        viol, wrong = -slack, -y
+    else:
+        senses = np.array(problem.senses, dtype="U2")
+        le, ge = senses == LE, senses == GE
+        viol = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
+        wrong = np.where(le, -y, np.where(ge, y, 0.0))
     # np.max, unlike Python's max, carries a NaN through
     primal = float(np.max([0.0, np.max(viol, initial=0.0),
                            np.max(problem.lb - x, initial=0.0),
@@ -730,7 +740,7 @@ def solution_residuals(problem: LpProblem, sol: LpSolution) -> dict:
     rc = problem.c - y @ problem.A
     at_lb = x <= problem.lb + FEAS_TOL
     at_ub = x >= problem.ub - FEAS_TOL
-    dual = float(np.max([0.0, np.max(np.where(le, -y, np.where(ge, y, 0.0)), initial=0.0),
+    dual = float(np.max([0.0, np.max(wrong, initial=0.0),
                          np.max(rc[at_lb & ~at_ub], initial=0.0),     # at lower bound: rc <= 0
                          np.max(-rc[at_ub & ~at_lb], initial=0.0)]))  # at upper bound: rc >= 0
     cs = float(np.max([np.max(np.abs(y * slack), initial=0.0),

@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 import stochmatch
 from stochmatch import hard_instances as hard
 from stochmatch import lp
-from stochmatch.instances import CapabilityError, LpNumericalError
+from stochmatch.instances import CapabilityError, CapacityError, LpNumericalError
 from stochmatch.lp import (
     LpProblem,
     OPTIMAL,
@@ -314,6 +314,10 @@ def test_star_cap_lp2_of_an_8_by_8_instance_fits_in_100_mb():
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7)
     assert peak < 100e6
+    # the size guard's count of dense entries (S, the inverse and the basis
+    # matrix beside it) is the peak within the fancy-indexing temporaries
+    rows = p.n_rows + np.count_nonzero(np.isfinite(p.ub))
+    assert peak <= 1.05 * 8 * rows * (p.n_vars + 2 * rows)
 
 
 def test_lp1_seed_17_n_8_value():
@@ -530,6 +534,119 @@ def test_starts_that_do_not_fit_fall_back_to_the_cold_start():
         # the cold start refills the handle, and the same problem then resumes from it
         assert kept.problem is problem
         assert solve(problem, start=kept).start == "warm"
+
+
+def _master_solves(monkeypatch, instance):
+    """Run column generation on ``instance`` and return each master solve's
+    problem, handle and answer."""
+    solve_master, solves = lp.solve, []
+
+    def spy(problem, start=None):
+        solves.append((problem, start, solve_master(problem, start)))
+        return solves[-1][2]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "solve", spy)
+        solve_prophet_lp(instance)
+    return solves
+
+
+@pytest.mark.parametrize("kind", ["iid", "prophet"])
+def test_a_master_keeps_its_inverse_across_column_generation_rounds(monkeypatch, kind):
+    # the round's columns join nonbasic at zero, so the kept inverse is
+    # still the basis's: no round inverts it again
+    refactor, inverted = lp._Basis.refactor, []
+
+    def spy(st):
+        inverted.append(st)
+        return refactor(st)
+
+    monkeypatch.setattr(lp._Basis, "refactor", spy)
+    warm = 0
+    for seed in range(5):
+        solves = _master_solves(monkeypatch, hard.gen_random_matching(seed, 8, 6, kind, horizon=8))
+        warm += sum(sol.start == "warm" for _, _, sol in solves)
+        st = solves[-1][1].basis
+        B = st.std.basis_matrix(st.cols)
+        assert np.abs(st.inv - np.linalg.inv(B).T).max() <= 1e-9, seed
+    assert warm > 0 and len(inverted) < warm
+
+
+def test_the_refactor_count_carries_across_master_rounds(monkeypatch):
+    # with a refactorization every two pivots, a round that takes fewer
+    # still refactorizes on the pivots of earlier rounds, and the kept
+    # basis gives what a cold solve of the same master gives
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 2)
+    phase, carried = lp._simplex_phase, []
+
+    def spy(st, *args):
+        carried.append(st.pivots)
+        return phase(st, *args)
+
+    monkeypatch.setattr(lp, "_simplex_phase", spy)
+    refactor, refactors = lp._Basis.refactor, []
+    monkeypatch.setattr(lp._Basis, "refactor", lambda st: refactors.append(1) or refactor(st))
+    for kind in ("iid", "prophet"):
+        for seed in range(3):
+            solves = _master_solves(monkeypatch, hard.gen_random_matching(seed, 8, 6, kind, horizon=8))
+            for problem, _, sol in solves:
+                cold = solve(problem)
+                assert abs(sol.objective - cold.objective) <= 1e-12 * (1.0 + abs(cold.objective))
+    assert len(refactors) > 0 and max(carried) > 0
+
+
+@pytest.mark.parametrize("n", [12, 15])
+def test_the_dual_simplex_carries_its_reduced_costs_along_the_pivot_row(monkeypatch, n):
+    # z is computed as c - yA when a dual phase starts and after a
+    # refactorization, and otherwise only updated along the pivot row
+    phase, ends = lp._dual_phase, []
+
+    def spy(st, tol):
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code is phase.__code__:
+                std, z = st.std, frame.f_locals["z"]
+                y = st.inv @ std.c[st.cols]
+                fresh = std.c - std.row_times(y, np.empty(std.n_cols))
+                ends.append((np.abs(z - fresh)[~st.is_basic].max(initial=0.0), arg[1]))
+
+        sys.setprofile(profile)
+        try:
+            return phase(st, tol)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(lp, "_dual_phase", spy)
+    for seed in range(10):
+        assert solve(_lp1(seed, n)).status == OPTIMAL
+    assert sum(pivots for _, pivots in ends) > 0
+    assert max(gap for gap, _ in ends) <= 1e-9
+
+
+def test_solution_residuals_of_a_packing_lp_match_its_rows_written_as_ge():
+    # the all-<= shortcut against the general formula: -A x >= -b with the
+    # duals negated gives the same residuals, bit for bit, here off the
+    # optimum (x off its bounds and rows, duals of either sign)
+    rng, checked = np.random.default_rng(700), 0
+    for _ in range(40):
+        p = _random_problem(rng)
+        ge = dataclasses.replace(p, A=-p.A, b=-p.b, senses=(">=",) * p.n_rows)
+        x, y = rng.normal(size=p.n_vars), rng.normal(size=p.n_rows)
+        res = solution_residuals(p, lp.LpSolution(OPTIMAL, x=x, duals=y))
+        assert res == solution_residuals(ge, lp.LpSolution(OPTIMAL, x=x, duals=-y))
+        checked += res["primal"] > 0 and res["dual"] > 0
+    assert checked > 10
+
+
+def test_the_size_guard_counts_the_columns_and_two_square_arrays(monkeypatch):
+    # 3 rows, 2 variables, one of them bounded: 4 standard-form rows, and
+    # S (4 x 2), the inverse and the basis matrix (4 x 4 each)
+    p = LpProblem.make([1.0, 1.0], np.ones((3, 2)), ["<="] * 3, [1.0, 2.0, 3.0],
+                       ub=[0.5, np.inf])
+    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", 4 * (2 + 2 * 4))
+    assert solve(p).objective == pytest.approx(1.0)
+    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", 4 * (2 + 2 * 4) - 1)
+    with pytest.raises(CapacityError):
+        solve(p)
 
 
 # ---------------------------------------------------------------------------
