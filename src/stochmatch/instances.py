@@ -291,6 +291,8 @@ class ArrivalModel:
     @staticmethod
     def prophet(q_tv) -> "ArrivalModel":
         m = np.array(q_tv, dtype=float)
+        if m.ndim != 2:
+            raise ValueError(f"q_tv must be a steps-by-types matrix, got {m.ndim}-D")
         m.flags.writeable = False
         return ArrivalModel(kind=PROPHET, q_tv=m, horizon=m.shape[0])
 
@@ -371,6 +373,8 @@ class MatchingInstance:
     def make(probs, patience, arrivals, vertex_weights=None, edge_weights=None,
              meta=None) -> "MatchingInstance":
         probs = np.array(probs, dtype=float)
+        if probs.ndim != 2:
+            raise ValueError(f"probs must be an offline-by-types matrix, got {probs.ndim}-D")
         probs.flags.writeable = False
         if isinstance(patience, PatienceModel):
             patience = (patience,) * probs.shape[1]

@@ -50,10 +50,10 @@ steps with the bitmask of free offline vertices as state, at most
 step, as numpy arrays of free sets and probabilities taken in chunks of
 ``EXACT_CHUNK``: per chunk the matcher gives the probability of matching
 each vertex, and the next layer is summed in a dense accumulator over all
-free sets.  SimpleGreedy ranks each set's free neighbors as its lockstep
-walk does, and AdvGreedy plans every distinct set in one
-``StarSolver.plan`` call (through ``stars.induced_match``); either walks a
-chunk's orders in one ``stars.order_match`` call.  The policy-LP matcher
+free sets.  A chunk is planned by the matcher's one ``_plan``, which its
+lockstep walk calls too, and its orders, as vertex ids, are walked over
+the type's column of all offline vertices in one ``stars.plan_match``
+call, as the policy-LP value walks its policies.  The policy-LP matcher
 needs no free sets: a simulated probe ends an arrival with the same
 probability as a real one, so each offline vertex stays free with a
 product over steps of its own miss probabilities, whatever the other
@@ -101,8 +101,8 @@ from .stars import (
     _pack_orders,
     auto_solver,
     enumerated_orders,
-    induced_match,
     order_match,
+    plan_match,
     price,
     solver_by_name,
 )
@@ -112,7 +112,7 @@ COLUMN_CAP = 10_000
 MAX_ENUMERATED_POLICIES = 100_000
 BIG_PATIENCE = 10 ** 9
 TAPE_BLOCK = 192  # uniforms per RandomTape refill
-EXACT_CHUNK = 4096  # free sets per ``_exact_match`` call of a greedy exact value
+EXACT_CHUNK = 4096  # free sets per ``_plan`` call of a greedy exact value
 EXACT_MAX_OFFLINE = 20  # offline vertices a greedy exact value expands over
 RUN_SCAN_FIRST = 64  # columns of a run walk's first scan chunk
 RUN_FLOATS = 1 << 19  # most entries a run walk or a run cut holds in one temporary
@@ -530,9 +530,9 @@ class _GreedyTables(_Tables):
 
 
 class _GreedyMatcher(_TableCache):
-    """What the matchers for a fixed adversarial arrival order share: each
-    arrival probes a star over its still-unmatched neighbors, and the exact
-    value expands every outcome with the subclass's ``_exact_match``."""
+    """What the matchers for a fixed adversarial arrival order share: their
+    walk and exact value plan each arrival by ``_plan(tables, v, avail)``,
+    ``StarSolver.plan``'s answer with orders over the type's neighbors."""
 
     def exact_value(self, instance: MatchingInstance) -> float:
         """Exact expected matched weight, expanding every probe outcome.
@@ -540,12 +540,12 @@ class _GreedyMatcher(_TableCache):
         The state is the arrival step and the bitmask of still-free offline
         vertices.  A layer, every free set reachable before one step with
         its probability, is a pair of arrays, advanced one step at a time
-        in chunks of at most ``EXACT_CHUNK`` free sets: ``self._exact_match``
-        gives the arriving type's probability of matching each vertex on
-        every set of the chunk, and the remaining mass matches nothing.  The
-        next layer is summed in a dense ``1 << m`` accumulator, so each step
-        costs one ``_exact_match`` call per chunk plus ``O(2^m)``.  A step
-        whose type has no neighbor leaves the layer as it is."""
+        in chunks of at most ``EXACT_CHUNK`` free sets: the type's ``_plan``
+        on the chunk, walked over vertex ids (``stars.plan_match``), gives
+        the probability of matching each vertex, and the remaining mass
+        matches nothing.  The next layer is summed in a dense ``1 << m``
+        accumulator, so each step costs one plan and walk per chunk plus
+        ``O(2^m)``.  A step whose type has no neighbor leaves the layer as it is."""
         m = instance.m
         if m > EXACT_MAX_OFFLINE:
             raise CapacityError(f"exact expansion capped at {EXACT_MAX_OFFLINE} offline vertices")
@@ -558,12 +558,14 @@ class _GreedyMatcher(_TableCache):
             neigh = tables.neighbor_arrays[v]
             if not neigh.size:
                 continue
+            p, w = tables.probs[:, v], tables.weights[:, v]
             reached = np.zeros(1 << m)
             for a in range(0, states.size, EXACT_CHUNK):
                 free, prob = states[a:a + EXACT_CHUNK], probs[a:a + EXACT_CHUNK]
                 avail = (free[:, None] >> neigh & 1).astype(bool)
-                match = self._exact_match(instance, tables, v, avail)
-                total += float(prob @ (match * tables.weights[:, v]).sum(axis=1))
+                orders, lengths, randomized = self._plan(tables, v, avail)
+                match = plan_match(p, w, tables.patience[v], (neigh[orders], lengths, randomized))
+                total += float(prob @ (match * w).sum(axis=1))
                 r, u = np.nonzero(match > 0.0)
                 np.add.at(reached, free[r] & ~bit[u], prob[r] * match[r, u])
                 none = 1.0 - match.sum(axis=1)
@@ -595,22 +597,19 @@ class AdvGreedyMatcher(_GreedyMatcher):
         # of the star solvers only the LP policy returns randomized plans
         return _GreedyTables(instance, lambda p: (self.solver or auto_solver(p)).randomized)
 
-    def _exact_match(self, instance, tables, v, avail):
-        """Match probabilities of an arrival of type ``v`` on each row of
-        ``avail`` (its free neighbors): the solver's plan on each induced
-        star, walked by ``stars.induced_match``."""
-        neigh = tables.neighbor_arrays[v]
-        star, _ = instance.star_for(v, neigh.tolist())
-        match = np.zeros((len(avail), instance.m))
-        match[:, neigh] = induced_match(self.solver or auto_solver(star), star, avail)
-        return match
+    def _plan(self, tables, v, avail):
+        """The box's plans for type ``v`` on each row of ``avail``: one
+        ``StarSolver.plan`` call on a star cut from the table's arrays."""
+        neigh, pat = tables.neighbor_arrays[v], tables.patience[v]
+        return (self.solver or auto_solver(pat)).plan(StarBatch(
+            tables.probs[neigh, v][None], tables.weights[neigh, v][None], avail,
+            (pat.subset(neigh.tolist()),)))
 
-    def _find_rows(self, instance, tables, v, keys, free, first):
+    def _find_rows(self, tables, v, keys, free, first):
         """Type ``v``'s stored plan rows (a ``_PlanRows``) and the row of
         each of its packed free-set ``keys`` there; row ``first[i]`` of the
         boolean ``free`` marks the free neighbors of ``keys[i]``.  The keys
-        not stored yet, distinct already, are planned in one
-        ``StarSolver.plan`` call on the star of all of the type's neighbors,
+        not stored yet, distinct already, are planned in one ``_plan`` call,
         and their rows, written from its plans, become the type's store or
         are appended to it (``_PlanRows.add``); a randomized plan for a
         type whose draw bound allows only a policy walk raises
@@ -622,10 +621,9 @@ class AdvGreedyMatcher(_GreedyMatcher):
         found = list(map(index.get, names))
         if None in found:
             new = [i for i, at in enumerate(found) if at is None]
-            solver = self.solver or auto_solver(tables.patience[v])
-            star, _ = instance.star_for(v, neigh.tolist())
-            orders, lengths, randomized = solver.plan(StarBatch.induced(star, free[first[new]]))
+            orders, lengths, randomized = self._plan(tables, v, free[first[new]])
             if randomized and not tables.randomized[v]:
+                solver = self.solver or auto_solver(tables.patience[v])
                 raise StochmatchError(
                     f"star solver {solver.name!r} returned a randomized plan for type "
                     f"{v}, whose draw bound allowed only a policy walk's uniforms")
@@ -671,7 +669,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
                 continue
             free = avail[rows]
             keys, group, first = _distinct_rows(free)
-            store, found = self._find_rows(instance, tables, v, keys, free, first)
+            store, found = self._find_rows(tables, v, keys, free, first)
             plan = found[group]
             walks = store.kind[plan] == 1
             if walks.any():
@@ -740,25 +738,22 @@ class SimpleGreedyMatcher(_GreedyMatcher):
     def _new_tables(self, instance) -> _SimpleTables:
         return _SimpleTables(instance)
 
-    def _exact_match(self, instance, tables, v, avail):
-        """Match probabilities of an arrival of type ``v`` on each row of
-        ``avail`` (its free neighbors): its free neighbors ranked in rule
-        order, as ``run_lockstep`` ranks them."""
-        neigh = tables.neighbor_arrays[v]
+    def _plan(self, tables, v, avail):
+        """An arrival of type ``v`` on each row of ``avail`` probes its free
+        neighbors in rule order, at most ``caps[v]`` of them."""
         if self.rule == "last":
-            neigh, avail = neigh[::-1], avail[:, ::-1]
+            avail = avail[:, ::-1]
         width = tables.caps[v]
         ranked = np.argsort(~avail, axis=1, kind="stable")[:, :width]
-        length = np.minimum(np.count_nonzero(avail, axis=1), width)
-        return order_match(tables.probs[:, v], tables.patience[v], neigh[ranked], length)
+        lengths = np.minimum(np.count_nonzero(avail, axis=1), width)
+        return (avail.shape[1] - 1 - ranked if self.rule == "last" else ranked), lengths, {}
 
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts.
         A run of arrivals that each probe once is one step
-        (``_Lockstep.walk_run``); any other arrival walks its free neighbors
-        in rule order.  ``log`` is a one-row batch's probe log (see
-        ``_Lockstep``)."""
+        (``_Lockstep.walk_run``); any other arrival walks its ``_plan``.
+        ``log`` is a one-row batch's probe log (see ``_Lockstep``)."""
         tables = self._tables(instance)
         if tables.runs is None:
             tables.cut_runs(instance)
@@ -767,18 +762,15 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             neigh = tables.neighbor_arrays[v]
             if not neigh.size:
                 continue
-            if self.rule == "last":
-                neigh = neigh[::-1]
             if tables.once[v]:
-                state.walk_run(tables, start, tables.order[start:stop], neigh)
+                state.walk_run(tables, start, tables.order[start:stop],
+                               neigh[::-1] if self.rule == "last" else neigh)
                 continue
             avail = state.free[:, neigh]
-            length = np.count_nonzero(avail, axis=1)
-            rows = np.flatnonzero(length)
+            rows = np.flatnonzero(avail.any(axis=1))
             if rows.size:
-                ranked = np.argsort(~avail[rows], axis=1, kind="stable")[:, :tables.caps[v]]
-                state.walk(tables, start, rows, np.full(rows.size, v), neigh[ranked],
-                           length[rows])
+                orders, lengths, _ = self._plan(tables, v, avail[rows])
+                state.walk(tables, start, rows, np.full(rows.size, v), neigh[orders], lengths)
         return state.result()
 
 
@@ -808,8 +800,8 @@ def build_benchmark_lp(instance: MatchingInstance,
     exact star optimum, giving a strictly tighter bound; this needs an
     exact star solver for the patience variant and at most
     ``STAR_CONSTRAINT_MAX_OFFLINE`` offline vertices.  Each type's subsets
-    are planned in one ``StarSolver.plan`` call (``selector`` if given) and
-    valued by ``stars.induced_match``.
+    of its neighbors are planned in one ``StarSolver.plan`` call
+    (``selector`` if given) and valued by ``stars.plan_match``.
     """
     m, n = instance.m, instance.n_types
     W = instance.weights_matrix()
@@ -826,12 +818,14 @@ def build_benchmark_lp(instance: MatchingInstance,
         within = np.array([[u in s for u in range(m)] for r in range(1, m + 1)
                            for s in itertools.combinations(range(m), r)])
         for v in range(n):
-            star, items = instance.star_for(v, range(m))
+            items = np.flatnonzero(P[:, v] > 0.0)
+            p, w, pat = P[items, v], W[items, v], instance.patience[v].subset(items.tolist())
             solver = selector or _exact_solver_for(instance.patience[v])
             block = np.zeros((len(within), m, n))
             block[:, :, v] = np.where(within, P[:, v] * W[:, v], 0.0)
             rows.append(block.reshape(len(within), nv))
-            rhs.append(induced_match(solver, star, within[:, items]) @ np.asarray(star.weights))
+            plan = solver.plan(StarBatch(p[None], w[None], within[:, items], (pat,)))
+            rhs.append(plan_match(p, w, pat, plan) @ w)
     A = np.vstack(rows)
     return lp.LpProblem.make((P * W).reshape(nv), A, [lp.LE] * len(A), np.concatenate(rhs),
                              lb=np.zeros(nv), ub=np.ones(nv))

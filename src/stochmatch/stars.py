@@ -20,9 +20,10 @@ provides
   policy: every draw ends the arrival with the drawn item's success
   probability, real probe or simulated, so survival does not depend on
   what was probed and no expansion over probed sets is needed, and
-* the induced-star walk (``induced_match``) and the adjusted-weight
-  pricing problem of column generation (``price``), each one ``plan`` call
-  and one walk.
+* the walk of any ``plan`` answer whose orders index a probability vector
+  (``plan_match``: greedy exact values, LP2's star-cap rows), and the
+  adjusted-weight pricing problem of column generation (``price``), one
+  ``plan`` call and one walk.
 """
 
 from __future__ import annotations
@@ -619,19 +620,18 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return words[first], group, first
 
 
-def induced_match(solver: StarSolver, star: StarInstance, avail) -> np.ndarray:
-    """Match probabilities, ``(L, n)`` over the items of ``star``, of
-    ``solver``'s plan on each induced star ``star.with_items(
-    np.flatnonzero(avail[i]))``, one per row of the boolean ``avail``: every
-    row planned in one ``solver.plan`` call, every plan's order walked in
-    one ``order_match`` call, and a randomized plan's row then replaced on
-    its items, the only entries its walk wrote, by
-    ``randomized_match_probabilities``."""
-    orders, lengths, randomized = solver.plan(StarBatch.induced(star, avail))
-    match = order_match(star.probs, star.patience, orders, lengths)
+def plan_match(probs, weights, patience, plan) -> np.ndarray:
+    """Match probabilities, ``(L, n)`` over the ``n`` items of the array
+    ``probs``, of a ``StarSolver.plan`` answer whose orders index them: one
+    ``order_match`` walk, then each randomized row replaced on its items,
+    the only entries its walk wrote, by ``randomized_match_probabilities``
+    on their star (their ``probs``, ``weights`` and ``patience``)."""
+    orders, lengths, randomized = plan
+    match = order_match(probs, patience, orders, lengths)
     for g, rsp in randomized.items():
         items = orders[g, :lengths[g]]
-        match[g, items] = randomized_match_probabilities(star.with_items(items.tolist()), rsp)
+        match[g, items] = randomized_match_probabilities(StarInstance.make(
+            weights[items], probs[items], patience.subset(items.tolist())), rsp)
     return match
 
 

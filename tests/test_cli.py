@@ -218,13 +218,20 @@ def _set_theta(data):
     data["patience"][0]["theta"] = "x"
 
 
+def _one_row_probs(data):  # with one shared patience object
+    data["probs"], data["patience"] = data["probs"][0], data["patience"][0]
+
+
 @pytest.mark.parametrize("mutate", [
     _set("probs", "abc"),
     _set("probs", [[0.5, 0.5], [0.5]]),
     _set_theta,
     _set("patience", 5),
+    _one_row_probs,
+    _set("arrivals", {"type": "prophet", "q_tv": [0.5, 0.5, 0.5]}),
     None,  # bytes that are not UTF-8
-], ids=["probs-string", "ragged-probs", "theta-string", "patience-number", "not-utf8"])
+], ids=["probs-string", "ragged-probs", "theta-string", "patience-number", "probs-1d",
+        "q_tv-1d", "not-utf8"])
 def test_match_run_malformed_values_exit_2(tmp_path, capsys, mutate):
     path = tmp_path / "adv.json"
     run(capsys, "gen", "single-offline", "-n", "3", "-o", str(path))

@@ -8,6 +8,7 @@ optimum, which sums nothing in a new order, is equal.
 """
 
 import importlib
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from stochmatch.matching import (
     PolicyLpMatcher,
     ProphetLpResult,
     SimpleGreedyMatcher,
+    build_benchmark_lp,
 )
 from stochmatch.simulate import SimConfig, brute_force_offline_opt, simulate
 from stochmatch.stars import (
@@ -209,6 +211,42 @@ def test_an_overridden_dp_solve_plans_per_set_and_agrees():
     assert _PlanningDp.calls > 0
     batched = AdvGreedyMatcher(solver_by_name("dp")).exact_value(inst)
     assert batched == pytest.approx(per_set, rel=0.0, abs=1e-12)
+
+
+def test_greedy_plans_and_star_cap_rows_build_no_star_of_a_type():
+    # each greedy matcher plans on its table's arrays and walks over vertex
+    # ids, and LP2's star-cap rows plan on the instance's columns: none of
+    # them asks the instance for a type's star, cold walks and exact values
+    # alike (the oracle below does, once the patch is gone)
+    base = hard.gen_random_matching(4, 5, 6, "adversarial")
+
+    def with_patience(patience):
+        return MatchingInstance.make(base.probs, patience, base.arrivals,
+                                     edge_weights=base.edge_weights)
+
+    box_instances = {
+        "dp": base,
+        "hazard": with_patience(PatienceModel.constant_hazard(rates=np.linspace(0.1, 0.7, 5))),
+        "lp": with_patience(PatienceModel.survival((1.0, 0.6, 0.3))),
+    }
+    patient = with_patience([PatienceModel.deterministic(2 + v % 2) for v in range(6)])
+    cases = [(partial(AdvGreedyMatcher, solver_by_name(name)), inst)
+             for name, inst in box_instances.items()]
+    cases += [(partial(SimpleGreedyMatcher, rule), patient) for rule in ("first", "last")]
+
+    def refuse(self, v, available):
+        raise AssertionError(f"star_for({v}, ...) called")
+
+    with mock.patch.object(MatchingInstance, "star_for", refuse):
+        for make, inst in cases:
+            simulate(inst, make(), SimConfig(2, 300), threads=1)
+        values = [make().exact_value(inst) for make, inst in cases]
+        for name, inst in (("dp", base), ("brute", box_instances["lp"]),
+                           ("hazard", box_instances["hazard"])):
+            build_benchmark_lp(inst, include_star_constraints=True,
+                               selector=solver_by_name(name))
+    for (make, inst), value in zip(cases, values):
+        assert value == pytest.approx(oracle.matcher_value(make(), inst), rel=0.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
