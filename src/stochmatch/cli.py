@@ -133,7 +133,7 @@ def cmd_lp(args) -> int:
         problem = build_benchmark_lp(instance, include_star_constraints=(which == "lp2"))
     sol = lp.solve(problem)
     print(f"{which} objective: {f6(sol.objective)}")
-    if which == "lp1":
+    if which != "lp6":
         print(f"rows held back: {len(lp.held_rows(problem))}   added: {sol.rows_added}")
     if args.dump:
         sys.stdout.write(lp.dumps_lp(problem))

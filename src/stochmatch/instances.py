@@ -462,7 +462,8 @@ def _check_finite(values, what: str, out: list[str], label: str = "") -> None:
         out.append(f"{label}non-finite {what}")
 
 
-def _check_patience(p: PatienceModel, out: list[str], label: str = "") -> None:
+def _check_patience(p: PatienceModel, items: int, out: list[str], label: str = "") -> None:
+    """Report what is wrong with patience ``p`` over ``items`` items."""
     if p.kind == DETERMINISTIC:
         if p.theta is None or p.theta < 0:
             out.append(f"{label}deterministic patience must be >= 0, got {p.theta}")
@@ -484,6 +485,8 @@ def _check_patience(p: PatienceModel, out: list[str], label: str = "") -> None:
         for i, r in enumerate(rates):
             if not (0.0 - ABS_TOL <= r <= 1.0 + ABS_TOL):
                 out.append(f"{label}hazard rate out of range at index {i + 1}: {r}")
+        if p.r is not None and len(p.r) != items:
+            out.append(f"{label}per-item hazard rates do not match item count")
     else:
         out.append(f"{label}unknown patience kind {p.kind!r}")
 
@@ -502,10 +505,7 @@ def validate(instance) -> ValidationReport:
         for i, w in enumerate(instance.weights):
             if w < -ABS_TOL:
                 out.append(f"negative weight at item {i + 1}: {w}")
-        _check_patience(instance.patience, out)
-        if (instance.patience.kind == HAZARD and instance.patience.r is not None
-                and len(instance.patience.r) != instance.n):
-            out.append("per-item hazard rates do not match item count")
+        _check_patience(instance.patience, instance.n, out)
     elif isinstance(instance, MatchingInstance):
         m, n = instance.probs.shape
         if instance.edge_weights is not None and instance.edge_weights.shape != (m, n):
@@ -523,7 +523,7 @@ def validate(instance) -> ValidationReport:
         if len(instance.patience) != n:
             out.append("patience list length does not match online type count")
         for v, p in enumerate(instance.patience):
-            _check_patience(p, out, label=f"type {v + 1}: ")
+            _check_patience(p, m, out, label=f"type {v + 1}: ")
         arr = instance.arrivals
         if arr.kind == ADVERSARIAL:
             if sorted(arr.order) != list(range(n)):

@@ -38,23 +38,35 @@ a nonbasic, so no tolerance is silently clipped away.  In Bland mode a
 pivot below ``REL_PIVOT_TOL`` times the largest candidate is taken only
 when no other row blocks.  The dual simplex uses the same test.
 
-A problem may mark rows ``lazy``.  Where there are at least
+A problem may mark rows ``lazy``, as LP1 marks its suffix rows past the
+first attempt and LP2 its star-cap rows.  Where there are at least
 ``LAZY_ROWS_PER_ROW`` of them per other row, and no handle resumes the
 solve, they are held back (Grötschel, Lovász & Schrijver 1981): the loop
 solves the other rows, the working set, then joins the held rows that
 the refined x violates by more than ``LAZY_VIOLATION`` times the
 certificate's tolerance to the kept standard form with their slacks
 basic, so the transposed inverse grows by a bordered block and the basis
-stays dual feasible.  Dual simplex pivots (Koberstein 2005) restore
-primal feasibility, the most negative basic value leaving, and the next
-round refines x again.  A round that joins no row prices with the refined
-duals, and only a column that prices in refactorizes the basis and
-resumes the primal simplex.  With nothing held the loop joins no row.  A
-working set that is unbounded, fails numerically or that a joined row
-leaves infeasible is solved again with nothing held.  Near the crossover
-the rounds cost what the smaller basis saves: 40 LP1 stars of 8, 10 and
-12 items take 48.6, 54.9 and 80.0 ms on a working set, against 46.7,
-60.9 and 107.0 ms in full.
+stays dual feasible.  The join test reads the held rows in place, and
+only the rows that join are copied.  Dual simplex pivots (Koberstein
+2005) restore primal feasibility, the most negative basic value leaving,
+and the next round refines x again.  A round that joins no row prices
+with the refined duals, and only a column that prices in refactorizes
+the basis and resumes the primal simplex.  With nothing held the loop
+joins no row.  A working set that is unbounded, fails numerically or
+that a joined row leaves infeasible is solved again with nothing held.
+Near the crossover the rounds cost what the smaller basis saves: 40 LP1
+stars of 8, 10 and 12 items take 48.6, 54.9 and 80.0 ms on a working
+set, against 46.7, 60.9 and 107.0 ms in full.
+
+The size guard counts ``r * (k + 4 r)`` dense entries for ``r``
+standard-form rows and ``k`` structural columns (``S``, the inverse, and
+at a refactorization the basis matrix and ``np.linalg.inv``'s two LAPACK
+copies of it) against ``MAX_DENSE_ENTRIES``: for the working set when the
+loop starts, again when rows join, and for the full problem only when
+that is solved.  So the rows that join bound a solve, not all the held
+rows: LP2 of 12 offline vertices and one online vertex joins 1,024 of its
+4,095 star caps, and LP2 of an 8 x 8 instance takes 0.06 s against 1.6 s
+with every row (CPU time, one BLAS thread).
 
 Every ``optimal`` answer carries a certificate: x and the duals come from
 the kept inverse, improved by one step of iterative refinement (Higham
@@ -64,7 +76,9 @@ drifted), the basis is refactorized and the primal simplex resumes.
 ``solve`` raises ``LpNumericalError`` unless x and the duals are finite,
 the primal residual is at most ``CERT_TOL * (1 + max|b|)`` on every row
 and no dual has the wrong sign by more than ``DUAL_TOL * (1 + max|c|)``; a
-row that never joined has a zero dual.  Pivoting is deterministic, so
+row that never joined has a zero dual.  The certificate computes these
+two residuals only; ``solution_residuals`` adds the complementary-slackness
+term to the same formula.  Pivoting is deterministic, so
 repeated solves are bit-identical at a fixed BLAS thread count; another
 thread count can change the last bits of x and the duals.
 
@@ -97,7 +111,7 @@ CERT_TOL = 1e-9       # largest certified primal residual
 DUAL_TOL = 1e-7       # largest certified wrong-signed dual, relative to 1 + max|c|
 REFACTOR_EVERY = 100
 SPARSE_UPDATE_ROWS = 64  # from this many rows, a pivot gathers the inverse's changed rows
-MAX_DENSE_ENTRIES = 30_000_000  # desk scale; see the size guard in ``solve``
+MAX_DENSE_ENTRIES = 30_000_000  # desk scale; see the size guard in ``_check_size``
 ITERATIONS_BASE = 5000    # simplex pivots allowed per phase: the base,
 ITERATIONS_PER_DIM = 60   # plus this many per standard-form row and column
 LAZY_ROWS_PER_ROW = 3.5   # hold lazy rows back from this many per other row on
@@ -622,7 +636,8 @@ def solve(problem: LpProblem, start: KeptBasis | None = None) -> LpSolution:
     refills it.  Otherwise the ``held_rows`` wait outside a working set,
     and the full problem is solved when that fails.  Raises
     ``CapabilityError`` unless the problem is a packing LP (every row
-    ``<=`` with b >= 0, every lower bound 0), and ``LpNumericalError``
+    ``<=`` with b >= 0, every lower bound 0), ``CapacityError`` when the
+    size guard's count passes ``MAX_DENSE_ENTRIES``, and ``LpNumericalError``
     when the certificate fails, when a basis is singular, or when the
     pivot tolerance cannot make progress within the iteration budget even
     after the Bland's-rule fallback.
@@ -630,12 +645,6 @@ def solve(problem: LpProblem, start: KeptBasis | None = None) -> LpSolution:
     if (problem.senses.count(LE) < problem.n_rows or (problem.b < 0.0).any()
             or problem.lb.any()):
         raise CapabilityError("lp.solve takes packing LPs only: <= rows, b >= 0, lower bounds 0")
-    # the dense entries held at once: S, the inverse and the basis matrix
-    # refactor and _refine build beside it (a 2,128-row LP2 peaks at 1.01
-    # times this); np.linalg.inv's LAPACK copies of B are not counted
-    est_rows = problem.n_rows + int(np.count_nonzero(np.isfinite(problem.ub)))
-    if est_rows * (problem.n_vars + 2 * est_rows) > MAX_DENSE_ENTRIES:
-        raise CapacityError("problem too large for the dense exact solver")
     st = None if start is None else start._take(problem)
     held = held_rows(problem) if st is None else np.zeros(0, dtype=int)
     if len(held):
@@ -646,6 +655,13 @@ def solve(problem: LpProblem, start: KeptBasis | None = None) -> LpSolution:
         if sol is not None:
             return sol
     return _run(problem, held[:0], st, start)
+
+
+def _check_size(rows: int, cols: int) -> None:
+    """The size guard of the module docstring, for a standard form of
+    ``rows`` rows and ``cols`` structural columns."""
+    if rows * (cols + 4 * rows) > MAX_DENSE_ENTRIES:
+        raise CapacityError("problem too large for the dense exact solver")
 
 
 def held_rows(problem: LpProblem) -> np.ndarray:
@@ -666,6 +682,7 @@ def _run(problem: LpProblem, held: np.ndarray, st: _Basis | None,
     duals, a primal simplex that takes no pivot ends the loop
     (``stalled``)."""
     work = np.delete(np.arange(problem.n_rows), held)
+    _check_size(len(work) + int(np.count_nonzero(np.isfinite(problem.ub))), problem.n_vars)
     how = "warm"
     if st is None:
         rows = work if len(held) else slice(None)
@@ -673,19 +690,23 @@ def _run(problem: LpProblem, held: np.ndarray, st: _Basis | None,
         m = len(std.b)
         st, how = _Basis(std, std.n_struct + np.arange(m), np.eye(m), std.b.copy()), "identity"
     std = st.std
-    A, b = problem.A[held], problem.b[held]
-    b_scale = max(std.b_scale, 1.0 + float(np.abs(b).max(initial=0.0)))
-    tol, m_work = HARRIS_TOL * b_scale, len(std.b)
+    b_scale = max(std.b_scale, 1.0 + float(np.abs(problem.b).max(initial=0.0)))
+    tol, bound, m_work = HARRIS_TOL * b_scale, LAZY_VIOLATION * CERT_TOL * b_scale, len(std.b)
     status, it = _simplex_phase(st, tol)
-    added, left, stalled = [], np.ones(len(held), dtype=bool), False
+    added, stalled = [], False
+    left = np.zeros(problem.n_rows, dtype=bool)
+    left[held] = True
     while status == OPTIMAL:
         x_int, y = _refine(std, st)
         x = x_int[: std.n_struct].copy()  # a view would keep all of x_int alive
-        join = (A @ x - b > LAZY_VIOLATION * CERT_TOL * b_scale) & left
-        if join.any():
-            left &= ~join
-            st.add_rows(A[join], b[join])
-            added.append(held[join])
+        join = held[:0]
+        if left.any():  # the held rows are read in place, not copied
+            join = np.flatnonzero((problem.A @ x - problem.b > bound) & left)
+        if len(join):
+            _check_size(len(std.b) + len(join), std.n_struct)
+            left[join] = False
+            st.add_rows(problem.A[join], problem.b[join])
+            added.append(join)
             status, k = _dual_phase(st, tol)
             it, stalled = it + k, False
             continue
@@ -716,15 +737,10 @@ def _run(problem: LpProblem, held: np.ndarray, st: _Basis | None,
 # Diagnostics
 # ---------------------------------------------------------------------------
 
-def solution_residuals(problem: LpProblem, sol: LpSolution) -> dict:
-    """Max feasibility and complementary-slackness residuals of a solution.
-
-    ``primal``: constraint/bound violation; ``dual``: wrong-signed dual;
-    ``cs``: max over rows of |dual * row slack| and over columns of
-    |reduced cost * distance to the active bound| (scaled check used by the
-    test-suite invariants).
-    """
-    x, y = np.asarray(sol.x, dtype=float), np.asarray(sol.duals, dtype=float)
+def _residuals(problem: LpProblem, x: np.ndarray, y: np.ndarray):
+    """The primal and dual residuals of ``solution_residuals`` for x and
+    the row duals y, with the row slacks, the reduced costs and the mask of
+    the columns off their bounds, which its ``cs`` term reads."""
     slack = problem.b - problem.A @ x
     if problem.senses.count(LE) == problem.n_rows:  # a packing LP skips the senses array
         viol, wrong = -slack, -y
@@ -734,29 +750,41 @@ def solution_residuals(problem: LpProblem, sol: LpSolution) -> dict:
         viol = np.where(le, -slack, np.where(ge, slack, np.abs(slack)))
         wrong = np.where(le, -y, np.where(ge, y, 0.0))
     # np.max, unlike Python's max, carries a NaN through
-    primal = float(np.max([0.0, np.max(viol, initial=0.0),
-                           np.max(problem.lb - x, initial=0.0),
-                           np.max(x - problem.ub, initial=0.0)]))
+    primal = float(np.max(np.concatenate([viol, problem.lb - x, x - problem.ub]), initial=0.0))
     rc = problem.c - y @ problem.A
     at_lb = x <= problem.lb + FEAS_TOL
     at_ub = x >= problem.ub - FEAS_TOL
-    dual = float(np.max([0.0, np.max(wrong, initial=0.0),
-                         np.max(rc[at_lb & ~at_ub], initial=0.0),     # at lower bound: rc <= 0
-                         np.max(-rc[at_ub & ~at_lb], initial=0.0)]))  # at upper bound: rc >= 0
+    dual = float(np.max(np.concatenate([wrong,
+                                        rc[at_lb & ~at_ub],     # at lower bound: rc <= 0
+                                        -rc[at_ub & ~at_lb]]),  # at upper bound: rc >= 0
+                        initial=0.0))
+    return primal, dual, slack, rc, ~at_lb & ~at_ub
+
+
+def solution_residuals(problem: LpProblem, sol: LpSolution) -> dict:
+    """Max feasibility and complementary-slackness residuals of a solution.
+
+    ``primal``: constraint/bound violation; ``dual``: wrong-signed dual;
+    ``cs``: max over rows of |dual * row slack| and over columns of
+    |reduced cost * distance to the active bound| (scaled check used by the
+    test-suite invariants).
+    """
+    y = np.asarray(sol.duals, dtype=float)
+    primal, dual, slack, rc, inside = _residuals(problem, np.asarray(sol.x, dtype=float), y)
     cs = float(np.max([np.max(np.abs(y * slack), initial=0.0),
-                       np.max(np.abs(rc[~at_lb & ~at_ub]), initial=0.0)]))  # interior: rc = 0
+                       np.max(np.abs(rc[inside]), initial=0.0)]))  # interior: rc = 0
     return {"primal": primal, "dual": dual, "cs": cs}
 
 
 def _certify(problem: LpProblem, sol: LpSolution, b_scale: float) -> None:
     if not (np.isfinite(sol.x).all() and np.isfinite(sol.duals).all()):
         raise LpNumericalError("solution fails its certificate: non-finite x or duals")
-    res = solution_residuals(problem, sol)
+    primal, dual = _residuals(problem, sol.x, sol.duals)[:2]
     # negated comparisons, so that a NaN residual fails too
-    if not res["primal"] <= CERT_TOL * b_scale:
-        raise LpNumericalError(f"solution fails its certificate: primal residual {res['primal']:.3g}")
-    if not res["dual"] <= DUAL_TOL * (1.0 + float(np.abs(problem.c).max(initial=0.0))):
-        raise LpNumericalError(f"solution fails its certificate: wrong-signed dual {res['dual']:.3g}")
+    if not primal <= CERT_TOL * b_scale:
+        raise LpNumericalError(f"solution fails its certificate: primal residual {primal:.3g}")
+    if not dual <= DUAL_TOL * (1.0 + float(np.abs(problem.c).max(initial=0.0))):
+        raise LpNumericalError(f"solution fails its certificate: wrong-signed dual {dual:.3g}")
 
 
 def dumps_lp(problem: LpProblem) -> str:

@@ -801,7 +801,9 @@ def build_benchmark_lp(instance: MatchingInstance,
     exact star solver for the patience variant and at most
     ``STAR_CONSTRAINT_MAX_OFFLINE`` offline vertices.  Each type's subsets
     of its neighbors are planned in one ``StarSolver.plan`` call
-    (``selector`` if given) and valued by ``stars.plan_match``.
+    (``selector`` if given) and valued by ``stars.plan_match``.  The
+    star-cap rows are ``lazy``: ``lp.solve`` holds them back and joins the
+    ones its working set violates, so its size guard counts only those.
     """
     m, n = instance.m, instance.n_types
     W = instance.weights_matrix()
@@ -828,7 +830,7 @@ def build_benchmark_lp(instance: MatchingInstance,
             rhs.append(plan_match(p, w, pat, plan) @ w)
     A = np.vstack(rows)
     return lp.LpProblem.make((P * W).reshape(nv), A, [lp.LE] * len(A), np.concatenate(rhs),
-                             lb=np.zeros(nv), ub=np.ones(nv))
+                             lb=np.zeros(nv), ub=np.ones(nv), lazy=np.arange(len(A)) >= m + 2 * n)
 
 
 def benchmark_lp_value(instance, include_star_constraints=False) -> float:

@@ -413,7 +413,9 @@ def build_arbitrary_patience_lp(star: StarInstance, multiplicity=None) -> lp.LpP
     np.multiply(p[:, None], np.tri(T, k=-1)[:, None, :], out=attempt.reshape(T, n, T))
     # suffix row (j, t'): m_j F_t', plus q̂_t / q̂_t' on y_{j,t}, t >= t'
     np.multiply(copies[:, None, None], attempt, out=A[:nx].reshape(n, T, nx))
-    A[:nx].reshape(n, T, n, T)[np.arange(n), :, np.arange(n)] += np.triu(q / q[:, None])
+    # only the kept entries are divided: below the diagonal q̂_t / q̂_t' could overflow
+    A[:nx].reshape(n, T, n, T)[np.arange(n), :, np.arange(n)] += np.divide(
+        q, q[:, None], out=np.zeros((T, T)), where=~np.tri(T, k=-1, dtype=bool))
     attempt.reshape(T, n, T)[np.arange(T), :, np.arange(T)] = 1.0
     lazy = np.zeros((n + 1, T), dtype=bool)
     lazy[:n, 1:] = True

@@ -229,9 +229,10 @@ def _one_row_probs(data):  # with one shared patience object
     _set("patience", 5),
     _one_row_probs,
     _set("arrivals", {"type": "prophet", "q_tv": [0.5, 0.5, 0.5]}),
+    _set("patience", {"type": "hazard", "r": [0.1, 0.2, 0.3]}),  # 1 offline vertex
     None,  # bytes that are not UTF-8
 ], ids=["probs-string", "ragged-probs", "theta-string", "patience-number", "probs-1d",
-        "q_tv-1d", "not-utf8"])
+        "q_tv-1d", "hazard-rates-length", "not-utf8"])
 def test_match_run_malformed_values_exit_2(tmp_path, capsys, mutate):
     path = tmp_path / "adv.json"
     run(capsys, "gen", "single-offline", "-n", "3", "-o", str(path))

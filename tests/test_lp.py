@@ -12,7 +12,13 @@ from scipy.optimize import linprog
 import stochmatch
 from stochmatch import hard_instances as hard
 from stochmatch import lp
-from stochmatch.instances import CapabilityError, CapacityError, LpNumericalError
+from stochmatch.instances import (
+    CapabilityError,
+    CapacityError,
+    LpNumericalError,
+    MatchingInstance,
+    PatienceModel,
+)
 from stochmatch.lp import (
     LpProblem,
     OPTIMAL,
@@ -637,16 +643,104 @@ def test_solution_residuals_of_a_packing_lp_match_its_rows_written_as_ge():
     assert checked > 10
 
 
-def test_the_size_guard_counts_the_columns_and_two_square_arrays(monkeypatch):
+def test_the_size_guard_counts_the_columns_and_four_square_arrays(monkeypatch):
     # 3 rows, 2 variables, one of them bounded: 4 standard-form rows, and
-    # S (4 x 2), the inverse and the basis matrix (4 x 4 each)
+    # S (4 x 2), the inverse, the basis matrix and np.linalg.inv's two
+    # LAPACK copies of it (4 x 4 each)
     p = LpProblem.make([1.0, 1.0], np.ones((3, 2)), ["<="] * 3, [1.0, 2.0, 3.0],
                        ub=[0.5, np.inf])
-    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", 4 * (2 + 2 * 4))
+    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", 4 * (2 + 4 * 4))
     assert solve(p).objective == pytest.approx(1.0)
-    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", 4 * (2 + 2 * 4) - 1)
+    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", 4 * (2 + 4 * 4) - 1)
     with pytest.raises(CapacityError):
         solve(p)
+
+
+def test_the_size_guard_counts_the_working_set_and_each_join(monkeypatch):
+    # LP1 of an 8-item star: 16 rows in the working set and 56 held.  The
+    # rows that join set the count, not the full problem's 72 rows, and
+    # the full-problem fallback counts all of them
+    p = _lp1(0, 8)
+    first = solve(p)
+    rows = p.n_rows - len(lp.held_rows(p)) + first.rows_added
+    assert 0 < first.rows_added < len(lp.held_rows(p))
+
+    def count(rows):
+        return rows * (p.n_vars + 4 * rows)
+
+    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", count(rows))
+    sol = solve(p)
+    assert sol.rows_added == first.rows_added and sol.objective == first.objective
+    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", count(rows) - 1)
+    with pytest.raises(CapacityError):
+        solve(p)  # the working set fits, and a join passes the count
+
+    def fails(st, tol):
+        raise LpNumericalError("the working set fails")
+
+    monkeypatch.setattr(lp, "_dual_phase", fails)  # the full problem takes no dual pivot
+    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", count(p.n_rows))
+    assert _objectives_agree(solve(p).objective, first.objective)
+    monkeypatch.setattr(lp, "MAX_DENSE_ENTRIES", count(p.n_rows) - 1)
+    with pytest.raises(CapacityError):
+        solve(p)
+
+
+def test_lp1_solve_copies_no_held_block():
+    # n = 15: 210 suffix rows held, 378 KB of them, which each solve once
+    # copied; the working set and its joined rows take less
+    for seed in range(4):
+        p = _lp1(seed, 15)
+        held = lp.held_rows(p)
+        assert len(held) == 15 * 14
+        tracemalloc.start()
+        try:
+            sol = solve(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.status == OPTIMAL and sol.rows_added > 0
+        assert peak < p.A[held].nbytes, seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=strategies.integers(0, 2**32 - 1), m=strategies.integers(1, 6),
+       n=strategies.integers(1, 4),
+       kind=strategies.sampled_from(["deterministic", "hazard", "item-hazard"]))
+def test_lp2_with_held_star_caps_equals_the_full_solve_and_highs(seed, m, n, kind):
+    inst = hard.gen_random_matching(seed, m, n, "adversarial")
+    if kind != "deterministic":
+        rates = np.random.default_rng(seed).uniform(0.0, 0.6, (n, m))
+        patience = [PatienceModel.constant_hazard(rates=r) if kind == "item-hazard"
+                    else PatienceModel.constant_hazard(rate=r[0]) for r in rates]
+        inst = MatchingInstance.make(inst.probs, patience, inst.arrivals,
+                                     edge_weights=inst.edge_weights)
+    p = build_benchmark_lp(inst, include_star_constraints=True)
+    assert p.lazy.sum() == n * (2 ** m - 1)  # every star-cap row, and no other
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "LAZY_ROWS_PER_ROW", 0.0)  # small instances take the loop too
+        assert len(lp.held_rows(p)) == n * (2 ** m - 1)
+        sol = solve(p)
+    full, ref = solve(dataclasses.replace(p, lazy=None)), -_scipy_solve(p).fun
+    assert sol.status == full.status == OPTIMAL
+    assert _objectives_agree(sol.objective, full.objective)
+    assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref))
+    res = solution_residuals(p, sol)
+    assert res["primal"] <= lp.CERT_TOL * (1.0 + np.abs(p.b).max())
+    assert res["dual"] <= lp.DUAL_TOL * (1.0 + np.abs(p.c).max())
+
+
+@pytest.mark.parametrize("seed, m, n", [(0, 10, 4), (0, 12, 1)])
+def test_lp2_past_the_full_problems_size_joins_few_star_caps(seed, m, n):
+    # the full problems (4,150 and 4,121 standard-form rows) are past the
+    # size guard, and their working sets with the joined rows are not
+    p = build_benchmark_lp(hard.gen_random_matching(seed, m, n, "adversarial"),
+                           include_star_constraints=True)
+    rows = p.n_rows + p.n_vars
+    assert rows * (p.n_vars + 4 * rows) > lp.MAX_DENSE_ENTRIES
+    sol = solve(p)
+    assert sol.status == OPTIMAL and 0 < sol.rows_added < len(lp.held_rows(p))
+    assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

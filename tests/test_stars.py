@@ -472,6 +472,19 @@ def test_lp1_build_equals_the_row_by_row_build(kind):
     assert built >= 60
 
 
+def test_lp1_build_divides_only_the_kept_survival_ratios():
+    # q̂_0 / q̂_2 = 1e310 lies below the diagonal the build keeps; dividing
+    # it overflowed, with a RuntimeWarning, before the build was zeroed there
+    star = StarInstance.make([1.0, 2.0, 3.0], [0.5, 0.4, 0.3],
+                             PatienceModel.survival([1.0, 1e-200, 1e-310]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = build_arbitrary_patience_lp(star)
+    ref = _packing_lp_by_rows(star)
+    assert got.A.shape == (3 * 3 + 3, 3 * 3)
+    assert np.array_equal(got.A, ref.A) and got.A.tobytes() == ref.A.tobytes()
+
+
 def _highs_objective(problem):
     """HiGHS's dual simplex at feasibility tolerances of 1e-10 and without
     scaling: at its default of 1e-7 it ended 3.7e-8 below the paper form's
