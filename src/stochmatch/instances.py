@@ -411,16 +411,6 @@ class MatchingInstance:
             return np.tile(np.asarray(self.vertex_weights)[:, None], (1, self.n_types))
         return np.asarray(self.edge_weights)
 
-    def star_for(self, v: int, available) -> tuple[StarInstance, list[int]]:
-        """Star induced by type ``v`` on the offline vertices in ``available``
-        that are its neighbors; returns the star and the global indices of
-        its items."""
-        idx = [u for u in available if self.probs[u, v] > 0.0]
-        star = StarInstance(tuple(self.weight(u, v) for u in idx),
-                            tuple(float(self.probs[u, v]) for u in idx),
-                            self.patience[v].subset(idx))
-        return star, idx
-
     def __eq__(self, other):
         if not isinstance(other, MatchingInstance):
             return NotImplemented

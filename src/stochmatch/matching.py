@@ -40,7 +40,13 @@ the free set's packed key: ``ceil(k / 64)`` uint64 words over the type's
 ``k`` neighbors.  At an arrival that leaves some trial a free neighbor,
 its lockstep walk groups the trials by one sort over their keys and
 gathers their plans' rows; only the keys not stored yet are planned, in
-one ``StarSolver.plan`` call, whose plans become their rows.  In a
+one ``StarSolver.plan`` call, whose plans become their rows.  An attempt
+of a randomized plan reads one uniform, which picks the item by the
+attempt's cumulative distribution, and whose place in the lower ``p_j``
+share of the item's interval is the probe's success.  A randomized
+arrival thus reads no more than a policy walk (``_Tables.walk_draws``),
+and every greedy arrival's draw bound is the policy walk's, whatever its
+box.  In a
 parallel ``simulate`` each worker stores the plans it solves in its own
 copy of the table, and none come back to the caller's.
 
@@ -88,7 +94,6 @@ from .instances import (
     LpNumericalError,
     MatchingInstance,
     PatienceModel,
-    PatienceVariantError,
     Policy,
     PolicyMixture,
     PROPHET,
@@ -369,30 +374,29 @@ class _Lockstep:
         ``g``'s star items, all unmatched when it was built, and ``cum[g,
         t]`` the cumulative pick distribution of its attempt ``t``, padded
         with its last value, and ``nan`` where the attempt picks nothing and
-        draws nothing.  The budget is drawn up front; idle attempt mass makes
-        no probe but the attempt still elapses, and re-drawing an item
-        already probed is simulated."""
-        pat = tables.patience[v]
+        draws nothing.  A survival or global-hazard budget is one uniform
+        read against the type's survival curve.  An attempt reads one
+        uniform ``u``: ``cum[j - 1] <= u < cum[j]`` picks item ``j``, and
+        the lower ``p_j`` share of that interval is the probe's success;
+        ``u`` past the last value idles, making no probe while the attempt
+        elapses.  Re-drawing an item already probed is simulated."""
         budget = np.full(rows.size, tables.theta[v])
-        if pat.is_survival:
-            budget = np.argmin(tables.curves[v] > self.draw(rows)[:, None], axis=1)
-        elif pat.is_hazard:
-            if not pat.has_global_rate:
-                raise PatienceVariantError("per-item hazard patience is realized probe by probe")
-            if pat.rate >= 1.0:
-                budget[:] = 1
-            elif 1.0 - pat.rate < 1.0:
-                steps = np.log(np.maximum(self.draw(rows), 1e-300)) / np.log(1.0 - pat.rate)
-                budget = 1 + np.minimum(steps, BIG_PATIENCE).astype(np.int64)
+        pat = tables.patience[v]
+        if not pat.is_deterministic:  # per-item hazard rates have no curve and raise
+            curve = np.append(pat.survival_curve(items.shape[1]), -1.0)
+            budget = np.argmin(curve > self.draw(rows)[:, None], axis=1)
         probed = np.zeros((rows.size, items.shape[1]), dtype=bool)
         for t in range(cum.shape[1]):
             at = np.flatnonzero((budget > t) & ~np.isnan(cum[group, t, 0]))
             u = self.draw(rows[at])
             c = cum[group[at], t]
             hit = u < c[:, -1]  # otherwise the attempt idles
-            at, j = at[hit], np.argmax(c[hit] > u[hit, None], axis=1)
+            at, u, c = at[hit], u[hit], c[hit]
+            j = np.argmax(c > u[:, None], axis=1)
+            ends = c[np.arange(j.size), j]
+            starts = np.where(j > 0, c[np.arange(j.size), j - 1], 0.0)
             r, item = rows[at], items[group[at], j]
-            success = self.draw(r) < tables.probs[item, v]
+            success = u - starts < tables.probs[item, v] * (ends - starts)
             real = ~probed[at, j]
             if self.log is not None:
                 self.record(step, t + 1, v, item, real, success)
@@ -484,11 +488,11 @@ class _PlanRows:
     bytes of its free-set key (``stars._distinct_rows``): its kind (1 a
     policy, 2 randomized), its items (a policy's order, or a randomized
     plan's star items) padded with 0 to the type's ``k`` neighbors, the
-    length of that order, and, for a type whose plans may be randomized,
-    ``cum`` as ``(k, k)``: a randomized plan's cumulative pick
-    distributions, each row padded with its last value and ``nan`` past the
-    plan's attempts (``None`` for any other type).  The lockstep walk
-    gathers the rows its trials need by index."""
+    length of that order, and ``cum`` as ``(k, k)``, held from the type's
+    first randomized plan on (``None`` before): a randomized plan's
+    cumulative pick distributions, each row padded with its last value and
+    ``nan`` past the plan's attempts, all ``nan`` for a policy.  The
+    lockstep walk gathers the rows its trials need by index."""
 
     __slots__ = ("index", "kind", "items", "length", "cum")
 
@@ -500,31 +504,31 @@ class _PlanRows:
         """Append the rows of ``rows``, whose keys this store lacks."""
         first = len(self.kind)
         self.index.update((name, first + at) for name, at in rows.index.items())
+        if self.cum is not None or rows.cum is not None:
+            self.cum = np.concatenate([self.picks(), rows.picks()])
         self.kind = np.concatenate([self.kind, rows.kind])
         self.items = np.concatenate([self.items, rows.items])
         self.length = np.concatenate([self.length, rows.length])
-        if self.cum is not None:
-            self.cum = np.concatenate([self.cum, rows.cum])
+
+    def picks(self) -> np.ndarray:
+        """``cum``, or all ``nan`` while no row is randomized."""
+        k = self.items.shape[1]
+        return np.full((len(self.kind), k, k), np.nan) if self.cum is None else self.cum
 
 
 class _GreedyTables(_Tables):
-    """A greedy matcher's table: also per type whether a plan may be
-    randomized, which ``may_randomize`` tells per patience model (by
-    default, no type's).  The draw bound allows a type whose solver may
-    return a randomized plan its reads: a budget, then a pick and a success
-    draw per attempt; any other type a policy walk's (``walk_draws``), and
-    the lockstep walk refuses a randomized plan for it."""
+    """A greedy matcher's table, whose draw bound allows every arrival with
+    a neighbor a policy walk's reads (``walk_draws``), whatever its box
+    plans: a randomized plan reads no more, a survival or global-hazard
+    budget and then one uniform per attempt."""
 
-    __slots__ = ("randomized",)
+    __slots__ = ()
 
-    def __init__(self, instance: MatchingInstance, may_randomize=lambda p: False):
+    def __init__(self, instance: MatchingInstance):
         if instance.arrivals.kind != ADVERSARIAL:
             raise CapabilityError("greedy matcher needs adversarial arrivals")
         super().__init__(instance)
-        self.randomized = np.array([may_randomize(p) for p in self.models],
-                                   dtype=bool)[self.model_of]
-        caps = self.caps
-        draws = np.where(self.randomized, 1 + 2 * caps, self.walk_draws(caps))
+        draws = self.walk_draws(self.caps)
         draws[self.degree == 0] = 0
         self.draw_bound = int(draws[np.asarray(instance.arrivals.order, dtype=np.intp)].sum())
 
@@ -533,6 +537,8 @@ class _GreedyMatcher(_TableCache):
     """What the matchers for a fixed adversarial arrival order share: their
     walk and exact value plan each arrival by ``_plan(tables, v, avail)``,
     ``StarSolver.plan``'s answer with orders over the type's neighbors."""
+
+    _new_tables = _GreedyTables
 
     def exact_value(self, instance: MatchingInstance) -> float:
         """Exact expected matched weight, expanding every probe outcome.
@@ -593,10 +599,6 @@ class AdvGreedyMatcher(_GreedyMatcher):
     def __init__(self, solver: StarSolver | None = None):
         self.solver = solver
 
-    def _new_tables(self, instance) -> _GreedyTables:
-        # of the star solvers only the LP policy returns randomized plans
-        return _GreedyTables(instance, lambda p: (self.solver or auto_solver(p)).randomized)
-
     def _plan(self, tables, v, avail):
         """The box's plans for type ``v`` on each row of ``avail``: one
         ``StarSolver.plan`` call on a star cut from the table's arrays."""
@@ -611,9 +613,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
         boolean ``free`` marks the free neighbors of ``keys[i]``.  The keys
         not stored yet, distinct already, are planned in one ``_plan`` call,
         and their rows, written from its plans, become the type's store or
-        are appended to it (``_PlanRows.add``); a randomized plan for a
-        type whose draw bound allows only a policy walk raises
-        ``StochmatchError``."""
+        are appended to it (``_PlanRows.add``)."""
         neigh = tables.neighbor_arrays[v]
         store = tables.plan_rows.get(v)
         names = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel().tolist()
@@ -622,17 +622,12 @@ class AdvGreedyMatcher(_GreedyMatcher):
         if None in found:
             new = [i for i, at in enumerate(found) if at is None]
             orders, lengths, randomized = self._plan(tables, v, free[first[new]])
-            if randomized and not tables.randomized[v]:
-                solver = self.solver or auto_solver(tables.patience[v])
-                raise StochmatchError(
-                    f"star solver {solver.name!r} returned a randomized plan for type "
-                    f"{v}, whose draw bound allowed only a policy walk's uniforms")
             k = neigh.size
             kind = np.ones(len(orders), dtype=np.int8)
             items = np.zeros((len(orders), k), dtype=np.intp)
             width = orders.shape[1]
             items[:, :width] = np.where(np.arange(width) < lengths[:, None], neigh[orders], 0)
-            cum = np.full((len(orders), k, k), np.nan) if tables.randomized[v] else None
+            cum = np.full((len(orders), k, k), np.nan) if randomized else None
             for g, rsp in randomized.items():
                 n = lengths[g]
                 kind[g] = 2
@@ -735,8 +730,7 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             raise StochmatchError(f"unknown neighbor rule {rule!r}")
         self.rule = rule
 
-    def _new_tables(self, instance) -> _SimpleTables:
-        return _SimpleTables(instance)
+    _new_tables = _SimpleTables
 
     def _plan(self, tables, v, avail):
         """An arrival of type ``v`` on each row of ``avail`` probes its free

@@ -8,10 +8,12 @@ for a fixed trial array.
 
 A run splits its trials into one list of blocks, which serial runs and
 worker processes run the same way.  A block has one row per trial, as wide
-as the matcher's ``draw_bound`` (the most uniforms any trial reads), and at
-most ``CHUNK_TRIALS`` rows and ``BLOCK_FLOATS`` uniforms.  Row ``j`` of a
-block is the stream ``trial_generator(seed, start + j)`` would give, bit
-for bit (``trial_uniforms``), drawn by one of two paths: one vectorized
+as the matcher's ``draw_bound`` (the most uniforms any trial reads: for a
+greedy matcher, a policy walk's per arrival, since a randomized plan reads
+one uniform per attempt), and at most ``CHUNK_TRIALS`` rows and
+``BLOCK_FLOATS`` uniforms.  Row ``j`` of a block is the stream
+``trial_generator(seed, start + j)`` would give, bit for bit
+(``trial_uniforms``), drawn by one of two paths: one vectorized
 Philox4x64-10 pass computes every row's 4-word counter blocks at once, in
 about 15 numpy calls a round, or one generator is reset to counter 0 under
 key ``(seed, i)`` for each row.  The vectorized pass costs more per

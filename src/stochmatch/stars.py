@@ -571,10 +571,6 @@ class StarSolver:
     def solve(self, star: StarInstance) -> StarResult:
         return _SOLVERS[self.name][1](star)
 
-    @property
-    def randomized(self) -> bool:  # only the LP policy's plans may be randomized
-        return self.name == "lp"
-
 
 def solver_by_name(name: str) -> StarSolver:
     if name not in _SOLVERS:

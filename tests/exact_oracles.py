@@ -76,6 +76,18 @@ def randomized_walk(star: StarInstance, rsp: RandomizedStarPolicy, gains):
     return expand(T, 0, moves)
 
 
+def star_for(instance, v: int, available) -> tuple[StarInstance, list[int]]:
+    """The star induced by type ``v`` on the offline vertices in
+    ``available`` that are its neighbors, and the global indices of its
+    items.  The package builds no such star: it plans on its tables'
+    arrays."""
+    idx = [u for u in available if instance.probs[u, v] > 0.0]
+    star = StarInstance(tuple(instance.weight(u, v) for u in idx),
+                        tuple(float(instance.probs[u, v]) for u in idx),
+                        instance.patience[v].subset(idx))
+    return star, idx
+
+
 def randomized_match_probabilities(star: StarInstance, rsp: RandomizedStarPolicy) -> np.ndarray:
     return np.zeros(star.n) + randomized_walk(star, rsp, np.eye(star.n))
 
@@ -83,7 +95,7 @@ def randomized_match_probabilities(star: StarInstance, rsp: RandomizedStarPolicy
 def _greedy_match(matcher, instance, v, avail) -> tuple[list[int], np.ndarray]:
     """The star items of an arrival of type ``v`` finding ``avail`` free,
     and its match probability on each."""
-    star, items = instance.star_for(v, avail)
+    star, items = star_for(instance, v, avail)
     if isinstance(matcher, SimpleGreedyMatcher):
         order = range(star.n)[::-1] if matcher.rule == "last" else range(star.n)
         return items, policy_match_probabilities(star, Policy(tuple(order)))

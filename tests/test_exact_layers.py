@@ -215,9 +215,10 @@ def test_an_overridden_dp_solve_plans_per_set_and_agrees():
 
 def test_greedy_plans_and_star_cap_rows_build_no_star_of_a_type():
     # each greedy matcher plans on its table's arrays and walks over vertex
-    # ids, and LP2's star-cap rows plan on the instance's columns: none of
-    # them asks the instance for a type's star, cold walks and exact values
-    # alike (the oracle below does, once the patch is gone)
+    # ids, and LP2's star-cap rows plan on the instance's columns: the
+    # package has no way to build a type's star (only the oracles do, by
+    # ``exact_oracles.star_for``), and cold walks and exact values agree
+    # with the oracle's per-star values
     base = hard.gen_random_matching(4, 5, 6, "adversarial")
 
     def with_patience(patience):
@@ -234,17 +235,12 @@ def test_greedy_plans_and_star_cap_rows_build_no_star_of_a_type():
              for name, inst in box_instances.items()]
     cases += [(partial(SimpleGreedyMatcher, rule), patient) for rule in ("first", "last")]
 
-    def refuse(self, v, available):
-        raise AssertionError(f"star_for({v}, ...) called")
-
-    with mock.patch.object(MatchingInstance, "star_for", refuse):
-        for make, inst in cases:
-            simulate(inst, make(), SimConfig(2, 300), threads=1)
-        values = [make().exact_value(inst) for make, inst in cases]
-        for name, inst in (("dp", base), ("brute", box_instances["lp"]),
-                           ("hazard", box_instances["hazard"])):
-            build_benchmark_lp(inst, include_star_constraints=True,
-                               selector=solver_by_name(name))
+    for make, inst in cases:
+        simulate(inst, make(), SimConfig(2, 300), threads=1)
+    values = [make().exact_value(inst) for make, inst in cases]
+    for name, inst in (("dp", base), ("brute", box_instances["lp"]),
+                       ("hazard", box_instances["hazard"])):
+        build_benchmark_lp(inst, include_star_constraints=True, selector=solver_by_name(name))
     for (make, inst), value in zip(cases, values):
         assert value == pytest.approx(oracle.matcher_value(make(), inst), rel=0.0, abs=1e-12)
 

@@ -41,6 +41,7 @@ from stochmatch.matching import (
 )
 from stochmatch.simulate import CHUNK_TRIALS, SimConfig, simulate, trial_generator
 from stochmatch.stars import StarSolver, solver_by_name
+from exact_oracles import star_for
 from walk_oracle import scalar_walk
 
 sim = importlib.import_module("stochmatch.simulate")  # the package exports a same-named function
@@ -348,6 +349,27 @@ def test_batched_dp_plan_rows_equal_per_set_solves():
     assert len(calls) == sum(len(a.index) for a in ours.values()) > 50
 
 
+def test_plan_rows_hold_pick_rows_from_the_first_randomized_plan_on():
+    # a type's pick rows are allocated when its first randomized plan
+    # arrives, all nan for the policies stored before and after it
+    k = 3
+
+    def rows(names, kind, cum=None):
+        return matching._PlanRows(names, np.full(len(names), kind, dtype=np.int8),
+                                  np.zeros((len(names), k), dtype=np.intp),
+                                  np.ones(len(names), dtype=np.intp), cum)
+
+    store = rows([b"a"], 1)
+    store.add(rows([b"b"], 1))
+    assert store.cum is None
+    picks = np.cumsum(np.full((1, k, k), 0.25), axis=2)
+    store.add(rows([b"c"], 2, picks))
+    store.add(rows([b"d"], 1))
+    assert store.index == {b"a": 0, b"b": 1, b"c": 2, b"d": 3}
+    assert store.kind.tolist() == [1, 1, 2, 1] and store.cum.shape == (4, k, k)
+    assert np.isnan(store.cum[[0, 1, 3]]).all() and np.array_equal(store.cum[2], picks[0])
+
+
 def test_lp_plan_rows_hold_each_sets_pick_distributions():
     # every stored randomized row is the LP policy of its free set's star:
     # its items, and per attempt the cumulative pick distribution padded
@@ -363,7 +385,7 @@ def test_lp_plan_rows_hold_each_sets_pick_distributions():
         neigh = tables.neighbor_arrays[v]
         for name, r in rows.index.items():
             free = np.unpackbits(np.frombuffer(name, np.uint8), bitorder="little")[:neigh.size]
-            star, items = inst.star_for(v, neigh[free.astype(bool)].tolist())
+            star, items = star_for(inst, v, neigh[free.astype(bool)].tolist())
             rsp = solver_by_name("lp").solve(star).policy
             want = np.full((neigh.size, neigh.size), np.nan)
             pick = np.cumsum(rsp.attempt_probs, axis=1)
@@ -479,26 +501,39 @@ def test_understated_draw_bound_raises():
         simulate(inst, Understated("first"), SimConfig(0, 50), threads=1)
 
 
-def test_adv_greedy_bound_allows_randomized_plans_only_to_the_lp_solver():
-    # deterministic patience: the default solver gives policies, as simple greedy walks
+class _Randomizing(StarSolver):
+    """A box named ``dp`` whose plans are the LP policy's, randomized."""
+
+    def plan(self, batch):
+        return solver_by_name("lp").plan(batch)
+
+
+@pytest.mark.parametrize("kind", ["deterministic", "survival", "global-hazard"])
+def test_adv_greedy_bound_is_the_policy_walks_whatever_the_box(kind):
+    # a randomized plan reads a budget and one uniform per attempt, within
+    # a policy walk's reads, so no box changes the bound
     inst = hard.gen_random_matching(3, 10, 60, "adversarial")
-    policy_bound = SimpleGreedyMatcher().draw_bound(inst)
-    assert AdvGreedyMatcher().draw_bound(inst) == policy_bound
-    assert AdvGreedyMatcher(solver_by_name("lp")).draw_bound(inst) > policy_bound
+    patience = {"deterministic": inst.patience,
+                "survival": PatienceModel.survival([1.0, 0.6, 0.3]),
+                "global-hazard": PatienceModel.constant_hazard(rate=0.3)}[kind]
+    inst = MatchingInstance.make(inst.probs, patience, inst.arrivals,
+                                 edge_weights=inst.edge_weights)
+    bound = SimpleGreedyMatcher().draw_bound(inst)
+    for solver in (None, solver_by_name("lp"), _Randomizing("dp", 1.0)):
+        assert AdvGreedyMatcher(solver).draw_bound(inst) == bound
 
 
-def test_randomized_plans_from_a_solver_named_otherwise_overrun_loudly():
-    class Randomizing(StarSolver):
-        def plan(self, batch):
-            return solver_by_name("lp").plan(batch)
-
-    # the bound gave these types a policy walk's uniforms: the plan is
-    # refused before a trial reads past its row
+def test_randomized_plans_from_a_box_named_otherwise_walk_as_the_lp_boxs():
+    # the walk reads a plan's kind, not its box's name
     inst = hard.gen_random_matching(2, 3, 4, "adversarial")
-    with pytest.raises(StochmatchError, match=r"star solver 'dp' returned a randomized plan "
-                                              r"for type \d+, whose draw bound allowed only "
-                                              r"a policy walk's uniforms"):
-        simulate(inst, AdvGreedyMatcher(Randomizing("dp", 1.0)), SimConfig(0, 200), threads=1)
+    config = SimConfig(0, 200)
+    renamed = AdvGreedyMatcher(_Randomizing("dp", 1.0))
+    assert renamed.draw_bound(inst) == SimpleGreedyMatcher().draw_bound(inst)
+    ours = simulate(inst, renamed, config, threads=1)
+    theirs = simulate(inst, AdvGreedyMatcher(solver_by_name("lp")), config, threads=1)
+    assert ours.mean == theirs.mean and ours.stddev == theirs.stddev
+    assert np.array_equal(ours.match_freq, theirs.match_freq)
+    assert any(rows.cum is not None for rows in renamed._tables(inst).plan_rows.values())
 
 
 def test_star_solver_errors_reach_the_caller_as_themselves():
@@ -535,9 +570,9 @@ def test_survival_bound_stops_at_the_curve_support():
     adv = MatchingInstance.make(probs, patience, ArrivalModel.adversarial([2, 0, 1]),
                                 edge_weights=rng.random((4, 3)))
     # a budget draw, then a success draw per probe; the LP solver's plans
-    # read a pick and a success draw per attempt
+    # read one uniform per attempt
     assert SimpleGreedyMatcher().draw_bound(adv) == 3 * (1 + 2)
-    assert AdvGreedyMatcher().draw_bound(adv) == 3 * (1 + 2 * 2)
+    assert AdvGreedyMatcher().draw_bound(adv) == 3 * (1 + 2)
     _assert_same(adv, SimpleGreedyMatcher(), SimConfig(1, 300))
     _assert_same(adv, AdvGreedyMatcher(), SimConfig(2, 300))
     iid = MatchingInstance.make(probs, patience, ArrivalModel.iid([0.5, 0.5, 0.5], 4),

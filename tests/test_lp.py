@@ -307,10 +307,14 @@ def test_lp1_of_random_survival_stars_is_feasible_and_optimal(n):
         assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7), seed
 
 
+def _star_cap_lp2_8_by_8():
+    """LP2 with every star cap of an 8x8 instance: 2,064 rows."""
+    return build_benchmark_lp(hard.gen_random_matching(0, 8, 8, "adversarial"),
+                              include_star_constraints=True)
+
+
 def test_star_cap_lp2_of_an_8_by_8_instance_fits_in_100_mb():
-    # 2,064 rows; storing every slack and artificial column took 183 MB
-    p = build_benchmark_lp(hard.gen_random_matching(0, 8, 8, "adversarial"),
-                           include_star_constraints=True)
+    p = _star_cap_lp2_8_by_8()
     tracemalloc.start()
     try:
         sol = solve(p)
@@ -322,6 +326,24 @@ def test_star_cap_lp2_of_an_8_by_8_instance_fits_in_100_mb():
     assert peak < 100e6
     # the size guard's count of dense entries (S, the inverse and the basis
     # matrix beside it) is the peak within the fancy-indexing temporaries
+    rows = p.n_rows + np.count_nonzero(np.isfinite(p.ub))
+    assert peak <= 1.05 * 8 * rows * (p.n_vars + 2 * rows)
+
+
+def test_the_full_star_cap_lp2_of_an_8_by_8_instance_fits_in_100_mb():
+    # no row held back: the solve holds all 2,064 rows at once, and its
+    # peak is within the standard form (structural and slack columns) and
+    # the inverse, plus the fancy-indexing temporaries
+    p = dataclasses.replace(_star_cap_lp2_8_by_8(), lazy=None)
+    tracemalloc.start()
+    try:
+        sol = solve(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == OPTIMAL and sol.rows_added == 0
+    assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7)
+    assert peak < 100e6
     rows = p.n_rows + np.count_nonzero(np.isfinite(p.ub))
     assert peak <= 1.05 * 8 * rows * (p.n_vars + 2 * rows)
 

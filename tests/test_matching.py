@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from exact_oracles import star_for
 from stochmatch import hard_instances as hard
 from stochmatch import lp, matching
 from stochmatch.instances import (
@@ -470,6 +471,20 @@ def test_adv_greedy_with_lp_black_box_runs():
     assert abs(exact - rep.mean) <= 4 * se
 
 
+@pytest.mark.parametrize("patience", [PatienceModel.survival([1.0, 0.6, 0.3]),
+                                      PatienceModel.constant_hazard(rate=0.3)])
+def test_adv_greedy_lp_box_simulation_agrees_with_exact_value(patience):
+    # a randomized attempt reads one uniform for its pick and its success,
+    # and the budget is read off the survival curve, geometric or not
+    base = hard.gen_random_matching(3, 6, 12, "adversarial")
+    inst = MatchingInstance.make(base.probs, patience, base.arrivals,
+                                 edge_weights=base.edge_weights)
+    matcher = AdvGreedyMatcher(solver_by_name("lp"))
+    rep = simulate(inst, matcher, SimConfig(seed=5, trials=4000), threads=1)
+    se = rep.stddev / np.sqrt(rep.trials)
+    assert abs(matcher.exact_value(inst) - rep.mean) <= 4 * se + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # benchmark LPs
 # ---------------------------------------------------------------------------
@@ -530,7 +545,7 @@ def test_star_cap_rows_cap_each_subset_by_its_exact_optimum(case):
         solver = selector or matching._exact_solver_for(inst.patience[v])
         for r in range(1, m + 1):
             for subset in itertools.combinations(range(m), r):
-                star, items = inst.star_for(v, subset)
+                star, items = star_for(inst, v, subset)
                 opt = solver.solve(star).expected_value if items else 0.0
                 assert prob.b[k] == pytest.approx(opt, rel=0.0, abs=1e-12)
                 row = np.zeros((m, n))

@@ -403,7 +403,7 @@ def test_realized_patience_matches_survival_curve():
     n = 200_000
     counts = np.zeros(6)
     for _ in range(n):
-        k = realized_patience(pat, tape)
+        k = realized_patience(pat, 6, tape)
         counts[:k] += 1  # survival tallies
     emp = counts / n
     for theta in range(4):
@@ -415,5 +415,5 @@ def test_realized_patience_geometric_global_rate():
     pat = PatienceModel.constant_hazard(rate=0.4)
     tape = RandomTape(trial_generator(3, 1))
     n = 200_000
-    at_least_3 = sum(1 for _ in range(n) if realized_patience(pat, tape) >= 3)
+    at_least_3 = sum(1 for _ in range(n) if realized_patience(pat, 10, tape) >= 3)
     assert abs(at_least_3 / n - 0.6 ** 2) < 4 * np.sqrt(0.25 / n)

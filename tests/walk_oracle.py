@@ -12,9 +12,9 @@ import itertools
 
 import numpy as np
 
-from stochmatch.instances import PatienceModel, PatienceVariantError, Policy
+from exact_oracles import star_for
+from stochmatch.instances import PatienceModel, Policy
 from stochmatch.matching import (
-    BIG_PATIENCE,
     MatcherState,
     PolicyLpMatcher,
     ProbeRecord,
@@ -34,33 +34,21 @@ class _State(MatcherState):
         self.total_weight += weight
 
 
-def realized_patience(patience: PatienceModel, tape: RandomTape) -> int:
-    """Sample the number of probes an arrival will tolerate.
+def realized_patience(patience: PatienceModel, n: int, tape: RandomTape) -> int:
+    """Sample the number of probes, at most ``n``, an arrival over ``n``
+    items will tolerate.
 
-    Survival curves are inverted in one draw; a global hazard rate is the
-    geometric special case.  Per-item hazard rates have no order-free
-    realization and are handled by per-probe balk coins instead.
+    A deterministic budget reads nothing.  Otherwise one draw is inverted
+    against the survival curve of ``n`` items, a survival curve or a global
+    hazard rate's geometric one.  Per-item hazard rates have no order-free
+    curve (``survival_curve`` raises ``PatienceVariantError``) and are
+    realized by per-probe balk coins instead.
     """
     if patience.is_deterministic:
         return patience.theta
-    if patience.is_survival:
-        u = tape.u()
-        k = 0
-        for qk in patience.q:
-            if qk > u:
-                k += 1
-            else:
-                break
-        return k
-    if patience.has_global_rate:
-        r = patience.rate
-        if r >= 1.0:
-            return 1
-        if 1.0 - r >= 1.0:  # no rate, or one too small to change 1 - r
-            return BIG_PATIENCE
-        u = tape.u()
-        return 1 + int(np.log(max(u, 1e-300)) / np.log(1.0 - r))
-    raise PatienceVariantError("per-item hazard patience is realized probe by probe")
+    curve = patience.survival_curve(n)
+    u = tape.u()
+    return sum(1 for _ in itertools.takewhile(lambda qk: qk > u, curve))
 
 
 def _walk_policy(tables, state, step, v, order, tape, skipped=None):
@@ -73,7 +61,7 @@ def _walk_policy(tables, state, step, v, order, tape, skipped=None):
     """
     pat = tables.patience[v]
     hazard_coins = pat.is_hazard
-    budget = None if hazard_coins else realized_patience(pat, tape)
+    budget = None if hazard_coins else realized_patience(pat, len(order), tape)
     rates = tables.rates[v]
     probs = tables.probs[:, v]
     weights = tables.weights[:, v].tolist()
@@ -107,14 +95,16 @@ def _walk_randomized(tables, state, step, v, cum, items, tape):
     """Execute a randomized attempt policy over the star items ``items``
     (global offline indices), all unmatched when the plan was built:
     ``cum[t]`` is attempt ``t``'s cumulative pick distribution, ``nan``
-    where the attempt picks nothing and draws nothing.  Idle attempt mass
-    makes no probe but the attempt still elapses."""
-    pat = tables.patience[v]
-    budget = realized_patience(pat, tape)
+    where the attempt picks nothing and draws nothing.  Each attempt reads
+    one uniform: it picks item ``j`` when it lies in ``[cum[t][j - 1],
+    cum[t][j])``, and the probe succeeds when it lies in the lower
+    ``p_j`` share of that interval.  Idle attempt mass makes no probe but
+    the attempt still elapses."""
+    budget = realized_patience(tables.patience[v], len(cum), tape)
     probs = tables.probs[:, v]
     weights = tables.weights[:, v].tolist()
     probed = set()
-    for t in range(min(cum.shape[0], budget)):
+    for t in range(min(len(cum), budget)):
         row = cum[t]
         if np.isnan(row[-1]):
             continue
@@ -122,20 +112,16 @@ def _walk_randomized(tables, state, step, v, cum, items, tape):
         if u_draw >= row[-1]:
             continue  # idle attempt
         j = int(np.argmax(row > u_draw))
+        lo = row[j - 1] if j else 0.0
         u = items[j]
-        p = probs[u]
-        if j in probed:
-            if tape.u() < p:
-                state.record(step, v, t + 1, u, "simulated", "success")
-                return
-            state.record(step, v, t + 1, u, "simulated", "fail")
-        else:
-            probed.add(j)
-            if tape.u() < p:
-                state.record(step, v, t + 1, u, "real", "success")
+        success = u_draw - lo < probs[u] * (row[j] - lo)
+        kind = "simulated" if j in probed else "real"
+        probed.add(j)
+        state.record(step, v, t + 1, u, kind, "success" if success else "fail")
+        if success:
+            if kind == "real":
                 state.match(u, step, v, weights[u])
-                return
-            state.record(step, v, t + 1, u, "real", "fail")
+            return
 
 
 @functools.lru_cache(maxsize=4096)
@@ -184,7 +170,7 @@ def scalar_walk(matcher, instance, rng, trace: bool = False) -> MatcherState:
             _walk_policy(tables, state, step, v, avail[::-1] if matcher.rule == "last" else avail,
                          tape)
             continue
-        star, items = instance.star_for(v, avail)
+        star, items = star_for(instance, v, avail)
         order, cum = _black_box_plan(matcher.solver or auto_solver(star), star)
         if cum is None:
             _walk_policy(tables, state, step, v, [items[i] for i in order], tape)
