@@ -27,7 +27,10 @@ trial reading one row of a block of uniforms; this is the only walk.
 ``simulate`` runs its trials this way, and calling a matcher runs one
 trial as a one-row batch with a probe log, which serves traces
 (``trace=True``).  The tests keep a scalar walk, one arrival at a time, as
-the reference (``tests/walk_oracle.py``).
+the reference (``tests/walk_oracle.py``).  Every policy walk is one probe
+loop (``_Lockstep.walk``) over plan rows (``_PlanRows``) that carry their
+entries' probabilities and weights, for a greedy arrival's one type or a
+policy-LP step's type per row, whose patience kinds it settles per call.
 
 A matcher derives what it needs from an instance into one table, kept
 until it runs on another instance: AdvGreedy's star plans, the policy-LP
@@ -39,8 +42,9 @@ of its type's stacked plan arrays (``_PlanRows``), found by the bytes of
 the free set's packed key: ``ceil(k / 64)`` uint64 words over the type's
 ``k`` neighbors.  At an arrival that leaves some trial a free neighbor,
 its lockstep walk groups the trials by one sort over their keys and
-gathers their plans' rows; only the keys not stored yet are planned, in
-one ``StarSolver.plan`` call, whose plans become their rows.  An attempt
+walks their plans' rows by index; only the keys not stored yet are
+planned, in one ``StarSolver.plan`` call, whose plans become their rows.
+The walk stops once no trial has a free offline vertex.  An attempt
 of a randomized plan reads one uniform, which picks the item by the
 attempt's cumulative distribution, and whose place in the lower ``p_j``
 share of the item's interval is the probe's success.  A randomized
@@ -291,11 +295,12 @@ class _Lockstep:
 
     Row ``i`` of ``uniforms`` is trial ``i``'s stream, read from ``pos[i]``
     on; ``free`` marks the offline vertices each trial has not matched, and
-    ``weight`` sums each trial's matched weight in match order.  Reading
-    past the end of a row raises ``StochmatchError``: a block is never
-    silently truncated.  A ``log`` (for a one-row batch) receives a
-    ``ProbeRecord`` per probe, in walk order, and ``None`` where a hazard
-    coin ends an arrival (a balk).
+    ``weight`` sums each trial's matched weight in match order.  The policy
+    and randomized walks read each trial's plan as a row index into a
+    ``_PlanRows``.  Reading past the end of a row raises
+    ``StochmatchError``: a block is never silently truncated.  A ``log``
+    (for a one-row batch) receives a ``ProbeRecord`` per probe, in walk
+    order, and ``None`` where a hazard coin ends an arrival (a balk).
     """
 
     __slots__ = ("uniforms", "pos", "free", "weight", "every", "log")
@@ -330,48 +335,54 @@ class _Lockstep:
         """Per-trial weights and per-vertex match counts."""
         return self.weight, np.count_nonzero(~self.free, axis=0).astype(float)
 
-    def walk(self, tables: _Tables, step, rows, v, items, length):
-        """One arrival at ``step`` per trial in ``rows``, of types ``v``,
-        probing the first ``length`` entries of its row of ``items`` (entries
-        to skip already removed).  Survival patience draws a budget up front
-        and hazard patience flips a balk coin after each failed probe.
-        Matched vertices are probed in simulation, and any success ends the
-        arrival."""
-        budget = tables.theta[v]
-        surv = tables.survival[v]
-        if surv.any():
-            u = self.draw(rows[surv])
-            budget[surv] = np.argmin(tables.curves[v[surv]] > u[:, None], axis=1)
-        limit = np.minimum(length, budget)
+    def walk(self, tables: _Tables, step, rows, v, plans: _PlanRows, at):
+        """One arrival at ``step`` per trial in ``rows``, of type ``v`` (a
+        greedy arrival's one type, or a type per row), row ``i`` probing
+        the first ``length`` entries of row ``at[i]`` of ``plans`` (entries
+        to skip already removed).  Patience kinds are settled once per call:
+        survival patience draws a budget up front and hazard patience flips
+        a balk coin after each failed probe.  Matched vertices are probed in
+        simulation, and any success ends the arrival."""
+        budget, hazard = tables.theta[v], False
+        if (tables.survival[v] | tables.hazard[v]).any():  # one type per row from here on
+            v = np.full(rows.size, v)
+            budget, surv, coins = tables.theta[v], tables.survival[v], tables.hazard[v]
+            hazard = coins.any()
+            if surv.any():
+                u = self.draw(rows[surv])
+                budget[surv] = np.argmin(tables.curves[v[surv]] > u[:, None], axis=1)
+        limit = np.minimum(plans.length[at], budget)
         live = np.flatnonzero(limit > 0)
+        items, probs, weights = plans.items, plans.p, plans.w
         k = 0
         while live.size:
-            r, vk, u = rows[live], v[live], items[live, k]
-            success = self.draw(r) < tables.probs[u, vk]
+            r, g = rows[live], at[live]
+            u = items[:, k][g]
+            success = self.draw(r) < probs[:, k][g]
             real = self.free[r, u]
             if self.log is not None:
-                self.record(step, k + 1, vk, u, real, success)
+                self.record(step, k + 1, np.full(rows.size, v)[live], u, real, success)
             won = success & real
             if won.any():
-                r, u = r[won], u[won]
-                self.free[r, u] = False
-                self.weight[r] += tables.weights[u, vk[won]]
+                r = r[won]
+                self.free[r, u[won]] = False
+                self.weight[r] += weights[:, k][g[won]]
             live = live[~success]
-            hz = tables.hazard[v[live]]
-            if hz.any():
+            if hazard:
+                hz = coins[live]
                 h = live[hz]
                 stay = np.ones(live.size, dtype=bool)
-                stay[hz] = self.draw(rows[h]) >= tables.rates[v[h], items[h, k]]
+                stay[hz] = self.draw(rows[h]) >= tables.rates[v[h], items[:, k][at[h]]]
                 if self.log is not None and not stay.all():
                     self.log.append(None)
                 live = live[stay]
             k += 1
             live = live[limit[live] > k]
 
-    def walk_randomized(self, tables: _Tables, step, rows, v, cum, items, group):
+    def walk_randomized(self, tables: _Tables, step, rows, v, plans: _PlanRows, group):
         """One arrival at ``step`` of type ``v`` per trial in ``rows``, row
-        ``i`` following randomized plan ``group[i]``: ``items[g]`` are plan
-        ``g``'s star items, all unmatched when it was built, and ``cum[g,
+        ``i`` following randomized row ``group[i]`` of ``plans``: ``items[g]``
+        are its star items, all unmatched when it was built, and ``cum[g,
         t]`` the cumulative pick distribution of its attempt ``t``, padded
         with its last value, and ``nan`` where the attempt picks nothing and
         draws nothing.  A survival or global-hazard budget is one uniform
@@ -380,6 +391,7 @@ class _Lockstep:
         the lower ``p_j`` share of that interval is the probe's success;
         ``u`` past the last value idles, making no probe while the attempt
         elapses.  Re-drawing an item already probed is simulated."""
+        cum, items = plans.cum, plans.items
         budget = np.full(rows.size, tables.theta[v])
         pat = tables.patience[v]
         if not pat.is_deterministic:  # per-item hazard rates have no curve and raise
@@ -484,21 +496,25 @@ class _Lockstep:
 # ---------------------------------------------------------------------------
 
 class _PlanRows:
-    """AdvGreedy's plans for one type as stacked rows, each found by the
-    bytes of its free-set key (``stars._distinct_rows``): its kind (1 a
-    policy, 2 randomized), its items (a policy's order, or a randomized
-    plan's star items) padded with 0 to the type's ``k`` neighbors, the
-    length of that order, and ``cum`` as ``(k, k)``, held from the type's
-    first randomized plan on (``None`` before): a randomized plan's
-    cumulative pick distributions, each row padded with its last value and
-    ``nan`` past the plan's attempts, all ``nan`` for a policy.  The
-    lockstep walk gathers the rows its trials need by index."""
+    """Plans as stacked rows, read by row index: per row its items (a
+    policy's order, or a randomized plan's star items) padded with 0, the
+    length of that order, and the items' probabilities ``p`` and weights
+    ``w`` for type ``v`` (one type, or one per row), so that a walk reads no
+    matrix by type.  AdvGreedy holds one per type, padded to its ``k``
+    neighbors, whose rows are found by the bytes of their free-set keys
+    (``stars._distinct_rows``) and have a kind (1 a policy, 2 randomized)
+    and, from the type's first randomized plan on (``None`` before), ``cum``
+    as ``(k, k)``: a randomized plan's cumulative pick distributions, each
+    row padded with its last value and ``nan`` past the plan's attempts, all
+    ``nan`` for a policy.  The policy-LP matcher holds one over its policies."""
 
-    __slots__ = ("index", "kind", "items", "length", "cum")
+    __slots__ = ("index", "kind", "items", "length", "p", "w", "cum")
 
-    def __init__(self, names: list, kind, items, length, cum):
+    def __init__(self, tables: _Tables, v, items, length, names=(), kind=None, cum=None):
         self.index = dict(zip(names, range(len(names))))
         self.kind, self.items, self.length, self.cum = kind, items, length, cum
+        v = np.asarray(v)[..., None]
+        self.p, self.w = tables.probs[items, v], tables.weights[items, v]
 
     def add(self, rows: _PlanRows):
         """Append the rows of ``rows``, whose keys this store lacks."""
@@ -506,9 +522,8 @@ class _PlanRows:
         self.index.update((name, first + at) for name, at in rows.index.items())
         if self.cum is not None or rows.cum is not None:
             self.cum = np.concatenate([self.picks(), rows.picks()])
-        self.kind = np.concatenate([self.kind, rows.kind])
-        self.items = np.concatenate([self.items, rows.items])
-        self.length = np.concatenate([self.length, rows.length])
+        for name in ("kind", "items", "length", "p", "w"):
+            setattr(self, name, np.concatenate([getattr(self, name), getattr(rows, name)]))
 
     def picks(self) -> np.ndarray:
         """``cum``, or all ``nan`` while no row is randomized."""
@@ -634,7 +649,7 @@ class AdvGreedyMatcher(_GreedyMatcher):
                 pick = np.cumsum(rsp.attempt_probs, axis=1)
                 pick[~rsp.attempt_probs.any(axis=1)] = np.nan
                 cum[g, :n, :n], cum[g, :n, n:] = pick, pick[:, -1:]
-            rows = _PlanRows([names[i] for i in new], kind, items, lengths, cum)
+            rows = _PlanRows(tables, v, items, lengths, [names[i] for i in new], kind, cum)
             if store is None:
                 store = tables.plan_rows[v] = rows
             else:
@@ -649,9 +664,10 @@ class AdvGreedyMatcher(_GreedyMatcher):
         is skipped; otherwise the trials with a free neighbor are grouped by
         their packed free-set keys (``stars._distinct_rows``), each key is
         looked up, with its first trial's free neighbors, in the type's
-        stored plan rows (``_find_rows``), and the walks gather their rows
-        from there.  ``log`` is a one-row batch's probe log (see
-        ``_Lockstep``)."""
+        stored plan rows (``_find_rows``), and the walks read their rows
+        there by index.  Once no trial has a free offline vertex, no later
+        arrival can probe, and the walk stops.  ``log`` is a one-row
+        batch's probe log (see ``_Lockstep``)."""
         tables = self._tables(instance)
         state = _Lockstep(uniforms, instance.m, log)
         for step, v in enumerate(instance.arrivals.order):
@@ -666,14 +682,14 @@ class AdvGreedyMatcher(_GreedyMatcher):
             keys, group, first = _distinct_rows(free)
             store, found = self._find_rows(tables, v, keys, free, first)
             plan = found[group]
-            walks = store.kind[plan] == 1
-            if walks.any():
-                p = plan[walks]
-                state.walk(tables, step, rows[walks], np.full(p.size, v), store.items[p],
-                           store.length[p])
-            if not walks.all():
-                state.walk_randomized(tables, step, rows[~walks], v, store.cum, store.items,
-                                      plan[~walks])
+            if store.cum is not None:  # the type has stored a randomized plan
+                rand = store.kind[plan] == 2
+                if rand.any():
+                    state.walk_randomized(tables, step, rows[rand], v, store, plan[rand])
+                    rows, plan = rows[~rand], plan[~rand]
+            state.walk(tables, step, rows, v, store, plan)
+            if not state.free.any():
+                break
         return state.result()
 
 
@@ -764,7 +780,8 @@ class SimpleGreedyMatcher(_GreedyMatcher):
             rows = np.flatnonzero(avail.any(axis=1))
             if rows.size:
                 orders, lengths, _ = self._plan(tables, v, avail[rows])
-                state.walk(tables, start, rows, np.full(rows.size, v), neigh[orders], lengths)
+                state.walk(tables, start, rows, v, _PlanRows(tables, v, neigh[orders], lengths),
+                           np.arange(rows.size))
         return state.result()
 
 
@@ -1015,7 +1032,8 @@ class _PolicyTables(_Tables):
     mass on the empty policy, are numbered ``g`` in type order; per policy it
     holds the type ``type_of[g]``, its weight ``share[g]``, the probing
     order, which entries of it the matcher skips (weight below half the
-    vertex's LP reward) and the order without them.  ``share[g]`` is the
+    vertex's LP reward) and the order without them, as row ``g`` of
+    ``plans``.  ``share[g]`` is the
     policy's mass, clipped at 0, over the sum of its type's clipped masses:
     the probability that an arrival of that type draws it, which is
     ``mass / q_v`` unless the masses sum above ``q_v``.  ``steps[t, v]``
@@ -1026,7 +1044,7 @@ class _PolicyTables(_Tables):
     of a type whose mixture samples nothing, lie above ``cum[t, -1]``."""
 
     __slots__ = ("steps", "cum", "type_of", "share", "orders", "skipped", "kept", "walks",
-                 "items", "length")
+                 "plans")
 
     def __init__(self, instance: MatchingInstance, lp_result: ProphetLpResult, skip: bool):
         if instance.arrivals.kind not in (PROPHET, IID):
@@ -1069,7 +1087,7 @@ class _PolicyTables(_Tables):
         step_mass[:, :len(type_of)] = self.steps[:, self.type_of] * self.share
         self.cum = np.cumsum(step_mass, axis=1)
         self.walks = np.array([bool(order) for order in self.orders], dtype=bool)
-        self.items, self.length = _pack_orders(self.kept)
+        self.plans = _PlanRows(self, self.type_of, *_pack_orders(self.kept))
 
     def with_skips(self, records: list, step: int, g: int) -> list[ProbeRecord]:
         """The probe log of one arrival's walk of policy ``g`` with its
@@ -1126,8 +1144,7 @@ class PolicyLpMatcher(_TableCache):
             rows, g = rows[walks], g[walks]
             if rows.size:
                 start = len(log or ())
-                state.walk(tables, t, rows, tables.type_of[g], tables.items[g],
-                           tables.length[g])
+                state.walk(tables, t, rows, tables.type_of[g], tables.plans, g)
                 if log is not None:
                     log[start:] = tables.with_skips(log[start:], t, int(g[0]))
         return state.result()
@@ -1150,7 +1167,8 @@ class PolicyLpMatcher(_TableCache):
         for v in np.flatnonzero(np.bincount(tables.type_of)).tolist():
             mine = tables.type_of == v
             match[v] = share[mine] @ order_match(instance.probs[:, v], instance.patience[v],
-                                                 tables.items[mine], tables.length[mine])
+                                                 tables.plans.items[mine],
+                                                 tables.plans.length[mine])
         probs = tables.steps @ match
         rewards = tables.steps @ (match * tables.weights.T)
         free = np.cumprod(np.vstack([np.ones(instance.m), 1.0 - probs]), axis=0)[:-1]

@@ -8,6 +8,7 @@ optimum, which sums nothing in a new order, is equal.
 """
 
 import importlib
+import itertools
 from functools import partial
 from unittest import mock
 
@@ -213,12 +214,13 @@ def test_an_overridden_dp_solve_plans_per_set_and_agrees():
     assert batched == pytest.approx(per_set, rel=0.0, abs=1e-12)
 
 
-def test_greedy_plans_and_star_cap_rows_build_no_star_of_a_type():
+def test_greedy_exact_values_and_star_caps_equal_the_oracles():
     # each greedy matcher plans on its table's arrays and walks over vertex
-    # ids, and LP2's star-cap rows plan on the instance's columns: the
-    # package has no way to build a type's star (only the oracles do, by
-    # ``exact_oracles.star_for``), and cold walks and exact values agree
-    # with the oracle's per-star values
+    # ids, and LP2's star-cap rows plan on the instance's columns, while
+    # only the oracles build a type's star (``exact_oracles.star_for``):
+    # after cold walks, exact values equal the oracle's per-star values,
+    # and each star-cap right-hand side, of every type and offline subset,
+    # is the brute-force optimum of that subset's star
     base = hard.gen_random_matching(4, 5, 6, "adversarial")
 
     def with_patience(patience):
@@ -238,9 +240,16 @@ def test_greedy_plans_and_star_cap_rows_build_no_star_of_a_type():
     for make, inst in cases:
         simulate(inst, make(), SimConfig(2, 300), threads=1)
     values = [make().exact_value(inst) for make, inst in cases]
+    m, n = base.m, base.n_types
+    subsets = [s for r in range(1, m + 1) for s in itertools.combinations(range(m), r)]
     for name, inst in (("dp", base), ("brute", box_instances["lp"]),
                        ("hazard", box_instances["hazard"])):
-        build_benchmark_lp(inst, include_star_constraints=True, selector=solver_by_name(name))
+        p = build_benchmark_lp(inst, include_star_constraints=True, selector=solver_by_name(name))
+        caps = p.b[m + 2 * n:].reshape(n, len(subsets))
+        for v, s in itertools.product(range(n), range(len(subsets))):
+            star, _ = oracle.star_for(inst, v, subsets[s])
+            assert caps[v, s] == pytest.approx(stars.brute_force_optimal(star).expected_value,
+                                               rel=0.0, abs=1e-12), (name, v, subsets[s])
     for (make, inst), value in zip(cases, values):
         assert value == pytest.approx(oracle.matcher_value(make(), inst), rel=0.0, abs=1e-12)
 

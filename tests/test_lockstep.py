@@ -314,6 +314,48 @@ def test_adv_greedy_solves_each_free_set_once():
     assert first.mean == second.mean and np.array_equal(first.match_freq, second.match_freq)
 
 
+def test_adv_greedy_stops_once_every_trial_is_full(monkeypatch):
+    # every trial of a dense 3 x 40 instance matches all 3 offline vertices
+    # by step 8; the walk visits no arrival after the one that fills the
+    # last trial, so it neither groups free sets nor looks up plans there,
+    # and reads no later type's neighbors
+    inst = hard.gen_random_matching(0, 3, 40, "adversarial")
+    matcher = AdvGreedyMatcher()
+    _assert_same(inst, matcher, SimConfig(2, 200))
+    walks = [scalar_walk(matcher, inst, RandomTape(trial_generator(2, i))) for i in range(200)]
+    full = max(step for w in walks for step, _, _ in w.matched.values())
+    assert full == 8 and all(len(w.matched) == 3 for w in walks)
+    tables, visits, calls = matcher._tables(inst), [], []
+
+    class Visits(list):
+        def __getitem__(self, v):
+            visits.append(v)
+            return list.__getitem__(self, v)
+
+    find = AdvGreedyMatcher._find_rows
+    monkeypatch.setattr(tables, "neighbor_arrays", Visits(tables.neighbor_arrays))
+    monkeypatch.setattr(matching, "_distinct_rows",
+                        lambda free: calls.append("keys") or stars._distinct_rows(free))
+    monkeypatch.setattr(AdvGreedyMatcher, "_find_rows",
+                        lambda self, *args: calls.append("find") or find(self, *args))
+    block = sim.trial_uniforms(2, 0, 200, matcher.draw_bound(inst))
+    weights, counts = matcher.run_lockstep(inst, block)
+    assert weights.tolist() == [w.total_weight for w in walks] and counts.tolist() == [200.0] * 3
+    assert calls.count("keys") == calls.count("find") == full + 1
+    # each type arrives once, and the walk and its plan lookups read the
+    # neighbors of the first full + 1 types only
+    assert set(visits) == set(inst.arrivals.order[:full + 1])
+
+
+def test_adv_greedy_report_is_pinned():
+    # simulate's report on the benchmark's AdvGreedy shape, bit for bit
+    inst = hard.gen_random_matching(3, 10, 60, "adversarial")
+    report = simulate(inst, AdvGreedyMatcher(), SimConfig(1, 150), threads=1)
+    assert report.mean == 6.748663942788453
+    assert report.stddev == 0.6704599649309181
+    assert report.match_freq.tolist() == [1.0] * 10
+
+
 def test_batched_dp_plan_rows_equal_per_set_solves():
     # equal weights and coarse probabilities tie many orders; the built-in
     # dp plans each type's new free sets in one batched DP and calls no
@@ -353,11 +395,12 @@ def test_plan_rows_hold_pick_rows_from_the_first_randomized_plan_on():
     # a type's pick rows are allocated when its first randomized plan
     # arrives, all nan for the policies stored before and after it
     k = 3
+    tables = matching._Tables(hard.gen_random_matching(0, 1, 1, "adversarial"))
 
     def rows(names, kind, cum=None):
-        return matching._PlanRows(names, np.full(len(names), kind, dtype=np.int8),
-                                  np.zeros((len(names), k), dtype=np.intp),
-                                  np.ones(len(names), dtype=np.intp), cum)
+        return matching._PlanRows(tables, 0, np.zeros((len(names), k), dtype=np.intp),
+                                  np.ones(len(names), dtype=np.intp), names,
+                                  np.full(len(names), kind, dtype=np.int8), cum)
 
     store = rows([b"a"], 1)
     store.add(rows([b"b"], 1))
@@ -400,7 +443,8 @@ def test_lp_plan_rows_hold_each_sets_pick_distributions():
 
 @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.3, 1.0])
 def test_adv_greedy_randomized_plans_under_a_global_hazard_rate(rate):
-    # a rate too small to change 1 - rate is no rate (log(1 - rate) is 0)
+    # every global-hazard budget is read off ``survival_curve``, where a rate
+    # of 1e-17 gives a curve of ones, as 0.0 does
     inst = hard.gen_random_matching(5, 4, 6, "adversarial")
     inst = MatchingInstance.make(inst.probs, PatienceModel.constant_hazard(rate=rate),
                                  inst.arrivals, edge_weights=inst.edge_weights)
