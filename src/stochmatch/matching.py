@@ -30,7 +30,8 @@ trial as a one-row batch with a probe log, which serves traces
 the reference (``tests/walk_oracle.py``).  Every policy walk is one probe
 loop (``_Lockstep.walk``) over plan rows (``_PlanRows``) that carry their
 entries' probabilities and weights, for a greedy arrival's one type or a
-policy-LP step's type per row, whose patience kinds it settles per call.
+policy-LP step's type per row, whose patience kinds it settles once per
+table and once per call.
 
 A matcher derives what it needs from an instance into one table, kept
 until it runs on another instance: AdvGreedy's star plans, the policy-LP
@@ -196,12 +197,13 @@ class _Tables:
     ``_PlanRows`` per type that has walked, empty for other matchers).
     Types share few patience models, so each distinct model (``models``)
     is read once and a type's entries are gathered from its model's
-    (``model_of``).  A matcher that derives more extends it, and sets
-    ``draw_bound``, the most uniforms one trial can read.  The tests'
+    (``model_of``); ``drawn`` says whether any of them draws a survival
+    budget or flips hazard coins.  A matcher that derives more extends it,
+    and sets ``draw_bound``, the most uniforms one trial can read.  The tests'
     scalar walk (``tests/walk_oracle.py``) reads the same table."""
 
     __slots__ = ("m", "patience", "models", "model_of", "neighbor_arrays", "degree", "probs",
-                 "weights", "theta", "survival", "curves", "hazard", "rates", "caps",
+                 "weights", "theta", "survival", "curves", "hazard", "drawn", "rates", "caps",
                  "plan_rows", "draw_bound")
 
     def __init__(self, instance: MatchingInstance):
@@ -234,6 +236,7 @@ class _Tables:
                               dtype=np.int64)[of]
         self.survival = np.array([p.is_survival for p in models], dtype=bool)[of]
         self.hazard = np.array([p.is_hazard for p in models], dtype=bool)[of]
+        self.drawn = any(p.is_survival or p.is_hazard for p in models)
         width = max((len(p.q) for p in models if p.is_survival), default=0)
         curves = np.full((len(models), width + 1), -1.0)
         rates = np.zeros((len(models), m))
@@ -317,6 +320,15 @@ class _Lockstep:
     def draw(self, rows: np.ndarray) -> np.ndarray:
         pos = self.pos[rows]
         self.pos[rows] = pos + 1
+        return self._read(rows, pos)
+
+    def draw_every(self) -> np.ndarray:
+        """Every row's next uniform, in one gather."""
+        u = self._read(self.every, self.pos)
+        self.pos += 1
+        return u
+
+    def _read(self, rows, pos):
         try:
             return self.uniforms[rows, pos]
         except IndexError as e:
@@ -339,12 +351,16 @@ class _Lockstep:
         """One arrival at ``step`` per trial in ``rows``, of type ``v`` (a
         greedy arrival's one type, or a type per row), row ``i`` probing
         the first ``length`` entries of row ``at[i]`` of ``plans`` (entries
-        to skip already removed).  Patience kinds are settled once per call:
-        survival patience draws a budget up front and hazard patience flips
-        a balk coin after each failed probe.  Matched vertices are probed in
-        simulation, and any success ends the arrival."""
+        to skip already removed).  Patience kinds are settled once per
+        table (``drawn``) and once per call: survival patience draws a
+        budget up front and hazard patience flips a balk coin after each
+        failed probe.  Without coins, a probe round drops its finished rows
+        in one filter.  Matched vertices are probed in simulation, and any
+        success ends the arrival."""
         budget, hazard = tables.theta[v], False
-        if (tables.survival[v] | tables.hazard[v]).any():  # one type per row from here on
+        # one type per row from here on, only where some type draws a budget
+        # or flips coins
+        if tables.drawn and (tables.survival[v] | tables.hazard[v]).any():
             v = np.full(rows.size, v)
             budget, surv, coins = tables.theta[v], tables.survival[v], tables.hazard[v]
             hazard = coins.any()
@@ -367,17 +383,17 @@ class _Lockstep:
                 r = r[won]
                 self.free[r, u[won]] = False
                 self.weight[r] += weights[:, k][g[won]]
-            live = live[~success]
+            keep = ~success
             if hazard:
+                live = live[keep]
                 hz = coins[live]
                 h = live[hz]
-                stay = np.ones(live.size, dtype=bool)
-                stay[hz] = self.draw(rows[h]) >= tables.rates[v[h], items[:, k][at[h]]]
-                if self.log is not None and not stay.all():
+                keep = np.ones(live.size, dtype=bool)
+                keep[hz] = self.draw(rows[h]) >= tables.rates[v[h], items[:, k][at[h]]]
+                if self.log is not None and not keep.all():
                     self.log.append(None)
-                live = live[stay]
             k += 1
-            live = live[limit[live] > k]
+            live = live[keep & (limit[live] > k)]
 
     def walk_randomized(self, tables: _Tables, step, rows, v, plans: _PlanRows, group):
         """One arrival at ``step`` of type ``v`` per trial in ``rows``, row
@@ -1086,7 +1102,10 @@ class _PolicyTables(_Tables):
         step_mass = np.zeros((arr.n_steps, max(len(type_of), 1)))
         step_mass[:, :len(type_of)] = self.steps[:, self.type_of] * self.share
         self.cum = np.cumsum(step_mass, axis=1)
-        self.walks = np.array([bool(order) for order in self.orders], dtype=bool)
+        # whether column g walks, padded with False for the column past the
+        # CDF's end, which means no arrival
+        self.walks = np.zeros(self.cum.shape[1] + 1, dtype=bool)
+        self.walks[:len(self.orders)] = [bool(order) for order in self.orders]
         self.plans = _PlanRows(self, self.type_of, *_pack_orders(self.kept))
 
     def with_skips(self, records: list, step: int, g: int) -> list[ProbeRecord]:
@@ -1131,17 +1150,19 @@ class PolicyLpMatcher(_TableCache):
     def run_lockstep(self, instance: MatchingInstance, uniforms: np.ndarray, log=None):
         """All trials of a batch at once, trial ``i`` reading row ``i`` of
         ``uniforms``; returns per-trial weights and per-vertex match counts.
+        A step reads every trial's uniform in one gather
+        (``_Lockstep.draw_every``), and one ``searchsorted`` on the step's
+        non-decreasing CDF finds each trial's first column above it, as
+        ``argmax(cum > u)`` would; the column past the end means no
+        arrival, and ``walks``, padded for it, says which columns walk.
         ``log`` is a one-row batch's probe log (see ``_Lockstep``), with
         skipped entries put back (``_PolicyTables.with_skips``)."""
         tables = self._tables(instance)
         state = _Lockstep(uniforms, instance.m, log)
         for t in range(instance.arrivals.n_steps):
-            u = state.draw(state.every)
-            cum = tables.cum[t]
-            rows = np.flatnonzero(u < cum[-1])
-            g = np.argmax(cum > u[rows, None], axis=1)
-            walks = tables.walks[g]
-            rows, g = rows[walks], g[walks]
+            g = tables.cum[t].searchsorted(state.draw_every(), "right")
+            rows = np.flatnonzero(tables.walks[g])
+            g = g[rows]
             if rows.size:
                 start = len(log or ())
                 state.walk(tables, t, rows, tables.type_of[g], tables.plans, g)

@@ -15,8 +15,9 @@ one uniform per attempt), and at most ``CHUNK_TRIALS`` rows and
 ``trial_generator(seed, start + j)`` would give, bit for bit
 (``trial_uniforms``), drawn by one of two paths: one vectorized
 Philox4x64-10 pass computes every row's 4-word counter blocks at once, in
-about 15 numpy calls a round, or one generator is reset to counter 0 under
-key ``(seed, i)`` for each row.  The vectorized pass costs more per
+18 numpy calls a round over contiguous arrays that each hold two of the
+four words (``_philox_pass``), or one generator is reset to counter 0
+under key ``(seed, i)`` for each row.  The vectorized pass costs more per
 uniform and per call but nothing per row, so a cost rule on the block's
 row count and width, with constants fitted by timing both, picks it for
 many narrow rows (the IID and prophet matchers' blocks) and the generator
@@ -84,11 +85,14 @@ def trial_generator(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Philox4x64-10 as numpy's ``Philox`` runs it (Salmon et al., SC 2011):
-# the round multipliers and the Weyl key bumps
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
-_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & np.uint64(0xFFFFFFFF), _PHILOX_M >> np.uint64(32)
+# Philox4x64-10 as numpy's ``Philox`` runs it (Salmon et al., SC 2011): the
+# multipliers of words 0 and 2, and the Weyl key bumps
+_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
+_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+# per word pair, the multiplier and its low and high 32-bit halves
+_PHILOX_M = np.array([[m, m & 0xFFFFFFFF, m >> 32] for m in (_PHILOX_M0, _PHILOX_M1)],
+                     dtype=np.uint64).T[:, :, None, None]
+_PHILOX_W = np.array([_PHILOX_W0, _PHILOX_W1], dtype=np.uint64)[:, None, None]
 _LOW32, _HALF = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 # A vectorized pass holds about 6 words per uniform; passes over at most
@@ -98,7 +102,10 @@ PHILOX_PASS_FLOATS = 1 << 15
 # The cost in ns of each path to a block, fitted on a 2-core x86 machine
 # (CHANGES.md has the table): the generator pays per call, per row for a
 # state reset and per uniform; the vectorized path per pass and per uniform
-# of whole 4-word Philox blocks
+# of whole 4-word Philox blocks.  The pass's constants are an earlier
+# kernel's: the current one measured about 135 us per pass and 25 ns per
+# uniform on the same machine, so the rule errs toward the generator near
+# its boundary
 GENERATOR_NS, GENERATOR_NS_PER_ROW, GENERATOR_NS_PER_UNIFORM = 20_000, 2_200, 7.5
 PHILOX_NS, PHILOX_NS_PER_UNIFORM = 180_000, 32
 
@@ -120,6 +127,30 @@ def _generator_uniforms(seed: int, start: int, rows: int, width: int) -> np.ndar
     return block
 
 
+def _mulhilo(x, m, lo, hi, t, x0, x1):
+    """Write the low and high 64 bits of ``x * m[0]`` to ``lo`` and ``hi``,
+    from 32-bit halves: with x = x1 * 2**32 + x0, the multiplier's halves
+    ``m[1]`` (low) and ``m[2]`` (high), and t = x1 * m[1] + (x0 * m[1] >> 32),
+    the high product is x1 * m[2] + (t >> 32) + ((x0 * m[2] + (t & LOW32)) >> 32),
+    and no sum carries out of 64 bits.  ``t``, ``x0`` and ``x1`` are scratch."""
+    mul, m_lo, m_hi = m
+    np.multiply(x, mul, lo)
+    np.bitwise_and(x, _LOW32, x0)
+    np.right_shift(x, _HALF, x1)
+    np.multiply(x0, m_lo, t)
+    np.right_shift(t, _HALF, t)
+    np.multiply(x1, m_lo, hi)
+    t += hi
+    np.multiply(x0, m_hi, x0)
+    np.multiply(x1, m_hi, hi)
+    np.right_shift(t, _HALF, x1)
+    hi += x1
+    np.bitwise_and(t, _LOW32, t)
+    t += x0
+    np.right_shift(t, _HALF, t)
+    hi += t
+
+
 def _philox_pass(seed: int, start: int, width: int, out: np.ndarray):
     """Fill ``out`` with the ``trial_uniforms`` block of ``len(out)`` rows
     from trial ``start`` on, in one numpy pass over all rows.
@@ -127,53 +158,48 @@ def _philox_pass(seed: int, start: int, width: int, out: np.ndarray):
     Numpy's Philox draws the 4-word block ``(c, 0, 0, 0)`` for counters
     ``c = 1, 2, ...`` under key ``(seed, trial)``, and a double is
     ``(x >> 11) * 2**-53``.  A round multiplies words 0 and 2 by the two
-    multipliers; both high products go through one stacked
-    ``(2, rows, blocks)`` array, built from 32-bit halves.  Round 0 sees
-    only word 0, the counter, so it is done on the counters alone.  All
-    arithmetic is on uint64 arrays, which wrap without a warning."""
+    multipliers: words 0 and 2 (``even``) and 1 and 3 (``odd``) are each one
+    contiguous ``(2, blocks, rows)`` array, and the multipliers fill arrays
+    of the same shape, so that every call of a round runs over both words
+    of a pair on contiguous operands, and a trial's key words lie along the
+    rows.  Round 0 sees only the counter, so it is done on the counters
+    alone, and round 1 multiplies word 0, still the seed, as a Python int.
+    Array arithmetic on uint64 wraps without a warning; the seed's key word
+    is bumped as a Python int, masked to 64 bits."""
     rows, blocks = len(out), -(-width // 4)
-    key = np.empty((2, rows, 1), dtype=np.uint64)
-    key[0] = seed & _MASK64
-    key[1, :, 0] = np.arange(rows, dtype=np.uint64)
+    work = np.empty((10, 2, blocks, rows), dtype=np.uint64)
+    even, odd, lo, hi, t, x0, x1 = work[:7]
+    m = work[7:]
+    m[...] = _PHILOX_M
+    key = np.empty((2, 1, rows), dtype=np.uint64)
+    key[1] = np.arange(rows, dtype=np.uint64)
     key[1] += np.uint64(start & _MASK64)  # trial indices, wrapping past 2**64
-    m0 = int(_PHILOX_M[0, 0, 0])
-    prod = [c * m0 for c in range(1, blocks + 1)]
-    # words 0 and 2 (``even``) and 1 and 3 (``odd``) after round 0
-    even = np.empty((2, rows, blocks), dtype=np.uint64)
-    even[0] = key[0]
-    np.bitwise_xor(np.array([p >> 64 for p in prod], dtype=np.uint64), key[1], out=even[1])
-    odd = np.zeros((2, rows, blocks), dtype=np.uint64)
-    odd[1] = np.array([p & _MASK64 for p in prod], dtype=np.uint64)
+    prod = [c * _PHILOX_M0 for c in range(1, blocks + 1)]
+    # round 0 leaves (seed, 0, hi ^ trial, lo) of each counter's product
+    np.bitwise_xor(np.array([p >> 64 for p in prod], dtype=np.uint64)[:, None], key[1],
+                   out=even[1])
+    seed_prod = (seed & _MASK64) * _PHILOX_M0
+    key[0] = (seed + _PHILOX_W0) & _MASK64
+    key[1] += _PHILOX_W[1]
+    # round 1: (w0, w1, w2, w3) <- (hi1 ^ k0, lo1, hi0 ^ w3 ^ k1, lo0), with
+    # word 1 still 0 and the seed's product hi0, lo0 a Python int
+    _mulhilo(even[1], m[:, 1], odd[0], hi[1], t[1], x0[1], x1[1])
+    np.bitwise_xor(hi[1], key[0], out=even[0])
+    low = np.array([p & _MASK64 for p in prod], dtype=np.uint64)[:, None]
+    np.bitwise_xor(low ^ np.uint64(seed_prod >> 64), key[1], out=even[1])
+    odd[1] = seed_prod & _MASK64
     words = np.empty((rows, blocks, 2, 2), dtype=np.uint64)  # rows of (w0, w1), (w2, w3)
-    lo, hi, t, x0, x1 = (np.empty_like(even) for _ in range(5))
-    for r in range(1, 10):
+    for r in range(2, 10):
         key += _PHILOX_W
-        # with x = x1 * 2**32 + x0 and t = x1 * m0 + (x0 * m0 >> 32), the
-        # high product is x1 * m1 + (t >> 32) + ((x0 * m1 + (t & LOW32)) >> 32)
-        # for the multiplier's halves m1 (high) and m0 (low)
-        np.multiply(even, _PHILOX_M, out=lo)
-        np.bitwise_and(even, _LOW32, out=x0)
-        np.right_shift(even, _HALF, out=x1)
-        np.multiply(x0, _PHILOX_M_LO, out=t)
-        np.right_shift(t, _HALF, out=t)
-        np.multiply(x1, _PHILOX_M_LO, out=hi)
-        t += hi                                  # cannot carry out of 64 bits
-        np.multiply(x0, _PHILOX_M_HI, out=x0)
-        np.multiply(x1, _PHILOX_M_HI, out=hi)
-        np.right_shift(t, _HALF, out=x1)
-        hi += x1
-        np.bitwise_and(t, _LOW32, out=t)
-        t += x0
-        np.right_shift(t, _HALF, out=t)
-        hi += t
+        _mulhilo(even, m, lo, hi, t, x0, x1)
         # (w0, w1, w2, w3) <- (hi1 ^ w1 ^ k0, lo1, hi0 ^ w3 ^ k1, lo0); the
         # last round writes straight into ``words``
         if r == 9:
-            even = words[..., 0].transpose(2, 0, 1)
+            even = words[..., 0].transpose(2, 1, 0)
         np.bitwise_xor(hi[::-1], odd, out=even)
         even ^= key
         if r == 9:
-            words[..., 1] = lo[::-1].transpose(1, 2, 0)
+            words[..., 1] = lo[::-1].transpose(2, 1, 0)
         else:
             odd, lo = lo[::-1], odd[::-1]
     words >>= np.uint64(11)

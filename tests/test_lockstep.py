@@ -37,6 +37,7 @@ from stochmatch.matching import (
     RandomTape,
     SimpleGreedyMatcher,
     iid_matcher,
+    prophet_matcher,
     solve_prophet_lp,
 )
 from stochmatch.simulate import CHUNK_TRIALS, SimConfig, simulate, trial_generator
@@ -354,6 +355,99 @@ def test_adv_greedy_report_is_pinned():
     assert report.mean == 6.748663942788453
     assert report.stddev == 0.6704599649309181
     assert report.match_freq.tolist() == [1.0] * 10
+
+
+@pytest.mark.parametrize("kind, make, shape, want", [
+    ("iid", iid_matcher, (4, 3), (1.3293003985354173, 0.6278944831518376,
+                                  [0.6566666666666666, 0.5816666666666667, 0.665,
+                                   0.30666666666666664])),
+    ("prophet", prophet_matcher, (5, 4), (1.9044861541564129, 0.7618889990860069,
+                                          [0.455, 0.6233333333333333, 0.6083333333333333,
+                                           0.31833333333333336, 0.3])),
+])
+def test_policy_lp_reports_are_pinned(kind, make, shape, want):
+    # simulate's report on the benchmark's IID and prophet shapes, with their
+    # column-generation matchers, bit for bit
+    inst = hard.gen_random_matching(1, *shape, kind, max_theta=2, horizon=6)
+    report = simulate(inst, make(solve_prophet_lp(inst)), SimConfig(1, 600), threads=1)
+    assert report.mean == want[0]
+    assert report.stddev == want[1]
+    assert report.match_freq.tolist() == want[2]
+
+
+class _Fixed:
+    """A Generator stand-in whose stream is ``row``, then 0.5 forever."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=float)
+
+    def random(self, n):
+        out = np.full(n, 0.5)
+        k = min(n, self.row.size)
+        out[:k], self.row = self.row[:k], self.row[k:]
+        return out
+
+
+def _edge_rows(cum, width, tail):
+    """Rows whose step ``t`` uniform lies on an edge of ``cum[t]``: each of
+    its values, the double just below each, its last value and past it.
+    Earlier steps read 0.99, above every step's arrival mass, so they bring
+    no arrival and read one uniform each; ``tail`` follows the edge."""
+    rows = []
+    for t, step in enumerate(cum):
+        for u in (*step, *np.nextafter(step, -np.inf), step[-1], 0.999, 0.0):
+            row = np.concatenate([np.full(t, 0.99), [u], tail])
+            rows.append(np.resize(row, width))
+    return np.array(rows)
+
+
+def _assert_rows_walk_as_the_oracle(matcher, inst, block):
+    """The batch walk of ``block`` gives each row the scalar walk's weight,
+    and a called matcher on the row its trace."""
+    weights, counts = matcher.run_lockstep(inst, block)
+    matched = np.zeros(inst.m)
+    for row, weight in zip(block, weights):
+        want = scalar_walk(matcher, inst, RandomTape(_Fixed(row)), trace=True)
+        got = matcher(inst, RandomTape(_Fixed(row)), trace=True)
+        assert weight == want.total_weight == got.total_weight
+        assert list(map(dataclasses.astuple, got.trace)) == list(
+            map(dataclasses.astuple, want.trace))
+        matched[list(want.matched)] += 1.0
+    assert counts.tolist() == matched.tolist()
+
+
+def test_step_draw_at_cdf_edges_equals_the_oracle():
+    # a uniform equal to a CDF value picks the next column (the oracle's
+    # argmax(cum > u)); zero-mass policies repeat CDF values, and a uniform
+    # on a repeated value passes every column with that value; a uniform at
+    # or past the last value brings no arrival
+    q_tv = np.array([[0.3, 0.25, 0.2], [0.1, 0.0, 0.5]])
+    inst = MatchingInstance.make([[0.5, 0.9, 0.0], [0.7, 0.0, 0.4], [0.0, 0.6, 0.8]],
+                                 PatienceModel.deterministic(2), ArrivalModel.prophet(q_tv),
+                                 edge_weights=[[1.0, 2.0, 0.5], [0.3, 1.0, 1.5], [1.0, 0.7, 2.0]])
+    per_type = (((Policy((0, 1)), 0.2), (Policy((2,)), 0.0), (Policy((1, 0)), 0.0),
+                 (Policy((1,)), 0.2)),
+                ((Policy((0, 2)), 0.0), (Policy((2,)), 0.25)),
+                ((Policy(()), 0.0), (Policy((2, 1)), 0.4), (Policy((1,)), 0.0)))
+    matcher = PolicyLpMatcher(ProphetLpResult(
+        mixture=PolicyMixture(per_type, tuple(map(float, q_tv.sum(axis=0)))),
+        objective=0.0, w_star=np.zeros(3)), skip=False)
+    cum = matcher._tables(inst).cum
+    assert (np.diff(cum, axis=1) == 0.0).any()  # zero-mass policies repeat values
+    block = _edge_rows(cum, matcher.draw_bound(inst), [0.3, 0.95, 0.2, 0.6, 0.05, 0.99])
+    _assert_rows_walk_as_the_oracle(matcher, inst, block)
+
+
+def test_step_draw_of_a_table_with_no_policy_brings_no_arrival():
+    # a mixture that samples nothing leaves one zero column per step, and a
+    # uniform of 0.0, on that column, is past it
+    inst = hard.gen_random_matching(6, 3, 2, "prophet", horizon=3)
+    matcher = PolicyLpMatcher(ProphetLpResult(mixture=PolicyMixture(((), ()), (0.0, 0.0)),
+                                              objective=0.0, w_star=np.zeros(3)), skip=False)
+    cum = matcher._tables(inst).cum
+    assert cum.tolist() == [[0.0]] * 3
+    block = _edge_rows(cum, matcher.draw_bound(inst), [0.0])
+    _assert_rows_walk_as_the_oracle(matcher, inst, block)
 
 
 def test_batched_dp_plan_rows_equal_per_set_solves():
