@@ -438,18 +438,6 @@ def test_step_draw_at_cdf_edges_equals_the_oracle():
     _assert_rows_walk_as_the_oracle(matcher, inst, block)
 
 
-def test_step_draw_of_a_table_with_no_policy_brings_no_arrival():
-    # a mixture that samples nothing leaves one zero column per step, and a
-    # uniform of 0.0, on that column, is past it
-    inst = hard.gen_random_matching(6, 3, 2, "prophet", horizon=3)
-    matcher = PolicyLpMatcher(ProphetLpResult(mixture=PolicyMixture(((), ()), (0.0, 0.0)),
-                                              objective=0.0, w_star=np.zeros(3)), skip=False)
-    cum = matcher._tables(inst).cum
-    assert cum.tolist() == [[0.0]] * 3
-    block = _edge_rows(cum, matcher.draw_bound(inst), [0.0])
-    _assert_rows_walk_as_the_oracle(matcher, inst, block)
-
-
 def test_batched_dp_plan_rows_equal_per_set_solves():
     # equal weights and coarse probabilities tie many orders; the built-in
     # dp plans each type's new free sets in one batched DP and calls no
@@ -781,6 +769,10 @@ def test_a_mixture_that_samples_nothing_reads_one_uniform_per_step():
     weights, counts = matcher.run_lockstep(inst, np.random.default_rng(1).random((40, 5)))
     assert not weights.any() and not counts.any()
     _assert_same(inst, matcher, SimConfig(2, 50))
+    # one zero column per step, and a uniform of 0.0, on that column, is past it
+    cum = matcher._tables(inst).cum
+    assert cum.tolist() == [[0.0]] * 5
+    _assert_rows_walk_as_the_oracle(matcher, inst, _edge_rows(cum, 5, [0.0]))
     assert matcher.exact_value(inst) == 0.0
 
 
