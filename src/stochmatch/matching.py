@@ -28,10 +28,11 @@ trial reading one row of a block of uniforms; this is the only walk.
 trial as a one-row batch with a probe log, which serves traces
 (``trace=True``).  The tests keep a scalar walk, one arrival at a time, as
 the reference (``tests/walk_oracle.py``).  Every policy walk is one probe
-loop (``_Lockstep.walk``) over plan rows (``_PlanRows``) that carry their
-entries' probabilities and weights, for a greedy arrival's one type or a
-policy-LP step's type per row, whose patience kinds it settles once per
-table and once per call.
+loop (``_Lockstep.walk``), for a greedy arrival's one type or a policy-LP
+step's type per row, whose patience kinds it settles once per table and
+once per call.  It and the randomized walk read their items' probabilities
+and weights from plan rows (``_PlanRows``), and budget curves and hazard
+rates from the table's one row per patience model.
 
 A matcher derives what it needs from an instance into one table, kept
 until it runs on another instance: AdvGreedy's star plans, the policy-LP
@@ -99,6 +100,7 @@ from .instances import (
     LpNumericalError,
     MatchingInstance,
     PatienceModel,
+    PatienceVariantError,
     Policy,
     PolicyMixture,
     PROPHET,
@@ -120,7 +122,6 @@ from .stars import (
 PRICING_TOL = 1e-7
 COLUMN_CAP = 10_000
 MAX_ENUMERATED_POLICIES = 100_000
-BIG_PATIENCE = 10 ** 9
 TAPE_BLOCK = 192  # uniforms per RandomTape refill
 EXACT_CHUNK = 4096  # free sets per ``_plan`` call of a greedy exact value
 EXACT_MAX_OFFLINE = 20  # offline vertices a greedy exact value expands over
@@ -196,10 +197,11 @@ class _Tables:
     neighbors (``caps``); and AdvGreedy's stored plans (``plan_rows``, a
     ``_PlanRows`` per type that has walked, empty for other matchers).
     Types share few patience models, so each distinct model (``models``)
-    is read once and a type's entries are gathered from its model's
-    (``model_of``); ``drawn`` says whether any of them draws a survival
-    budget or flips hazard coins.  A matcher that derives more extends it,
-    and sets ``draw_bound``, the most uniforms one trial can read.  The tests'
+    is read once: a type's budget and kind are gathered from its model's
+    (``model_of``), and budget curves and hazard rates keep one row per
+    model; ``drawn`` says whether any model draws a survival budget or
+    flips hazard coins.  A matcher that derives more extends it, and sets
+    ``draw_bound``, the most uniforms one trial can read.  The tests'
     scalar walk (``tests/walk_oracle.py``) reads the same table."""
 
     __slots__ = ("m", "patience", "models", "model_of", "neighbor_arrays", "degree", "probs",
@@ -227,28 +229,24 @@ class _Tables:
         # is min(k, its model's cap over m)
         self.caps = np.minimum(self.degree,
                                np.array([p.max_probes(m) for p in models], dtype=np.intp)[of])
-        # one row per type: a deterministic budget (survival budgets are
-        # drawn, hazard walks have none), survival curves padded with -1 so
-        # that a draw always stops inside the row, and hazard rates, written
-        # only in hazard types' rows so that the others stay untouched zero
-        # pages (33 MB of them on the uncapped simple-greedy family)
-        self.theta = np.array([p.theta if p.is_deterministic else BIG_PATIENCE for p in models],
+        # one row per type: a deterministic budget, else m, since no walk
+        # probes more (survival budgets are drawn, hazard walks have none)
+        self.theta = np.array([p.theta if p.is_deterministic else m for p in models],
                               dtype=np.int64)[of]
         self.survival = np.array([p.is_survival for p in models], dtype=bool)[of]
         self.hazard = np.array([p.is_hazard for p in models], dtype=bool)[of]
         self.drawn = any(p.is_survival or p.is_hazard for p in models)
-        width = max((len(p.q) for p in models if p.is_survival), default=0)
-        curves = np.full((len(models), width + 1), -1.0)
-        rates = np.zeros((len(models), m))
-        for i, p in enumerate(models):
-            if p.is_survival:
-                curves[i, :len(p.q)] = p.q
-            elif p.is_hazard:
-                rates[i] = p.hazard_rates(m)
-        self.curves = curves[of]
-        self.rates = np.zeros((len(pats), m))
-        if any(p.is_hazard for p in models):
-            self.rates[self.hazard] = rates[of[self.hazard]]
+        # one row per model: the budget curve of a model that draws one (its
+        # survival curve, or a global rate's geometric one), padded with -1
+        # so that a draw always stops inside the row, and hazard rates
+        curves = [p.q if p.is_survival else p.survival_curve(m) if p.has_global_rate else ()
+                  for p in models]
+        self.curves = np.full((len(models), max(map(len, curves), default=0) + 1), -1.0)
+        self.rates = np.zeros((len(models), m))
+        for i, (p, curve) in enumerate(zip(models, curves)):
+            self.curves[i, :len(curve)] = curve
+            if p.is_hazard:
+                self.rates[i] = p.hazard_rates(m)
 
     def walk_draws(self, probes: np.ndarray) -> np.ndarray:
         """Per type ``v``, the most uniforms one policy walk reads when it
@@ -363,10 +361,11 @@ class _Lockstep:
         if tables.drawn and (tables.survival[v] | tables.hazard[v]).any():
             v = np.full(rows.size, v)
             budget, surv, coins = tables.theta[v], tables.survival[v], tables.hazard[v]
+            of = tables.model_of[v]
             hazard = coins.any()
             if surv.any():
                 u = self.draw(rows[surv])
-                budget[surv] = np.argmin(tables.curves[v[surv]] > u[:, None], axis=1)
+                budget[surv] = np.argmin(tables.curves[of[surv]] > u[:, None], axis=1)
         limit = np.minimum(plans.length[at], budget)
         live = np.flatnonzero(limit > 0)
         items, probs, weights = plans.items, plans.p, plans.w
@@ -389,7 +388,7 @@ class _Lockstep:
                 hz = coins[live]
                 h = live[hz]
                 keep = np.ones(live.size, dtype=bool)
-                keep[hz] = self.draw(rows[h]) >= tables.rates[v[h], items[:, k][at[h]]]
+                keep[hz] = self.draw(rows[h]) >= tables.rates[of[h], items[:, k][at[h]]]
                 if self.log is not None and not keep.all():
                     self.log.append(None)
             k += 1
@@ -402,16 +401,19 @@ class _Lockstep:
         t]`` the cumulative pick distribution of its attempt ``t``, padded
         with its last value, and ``nan`` where the attempt picks nothing and
         draws nothing.  A survival or global-hazard budget is one uniform
-        read against the type's survival curve.  An attempt reads one
-        uniform ``u``: ``cum[j - 1] <= u < cum[j]`` picks item ``j``, and
-        the lower ``p_j`` share of that interval is the probe's success;
-        ``u`` past the last value idles, making no probe while the attempt
-        elapses.  Re-drawing an item already probed is simulated."""
+        read against its model's curve, as in ``walk``; per-item hazard
+        rates have none and raise ``PatienceVariantError``.  An attempt
+        reads one uniform ``u``: ``cum[j - 1] <= u < cum[j]`` picks item
+        ``j``, and the lower ``p_j`` share (``plans.p``) of that interval is
+        the probe's success; ``u`` past the last value idles, making no
+        probe while the attempt elapses.  Re-drawing an item already probed
+        is simulated."""
         cum, items = plans.cum, plans.items
         budget = np.full(rows.size, tables.theta[v])
-        pat = tables.patience[v]
-        if not pat.is_deterministic:  # per-item hazard rates have no curve and raise
-            curve = np.append(pat.survival_curve(items.shape[1]), -1.0)
+        if tables.survival[v] or tables.hazard[v]:
+            curve = tables.curves[tables.model_of[v]]
+            if curve[0] < 0.0:  # per-item hazard rates: the row is all -1
+                raise PatienceVariantError("per-item hazard rates have no budget curve")
             budget = np.argmin(curve > self.draw(rows)[:, None], axis=1)
         probed = np.zeros((rows.size, items.shape[1]), dtype=bool)
         for t in range(cum.shape[1]):
@@ -423,17 +425,18 @@ class _Lockstep:
             j = np.argmax(c > u[:, None], axis=1)
             ends = c[np.arange(j.size), j]
             starts = np.where(j > 0, c[np.arange(j.size), j - 1], 0.0)
-            r, item = rows[at], items[group[at], j]
-            success = u - starts < tables.probs[item, v] * (ends - starts)
+            g = group[at]
+            r, item = rows[at], items[g, j]
+            success = u - starts < plans.p[g, j] * (ends - starts)
             real = ~probed[at, j]
             if self.log is not None:
                 self.record(step, t + 1, v, item, real, success)
             won = success & real
             probed[at, j] = True
             budget[at[success]] = 0
-            r, item = r[won], item[won]
-            self.free[r, item] = False
-            self.weight[r] += tables.weights[item, v]
+            r = r[won]
+            self.free[r, item[won]] = False
+            self.weight[r] += plans.w[g[won], j[won]]
 
     def walk_run(self, tables: _Tables, start, types, neigh):
         """A run of arrivals, at steps ``start, start + 1, ...`` of types

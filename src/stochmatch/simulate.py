@@ -102,12 +102,9 @@ PHILOX_PASS_FLOATS = 1 << 15
 # The cost in ns of each path to a block, fitted on a 2-core x86 machine
 # (CHANGES.md has the table): the generator pays per call, per row for a
 # state reset and per uniform; the vectorized path per pass and per uniform
-# of whole 4-word Philox blocks.  The pass's constants are an earlier
-# kernel's: the current one measured about 135 us per pass and 25 ns per
-# uniform on the same machine, so the rule errs toward the generator near
-# its boundary
-GENERATOR_NS, GENERATOR_NS_PER_ROW, GENERATOR_NS_PER_UNIFORM = 20_000, 2_200, 7.5
-PHILOX_NS, PHILOX_NS_PER_UNIFORM = 180_000, 32
+# of whole 4-word Philox blocks
+GENERATOR_NS, GENERATOR_NS_PER_ROW, GENERATOR_NS_PER_UNIFORM = 30_000, 2_100, 6.7
+PHILOX_NS, PHILOX_NS_PER_UNIFORM = 152_000, 31
 
 
 def _generator_uniforms(seed: int, start: int, rows: int, width: int) -> np.ndarray:

@@ -434,7 +434,10 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
 
     Works for any explicitly given patience distribution (survival curve,
     deterministic step, or the geometric curve of a global hazard rate).
-    The returned policy's exact expected reward, which is at least half the
+    Row ``t`` of the policy is ``x*_{.,t}`` clipped at 0 and divided by
+    ``s*_t`` and then by ``max(row sum, 1)``, for every attempt whose
+    ``s*_t`` exceeds ``ZERO_SURVIVAL``, and zero for the others.  The
+    returned policy's exact expected reward, which is at least half the
     LP objective, comes with it (``randomized_match_probabilities``).
     """
     if not _lp_supported_patience(star):
@@ -452,14 +455,9 @@ def solve_arbitrary_patience(star: StarInstance) -> StarResult:
     probs = np.zeros((n, n))
     surv = np.zeros(n)
     surv[:T] = np.clip(s, 0.0, None)
-    for t in range(T):
-        if surv[t] <= ZERO_SURVIVAL:
-            continue
-        row = np.clip(x[:, t], 0.0, None) / surv[t]
-        total = row.sum()
-        if total > 1.0:
-            row /= total
-        probs[t, :] = row
+    live = surv > ZERO_SURVIVAL
+    rows = np.clip(x.T[live[:T]], 0.0, None) / surv[live, None]
+    probs[live] = rows / np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
     rsp = RandomizedStarPolicy(probs, surv, sol.objective)
     return StarResult(rsp, eval_randomized_exact(star, rsp), sol.objective)
 

@@ -349,12 +349,22 @@ def test_adv_greedy_stops_once_every_trial_is_full(monkeypatch):
 
 
 def test_adv_greedy_report_is_pinned():
-    # simulate's report on the benchmark's AdvGreedy shape, bit for bit
-    inst = hard.gen_random_matching(3, 10, 60, "adversarial")
-    report = simulate(inst, AdvGreedyMatcher(), SimConfig(1, 150), threads=1)
-    assert report.mean == 6.748663942788453
-    assert report.stddev == 0.6704599649309181
-    assert report.match_freq.tolist() == [1.0] * 10
+    # simulate's report on the benchmark's AdvGreedy shape, bit for bit: with
+    # the default box, and with the LP box's randomized plans, whose budgets
+    # are drawn off a survival curve and off a global rate's geometric one
+    base = hard.gen_random_matching(3, 10, 60, "adversarial")
+    cases = [(base, AdvGreedyMatcher(), 6.748663942788453, 0.6704599649309181)]
+    for patience, mean, stddev in [
+            (PatienceModel.survival([1.0, 0.6, 0.3]), 6.6384608270610235, 0.5135426029561815),
+            (PatienceModel.constant_hazard(rate=0.3), 6.693925445397228, 0.5412957581865532)]:
+        inst = MatchingInstance.make(base.probs, patience, base.arrivals,
+                                     edge_weights=base.edge_weights)
+        cases.append((inst, AdvGreedyMatcher(solver_by_name("lp")), mean, stddev))
+    for inst, matcher, mean, stddev in cases:
+        report = simulate(inst, matcher, SimConfig(1, 150), threads=1)
+        assert report.mean == mean
+        assert report.stddev == stddev
+        assert report.match_freq.tolist() == [1.0] * 10
 
 
 @pytest.mark.parametrize("kind, make, shape, want", [
@@ -525,12 +535,37 @@ def test_lp_plan_rows_hold_each_sets_pick_distributions():
 
 @pytest.mark.parametrize("rate", [0.0, 1e-17, 0.3, 1.0])
 def test_adv_greedy_randomized_plans_under_a_global_hazard_rate(rate):
-    # every global-hazard budget is read off ``survival_curve``, where a rate
-    # of 1e-17 gives a curve of ones, as 0.0 does
+    # every global-hazard budget is read off the rate's geometric curve, where
+    # a rate of 1e-17 gives a curve of ones, as 0.0 does
     inst = hard.gen_random_matching(5, 4, 6, "adversarial")
     inst = MatchingInstance.make(inst.probs, PatienceModel.constant_hazard(rate=rate),
                                  inst.arrivals, edge_weights=inst.edge_weights)
     _assert_same(inst, AdvGreedyMatcher(solver_by_name("lp")), SimConfig(3, 200))
+
+
+class _GlobalRateLpBox(StarSolver):
+    """The LP box's plans, solved as if every star's patience were one
+    global hazard rate of 0.3."""
+
+    def plan(self, batch):
+        rate = (PatienceModel.constant_hazard(rate=0.3),)
+        return solver_by_name("lp").plan(dataclasses.replace(batch, patience=rate))
+
+
+def test_randomized_plans_of_a_per_item_rate_type_raise():
+    # per-item hazard rates have no budget curve: the built-in lp box raises
+    # when it plans, and this box's randomized plans reach the walk and the
+    # exact value, which raise there
+    base = hard.gen_random_matching(5, 4, 6, "adversarial")
+    inst = MatchingInstance.make(base.probs,
+                                 PatienceModel.constant_hazard(rates=[0.1, 0.2, 0.3, 0.4]),
+                                 base.arrivals, edge_weights=base.edge_weights)
+    matcher = AdvGreedyMatcher(_GlobalRateLpBox("lp", 0.5))
+    with pytest.raises(PatienceVariantError):
+        simulate(inst, matcher, SimConfig(1, 50), threads=1)
+    assert matcher._tables(inst).plan_rows  # planned, then raised in the walk
+    with pytest.raises(PatienceVariantError):
+        matcher.exact_value(inst)
 
 
 @pytest.mark.parametrize("rule", ["first", "last"])

@@ -24,6 +24,7 @@ from stochmatch.lp import (
     OPTIMAL,
     add_column,
     dumps_lp,
+    held_rows,
     solution_residuals,
     solve,
 )
@@ -325,10 +326,12 @@ def test_star_cap_lp2_of_an_8_by_8_instance_fits_in_100_mb():
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(-_scipy_solve(p).fun, abs=1e-7)
     assert peak < 100e6
-    # the size guard's count of dense entries (S, the inverse and the basis
-    # matrix beside it) is the peak within the fancy-indexing temporaries
-    rows = p.n_rows + np.count_nonzero(np.isfinite(p.ub))
-    assert peak <= 1.05 * 8 * rows * (p.n_vars + 2 * rows)
+    # the peak is within the size guard's count of dense entries,
+    # r (n + 4 r), over the r rows the solve held: its working set, the
+    # bound rows and the held-back rows that joined
+    rows = (p.n_rows - len(held_rows(p)) + np.count_nonzero(np.isfinite(p.ub))
+            + sol.rows_added)
+    assert peak <= 8 * rows * (p.n_vars + 4 * rows)
 
 
 def test_the_full_star_cap_lp2_of_an_8_by_8_instance_fits_in_100_mb():

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -16,9 +17,11 @@ from stochmatch.instances import (
     StarInstance,
 )
 from stochmatch.stars import (
+    ZERO_SURVIVAL,
     RandomizedStarPolicy,
     StarBatch,
     _distinct_rows,
+    _lp_survival,
     brute_force_optimal,
     build_arbitrary_patience_lp,
     enumerate_policies,
@@ -570,6 +573,58 @@ def test_lp_path_rejects_per_item_hazard():
                              PatienceModel.constant_hazard(rates=[0.1, 0.2]))
     with pytest.raises(PatienceVariantError):
         solve_arbitrary_patience(star)
+
+
+@pytest.mark.parametrize("kind, n, seed, renormalized, zeroed, digest", [
+    # attempt 7's row sums to 1 + 8.4e-9 and is divided by its sum, and
+    # attempt 8's survival, 3.0e-11, zeroes its row
+    ("survival", 8, 13, [6], [7], "8ff4bb7cdb545178cb6d34b47836903095e46517f5334e40254103090e1609bf"),
+    # attempts 5-7 survive with 6.6e-12, 1.9e-13 and 3.9e-17
+    ("survival", 8, 34, [], [4, 5, 6],
+     "b0b779545ae176d7c4ce42cc51305dc872d83124ecff36591a5704d7725ec39f"),
+    # attempts 2 and 3 sum past 1 by one ulp
+    ("deterministic", 3, 7, [1, 2], [],
+     "ae810a0fe576b8f4ea5ad2688405c07ba97437039c96f798613ae999a4712be2"),
+])
+def test_lp1_policy_bytes_are_pinned(kind, n, seed, renormalized, zeroed, digest):
+    # the attempt rows and survival values read off LP1, bit for bit
+    rsp = solve_arbitrary_patience(hard.gen_random_star(seed, n, kind)).policy
+    got = hashlib.sha256(rsp.attempt_probs.tobytes() + rsp.survival.tobytes()).hexdigest()
+    assert got == digest
+    for t in renormalized:
+        assert rsp.attempt_probs[t].sum() == pytest.approx(1.0, abs=1e-15)
+    for t in zeroed:
+        assert 0.0 < rsp.survival[t] <= ZERO_SURVIVAL and not rsp.attempt_probs[t].any()
+
+
+def _lp1_policy_by_attempts(star):
+    """The LP1 policy read off one attempt at a time: the reference for
+    ``solve_arbitrary_patience``'s array form."""
+    n = star.n
+    q = _lp_survival(star, n)
+    T = q.size
+    y = lp.solve(build_arbitrary_patience_lp(star)).x.reshape(n, T)
+    x = q * y
+    s = q * (1.0 - np.concatenate(([0.0], np.cumsum(np.asarray(star.probs) @ y)))[:T])
+    probs, surv = np.zeros((n, n)), np.zeros(n)
+    surv[:T] = np.clip(s, 0.0, None)
+    for t in range(T):
+        if surv[t] > ZERO_SURVIVAL:
+            row = np.clip(x[:, t], 0.0, None) / surv[t]
+            total = row.sum()
+            probs[t] = row / total if total > 1.0 else row
+    return probs, surv
+
+
+def test_lp1_policy_equals_the_read_off_by_attempts():
+    for kind in ("survival", "deterministic"):
+        for n in (1, 2, 3, 5, 8, 12):
+            for seed in range(20):
+                star = hard.gen_random_star(seed, n, kind)
+                rsp = solve_arbitrary_patience(star).policy
+                probs, surv = _lp1_policy_by_attempts(star)
+                assert rsp.attempt_probs.tobytes() == probs.tobytes(), (kind, n, seed)
+                assert rsp.survival.tobytes() == surv.tobytes(), (kind, n, seed)
 
 
 def _simulate_randomized(star, rsp, trials, seed):

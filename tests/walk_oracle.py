@@ -62,7 +62,7 @@ def _walk_policy(tables, state, step, v, order, tape, skipped=None):
     pat = tables.patience[v]
     hazard_coins = pat.is_hazard
     budget = None if hazard_coins else realized_patience(pat, len(order), tape)
-    rates = tables.rates[v]
+    rates = tables.rates[tables.model_of[v]]
     probs = tables.probs[:, v]
     weights = tables.weights[:, v].tolist()
     matched = state.matched
