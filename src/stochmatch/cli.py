@@ -41,7 +41,6 @@ from .matching import (
 )
 from .simulate import SimConfig, simulate, thread_count
 from .stars import (
-    Policy,
     build_arbitrary_patience_lp,
     eval_randomized_exact,
     solver_by_name,
@@ -91,22 +90,25 @@ def _emit_csv(rows: list[str], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_star_solve(args) -> int:
+    solver = solver_by_name(args.solver)
+    if args.policy_out and solver.randomized:
+        raise StochmatchError(f"--policy-out writes a probing order, and the {solver.name} "
+                              "solver's policy is randomized")
     instance = load_instance(args.instance)
     if not isinstance(instance, StarInstance):
         raise CapabilityError("star-solve needs a star instance")
-    solver = solver_by_name(args.solver)
     result = solver.solve(instance)
-    if isinstance(result.policy, Policy):
-        order = " ".join(str(i + 1) for i in result.policy.order)
-        print(f"policy (1-based order): {order or '(empty)'}")
-    else:
+    if solver.randomized:
         print(f"policy: randomized over {instance.n} items"
               f" x {result.policy.attempt_probs.shape[0]} attempts")
+    else:
+        order = " ".join(str(i + 1) for i in result.policy.order)
+        print(f"policy (1-based order): {order or '(empty)'}")
     print(f"expected value: {f6(result.expected_value)}")
     print(f"benchmark:      {f6(result.benchmark)}")
     if result.benchmark:
         print(f"ratio:          {f6(result.expected_value / result.benchmark)}")
-    if args.policy_out and isinstance(result.policy, Policy):
+    if args.policy_out:
         with open(args.policy_out, "w", encoding="utf-8") as f:
             f.write(" ".join(str(i) for i in result.policy.order) + "\n")
     return EXIT_OK
@@ -148,6 +150,9 @@ def _make_matcher(instance, algorithm, star_solver, rule):
     if algorithm == "adv-greedy":
         solver = solver_by_name(star_solver) if star_solver else None
         return AdvGreedyMatcher(solver), None
+    if star_solver:
+        raise StochmatchError(f"--star-solver names AdvGreedy's star box; {algorithm} "
+                              "does not take one")
     if algorithm == "simple-greedy":
         return SimpleGreedyMatcher(rule), None
     res = solve_prophet_lp(instance)  # prophet or iid
@@ -409,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--benchmark", default="auto",
                    choices=("auto", "lp2", "lp6", "lpp", "none"))
     s.add_argument("--star-solver", default=None,
-                   choices=("dp", "hazard", "lp", "brute"))
+                   choices=("dp", "hazard", "lp", "brute"),
+                   help="AdvGreedy's star box (adv-greedy only)")
     s.add_argument("--rule", default="first", choices=("first", "last"))
     s.add_argument("--csv", default=None)
     s.set_defaults(fn=cmd_match_run)

@@ -1,5 +1,6 @@
-"""Dense exact LP solver with dual values: one solve loop over a standard
-form that grows in place by rows or, across solves, by columns.
+"""Dense exact LP solver with dual values: one solve loop over one
+simplex state, a standard form and its basis, that grows in place by rows
+or, across solves, by columns.
 
 All linear programs in this package are small and dense (hundreds of rows),
 and the probing algorithms consume both primal values and row duals, so a
@@ -19,8 +20,10 @@ simplex's row duals follow each pivot along that row, and are recomputed
 from the inverse at every refactorization and before a phase ends; the
 dual simplex carries its reduced costs along its pivot row instead.
 
-Every problem ``solve`` takes is a packing LP, so the slack basis
-(``inv = I``, ``xB = b``) is feasible and a cold solve starts from it.
+A solve builds, grows and refines one ``_Basis``, which holds the
+standard form and its basis together.  Every problem ``solve`` takes is a
+packing LP, so the slack basis (``inv = I``, ``xB = b``) is feasible and
+a cold solve builds the state there.
 ``solve(problem, start=kept)`` takes a ``KeptBasis``, in which an optimal
 answer of the full problem leaves its standard form and basis.  When the
 next problem is that one with columns appended by ``add_column``, they
@@ -221,7 +224,7 @@ def add_column(problem: LpProblem, obj_coeff, column) -> LpProblem:
 
 
 # ---------------------------------------------------------------------------
-# Standard-form conversion
+# Revised simplex core
 # ---------------------------------------------------------------------------
 
 def _insert(a: np.ndarray, at: int, values: np.ndarray) -> np.ndarray:
@@ -235,100 +238,18 @@ def _price_scale(S: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(1.0 + np.square(S).sum(axis=0))
 
 
-class _Standardized:
-    """max c.x, A x = b, x >= 0, b >= 0: the packing problem with a slack
-    on every row.
-
-    Columns: the structural ones, then one slack per row.  A variable with
-    a finite upper bound gets an extra ``<=`` row.  Only the structural
-    block ``S`` is stored: column ``n_struct + i`` is the slack of row
-    ``i``, a +1 in that row and zero elsewhere, and the methods below apply
-    ``A`` from ``S`` and that rule.  ``ftran`` reads a column's nonzeros
-    from ``S`` itself.  The slack basis is the identity.
-    """
-
-    def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray, ub: np.ndarray):
-        """``max c.x, A x <= b, 0 <= x <= ub``."""
-        (m0, n), boxed = A.shape, np.isfinite(ub)
-        m = m0 + int(np.count_nonzero(boxed))
-        S = np.zeros((m, n))
-        S[:m0] = A
-        S[np.arange(m0, m), boxed.nonzero()[0]] = 1.0
-        self.m0, self.S = m0, S
-        self.b = np.concatenate([b, ub[boxed]])
-        self.n_struct, self.n_cols = n, n + m
-        self.c = np.zeros(self.n_cols)
-        self.c[:n] = c
-        self.b_scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
-        # pricing scale 1 / sqrt(1 + |a_j|^2): the steepest-edge weight of
-        # the slack basis, held fixed; 1 / sqrt(2) for a slack
-        self.price_scale = np.full(self.n_cols, np.sqrt(0.5))
-        self.price_scale[:n] = _price_scale(S)
-
-    def add_rows(self, A: np.ndarray, b: np.ndarray) -> None:
-        """Append the ``<=`` rows ``A x <= b`` of the original problem
-        after the last row, each with its slack as the last column."""
-        k = len(b)
-        self.S = np.concatenate([self.S, A])
-        self.b = np.concatenate([self.b, b])
-        self.c = np.concatenate([self.c, np.zeros(k)])
-        self.price_scale = np.concatenate([self.price_scale, np.full(k, np.sqrt(0.5))])
-        self.price_scale[: self.n_struct] = _price_scale(self.S)
-        self.n_cols += k
-
-    def add_columns(self, c: np.ndarray, A: np.ndarray) -> None:
-        """Append variables with bounds [0, inf), costs ``c`` and columns
-        ``A`` over the rows of the original problem, as structural columns
-        inserted before the slacks, whose indices shift by their number."""
-        k, at = len(c), self.n_struct
-        block = np.zeros((len(self.b), k))
-        block[: self.m0] = A
-        self.S = np.hstack([self.S, block])
-        self.c = _insert(self.c, at, c)
-        self.price_scale = _insert(self.price_scale, at, _price_scale(block))
-        self.n_struct, self.n_cols = at + k, self.n_cols + k
-
-    def basis_matrix(self, cols: np.ndarray) -> np.ndarray:
-        """``A[:, cols]``."""
-        B = np.zeros((len(self.b), len(cols)))
-        struct = cols < self.n_struct
-        B[:, struct] = self.S[:, cols[struct]]
-        B[cols[~struct] - self.n_struct, (~struct).nonzero()[0]] = 1.0
-        return B
-
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """``A @ x`` for a vector over all columns."""
-        return self.S @ x[: self.n_struct] + x[self.n_struct:]
-
-    def row_times(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``w @ A`` written into ``out`` of length ``n_cols``."""
-        k = self.n_struct
-        np.matmul(w, self.S, out=out[:k])
-        out[k:] = w
-        return out
-
-    def ftran(self, inv: np.ndarray, j: int) -> np.ndarray:
-        """``A[:, j] @ inv``: the basis inverse times column ``j``, given the
-        inverse transposed."""
-        if j < self.n_struct:
-            nz = self.S[:, j].nonzero()[0]
-            return self.S[nz, j] @ inv[nz]
-        return inv[j - self.n_struct].copy()
-
-    def add_column(self, v: np.ndarray, j: int, scale: float) -> None:
-        """``v += scale * A[:, j]`` in place."""
-        if j < self.n_struct:
-            v += scale * self.S[:, j]
-        else:
-            v[j - self.n_struct] += scale
-
-
-# ---------------------------------------------------------------------------
-# Revised simplex core
-# ---------------------------------------------------------------------------
-
 class _Basis:
-    """Simplex state shared by the primal and the dual simplex.
+    """One solve's simplex state, shared by the primal and the dual simplex:
+    the packing problem's standard form and a basis of it.
+
+    The standard form is max c.x, A x = b, x >= 0, b >= 0: the packing
+    problem with a slack on every row.  Columns: the structural ones, then
+    one slack per row.  A variable with a finite upper bound gets an extra
+    ``<=`` row.  Only the structural block ``S`` is stored: column
+    ``n_struct + i`` is the slack of row ``i``, a +1 in that row and zero
+    elsewhere, and the methods below apply ``A`` from ``S`` and that rule.
+    ``ftran`` reads a column's nonzeros from ``S`` itself.  The slack basis
+    is the identity.
 
     ``cols`` are the basic columns, ``inv`` the transpose of the explicit
     basis inverse (row ``i`` is column ``i`` of the inverse) and ``xB`` the
@@ -349,74 +270,150 @@ class _Basis:
     subtracted.
     """
 
-    def __init__(self, std: _Standardized, cols: np.ndarray, inv: np.ndarray, xB: np.ndarray):
-        N = std.n_cols
-        self.std, self.cols, self.inv, self.xB = std, cols, inv, xB
-        self.xN = np.zeros(N)
-        self.rhs = std.b.copy()
-        self.is_basic = np.zeros(N, dtype=bool)
-        self.is_basic[cols] = True
+    def __init__(self, c: np.ndarray, A: np.ndarray, b: np.ndarray, ub: np.ndarray):
+        """``max c.x, A x <= b, 0 <= x <= ub``, at its slack basis."""
+        (m0, n), boxed = A.shape, np.isfinite(ub)
+        m = m0 + int(np.count_nonzero(boxed))
+        S = np.zeros((m, n))
+        S[:m0] = A
+        S[np.arange(m0, m), boxed.nonzero()[0]] = 1.0
+        self.m0, self.S = m0, S
+        self.b = np.concatenate([b, ub[boxed]])
+        self.n_struct, self.n_cols = n, n + m
+        self.c = np.zeros(self.n_cols)
+        self.c[:n] = c
+        self.b_scale = 1.0 + float(np.abs(self.b).max(initial=0.0))
+        # pricing scale 1 / sqrt(1 + |a_j|^2): the steepest-edge weight of
+        # the slack basis, held fixed; 1 / sqrt(2) for a slack
+        self.price_scale = np.full(self.n_cols, np.sqrt(0.5))
+        self.price_scale[:n] = _price_scale(S)
+        self.cols, self.inv, self.xB = n + np.arange(m), np.eye(m), self.b.copy()
+        self.xN = np.zeros(self.n_cols)
+        self.rhs = self.b.copy()
+        self.is_basic = np.zeros(self.n_cols, dtype=bool)
+        self.is_basic[self.cols] = True
         self.pivots = 0
 
+    def basis_matrix(self) -> np.ndarray:
+        """``A[:, cols]``."""
+        cols = self.cols
+        B = np.zeros((len(self.b), len(cols)))
+        struct = cols < self.n_struct
+        B[:, struct] = self.S[:, cols[struct]]
+        B[cols[~struct] - self.n_struct, (~struct).nonzero()[0]] = 1.0
+        return B
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` for a vector over all columns."""
+        return self.S @ x[: self.n_struct] + x[self.n_struct:]
+
+    def row_times(self, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``w @ A`` written into ``out`` of length ``n_cols``."""
+        k = self.n_struct
+        np.matmul(w, self.S, out=out[:k])
+        out[k:] = w
+        return out
+
+    def ftran(self, j: int) -> np.ndarray:
+        """``A[:, j] @ inv``: the basis inverse times column ``j``, given the
+        inverse transposed."""
+        if j < self.n_struct:
+            nz = self.S[:, j].nonzero()[0]
+            return self.S[nz, j] @ self.inv[nz]
+        return self.inv[j - self.n_struct].copy()
+
+    def axpy(self, v: np.ndarray, j: int, scale: float) -> None:
+        """``v += scale * A[:, j]`` in place."""
+        if j < self.n_struct:
+            v += scale * self.S[:, j]
+        else:
+            v[j - self.n_struct] += scale
+
     def refactor(self) -> None:
-        B, self.inv = self.std.basis_matrix(self.cols), None  # free the old inverse first
+        B, self.inv = self.basis_matrix(), None  # free the old inverse first
         try:
             self.inv = np.linalg.inv(B.T)
         except np.linalg.LinAlgError as e:
             raise LpNumericalError(f"singular basis during refactorization: {e}") from e
         self.pivots = 0
-        self.rhs = self.std.b - self.std.times(self.xN)
+        self.rhs = self.b - self.times(self.xN)
         np.dot(self.rhs, self.inv, out=self.xB)
 
-    def add_columns(self, at: int, k: int) -> None:
-        """Make room for ``k`` columns inserted in ``std`` at index ``at``,
-        nonbasic at zero."""
+    def refine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The standard form's x and the duals, improved by one step of
+        iterative refinement against the basis."""
+        B, inv = self.basis_matrix(), self.inv
+        rhs, cB = self.b - self.times(self.xN), self.c[self.cols]
+        xB = rhs @ inv
+        xB += (rhs - B @ xB) @ inv
+        y = inv @ cB
+        y += inv @ (cB - y @ B)
+        x_int = self.xN.copy()
+        x_int[self.cols] = xB
+        return x_int, y
+
+    def add_columns(self, c: np.ndarray, A: np.ndarray) -> None:
+        """Append variables with bounds [0, inf), costs ``c`` and columns
+        ``A`` over the rows of the original problem, as structural columns
+        inserted before the slacks, whose indices shift by their number;
+        they join nonbasic at zero."""
+        k, at = len(c), self.n_struct
+        block = np.zeros((len(self.b), k))
+        block[: self.m0] = A
+        self.S = np.hstack([self.S, block])
+        self.c = _insert(self.c, at, c)
+        self.price_scale = _insert(self.price_scale, at, _price_scale(block))
+        self.n_struct, self.n_cols = at + k, self.n_cols + k
         self.cols[self.cols >= at] += k
         self.xN = _insert(self.xN, at, np.zeros(k))
         self.is_basic = _insert(self.is_basic, at, np.zeros(k, dtype=bool))
 
     def add_rows(self, rows: np.ndarray, b: np.ndarray) -> None:
-        """Append the ``<=`` rows ``rows x <= b`` to ``std`` and grow the
-        basis by them, with their slacks (the last columns) basic.  The new
-        basis is ``[[B, 0], [R, I]]``, with ``R`` the new rows on the basic
-        columns, so the transposed inverse grows by a bordered block,
+        """Append the ``<=`` rows ``rows x <= b`` of the original problem
+        after the last row, each with its slack as the last column, and
+        grow the basis by them, with their slacks basic.  The new basis is
+        ``[[B, 0], [R, I]]``, with ``R`` the new rows on the basic columns,
+        so the transposed inverse grows by a bordered block,
         ``[[inv, -inv R^T], [0, I]]``, and each slack's value is its row's
         right-hand side less ``R xB``, below zero where the row is violated."""
         k, m = len(rows), len(self.cols)
-        self.std.add_rows(rows, b)
-        at = self.std.n_cols - k
+        self.S = np.concatenate([self.S, rows])
+        self.b = np.concatenate([self.b, b])
+        self.c = np.concatenate([self.c, np.zeros(k)])
+        self.price_scale = np.concatenate([self.price_scale, np.full(k, np.sqrt(0.5))])
+        self.price_scale[: self.n_struct] = _price_scale(self.S)
+        at, self.n_cols = self.n_cols, self.n_cols + k
         self.xN = np.concatenate([self.xN, np.zeros(k)])
-        self.is_basic = np.concatenate([self.is_basic, np.zeros(k, dtype=bool)])
-        struct = self.cols < self.std.n_struct
+        self.is_basic = np.concatenate([self.is_basic, np.ones(k, dtype=bool)])  # the slacks
+        struct = self.cols < self.n_struct
         R = np.zeros((k, m))
         R[:, struct] = rows[:, self.cols[struct]]
         inv = np.zeros((m + k, m + k))
         inv[:m, :m] = self.inv
         inv[:m, m:] = -(self.inv @ R.T)
         inv[range(m, m + k), range(m, m + k)] = 1.0
-        rhs = b - rows @ self.xN[: self.std.n_struct]
+        rhs = b - rows @ self.xN[: self.n_struct]
         self.rhs = np.concatenate([self.rhs, rhs])
         self.xB = np.concatenate([self.xB, rhs - R @ self.xB])
         self.inv, self.cols = inv, np.concatenate([self.cols, np.arange(at, at + k)])
-        self.is_basic[at:at + k] = True
 
     def pivot(self, j: int, d: np.ndarray, r: int, t: float) -> np.ndarray:
         """Column ``j`` (with ``d = A[:, j] @ inv``) enters, raised by ``t``;
         the variable of row ``r`` leaves at whatever value the step leaves
         it, which is zero up to rounding unless the step is zero.  Returns
         the new row ``r`` of the inverse, along which the duals move."""
-        std, xB, xN = self.std, self.xB, self.xN
+        xB, xN = self.xB, self.xN
         k = int(self.cols[r])
         leave = float(xB[r] - t * d[r])
         if t:
             xB -= t * d
         xB[r] = xN[j] + t
         if xN[j]:
-            std.add_column(self.rhs, j, xN[j])
+            self.axpy(self.rhs, j, xN[j])
             xN[j] = 0.0
         if leave:
             xN[k] = leave
-            std.add_column(self.rhs, k, -leave)
+            self.axpy(self.rhs, k, -leave)
         v = self.inv[:, r] / d[r]
         if len(v) >= SPARSE_UPDATE_ROWS:
             nz = v.nonzero()[0]
@@ -467,18 +464,17 @@ def _simplex_phase(st: _Basis, tol):
     row of the inverse, and are recomputed as ``inv @ cB`` at every
     refactor and before the phase declares optimality or unboundedness,
     which then prices once more with the fresh duals."""
-    std = st.std
-    c, N = std.c, std.n_cols
+    c, N = st.c, st.n_cols
     if N == 0 or (c.max() <= OPT_TOL and not c[st.cols].any()):
         return OPTIMAL, 0  # no column can enter: with y = 0, z = c
-    scale = std.price_scale
+    scale = st.price_scale
     z, score = np.empty(N), np.empty(N)
     cB = c[st.cols]
     y, fresh = st.inv @ cB, True
     bland = False
     degenerate = 0
-    bland_after = 10 * (len(std.b) + std.n_cols)
-    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(std.b) + std.n_cols)
+    bland_after = 10 * (len(st.b) + st.n_cols)
+    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(st.b) + st.n_cols)
     it = 0
     while True:
         if it >= max_iter:
@@ -486,7 +482,7 @@ def _simplex_phase(st: _Basis, tol):
         if st.pivots >= REFACTOR_EVERY:
             st.refactor()
             y, fresh = st.inv @ cB, True
-        np.subtract(c, std.row_times(y, z), out=z)
+        np.subtract(c, st.row_times(y, z), out=z)
         z[st.is_basic] = -np.inf
         if bland:
             pos = np.flatnonzero(z > OPT_TOL)
@@ -502,7 +498,7 @@ def _simplex_phase(st: _Basis, tol):
             raise LpNumericalError("non-finite reduced cost")
         r = -1
         if j >= 0:
-            d = std.ftran(st.inv, j)
+            d = st.ftran(j)
             r = _ratio_test(st.xB, d, st.cols, bland, tol)
         if r < 0:
             if fresh:
@@ -534,23 +530,22 @@ def _dual_phase(st: _Basis, tol):
     reduced costs ``z = c - yA`` are computed when the phase starts and
     after a refactorization, and otherwise follow each pivot along alpha:
     ``z -= (z_j / d_r) alpha``."""
-    std = st.std
-    c, N = std.c, std.n_cols
+    c, N = st.c, st.n_cols
     z, lift = np.empty(N), np.empty(N)
     columns = np.arange(N)
     cB = c[st.cols]
-    np.subtract(c, std.row_times(st.inv @ cB, z), out=z)
+    np.subtract(c, st.row_times(st.inv @ cB, z), out=z)
     bland = False
     degenerate = 0
-    bland_after = 10 * (len(std.b) + std.n_cols)
-    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(std.b) + std.n_cols)
+    bland_after = 10 * (len(st.b) + st.n_cols)
+    max_iter = ITERATIONS_BASE + ITERATIONS_PER_DIM * (len(st.b) + st.n_cols)
     it = 0
     while True:
         if it >= max_iter:
             raise LpNumericalError(f"dual simplex exceeded {max_iter} iterations")
         if st.pivots >= REFACTOR_EVERY:
             st.refactor()
-            np.subtract(c, std.row_times(st.inv @ cB, z), out=z)
+            np.subtract(c, st.row_times(st.inv @ cB, z), out=z)
         if bland:
             low = (st.xB < -tol).nonzero()[0]
             if low.size == 0:
@@ -560,14 +555,14 @@ def _dual_phase(st: _Basis, tol):
             r = int(np.argmin(st.xB))
             if not st.xB[r] < -tol:  # a NaN here fails the certificate later
                 return OPTIMAL, it
-        std.row_times(-st.inv[:, r], lift)  # -alpha: what raises the leaving row
+        st.row_times(-st.inv[:, r], lift)  # -alpha: what raises the leaving row
         lift[st.is_basic] = 0.0
         j = _ratio_test(-np.minimum(z, 0.0), lift, columns, bland, OPT_TOL)
         if j < 0:
             return INFEASIBLE, it
         if not np.isfinite(z[j]):
             raise LpNumericalError("non-finite reduced cost")
-        d = std.ftran(st.inv, j)
+        d = st.ftran(j)
         if not d[r] < -PIVOT_TOL:
             raise LpNumericalError("dual simplex pivot lost its sign")
         if z[j] >= -OPT_TOL:
@@ -580,20 +575,6 @@ def _dual_phase(st: _Basis, tol):
         z[k], z[j] = -step, 0.0
         cB[r] = c[j]
         it += 1
-
-
-def _refine(std: _Standardized, st: _Basis) -> tuple[np.ndarray, np.ndarray]:
-    """The standard form's x and the duals, improved by one step of
-    iterative refinement against the basis."""
-    B, inv = std.basis_matrix(st.cols), st.inv
-    rhs, cB = std.b - std.times(st.xN), std.c[st.cols]
-    xB = rhs @ inv
-    xB += (rhs - B @ xB) @ inv
-    y = inv @ cB
-    y += inv @ (cB - y @ B)
-    x_int = st.xN.copy()
-    x_int[st.cols] = xB
-    return x_int, y
 
 
 class KeptBasis:
@@ -623,8 +604,7 @@ class KeptBasis:
                     (problem.lb, np.append(old.lb, np.zeros(k))),
                     (problem.ub, np.append(old.ub, np.full(k, np.inf)))])):
             return None
-        st.add_columns(st.std.n_struct, k)
-        st.std.add_columns(problem.c[n0:], problem.A[:, n0:])
+        st.add_columns(problem.c[n0:], problem.A[:, n0:])
         return st
 
 
@@ -686,31 +666,28 @@ def _run(problem: LpProblem, held: np.ndarray, st: _Basis | None,
     how = "warm"
     if st is None:
         rows = work if len(held) else slice(None)
-        std = _Standardized(problem.c, problem.A[rows], problem.b[rows], problem.ub)
-        m = len(std.b)
-        st, how = _Basis(std, std.n_struct + np.arange(m), np.eye(m), std.b.copy()), "identity"
-    std = st.std
-    b_scale = max(std.b_scale, 1.0 + float(np.abs(problem.b).max(initial=0.0)))
-    tol, bound, m_work = HARRIS_TOL * b_scale, LAZY_VIOLATION * CERT_TOL * b_scale, len(std.b)
+        st, how = _Basis(problem.c, problem.A[rows], problem.b[rows], problem.ub), "identity"
+    b_scale = max(st.b_scale, 1.0 + float(np.abs(problem.b).max(initial=0.0)))
+    tol, bound, m_work = HARRIS_TOL * b_scale, LAZY_VIOLATION * CERT_TOL * b_scale, len(st.b)
     status, it = _simplex_phase(st, tol)
     added, stalled = [], False
     left = np.zeros(problem.n_rows, dtype=bool)
     left[held] = True
     while status == OPTIMAL:
-        x_int, y = _refine(std, st)
-        x = x_int[: std.n_struct].copy()  # a view would keep all of x_int alive
+        x_int, y = st.refine()
+        x = x_int[: st.n_struct].copy()  # a view would keep all of x_int alive
         join = held[:0]
         if left.any():  # the held rows are read in place, not copied
             join = np.flatnonzero((problem.A @ x - problem.b > bound) & left)
         if len(join):
-            _check_size(len(std.b) + len(join), std.n_struct)
+            _check_size(len(st.b) + len(join), st.n_struct)
             left[join] = False
             st.add_rows(problem.A[join], problem.b[join])
             added.append(join)
             status, k = _dual_phase(st, tol)
             it, stalled = it + k, False
             continue
-        z = std.c - std.row_times(y, np.empty(std.n_cols))
+        z = st.c - st.row_times(y, np.empty(st.n_cols))
         if stalled or not (z[~st.is_basic] > OPT_TOL).any():
             break
         st.refactor()
@@ -722,10 +699,10 @@ def _run(problem: LpProblem, held: np.ndarray, st: _Basis | None,
         return LpSolution(status=status, iterations=it, start=how)
     added = np.concatenate(added) if added else held[:0]
     duals = np.zeros(problem.n_rows)
-    duals[work] = y[: std.m0]
+    duals[work] = y[: st.m0]
     duals[added] = y[m_work:]
-    sol = LpSolution(status=OPTIMAL, x=x, duals=duals, objective=float(std.c @ x_int),
-                     dual_objective=float(y @ std.b), iterations=it,
+    sol = LpSolution(status=OPTIMAL, x=x, duals=duals, objective=float(st.c @ x_int),
+                     dual_objective=float(y @ st.b), iterations=it,
                      rows_added=len(added), start=how)
     _certify(problem, sol, b_scale)
     if keep is not None:

@@ -374,6 +374,8 @@ def brute_force_offline_opt(instance: MatchingInstance) -> float:
     if not all(p.is_deterministic for p in instance.patience):
         raise CapabilityError("the offline oracle needs deterministic patience")
     m, n = instance.m, instance.n_types
+    if n == 0:  # no online vertex, so no probe
+        return 0.0
     probs, weights = instance.probs, instance.weights_matrix()
     rec = np.vstack([[p.theta for p in instance.patience], probs > 0.0])
     cls, _ = _distinct(np.vstack([rec, probs, weights]))

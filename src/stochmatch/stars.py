@@ -537,13 +537,16 @@ def _plan_each(solve, batch: StarBatch):
     return (*_pack_orders(picked), randomized)
 
 
-# per solver: its plan, its one-star solve and its approximation factor
+# per solver: its plan, its one-star solve, its approximation factor and
+# whether its policies are randomized (no probing order)
 _SOLVERS = {
     "dp": (lambda batch: (*deterministic_patience_dp(batch)[:2], {}),
-           solve_deterministic_patience, 1.0),
-    "hazard": (_plan_hazard, solve_constant_hazard, 1.0),
-    "lp": (functools.partial(_plan_each, solve_arbitrary_patience), solve_arbitrary_patience, 0.5),
-    "brute": (functools.partial(_plan_each, brute_force_optimal), brute_force_optimal, 1.0),
+           solve_deterministic_patience, 1.0, False),
+    "hazard": (_plan_hazard, solve_constant_hazard, 1.0, False),
+    "lp": (functools.partial(_plan_each, solve_arbitrary_patience), solve_arbitrary_patience,
+           0.5, True),
+    "brute": (functools.partial(_plan_each, brute_force_optimal), brute_force_optimal, 1.0,
+              False),
 }
 
 
@@ -558,10 +561,16 @@ class StarSolver:
     the items that policy runs on, in index order.  ``solve(star)`` solves
     one star with its value: the one-row call of the ``dp`` and ``hazard``
     plans, the function that the ``lp`` and ``brute`` plans run per row.
+    ``randomized`` is true for a box whose policies are randomized, never
+    a probing order.
     """
 
     name: str
     kappa: float
+
+    @property
+    def randomized(self) -> bool:
+        return _SOLVERS[self.name][3]
 
     def plan(self, batch: StarBatch):
         return _SOLVERS[self.name][0](batch)

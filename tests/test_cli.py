@@ -125,11 +125,11 @@ def test_star_solve_writes_an_order_policy_only(tmp_path, capsys):
     order = solver_by_name("dp").solve(load_instance(path)).policy.order
     assert code == 0 and order
     assert policy.read_text() == " ".join(map(str, order)) + "\n"  # 0-based
-    # a randomized LP policy has no order to write
+    # a randomized LP policy has no order to write: an input error, before solving
     lp_policy = tmp_path / "lp-policy.txt"
-    code, _, _ = run(capsys, "star-solve", str(path), "--solver", "lp",
-                     "--policy-out", str(lp_policy))
-    assert code == 0 and not lp_policy.exists()
+    code, _, err = run(capsys, "star-solve", str(path), "--solver", "lp",
+                       "--policy-out", str(lp_policy))
+    assert code == 2 and "randomized" in err and not lp_policy.exists()
 
 
 def test_missing_file_exits_2(capsys):
@@ -291,6 +291,18 @@ def test_match_run_prints_pass_marker(tmp_path, capsys):
                        "--seed", "1", "--trials", "4000")
     assert code == 0
     assert "ratio:" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("algorithm", ["simple-greedy", "iid", "prophet"])
+def test_match_run_star_solver_outside_adv_greedy_exits_2(tmp_path, capsys, algorithm):
+    # only AdvGreedy probes stars with a named box
+    path = tmp_path / "inst.json"
+    run(capsys, "gen", "random-matching", "-m", "4", "-n", "3",
+        "--arrivals", "iid", "--seed", "7", "-o", str(path))
+    code, out, err = run(capsys, "match-run", str(path), "--algorithm", algorithm,
+                         "--star-solver", "dp", "--seed", "1", "--trials", "200")
+    assert code == 2 and "--star-solver" in err and "Traceback" not in err
+    assert "mean matched weight" not in out
 
 
 def test_match_run_simple_greedy_last_rule(tmp_path, capsys):

@@ -390,14 +390,13 @@ def _final_basis(monkeypatch, problem):
 @pytest.mark.parametrize("seed", range(10))
 def test_solution_is_refined_from_the_kept_transposed_inverse(monkeypatch, seed, n):
     sol, st = _final_basis(monkeypatch, _full_lp1(seed, n))
-    std = st.std
-    B = std.basis_matrix(st.cols)
+    B = st.basis_matrix()
     # x and the duals agree with two LU solves on the final basis, also
     # where pivots on entries near PIVOT_TOL left the kept inverse inexact
     x_int = st.xN.copy()
-    x_int[st.cols] = np.linalg.solve(B, std.b - std.times(st.xN))
-    x = x_int[: std.n_struct]
-    y = np.linalg.solve(B.T, std.c[st.cols])[: std.m0]
+    x_int[st.cols] = np.linalg.solve(B, st.b - st.times(st.xN))
+    x = x_int[: st.n_struct]
+    y = np.linalg.solve(B.T, st.c[st.cols])[: st.m0]
     assert np.abs(sol.x - x).max() <= 1e-12 * (1 + np.abs(x).max())
     assert np.abs(sol.duals - y).max() <= 1e-12 * (1 + np.abs(y).max())
     # the refactorized inverse is stored transposed
@@ -409,7 +408,7 @@ def test_row_gather_pivot_equals_the_dense_update(monkeypatch):
     _, st = _final_basis(monkeypatch, _full_lp1(0, 12))
     assert len(st.cols) >= lp.SPARSE_UPDATE_ROWS  # the gather path
     j = int(np.flatnonzero(~st.is_basic)[0])
-    d = st.std.ftran(st.inv, j)
+    d = st.ftran(j)
     r = int(np.argmax(np.abs(d)))
     v = st.inv[:, r] / d[r]
     assert 0 < np.count_nonzero(v) < len(v)
@@ -599,7 +598,7 @@ def test_a_master_keeps_its_inverse_across_column_generation_rounds(monkeypatch,
         solves = _master_solves(monkeypatch, hard.gen_random_matching(seed, 8, 6, kind, horizon=8))
         warm += sum(sol.start == "warm" for _, _, sol in solves)
         st = solves[-1][1].basis
-        B = st.std.basis_matrix(st.cols)
+        B = st.basis_matrix()
         assert np.abs(st.inv - np.linalg.inv(B).T).max() <= 1e-9, seed
     assert warm > 0 and len(inverted) < warm
 
@@ -636,9 +635,9 @@ def test_the_dual_simplex_carries_its_reduced_costs_along_the_pivot_row(monkeypa
     def spy(st, tol):
         def profile(frame, event, arg):
             if event == "return" and frame.f_code is phase.__code__:
-                std, z = st.std, frame.f_locals["z"]
-                y = st.inv @ std.c[st.cols]
-                fresh = std.c - std.row_times(y, np.empty(std.n_cols))
+                z = frame.f_locals["z"]
+                y = st.inv @ st.c[st.cols]
+                fresh = st.c - st.row_times(y, np.empty(st.n_cols))
                 ends.append((np.abs(z - fresh)[~st.is_basic].max(initial=0.0), arg[1]))
 
         sys.setprofile(profile)

@@ -20,12 +20,14 @@ from stochmatch.instances import (
     PatienceModel,
     Policy,
     StochmatchError,
+    validate,
 )
 from stochmatch.matching import (
     TAPE_BLOCK,
     AdvGreedyMatcher,
     RandomTape,
     SimpleGreedyMatcher,
+    benchmark_lp_value,
     iid_matcher,
     solve_prophet_lp,
 )
@@ -307,6 +309,15 @@ def test_offline_opt_never_reprobes_an_edge():
     inst = MatchingInstance.make([[0.5]], PatienceModel.deterministic(2),
                                  ArrivalModel.adversarial([0]), vertex_weights=[1.0])
     assert brute_force_offline_opt(inst) == pytest.approx(0.5)
+
+
+def test_offline_opt_of_an_instance_with_no_online_types_is_zero():
+    # it passes validation, and AdvGreedy and LP6 value it at 0 too
+    inst = MatchingInstance.make(np.zeros((2, 0)), (), ArrivalModel.adversarial([]),
+                                 vertex_weights=[1, 1])
+    assert validate(inst).ok
+    assert brute_force_offline_opt(inst) == 0.0
+    assert AdvGreedyMatcher().exact_value(inst) == 0.0 and benchmark_lp_value(inst) == 0.0
 
 
 def test_offline_opt_rejects_stochastic_patience():
